@@ -230,7 +230,7 @@ def cmd_preview(args) -> int:
     if not policy_path.exists():
         raise MissingPolicy(f"checkpoint not found: {policy_path}")
     policy = policy_from_checkpoint(policy_path)
-    params = VehicleParams().with_consistent_stiffness(TireParams())
+    params = VehicleParams()
     preview = generate_preview(
         policy, params, TireParams(), track, pre,
         v_ini=args.v_ini, seed=args.seed,
@@ -251,7 +251,7 @@ def cmd_deploy(args) -> int:
         raise FileNotFoundError(f"preview file not found: {preview_path}")
     preview = load_preview(preview_path)
     spec = _deployment_spec(args)
-    params = VehicleParams().with_consistent_stiffness(TireParams())
+    params = VehicleParams()
     dep_params, dep_tires = spec.apply(params, TireParams())
     run_dir = Path(args.out) if args.out else output_root() / "deploy"
     _write_metadata(run_dir, {
@@ -339,7 +339,7 @@ def cmd_compare(args) -> int:
     if not policy_path.exists():
         raise MissingPolicy(f"checkpoint not found: {policy_path}")
     policy = policy_from_checkpoint(policy_path)
-    params = VehicleParams().with_consistent_stiffness(TireParams())
+    params = VehicleParams()
     spec = _deployment_spec(args)
     dep_params, dep_tires = spec.apply(params, TireParams())
     run_dir = Path(args.out) if args.out else output_root() / "compare"
@@ -386,7 +386,7 @@ def cmd_mu_sweep(args) -> int:
         tasks.append(("right_angle", Path(args.policy_right_angle)))
     if not tasks:
         raise MissingPolicy("mu-sweep needs --policy-uturn and/or --policy-right-angle")
-    params = VehicleParams().with_consistent_stiffness(TireParams())
+    params = VehicleParams()
     run_dir = Path(args.out) if args.out else output_root() / "mu_sweep"
     _write_metadata(run_dir, {
         "command": "mu-sweep", "seeds": args.seeds,
@@ -467,7 +467,7 @@ def cmd_export_plots(args) -> int:
 # -- argument parsing -------------------------------------------------
 
 
-def _add_track_args(p, require=False):
+def _add_track_args(p):
     p.add_argument("--track", help="track geometry file")
     p.add_argument("--kind", choices=LIBRARY_KINDS,
                    help="library track (alternative to --track)")

@@ -11,7 +11,7 @@ bookkept exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -85,28 +85,17 @@ def _wrap_angle(a: float) -> float:
 def observe(
     state: PlantState,
     track: TrackGeometry,
-    pretraj: PreTrajectory | None = None,
-    chi: float = 1.0,
     s_hint: float | None = None,
-    literal_rates: bool = False,
 ) -> FrenetObservation:
-    """Track-relative observation of a plant state.
-
-    `literal_rates` selects a simplified rate model (longitudinal rate
-    from v_x alone, lateral rate scaled by its inverse) kept for
-    comparison; the default is the exact Frenet kinematics.
-    """
+    """Track-relative observation of a running plant state (exact
+    Frenet kinematics for the rates)."""
     fp = to_frenet((state.x, state.y), track, s_hint=s_hint)
     alpha = _wrap_angle(state.phi - track.heading_at(fp.s))
     kc = track.curvature_at(fp.s)
     denom = 1.0 - kc * fp.l
     ca, sa = math.cos(alpha), math.sin(alpha)
-    if literal_rates:
-        s_dot = state.v_x * ca / denom
-        l_dot = state.v_y * sa / (s_dot if abs(s_dot) > 1e-6 else 1e-6)
-    else:
-        s_dot = (state.v_x * ca - state.v_y * sa) / denom
-        l_dot = state.v_x * sa + state.v_y * ca
+    s_dot = (state.v_x * ca - state.v_y * sa) / denom
+    l_dot = state.v_x * sa + state.v_y * ca
     alpha_dot = state.yaw_rate - kc * s_dot
     preview_s = np.minimum(
         fp.s + PREVIEW_SPACING * np.arange(1, N_PREVIEW + 1), track.s_max
@@ -114,7 +103,7 @@ def observe(
     kappa_preview = track.curvature_at_many(preview_s)
     return FrenetObservation(
         s=fp.s, l=fp.l, alpha=alpha, s_dot=s_dot, l_dot=l_dot,
-        alpha_dot=alpha_dot, v_x=state.v_x, v_y=state.v_y, chi=chi,
+        alpha_dot=alpha_dot, v_x=state.v_x, v_y=state.v_y, chi=1.0,
         kappa_preview=kappa_preview,
     )
 
@@ -229,7 +218,6 @@ class DriftEnv:
         limits: ActuatorLimits = ActuatorLimits(),
         time_cap: float | None = None,
         record: bool = False,
-        literal_rates: bool = False,
     ):
         self.track = track
         self.pretraj = pretraj
@@ -240,7 +228,6 @@ class DriftEnv:
         self.time_cap = (TIME_CAP_FACTOR * pretraj.t_ref
                          if time_cap is None else time_cap)
         self.record = record
-        self.literal_rates = literal_rates
         self.scales = observation_scales(track)
         self._work = np.empty((5, 8))
         self.state: PlantState | None = None
@@ -283,9 +270,7 @@ class DriftEnv:
         self._fault = False
         self._status = "running"
         self._rows: list[list[float]] = []
-        self._obs = observe(self.state, self.track, self.pretraj,
-                            chi=1.0, s_hint=0.0,
-                            literal_rates=self.literal_rates)
+        self._obs = observe(self.state, self.track, s_hint=0.0)
         return self._obs
 
     # one control tick ------------------------------------------------
@@ -309,9 +294,7 @@ class DriftEnv:
         self._steps += 1
 
         try:
-            obs = observe(self.state, self.track, self.pretraj,
-                          chi=1.0, s_hint=self._s,
-                          literal_rates=self.literal_rates)
+            obs = observe(self.state, self.track, s_hint=self._s)
         except OffCorridor:
             self._status = "crashed"
             return self._finish(0.0)
@@ -335,8 +318,9 @@ class DriftEnv:
                 self.state.trt_applied, self.state.pb_applied, *terms,
             ])
 
-        status = detect_termination(self.state, self.track, self.params,
-                                    self._monitor, s_hint=obs.s)
+        status = detect_termination(self.state, self.track,
+                                    FrenetPoint(obs.s, obs.l), self.params,
+                                    self._monitor)
         if status == "running" and self._t >= self.time_cap - 1e-9:
             status = "timeout"
         if status != "running":

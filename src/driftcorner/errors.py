@@ -45,16 +45,8 @@ class NumericalBlowup(DriftCornerError):
     """Plant state left its sanity bounds; integration or controller fault."""
 
 
-class LowSpeed(DriftCornerError):
-    """Speed below the side-slip validity threshold."""
-
-
 class SingularSpeed(DriftCornerError):
     """Linearization requested below the model's speed guard."""
-
-
-class GradientExplosion(DriftCornerError):
-    """Gradient norm exceeded the clip threshold (logged, not fatal)."""
 
 
 class PreviewFailed(DriftCornerError):
@@ -75,7 +67,3 @@ class MissingPolicy(DriftCornerError):
 
 class MissingLog(DriftCornerError):
     """Run directory does not contain the expected logs."""
-
-
-class ConfigError(DriftCornerError):
-    """Experiment configuration is invalid (CLI exit code 3)."""

@@ -25,7 +25,6 @@ from .mpc import (
     CartesianState,
     MpcInput,
     MpcWeights,
-    accel_to_actuators,
     discretize_augment,
     linearize,
     solve_qp,
@@ -269,8 +268,6 @@ class FusionController:
         limits: ActuatorLimits = ActuatorLimits(),
         mpc_enabled: bool = True,
         primary_enabled: bool = True,
-        record: bool = True,
-        correction_leak: float = 1.0,
     ):
         self.preview = preview
         self.track = track
@@ -280,13 +277,6 @@ class FusionController:
         self.limits = limits
         self.mpc_enabled = mpc_enabled
         self.primary_enabled = primary_enabled
-        self.record = record
-        # Per-tick decay on the accumulated correction.  The rate-penalised
-        # formulation has no cost pulling the integrated correction back to
-        # zero, so a leak < 1 keeps it from wandering; sustaining a bias then
-        # requires sustained tracking error, which is exactly when it is
-        # warranted.
-        self.correction_leak = float(correction_leak)
         self.u_mpc = MpcInput(0.0, 0.0)
         self.fallback_on = False
         self.t = 0.0
@@ -329,7 +319,7 @@ class FusionController:
             raise PreviewExhausted(f"s={s:.2f} beyond preview end {sp[-1]:.2f}")
         return j if sp[j] - s <= s - sp[j - 1] else j - 1
 
-    def __call__(self, state, obs_vector=None) -> np.ndarray:
+    def __call__(self, state) -> np.ndarray:
         """One 100 Hz tick: PlantState in, actuator command out."""
         t0 = time.perf_counter()
         try:
@@ -358,9 +348,6 @@ class FusionController:
             gamma_err = gamma_now - self.preview.gamma[k]
             gamma_err[2] = math.atan2(math.sin(gamma_err[2]),
                                       math.cos(gamma_err[2]))
-            if self.correction_leak < 1.0:
-                self.u_mpc = MpcInput(self.u_mpc.delta_f * self.correction_leak,
-                                      self.u_mpc.a_xt * self.correction_leak)
             gamma_aug = np.concatenate([gamma_err, np.asarray(self.u_mpc)])
             mats = (self._mats[0][k], self._mats[1][k],
                     self._mats[0][k1], self._mats[1][k1])
@@ -391,13 +378,12 @@ class FusionController:
         if engaged:
             applied = np.array([applied[0], 0.0, self.fallback.p_bm])
 
-        if self.record:
-            self.records.append(TickRecord(
-                t=self.t, a_rl=a_rl, du_mpc=du_act, u_t=u_t, applied=applied,
-                fallback=engaged,
-                compute_ms=(time.perf_counter() - t0) * 1e3,
-                kkt_residual=kkt,
-            ))
+        self.records.append(TickRecord(
+            t=self.t, a_rl=a_rl, du_mpc=du_act, u_t=u_t, applied=applied,
+            fallback=engaged,
+            compute_ms=(time.perf_counter() - t0) * 1e3,
+            kkt_residual=kkt,
+        ))
         self.t += CONTROL_DT
         return applied
 
@@ -435,7 +421,6 @@ class DeploymentSpec:
     mass_scale: float = 1.0
     tire_b_scale: float = 1.0
     tire_d_scale: float = 1.0
-    delay_ticks: int = 0
 
     def apply(
         self, params: VehicleParams, tires: TireParams
@@ -489,7 +474,6 @@ def deploy_run(
     mpc_enabled: bool = True,
     primary_enabled: bool = True,
     reward_cfg: RewardConfig = RewardConfig(),
-    correction_leak: float = 1.0,
     record_trace: bool = False,
 ) -> DeployResult:
     """Closed-loop run of the fusion controller on the deployment plant."""
@@ -497,8 +481,7 @@ def deploy_run(
                    params=deploy_params, limits=limits, record=record_trace)
     ctl = FusionController(preview, track, train_params, weights, fallback,
                            limits, mpc_enabled=mpc_enabled,
-                           primary_enabled=primary_enabled,
-                           correction_leak=correction_leak)
+                           primary_enabled=primary_enabled)
     obs = env.reset(seed, nominal=nominal, v0=preview.v_ini)
     done = False
     info: dict = {}

@@ -1,11 +1,10 @@
 """Hot numeric kernels for the vehicle plant.
 
 The chassis + wheel-spin right-hand side and the fixed-step RK4 loop are
-the innermost loops of training and deployment.  They are compiled with
-numba when available; setting the environment variable
-``DRIFTCORNER_DISABLE_NUMBA=1`` (or numba being missing) selects a pure
-Python/numpy fallback with identical semantics.  ``bench.py`` compares
-the two paths.
+the innermost loops of training and deployment.  They are plain Python
+functions over float64 arrays; when numba can be imported they are
+compiled with it, otherwise they run as written.  ``NUMBA_ENABLED`` says
+which of the two ran.
 
 State layout (float64 array of length 7):
     [X, Y, phi, v_x, v_y, yaw_rate, omega_r]
@@ -18,11 +17,8 @@ Tire parameter layout (length 9):
 from __future__ import annotations
 
 import math
-import os
 
 G = 9.81
-
-NUMBA_ENABLED = os.environ.get("DRIFTCORNER_DISABLE_NUMBA", "0") != "1"
 
 
 def _magic_formula(slip, B, C, D, E, peak):
@@ -147,16 +143,16 @@ magic_formula = _magic_formula
 derivative = _derivative
 integrate = _integrate
 
-if NUMBA_ENABLED:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - mirror always has numba
-        NUMBA_ENABLED = False
-    else:
-        magic_formula = numba.njit(cache=True)(_magic_formula)
-        # Rebind the globals the outer kernels reference so numba picks up
-        # the compiled inner functions when it compiles them lazily.
-        _magic_formula = magic_formula
-        derivative = numba.njit(cache=True)(_derivative)
-        _derivative = derivative
-        integrate = numba.njit(cache=True)(_integrate)
+try:
+    import numba
+except ImportError:
+    NUMBA_ENABLED = False
+else:
+    NUMBA_ENABLED = True
+    magic_formula = numba.njit(cache=True)(_magic_formula)
+    # Rebind the globals the outer kernels reference so numba picks up
+    # the compiled inner functions when it compiles them lazily.
+    _magic_formula = magic_formula
+    derivative = numba.njit(cache=True)(_derivative)
+    _derivative = derivative
+    integrate = numba.njit(cache=True)(_integrate)

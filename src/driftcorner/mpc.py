@@ -373,28 +373,3 @@ def accel_to_actuators(
     if p_b > limits.p_max:
         p_b, clamped = limits.p_max, True
     return 0.0, p_b, clamped
-
-
-def mpc_step(
-    state: CartesianState,
-    u_prev: MpcInput,
-    ref1: CartesianState,
-    ref2: CartesianState,
-    lin_ref: CartesianState,
-    lin_ref_next: CartesianState,
-    params: VehicleParams = VehicleParams(),
-    weights: MpcWeights = MpcWeights(),
-) -> tuple[MpcInput, MpcDiagnostics]:
-    """One receding-horizon tick: linearize at the two reference points,
-    discretize, solve, and accumulate the first input-rate onto the
-    previous input."""
-    a1, b1 = linearize(lin_ref, params)
-    a2, b2 = linearize(lin_ref_next, params)
-    mats = (*discretize_augment(a1, b1, weights.t_s),
-            *discretize_augment(a2, b2, weights.t_s))
-    gamma_aug = np.concatenate([state.vector(), np.asarray(u_prev)])
-    du_k, _, diag = solve_qp(gamma_aug,
-                             (ref1.vector(), ref2.vector()),
-                             (mats[0], mats[1], mats[2], mats[3]), weights)
-    return MpcInput(float(u_prev[0] + du_k[0]),
-                    float(u_prev[1] + du_k[1])), diag

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadTrackSpec, Infeasible, RankDeficient
+from .plant import ActuatorLimits, VehicleParams
 from .track import DiscretizedGrid, FrenetPoint, TrackGeometry, discretize, to_cartesian
 
 G = 9.81
@@ -432,11 +433,12 @@ def plan_speed(
         lat = v * v * k / (mu * g)
         return math.sqrt(max(0.0, 1.0 - min(lat, 1.0) ** 2))
 
+    t_max = ActuatorLimits().t_max
+
     def a_fwd(v, k):
         a = a_max
         if powertrain is not None:
             p = powertrain
-            t_max = 1000.0  # peak drive torque, matches ActuatorLimits
             f = t_max / p.r_w - p.c_rr * p.m * g - p.c_drag * v * v
             a = min(a, f / p.m)
         return min(a, mu * g) * ellipse(v, k)
@@ -538,7 +540,6 @@ def plan_pretrajectory(
     else:
         path = minimize_curvature(track, grid, boundary, margin=margin)
     if powertrain is None:
-        from .plant import VehicleParams
         powertrain = VehicleParams()
     speed = plan_speed(path, track, mu, powertrain=powertrain,
                        v_start=v_start)

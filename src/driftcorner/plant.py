@@ -11,14 +11,14 @@ saturation and rate limits, and termination detection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .errors import NumericalBlowup, OffCorridor
-from .track import TrackGeometry, to_frenet
+from .track import FrenetPoint, TrackGeometry, to_frenet
 
 G = 9.81
 
@@ -108,11 +108,6 @@ class VehicleParams:
                 self.k_b, self.brake_front_frac, self.c_rr, self.c_drag,
             ]
         )
-
-    def with_consistent_stiffness(self, tires: TireParams) -> "VehicleParams":
-        """Set the linear-model stiffnesses to the plant's small-slip slope."""
-        front, rear = tires.cornering_stiffness(self)
-        return replace(self, c_cf=front, c_cr=rear)
 
 
 @dataclass(frozen=True)
@@ -255,15 +250,15 @@ def vehicle_corners(state: PlantState, params: VehicleParams) -> np.ndarray:
 def detect_termination(
     state: PlantState,
     track: TrackGeometry,
+    cg: FrenetPoint,
     params: VehicleParams = VehicleParams(),
     monitor: TerminationMonitor | None = None,
-    s_hint: float | None = None,
 ) -> str:
-    """'running' | 'completed' | 'crashed' for the current state."""
+    """'running' | 'completed' | 'crashed' for the current state, whose
+    c.g. projects onto the track at `cg`."""
     if monitor is not None and monitor.update(state.a_y):
         return "crashed"
     try:
-        cg = to_frenet((state.x, state.y), track, s_hint=s_hint)
         for corner in vehicle_corners(state, params):
             fp = to_frenet((corner[0], corner[1]), track, s_hint=cg.s)
             if abs(fp.l) > track.half_width:

@@ -48,14 +48,6 @@ class DiscretizedGrid:
     l_min: float
     l_max: float
 
-    @property
-    def points(self) -> list[FrenetPoint]:
-        return [
-            FrenetPoint(float(s), float(l))
-            for s in self.s_values
-            for l in self.l_values
-        ]
-
 
 @dataclass(frozen=True)
 class TrackGeometry:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from driftcorner import fusion
 from driftcorner.errors import NoMatch, PreviewFailed
 from driftcorner.fusion import (
     DeploymentSpec,
@@ -25,7 +26,8 @@ from driftcorner.fusion import (
     track_descriptor,
     write_deploy_csv,
 )
-from driftcorner.plant import TireParams, VehicleParams
+from driftcorner.mpc import solve_qp
+from driftcorner.plant import PlantState, TireParams, VehicleParams
 from driftcorner.track import to_frenet
 
 PARAMS = VehicleParams()
@@ -162,6 +164,29 @@ def test_decomposition_bookkeeping(matched_run):
         np.testing.assert_array_equal(r.u_t, r.a_rl + r.du_mpc)
         assert not r.fallback
         np.testing.assert_array_equal(r.applied, np.clip(r.u_t, low, high))
+
+
+def test_tick_accumulates_qp_rate_onto_correction(monkeypatch, uturn,
+                                                  uturn_preview8):
+    # each tick adds the QP's first input rate to the correction it holds
+    rates = []
+
+    def recording(*args):
+        out = solve_qp(*args)
+        rates.append(out[0])
+        return out
+
+    monkeypatch.setattr(fusion, "solve_qp", recording)
+    ctl = FusionController(uturn_preview8, uturn, PARAMS)
+    g = uturn_preview8.gamma[50]
+    state = PlantState(x=g[0], y=g[1] + 0.3, phi=g[2], v_x=g[3], v_y=g[4],
+                       yaw_rate=g[5])
+    total = np.zeros(2)
+    for _ in range(3):
+        ctl(state)
+        total += rates[-1]
+        np.testing.assert_allclose(np.asarray(ctl.u_mpc), total, atol=1e-15)
+    assert len(rates) == 3 and np.any(total != 0.0)
 
 
 def test_tick_stats_recorded(matched_run):

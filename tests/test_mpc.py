@@ -20,8 +20,8 @@ from driftcorner.mpc import (
     dynamics_rhs,
     expm,
     linearize,
-    mpc_step,
     predict_two_step,
+    solve_qp,
 )
 from driftcorner.plant import ActuatorLimits, VehicleParams
 
@@ -156,13 +156,26 @@ def test_zero_accel_is_idle():
 # -- closed-form sanity of one MPC tick --------------------------------
 
 
-def test_mpc_step_accumulates_rate_onto_previous_input(rng):
+def _tick_qp(state, u_prev, ref1, ref2, lin_ref, weights=MpcWeights()):
+    """The tick's QP: both prediction steps linearized at `lin_ref`,
+    the augmented state carrying the previous input."""
+    mat = discretize_augment(*linearize(lin_ref, PARAMS), weights.t_s)
+    gamma_aug = np.concatenate([state.vector(), np.asarray(u_prev)])
+    return solve_qp(gamma_aug, (ref1.vector(), ref2.vector()), (*mat, *mat),
+                    weights)
+
+
+def test_qp_accumulates_rate_onto_previous_input():
     ref = CartesianState(0, 0, 0, 9.0, 0.0, 0.0)
     state = CartesianState(0, 0.3, 0.02, 9.0, 0.1, 0.05)
     u_prev = MpcInput(0.05, 0.5)
-    u, diag = mpc_step(state, u_prev, ref, ref, ref, ref, PARAMS)
-    assert u.delta_f == pytest.approx(u_prev.delta_f + diag.du[0])
-    assert u.a_xt == pytest.approx(u_prev.a_xt + diag.du[1])
+    du_k, du_k1, diag = _tick_qp(state, u_prev, ref, ref, ref)
+    np.testing.assert_array_equal(diag.du, np.concatenate([du_k, du_k1]))
+    # the predicted input channels hold the previous input plus the rates
+    g1, g2 = diag.predicted
+    assert g1[N_STATE] == pytest.approx(u_prev.delta_f + du_k[0])
+    assert g1[N_STATE + 1] == pytest.approx(u_prev.a_xt + du_k[1])
+    np.testing.assert_allclose(g2[N_STATE:], g1[N_STATE:] + du_k1, atol=1e-15)
     assert diag.kkt_residual < 1e-8
 
 
@@ -177,8 +190,8 @@ def _rolling_refs(v=9.0, t_s=0.01):
 def test_mpc_on_reference_does_nothing():
     # exactly on a constant-speed straight reference: no correction
     here, r1, r2 = _rolling_refs()
-    u, diag = mpc_step(here, MpcInput(0.0, 0.0), r1, r2, here, here, PARAMS)
-    assert abs(u.delta_f) < 1e-8 and abs(u.a_xt) < 1e-8
+    du_k, _, diag = _tick_qp(here, MpcInput(0.0, 0.0), r1, r2, here)
+    assert abs(du_k[0]) < 1e-8 and abs(du_k[1]) < 1e-8
     assert diag.objective == pytest.approx(0.0, abs=1e-9)
 
 
@@ -186,12 +199,12 @@ def test_mpc_corrects_toward_reference():
     # start left of the reference line: the first steering move is negative
     here, r1, r2 = _rolling_refs()
     state = CartesianState(0, 0.5, 0.0, 9.0, 0.0, 0.0)
-    u, _ = mpc_step(state, MpcInput(0.0, 0.0), r1, r2, here, here, PARAMS)
-    assert u.delta_f < 0.0
+    du_k, _, _ = _tick_qp(state, MpcInput(0.0, 0.0), r1, r2, here)
+    assert du_k[0] < 0.0
     # and a slow vehicle is told to speed up
     slow = CartesianState(0, 0, 0, 7.0, 0.0, 0.0)
-    u2, _ = mpc_step(slow, MpcInput(0.0, 0.0), r1, r2, here, here, PARAMS)
-    assert u2.a_xt > 0.0
+    du_k, _, _ = _tick_qp(slow, MpcInput(0.0, 0.0), r1, r2, here)
+    assert du_k[1] > 0.0
 
 
 def test_mpc_rate_limits_bind():
@@ -199,7 +212,7 @@ def test_mpc_rate_limits_bind():
     here, r1, r2 = _rolling_refs()
     slow = CartesianState(0, 0, 0, 5.0, 0.0, 0.0)
     w = MpcWeights(r=np.diag([0.1, 0.1]))
-    u, diag = mpc_step(slow, MpcInput(0.0, 0.0), r1, r2, here, here, PARAMS, w)
-    assert u.a_xt == pytest.approx(w.du_max[1])
+    du_k, _, diag = _tick_qp(slow, MpcInput(0.0, 0.0), r1, r2, here, w)
+    assert du_k[1] == pytest.approx(w.du_max[1])
     assert len(diag.active) > 0
     assert diag.kkt_residual < 1e-8

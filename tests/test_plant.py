@@ -24,6 +24,7 @@ from driftcorner.plant import (
     step,
     vehicle_corners,
 )
+from driftcorner.track import FrenetPoint, to_frenet
 
 PARAMS = VehicleParams()
 TIRES = TireParams()
@@ -220,9 +221,11 @@ def test_vehicle_corners_geometry():
 
 def test_detect_termination_states(uturn):
     mid = PlantState(x=10.0, y=0.0)
-    assert detect_termination(mid, uturn) == "running"
+    assert detect_termination(mid, uturn, to_frenet((10.0, 0.0), uturn)) == "running"
+    # 10 m left of the entry straight: too far out for to_frenet, so the
+    # c.g. point is written out
     off = PlantState(x=10.0, y=10.0)
-    assert detect_termination(off, uturn) == "crashed"
+    assert detect_termination(off, uturn, FrenetPoint(10.0, 10.0)) == "crashed"
     x_end, y_end = uturn.x[-1], uturn.y[-1]
     done = PlantState(x=x_end, y=y_end, phi=math.pi)
-    assert detect_termination(done, uturn) == "completed"
+    assert detect_termination(done, uturn, to_frenet((x_end, y_end), uturn)) == "completed"
