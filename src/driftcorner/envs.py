@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NumericalBlowup, OffCorridor
+from .errors import AmbiguousProjection, NumericalBlowup, OffCorridor
 from .planner import PreTrajectory
 from .plant import (
     CONTROL_DT,
@@ -295,7 +295,7 @@ class DriftEnv:
 
         try:
             obs = observe(self.state, self.track, s_hint=self._s)
-        except OffCorridor:
+        except (OffCorridor, AmbiguousProjection):
             self._status = "crashed"
             return self._finish(0.0)
         self._s = obs.s

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import NumericalBlowup, OffCorridor
+from .errors import AmbiguousProjection, NumericalBlowup, OffCorridor
 from .track import FrenetPoint, TrackGeometry, to_frenet
 
 G = 9.81
@@ -263,7 +263,7 @@ def detect_termination(
             fp = to_frenet((corner[0], corner[1]), track, s_hint=cg.s)
             if abs(fp.l) > track.half_width:
                 return "crashed"
-    except OffCorridor:
+    except (OffCorridor, AmbiguousProjection):
         return "crashed"
     if cg.s >= track.s_max - 1e-9:
         return "completed"

@@ -4,8 +4,10 @@ A track is a centerline sampled along arc length s together with heading,
 curvature and a constant half width.  Library tracks (U-turn, 90 degree,
 135 degree) are built from straight + circular-arc segments and carry an
 exact segment map (piecewise-constant curvature), which makes heading,
-curvature and position queries analytic.  Tracks loaded from files without
-a segment map fall back to linear interpolation between samples.
+curvature and position queries analytic, and the Frenet projection a
+closed-form foot on each line and arc.  Tracks loaded from files without
+a segment map fall back to linear interpolation between samples, and
+project onto the sample polyline.
 
 Sign convention: l > 0 lies to the left of the direction of travel.
 """
@@ -28,6 +30,8 @@ from .errors import (
 )
 
 SAMPLE_STEP = 0.1  # m, centerline sampling step
+CORRIDOR_FACTOR = 3.0  # half widths from the centerline that still project
+HINT_WINDOW = 8.0  # m, s distance from s_hint searched by to_frenet
 
 TRACK_FILE_VERSION = "driftcorner track v1"
 
@@ -232,100 +236,94 @@ def to_cartesian(fp: FrenetPoint, track: TrackGeometry) -> tuple[float, float]:
     return x - fp.l * math.sin(h), y + fp.l * math.cos(h)
 
 
-def _tangent_residual(track: TrackGeometry, s: float, px: float, py: float) -> float:
-    x, y, h = track.frame_at(s)
-    return (px - x) * math.cos(h) + (py - y) * math.sin(h)
+def _segment_feet(
+    track: TrackGeometry, px: float, py: float, lo: float, hi: float
+) -> tuple[list[float], list[float]]:
+    """Nearest point of each segment overlapping [lo, hi], in closed form:
+    the dot product with the direction on a line, the heading of the
+    point about the centre on an arc (taken nearest the mid-heading of
+    the searched part, so clamping picks the nearer end).  A point at an
+    arc's centre gets both ends of the arc."""
+    k0, k1 = track._segment_index(lo), track._segment_index(hi) + 1
+    ss, ds = [], []
+    for (s0, x0, y0, h0), kappa, s1 in zip(track._seg_pose[k0:k1].tolist(),
+                                           track.seg_kappa[k0:k1].tolist(),
+                                           track.seg_breaks[k0 + 1:k1 + 1].tolist()):
+        a = max(lo - s0, 0.0)
+        b = min(hi, s1) - s0
+        if abs(kappa) < 1e-12:
+            ts = [(px - x0) * math.cos(h0) + (py - y0) * math.sin(h0)]
+        else:
+            # centre c; a point on the arc is c + (sin h, -cos h) / kappa
+            cx = x0 - math.sin(h0) / kappa
+            cy = y0 + math.cos(h0) / kappa
+            if math.hypot(px - cx, py - cy) < 1e-9:
+                ts = [a, b]  # every point of the arc is a foot
+            else:
+                h = math.atan2(kappa * (px - cx), kappa * (cy - py))
+                mid = 0.5 * (a + b)
+                ts = [mid + math.remainder(h - h0 - kappa * mid, 2.0 * math.pi) / kappa]
+        for t in ts:
+            t = min(max(t, a), b)
+            fx, fy, _ = _advance(x0, y0, h0, kappa, t)
+            ss.append(s0 + t)
+            ds.append(math.hypot(px - fx, py - fy))
+    return ss, ds
+
+
+def _polyline_feet(
+    track: TrackGeometry, px: float, py: float, lo: float, hi: float
+) -> tuple[list[float], list[float]]:
+    """Nearest point of each sample interval overlapping [lo, hi]."""
+    j0 = int(np.clip(np.searchsorted(track.s, lo, side="right") - 1, 0, len(track.s) - 2))
+    j1 = max(int(np.searchsorted(track.s, hi)), j0 + 1)
+    s, x, y = track.s[j0:j1 + 1], track.x[j0:j1 + 1], track.y[j0:j1 + 1]
+    dx, dy, dsi = np.diff(x), np.diff(y), np.diff(s)
+    t = ((px - x[:-1]) * dx + (py - y[:-1]) * dy) / (dx * dx + dy * dy)
+    s_foot = np.clip(s[:-1] + t * dsi, np.maximum(s[:-1], lo), np.minimum(s[1:], hi))
+    t = (s_foot - s[:-1]) / dsi
+    d = np.hypot(px - x[:-1] - t * dx, py - y[:-1] - t * dy)
+    return s_foot.tolist(), d.tolist()
 
 
 def to_frenet(
     point: tuple[float, float],
     track: TrackGeometry,
-    corridor_factor: float = 3.0,
     s_hint: float | None = None,
-    hint_window: float = 8.0,
 ) -> FrenetPoint:
     """Project a Cartesian point onto the centerline.
 
-    Coarse nearest-sample search (ties toward smaller s) followed by a
-    bisection refinement of the perpendicular-foot condition, which makes
-    the to_cartesian round trip exact to the refinement tolerance.
+    The foot is the nearest point over the segment map's lines and arcs,
+    each found in closed form, or over the sample polyline for a track
+    without a segment map; ties go to the smaller s.  l is the offset from
+    the frame at the foot (cross-product rule).  `s_hint` restricts the
+    search to s within HINT_WINDOW of a known arc length (warm start for
+    per-tick projections).
 
-    `s_hint` restricts the coarse search to a window around a known
-    arc length (warm start for per-tick projections).
+    Raises OffCorridor when |l| exceeds CORRIDOR_FACTOR half widths, then
+    AmbiguousProjection when a second foot more than 1 m away along s
+    lies equally near.
     """
     px, py = float(point[0]), float(point[1])
+    lo, hi = 0.0, track.s_max
     if s_hint is not None:
-        j0 = int(np.searchsorted(track.s, s_hint - hint_window))
-        j1 = int(np.searchsorted(track.s, s_hint + hint_window)) + 1
-    else:
-        j0, j1 = 0, len(track.s)
-    xs = track.x[j0:j1]
-    ys = track.y[j0:j1]
-    d2 = (xs - px) ** 2 + (ys - py) ** 2
-    i0 = j0 + int(np.argmin(d2))  # argmin takes the first (smallest-s) tie
-
-    # Ambiguity: a second local minimum numerically tied in distance but
-    # far away along s.
-    d = np.sqrt(d2)
-    interior = np.arange(1, len(d) - 1)
-    local_min = interior[(d[interior] <= d[interior - 1]) & (d[interior] <= d[interior + 1])]
-    for j in local_min:
-        if (
-            abs(track.s[j0 + j] - track.s[i0]) > 1.0
-            and abs(d[j] - d[i0 - j0]) < 1e-9
-        ):
-            raise AmbiguousProjection((float(track.s[i0]), float(track.s[j0 + j])))
-
-    ilo, ihi = max(i0 - 1, 0), min(i0 + 1, len(track.s) - 1)
-    lo = float(track.s[ilo])
-    hi = float(track.s[ihi])
-    g_lo = _tangent_residual(track, lo, px, py)
-    g_hi = _tangent_residual(track, hi, px, py)
-    for _ in range(5):  # widen the bracket if the foot lies just outside
-        if (g_lo > 0) != (g_hi > 0):
-            break
-        if g_lo > 0 and ihi < len(track.s) - 1:
-            ihi += 1
-            hi = float(track.s[ihi])
-            g_hi = _tangent_residual(track, hi, px, py)
-        elif g_lo < 0 and ilo > 0:
-            ilo -= 1
-            lo = float(track.s[ilo])
-            g_lo = _tangent_residual(track, lo, px, py)
-        else:
-            break
-    if abs(g_lo) < 1e-12:
-        s_star = lo  # foot exactly at the bracket edge (e.g. track start)
-    elif abs(g_hi) < 1e-12:
-        s_star = hi
-    elif g_lo > 0 and g_hi > 0:
-        s_star = hi  # past the bracket; clamp toward track end
-        if i0 == len(track.s) - 1:
-            s_star = track.s_max
-    elif g_lo < 0 and g_hi < 0:
-        s_star = lo
-        if i0 == 0:
-            s_star = 0.0
-    else:
-        for _ in range(80):  # bisection on the perpendicular-foot condition
-            mid = 0.5 * (lo + hi)
-            g_mid = _tangent_residual(track, mid, px, py)
-            if abs(g_mid) < 1e-12:
-                lo = hi = mid
-                break
-            if (g_mid > 0) == (g_lo > 0):
-                lo, g_lo = mid, g_mid
-            else:
-                hi, g_hi = mid, g_mid
-        s_star = 0.5 * (lo + hi)
+        lo, hi = max(s_hint - HINT_WINDOW, lo), min(s_hint + HINT_WINDOW, hi)
+    feet = _segment_feet if track.seg_breaks is not None else _polyline_feet
+    s_feet, d_feet = feet(track, px, py, lo, hi)
+    d_min = min(d_feet)
+    # index() takes the first, smallest-s, tie; the clamp undoes rounding
+    # of s0 + t past the window
+    s_star = min(max(s_feet[d_feet.index(d_min)], lo), hi)
 
     x, y, h = track.frame_at(s_star)
     # Signed lateral offset via the cross-product rule (left positive).
     l = (py - y) * math.cos(h) - (px - x) * math.sin(h)
-    if abs(l) > corridor_factor * track.half_width:
-        raise OffCorridor(
-            f"|l| = {abs(l):.3f} exceeds corridor {corridor_factor * track.half_width:.3f}"
-        )
+    corridor = CORRIDOR_FACTOR * track.half_width
+    if abs(l) > corridor:
+        raise OffCorridor(f"|l| = {abs(l):.3f} exceeds corridor {corridor:.3f}")
+    for s, d in zip(s_feet, d_feet):
+        if d - d_min < 1e-9 and abs(s - s_star) > 1.0:
+            raise AmbiguousProjection((s_star, s))
     return FrenetPoint(float(s_star), float(l))
 
 

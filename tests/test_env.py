@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from driftcorner import envs
 from driftcorner.envs import (
     N_PREVIEW,
     OBS_DIM,
@@ -19,6 +20,7 @@ from driftcorner.envs import (
     reward_terminal,
     run_episode,
 )
+from driftcorner.errors import AmbiguousProjection
 from driftcorner.plant import CONTROL_DT, ActuatorLimits, PlantState
 from driftcorner.track import FrenetPoint, to_cartesian
 
@@ -161,6 +163,21 @@ def test_crash_ends_episode(uturn, uturn_pretraj):
     done, info = False, {}
     while not done:
         _, _, done, info = env.step(np.array([0.5, 1000.0, 0.0]))
+    assert info["result"].status == "crashed"
+    assert info["result"].chi == 0
+
+
+def test_ambiguous_projection_ends_episode_crashed(monkeypatch, uturn,
+                                                   uturn_pretraj):
+    # e.g. the c.g. on the centre of an arc tighter than the corridor
+    def tied(point, track, s_hint=None):
+        raise AmbiguousProjection((30.0, 39.4))
+
+    env = DriftEnv(uturn, uturn_pretraj)
+    env.reset(0, nominal=True)
+    monkeypatch.setattr(envs, "to_frenet", tied)
+    _, _, done, info = env.step(np.zeros(3))
+    assert done
     assert info["result"].status == "crashed"
     assert info["result"].chi == 0
 

@@ -197,12 +197,37 @@ def test_tick_stats_recorded(matched_run):
 # -- plant mismatch ----------------------------------------------------
 
 
-def test_completes_with_heavier_vehicle_and_less_grip(uturn, uturn_pretraj,
-                                                      uturn_preview8):
-    spec = DeploymentSpec(mu=0.75, mass_scale=1.1)
-    dp, dt = spec.apply(PARAMS, TIRES)
-    res = deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, dp, dt)
-    assert res.completed
+@pytest.fixture(scope="module")
+def mismatch_run(uturn, uturn_pretraj, uturn_preview8):
+    dp, dt = DeploymentSpec(mu=0.75, mass_scale=1.1).apply(PARAMS, TIRES)
+    return deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, dp, dt)
+
+
+def test_completes_with_heavier_vehicle_and_less_grip(mismatch_run):
+    assert mismatch_run.completed
+
+
+# Recorded with the bisection projection this closed form replaced: the
+# episode is pinned exactly, the applied commands to 1e-8 absolute.
+GOLDEN_DEPLOY = {
+    "matched": ("completed", 1811, 18.11000000000003, 134.55751918948772,
+                (125.38163188524562, 205460.243599334, 4.339438444074675),
+                (0.2542121659737458, 488.80397191569324, 0.1491328000000002)),
+    "mismatch": ("completed", 1798, 17.98000000000001, 134.55751918948772,
+                 (126.22917017443385, 239957.01933266147, 4.83299836901363),
+                 (0.2685432233757306, 577.7186019390474, 0.1491328000000002)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DEPLOY))
+def test_deploy_matches_golden(case, request):
+    status, ticks, t_f, s_final, total, peak = GOLDEN_DEPLOY[case]
+    res = request.getfixturevalue(f"{case}_run")
+    assert (res.episode.status, len(res.records)) == (status, ticks)
+    assert (res.episode.t_f, res.episode.s_final) == (t_f, s_final)
+    applied = np.array([r.applied for r in res.records])
+    np.testing.assert_allclose(applied.sum(axis=0), total, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(applied.max(axis=0), peak, rtol=0, atol=1e-8)
 
 
 def test_tracker_only_mode_completes(uturn, uturn_pretraj, uturn_preview8):

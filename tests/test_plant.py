@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from driftcorner import kernels
-from driftcorner.errors import NumericalBlowup
+from driftcorner.errors import AmbiguousProjection, NumericalBlowup
 from driftcorner.plant import (
     CONTROL_DT,
     SUBSTEP_DT,
@@ -24,7 +24,7 @@ from driftcorner.plant import (
     step,
     vehicle_corners,
 )
-from driftcorner.track import FrenetPoint, to_frenet
+from driftcorner.track import FrenetPoint, build_library_track, to_frenet
 
 PARAMS = VehicleParams()
 TIRES = TireParams()
@@ -229,3 +229,15 @@ def test_detect_termination_states(uturn):
     x_end, y_end = uturn.x[-1], uturn.y[-1]
     done = PlantState(x=x_end, y=y_end, phi=math.pi)
     assert detect_termination(done, uturn, to_frenet((x_end, y_end), uturn)) == "completed"
+
+
+def test_ambiguous_corner_projection_is_a_crash():
+    # the front-left corner sits on the centre of a 3 m arc, equally near
+    # both straights
+    track = build_library_track("uturn", radius=3.0)
+    state = PlantState(x=30.0 - PARAMS.l_f, y=3.0 - PARAMS.veh_half_width)
+    corner = vehicle_corners(state, PARAMS)[0]
+    np.testing.assert_allclose(corner, (30.0, 3.0), atol=1e-12)
+    with pytest.raises(AmbiguousProjection):
+        to_frenet(tuple(corner), track, s_hint=34.0)
+    assert detect_termination(state, track, FrenetPoint(34.0, 0.0)) == "crashed"

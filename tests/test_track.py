@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftcorner.errors import BadGridSpec, BadTrackSpec, OutOfRange
+from driftcorner.errors import (
+    AmbiguousProjection,
+    BadGridSpec,
+    BadTrackSpec,
+    OffCorridor,
+    OutOfRange,
+)
 from driftcorner.track import (
     FrenetPoint,
+    TrackGeometry,
     build_library_track,
     discretize,
     load_track,
@@ -135,6 +142,68 @@ def test_hint_window_projection(uturn):
     x, y = to_cartesian(FrenetPoint(55.0, -0.8), uturn)
     fp = to_frenet((x, y), uturn, s_hint=54.0)
     assert fp.s == pytest.approx(55.0, abs=1e-6)
+
+
+def test_hint_window_clamps_the_foot(uturn):
+    # the true foot at s = 70 lies outside [54 - 8, 54 + 8]
+    x, y = to_cartesian(FrenetPoint(70.0, 0.0), uturn)
+    assert to_frenet((x, y), uturn, s_hint=54.0).s == pytest.approx(62.0, abs=1e-12)
+
+
+def test_arc_centre_is_off_corridor(uturn):
+    # 11 m from every point of the arc and of both straights' ends, against
+    # a 3 * 2.75 m corridor: the corridor test comes before the tie test
+    with pytest.raises(OffCorridor):
+        to_frenet((30.0, 11.0), uturn)
+
+
+@pytest.mark.parametrize("radius, hint", [(3.0, None), (3.0, 34.0),
+                                          (7.0, None), (7.0, 41.0)])
+def test_arc_centre_in_corridor_is_ambiguous(radius, hint):
+    # with the hint in the middle of the 7 m arc only the arc is searched,
+    # and every point of it is a foot
+    track = build_library_track("uturn", radius=radius)
+    with pytest.raises(AmbiguousProjection):
+        to_frenet((30.0, radius), track, s_hint=hint)
+
+
+def test_projection_queries_the_frame_at_most_twice(monkeypatch, all_tracks, rng):
+    # the closed form needs no iteration over frame queries
+    calls = []
+    frame_at = TrackGeometry.frame_at
+
+    def counting(self, s):
+        calls.append(s)
+        return frame_at(self, s)
+
+    monkeypatch.setattr(TrackGeometry, "frame_at", counting)
+    for track in all_tracks.values():
+        s, l = random_on_track_points(track, 20, rng)
+        for si, li in zip(s, l):
+            x, y = to_cartesian(FrenetPoint(float(si), float(li)), track)
+            for hint in (None, float(si) + 1.0):
+                calls.clear()
+                to_frenet((x, y), track, s_hint=hint)
+                assert len(calls) <= 2
+
+
+def test_sampled_track_projects_onto_the_polyline(uturn, tmp_path, rng):
+    path = tmp_path / "track.csv"
+    save_track(uturn, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(ln for ln in lines if not ln.startswith("# segments")))
+    sampled = load_track(path)
+    assert sampled.seg_breaks is None
+    s, l = random_on_track_points(uturn, 1000, rng)
+    for si, li in zip(s, l):
+        x, y = to_cartesian(FrenetPoint(float(si), float(li)), uturn)
+        exact, approx = to_frenet((x, y), uturn), to_frenet((x, y), sampled)
+        # chords of 0.1 m on an 11 m arc sit up to 1.1e-4 m inside it
+        assert abs(approx.s - exact.s) <= 0.02
+        assert abs(approx.l - exact.l) <= 5e-4
+    x, y = to_cartesian(FrenetPoint(50.0, 3.1 * uturn.half_width), uturn)
+    with pytest.raises(OffCorridor):
+        to_frenet((x, y), sampled)
 
 
 # -- grid / file format --------------------------------------------------
