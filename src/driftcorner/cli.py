@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import os
 import sys
@@ -574,6 +575,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # INFO progress lines (td3.train) to stderr; does nothing when the
+    # calling program has configured logging already
+    logging.basicConfig(level=logging.INFO, stream=sys.stderr,
+                        format="%(asctime)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (MissingPolicy, MissingLog, FileNotFoundError, ValueError) as exc:

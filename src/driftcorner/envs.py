@@ -90,8 +90,8 @@ def observe(
     """Track-relative observation of a running plant state (exact
     Frenet kinematics for the rates)."""
     fp = to_frenet((state.x, state.y), track, s_hint=s_hint)
-    alpha = _wrap_angle(state.phi - track.heading_at(fp.s))
-    kc = track.curvature_at(fp.s)
+    heading, kc = track.heading_curvature_at(fp.s)
+    alpha = _wrap_angle(state.phi - heading)
     denom = 1.0 - kc * fp.l
     ca, sa = math.cos(alpha), math.sin(alpha)
     s_dot = (state.v_x * ca - state.v_y * sa) / denom
@@ -229,7 +229,6 @@ class DriftEnv:
                          if time_cap is None else time_cap)
         self.record = record
         self.scales = observation_scales(track)
-        self._work = np.empty((5, 8))
         self.state: PlantState | None = None
 
     # initial-state draw ----------------------------------------------
@@ -284,7 +283,7 @@ class DriftEnv:
         try:
             self.state = plant_step(
                 self.state, Action(*cmd), CONTROL_DT, self.tires,
-                self.params, self.limits, _work=self._work,
+                self.params, self.limits,
             )
         except NumericalBlowup:
             self._fault = True

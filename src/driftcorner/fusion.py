@@ -517,12 +517,14 @@ def write_deploy_csv(result: DeployResult, path) -> None:
 
     header = ("t,a_rl_delta,a_rl_trt,a_rl_pb,"
               "du_delta,du_trt,du_pb,ut_delta,ut_trt,ut_pb,"
-              "applied_delta,applied_trt,applied_pb,fallback,compute_ms")
+              "applied_delta,applied_trt,applied_pb,fallback,compute_ms,"
+              "kkt_residual")
     lines = [header]
     for r in result.records:
         lines.append(",".join(
             [f"{r.t:.3f}"]
             + [f"{v:.6g}" for v in (*r.a_rl, *r.du_mpc, *r.u_t, *r.applied)]
-            + [str(int(r.fallback)), f"{r.compute_ms:.4f}"]
+            + [str(int(r.fallback)), f"{r.compute_ms:.4f}",
+               f"{r.kkt_residual:.3e}"]
         ))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -1,10 +1,21 @@
-"""Hot numeric kernels for the vehicle plant.
+"""Hot numeric kernel for the vehicle plant.
 
 The chassis + wheel-spin right-hand side and the fixed-step RK4 loop are
-the innermost loops of training and deployment.  They are plain Python
-functions over float64 arrays; when numba can be imported they are
-compiled with it, otherwise they run as written.  ``NUMBA_ENABLED`` says
-which of the two ran.
+the innermost loop of training and deployment: each control period runs
+10 substeps of 4 stages.  `integrate` reads the state and parameter
+arrays into Python floats once per call, computes the quantities that
+hold over the whole period (static axle loads, tire peaks, brake torque
+factors, the rolling loss, cos/sin of the wheel angle) once in
+`_period_constants`, runs the unrolled stages on floats held in locals,
+and writes the state back once.  The hoisted expressions keep their
+per-stage operand order, so the results are bit for bit those of
+evaluating everything at every stage.
+
+The kernel keeps to what numba compiles (scalar indexing, float tuples,
+`math` functions).  When numba can be imported the functions are
+compiled with it, otherwise they run as written; ``NUMBA_ENABLED`` says
+which.  numba is an optional extra, and the test suite covers the
+compiled path only where it is installed.
 
 State layout (float64 array of length 7):
     [X, Y, phi, v_x, v_y, yaw_rate, omega_r]
@@ -16,40 +27,64 @@ Tire parameter layout (length 9):
 
 from __future__ import annotations
 
-import math
+from math import atan, atan2, cos, sin, sqrt, tanh
 
 G = 9.81
 
 
+def _tire_curve(slip, B, C, E, scale):
+    """Pure-slip Magic Formula force with the scale `peak*D` given whole."""
+    bs = B * slip
+    return scale * sin(C * atan(bs - E * (bs - atan(bs))))
+
+
 def _magic_formula(slip, B, C, D, E, peak):
     """Pure-slip Magic Formula force; odd in slip, saturates at `peak*D`."""
-    bs = B * slip
-    return peak * D * math.sin(C * math.atan(bs - E * (bs - math.atan(bs))))
+    return _tire_curve(slip, B, C, E, peak * D)
 
 
-def _derivative(y, delta, trt, pb, vp, tp, out):
-    """Right-hand side of the 3-DOF chassis + rear wheel spin model.
-
-    Returns the lateral acceleration at the c.g. (diagnostic for the
-    rollover proxy) in out[7].
-    """
-    m, iz, lf, lr, rw, iw, kb, bff, c_rr, c_drag = (
-        vp[0], vp[1], vp[2], vp[3], vp[4], vp[5], vp[6], vp[7], vp[8], vp[9],
-    )
-    phi = y[2]
-    vx = y[3]
-    vy = y[4]
-    r = y[5]
-    om = y[6]
-    mu = tp[8]
-
-    # Static axle loads.
+def _period_constants(delta, trt, pb, vp, tp):
+    """The right-hand side's inputs that stay fixed over one control
+    period (zero-order-hold inputs), as one tuple of floats."""
+    pb = float(pb)
+    m = float(vp[0])
+    lf = float(vp[2])
+    lr = float(vp[3])
+    rw = float(vp[4])
+    kb = float(vp[6])
+    bff = float(vp[7])
+    mu = float(tp[8])
+    d_f = float(tp[2])
+    d_r = float(tp[6])
+    # static axle loads
     fzf = m * G * lr / (lf + lr)
     fzr = m * G * lf / (lf + lr)
+    return (
+        float(delta), cos(delta), sin(delta), float(trt),
+        m, float(vp[1]), lf, lr, rw, 2.0 * float(vp[5]),
+        float(tp[0]), float(tp[1]), float(tp[3]),
+        float(tp[4]), float(tp[5]), float(tp[7]),
+        # mu*Fz*D twice: the Magic Formula scales and the friction-ellipse
+        # peaks round the product in different operand orders
+        mu * fzf * d_f, mu * fzr * d_r,
+        mu * d_f * fzf, mu * d_r * fzr,
+        -(bff * kb * pb / rw),  # front brake force per unit tanh(v_x / 0.5)
+        (1.0 - bff) * kb * pb,  # rear brake torque per unit tanh(omega / 0.5)
+        float(vp[8]) * m * G,  # rolling loss per unit tanh(v_x / 0.5)
+        float(vp[9]),
+    )
+
+
+def _rhs(phi, vx, vy, r, om, const):
+    """Right-hand side of the 3-DOF chassis + rear wheel spin model at
+    one stage state; returns the 7 state rates and the lateral
+    acceleration at the c.g. (diagnostic for the rollover proxy)."""
+    (delta, cd, sd, trt, m, iz, lf, lr, rw, iw2, b_f, c_f, e_f, b_r, c_r, e_r,
+     scale_f, scale_r, peak_f, peak_r, brake_f, brake_r, roll, c_drag) = const
 
     vx_s = vx if vx > 0.3 else 0.3  # slip-angle guard at low speed
-    alpha_f = math.atan2(vy + lf * r, vx_s) - delta
-    alpha_r = math.atan2(vy - lr * r, vx_s)
+    alpha_f = atan2(vy + lf * r, vx_s) - delta
+    alpha_r = atan2(vy - lr * r, vx_s)
 
     # Rear longitudinal slip from wheel spin (lumped axle).
     denom = abs(vx)
@@ -57,26 +92,24 @@ def _derivative(y, delta, trt, pb, vp, tp, out):
         denom = 0.5
     sx_r = (om * rw - vx) / denom
 
-    # Pure-slip forces (lateral force opposes the slip angle).
-    fy_f0 = -_magic_formula(alpha_f, tp[0], tp[1], tp[2], tp[3], mu * fzf)
-    fy_r0 = -_magic_formula(alpha_r, tp[4], tp[5], tp[6], tp[7], mu * fzr)
-    fx_r0 = _magic_formula(sx_r, tp[4], tp[5], tp[6], tp[7], mu * fzr)
+    # Pure-slip Magic Formula forces (lateral force opposes the slip angle).
+    fy_f0 = -_tire_curve(alpha_f, b_f, c_f, e_f, scale_f)
+    fy_r0 = -_tire_curve(alpha_r, b_r, c_r, e_r, scale_r)
+    fx_r0 = _tire_curve(sx_r, b_r, c_r, e_r, scale_r)
 
     # Front longitudinal force: brake demand only (no front drive).
-    t_brake_f = bff * kb * pb
-    fx_f0 = -(t_brake_f / rw) * math.tanh(vx / 0.5)
+    th = tanh(vx / 0.5)
+    fx_f0 = brake_f * th
 
     # Friction-ellipse combination per axle.
-    peak_f = mu * tp[2] * fzf
-    peak_r = mu * tp[6] * fzr
-    pf = math.sqrt((fx_f0 / peak_f) ** 2 + (fy_f0 / peak_f) ** 2)
+    pf = sqrt((fx_f0 / peak_f) ** 2 + (fy_f0 / peak_f) ** 2)
     if pf > 1.0:
         fx_f = fx_f0 / pf
         fy_f = fy_f0 / pf
     else:
         fx_f = fx_f0
         fy_f = fy_f0
-    pr = math.sqrt((fx_r0 / peak_r) ** 2 + (fy_r0 / peak_r) ** 2)
+    pr = sqrt((fx_r0 / peak_r) ** 2 + (fy_r0 / peak_r) ** 2)
     if pr > 1.0:
         fx_r = fx_r0 / pr
         fy_r = fy_r0 / pr
@@ -85,57 +118,79 @@ def _derivative(y, delta, trt, pb, vp, tp, out):
         fy_r = fy_r0
 
     # Losses (rolling resistance + aerodynamic drag), smooth-signed.
-    f_loss = c_rr * m * G * math.tanh(vx / 0.5) + c_drag * vx * abs(vx)
+    f_loss = roll * th + c_drag * vx * abs(vx)
 
-    cd = math.cos(delta)
-    sd = math.sin(delta)
     ax = (fx_f * cd - fy_f * sd + fx_r - f_loss) / m
     ay = (fx_f * sd + fy_f * cd + fy_r) / m
+    return (
+        vx * cos(phi) - vy * sin(phi),
+        vx * sin(phi) + vy * cos(phi),
+        r,
+        vy * r + ax,
+        -vx * r + ay,
+        (lf * (fy_f * cd + fx_f * sd) - lr * fy_r) / iz,
+        # Lumped rear axle spin: drive torque, brake torque, tire reaction.
+        (trt - brake_r * tanh(om / 0.5) - rw * fx_r) / iw2,
+        ay,
+    )
 
-    out[0] = vx * math.cos(phi) - vy * math.sin(phi)
-    out[1] = vx * math.sin(phi) + vy * math.cos(phi)
-    out[2] = r
-    out[3] = vy * r + ax
-    out[4] = -vx * r + ay
-    out[5] = (lf * (fy_f * cd + fx_f * sd) - lr * fy_r) / iz
-    # Lumped rear axle spin: drive torque, brake torque, tire reaction.
-    t_brake_r = (1.0 - bff) * kb * pb * math.tanh(om / 0.5)
-    out[6] = (trt - t_brake_r - rw * fx_r) / (2.0 * iw)
-    out[7] = ay  # lateral acceleration diagnostic
-    return 0.0
+
+def _derivative(y, delta, trt, pb, vp, tp, out):
+    """Right-hand side at state `y` into out[:7], and the lateral
+    acceleration at the c.g. into out[7]."""
+    k = _rhs(float(y[2]), float(y[3]), float(y[4]), float(y[5]), float(y[6]),
+             _period_constants(delta, trt, pb, vp, tp))
+    for i in range(8):
+        out[i] = k[i]
 
 
-def _integrate(y, delta, trt, pb, dt, n_sub, vp, tp, work):
+def _integrate(y, delta, trt, pb, dt, n_sub, vp, tp):
     """Fixed-step RK4 with zero-order-hold inputs over the control period.
 
-    `work` is a scratch array of shape (5, 8).  Returns the lateral
-    acceleration at the final substep (rollover diagnostic).
+    Advances `y` in place and returns the lateral acceleration at the
+    final substep (rollover diagnostic).
     """
+    const = _period_constants(delta, trt, pb, vp, tp)
     h = dt / n_sub
-    k1 = work[0]
-    k2 = work[1]
-    k3 = work[2]
-    k4 = work[3]
-    yt = work[4]
+    hh = 0.5 * h
+    h6 = h / 6.0
+    px = float(y[0])
+    py = float(y[1])
+    phi = float(y[2])
+    vx = float(y[3])
+    vy = float(y[4])
+    r = float(y[5])
+    om = float(y[6])
     ay = 0.0
     for _ in range(n_sub):
-        _derivative(y, delta, trt, pb, vp, tp, k1)
-        for i in range(7):
-            yt[i] = y[i] + 0.5 * h * k1[i]
-        _derivative(yt, delta, trt, pb, vp, tp, k2)
-        for i in range(7):
-            yt[i] = y[i] + 0.5 * h * k2[i]
-        _derivative(yt, delta, trt, pb, vp, tp, k3)
-        for i in range(7):
-            yt[i] = y[i] + h * k3[i]
-        _derivative(yt, delta, trt, pb, vp, tp, k4)
-        for i in range(7):
-            y[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-        if y[3] < 0.0:  # no reverse travel
-            y[3] = 0.0
-        if y[6] < 0.0:  # no reverse wheel spin
-            y[6] = 0.0
-        ay = k4[7]
+        a0, a1, a2, a3, a4, a5, a6, _ = _rhs(phi, vx, vy, r, om, const)
+        b0, b1, b2, b3, b4, b5, b6, _ = _rhs(
+            phi + hh * a2, vx + hh * a3, vy + hh * a4, r + hh * a5,
+            om + hh * a6, const)
+        c0, c1, c2, c3, c4, c5, c6, _ = _rhs(
+            phi + hh * b2, vx + hh * b3, vy + hh * b4, r + hh * b5,
+            om + hh * b6, const)
+        d0, d1, d2, d3, d4, d5, d6, ay = _rhs(
+            phi + h * c2, vx + h * c3, vy + h * c4, r + h * c5,
+            om + h * c6, const)
+        px += h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+        py += h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        phi += h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        vx += h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+        vy += h6 * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
+        r += h6 * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
+        om += h6 * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
+        if vx < 0.0:  # no reverse travel
+            vx = 0.0
+        if om < 0.0:  # no reverse wheel spin
+            om = 0.0
+    y[0] = px
+    y[1] = py
+    y[2] = phi
+    y[3] = vx
+    y[4] = vy
+    y[5] = r
+    y[6] = om
     return ay
 
 
@@ -149,10 +204,11 @@ except ImportError:
     NUMBA_ENABLED = False
 else:
     NUMBA_ENABLED = True
-    magic_formula = numba.njit(cache=True)(_magic_formula)
     # Rebind the globals the outer kernels reference so numba picks up
     # the compiled inner functions when it compiles them lazily.
-    _magic_formula = magic_formula
+    _tire_curve = numba.njit(cache=True)(_tire_curve)
+    magic_formula = numba.njit(cache=True)(_magic_formula)
+    _period_constants = numba.njit(cache=True)(_period_constants)
+    _rhs = numba.njit(cache=True)(_rhs)
     derivative = numba.njit(cache=True)(_derivative)
-    _derivative = derivative
     integrate = numba.njit(cache=True)(_integrate)

@@ -181,18 +181,16 @@ def step(
     tires: TireParams = TireParams(),
     params: VehicleParams = VehicleParams(),
     limits: ActuatorLimits = ActuatorLimits(),
-    _work: np.ndarray | None = None,
 ) -> PlantState:
     """Advance the plant one control period under a zero-order-hold input."""
     latch = Action(state.delta_applied, state.trt_applied, state.pb_applied)
     applied = apply_actuator_limits(cmd, latch, dt, limits)
 
     y = state.dynamic_array()
-    work = _work if _work is not None else np.empty((5, 8))
     n_sub = max(1, int(round(dt / SUBSTEP_DT)))
     a_y = kernels.integrate(
         y, applied.delta_f, applied.t_rt, applied.p_b, dt, n_sub,
-        params.as_array(), tires.as_array(), work,
+        params.as_array(), tires.as_array(),
     )
     if (
         not np.all(np.isfinite(y))

@@ -15,6 +15,7 @@ Sign convention: l > 0 lies to the left of the direction of travel.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -67,8 +68,10 @@ class TrackGeometry:
     # files that carry it).  seg_breaks has one more entry than seg_kappa.
     seg_breaks: np.ndarray | None = None
     seg_kappa: np.ndarray | None = None
-    # Per-segment start poses, precomputed for analytic queries.
-    _seg_pose: np.ndarray | None = field(default=None, repr=False)
+    # Per-segment start pose and curvature (s0, x0, y0, h0, kappa), and
+    # the breaks, as Python floats for the scalar queries.
+    _segments: tuple | None = field(default=None, init=False, repr=False)
+    _breaks: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def s_max(self) -> float:
@@ -79,9 +82,9 @@ class TrackGeometry:
             raise BadTrackSpec("half_width must be positive")
         if self.s[0] != 0.0 or np.any(np.diff(self.s) <= 0):
             raise BadTrackSpec("s must be strictly increasing from 0")
-        if self.seg_breaks is not None and self._seg_pose is None:
-            poses = _segment_poses(self)
-            object.__setattr__(self, "_seg_pose", poses)
+        if self.seg_breaks is not None:
+            object.__setattr__(self, "_segments", _segment_poses(self))
+            object.__setattr__(self, "_breaks", tuple(self.seg_breaks.tolist()))
 
     # -- analytic / interpolated scalar queries ------------------------
 
@@ -90,13 +93,19 @@ class TrackGeometry:
             raise OutOfRange(f"s = {s} outside [0, {self.s_max}]")
 
     def _segment_index(self, s: float) -> int:
-        idx = int(np.searchsorted(self.seg_breaks, s, side="right")) - 1
-        return min(max(idx, 0), len(self.seg_kappa) - 1)
+        idx = bisect_right(self._breaks, s) - 1
+        return min(max(idx, 0), len(self._segments) - 1)
+
+    def _segment_at(self, s: float) -> tuple[float, float, float, float, float]:
+        """(s0, x0, y0, h0, kappa) of the segment holding s, after the
+        range check."""
+        self._check_s(s)
+        return self._segments[self._segment_index(s)]
 
     def curvature_at(self, s: float) -> float:
-        self._check_s(s)
         if self.seg_kappa is not None:
-            return float(self.seg_kappa[self._segment_index(s)])
+            return self._segment_at(s)[4]
+        self._check_s(s)
         return float(np.interp(s, self.s, self.curvature))
 
     def curvature_at_many(self, s: np.ndarray) -> np.ndarray:
@@ -110,28 +119,31 @@ class TrackGeometry:
         return np.interp(s, self.s, self.curvature)
 
     def heading_at(self, s: float) -> float:
-        self._check_s(s)
+        return self.heading_curvature_at(s)[0]
+
+    def heading_curvature_at(self, s: float) -> tuple[float, float]:
+        """(heading, curvature) at s from one range check and lookup."""
         if self.seg_breaks is not None:
-            k = self._segment_index(s)
-            s0, x0, y0, h0 = self._seg_pose[k]
-            return float(h0 + self.seg_kappa[k] * (s - s0))
-        return float(np.interp(s, self.s, self.heading))
+            s0, _, _, h0, kappa = self._segment_at(s)
+            return float(h0 + kappa * (s - s0)), kappa
+        self._check_s(s)
+        return (float(np.interp(s, self.s, self.heading)),
+                float(np.interp(s, self.s, self.curvature)))
 
     def position_at(self, s: float) -> tuple[float, float]:
         """Centerline point at arc length s."""
-        self._check_s(s)
-        if self.seg_breaks is not None:
-            k = self._segment_index(s)
-            s0, x0, y0, h0 = self._seg_pose[k]
-            return _advance(x0, y0, h0, float(self.seg_kappa[k]), s - s0)[:2]
-        x = float(np.interp(s, self.s, self.x))
-        y = float(np.interp(s, self.s, self.y))
-        return x, y
+        return self.frame_at(s)[:2]
 
     def frame_at(self, s: float) -> tuple[float, float, float]:
         """(x, y, heading) of the centerline frame at s."""
-        x, y = self.position_at(s)
-        return x, y, self.heading_at(s)
+        if self.seg_breaks is not None:
+            s0, x0, y0, h0, kappa = self._segment_at(s)
+            x, y, _ = _advance(x0, y0, h0, kappa, s - s0)
+            return x, y, float(h0 + kappa * (s - s0))
+        self._check_s(s)
+        return (float(np.interp(s, self.s, self.x)),
+                float(np.interp(s, self.s, self.y)),
+                float(np.interp(s, self.s, self.heading)))
 
 
 class _ArcSegment(NamedTuple):
@@ -149,16 +161,17 @@ def _advance(x: float, y: float, h: float, kappa: float, ds: float):
     return x1, y1, h1
 
 
-def _segment_poses(track: TrackGeometry) -> np.ndarray:
-    """Start pose (s, x, y, heading) of each constant-curvature segment."""
-    poses = np.empty((len(track.seg_kappa), 4))
+def _segment_poses(track: TrackGeometry) -> tuple:
+    """Start pose and curvature (s, x, y, heading, kappa) of each
+    constant-curvature segment."""
+    poses = []
     x, y, h = float(track.x[0]), float(track.y[0]), float(track.heading[0])
-    for k, kappa in enumerate(track.seg_kappa):
+    for k, kappa in enumerate(track.seg_kappa.tolist()):
         s0 = float(track.seg_breaks[k])
-        poses[k] = (s0, x, y, h)
+        poses.append((s0, x, y, h, kappa))
         ds = float(track.seg_breaks[k + 1]) - s0
-        x, y, h = _advance(x, y, h, float(kappa), ds)
-    return poses
+        x, y, h = _advance(x, y, h, kappa, ds)
+    return tuple(poses)
 
 
 def _build_from_segments(
@@ -246,9 +259,8 @@ def _segment_feet(
     arc's centre gets both ends of the arc."""
     k0, k1 = track._segment_index(lo), track._segment_index(hi) + 1
     ss, ds = [], []
-    for (s0, x0, y0, h0), kappa, s1 in zip(track._seg_pose[k0:k1].tolist(),
-                                           track.seg_kappa[k0:k1].tolist(),
-                                           track.seg_breaks[k0 + 1:k1 + 1].tolist()):
+    for (s0, x0, y0, h0, kappa), s1 in zip(track._segments[k0:k1],
+                                           track._breaks[k0 + 1:k1 + 1]):
         a = max(lo - s0, 0.0)
         b = min(hi, s1) - s0
         if abs(kappa) < 1e-12:

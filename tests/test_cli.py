@@ -1,7 +1,14 @@
 """Command-line runs end to end."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import driftcorner
 from driftcorner import cli
 from driftcorner.fusion import save_preview
+from driftcorner.planner import save_pretrajectory
 
 
 def test_deploy_completes_under_mismatch(uturn_preview8, tmp_path):
@@ -12,3 +19,30 @@ def test_deploy_completes_under_mismatch(uturn_preview8, tmp_path):
                      "--mu-deploy", "0.75", "--mass-scale", "1.1",
                      "--out", str(out)]) == 0
     assert "chi=1" in (out / "summary.txt").read_text()
+
+
+def test_train_progress_reaches_stderr(uturn_pretraj, tmp_path):
+    # a `driftcorner train` process of its own (the test runner keeps
+    # handlers on the root logger, which would hide a missing set-up):
+    # one demonstration episode, then the imitation fit logs its INFO
+    # progress line; the learner is shrunk so the run takes seconds
+    pretraj = tmp_path / "pretraj.txt"
+    save_pretrajectory(uturn_pretraj, pretraj)
+    script = (
+        "import sys\n"
+        "from driftcorner import cli, td3\n"
+        "cli.Td3Hyperparams = lambda: td3.Td3Hyperparams(hidden=(16, 16),"
+        " batch_size=32)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = str(Path(driftcorner.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "train", "--kind", "uturn",
+         "--pretraj", str(pretraj), "--episodes", "2", "--demo-episodes", "1",
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "driftcorner.td3: imitation fit at ep 1" in proc.stderr

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from driftcorner.envs import DriftEnv
 from driftcorner.nets import mlp_forward
 from driftcorner.td3 import (
     Policy,
@@ -210,6 +211,18 @@ def test_training_is_seed_deterministic():
     assert log1.rows == log2.rows
     p3, _, _ = train(ReachEnv, TOY_HP, episodes=12, seed=12)
     assert p3.checksum() != p1.checksum()
+
+
+def test_seeded_uturn_training_matches_recorded_checksum(uturn, uturn_pretraj):
+    # six 1.5 s episodes on the U-turn (300 random warm-up steps, then
+    # learning) pin the whole loop: plant, projection, reward, replay and
+    # updates; recorded with the numpy-indexing plant kernel (numpy 2.4,
+    # OpenBLAS)
+    hp = Td3Hyperparams(warmup=300, batch_size=64, hidden=(32, 32))
+    _, _, state = train(lambda: DriftEnv(uturn, uturn_pretraj, time_cap=1.5),
+                        hp, episodes=6, seed=3)
+    assert state.env_steps == 532
+    assert state.checksum() == 45.11612520855356
 
 
 def test_toy_reach_task_learned_within_200_episodes():
