@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import DriftEnv, EpisodeResult, OBS_DIM, run_episode
 from .planner import PreTrajectory
 from .plant import ActuatorLimits, TireParams, VehicleParams, G
 from .track import TrackGeometry
@@ -51,7 +50,8 @@ class BaselineTracker:
         l_t = float(self.pretraj.l_ref(s_t))
         # Angle to the target point relative to the vehicle heading; the
         # track tangent rotates by the centerline curvature over the chord.
-        dpsi = self.track.heading_at(s_t) - self.track.heading_at(s)
+        psi_c, kappa_c = self.track.heading_curvature_at(s)
+        dpsi = self.track.heading_at(s_t) - psi_c
         eta = math.atan2(l_t - l, ld) + 0.5 * dpsi - alpha
         # Damp the lateral-rate error; the slip-inversion loop below is
         # close to a double integrator and oscillates without it.
@@ -72,7 +72,7 @@ class BaselineTracker:
             tp.mu * tp.d_front * fz_f)
         slip = math.tan(math.asin(min(f, 0.985)) / tp.c_front) / tp.b_front
         slip = math.copysign(min(slip, self.slip_cap), ay_req)
-        yaw_rate = obs[5] + self.track.curvature_at(s) * obs[3]
+        yaw_rate = obs[5] + kappa_c * obs[3]
         axle_course = math.atan2(v_y + p.l_f * yaw_rate, max(v_x, 1.0))
         delta = axle_course + slip
 
@@ -101,21 +101,3 @@ class BaselineTracker:
             min(max(t_rt, 0.0), self.limits.t_max),
             min(p_b, self.limits.p_max),
         ])
-
-
-def closed_loop_time(
-    track: TrackGeometry,
-    pretraj: PreTrajectory,
-    seed: int = 0,
-    nominal: bool = True,
-    tracker_kw: dict | None = None,
-    **env_kw,
-) -> EpisodeResult:
-    """Run the tracker over one episode and report the result.
-
-    Defaults to the deterministic nominal start so planned-vs-centerline
-    comparisons measure the reference, not the initial-state draw."""
-    env = DriftEnv(track, pretraj, **env_kw)
-    tracker = BaselineTracker(track, pretraj, env.params, env.limits,
-                              **(tracker_kw or {}))
-    return run_episode(tracker, env, seed, nominal=nominal)

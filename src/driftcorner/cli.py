@@ -145,15 +145,16 @@ class ResultsTable:
         path.write_text("\n".join(lines) + "\n")
 
 
-def _completion_cell(achieved: float, total: float) -> str:
-    return f"{achieved:.0f}/{total:.0f}"
-
-
 def _episode_row(name, result: EpisodeResult, achieved, total) -> tuple:
+    """Table III/IV row; a run that did not finish (chi == 0) shows its
+    status beside the heading swept and N/A as its time."""
+    completion = f"{achieved:.0f}/{total:.0f}"
+    if not result.chi:
+        completion += f" ({result.status})"
     time_cell = f"{result.t_f:.2f}" if result.chi else "N/A"
     return (
         name,
-        _completion_cell(achieved, total),
+        completion,
         f"{result.max_speed:.2f}",
         f"{math.degrees(result.max_beta):.1f}",
         time_cell,

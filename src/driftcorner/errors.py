@@ -21,10 +21,6 @@ class OutOfRange(DriftCornerError):
     """Arc-length query outside [0, s_max]."""
 
 
-class BadGridSpec(DriftCornerError):
-    """Discretization parameters violate their preconditions."""
-
-
 class BadTrackSpec(DriftCornerError):
     """Library-track parameters are inconsistent."""
 
@@ -55,10 +51,6 @@ class PreviewFailed(DriftCornerError):
 
 class PreviewExhausted(DriftCornerError):
     """Control tick requested past the end of the preview."""
-
-
-class NoMatch(DriftCornerError):
-    """No scene-library entry within the matching threshold."""
 
 
 class MissingPolicy(DriftCornerError):

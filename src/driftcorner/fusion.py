@@ -14,12 +14,12 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .envs import CONTROL_DT, DriftEnv, EpisodeResult, RewardConfig, action_bounds
-from .errors import NoMatch, PreviewExhausted, PreviewFailed
+from .errors import PreviewExhausted, PreviewFailed
 from .mpc import (
     V_EPS,
     CartesianState,
@@ -164,66 +164,6 @@ def load_preview(path) -> PreviewTrajectory:
         plant_digest=meta["plant_digest"], track_id=meta["track_id"],
         v_ini=float(meta["v_ini"]), t_f=float(meta["t_f"]),
     )
-
-
-# -- scene library ----------------------------------------------------
-
-
-def track_descriptor(track: TrackGeometry) -> tuple[float, float, float]:
-    """(total heading change rad, arc radius m, width m)."""
-    dpsi = abs(track.heading_at(track.s_max) - track.heading_at(0.0))
-    kmax = float(np.max(np.abs(track.curvature)))
-    radius = 1.0 / kmax if kmax > 1e-9 else math.inf
-    return dpsi, radius, 2.0 * track.half_width
-
-
-@dataclass
-class SceneLibraryEntry:
-    track_id: str
-    descriptor: tuple[float, float, float]
-    previews: dict[float, PreviewTrajectory] = field(default_factory=dict)
-
-    def add(self, preview: PreviewTrajectory) -> None:
-        self.previews[preview.v_ini] = preview
-
-    def preview_for(self, v_entry: float) -> PreviewTrajectory:
-        if not self.previews:
-            raise NoMatch(f"entry {self.track_id} holds no previews")
-        key = min(self.previews, key=lambda v: abs(v - v_entry))
-        return self.previews[key]
-
-
-# Descriptor distance weights: heading change in rad, curvature in 1/m,
-# width in m are of comparable magnitude for road-scale corners.
-_MATCH_WEIGHTS = (1.0, 10.0, 0.5)
-MATCH_THRESHOLD = 0.35  # below half the spacing of the library tracks
-
-
-def descriptor_distance(a, b) -> float:
-    wd, wk, ww = _MATCH_WEIGHTS
-    return math.sqrt(
-        wd * (a[0] - b[0]) ** 2
-        + wk * (1.0 / a[1] - 1.0 / b[1]) ** 2
-        + ww * (a[2] - b[2]) ** 2
-    )
-
-
-def match_curve(
-    descriptor: tuple[float, float, float],
-    library: list[SceneLibraryEntry],
-    threshold: float = MATCH_THRESHOLD,
-) -> tuple[SceneLibraryEntry, float]:
-    """Nearest scene under the weighted descriptor distance."""
-    if not library:
-        raise NoMatch("scene library is empty")
-    best = min(library, key=lambda e: descriptor_distance(descriptor, e.descriptor))
-    dist = descriptor_distance(descriptor, best.descriptor)
-    if dist > threshold:
-        raise NoMatch(
-            f"nearest scene {best.track_id} at distance {dist:.3f} "
-            f"exceeds threshold {threshold}"
-        )
-    return best, dist
 
 
 # -- fusion controller ------------------------------------------------

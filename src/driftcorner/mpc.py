@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Infeasible, NoConvergence, SingularSpeed
-from .plant import ActuatorLimits, VehicleParams
+from .plant import VehicleParams
 
 V_EPS = 0.5  # m/s, model-singularity guard on 1/v_x terms
 N_STATE = 6
@@ -354,22 +354,3 @@ def solve_qp(
                           predict_two_step(gamma_aug, a_k, b_k, a_k1, b_k1,
                                            du_k, du_k1))
     return du_k, du_k1, diag
-
-
-def accel_to_actuators(
-    a_xt: float,
-    params: VehicleParams = VehicleParams(),
-    limits: ActuatorLimits = ActuatorLimits(),
-) -> tuple[float, float, bool]:
-    """Map a longitudinal acceleration command onto drive torque and
-    brake pressure; returns (T_rt, P_b, clamped-flag)."""
-    clamped = False
-    if a_xt >= 0.0:
-        t_rt = params.m * a_xt * params.r_w
-        if t_rt > limits.t_max:
-            t_rt, clamped = limits.t_max, True
-        return t_rt, 0.0, clamped
-    p_b = -params.m * a_xt * params.r_w / params.k_b
-    if p_b > limits.p_max:
-        p_b, clamped = limits.p_max, True
-    return 0.0, p_b, clamped

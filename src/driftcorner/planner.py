@@ -1,10 +1,11 @@
 """Pre-trajectory planning: minimum-curvature path + friction-limited speed.
 
 The lateral offset l(s) is a C1 piecewise-cubic (Hermite) spline over
-knots along s.  A dynamic-programming pass over the discretized road
-grid seeds a projected-gradient refinement of the knot offsets; the
-objective is the integral of squared curvature of the composed Cartesian
-path.  Speed is capped pointwise by the lateral-adhesion limit and then
+knots along s.  A Gauss-Newton refinement of the knot offsets, clipped
+to the corridor, minimizes the integral of squared curvature of the
+composed Cartesian path; it runs from a dynamic-programming seed over
+candidate offsets at the knots and from the centerline, and keeps the
+better.  Speed is capped pointwise by the lateral-adhesion limit and then
 smoothed by a forward-backward longitudinal-acceleration pass.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import BadTrackSpec, Infeasible, RankDeficient
 from .plant import ActuatorLimits, VehicleParams
-from .track import DiscretizedGrid, FrenetPoint, TrackGeometry, discretize, to_cartesian
+from .track import FrenetPoint, TrackGeometry, to_cartesian
 
 G = 9.81
 
@@ -27,6 +28,12 @@ CORRIDOR_MARGIN = 1.0  # m, kept clear of each boundary: boundary-check
 # half width (0.4) plus bounding-box overhang and tracking-error budget
 V_STRAIGHT_MAX = 16.0  # m/s, speed cap on zero-curvature sections
 A_LONG_LIMITS = (-6.0, 3.0)  # m/s^2, (braking, accelerating)
+V_START = 9.0  # m/s, cap on the planned speed at s = 0
+KNOT_SPACING = 2.0  # m, target spacing of the offset-spline knots
+MIN_KNOT_INTERVALS = 10
+MAX_ITER = 2000  # Gauss-Newton iterations of minimize_curvature
+TOL = 1e-8  # stop once one iteration lowers the objective by less
+N_OFFSETS = 13  # candidate offsets per knot in the DP seed
 
 
 class Boundary(NamedTuple):
@@ -215,99 +222,84 @@ def centerline_path(track: TrackGeometry) -> LateralOffsetPath:
 # -- minimum-curvature optimization -----------------------------------
 
 
-def _dp_seed(track, grid: DiscretizedGrid, boundary: Boundary) -> np.ndarray:
-    """Dynamic programming over the road grid (Menger vertex curvature).
-
-    Returns the seeded lateral offsets at grid.s_values."""
-    s_vals = grid.s_values
-    n_st = len(s_vals)
-    first = grid.l_values if boundary.l0 is None else np.array([boundary.l0])
-    last = grid.l_values if boundary.l1 is None else np.array([boundary.l1])
-    cand = [first]
-    cand += [grid.l_values for _ in range(n_st - 2)]
-    cand += [last]
-    xy = [
-        np.array([to_cartesian(FrenetPoint(float(s_vals[i]), float(l)), track)
-                  for l in cand[i]])
-        for i in range(n_st)
-    ]
-
-    def vertex_cost(a, b, c):
-        ab = b - a
-        bc = c - b
-        ac = c - a
-        la, lb, lc = (np.hypot(*ab), np.hypot(*bc), np.hypot(*ac))
-        if la * lb * lc < 1e-12:
-            return np.inf
-        cross = ab[0] * bc[1] - ab[1] * bc[0]
-        kappa = 2.0 * cross / (la * lb * lc)
-        return kappa * kappa * 0.5 * (la + lb)
+def _dp_seed(track, knots, offsets, boundary: Boundary) -> np.ndarray:
+    """Dynamic programming over candidate offsets at the knots (Menger
+    vertex curvature); returns the seed offsets at the knots."""
+    cand = [offsets] * len(knots)
+    if boundary.l0 is not None:
+        cand[0] = np.array([boundary.l0])
+    if boundary.l1 is not None:
+        cand[-1] = np.array([boundary.l1])
+    xy = []
+    for s, l in zip(knots, cand):  # to_cartesian of each candidate
+        x, y, h = track.frame_at(float(s))
+        xy.append(np.stack([x - l * math.sin(h), y + l * math.cos(h)], axis=-1))
 
     # dp[j, k]: best cost of reaching edge (station i: node j) -> (i+1: node k)
     dp = np.zeros((len(cand[0]), len(cand[1])))
     back: list[np.ndarray] = []
-    for i in range(1, n_st - 1):
-        nxt = cand[i + 1]
-        new = np.full((len(cand[i]), len(nxt)), np.inf)
-        arg = np.zeros((len(cand[i]), len(nxt)), dtype=int)
-        for j in range(len(cand[i])):
-            for k in range(len(nxt)):
-                costs = dp[:, j] + np.array(
-                    [vertex_cost(xy[i - 1][p], xy[i][j], xy[i + 1][k])
-                     for p in range(len(cand[i - 1]))]
-                )
-                p_best = int(np.argmin(costs))
-                new[j, k] = costs[p_best]
-                arg[j, k] = p_best
-        dp, back = new, back + [arg]
+    for i in range(1, len(knots) - 1):
+        # vertex (p, j, k): node p at station i-1, j at i, k at i+1
+        a = xy[i - 1][:, None, None, :]
+        b = xy[i][None, :, None, :]
+        c = xy[i + 1][None, None, :, :]
+        ab, bc, ac = b - a, c - b, c - a
+        la = np.hypot(ab[..., 0], ab[..., 1])
+        lb = np.hypot(bc[..., 0], bc[..., 1])
+        lc = np.hypot(ac[..., 0], ac[..., 1])
+        cross = ab[..., 0] * bc[..., 1] - ab[..., 1] * bc[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kappa = 2.0 * cross / (la * lb * lc)
+            cost = np.where(la * lb * lc < 1e-12, np.inf,
+                            kappa * kappa * 0.5 * (la + lb))
+        total = dp[:, :, None] + cost
+        back.append(np.argmin(total, axis=0))  # first p on ties
+        dp = np.min(total, axis=0)
 
     j_best, k_best = np.unravel_index(int(np.argmin(dp)), dp.shape)
     path_idx = [k_best, j_best]
     for arg in reversed(back):
         path_idx.append(int(arg[path_idx[-1], path_idx[-2]]))
     path_idx.reverse()
-    offsets = np.array(
-        [cand[i][path_idx[i]] for i in range(n_st)]
-    )
-    return offsets
+    return np.array([cand[i][path_idx[i]] for i in range(len(knots))])
 
 
 def minimize_curvature(
     track: TrackGeometry,
-    grid: DiscretizedGrid,
+    knots: np.ndarray,
     boundary: Boundary = Boundary(),
-    margin: float = CORRIDOR_MARGIN,
-    max_iter: int = 2000,
-    tol: float = 1e-8,
 ) -> LateralOffsetPath:
-    """Minimum-squared-curvature lateral offset within the corridor."""
-    lim = track.half_width - margin
+    """Minimum-squared-curvature lateral offset within the corridor.
+
+    Sequential linearized least squares (Gauss-Newton) on the curvature
+    residual at the knot offsets, clipped to the corridor, with a
+    backtracking line search on the true objective.  It refines two
+    starts, the DP seed and the centerline (with pinned ends), and keeps
+    the better; either can win on a free-end corner."""
+    lim = track.half_width - CORRIDOR_MARGIN
     for end in (boundary.l0, boundary.l1):
         if end is not None and abs(end) > lim:
             raise Infeasible("boundary offsets violate the corridor margin")
 
-    knots = np.asarray(grid.s_values, dtype=float)
-    values = np.clip(_dp_seed(track, grid, boundary), -lim, lim)
-    if boundary.l0 is not None:
-        values[0] = boundary.l0
-    if boundary.l1 is not None:
-        values[-1] = boundary.l1
+    knots = np.asarray(knots, dtype=float)
+    # N_OFFSETS candidates from -lim to +lim, rounded as the recorded
+    # plans were seeded (np.linspace rounds differently)
+    m = N_OFFSETS
+    offsets = -lim + np.arange(m) * ((-lim + m * 2 * lim / (m - 1)) + lim) / m
+    dp = np.clip(_dp_seed(track, knots, offsets, boundary), -lim, lim)
+    flat = np.zeros_like(knots)
+    for start in (dp, flat):
+        if boundary.l0 is not None:
+            start[0] = boundary.l0
+        if boundary.l1 is not None:
+            start[-1] = boundary.l1
     # Knot indices the optimizer may move: interior knots always, the
     # endpoints when their offsets are unconstrained.
     free = np.arange(0 if boundary.l0 is None else 1,
-                     len(values) if boundary.l1 is None else len(values) - 1)
-
-    def make_path(v):
-        slopes = _catmull_rom_slopes(knots, v, boundary.dl0, boundary.dl1)
-        return LateralOffsetPath(knots, v, slopes, boundary)
+                     len(knots) if boundary.l1 is None else len(knots) - 1)
 
     s_dense = np.linspace(0.0, track.s_max, 600)
     kc_dense = track.curvature_at_many(s_dense)
-
-    def objective(v):
-        slopes = _catmull_rom_slopes(knots, v, boundary.dl0, boundary.dl1)
-        return _objective_on_grid(track, knots, v, slopes, s_dense, kc_dense)
-
     w = np.sqrt(np.gradient(s_dense))  # trapezoid weights for the residual
 
     def kappa_dense(v):
@@ -315,16 +307,15 @@ def minimize_curvature(
         l, dl, ddl = _hermite_eval(knots, v, slopes, s_dense)
         return _frenet_path_curvature(track, s_dense, l, dl, ddl, kc=kc_dense)
 
-    def refine(start: np.ndarray) -> tuple[np.ndarray, float, bool]:
-        """Sequential linearized least squares (Gauss-Newton) on the
-        curvature residual, clipped to the corridor, with a backtracking
-        line search on the true objective."""
-        values = start.copy()
+    def objective(v):
+        slopes = _catmull_rom_slopes(knots, v, boundary.dl0, boundary.dl1)
+        return _objective_on_grid(track, knots, v, slopes, s_dense, kc_dense)
+
+    def refine(values: np.ndarray) -> tuple[np.ndarray, float, bool]:
         j_cur = objective(values)
-        converged = False
         n_free = len(free)
         eps = 1e-6
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             k0 = kappa_dense(values)
             jac = np.empty((len(s_dense), n_free))
             for i, idx in enumerate(free):
@@ -339,43 +330,25 @@ def minimize_curvature(
             b_reg = np.concatenate([b, np.zeros(n_free)])
             delta_v, *_ = np.linalg.lstsq(a_reg, b_reg, rcond=None)
             alpha = 1.0
-            improved = False
             while alpha > 1e-8:
                 trial = values.copy()
                 trial[free] = np.clip(values[free] + alpha * delta_v, -lim, lim)
                 j_trial = objective(trial)
                 if j_trial < j_cur:
-                    improved = True
                     break
                 alpha *= 0.5
-            if not improved:
-                converged = True
-                break
+            else:
+                return values, j_cur, True  # no descent along the step
             delta = j_cur - j_trial
             values, j_cur = trial, j_trial
-            if delta < tol:
-                converged = True
-                break
-        return values, j_cur, converged
+            if delta < TOL:
+                return values, j_cur, True
+        return values, j_cur, False
 
-    # Multi-start: DP seed plus the clipped centerline-consistent start.
-    seeds = [values]
-    flat = np.zeros_like(values)
-    if boundary.l0 is not None:
-        flat[0] = boundary.l0
-    if boundary.l1 is not None:
-        flat[-1] = boundary.l1
-    seeds.append(flat)
-    best = None
-    for seed in seeds:
-        cand_values, j_cand, conv = refine(seed)
-        if best is None or j_cand < best[1]:
-            best = (cand_values, j_cand, conv)
-    values, j_cur, converged = best
-    path = make_path(values)
-    return LateralOffsetPath(
-        path.knots, path.values, path.slopes, boundary, converged=converged
-    )
+    # the DP start wins ties
+    values, _, converged = min((refine(dp), refine(flat)), key=lambda r: r[1])
+    slopes = _catmull_rom_slopes(knots, values, boundary.dl0, boundary.dl1)
+    return LateralOffsetPath(knots, values, slopes, boundary, converged=converged)
 
 
 # -- speed planning and reference time --------------------------------
@@ -515,34 +488,16 @@ def build_pretrajectory(
 
 
 def plan_pretrajectory(
-    track: TrackGeometry,
-    mu: float = 0.85,
-    boundary: Boundary = Boundary(),
-    n: int | None = None,
-    m: int = 13,
-    margin: float = CORRIDOR_MARGIN,
-    use_centerline: bool = False,
-    powertrain: "object | None" = None,
-    v_start: float | None = 9.0,
+    track: TrackGeometry, mu: float = 0.85, use_centerline: bool = False
 ) -> PreTrajectory:
     """End-to-end planning convenience used by the CLI and experiments."""
-    lim = track.half_width - margin
-    if n is None:
-        n = max(10, int(round(track.s_max / 2.0)))
-    # The road-point grid spans [l_min, l_max) with m points; pick l_max one
-    # step beyond +lim so the candidates cover the corridor symmetrically
-    # (and include the centerline when m is odd).
-    while m * 2 * lim / (m - 1) > lim + track.half_width:
-        m += 2
-    grid = discretize(track, n, m, -lim, -lim + m * 2 * lim / (m - 1))
     if use_centerline:
         path = centerline_path(track)
     else:
-        path = minimize_curvature(track, grid, boundary, margin=margin)
-    if powertrain is None:
-        powertrain = VehicleParams()
-    speed = plan_speed(path, track, mu, powertrain=powertrain,
-                       v_start=v_start)
+        n = max(MIN_KNOT_INTERVALS, int(round(track.s_max / KNOT_SPACING)))
+        path = minimize_curvature(track, np.linspace(0.0, track.s_max, n + 1))
+    speed = plan_speed(path, track, mu, powertrain=VehicleParams(),
+                       v_start=V_START)
     return build_pretrajectory(path, track, speed)
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     AmbiguousProjection,
-    BadGridSpec,
     BadTrackSpec,
     OffCorridor,
     OutOfRange,
@@ -40,18 +39,6 @@ TRACK_FILE_VERSION = "driftcorner track v1"
 class FrenetPoint(NamedTuple):
     s: float
     l: float
-
-
-@dataclass(frozen=True)
-class DiscretizedGrid:
-    """Uniform (s, l) grid over the corridor (Frenet road points)."""
-
-    s_values: np.ndarray  # shape (n+1,)
-    l_values: np.ndarray  # shape (m,)
-    n: int
-    m: int
-    l_min: float
-    l_max: float
 
 
 @dataclass(frozen=True)
@@ -337,23 +324,6 @@ def to_frenet(
         if d - d_min < 1e-9 and abs(s - s_star) > 1.0:
             raise AmbiguousProjection((s_star, s))
     return FrenetPoint(float(s_star), float(l))
-
-
-def discretize(
-    track: TrackGeometry, n: int, m: int, l_min: float, l_max: float
-) -> DiscretizedGrid:
-    """Uniform Frenet road-point grid: (n+1) stations along s, m offsets."""
-    if n < 1 or m < 2:
-        raise BadGridSpec("need n >= 1 and m >= 2")
-    if l_min >= l_max:
-        raise BadGridSpec("need l_min < l_max")
-    if l_min < -track.half_width - 1e-12 or l_max > track.half_width + 1e-12:
-        raise BadGridSpec("[l_min, l_max] must lie within the track width")
-    s_values = np.linspace(0.0, track.s_max, n + 1)
-    l_values = l_min + np.arange(m) * (l_max - l_min) / m
-    return DiscretizedGrid(
-        s_values=s_values, l_values=l_values, n=n, m=m, l_min=l_min, l_max=l_max
-    )
 
 
 # -- file format ------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import driftcorner
 from driftcorner import cli
+from driftcorner.envs import EpisodeResult
 from driftcorner.fusion import save_preview
 from driftcorner.planner import save_pretrajectory
 
@@ -19,6 +20,22 @@ def test_deploy_completes_under_mismatch(uturn_preview8, tmp_path):
                      "--mu-deploy", "0.75", "--mass-scale", "1.1",
                      "--out", str(out)]) == 0
     assert "chi=1" in (out / "summary.txt").read_text()
+
+
+def _episode(chi, status, t_f):
+    return EpisodeResult(chi=chi, t_f=t_f, s_final=94.65, status=status,
+                         total_reward=0.0, r_p_sum=0.0, r_s_sum=0.0,
+                         r_m_sum=0.0, r_t=0.0, max_beta=0.1, max_speed=9.0)
+
+
+def test_episode_row_tells_crash_from_finish():
+    # a crash on the exit straight has swept the whole corner
+    crashed = cli._episode_row("run", _episode(0, "crashed", 12.79), 180.0, 180.0)
+    assert crashed[1] == "180/180 (crashed)"
+    assert crashed[4] == "N/A"
+    finished = cli._episode_row("run", _episode(1, "completed", 18.2), 180.0, 180.0)
+    assert finished[1] == "180/180"
+    assert finished[4] == "18.20"
 
 
 def test_train_progress_reaches_stderr(uturn_pretraj, tmp_path):

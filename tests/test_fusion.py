@@ -1,4 +1,4 @@
-"""Deployment controller: previews, scene matching, fusion, fallback."""
+"""Deployment controller: previews, fusion, fallback."""
 
 import dataclasses
 import math
@@ -7,23 +7,19 @@ import numpy as np
 import pytest
 
 from driftcorner import fusion
-from driftcorner.errors import NoMatch, PreviewFailed
+from driftcorner.errors import PreviewFailed
 from driftcorner.fusion import (
     DeploymentSpec,
     FallbackConfig,
     FusionController,
     PreviewTrajectory,
-    SceneLibraryEntry,
     completion_degrees,
     deploy_run,
-    descriptor_distance,
     generate_preview,
     load_preview,
-    match_curve,
     params_digest,
     save_preview,
     speed_bucket,
-    track_descriptor,
     write_deploy_csv,
 )
 from driftcorner.mpc import solve_qp
@@ -91,41 +87,6 @@ def test_params_digest_tracks_plant_changes():
     assert base != params_digest(dataclasses.replace(PARAMS, m=1900.0), TIRES)
     assert base != params_digest(PARAMS, dataclasses.replace(TIRES, mu=0.75))
 
-
-# -- scene matching ----------------------------------------------------
-
-
-def test_descriptor_values(all_tracks):
-    d = track_descriptor(all_tracks["uturn"])
-    assert d[0] == pytest.approx(math.pi)
-    assert d[1] == pytest.approx(11.0)
-    assert d[2] == pytest.approx(5.5)
-
-
-def test_match_finds_same_geometry(all_tracks, uturn_preview8):
-    library = []
-    for kind, track in all_tracks.items():
-        entry = SceneLibraryEntry(kind, track_descriptor(track))
-        if kind == "uturn":
-            entry.add(uturn_preview8)
-        library.append(entry)
-    hit, dist = match_curve(track_descriptor(all_tracks["uturn"]), library)
-    assert hit.track_id == "uturn" and dist == pytest.approx(0.0)
-    assert hit.preview_for(8.2) is uturn_preview8
-    with pytest.raises(NoMatch):  # gentle sweeping bend: nothing similar
-        match_curve((0.3, 40.0, 7.0), library)
-    with pytest.raises(NoMatch):
-        match_curve(track_descriptor(all_tracks["uturn"]), [])
-    empty = SceneLibraryEntry("x", (1.0, 10.0, 5.0))
-    with pytest.raises(NoMatch):
-        empty.preview_for(9.0)
-
-
-def test_descriptor_distance_symmetry(rng):
-    a = (1.0, 12.0, 5.0)
-    b = (2.0, 9.0, 6.0)
-    assert descriptor_distance(a, b) == descriptor_distance(b, a)
-    assert descriptor_distance(a, a) == 0.0
 
 
 # -- matched-plant tracking --------------------------------------------

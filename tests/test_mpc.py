@@ -1,4 +1,4 @@
-"""Corrective MPC: model math, discretization, actuator mapping."""
+"""Corrective MPC: model math, discretization, QP tick."""
 
 import math
 
@@ -15,7 +15,6 @@ from driftcorner.mpc import (
     N_AUG,
     N_INPUT,
     N_STATE,
-    accel_to_actuators,
     discretize_augment,
     dynamics_rhs,
     expm,
@@ -23,7 +22,7 @@ from driftcorner.mpc import (
     predict_two_step,
     solve_qp,
 )
-from driftcorner.plant import ActuatorLimits, VehicleParams
+from driftcorner.plant import VehicleParams
 
 PARAMS = VehicleParams()
 
@@ -133,24 +132,6 @@ def test_weights_validation():
         MpcWeights(q=np.diag([-1.0, 1, 1, 1, 1, 1]))
     with pytest.raises(ValueError):
         MpcWeights(t_s=-0.01)
-
-
-def test_accel_to_actuators_mapping():
-    p, lim = VehicleParams(), ActuatorLimits()
-    t_rt, p_b, clamped = accel_to_actuators(1.0, p, lim)
-    assert t_rt == pytest.approx(p.m * 1.0 * p.r_w) and p_b == 0.0
-    assert not clamped
-    t_rt, p_b, clamped = accel_to_actuators(-2.0, p, lim)
-    assert t_rt == 0.0
-    assert p_b == pytest.approx(p.m * 2.0 * p.r_w / p.k_b)
-    assert not clamped
-    # beyond the envelope both channels clamp and report it
-    assert accel_to_actuators(10.0, p, lim)[::2] == (lim.t_max, True)
-    assert accel_to_actuators(-20.0, p, lim)[1:] == (lim.p_max, True)
-
-
-def test_zero_accel_is_idle():
-    assert accel_to_actuators(0.0) == (0.0, 0.0, False)
 
 
 # -- closed-form sanity of one MPC tick --------------------------------

@@ -20,7 +20,7 @@ from driftcorner.planner import (
     save_pretrajectory,
     SpeedPlan,
 )
-from driftcorner.track import FrenetPoint, discretize
+from driftcorner.track import FrenetPoint
 
 
 MU, G = 0.85, 9.81
@@ -43,8 +43,8 @@ def test_spline_fit_reproduces_cubic(uturn):
 
 
 def test_spline_is_c1_at_knots(uturn):
-    grid = discretize(uturn, 30, 9, -1.7, 1.7)
-    path = minimize_curvature(uturn, grid)
+    knots = np.linspace(0.0, uturn.s_max, 31)
+    path = minimize_curvature(uturn, knots)
     eps = 1e-7
     for k in path.knots[1:-1]:
         _, dl_m, _ = path.derivatives(k - eps)
@@ -108,16 +108,16 @@ def test_local_optimality_of_planned_path(uturn, rng):
 
 
 def test_boundary_pins_are_honored(uturn):
-    grid = discretize(uturn, 30, 9, -1.7, 1.7)
-    path = minimize_curvature(uturn, grid, Boundary(l0=-1.2, l1=0.8))
+    knots = np.linspace(0.0, uturn.s_max, 31)
+    path = minimize_curvature(uturn, knots, Boundary(l0=-1.2, l1=0.8))
     assert path(0.0) == pytest.approx(-1.2, abs=1e-9)
     assert path(uturn.s_max) == pytest.approx(0.8, abs=1e-9)
 
 
 def test_boundary_outside_corridor_is_infeasible(uturn):
-    grid = discretize(uturn, 30, 9, -1.7, 1.7)
+    knots = np.linspace(0.0, uturn.s_max, 31)
     with pytest.raises(Infeasible):
-        minimize_curvature(uturn, grid, Boundary(l0=2.5))
+        minimize_curvature(uturn, knots, Boundary(l0=2.5))
 
 
 # -- speed planning ----------------------------------------------------
@@ -155,7 +155,7 @@ def test_straight_speed_cap(uturn):
 
 
 def test_start_speed_clamp(uturn):
-    pre = plan_pretrajectory(uturn, v_start=9.0)
+    pre = plan_pretrajectory(uturn)
     assert pre.v_d[0] <= 9.0 + 1e-12
 
 

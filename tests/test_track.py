@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from driftcorner.errors import (
     AmbiguousProjection,
-    BadGridSpec,
     BadTrackSpec,
     OffCorridor,
     OutOfRange,
@@ -18,7 +17,6 @@ from driftcorner.track import (
     FrenetPoint,
     TrackGeometry,
     build_library_track,
-    discretize,
     load_track,
     save_track,
     to_cartesian,
@@ -206,24 +204,7 @@ def test_sampled_track_projects_onto_the_polyline(uturn, tmp_path, rng):
         to_frenet((x, y), sampled)
 
 
-# -- grid / file format --------------------------------------------------
-
-
-def test_discretize_shapes(uturn):
-    grid = discretize(uturn, 20, 7, -2.0, 2.0)
-    assert len(grid.s_values) == 21
-    assert len(grid.l_values) == 7
-    assert grid.s_values[0] == 0.0
-    assert grid.s_values[-1] == pytest.approx(uturn.s_max)
-
-
-def test_discretize_rejects_bad_specs(uturn):
-    with pytest.raises(BadGridSpec):
-        discretize(uturn, 0, 5, -1, 1)
-    with pytest.raises(BadGridSpec):
-        discretize(uturn, 5, 5, 1, -1)
-    with pytest.raises(BadGridSpec):
-        discretize(uturn, 5, 5, -10, 10)
+# -- file format -------------------------------------------------------
 
 
 def test_track_file_round_trip(uturn, tmp_path):
