@@ -25,10 +25,6 @@ class BadTrackSpec(DriftCornerError):
     """Library-track parameters are inconsistent."""
 
 
-class RankDeficient(DriftCornerError):
-    """Least-squares normal equations are singular."""
-
-
 class Infeasible(DriftCornerError):
     """Constraints admit no solution."""
 

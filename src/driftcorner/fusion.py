@@ -277,9 +277,8 @@ class FusionController:
         kkt = 0.0
         if self.mpc_enabled and state.v_x >= V_EPS:
             # Advance along the preview by its own progress rate.
-            s_dots = self._s_dots
-            k1 = k if exhausted else self._index_ahead(k, s_dots[k] * self.weights.t_s)
-            k2 = k1 if exhausted else self._index_ahead(k1, s_dots[k1] * self.weights.t_s)
+            k1 = k if exhausted else self._index_ahead(
+                k, self._s_dots[k] * self.weights.t_s)
             gamma_now = np.array([state.x, state.y, state.phi,
                                   state.v_x, state.v_y, state.yaw_rate])
             # Correction acts on the deviation from the preview: the
@@ -291,11 +290,11 @@ class FusionController:
             gamma_aug = np.concatenate([gamma_err, np.asarray(self.u_mpc)])
             mats = (self._mats[0][k], self._mats[1][k],
                     self._mats[0][k1], self._mats[1][k1])
-            du_k, _, diag = solve_qp(
+            du_k, _, sol = solve_qp(
                 gamma_aug,
                 (np.zeros(6), np.zeros(6)),
                 mats, self.weights)
-            kkt = diag.kkt_residual
+            kkt = sol.kkt_residual
             self.u_mpc = MpcInput(self.u_mpc.delta_f + float(du_k[0]),
                                   self.u_mpc.a_xt + float(du_k[1]))
             u_out = self.u_mpc

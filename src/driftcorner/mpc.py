@@ -284,14 +284,13 @@ def _kkt_residual(h, g, a_ineq, b_ineq, z, active, lam) -> float:
     return max(stat, comp)
 
 
-@dataclass
-class MpcDiagnostics:
-    du: np.ndarray
-    objective: float
-    active: list[int]
-    kkt_residual: float
-    iterations: int
-    predicted: tuple[np.ndarray, np.ndarray] | None = None
+# Box constraints A z <= b on z = (du_k, du_{k+1}), the same on every
+# tick.  Each row pair bounds both input channels from above and below:
+# the rates du_k and du_{k+1}, then the accumulated inputs u(k) and
+# u(k+1), which couple the two steps.
+A_INEQ = np.kron([[1, 0], [-1, 0], [0, 1], [0, -1],
+                  [1, 0], [-1, 0], [1, 1], [-1, -1]], np.eye(2))
+A_INEQ.flags.writeable = False
 
 
 def solve_qp(
@@ -299,25 +298,23 @@ def solve_qp(
     refs: tuple[np.ndarray, np.ndarray],
     mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     weights: MpcWeights,
-) -> tuple[np.ndarray, np.ndarray, MpcDiagnostics]:
+) -> tuple[np.ndarray, np.ndarray, QpSolution]:
     """Two-step tracking QP in the input-rate variables.
 
     gamma_aug: current augmented state [Gamma; u_{k-1}].
     refs: reference 6-vectors for steps k+1 and k+2.
     mats: (A_k, B_k, A_{k+1}, B_{k+1}) from discretize_augment.
-    Returns (du_k, du_{k+1}, diagnostics).
+    Returns (du_k, du_{k+1}, the QP solution with its KKT residual).
     """
     a_k, b_k, a_k1, b_k1 = mats
     q, r = weights.q, weights.r
-    e = np.zeros((N_STATE, N_AUG))
-    e[:, :N_STATE] = np.eye(N_STATE)
 
-    # Gamma(k+1) = E (A_k x + B_k du_k); Gamma(k+2) = E (A_{k+1}A_k x
-    # + A_{k+1}B_k du_k + B_{k+1} du_{k+1}).
-    free1 = e @ (a_k @ gamma_aug)
-    free2 = e @ (a_k1 @ a_k @ gamma_aug)
-    m1 = np.hstack([e @ b_k, np.zeros((N_STATE, N_INPUT))])
-    m2 = np.hstack([e @ (a_k1 @ b_k), e @ b_k1])
+    # Gamma(k+1) = the state rows of A_k x + B_k du_k; Gamma(k+2) = those
+    # of A_{k+1}A_k x + A_{k+1}B_k du_k + B_{k+1} du_{k+1}.
+    free1 = (a_k @ gamma_aug)[:N_STATE]
+    free2 = (a_k1 @ a_k @ gamma_aug)[:N_STATE]
+    m1 = np.hstack([b_k[:N_STATE], np.zeros((N_STATE, N_INPUT))])
+    m2 = np.hstack([(a_k1 @ b_k)[:N_STATE], b_k1[:N_STATE]])
     err1, err2 = free1 - refs[0], free2 - refs[1]
     r2 = np.zeros((4, 4))
     r2[:2, :2] = r
@@ -331,26 +328,11 @@ def solve_qp(
     hi1 = np.minimum(weights.du_max, weights.u_max - u_prev)
     if np.any(lo1 > hi1 + 1e-12):
         raise Infeasible("rate box and accumulated-input box are disjoint")
-    # Rows: du_k <= hi rate, -du_k <= -lo rate, same for du_{k+1};
-    # accumulated u(k) and u(k+1) boxes couple the two steps.
-    i2 = np.eye(2)
-    z2 = np.zeros((2, 2))
-    a_ineq = np.vstack([
-        np.hstack([i2, z2]), np.hstack([-i2, z2]),
-        np.hstack([z2, i2]), np.hstack([z2, -i2]),
-        np.hstack([i2, z2]), np.hstack([-i2, z2]),
-        np.hstack([i2, i2]), np.hstack([-i2, -i2]),
-    ])
     b_ineq = np.concatenate([
         weights.du_max, -weights.du_min,
         weights.du_max, -weights.du_min,
         weights.u_max - u_prev, -(weights.u_min - u_prev),
         weights.u_max - u_prev, -(weights.u_min - u_prev),
     ])
-    sol = solve_box_qp(h, g, a_ineq, b_ineq)
-    du_k, du_k1 = sol.z[:2], sol.z[2:]
-    diag = MpcDiagnostics(sol.z, sol.objective, sol.active,
-                          sol.kkt_residual, sol.iterations,
-                          predict_two_step(gamma_aug, a_k, b_k, a_k1, b_k1,
-                                           du_k, du_k1))
-    return du_k, du_k1, diag
+    sol = solve_box_qp(h, g, A_INEQ, b_ineq)
+    return sol.z[:2], sol.z[2:], sol

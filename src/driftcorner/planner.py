@@ -1,12 +1,12 @@
 """Pre-trajectory planning: minimum-curvature path + friction-limited speed.
 
 The lateral offset l(s) is a C1 piecewise-cubic (Hermite) spline over
-knots along s.  A Gauss-Newton refinement of the knot offsets, clipped
-to the corridor, minimizes the integral of squared curvature of the
-composed Cartesian path; it runs from a dynamic-programming seed over
-candidate offsets at the knots and from the centerline, and keeps the
-better.  Speed is capped pointwise by the lateral-adhesion limit and then
-smoothed by a forward-backward longitudinal-acceleration pass.
+knots along s.  One Gauss-Newton refinement of the knot offsets, started
+from the centerline (with any pinned end offsets set) and clipped to the
+corridor at the knots, minimizes the integral of squared curvature of the
+composed Cartesian path.  Speed is capped pointwise by the lateral-adhesion
+limit, then smoothed by a forward-backward longitudinal-acceleration pass
+that the powertrain and the friction ellipse limit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadTrackSpec, Infeasible, RankDeficient
+from .errors import BadTrackSpec, Infeasible
 from .plant import ActuatorLimits, VehicleParams
 from .track import FrenetPoint, TrackGeometry, to_cartesian
 
@@ -29,11 +29,12 @@ CORRIDOR_MARGIN = 1.0  # m, kept clear of each boundary: boundary-check
 V_STRAIGHT_MAX = 16.0  # m/s, speed cap on zero-curvature sections
 A_LONG_LIMITS = (-6.0, 3.0)  # m/s^2, (braking, accelerating)
 V_START = 9.0  # m/s, cap on the planned speed at s = 0
+SPEED_DS = 0.25  # m, target spacing of the speed-plan samples
+POWERTRAIN = VehicleParams()  # drive-force limit of the forward pass
 KNOT_SPACING = 2.0  # m, target spacing of the offset-spline knots
 MIN_KNOT_INTERVALS = 10
 MAX_ITER = 2000  # Gauss-Newton iterations of minimize_curvature
 TOL = 1e-8  # stop once one iteration lowers the objective by less
-N_OFFSETS = 13  # candidate offsets per knot in the DP seed
 
 
 class Boundary(NamedTuple):
@@ -98,7 +99,6 @@ class LateralOffsetPath:
     slopes: np.ndarray
     boundary: Boundary
     converged: bool = True
-    residual_rms: float = 0.0
 
     def __call__(self, s):
         return _hermite_eval(self.knots, self.values, self.slopes, s)[0]
@@ -106,57 +106,6 @@ class LateralOffsetPath:
     def derivatives(self, s):
         """(l, dl/ds, d2l/ds2) at s (scalar or array)."""
         return _hermite_eval(self.knots, self.values, self.slopes, s)
-
-    @property
-    def segments(self) -> np.ndarray:
-        """Power-basis coefficients (a0, a1, a2, a3) per knot interval,
-        in the local coordinate u = s - knot."""
-        h = np.diff(self.knots)
-        p0, p1 = self.values[:-1], self.values[1:]
-        m0, m1 = self.slopes[:-1], self.slopes[1:]
-        a0 = p0
-        a1 = m0
-        a2 = (3 * (p1 - p0) / h - 2 * m0 - m1) / h
-        a3 = (2 * (p0 - p1) / h + m0 + m1) / (h * h)
-        return np.column_stack([a0, a1, a2, a3])
-
-
-def fit_lateral_polynomial(
-    points: list[FrenetPoint], knots: np.ndarray
-) -> LateralOffsetPath:
-    """Least-squares C1 cubic spline through Frenet samples.
-
-    Unknowns are the knot values and slopes; C1 continuity holds by
-    construction of the Hermite basis."""
-    knots = np.asarray(knots, dtype=float)
-    pts = np.asarray([(p.s, p.l) for p in points], dtype=float)
-    s, l_obs = pts[:, 0], pts[:, 1]
-    n_knots = len(knots)
-    idx = np.clip(np.searchsorted(knots, s, side="right") - 1, 0, n_knots - 2)
-    h = knots[idx + 1] - knots[idx]
-    t = (s - knots[idx]) / h
-    t2, t3 = t * t, t ** 3
-    design = np.zeros((len(s), 2 * n_knots))
-    rows = np.arange(len(s))
-    design[rows, idx] = 2 * t3 - 3 * t2 + 1
-    design[rows, idx + 1] += -2 * t3 + 3 * t2
-    design[rows, n_knots + idx] = (t3 - 2 * t2 + t) * h
-    design[rows, n_knots + idx + 1] += (t3 - t2) * h
-    sol, _, rank, _ = np.linalg.lstsq(design, l_obs, rcond=None)
-    if rank < 2 * n_knots:
-        raise RankDeficient(
-            f"normal equations rank {rank} < {2 * n_knots}; degenerate point placement"
-        )
-    values, slopes = sol[:n_knots], sol[n_knots:]
-    resid = design @ sol - l_obs
-    boundary = Boundary(values[0], slopes[0], values[-1], slopes[-1])
-    return LateralOffsetPath(
-        knots=knots,
-        values=values,
-        slopes=slopes,
-        boundary=boundary,
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-    )
 
 
 # -- curvature of the composed path -----------------------------------
@@ -175,26 +124,11 @@ def _frenet_path_curvature(track, s, l, dl, ddl, kc=None):
     return (a * ppn - b * ppt) / np.maximum(a * a + b * b, 1e-12) ** 1.5
 
 
-def path_curvature(
-    path: LateralOffsetPath,
-    track: TrackGeometry,
-    s,
-    mode: str = "cartesian",
-):
-    """Curvature of the planned path at s.
-
-    'paper_literal' treats l(s) as a planar graph (ignores track
-    curvature); 'cartesian' differentiates the composed Cartesian curve.
-    """
+def path_curvature(path: LateralOffsetPath, track: TrackGeometry, s):
+    """Signed Cartesian curvature of the planned path at s (scalar or array)."""
     scalar = np.isscalar(s)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    l, dl, ddl = path.derivatives(s_arr)
-    if mode == "paper_literal":
-        out = ddl / (1.0 + dl * dl) ** 1.5
-    elif mode == "cartesian":
-        out = _frenet_path_curvature(track, s_arr, l, dl, ddl)
-    else:
-        raise ValueError(f"unknown curvature mode {mode!r}")
+    out = _frenet_path_curvature(track, s_arr, *path.derivatives(s_arr))
     return float(out[0]) if scalar else out
 
 
@@ -203,14 +137,8 @@ def curvature_objective(
 ) -> float:
     """J = integral of squared Cartesian curvature along the track."""
     s = np.linspace(0.0, track.s_max, n_dense)
-    kappa = path_curvature(path, track, s, mode="cartesian")
+    kappa = path_curvature(path, track, s)
     return float(np.trapezoid(kappa**2, s))
-
-
-def _objective_on_grid(track, knots, values, slopes, s_dense, kc_dense):
-    l, dl, ddl = _hermite_eval(knots, values, slopes, s_dense)
-    kappa = _frenet_path_curvature(track, s_dense, l, dl, ddl, kc=kc_dense)
-    return float(np.trapezoid(kappa**2, s_dense))
 
 
 def centerline_path(track: TrackGeometry) -> LateralOffsetPath:
@@ -222,48 +150,6 @@ def centerline_path(track: TrackGeometry) -> LateralOffsetPath:
 # -- minimum-curvature optimization -----------------------------------
 
 
-def _dp_seed(track, knots, offsets, boundary: Boundary) -> np.ndarray:
-    """Dynamic programming over candidate offsets at the knots (Menger
-    vertex curvature); returns the seed offsets at the knots."""
-    cand = [offsets] * len(knots)
-    if boundary.l0 is not None:
-        cand[0] = np.array([boundary.l0])
-    if boundary.l1 is not None:
-        cand[-1] = np.array([boundary.l1])
-    xy = []
-    for s, l in zip(knots, cand):  # to_cartesian of each candidate
-        x, y, h = track.frame_at(float(s))
-        xy.append(np.stack([x - l * math.sin(h), y + l * math.cos(h)], axis=-1))
-
-    # dp[j, k]: best cost of reaching edge (station i: node j) -> (i+1: node k)
-    dp = np.zeros((len(cand[0]), len(cand[1])))
-    back: list[np.ndarray] = []
-    for i in range(1, len(knots) - 1):
-        # vertex (p, j, k): node p at station i-1, j at i, k at i+1
-        a = xy[i - 1][:, None, None, :]
-        b = xy[i][None, :, None, :]
-        c = xy[i + 1][None, None, :, :]
-        ab, bc, ac = b - a, c - b, c - a
-        la = np.hypot(ab[..., 0], ab[..., 1])
-        lb = np.hypot(bc[..., 0], bc[..., 1])
-        lc = np.hypot(ac[..., 0], ac[..., 1])
-        cross = ab[..., 0] * bc[..., 1] - ab[..., 1] * bc[..., 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kappa = 2.0 * cross / (la * lb * lc)
-            cost = np.where(la * lb * lc < 1e-12, np.inf,
-                            kappa * kappa * 0.5 * (la + lb))
-        total = dp[:, :, None] + cost
-        back.append(np.argmin(total, axis=0))  # first p on ties
-        dp = np.min(total, axis=0)
-
-    j_best, k_best = np.unravel_index(int(np.argmin(dp)), dp.shape)
-    path_idx = [k_best, j_best]
-    for arg in reversed(back):
-        path_idx.append(int(arg[path_idx[-1], path_idx[-2]]))
-    path_idx.reverse()
-    return np.array([cand[i][path_idx[i]] for i in range(len(knots))])
-
-
 def minimize_curvature(
     track: TrackGeometry,
     knots: np.ndarray,
@@ -273,30 +159,25 @@ def minimize_curvature(
 
     Sequential linearized least squares (Gauss-Newton) on the curvature
     residual at the knot offsets, clipped to the corridor, with a
-    backtracking line search on the true objective.  It refines two
-    starts, the DP seed and the centerline (with pinned ends), and keeps
-    the better; either can win on a free-end corner."""
+    backtracking line search on the true objective.  It starts from the
+    centerline, with the end offsets that `boundary` pins set, and
+    returns where the iteration stops."""
     lim = track.half_width - CORRIDOR_MARGIN
     for end in (boundary.l0, boundary.l1):
         if end is not None and abs(end) > lim:
             raise Infeasible("boundary offsets violate the corridor margin")
 
     knots = np.asarray(knots, dtype=float)
-    # N_OFFSETS candidates from -lim to +lim, rounded as the recorded
-    # plans were seeded (np.linspace rounds differently)
-    m = N_OFFSETS
-    offsets = -lim + np.arange(m) * ((-lim + m * 2 * lim / (m - 1)) + lim) / m
-    dp = np.clip(_dp_seed(track, knots, offsets, boundary), -lim, lim)
-    flat = np.zeros_like(knots)
-    for start in (dp, flat):
-        if boundary.l0 is not None:
-            start[0] = boundary.l0
-        if boundary.l1 is not None:
-            start[-1] = boundary.l1
+    values = np.zeros_like(knots)
+    if boundary.l0 is not None:
+        values[0] = boundary.l0
+    if boundary.l1 is not None:
+        values[-1] = boundary.l1
     # Knot indices the optimizer may move: interior knots always, the
     # endpoints when their offsets are unconstrained.
     free = np.arange(0 if boundary.l0 is None else 1,
                      len(knots) if boundary.l1 is None else len(knots) - 1)
+    n_free = len(free)
 
     s_dense = np.linspace(0.0, track.s_max, 600)
     kc_dense = track.curvature_at_many(s_dense)
@@ -307,46 +188,40 @@ def minimize_curvature(
         l, dl, ddl = _hermite_eval(knots, v, slopes, s_dense)
         return _frenet_path_curvature(track, s_dense, l, dl, ddl, kc=kc_dense)
 
-    def objective(v):
-        slopes = _catmull_rom_slopes(knots, v, boundary.dl0, boundary.dl1)
-        return _objective_on_grid(track, knots, v, slopes, s_dense, kc_dense)
-
-    def refine(values: np.ndarray) -> tuple[np.ndarray, float, bool]:
-        j_cur = objective(values)
-        n_free = len(free)
-        eps = 1e-6
-        for _ in range(MAX_ITER):
-            k0 = kappa_dense(values)
-            jac = np.empty((len(s_dense), n_free))
-            for i, idx in enumerate(free):
-                vp = values.copy()
-                vp[idx] += eps
-                jac[:, i] = (kappa_dense(vp) - k0) / eps
-            # Weighted LLS step with mild damping (trust region).
-            a = jac * w[:, None]
-            b = -k0 * w
-            damp = 1e-3 * np.linalg.norm(a) / max(n_free, 1)
-            a_reg = np.vstack([a, damp * np.eye(n_free)])
-            b_reg = np.concatenate([b, np.zeros(n_free)])
-            delta_v, *_ = np.linalg.lstsq(a_reg, b_reg, rcond=None)
-            alpha = 1.0
-            while alpha > 1e-8:
-                trial = values.copy()
-                trial[free] = np.clip(values[free] + alpha * delta_v, -lim, lim)
-                j_trial = objective(trial)
-                if j_trial < j_cur:
-                    break
-                alpha *= 0.5
-            else:
-                return values, j_cur, True  # no descent along the step
-            delta = j_cur - j_trial
-            values, j_cur = trial, j_trial
-            if delta < TOL:
-                return values, j_cur, True
-        return values, j_cur, False
-
-    # the DP start wins ties
-    values, _, converged = min((refine(dp), refine(flat)), key=lambda r: r[1])
+    k_cur = kappa_dense(values)
+    j_cur = float(np.trapezoid(k_cur**2, s_dense))
+    eps = 1e-6
+    converged = False
+    for _ in range(MAX_ITER):
+        jac = np.empty((len(s_dense), n_free))
+        for i, idx in enumerate(free):
+            vp = values.copy()
+            vp[idx] += eps
+            jac[:, i] = (kappa_dense(vp) - k_cur) / eps
+        # Weighted LLS step with mild damping (trust region).
+        a = jac * w[:, None]
+        b = -k_cur * w
+        damp = 1e-3 * np.linalg.norm(a) / max(n_free, 1)
+        a_reg = np.vstack([a, damp * np.eye(n_free)])
+        b_reg = np.concatenate([b, np.zeros(n_free)])
+        delta_v, *_ = np.linalg.lstsq(a_reg, b_reg, rcond=None)
+        alpha = 1.0
+        while alpha > 1e-8:
+            trial = values.copy()
+            trial[free] = np.clip(values[free] + alpha * delta_v, -lim, lim)
+            k_trial = kappa_dense(trial)
+            j_trial = float(np.trapezoid(k_trial**2, s_dense))
+            if j_trial < j_cur:
+                break
+            alpha *= 0.5
+        else:
+            converged = True  # no descent along the step
+            break
+        delta = j_cur - j_trial
+        values, k_cur, j_cur = trial, k_trial, j_trial
+        if delta < TOL:
+            converged = True
+            break
     slopes = _catmull_rom_slopes(knots, values, boundary.dl0, boundary.dl1)
     return LateralOffsetPath(knots, values, slopes, boundary, converged=converged)
 
@@ -359,76 +234,61 @@ class SpeedPlan:
     s: np.ndarray  # track arc length samples
     v_d: np.ndarray  # m/s
     mu: float
-    g: float = G
     stretch: np.ndarray | None = None  # d(path length)/ds at samples
 
 
 def plan_speed(
-    path: LateralOffsetPath,
-    track: TrackGeometry,
-    mu: float,
-    g: float = G,
-    a_long_limits: tuple[float, float] = A_LONG_LIMITS,
-    v_straight_max: float = V_STRAIGHT_MAX,
-    ds: float = 0.25,
-    powertrain: "object | None" = None,
-    v_start: float | None = None,
+    path: LateralOffsetPath, track: TrackGeometry, mu: float
 ) -> SpeedPlan:
     """Adhesion-limited speed with a forward-backward acceleration pass.
 
-    When `powertrain` (a plant VehicleParams) is given, the forward pass
-    is additionally limited by available drive force minus losses, and
-    both passes respect the friction-ellipse coupling with the lateral
-    demand, so the plan is drivable rather than merely adhesion-feasible
-    pointwise.
+    The forward pass is additionally limited by the drive force of
+    `POWERTRAIN` minus its losses, both passes respect the friction-ellipse
+    coupling with the lateral demand, and the speed at s = 0 is capped at
+    `V_START`, so the plan is drivable rather than merely
+    adhesion-feasible pointwise.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    a_min, a_max = a_long_limits
-    if not a_min < 0 < a_max:
-        raise ValueError("need a_min < 0 < a_max")
-    n = max(2, int(math.ceil(track.s_max / ds)))
+    a_min, a_max = A_LONG_LIMITS
+    n = max(2, int(math.ceil(track.s_max / SPEED_DS)))
     if n % 2:
         n += 1  # even interval count for Simpson quadrature
     s = np.linspace(0.0, track.s_max, n + 1)
     l, dl, ddl = path.derivatives(s)
     kappa = np.abs(_frenet_path_curvature(track, s, l, dl, ddl))
     cap = np.where(
-        kappa > 1e-9, np.sqrt(mu * g / np.maximum(kappa, 1e-9)), np.inf
+        kappa > 1e-9, np.sqrt(mu * G / np.maximum(kappa, 1e-9)), np.inf
     )
-    cap = np.minimum(cap, v_straight_max)
+    cap = np.minimum(cap, V_STRAIGHT_MAX)
     kc = track.curvature_at_many(s)
     stretch = np.hypot(1.0 - kc * l, dl)
     dsig = np.diff(s) * 0.5 * (stretch[:-1] + stretch[1:])
 
     def ellipse(v, k):
         """Longitudinal grip fraction left beside the lateral demand."""
-        lat = v * v * k / (mu * g)
+        lat = v * v * k / (mu * G)
         return math.sqrt(max(0.0, 1.0 - min(lat, 1.0) ** 2))
 
     t_max = ActuatorLimits().t_max
+    p = POWERTRAIN
 
     def a_fwd(v, k):
-        a = a_max
-        if powertrain is not None:
-            p = powertrain
-            f = t_max / p.r_w - p.c_rr * p.m * g - p.c_drag * v * v
-            a = min(a, f / p.m)
-        return min(a, mu * g) * ellipse(v, k)
+        f = t_max / p.r_w - p.c_rr * p.m * G - p.c_drag * v * v
+        return min(a_max, f / p.m, mu * G) * ellipse(v, k)
 
     def a_bwd(v, k):
-        return min(-a_min, mu * g) * ellipse(v, k)
+        return min(-a_min, mu * G) * ellipse(v, k)
 
     v = cap.copy()
-    if v_start is not None:
-        v[0] = min(v[0], v_start)
+    v[0] = min(v[0], V_START)
     for i in range(len(v) - 1):  # forward: drive/adhesion limit
         a = a_fwd(v[i], kappa[i])
         v[i + 1] = min(v[i + 1], math.sqrt(v[i] ** 2 + 2 * max(a, 0.0) * dsig[i]))
     for i in range(len(v) - 1, 0, -1):  # backward: braking limit
         a = a_bwd(v[i], kappa[i])
         v[i - 1] = min(v[i - 1], math.sqrt(v[i] ** 2 + 2 * a * dsig[i - 1]))
-    return SpeedPlan(s=s, v_d=v, mu=mu, g=g, stretch=stretch)
+    return SpeedPlan(s=s, v_d=v, mu=mu, stretch=stretch)
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -496,8 +356,7 @@ def plan_pretrajectory(
     else:
         n = max(MIN_KNOT_INTERVALS, int(round(track.s_max / KNOT_SPACING)))
         path = minimize_curvature(track, np.linspace(0.0, track.s_max, n + 1))
-    speed = plan_speed(path, track, mu, powertrain=VehicleParams(),
-                       v_start=V_START)
+    speed = plan_speed(path, track, mu)
     return build_pretrajectory(path, track, speed)
 
 

@@ -24,6 +24,10 @@ from .replay import ReplayBuffer
 log = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 1
+DAGGER_EPISODES = 12  # episodes the cloned actor drives after the demos
+BC_STEPS = 4000  # supervised batches of the first behavior-cloning fit
+ACTOR_FREEZE = 10000  # critic updates with the actor held after imitation
+EVAL_EVERY = 50  # episodes between greedy evaluation rollouts
 
 
 @dataclass(frozen=True)
@@ -430,10 +434,6 @@ def train(
     progress: bool = False,
     demo_policy=None,
     demo_episodes: int = 0,
-    dagger_episodes: int = 12,
-    bc_steps: int = 4000,
-    actor_freeze: int = 10000,
-    eval_every: int = 50,
 ) -> tuple[Policy, TrainLog, Td3State]:
     """Run the full training loop over `episodes` episodes.
 
@@ -446,12 +446,12 @@ def train(
     (counted against the budget) are driven by it plus exploration
     noise while the clean demonstrated action for every visited state
     is kept aside; the actor is then behavior-cloned onto those labels
-    (`bc_steps` supervised batches).  The next `dagger_episodes`
+    (`BC_STEPS` supervised batches).  The next `DAGGER_EPISODES`
     episodes are driven by the cloned actor, with every state it
     reaches labeled by the demonstrator and folded back into the
     cloning set, so the imitation data covers the clone's own state
     distribution rather than only the demonstrator's.  After that the
-    next `actor_freeze` critic updates run with the actor held fixed
+    next `ACTOR_FREEZE` critic updates run with the actor held fixed
     so the value estimate settles before policy-gradient steps resume.
     This is the escape hatch for long-corridor tasks where random
     warmup never sees a completion and the per-step penalties make
@@ -473,7 +473,7 @@ def train(
     start = time.time()
 
     use_demos = demo_policy is not None and demo_episodes > 0
-    imitation_end = demo_episodes + dagger_episodes if use_demos else 0
+    imitation_end = demo_episodes + DAGGER_EPISODES if use_demos else 0
     bc_obs: list[np.ndarray] = []
     bc_act: list[np.ndarray] = []
     bc_set = None
@@ -486,15 +486,15 @@ def train(
             # the demos end, then smaller top-ups after each episode the
             # clone drives itself (its mistakes now carry expert labels)
             bc_set = (np.asarray(bc_obs), np.asarray(bc_act))
-            rounds = bc_steps if ep == demo_episodes else bc_steps // 4
+            rounds = BC_STEPS if ep == demo_episodes else BC_STEPS // 4
             mse = behavior_clone(state, rounds, dataset=bc_set)
             if ep == imitation_end:
-                freeze_until = state.critic_updates + actor_freeze
+                freeze_until = state.critic_updates + ACTOR_FREEZE
             if progress:
                 log.info("imitation fit at ep %d: %d batches on %d labels, "
                          "mse %.4f%s", ep, rounds, len(bc_obs), mse,
                          "; actor frozen for %d critic updates"
-                         % actor_freeze if ep == imitation_end else "")
+                         % ACTOR_FREEZE if ep == imitation_end else "")
         demo_phase = use_demos and ep < demo_episodes
         dagger_phase = use_demos and demo_episodes <= ep < imitation_end
         obs = _vec(env.reset(state.rng)) / obs_scale
@@ -534,7 +534,7 @@ def train(
                         and state.critic_updates >= freeze_until):
                     update_actor_and_targets(state, batch)
         tlog.append(ep, info["result"], ep_steps)
-        if (progress or out_dir is not None) and (ep + 1) % eval_every == 0:
+        if (progress or out_dir is not None) and (ep + 1) % EVAL_EVERY == 0:
             res = _eval_rollout(env, state, obs_scale)
             if res is not None:
                 key = (res.chi, -res.t_f)

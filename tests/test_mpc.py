@@ -150,14 +150,16 @@ def test_qp_accumulates_rate_onto_previous_input():
     ref = CartesianState(0, 0, 0, 9.0, 0.0, 0.0)
     state = CartesianState(0, 0.3, 0.02, 9.0, 0.1, 0.05)
     u_prev = MpcInput(0.05, 0.5)
-    du_k, du_k1, diag = _tick_qp(state, u_prev, ref, ref, ref)
-    np.testing.assert_array_equal(diag.du, np.concatenate([du_k, du_k1]))
+    du_k, du_k1, sol = _tick_qp(state, u_prev, ref, ref, ref)
+    np.testing.assert_array_equal(sol.z, np.concatenate([du_k, du_k1]))
     # the predicted input channels hold the previous input plus the rates
-    g1, g2 = diag.predicted
+    mat = discretize_augment(*linearize(ref, PARAMS), MpcWeights().t_s)
+    gamma_aug = np.concatenate([state.vector(), np.asarray(u_prev)])
+    g1, g2 = predict_two_step(gamma_aug, *mat, *mat, du_k, du_k1)
     assert g1[N_STATE] == pytest.approx(u_prev.delta_f + du_k[0])
     assert g1[N_STATE + 1] == pytest.approx(u_prev.a_xt + du_k[1])
     np.testing.assert_allclose(g2[N_STATE:], g1[N_STATE:] + du_k1, atol=1e-15)
-    assert diag.kkt_residual < 1e-8
+    assert sol.kkt_residual < 1e-8
 
 
 def _rolling_refs(v=9.0, t_s=0.01):
@@ -171,9 +173,9 @@ def _rolling_refs(v=9.0, t_s=0.01):
 def test_mpc_on_reference_does_nothing():
     # exactly on a constant-speed straight reference: no correction
     here, r1, r2 = _rolling_refs()
-    du_k, _, diag = _tick_qp(here, MpcInput(0.0, 0.0), r1, r2, here)
+    du_k, _, sol = _tick_qp(here, MpcInput(0.0, 0.0), r1, r2, here)
     assert abs(du_k[0]) < 1e-8 and abs(du_k[1]) < 1e-8
-    assert diag.objective == pytest.approx(0.0, abs=1e-9)
+    assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_mpc_corrects_toward_reference():
@@ -193,7 +195,7 @@ def test_mpc_rate_limits_bind():
     here, r1, r2 = _rolling_refs()
     slow = CartesianState(0, 0, 0, 5.0, 0.0, 0.0)
     w = MpcWeights(r=np.diag([0.1, 0.1]))
-    du_k, _, diag = _tick_qp(slow, MpcInput(0.0, 0.0), r1, r2, here, w)
+    du_k, _, sol = _tick_qp(slow, MpcInput(0.0, 0.0), r1, r2, here, w)
     assert du_k[1] == pytest.approx(w.du_max[1])
-    assert len(diag.active) > 0
-    assert diag.kkt_residual < 1e-8
+    assert len(sol.active) > 0
+    assert sol.kkt_residual < 1e-8

@@ -10,7 +10,6 @@ from driftcorner.planner import (
     Boundary,
     centerline_path,
     curvature_objective,
-    fit_lateral_polynomial,
     load_pretrajectory,
     minimize_curvature,
     path_curvature,
@@ -20,26 +19,13 @@ from driftcorner.planner import (
     save_pretrajectory,
     SpeedPlan,
 )
-from driftcorner.track import FrenetPoint
+from driftcorner.track import build_library_track
 
 
 MU, G = 0.85, 9.81
 
 
 # -- spline machinery --------------------------------------------------
-
-
-def test_spline_fit_reproduces_cubic(uturn):
-    # a single cubic is inside the model class, so the fit is exact
-    knots = np.linspace(0.0, uturn.s_max, 8)
-    s = np.linspace(0.0, uturn.s_max, 200)
-    coef = (0.3, -0.02, 4e-4, -2e-6)
-    target = coef[0] + coef[1] * s + coef[2] * s**2 + coef[3] * s**3
-    path = fit_lateral_polynomial(
-        [FrenetPoint(float(a), float(b)) for a, b in zip(s, target)], knots
-    )
-    np.testing.assert_allclose(path(s), target, atol=1e-8)
-    assert path.residual_rms < 1e-8
 
 
 def test_spline_is_c1_at_knots(uturn):
@@ -52,16 +38,11 @@ def test_spline_is_c1_at_knots(uturn):
         assert abs(dl_m - dl_p) < 1e-5
 
 
-def test_curvature_modes_differ_in_corners(uturn):
+def test_centerline_curvature_is_track_curvature(uturn):
+    # the composed Cartesian curve carries the track's own curvature
     path = centerline_path(uturn)
-    # straight section: both modes are zero
-    assert path_curvature(path, uturn, 10.0, mode="cartesian") == 0.0
-    assert path_curvature(path, uturn, 10.0, mode="paper_literal") == 0.0
-    # arc: the graph view misses the track's own curvature entirely
-    assert path_curvature(path, uturn, 45.0, mode="cartesian") == pytest.approx(1 / 11)
-    assert path_curvature(path, uturn, 45.0, mode="paper_literal") == 0.0
-    with pytest.raises(ValueError):
-        path_curvature(path, uturn, 10.0, mode="osculating")
+    assert path_curvature(path, uturn, 10.0) == 0.0  # straight entry
+    assert path_curvature(path, uturn, 45.0) == pytest.approx(1 / 11)  # arc
 
 
 def test_centerline_objective_is_curvature_integral(all_tracks):
@@ -84,8 +65,20 @@ def test_planned_path_beats_centerline(all_tracks):
         assert j_plan <= 0.95 * j_center
 
 
+# Right angles whose Hermite segments once overshot a clipped knot and
+# left the corridor margin: corner 37 of tests/data/plan_corpus.json and
+# two corners of a seeded generated family.
+TIGHT_RIGHT_ANGLES = [
+    dict(radius=9.211769505271786, width=5.068795727345085,
+         entry_len=37.433683663087734, exit_len=35.93910407227898),
+    dict(radius=8.38, width=5.17, entry_len=24.9, exit_len=56.1),
+    dict(radius=10.0, width=5.0, entry_len=15.0, exit_len=25.0),
+]
+
+
 def test_planned_path_stays_in_corridor(all_tracks):
-    for track in all_tracks.values():
+    tight = [build_library_track("right_angle", **spec) for spec in TIGHT_RIGHT_ANGLES]
+    for track in [*all_tracks.values(), *tight]:
         pre = plan_pretrajectory(track)
         s = np.linspace(0.0, track.s_max, 4000)
         assert np.max(np.abs(pre.path(s))) <= track.half_width - 1.0 + 1e-6
@@ -163,8 +156,6 @@ def test_speed_plan_rejects_bad_arguments(uturn):
     path = centerline_path(uturn)
     with pytest.raises(ValueError):
         plan_speed(path, uturn, mu=0.0)
-    with pytest.raises(ValueError):
-        plan_speed(path, uturn, MU, a_long_limits=(1.0, 3.0))
 
 
 # -- reference time ----------------------------------------------------

@@ -63,7 +63,7 @@ def test_random_instances_beat_dense_grid(rng):
 def test_solution_is_feasible_and_stationary(rng):
     for _ in range(20):
         gamma_aug, refs, mats, weights = random_instance(rng, PARAMS)
-        du_k, du_k1, diag = solve_qp(gamma_aug, refs, mats, weights)
+        du_k, du_k1, _ = solve_qp(gamma_aug, refs, mats, weights)
         z = np.concatenate([du_k, du_k1])
         assert np.all(z >= np.tile(weights.du_min, 2) - 1e-10)
         assert np.all(z <= np.tile(weights.du_max, 2) + 1e-10)
