@@ -17,6 +17,18 @@ from .planner import PreTrajectory
 from .plant import ActuatorLimits, TireParams, VehicleParams, G
 from .track import TrackGeometry
 
+# The tracker drives the training plant.
+PARAMS = VehicleParams()
+LIMITS = ActuatorLimits()
+TIRES = TireParams()
+LOOKAHEAD_GAIN = 0.2  # s, lookahead = gain * speed + min
+LOOKAHEAD_MIN = 1.5  # m
+KP_SPEED = 1.2  # 1/s, speed-loop gain
+ERROR_SLOWDOWN = 0.75  # 1/m^2, speed cut per squared lateral error
+A_LIMITS = (-6.0, 3.0)  # m/s^2, (braking, driving)
+SLIP_CAP = math.radians(10.0)  # front-axle slip clamp (pre-peak)
+RATE_DAMPING = 0.2  # on the lateral-rate error
+
 
 @dataclass
 class BaselineTracker:
@@ -28,24 +40,14 @@ class BaselineTracker:
 
     track: TrackGeometry
     pretraj: PreTrajectory
-    params: VehicleParams = VehicleParams()
-    limits: ActuatorLimits = ActuatorLimits()
-    tires: TireParams = TireParams()
     speed_factor: float = 0.97  # scale on the planned speed (tracking margin)
-    lookahead_gain: float = 0.2  # s, lookahead = gain * speed + min
-    lookahead_min: float = 1.5  # m
-    kp_speed: float = 1.2  # 1/s, speed-loop gain
-    error_slowdown: float = 0.75  # 1/m^2, speed cut per squared lateral error
-    a_limits: tuple[float, float] = (-6.0, 3.0)
-    slip_cap: float = math.radians(10.0)  # front-axle slip clamp (pre-peak)
-    rate_damping: float = 0.2  # on the lateral-rate error
 
     def __call__(self, obs: np.ndarray) -> np.ndarray:
         s, l, alpha, v_x, v_y = obs[0], obs[1], obs[2], obs[6], obs[7]
         v = math.hypot(v_x, v_y)
 
         # Curvature demand: pure pursuit toward the reference line.
-        ld = max(self.lookahead_min, self.lookahead_gain * v)
+        ld = max(LOOKAHEAD_MIN, LOOKAHEAD_GAIN * v)
         s_t = min(s + ld, self.track.s_max)
         l_t = float(self.pretraj.l_ref(s_t))
         # Angle to the target point relative to the vehicle heading; the
@@ -57,7 +59,7 @@ class BaselineTracker:
         # close to a double integrator and oscillates without it.
         dl_ref = (float(self.pretraj.l_ref(s + 0.5)) -
                   float(self.pretraj.l_ref(max(s - 0.5, 0.0)))) / 1.0
-        eta -= self.rate_damping * (obs[4] - dl_ref * obs[3]) / max(v, 1.0)
+        eta -= RATE_DAMPING * (obs[4] - dl_ref * obs[3]) / max(v, 1.0)
         kappa_dem = 2.0 * math.sin(eta) / ld
         kappa_dem += float(np.interp(s_t, self.pretraj.s, self.pretraj.kappa))
 
@@ -65,13 +67,13 @@ class BaselineTracker:
         # curve for the required front force, and steer relative to the
         # measured front-axle course.  Feedback-linearizing like this
         # avoids winding past the peak-slip angle into deep understeer.
-        p, tp = self.params, self.tires
+        p, tp = PARAMS, TIRES
         ay_req = v * v * kappa_dem
         fz_f = p.m * G * p.l_r / p.wheelbase
         f = (p.m * abs(ay_req) * p.l_r / p.wheelbase) / (
             tp.mu * tp.d_front * fz_f)
         slip = math.tan(math.asin(min(f, 0.985)) / tp.c_front) / tp.b_front
-        slip = math.copysign(min(slip, self.slip_cap), ay_req)
+        slip = math.copysign(min(slip, SLIP_CAP), ay_req)
         yaw_rate = obs[5] + kappa_c * obs[3]
         axle_course = math.atan2(v_y + p.l_f * yaw_rate, max(v_x, 1.0))
         delta = axle_course + slip
@@ -81,11 +83,10 @@ class BaselineTracker:
         s_v = min(s + 0.5 * v * 0.5, self.track.s_max)
         v_t = self.speed_factor * float(self.pretraj.v_ref(s_v))
         e_l = l - float(self.pretraj.l_ref(s))
-        v_t = max(2.0, v_t / (1.0 + self.error_slowdown * e_l * e_l))
-        a = self.kp_speed * (v_t - v_x)
-        a = min(max(a, self.a_limits[0]), self.a_limits[1])
+        v_t = max(2.0, v_t / (1.0 + ERROR_SLOWDOWN * e_l * e_l))
+        a = KP_SPEED * (v_t - v_x)
+        a = min(max(a, A_LIMITS[0]), A_LIMITS[1])
 
-        p = self.params
         f_loss = p.c_rr * p.m * G + p.c_drag * v_x * abs(v_x)
         # Steering drag: the front lateral force pulls backward along the
         # body x-axis by sin(delta).
@@ -97,7 +98,7 @@ class BaselineTracker:
             t_rt = 0.0
             p_b = max(0.0, (-p.m * a - f_loss) * p.r_w / p.k_b)
         return np.array([
-            min(max(delta, -self.limits.delta_max), self.limits.delta_max),
-            min(max(t_rt, 0.0), self.limits.t_max),
-            min(p_b, self.limits.p_max),
+            min(max(delta, -LIMITS.delta_max), LIMITS.delta_max),
+            min(max(t_rt, 0.0), LIMITS.t_max),
+            min(p_b, LIMITS.p_max),
         ])

@@ -252,6 +252,9 @@ def cmd_deploy(args) -> int:
     if not preview_path.exists():
         raise FileNotFoundError(f"preview file not found: {preview_path}")
     preview = load_preview(preview_path)
+    if args.kind and preview.track_id != args.kind:
+        raise ValueError(f"{preview_path} is a preview of track "
+                         f"'{preview.track_id}', not of --kind {args.kind}")
     spec = _deployment_spec(args)
     params = VehicleParams()
     dep_params, dep_tires = spec.apply(params, TireParams())

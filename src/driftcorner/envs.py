@@ -212,19 +212,16 @@ class DriftEnv:
         self,
         track: TrackGeometry,
         pretraj: PreTrajectory,
-        reward_cfg: RewardConfig = RewardConfig(),
         tires: TireParams = TireParams(),
         params: VehicleParams = VehicleParams(),
-        limits: ActuatorLimits = ActuatorLimits(),
         time_cap: float | None = None,
         record: bool = False,
     ):
         self.track = track
         self.pretraj = pretraj
-        self.reward_cfg = reward_cfg
         self.tires = tires
         self.params = params
-        self.limits = limits
+        self.limits = ActuatorLimits()
         self.time_cap = (TIME_CAP_FACTOR * pretraj.t_ref
                          if time_cap is None else time_cap)
         self.record = record
@@ -303,8 +300,7 @@ class DriftEnv:
         self._max_speed = max(self._max_speed, math.hypot(obs.v_x, obs.v_y))
 
         terms = reward_step(obs, cmd, self._prev_cmd, self.pretraj,
-                            self.reward_cfg, beta_r=beta.value,
-                            limits=self.limits)
+                            beta_r=beta.value, limits=self.limits)
         self._prev_cmd = cmd
         for i, v in enumerate(terms):
             self._sums[i] += v
@@ -331,8 +327,7 @@ class DriftEnv:
 
     def _finish(self, step_reward: float, obs: FrenetObservation | None = None):
         chi = 1 if self._status == "completed" else 0
-        r_t = reward_terminal(chi, self._t, self._s, self.pretraj,
-                              self.reward_cfg)
+        r_t = reward_terminal(chi, self._t, self._s, self.pretraj)
         result = EpisodeResult(
             chi=chi, t_f=self._t, s_final=self._s, status=self._status,
             total_reward=sum(self._sums) + r_t,

@@ -15,12 +15,15 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from .envs import CONTROL_DT, DriftEnv, EpisodeResult, RewardConfig, action_bounds
+from .envs import CONTROL_DT, DriftEnv, EpisodeResult, action_bounds
 from .errors import PreviewExhausted, PreviewFailed
 from .mpc import (
+    N_AUG,
+    N_INPUT,
     V_EPS,
     CartesianState,
     MpcInput,
@@ -30,11 +33,13 @@ from .mpc import (
     solve_qp,
 )
 from .planner import PreTrajectory
-from .plant import ActuatorLimits, TireParams, VehicleParams, side_slip_rear
+from .plant import TireParams, VehicleParams, side_slip_rear
 from .track import TrackGeometry, to_frenet
 
 SPEED_BUCKET = 0.5  # m/s, entry-speed quantization of stored previews
 PREVIEW_FILE_VERSION = "driftcorner preview v1"
+MPC_WEIGHTS = MpcWeights()
+MODEL_BLOCK = 128  # preview points per stacked discretization (small temporaries)
 
 
 def params_digest(params: VehicleParams, tires: TireParams) -> str:
@@ -75,10 +80,6 @@ class PreviewTrajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def state_at(self, i: int) -> CartesianState:
-        i = min(max(i, 0), len(self.t) - 1)
-        return CartesianState(*self.gamma[i])
-
 
 def generate_preview(
     policy,
@@ -89,12 +90,11 @@ def generate_preview(
     v_ini: float = 9.0,
     seed: int = 0,
     track_id: str = "custom",
-    limits: ActuatorLimits = ActuatorLimits(),
 ) -> PreviewTrajectory:
     """Deterministic closed-loop rollout of the policy in the training
     plant; fails (rather than returning junk) if the rollout does not
     complete the corner."""
-    env = DriftEnv(track, pretraj, tires=tires, params=params, limits=limits)
+    env = DriftEnv(track, pretraj, tires=tires, params=params)
     v_ini = speed_bucket(v_ini)
     obs = env.reset(seed, nominal=True, v0=v_ini)
     rows_g, rows_a, rows_s, rows_t = [], [], [], []
@@ -125,8 +125,6 @@ def generate_preview(
 
 
 def save_preview(preview: PreviewTrajectory, path) -> None:
-    from pathlib import Path
-
     lines = [
         f"# {PREVIEW_FILE_VERSION}",
         f"# policy_checksum = {preview.policy_checksum!r}",
@@ -143,8 +141,6 @@ def save_preview(preview: PreviewTrajectory, path) -> None:
 
 
 def load_preview(path) -> PreviewTrajectory:
-    from pathlib import Path
-
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != f"# {PREVIEW_FILE_VERSION}":
         raise ValueError(f"not a {PREVIEW_FILE_VERSION} file: {path}")
@@ -157,7 +153,12 @@ def load_preview(path) -> PreviewTrajectory:
                 meta[key.strip()] = val.strip()
             continue
         rows.append([float(v) for v in ln.split()])
+    for key in ("policy_checksum", "plant_digest", "track_id", "v_ini", "t_f"):
+        if key not in meta:
+            raise ValueError(f"{path}: no '# {key} = ...' header line")
     data = np.array(rows)
+    if data.ndim != 2 or data.shape[1] != 11:  # t, 6 states, 3 actions, s
+        raise ValueError(f"{path}: expected rows of 11 numbers after the header")
     return PreviewTrajectory(
         t=data[:, 0], gamma=data[:, 1:7], a_rl=data[:, 7:10], s=data[:, 10],
         policy_checksum=float(meta["policy_checksum"]),
@@ -203,18 +204,14 @@ class FusionController:
         preview: PreviewTrajectory,
         track: TrackGeometry,
         model_params: VehicleParams,  # the controller's belief (training plant)
-        weights: MpcWeights = MpcWeights(),
         fallback: FallbackConfig = FallbackConfig(),
-        limits: ActuatorLimits = ActuatorLimits(),
         mpc_enabled: bool = True,
         primary_enabled: bool = True,
     ):
         self.preview = preview
         self.track = track
         self.params = model_params
-        self.weights = weights
         self.fallback = fallback
-        self.limits = limits
         self.mpc_enabled = mpc_enabled
         self.primary_enabled = primary_enabled
         self.u_mpc = MpcInput(0.0, 0.0)
@@ -222,7 +219,7 @@ class FusionController:
         self.t = 0.0
         self.s_hint = 0.0
         self.records: list[TickRecord] = []
-        self._low, self._high = action_bounds(limits)
+        self._low, self._high = action_bounds()
         self._s_dots = np.gradient(preview.s) / CONTROL_DT
         # Reference inputs implied by the preview motion, used as the
         # feedforward when the primary channel is ablated (tracker-only
@@ -236,18 +233,19 @@ class FusionController:
         self._mats = self._precompute() if mpc_enabled else None
 
     def _precompute(self):
-        """Discretized prediction matrices at every preview point; the
-        reference trajectory is fixed, so this is offline work."""
-        a_list, b_list = [], []
-        for i in range(len(self.preview)):
-            ref = self.preview.state_at(i)
-            if ref.v_x < V_EPS:
-                ref = ref._replace(v_x=V_EPS)
-            a_aug, b_aug = discretize_augment(
-                *linearize(ref, self.params), self.weights.t_s)
-            a_list.append(a_aug)
-            b_list.append(b_aug)
-        return np.array(a_list), np.array(b_list)
+        """Prediction matrices (a_aug, b_aug) at every preview point,
+        (n, 8, 8) and (n, 8, 2): one stacked linearization, v_x held at
+        the singularity guard, then one discretization per MODEL_BLOCK
+        points.  The preview is fixed, so this is offline work."""
+        g = self.preview.gamma
+        ref = CartesianState(*g.T)._replace(v_x=np.maximum(g[:, 3], V_EPS))
+        a_t, b_t = linearize(ref, self.params)
+        n = len(g)
+        a_aug, b_aug = np.empty((n, N_AUG, N_AUG)), np.empty((n, N_AUG, N_INPUT))
+        for i in range(0, n, MODEL_BLOCK):
+            blk = slice(i, i + MODEL_BLOCK)
+            a_aug[blk], b_aug[blk] = discretize_augment(a_t[blk], b_t[blk], MPC_WEIGHTS.t_s)
+        return a_aug, b_aug
 
     def _reference_index(self, s: float) -> int:
         """Nearest preview sample by arc length, ties toward larger s."""
@@ -278,7 +276,7 @@ class FusionController:
         if self.mpc_enabled and state.v_x >= V_EPS:
             # Advance along the preview by its own progress rate.
             k1 = k if exhausted else self._index_ahead(
-                k, self._s_dots[k] * self.weights.t_s)
+                k, self._s_dots[k] * MPC_WEIGHTS.t_s)
             gamma_now = np.array([state.x, state.y, state.phi,
                                   state.v_x, state.v_y, state.yaw_rate])
             # Correction acts on the deviation from the preview: the
@@ -293,7 +291,7 @@ class FusionController:
             du_k, _, sol = solve_qp(
                 gamma_aug,
                 (np.zeros(6), np.zeros(6)),
-                mats, self.weights)
+                mats, MPC_WEIGHTS)
             kkt = sol.kkt_residual
             self.u_mpc = MpcInput(self.u_mpc.delta_f + float(du_k[0]),
                                   self.u_mpc.a_xt + float(du_k[1]))
@@ -407,19 +405,16 @@ def deploy_run(
     deploy_tires: TireParams,
     seed: int = 0,
     nominal: bool = True,
-    weights: MpcWeights = MpcWeights(),
     fallback: FallbackConfig = FallbackConfig(),
-    limits: ActuatorLimits = ActuatorLimits(),
     mpc_enabled: bool = True,
     primary_enabled: bool = True,
-    reward_cfg: RewardConfig = RewardConfig(),
     record_trace: bool = False,
 ) -> DeployResult:
     """Closed-loop run of the fusion controller on the deployment plant."""
-    env = DriftEnv(track, pretraj, reward_cfg=reward_cfg, tires=deploy_tires,
-                   params=deploy_params, limits=limits, record=record_trace)
-    ctl = FusionController(preview, track, train_params, weights, fallback,
-                           limits, mpc_enabled=mpc_enabled,
+    env = DriftEnv(track, pretraj, tires=deploy_tires, params=deploy_params,
+                   record=record_trace)
+    ctl = FusionController(preview, track, train_params, fallback,
+                           mpc_enabled=mpc_enabled,
                            primary_enabled=primary_enabled)
     obs = env.reset(seed, nominal=nominal, v0=preview.v_ini)
     done = False
@@ -452,8 +447,6 @@ def _count_engagements(records: list[TickRecord]) -> int:
 
 def write_deploy_csv(result: DeployResult, path) -> None:
     """Per-tick decomposition log (Fig. 12-style paired channels)."""
-    from pathlib import Path
-
     header = ("t,a_rl_delta,a_rl_trt,a_rl_pb,"
               "du_delta,du_trt,du_pb,ut_delta,ut_trt,ut_pb,"
               "applied_delta,applied_trt,applied_pb,fallback,compute_ms,"

@@ -3,9 +3,11 @@
 A six-state Cartesian model (position, heading, body velocities, yaw
 rate) with linear tire forces is linearized about a reference point,
 discretized exactly under zero-order hold, and augmented with the
-previous input so the decision variables are input *rates*.  A two-step
-prediction feeds a four-variable dense QP solved by an active-set
-iteration; every solution is KKT-checked.
+previous input so the decision variables are input *rates*.  The
+linearization and the discretization also take stacks of reference
+points, so a whole reference trajectory is modelled in one pass.  A
+two-step prediction feeds a four-variable dense QP solved by an
+active-set iteration; every solution is KKT-checked.
 """
 
 from __future__ import annotations
@@ -101,43 +103,51 @@ def dynamics_rhs(
 def linearize(
     ref: CartesianState, params: VehicleParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic Jacobians (A_t, B_t) of the model at a reference point."""
-    if ref.v_x < V_EPS:
-        raise SingularSpeed(f"reference v_x={ref.v_x:.3f} below {V_EPS}")
-    p = params
+    """Analytic Jacobians (A_t, B_t) of the model at a reference point.
+
+    The fields of `ref` may be arrays of one shape; the Jacobians then
+    stack along it, (..., 6, 6) and (..., 6, 2).
+    """
     phi, vx, vy, r = ref.phi, ref.v_x, ref.v_y, ref.yaw_rate
-    c, s = math.cos(phi), math.sin(phi)
+    if np.any(vx < V_EPS):
+        raise SingularSpeed(f"reference v_x={np.min(vx):.3f} below {V_EPS}")
+    p = params
+    c, s = np.cos(phi), np.sin(phi)
     cf, cr = p.c_cf, p.c_cr
-    a = np.zeros((N_STATE, N_STATE))
-    a[0, 2] = -vx * s - vy * c
-    a[0, 3] = c
-    a[0, 4] = -s
-    a[1, 2] = vx * c - vy * s
-    a[1, 3] = s
-    a[1, 4] = c
-    a[2, 5] = 1.0
-    a[3, 4] = r
-    a[3, 5] = vy
-    a[4, 3] = -r + 2.0 * (cf * (vy + p.l_f * r) - cr * (p.l_r * r - vy)) / (p.m * vx * vx)
-    a[4, 4] = -2.0 * (cf + cr) / (p.m * vx)
-    a[4, 5] = -vx + 2.0 * (-cf * p.l_f + cr * p.l_r) / (p.m * vx)
-    a[5, 3] = 2.0 * (p.l_f * cf * (vy + p.l_f * r) + p.l_r * cr * (p.l_r * r - vy)) / (p.i_z * vx * vx)
-    a[5, 4] = 2.0 * (-p.l_f * cf + p.l_r * cr) / (p.i_z * vx)
-    a[5, 5] = 2.0 * (-p.l_f ** 2 * cf - p.l_r ** 2 * cr) / (p.i_z * vx)
-    b = np.zeros((N_STATE, N_INPUT))
-    b[3, 1] = 1.0
-    b[4, 0] = 2.0 * cf / p.m
-    b[5, 0] = 2.0 * p.l_f * cf / p.i_z
+    a = np.zeros(np.shape(vx) + (N_STATE, N_STATE))
+    a[..., 0, 2] = -vx * s - vy * c
+    a[..., 0, 3] = c
+    a[..., 0, 4] = -s
+    a[..., 1, 2] = vx * c - vy * s
+    a[..., 1, 3] = s
+    a[..., 1, 4] = c
+    a[..., 2, 5] = 1.0
+    a[..., 3, 4] = r
+    a[..., 3, 5] = vy
+    a[..., 4, 3] = -r + 2.0 * (cf * (vy + p.l_f * r) - cr * (p.l_r * r - vy)) / (p.m * vx * vx)
+    a[..., 4, 4] = -2.0 * (cf + cr) / (p.m * vx)
+    a[..., 4, 5] = -vx + 2.0 * (-cf * p.l_f + cr * p.l_r) / (p.m * vx)
+    a[..., 5, 3] = 2.0 * (p.l_f * cf * (vy + p.l_f * r) + p.l_r * cr * (p.l_r * r - vy)) / (p.i_z * vx * vx)
+    a[..., 5, 4] = 2.0 * (-p.l_f * cf + p.l_r * cr) / (p.i_z * vx)
+    a[..., 5, 5] = 2.0 * (-p.l_f ** 2 * cf - p.l_r ** 2 * cr) / (p.i_z * vx)
+    b = np.zeros(np.shape(vx) + (N_STATE, N_INPUT))
+    b[..., 3, 1] = 1.0
+    b[..., 4, 0] = 2.0 * cf / p.m
+    b[..., 5, 0] = 2.0 * p.l_f * cf / p.i_z
     return a, b
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring of a truncated series."""
-    norm = float(np.linalg.norm(a, 1))
+    """Matrix exponential by scaling and squaring of a truncated series.
+
+    `a` may be a stack (..., n, n).  The whole stack shares one scaling,
+    set by its largest 1-norm, and one series length.
+    """
+    norm = float(np.max(np.abs(a).sum(axis=-2), initial=0.0))
     squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0.5 else 0
     x = a / (2.0 ** squarings)
-    out = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
+    out = np.eye(a.shape[-1])
+    term = np.eye(a.shape[-1])
     for k in range(1, 40):
         term = term @ x / k
         out = out + term
@@ -153,24 +163,19 @@ def discretize_augment(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact zero-order-hold discretization with input-rate augmentation.
 
-    The block integral of e^{A tau} comes from exponentiating the
-    augmented matrix [[A, I], [0, 0]].
+    exp([[A, B], [0, 0]] T_s) = [[A_d, B_d], [0, I]] (Van Loan, IEEE TAC
+    1978) is the augmented model a_aug of the state [Gamma; u_{k-1}],
+    and its last two columns [B_d; I] are b_aug.  Stacks (..., 6, 6) and
+    (..., 6, 2) give stacks (..., 8, 8) and (..., 8, 2), exponentiated
+    in one pass.
     """
     if t_s <= 0.0:
         raise ValueError("t_s must be positive")
-    n = a_t.shape[0]
-    big = np.zeros((2 * n, 2 * n))
-    big[:n, :n] = a_t
-    big[:n, n:] = np.eye(n)
-    e = expm(big * t_s)
-    a_d = e[:n, :n]
-    b_d = e[:n, n:] @ b_t
-    a_aug = np.zeros((N_AUG, N_AUG))
-    a_aug[:n, :n] = a_d
-    a_aug[:n, n:] = b_d
-    a_aug[n:, n:] = np.eye(N_INPUT)
-    b_aug = np.vstack([b_d, np.eye(N_INPUT)])
-    return a_aug, b_aug
+    big = np.zeros(a_t.shape[:-2] + (N_AUG, N_AUG))
+    big[..., :N_STATE, :N_STATE] = a_t * t_s
+    big[..., :N_STATE, N_STATE:] = b_t * t_s
+    a_aug = expm(big)
+    return a_aug, a_aug[..., N_STATE:].copy()
 
 
 def predict_two_step(

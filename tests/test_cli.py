@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import driftcorner
 from driftcorner import cli
 from driftcorner.envs import EpisodeResult
@@ -63,3 +65,30 @@ def test_train_progress_reaches_stderr(uturn_pretraj, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "driftcorner.td3: imitation fit at ep 1" in proc.stderr
+
+
+def test_deploy_rejects_preview_of_another_track(uturn_preview8, tmp_path,
+                                                 capsys):
+    preview = tmp_path / "preview.txt"
+    save_preview(uturn_preview8, preview)
+    out = tmp_path / "deploy"
+    assert cli.main(["deploy", "--kind", "right_angle", "--preview",
+                     str(preview), "--out", str(out)]) == 3
+    assert "'uturn'" in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("fault", ["missing_header_line", "no_rows"])
+def test_deploy_rejects_broken_preview_file(fault, uturn_preview8, tmp_path,
+                                            capsys):
+    preview = tmp_path / "preview.txt"
+    save_preview(uturn_preview8, preview)
+    lines = preview.read_text().splitlines()
+    if fault == "missing_header_line":
+        lines = [ln for ln in lines if not ln.startswith("# t_f =")]
+    else:
+        lines = [ln for ln in lines if ln.startswith("#")]
+    preview.write_text("\n".join(lines) + "\n")
+    assert cli.main(["deploy", "--kind", "uturn", "--preview", str(preview),
+                     "--out", str(tmp_path / "deploy")]) == 3
+    assert str(preview) in capsys.readouterr().err

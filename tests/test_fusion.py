@@ -150,6 +150,24 @@ def test_tick_accumulates_qp_rate_onto_correction(monkeypatch, uturn,
     assert len(rates) == 3 and np.any(total != 0.0)
 
 
+def test_controller_model_is_built_in_blocks(monkeypatch, uturn,
+                                             uturn_preview8):
+    # one stacked discretization per block of preview points, not one
+    # per point
+    calls = []
+    original = fusion.discretize_augment
+
+    def counting(a_t, b_t, t_s):
+        calls.append(len(a_t))
+        return original(a_t, b_t, t_s)
+
+    monkeypatch.setattr(fusion, "discretize_augment", counting)
+    ctl = FusionController(uturn_preview8, uturn, PARAMS)
+    n = len(uturn_preview8)
+    assert len(calls) <= math.ceil(n / 128) and sum(calls) == n
+    assert ctl._mats[0].shape == (n, 8, 8) and ctl._mats[1].shape == (n, 8, 2)
+
+
 def test_tick_stats_recorded(matched_run):
     assert matched_run.mean_tick_ms > 0.0
     assert all(r.kkt_residual < 1e-8 for r in matched_run.records)
@@ -177,6 +195,11 @@ GOLDEN_DEPLOY = {
     "mismatch": ("completed", 1798, 17.98000000000001, 134.55751918948772,
                  (126.22917017443385, 239957.01933266147, 4.83299836901363),
                  (0.2685432233757306, 577.7186019390474, 0.1491328000000002)),
+    # Recorded with the per-point controller build that the stacked
+    # build replaced; the MPC alone drives this mode.
+    "tracker_only": ("completed", 1814, 18.140000000000036, 134.55751918948772,
+                     (125.59774601772405, 230943.88660087663, 57.98434961840463),
+                     (0.25528190818621976, 673.527224403063, 0.5274743453779506)),
 }
 
 
@@ -191,12 +214,16 @@ def test_deploy_matches_golden(case, request):
     np.testing.assert_allclose(applied.max(axis=0), peak, rtol=0, atol=1e-8)
 
 
-def test_tracker_only_mode_completes(uturn, uturn_pretraj, uturn_preview8):
+@pytest.fixture(scope="module")
+def tracker_only_run(uturn, uturn_pretraj, uturn_preview8):
+    return deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, PARAMS,
+                      TIRES, primary_enabled=False)
+
+
+def test_tracker_only_mode_completes(tracker_only_run):
     # primary channel ablated: the corrective tracker plus feedforward
     # must still drive the preview
-    res = deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, PARAMS,
-                     TIRES, primary_enabled=False)
-    assert res.completed
+    assert tracker_only_run.completed
 
 
 def test_deployment_spec_apply():

@@ -15,6 +15,7 @@ from driftcorner.mpc import (
     N_AUG,
     N_INPUT,
     N_STATE,
+    V_EPS,
     discretize_augment,
     dynamics_rhs,
     expm,
@@ -69,6 +70,40 @@ def test_rhs_is_singular_below_speed_guard():
         linearize(slow, PARAMS)
 
 
+def _stack(refs):
+    return CartesianState(*np.array([r.vector() for r in refs]).T)
+
+
+def test_stacked_model_matches_point_by_point(rng):
+    refs = [random_ref(rng) for _ in range(64)]
+    a_s, b_s = linearize(_stack(refs), PARAMS)
+    a_aug_s, b_aug_s = discretize_augment(a_s, b_s, 0.01)
+    assert a_s.shape == (64, N_STATE, N_STATE) and b_s.shape == (64, N_STATE, N_INPUT)
+    assert a_aug_s.shape == (64, N_AUG, N_AUG) and b_aug_s.shape == (64, N_AUG, N_INPUT)
+    for i, ref in enumerate(refs):
+        a, b = linearize(ref, PARAMS)
+        np.testing.assert_array_equal(a_s[i], a)
+        np.testing.assert_array_equal(b_s[i], b)
+        a_aug, b_aug = discretize_augment(a, b, 0.01)
+        np.testing.assert_allclose(a_aug_s[i], a_aug, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(b_aug_s[i], b_aug, rtol=0, atol=1e-13)
+
+
+def test_point_model_keeps_its_shapes(rng):
+    a, b = linearize(random_ref(rng), PARAMS)
+    assert a.shape == (N_STATE, N_STATE) and b.shape == (N_STATE, N_INPUT)
+    a_aug, b_aug = discretize_augment(a, b, 0.01)
+    assert a_aug.shape == (N_AUG, N_AUG) and b_aug.shape == (N_AUG, N_INPUT)
+    np.testing.assert_array_equal(b_aug, a_aug[:, N_STATE:])
+
+
+def test_stacked_linearize_is_singular_if_any_speed_is(rng):
+    refs = [random_ref(rng) for _ in range(5)]
+    refs[3] = refs[3]._replace(v_x=0.9 * V_EPS)
+    with pytest.raises(SingularSpeed):
+        linearize(_stack(refs), PARAMS)
+
+
 def test_straight_rolling_is_equilibrium_in_lateral_states():
     ref = CartesianState(0, 0, 0, 10.0, 0.0, 0.0)
     dot = dynamics_rhs(ref.vector(), np.zeros(2), PARAMS)
@@ -80,9 +115,16 @@ def test_straight_rolling_is_equilibrium_in_lateral_states():
 
 
 def test_expm_matches_scipy(rng):
-    for scale in (0.01, 1.0, 8.0):
+    scales = (0.01, 1.0, 8.0)
+    for scale in scales:
         a = rng.normal(0, scale, (6, 6))
         np.testing.assert_allclose(expm(a), scipy.linalg.expm(a),
+                                   rtol=1e-10, atol=1e-10)
+    # one stack shares the scaling its largest norm sets
+    stack = np.array([rng.normal(0, scale, (6, 6)) for scale in scales])
+    out = expm(stack)
+    for a, e in zip(stack, out):
+        np.testing.assert_allclose(e, scipy.linalg.expm(a),
                                    rtol=1e-10, atol=1e-10)
 
 
