@@ -235,8 +235,7 @@ def cmd_preview(args) -> int:
     params = VehicleParams()
     preview = generate_preview(
         policy, params, TireParams(), track, pre,
-        v_ini=args.v_ini, seed=args.seed,
-        track_id=args.kind or "custom",
+        v_ini=args.v_ini, track_id=args.kind or "custom",
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -391,6 +390,9 @@ def cmd_mu_sweep(args) -> int:
         tasks.append(("right_angle", Path(args.policy_right_angle)))
     if not tasks:
         raise MissingPolicy("mu-sweep needs --policy-uturn and/or --policy-right-angle")
+    for _, ckpt in tasks:
+        if not ckpt.exists():
+            raise MissingPolicy(f"checkpoint not found: {ckpt}")
     params = VehicleParams()
     run_dir = Path(args.out) if args.out else output_root() / "mu_sweep"
     _write_metadata(run_dir, {
@@ -400,8 +402,6 @@ def cmd_mu_sweep(args) -> int:
 
     results: dict[str, dict[float, str]] = {}
     for kind, ckpt in tasks:
-        if not ckpt.exists():
-            raise MissingPolicy(f"checkpoint not found: {ckpt}")
         policy = policy_from_checkpoint(ckpt)
         track = build_library_track(kind)
         pre = plan_pretrajectory(track)
@@ -523,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=TRAINING_MU)
     p.add_argument("--policy", required=True)
     p.add_argument("--v-ini", type=float, default=9.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_preview)
 

@@ -39,11 +39,14 @@ OBS_DIM = 9 + N_PREVIEW
 TIME_CAP_FACTOR = 3.0  # episode cap as a multiple of t_ref
 
 
-def action_bounds(limits: ActuatorLimits = ActuatorLimits()) -> tuple[np.ndarray, np.ndarray]:
-    """(low, high) arrays for the (delta_f, T_rt, P_b) action channels."""
-    low = np.array([-limits.delta_max, 0.0, 0.0])
-    high = np.array([limits.delta_max, limits.t_max, limits.p_max])
-    return low, high
+# The (delta_f, T_rt, P_b) action box, read-only: every env, the
+# reward and the deploy controller share these arrays.
+_LIMITS = ActuatorLimits()
+ACTION_LOW = np.array([-_LIMITS.delta_max, 0.0, 0.0])
+ACTION_HIGH = np.array([_LIMITS.delta_max, _LIMITS.t_max, _LIMITS.p_max])
+ACTION_SPAN = ACTION_HIGH - ACTION_LOW
+for _box in (ACTION_LOW, ACTION_HIGH, ACTION_SPAN):
+    _box.flags.writeable = False
 
 
 class FrenetObservation(NamedTuple):
@@ -111,22 +114,13 @@ def observe(
 # -- reward ledger ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RewardConfig:
-    k_pl: float = -0.5  # 1/m, lateral-error weight (negative)
-    k_pv: float = -0.1  # s/m, speed-error weight (negative)
-    k_s: float = 2.0  # side-slip bonus ceiling (positive)
-    k_s1: float = -3.0  # 1/rad, side-slip saturation rate (negative)
-    k_m: float = -0.5  # smoothness weight (negative)
-    k_t1: float = 0.1  # 1/m, terminal progress weight (positive)
-    k_t2: float = 20.0  # 1/s, terminal time weight (positive)
-
-    def __post_init__(self):
-        if not (self.k_pl <= 0 and self.k_pv <= 0 and self.k_m <= 0
-                and self.k_s1 < 0):
-            raise ValueError("k_pl, k_pv, k_m must be <= 0 and k_s1 < 0")
-        if not (self.k_s > 0 and self.k_t1 > 0 and self.k_t2 > 0):
-            raise ValueError("k_s, k_t1, k_t2 must be positive")
+K_PL = -0.5  # 1/m, lateral-error weight
+K_PV = -0.1  # s/m, speed-error weight
+K_S = 2.0  # side-slip bonus ceiling
+K_S1 = -3.0  # 1/rad, side-slip saturation rate
+K_M = -0.5  # smoothness weight
+K_T1 = 0.1  # 1/m, terminal progress weight
+K_T2 = 20.0  # 1/s, terminal time weight
 
 
 class RewardTerms(NamedTuple):
@@ -140,9 +134,7 @@ def reward_step(
     action: np.ndarray,
     prev_action: np.ndarray,
     pretraj: PreTrajectory,
-    cfg: RewardConfig = RewardConfig(),
     beta_r: float = 0.0,
-    limits: ActuatorLimits = ActuatorLimits(),
 ) -> RewardTerms:
     """Per-tick reward components.
 
@@ -151,12 +143,11 @@ def reward_step(
     penalizes squared normalized action increments.
     """
     v = math.hypot(obs.v_x, obs.v_y)
-    r_p = (cfg.k_pl * abs(obs.l - float(pretraj.l_ref(obs.s)))
-           + cfg.k_pv * abs(v - float(pretraj.v_ref(obs.s))))
-    r_s = cfg.k_s * (1.0 - math.exp(cfg.k_s1 * abs(beta_r)))
-    low, high = action_bounds(limits)
-    d = (np.asarray(action) - np.asarray(prev_action)) / (high - low)
-    r_m = cfg.k_m * float(d @ d)
+    r_p = (K_PL * abs(obs.l - float(pretraj.l_ref(obs.s)))
+           + K_PV * abs(v - float(pretraj.v_ref(obs.s))))
+    r_s = K_S * (1.0 - math.exp(K_S1 * abs(beta_r)))
+    d = (np.asarray(action) - np.asarray(prev_action)) / ACTION_SPAN
+    r_m = K_M * float(d @ d)
     return RewardTerms(r_p, r_s, r_m)
 
 
@@ -189,10 +180,9 @@ def reward_terminal(
     t_f: float,
     s_final: float,
     pretraj: PreTrajectory,
-    cfg: RewardConfig = RewardConfig(),
 ) -> float:
     """Terminal reward: progress plus (on completion) the time margin."""
-    return cfg.k_t1 * s_final + cfg.k_t2 * result_chi * (pretraj.t_ref - t_f)
+    return K_T1 * s_final + K_T2 * result_chi * (pretraj.t_ref - t_f)
 
 
 # -- environment ------------------------------------------------------
@@ -208,6 +198,9 @@ class DriftEnv:
     episodes are reproducible.
     """
 
+    action_low = ACTION_LOW
+    action_high = ACTION_HIGH
+
     def __init__(
         self,
         track: TrackGeometry,
@@ -221,7 +214,6 @@ class DriftEnv:
         self.pretraj = pretraj
         self.tires = tires
         self.params = params
-        self.limits = ActuatorLimits()
         self.time_cap = (TIME_CAP_FACTOR * pretraj.t_ref
                          if time_cap is None else time_cap)
         self.record = record
@@ -239,15 +231,13 @@ class DriftEnv:
         """Draw the initial state; `nominal` skips the randomization for
         deterministic benchmark runs (start of entry, 9 m/s by default or
         `v0` when given, on the reference line)."""
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         if nominal:
             v0 = 9.0 if v0 is None else v0
             l0, a0 = float(self.pretraj.l_ref(0.0)), 0.0
-        elif v0 is not None:
-            l0 = float(self.pretraj.l_ref(0.0)) + rng.uniform(-0.2, 0.2)
-            a0 = rng.uniform(-math.radians(2.0), math.radians(2.0))
         else:
-            v0 = rng.uniform(5.0, 9.0)
+            rng = np.random.default_rng(rng)  # a Generator passes through
+            if v0 is None:
+                v0 = rng.uniform(5.0, 9.0)
             l0 = float(self.pretraj.l_ref(0.0)) + rng.uniform(-0.2, 0.2)
             a0 = rng.uniform(-math.radians(2.0), math.radians(2.0))
         x0, y0 = to_cartesian(FrenetPoint(0.0, l0), self.track)
@@ -259,7 +249,7 @@ class DriftEnv:
         self._steps = 0
         self._s = 0.0
         self._prev_cmd = np.zeros(3)
-        self._monitor = TerminationMonitor(dt=CONTROL_DT)
+        self._monitor = TerminationMonitor()
         self._sums = [0.0, 0.0, 0.0]
         self._max_beta = 0.0
         self._max_speed = self.state.v_x
@@ -274,13 +264,10 @@ class DriftEnv:
     def step(self, action) -> tuple[FrenetObservation, float, bool, dict]:
         if self.state is None:
             raise RuntimeError("call reset() before step()")
-        cmd = np.asarray(action, dtype=float)
-        low, high = action_bounds(self.limits)
-        cmd = np.clip(cmd, low, high)
+        cmd = np.clip(np.asarray(action, dtype=float), ACTION_LOW, ACTION_HIGH)
         try:
             self.state = plant_step(
-                self.state, Action(*cmd), CONTROL_DT, self.tires,
-                self.params, self.limits,
+                self.state, Action(*cmd), CONTROL_DT, self.tires, self.params,
             )
         except NumericalBlowup:
             self._fault = True
@@ -300,7 +287,7 @@ class DriftEnv:
         self._max_speed = max(self._max_speed, math.hypot(obs.v_x, obs.v_y))
 
         terms = reward_step(obs, cmd, self._prev_cmd, self.pretraj,
-                            beta_r=beta.value, limits=self.limits)
+                            beta_r=beta.value)
         self._prev_cmd = cmd
         for i, v in enumerate(terms):
             self._sums[i] += v

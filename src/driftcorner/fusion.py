@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envs import CONTROL_DT, DriftEnv, EpisodeResult, action_bounds
+from .envs import ACTION_HIGH, ACTION_LOW, CONTROL_DT, DriftEnv, EpisodeResult
 from .errors import PreviewExhausted, PreviewFailed
 from .mpc import (
     N_AUG,
@@ -40,6 +40,13 @@ SPEED_BUCKET = 0.5  # m/s, entry-speed quantization of stored previews
 PREVIEW_FILE_VERSION = "driftcorner preview v1"
 MPC_WEIGHTS = MpcWeights()
 MODEL_BLOCK = 128  # preview points per stacked discretization (small temporaries)
+
+# Side-slip fallback: past FALLBACK_BETA of rear side-slip the drive is
+# cut and the brakes held at FALLBACK_P_BM until the slip falls back
+# below FALLBACK_BETA - FALLBACK_HYSTERESIS.
+FALLBACK_BETA = math.radians(75.0)
+FALLBACK_P_BM = 3.0  # MPa, moderate braking
+FALLBACK_HYSTERESIS = math.radians(10.0)
 
 
 def params_digest(params: VehicleParams, tires: TireParams) -> str:
@@ -88,7 +95,6 @@ def generate_preview(
     track: TrackGeometry,
     pretraj: PreTrajectory,
     v_ini: float = 9.0,
-    seed: int = 0,
     track_id: str = "custom",
 ) -> PreviewTrajectory:
     """Deterministic closed-loop rollout of the policy in the training
@@ -96,7 +102,7 @@ def generate_preview(
     complete the corner."""
     env = DriftEnv(track, pretraj, tires=tires, params=params)
     v_ini = speed_bucket(v_ini)
-    obs = env.reset(seed, nominal=True, v0=v_ini)
+    obs = env.reset(nominal=True, v0=v_ini)
     rows_g, rows_a, rows_s, rows_t = [], [], [], []
     done = False
     t = 0.0
@@ -170,17 +176,6 @@ def load_preview(path) -> PreviewTrajectory:
 # -- fusion controller ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FallbackConfig:
-    beta_threshold: float = math.radians(75.0)
-    p_bm: float = 3.0  # MPa, moderate braking
-    hysteresis: float = math.radians(10.0)
-
-    def __post_init__(self):
-        if not 0.0 < self.p_bm:
-            raise ValueError("p_bm must be positive")
-
-
 @dataclass
 class TickRecord:
     """Per-tick decomposition for the deploy log (pre-clamp sums)."""
@@ -204,14 +199,12 @@ class FusionController:
         preview: PreviewTrajectory,
         track: TrackGeometry,
         model_params: VehicleParams,  # the controller's belief (training plant)
-        fallback: FallbackConfig = FallbackConfig(),
         mpc_enabled: bool = True,
         primary_enabled: bool = True,
     ):
         self.preview = preview
         self.track = track
         self.params = model_params
-        self.fallback = fallback
         self.mpc_enabled = mpc_enabled
         self.primary_enabled = primary_enabled
         self.u_mpc = MpcInput(0.0, 0.0)
@@ -219,7 +212,6 @@ class FusionController:
         self.t = 0.0
         self.s_hint = 0.0
         self.records: list[TickRecord] = []
-        self._low, self._high = action_bounds()
         self._s_dots = np.gradient(preview.s) / CONTROL_DT
         # Reference inputs implied by the preview motion, used as the
         # feedforward when the primary channel is ablated (tracker-only
@@ -304,16 +296,16 @@ class FusionController:
             self.u_mpc = MpcInput(0.0, 0.0)
 
         u_t = a_rl + du_act
-        applied = np.clip(u_t, self._low, self._high)
+        applied = np.clip(u_t, ACTION_LOW, ACTION_HIGH)
 
         beta = side_slip_rear(state, self.params).value
-        if self.fallback_on and abs(beta) < self.fallback.beta_threshold - self.fallback.hysteresis:
+        if self.fallback_on and abs(beta) < FALLBACK_BETA - FALLBACK_HYSTERESIS:
             self.fallback_on = False
-        if abs(beta) >= self.fallback.beta_threshold:
+        if abs(beta) >= FALLBACK_BETA:
             self.fallback_on = True
         engaged = self.fallback_on
         if engaged:
-            applied = np.array([applied[0], 0.0, self.fallback.p_bm])
+            applied = np.array([applied[0], 0.0, FALLBACK_P_BM])
 
         self.records.append(TickRecord(
             t=self.t, a_rl=a_rl, du_mpc=du_act, u_t=u_t, applied=applied,
@@ -405,7 +397,6 @@ def deploy_run(
     deploy_tires: TireParams,
     seed: int = 0,
     nominal: bool = True,
-    fallback: FallbackConfig = FallbackConfig(),
     mpc_enabled: bool = True,
     primary_enabled: bool = True,
     record_trace: bool = False,
@@ -413,7 +404,7 @@ def deploy_run(
     """Closed-loop run of the fusion controller on the deployment plant."""
     env = DriftEnv(track, pretraj, tires=deploy_tires, params=deploy_params,
                    record=record_trace)
-    ctl = FusionController(preview, track, train_params, fallback,
+    ctl = FusionController(preview, track, train_params,
                            mpc_enabled=mpc_enabled,
                            primary_enabled=primary_enabled)
     obs = env.reset(seed, nominal=nominal, v0=preview.v_ini)

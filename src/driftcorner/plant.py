@@ -205,31 +205,24 @@ def step(
     )
 
 
-@dataclass(frozen=True)
-class TerminationConfig:
-    a_roll: float = 8.0  # m/s^2, rollover proxy threshold
-    t_roll: float = 0.1  # s, consecutive time above threshold
+ROLLOVER_A_Y = 8.0  # m/s^2, rollover proxy threshold
+ROLLOVER_T = 0.1  # s, consecutive time above threshold
 
 
 class TerminationMonitor:
-    """Tracks the rollover proxy window across ticks of one episode."""
+    """Tracks the rollover proxy window across the control ticks of one
+    episode; make a new one per episode."""
 
-    def __init__(self, cfg: TerminationConfig = TerminationConfig(),
-                 dt: float = CONTROL_DT):
-        self.cfg = cfg
-        self.dt = dt
-        self._above = 0
-
-    def reset(self) -> None:
+    def __init__(self):
         self._above = 0
 
     def update(self, a_y: float) -> bool:
         """Feed one tick's lateral acceleration; True if rollover triggers."""
-        if abs(a_y) > self.cfg.a_roll:
+        if abs(a_y) > ROLLOVER_A_Y:
             self._above += 1
         else:
             self._above = 0
-        return self._above * self.dt >= self.cfg.t_roll
+        return self._above * CONTROL_DT >= ROLLOVER_T
 
 
 def vehicle_corners(state: PlantState, params: VehicleParams) -> np.ndarray:

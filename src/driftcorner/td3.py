@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envs import action_bounds
+from .envs import run_episode
 from .nets import Adam, Mlp, clip_gradients, mlp_backward, mlp_forward, mlp_init, soft_update
 from .replay import ReplayBuffer
 
@@ -26,6 +26,7 @@ log = logging.getLogger(__name__)
 CHECKPOINT_VERSION = 1
 DAGGER_EPISODES = 12  # episodes the cloned actor drives after the demos
 BC_STEPS = 4000  # supervised batches of the first behavior-cloning fit
+BC_BATCH = 256  # labels per behavior-cloning batch
 ACTOR_FREEZE = 10000  # critic updates with the actor held after imitation
 EVAL_EVERY = 50  # episodes between greedy evaluation rollouts
 
@@ -207,25 +208,20 @@ def update_actor_and_targets(state: Td3State, batch) -> None:
     soft_update(state.target_critic2, state.critic2, tau)
 
 
-def behavior_clone(state: Td3State, steps: int, batch_size: int = 256,
-                   dataset=None) -> float:
+def behavior_clone(state: Td3State, steps: int, dataset) -> float:
     """Supervised actor regression onto demonstrated actions.
 
-    Fits the actor to `dataset` (an ``(obs, act)`` array pair) when
-    given, otherwise to the replay buffer's stored actions.  Used to
-    pull the freshly initialized actor into the demonstration tube
-    before value-driven updates start; returns the last batch MSE.
-    The target actor is hard-synced afterwards so smoothing noise is
-    applied around the cloned policy.
+    Fits the actor to `dataset`, an ``(obs, act)`` array pair, in
+    batches of `BC_BATCH`.  Used to pull the freshly initialized actor
+    into the demonstration tube before value-driven updates start;
+    returns the last batch MSE.  The target actor is hard-synced
+    afterwards so smoothing noise is applied around the cloned policy.
     """
     mse = float("nan")
     span = state.high - state.low
     for _ in range(steps):
-        if dataset is None:
-            obs, act, _, _, _ = state.buffer.sample(batch_size, state.rng)
-        else:
-            idx = state.rng.integers(0, len(dataset[0]), batch_size)
-            obs, act = dataset[0][idx], dataset[1][idx]
+        idx = state.rng.integers(0, len(dataset[0]), BC_BATCH)
+        obs, act = dataset[0][idx], dataset[1][idx]
         out, cache = mlp_forward(state.actor, obs)
         # regress in normalized action space so no dimension's physical
         # units dominate the loss (or the gradient clip)
@@ -308,13 +304,26 @@ def save_checkpoint(state: Td3State, path) -> None:
     np.savez(path, **arrays)
 
 
+def _checkpoint_meta(data, path) -> dict:
+    """The metadata entry of a `save_checkpoint` file; a ValueError
+    naming `path` for any other .npz or another checkpoint version."""
+    try:
+        meta = json.loads(bytes(data["meta"]).decode())
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: not a driftcorner checkpoint") from exc
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version {meta.get('version')!r}, "
+                         f"this program reads version {CHECKPOINT_VERSION}")
+    return meta
+
+
 def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
     """Rebuild a learner state from `save_checkpoint` output.
 
     The replay buffer contents are not stored; pass one in to resume
     training, or leave it empty for deployment-only use."""
     with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
+        meta = _checkpoint_meta(data, path)
         hp_d = dict(meta["hp"])
         hp_d["hidden"] = tuple(hp_d["hidden"])
         hp = Td3Hyperparams(**hp_d)
@@ -392,37 +401,6 @@ class TrainLog:
         Path(path).write_text("\n".join(self.rows) + "\n")
 
 
-def _spaces_of(env):
-    """Action bounds and observation scales of an environment."""
-    if hasattr(env, "limits"):
-        low, high = action_bounds(env.limits)
-    else:
-        low = np.asarray(env.action_low, dtype=float)
-        high = np.asarray(env.action_high, dtype=float)
-    return low, high
-
-
-def _vec(obs) -> np.ndarray:
-    return obs.vector() if hasattr(obs, "vector") else np.asarray(obs, dtype=float)
-
-
-def _eval_rollout(env, state: Td3State, obs_scale):
-    """Deterministic (noise-free) rollout; returns the episode result
-    when the environment reports one, else None."""
-    try:
-        eobs = env.reset(0, nominal=True)
-    except TypeError:
-        eobs = env.reset(0)
-    obs = _vec(eobs) / obs_scale
-    done = False
-    info: dict = {}
-    while not done:
-        act, _ = mlp_forward(state.actor, obs)
-        nxt, _, done, info = env.step(act)
-        obs = _vec(nxt) / obs_scale
-    return info.get("result")
-
-
 def train(
     env_factory,
     hp: Td3Hyperparams = Td3Hyperparams(),
@@ -456,16 +434,17 @@ def train(
     This is the escape hatch for long-corridor tasks where random
     warmup never sees a completion and the per-step penalties make
     instant termination a local optimum.
+
+    The environment follows the `DriftEnv` contract: `action_low` and
+    `action_high` arrays, per-channel observation `scales`, `reset(rng,
+    nominal=)` and `step(action)` returning observations with
+    `.vector()`, and an episode result in the final step's info.
     """
     env = env_factory()
-    low, high = _spaces_of(env)
-    obs_scale = np.asarray(getattr(env, "scales", 1.0), dtype=float)
-    obs0 = _vec(env.reset(np.random.default_rng(seed)))
-    obs_dim = len(obs0)
-    if np.ndim(obs_scale) == 0:
-        obs_scale = np.full(obs_dim, float(obs_scale))
+    low, high = env.action_low, env.action_high
+    obs_scale = env.scales
     if state is None:
-        state = td3_init(obs_dim, low, high, hp, seed, obs_scale)
+        state = td3_init(len(obs_scale), low, high, hp, seed, obs_scale)
     hp = state.hp
     sigma_explore = hp.sigma_explore * (high - low)
     tlog = TrainLog()
@@ -497,7 +476,7 @@ def train(
                          % ACTOR_FREEZE if ep == imitation_end else "")
         demo_phase = use_demos and ep < demo_episodes
         dagger_phase = use_demos and demo_episodes <= ep < imitation_end
-        obs = _vec(env.reset(state.rng)) / obs_scale
+        obs = env.reset(state.rng).vector() / obs_scale
         done = False
         ep_steps = 0
         info: dict = {}
@@ -519,7 +498,7 @@ def train(
                 act = select_action(state.actor, obs, sigma_explore,
                                     state.rng)
             nxt, rew, done, info = env.step(act)
-            nxt = _vec(nxt) / obs_scale
+            nxt = nxt.vector() / obs_scale
             state.buffer.add(obs, act, rew, nxt, done)
             obs = nxt
             state.env_steps += 1
@@ -535,26 +514,19 @@ def train(
                     update_actor_and_targets(state, batch)
         tlog.append(ep, info["result"], ep_steps)
         if (progress or out_dir is not None) and (ep + 1) % EVAL_EVERY == 0:
-            res = _eval_rollout(env, state, obs_scale)
-            if res is not None:
-                key = (res.chi, -res.t_f)
-                if best_eval is None or key > best_eval:
-                    best_eval = key
-                    if out_dir is not None:
-                        save_checkpoint(state, out_dir / "policy_best.npz")
-                if progress:
-                    log.info(
-                        "ep %d/%d R(mean50)=%.1f chi50=%.2f | eval chi=%d "
-                        "t_f=%.2f s=%.1f max_beta=%.1fdeg elapsed=%.0fs",
-                        ep + 1, episodes, float(np.mean(tlog.reward[-50:])),
-                        float(np.mean(tlog.chi[-50:])), res.chi, res.t_f,
-                        res.s_final, np.degrees(res.max_beta)
-                        if hasattr(res, "max_beta") else float("nan"),
-                        time.time() - start)
-            elif progress:
-                log.info("ep %d/%d R(mean50)=%.1f chi50=%.2f elapsed=%.0fs",
-                         ep + 1, episodes, float(np.mean(tlog.reward[-50:])),
-                         float(np.mean(tlog.chi[-50:])), time.time() - start)
+            res = run_episode(Policy(state.actor, obs_scale), env, 0, nominal=True)
+            key = (res.chi, -res.t_f)
+            if best_eval is None or key > best_eval:
+                best_eval = key
+                if out_dir is not None:
+                    save_checkpoint(state, out_dir / "policy_best.npz")
+            if progress:
+                log.info(
+                    "ep %d/%d R(mean50)=%.1f chi50=%.2f | eval chi=%d "
+                    "t_f=%.2f s=%.1f max_beta=%.1fdeg elapsed=%.0fs",
+                    ep + 1, episodes, float(np.mean(tlog.reward[-50:])),
+                    float(np.mean(tlog.chi[-50:])), res.chi, res.t_f,
+                    res.s_final, np.degrees(res.max_beta), time.time() - start)
         if out_dir is not None and (ep + 1) % checkpoint_every == 0:
             save_checkpoint(state, out_dir / f"checkpoint_ep{ep + 1:05d}.npz")
             tlog.write(out_dir / "train.log")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import driftcorner
@@ -92,3 +93,21 @@ def test_deploy_rejects_broken_preview_file(fault, uturn_preview8, tmp_path,
     assert cli.main(["deploy", "--kind", "uturn", "--preview", str(preview),
                      "--out", str(tmp_path / "deploy")]) == 3
     assert str(preview) in capsys.readouterr().err
+
+
+def test_preview_rejects_npz_that_is_not_a_checkpoint(tmp_path, capsys):
+    junk = tmp_path / "junk.npz"
+    np.savez(junk, weights=np.zeros(3))
+    assert cli.main(["preview", "--kind", "uturn", "--policy", str(junk),
+                     "--out", str(tmp_path / "preview.txt")]) == 3
+    assert str(junk) in capsys.readouterr().err
+    assert not (tmp_path / "preview.txt").exists()
+
+
+def test_mu_sweep_rejects_missing_checkpoint_before_writing(tmp_path, capsys):
+    missing = tmp_path / "nowhere.npz"
+    out = tmp_path / "sweep"
+    assert cli.main(["mu-sweep", "--policy-uturn", str(missing),
+                     "--out", str(out)]) == 3
+    assert f"checkpoint not found: {missing}" in capsys.readouterr().err
+    assert not out.exists()

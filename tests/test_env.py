@@ -7,13 +7,13 @@ import pytest
 
 from driftcorner import envs
 from driftcorner.envs import (
+    ACTION_HIGH,
+    ACTION_LOW,
     N_PREVIEW,
     OBS_DIM,
     PREVIEW_SPACING,
     TIME_CAP_FACTOR,
     DriftEnv,
-    RewardConfig,
-    action_bounds,
     observation_scales,
     observe,
     reward_step,
@@ -21,7 +21,7 @@ from driftcorner.envs import (
     run_episode,
 )
 from driftcorner.errors import AmbiguousProjection
-from driftcorner.plant import CONTROL_DT, ActuatorLimits, PlantState
+from driftcorner.plant import CONTROL_DT, PlantState
 from driftcorner.track import FrenetPoint, to_cartesian
 
 
@@ -92,8 +92,7 @@ def test_reward_slip_bonus_saturates(uturn, uturn_pretraj):
 
 def test_reward_smoothness_normalized_increments(uturn, uturn_pretraj):
     obs = observe(PlantState(x=10.0, v_x=9.0), uturn)
-    low, high = action_bounds()
-    terms = reward_step(obs, high, low, uturn_pretraj)
+    terms = reward_step(obs, ACTION_HIGH, ACTION_LOW, uturn_pretraj)
     assert terms.r_m == pytest.approx(-0.5 * 3.0, abs=1e-12)  # full swings
 
 
@@ -104,13 +103,6 @@ def test_terminal_reward_components(uturn_pretraj):
         0.1 * 134.0 + 20.0, abs=1e-9)
     # crash keeps only the progress term
     assert reward_terminal(0, 3.0, 40.0, uturn_pretraj) == pytest.approx(4.0)
-
-
-def test_reward_config_validation():
-    with pytest.raises(ValueError):
-        RewardConfig(k_pl=0.5)
-    with pytest.raises(ValueError):
-        RewardConfig(k_t2=-1.0)
 
 
 # -- episode mechanics -------------------------------------------------
@@ -194,7 +186,10 @@ def test_completion_total_reward_consistency(uturn, uturn_pretraj):
         reward_terminal(1, res.t_f, res.s_final, uturn_pretraj), abs=1e-9)
 
 
-def test_action_bounds_shape():
-    low, high = action_bounds(ActuatorLimits())
-    assert low.tolist() == [-0.524, 0.0, 0.0]
-    assert high.tolist() == [0.524, 1000.0, 10.0]
+def test_action_bounds_shape(uturn, uturn_pretraj):
+    assert ACTION_LOW.tolist() == [-0.524, 0.0, 0.0]
+    assert ACTION_HIGH.tolist() == [0.524, 1000.0, 10.0]
+    env = DriftEnv(uturn, uturn_pretraj)
+    assert env.action_low is ACTION_LOW and env.action_high is ACTION_HIGH
+    with pytest.raises(ValueError):  # shared by every env: read-only
+        ACTION_HIGH[1] = 0.0

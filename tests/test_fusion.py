@@ -10,7 +10,6 @@ from driftcorner import fusion
 from driftcorner.errors import PreviewFailed
 from driftcorner.fusion import (
     DeploymentSpec,
-    FallbackConfig,
     FusionController,
     PreviewTrajectory,
     completion_degrees,
@@ -242,22 +241,17 @@ def test_deployment_spec_apply():
 # -- fallback ----------------------------------------------------------
 
 
-def test_forced_fallback_brakes(uturn, uturn_pretraj, uturn_preview8):
+def test_forced_fallback_brakes(monkeypatch, uturn, uturn_pretraj, uturn_preview8):
     # zero threshold: the safety layer triggers immediately everywhere
-    fb = FallbackConfig(beta_threshold=0.0, p_bm=3.0, hysteresis=0.0)
-    res = deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, PARAMS,
-                     TIRES, fallback=fb)
+    monkeypatch.setattr(fusion, "FALLBACK_BETA", 0.0)
+    monkeypatch.setattr(fusion, "FALLBACK_HYSTERESIS", 0.0)
+    res = deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, PARAMS, TIRES)
     assert not res.completed  # braking to a stop cannot finish the lap
     assert res.fallback_events >= 1
     for r in res.records:
         assert r.fallback
         assert r.applied[1] == 0.0
         assert r.applied[2] == 3.0
-
-
-def test_fallback_config_validation():
-    with pytest.raises(ValueError):
-        FallbackConfig(p_bm=0.0)
 
 
 # -- bookkeeping helpers -----------------------------------------------

@@ -15,7 +15,6 @@ from driftcorner.plant import (
     Action,
     ActuatorLimits,
     PlantState,
-    TerminationConfig,
     TerminationMonitor,
     TireParams,
     VehicleParams,
@@ -231,11 +230,11 @@ def test_param_validation():
 
 
 def test_rollover_monitor_needs_consecutive_ticks():
-    mon = TerminationMonitor(TerminationConfig(a_roll=8.0, t_roll=0.1))
+    mon = TerminationMonitor()  # 8 m/s^2 for 0.1 s
     for _ in range(9):
         assert not mon.update(9.0)
     assert mon.update(9.0)  # 10th consecutive tick at 100 Hz = 0.1 s
-    mon.reset()
+    mon = TerminationMonitor()
     for i in range(50):  # interrupted runs never trigger
         assert not mon.update(9.0 if i % 3 else 0.0)
 

@@ -1,11 +1,13 @@
 """Actor-critic learner: update rules, determinism, toy-task learning."""
 
+import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from driftcorner.envs import DriftEnv
+from driftcorner.envs import DriftEnv, run_episode
 from driftcorner.nets import mlp_forward
 from driftcorner.td3 import (
     Policy,
@@ -38,11 +40,20 @@ class ToyResult:
     max_speed: float = 0.0
 
 
+class ReachObs(NamedTuple):
+    p: float
+    v: float
+
+    def vector(self) -> np.ndarray:
+        return np.array([self.p, self.v])
+
+
 class ReachEnv:
     """1-D double integrator: drive position and velocity to the origin.
 
     Observation (p, v), acceleration command in [-1, 1], 0.1 s steps.
-    Success = |p| < 0.1 and |v| < 0.2 within the horizon.
+    Success = |p| < 0.1 and |v| < 0.2 within the horizon.  Follows the
+    `DriftEnv` contract that `train` relies on.
     """
 
     action_low = np.array([-1.0])
@@ -58,7 +69,7 @@ class ReachEnv:
         self.v = 0.0
         self.k = 0
         self.ret = 0.0
-        return np.array([self.p, self.v])
+        return ReachObs(self.p, self.v)
 
     def step(self, action):
         a = float(np.clip(action[0], -1.0, 1.0))
@@ -75,7 +86,7 @@ class ReachEnv:
                 chi=int(hit), status="completed" if hit else "timeout",
                 t_f=self.k * self.dt, s_final=-abs(self.p),
                 total_reward=self.ret)
-        return np.array([self.p, self.v]), rew, done, info
+        return ReachObs(self.p, self.v), rew, done, info
 
 
 TOY_HP = Td3Hyperparams(warmup=1000, batch_size=128, hidden=(64, 64),
@@ -204,6 +215,19 @@ def test_zero_episodes_returns_initial_policy():
     assert tlog.rows == []
 
 
+def test_train_resets_once_per_episode():
+    class CountingReachEnv(ReachEnv):
+        resets = 0
+
+        def reset(self, rng=None, nominal=False):
+            self.resets += 1
+            return super().reset(rng, nominal)
+
+    env = CountingReachEnv()
+    train(lambda: env, TOY_HP, episodes=2, seed=0)
+    assert env.resets == 2
+
+
 def test_training_is_seed_deterministic():
     p1, log1, _ = train(ReachEnv, TOY_HP, episodes=12, seed=11)
     p2, log2, _ = train(ReachEnv, TOY_HP, episodes=12, seed=11)
@@ -228,13 +252,7 @@ def test_seeded_uturn_training_matches_recorded_checksum(uturn, uturn_pretraj):
 def test_toy_reach_task_learned_within_200_episodes():
     policy, tlog, state = train(ReachEnv, TOY_HP, episodes=200, seed=0)
     env = ReachEnv()
-    wins = 0
-    for trial in range(100):
-        obs = env.reset(trial)
-        done = False
-        while not done:
-            obs, _, done, info = env.step(policy(obs))
-        wins += info["result"].chi
+    wins = sum(run_episode(policy, env, trial).chi for trial in range(100))
     assert wins > 95
 
 
@@ -251,6 +269,19 @@ def test_checkpoint_round_trip(tmp_path):
     obs = np.array([0.4, -0.1])
     np.testing.assert_array_equal(policy_from_checkpoint(path)(obs),
                                   Policy(state.actor, state.obs_scale)(obs))
+
+
+def test_load_checkpoint_rejects_other_versions(tmp_path):
+    path = tmp_path / "ck.npz"
+    save_checkpoint(_toy_state(), path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta["version"] += 1
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="version"):
+        load_checkpoint(path)
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
