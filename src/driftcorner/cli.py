@@ -3,9 +3,9 @@
 Subcommands cover the batch workflow end to end: track building,
 pre-trajectory planning, TD3 training, preview generation, deployment
 runs under plant mismatch, and the comparison tables / plot-data
-exports.  Every run writes its resolved configuration, the seed, and a
-content hash of its file inputs into the run directory so results can
-be reproduced bit-for-bit.
+exports.  Every run writes its resolved configuration, its seed where
+one has an effect, and a content hash of its file inputs into the run
+directory so results can be reproduced bit-for-bit.
 
 Exit codes: 0 on success, 2 when a result-level assertion fails (a
 comparison table violates its expected direction), 3 on configuration
@@ -293,7 +293,7 @@ def cmd_table1(args) -> int:
     violations = 0
     run_dir = Path(args.out) if args.out else output_root() / "table1"
     _write_metadata(run_dir, {
-        "command": "table1", "seed": args.seed,
+        "command": "table1",
         "policy_dir": str(policy_dir) if policy_dir else None,
         "tracker": args.tracker,
     })
@@ -314,8 +314,7 @@ def cmd_table1(args) -> int:
                 if not ckpt.exists():
                     raise MissingPolicy(f"missing checkpoint {ckpt}")
                 controller = policy_from_checkpoint(ckpt)
-            res = run_episode(controller, DriftEnv(track, pre),
-                              seed=args.seed, nominal=True)
+            res = run_episode(controller, DriftEnv(track, pre), nominal=True)
             times[variant] = res
             rows.append((f"{kind} / {variant}",
                          f"{res.chi}", f"{res.t_f:.2f}", f"{res.s_final:.1f}"))
@@ -348,7 +347,7 @@ def cmd_compare(args) -> int:
     dep_params, dep_tires = spec.apply(params, TireParams())
     run_dir = Path(args.out) if args.out else output_root() / "compare"
     _write_metadata(run_dir, {
-        "command": "compare", "seed": args.seed,
+        "command": "compare",
         "deployment": dataclasses.asdict(spec),
     }, inputs + pre_inputs + [policy_path])
 
@@ -357,22 +356,21 @@ def cmd_compare(args) -> int:
     rows = []
     from .fusion import completion_degrees
     # 1) RL policy in its own training plant.
-    res = run_episode(policy, DriftEnv(track, pre), seed=args.seed, nominal=True)
+    res = run_episode(policy, DriftEnv(track, pre), nominal=True)
     rows.append(_episode_row("RL policy (training plant)", res,
                              *completion_degrees(track, res.s_final)))
     # 2) Raw RL in the deployment plant.
     res = run_episode(policy, DriftEnv(track, pre, tires=dep_tires,
                                        params=dep_params),
-                      seed=args.seed, nominal=True)
+                      nominal=True)
     rows.append(_episode_row("RL policy (deployment plant)", res,
                              *completion_degrees(track, res.s_final)))
     # 3) MPC-only tracking of the preview (primary input zeroed).
     dres = deploy_run(preview, track, pre, params, dep_params, dep_tires,
-                      seed=args.seed, primary_enabled=False)
+                      primary_enabled=False)
     rows.append(_deploy_row("MPC tracking (deployment plant)", dres))
     # 4) Fused controller.
-    dres = deploy_run(preview, track, pre, params, dep_params, dep_tires,
-                      seed=args.seed)
+    dres = deploy_run(preview, track, pre, params, dep_params, dep_tires)
     rows.append(_deploy_row("Fused RL+MPC (deployment plant)", dres))
 
     table = ResultsTable(rows)
@@ -545,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory with <kind>_<variant>.npz checkpoints")
     p.add_argument("--tracker", action="store_true",
                    help="use the scripted tracker instead of trained policies")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_table1)
 
@@ -556,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True)
     _add_deploy_args(p)
     p.add_argument("--v-ini", type=float, default=9.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 

@@ -5,6 +5,13 @@ rescales into the action box, so its output respects the bounds by
 construction.  Gradients are computed by hand (no autograd dependency)
 and verified against finite differences in the test suite.  The
 optimizer is per-parameter adaptive moment estimation.
+
+Each network keeps all of its parameters in one contiguous float64
+vector, the weights of every layer first and then the biases; the
+per-layer arrays are reshaped views of it.  Backpropagation writes the
+parameter gradients into a second vector of the same layout, so the
+optimizer and the target blend run over whole vectors, not layer by
+layer, and the gradient clip scales the gradient in place.
 """
 
 from __future__ import annotations
@@ -14,12 +21,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def layer_views(flat: np.ndarray, sizes: list[int]) -> tuple[list, list]:
+    """Per-layer (weights, biases) views of a flat parameter-layout vector."""
+    weights, biases, k = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[k:k + fan_in * fan_out].reshape(fan_in, fan_out))
+        k += fan_in * fan_out
+    for fan_out in sizes[1:]:
+        biases.append(flat[k:k + fan_out])
+        k += fan_out
+    return weights, biases
+
+
 @dataclass
 class Mlp:
     """Weights/biases per layer plus the head description.
 
     head: 'linear' (critics) or 'bounded' (actor; tanh scaled to
     [low, high]).
+
+    The constructor copies `weights` and `biases` into one flat vector,
+    `flat`, and replaces them with views of it: writing through
+    `weights[i]` or `biases[i]` changes `flat`, and `parameters()`
+    lists the same views.  `copy()` is deep.  `grad` is the flat
+    gradient vector that `mlp_backward` fills, made on first use, so
+    target networks, which are never backpropagated, carry none.
     """
 
     weights: list[np.ndarray]
@@ -27,6 +53,14 @@ class Mlp:
     head: str = "linear"
     low: np.ndarray | None = None
     high: np.ndarray | None = None
+    flat: np.ndarray = field(init=False, repr=False)
+    grad: np.ndarray | None = field(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        sizes = self.sizes
+        self.flat = np.concatenate(
+            [np.ravel(p) for p in (*self.weights, *self.biases)], dtype=float)
+        self.weights, self.biases = layer_views(self.flat, sizes)
 
     @property
     def sizes(self) -> list[int]:
@@ -35,10 +69,16 @@ class Mlp:
     def parameters(self) -> list[np.ndarray]:
         return list(self.weights) + list(self.biases)
 
+    def grad_views(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer (weight, bias) views of `grad`, made on first use."""
+        if self.grad is None:
+            self.grad = np.empty_like(self.flat)
+        return layer_views(self.grad, self.sizes)
+
     def copy(self) -> "Mlp":
         return Mlp(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
+            self.weights,
+            self.biases,
             self.head,
             None if self.low is None else self.low.copy(),
             None if self.high is None else self.high.copy(),
@@ -76,9 +116,10 @@ def mlp_forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list]:
     cache = [h]
     n = len(net.weights)
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
         if i < n - 1:
-            h = np.maximum(z, 0.0)
+            h = np.maximum(z, 0.0, out=z)
         elif net.head == "bounded":
             t = np.tanh(z)
             h = net.low + 0.5 * (t + 1.0) * (net.high - net.low)
@@ -89,71 +130,105 @@ def mlp_forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list]:
 
 
 def mlp_backward(
-    net: Mlp, cache: list, grad_out: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    net: Mlp, cache: list, grad_out: np.ndarray,
+    params: bool = True, inputs: bool = True,
+) -> tuple[list[np.ndarray] | None, list[np.ndarray] | None, np.ndarray | None]:
     """Backpropagate d(loss)/d(output) through the net.
 
     Returns (weight grads, bias grads, d(loss)/d(input)); gradients are
-    summed over the batch."""
+    summed over the batch.  The weight and bias gradients are the
+    per-layer views of `net.grad`, overwritten by the next call on the
+    same net.  `params=False` skips them and `inputs=False` skips the
+    input gradient; a skipped item is returned as None.
+
+    The pass consumes `cache`: each hidden activation's array is reused
+    for the gradient with respect to it, so no batch-sized array is
+    allocated per hidden layer and a forward pass serves one backward
+    pass.  The input and the output entries are left as they were."""
     g = np.atleast_2d(np.asarray(grad_out, dtype=float))
     n = len(net.weights)
-    gw: list = [None] * n
-    gb: list = [None] * n
+    gw, gb = net.grad_views() if params else (None, None)
+    if net.head == "bounded":
+        # h = low + (tanh(z)+1)/2*(high-low); dh/dz = (1-tanh^2)/2*(high-low)
+        t = (cache[n] - net.low) / (0.5 * (net.high - net.low)) - 1.0
+        g = g * 0.5 * (net.high - net.low) * (1.0 - t * t)
     for i in range(n - 1, -1, -1):
-        h_out = cache[i + 1]
-        if i == n - 1 and net.head == "bounded":
-            # h = low + (tanh(z)+1)/2*(high-low); dh/dz = (1-tanh^2)/2*(high-low)
-            t = (h_out - net.low) / (0.5 * (net.high - net.low)) - 1.0
-            g = g * 0.5 * (net.high - net.low) * (1.0 - t * t)
-        elif i < n - 1:
-            g = g * (h_out > 0.0)
-        h_in = cache[i]
-        gw[i] = h_in.T @ g
-        gb[i] = g.sum(axis=0)
-        g = g @ net.weights[i].T
-    return gw, gb, g
+        if params:
+            np.matmul(cache[i].T, g, out=gw[i])
+            np.sum(g, axis=0, out=gb[i])
+        if i == 0:
+            break
+        active = cache[i] > 0.0
+        g = np.matmul(g, net.weights[i].T, out=cache[i])
+        g *= active
+    return gw, gb, (g @ net.weights[0].T if inputs else None)
 
 
-def clip_gradients(grads: list[np.ndarray], max_norm: float) -> tuple[list[np.ndarray], float]:
-    """Global-norm clipping; returns (possibly scaled grads, norm)."""
+def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
+    """Global-norm clipping in place; returns the norm before clipping."""
     norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
     if norm > max_norm > 0.0:
         scale = max_norm / norm
-        grads = [g * scale for g in grads]
-    return grads, norm
+        for g in grads:
+            g *= scale
+    return norm
 
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Adam updates the flat vector in blocks of this many elements, so its
+# two scratch vectors stay small.  Scratch the size of a whole critic
+# (0.56 MB each) was handed back to the system after every step and
+# page-faulted in again on the next: 1.19 ms against 0.55 ms in blocks
+# per step of a 69,889-parameter critic on a 2-vCPU Xeon host.
+ADAM_BLOCK = 32768
 
 
 @dataclass
 class Adam:
-    """Adaptive moment estimation over a parameter list."""
+    """Adaptive moment estimation over one flat parameter vector.
+
+    `m` and `v` are flat moment vectors of the parameters' layout,
+    empty until the first step."""
 
     lr: float = 3e-4
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     t: int = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if not self.m:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        """One in-place update of `param` from its gradient `grad`."""
+        if not self.m.size:
+            self.m = np.zeros_like(param)
+            self.v = np.zeros_like(param)
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        scratch = np.empty((2, min(ADAM_BLOCK, param.size)))
+        for k in range(0, param.size, ADAM_BLOCK):
+            block = slice(k, k + ADAM_BLOCK)
+            m, v, g, p = self.m[block], self.v[block], grad[block], param[block]
+            step, denom = scratch[:, :g.size]
+            # the operation order of m += (1-b1)*g, v += (1-b2)*g*g and
+            # p -= lr*(m/b1t)/(sqrt(v/b2t)+eps), element for element
+            np.multiply(g, 1.0 - ADAM_BETA1, out=step)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += step
+            np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+            step *= g
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+            v += step
+            np.divide(m, b1t, out=step)
+            step *= self.lr
+            np.divide(v, b2t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step /= denom
+            p -= step
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
-    """theta' <- tau*theta + (1-tau)*theta'."""
-    for pt, po in zip(target.parameters(), online.parameters()):
-        pt *= 1.0 - tau
-        pt += tau * po
+    """theta' <- tau*theta + (1-tau)*theta', over the flat vectors."""
+    target.flat *= 1.0 - tau
+    target.flat += tau * online.flat

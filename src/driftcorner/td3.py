@@ -12,13 +12,15 @@ from __future__ import annotations
 import json
 import logging
 import time
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .envs import run_episode
-from .nets import Adam, Mlp, clip_gradients, mlp_backward, mlp_forward, mlp_init, soft_update
+from .nets import (Adam, Mlp, clip_gradients, layer_views, mlp_backward, mlp_forward,
+                   mlp_init, soft_update)
 from .replay import ReplayBuffer
 
 log = logging.getLogger(__name__)
@@ -172,15 +174,16 @@ def update_critics(state: Td3State, batch, y: np.ndarray) -> tuple[float, float]
         q, cache = mlp_forward(critic, x)
         err = q[:, 0] - y
         losses.append(float(np.mean(err * err)))
-        gw, gb, _ = mlp_backward(critic, cache, (2.0 * err / n)[:, None])
-        grads, norm = clip_gradients(gw + gb, state.hp.grad_clip)
+        gw, gb, _ = mlp_backward(critic, cache, (2.0 * err / n)[:, None],
+                                 inputs=False)
+        norm = clip_gradients(gw + gb, state.hp.grad_clip)
         if norm > state.hp.grad_clip:
             state.clip_events += 1
             if state.clip_events % 1000 == 1:
                 log.warning("gradient norm %.2f clipped to %.2f "
                             "(%d clip events so far)",
                             norm, state.hp.grad_clip, state.clip_events)
-        opt.step(critic.parameters(), grads)
+        opt.step(critic.flat, critic.grad)
     state.critic_updates += 1
     return losses[0], losses[1]
 
@@ -194,13 +197,12 @@ def update_actor_and_targets(state: Td3State, batch) -> None:
     _, cache_q = mlp_forward(state.critic1, x)
     # Maximize mean Q: push -dQ/da back through the actor.
     _, _, g_in = mlp_backward(state.critic1, cache_q,
-                              np.full((n, 1), -1.0 / n))
+                              np.full((n, 1), -1.0 / n), params=False)
     g_a = g_in[:, obs.shape[1]:] * (2.0 / (state.high - state.low))
-    gw, gb, _ = mlp_backward(state.actor, cache_a, g_a)
-    grads, norm = clip_gradients(gw + gb, state.hp.grad_clip)
-    if norm > state.hp.grad_clip:
+    gw, gb, _ = mlp_backward(state.actor, cache_a, g_a, inputs=False)
+    if clip_gradients(gw + gb, state.hp.grad_clip) > state.hp.grad_clip:
         state.clip_events += 1
-    state.opt_actor.step(state.actor.parameters(), grads)
+    state.opt_actor.step(state.actor.flat, state.actor.grad)
     state.actor_updates += 1
     tau = state.hp.tau
     soft_update(state.target_actor, state.actor, tau)
@@ -228,9 +230,10 @@ def behavior_clone(state: Td3State, steps: int, dataset) -> float:
         err = (out - act) * (2.0 / span)
         mse = float(np.mean(err**2))
         gw, gb, _ = mlp_backward(state.actor, cache,
-                                 err * (2.0 / span) * (2.0 / len(err)))
-        grads, _ = clip_gradients(gw + gb, state.hp.grad_clip)
-        state.opt_actor.step(state.actor.parameters(), grads)
+                                 err * (2.0 / span) * (2.0 / len(err)),
+                                 inputs=False)
+        clip_gradients(gw + gb, state.hp.grad_clip)
+        state.opt_actor.step(state.actor.flat, state.actor.grad)
     soft_update(state.target_actor, state.actor, 1.0)
     return mse
 
@@ -271,13 +274,14 @@ def save_checkpoint(state: Td3State, path) -> None:
             arrays[f"{name}_w{i}"] = w
         for i, b in enumerate(net.biases):
             arrays[f"{name}_b{i}"] = b
-    for name, opt in (("opt_actor", state.opt_actor),
-                      ("opt_critic1", state.opt_critic1),
-                      ("opt_critic2", state.opt_critic2)):
-        for i, m in enumerate(opt.m):
-            arrays[f"{name}_m{i}"] = m
-        for i, v in enumerate(opt.v):
-            arrays[f"{name}_v{i}"] = v
+    for name, opt, net in (("opt_actor", state.opt_actor, state.actor),
+                           ("opt_critic1", state.opt_critic1, state.critic1),
+                           ("opt_critic2", state.opt_critic2, state.critic2)):
+        if opt.m.size:  # per layer, in the order of net.parameters()
+            for key, flat in (("m", opt.m), ("v", opt.v)):
+                ws, bs = layer_views(flat, net.sizes)
+                for i, part in enumerate(ws + bs):
+                    arrays[f"{name}_{key}{i}"] = part
     arrays["low"] = state.low
     arrays["high"] = state.high
     arrays["obs_scale"] = state.obs_scale
@@ -322,6 +326,9 @@ def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
 
     The replay buffer contents are not stored; pass one in to resume
     training, or leave it empty for deployment-only use."""
+    if Path(path).is_file() and not zipfile.is_zipfile(path):
+        # numpy would try the file as a pickle and refuse it
+        raise ValueError(f"{path}: not a driftcorner checkpoint")
     with np.load(path) as data:
         meta = _checkpoint_meta(data, path)
         hp_d = dict(meta["hp"])
@@ -332,8 +339,8 @@ def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
         def read_net(name, head="linear", lo=None, hi=None):
             ws, bs, i = [], [], 0
             while f"{name}_w{i}" in data:
-                ws.append(data[f"{name}_w{i}"].copy())
-                bs.append(data[f"{name}_b{i}"].copy())
+                ws.append(data[f"{name}_w{i}"])
+                bs.append(data[f"{name}_b{i}"])
                 i += 1
             return Mlp(ws, bs, head, lo, hi)
 
@@ -359,11 +366,13 @@ def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
         for name, opt, t in (("opt_actor", state.opt_actor, meta["opt_t"][0]),
                              ("opt_critic1", state.opt_critic1, meta["opt_t"][1]),
                              ("opt_critic2", state.opt_critic2, meta["opt_t"][2])):
-            i = 0
+            ms, vs, i = [], [], 0
             while f"{name}_m{i}" in data:
-                opt.m.append(data[f"{name}_m{i}"].copy())
-                opt.v.append(data[f"{name}_v{i}"].copy())
+                ms.append(np.ravel(data[f"{name}_m{i}"]))
+                vs.append(np.ravel(data[f"{name}_v{i}"]))
                 i += 1
+            if ms:
+                opt.m, opt.v = np.concatenate(ms), np.concatenate(vs)
             opt.t = t
     return state
 

@@ -104,6 +104,29 @@ def test_preview_rejects_npz_that_is_not_a_checkpoint(tmp_path, capsys):
     assert not (tmp_path / "preview.txt").exists()
 
 
+def test_preview_rejects_file_that_is_not_an_archive(tmp_path, capsys):
+    junk = tmp_path / "junk.npz"
+    junk.write_text("this is not a checkpoint\n")
+    assert cli.main(["preview", "--kind", "uturn", "--policy", str(junk),
+                     "--out", str(tmp_path / "preview.txt")]) == 3
+    err = capsys.readouterr().err
+    assert f"{junk}: not a driftcorner checkpoint" in err
+    assert not (tmp_path / "preview.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [["table1", "--tracker"],
+                                  ["compare", "--kind", "uturn", "--policy", "p.npz"]])
+def test_nominal_only_commands_take_no_seed(argv, capsys):
+    # every run of these commands starts from the nominal state, which
+    # draws nothing from a generator, so a seed would have no effect
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv + ["--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(argv)
+    assert not hasattr(args, "seed")
+
+
 def test_mu_sweep_rejects_missing_checkpoint_before_writing(tmp_path, capsys):
     missing = tmp_path / "nowhere.npz"
     out = tmp_path / "sweep"

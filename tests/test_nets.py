@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftcorner import nets
 from driftcorner.nets import (
     Adam,
     Mlp,
@@ -99,12 +100,13 @@ def test_forward_single_and_batch_agree():
 def test_gradient_clipping():
     grads = [np.full(4, 3.0), np.full(3, -4.0)]
     norm0 = np.sqrt(4 * 9.0 + 3 * 16.0)
-    clipped, norm = clip_gradients(grads, 1.0)
-    assert norm == pytest.approx(norm0)
-    total = np.sqrt(sum(np.sum(g * g) for g in clipped))
+    assert clip_gradients(grads, 1.0) == pytest.approx(norm0)
+    total = np.sqrt(sum(np.sum(g * g) for g in grads))  # scaled in place
     assert total == pytest.approx(1.0)
-    same, _ = clip_gradients(grads, 1e9)
-    assert same is grads or np.allclose(same[0], grads[0])
+    before = [g.copy() for g in grads]
+    assert clip_gradients(grads, 1e9) == pytest.approx(1.0)
+    for g, b in zip(grads, before):
+        np.testing.assert_array_equal(g, b)
 
 
 def test_adam_first_step_is_signed_lr():
@@ -112,7 +114,7 @@ def test_adam_first_step_is_signed_lr():
     p = np.array([1.0, -2.0, 0.5])
     g = np.array([0.3, -0.7, 0.0])
     opt = Adam(lr=1e-2)
-    opt.step([p], [g])
+    opt.step(p, g)
     assert p[0] == pytest.approx(1.0 - 1e-2, rel=1e-5)
     assert p[1] == pytest.approx(-2.0 + 1e-2, rel=1e-5)
     assert p[2] == pytest.approx(0.5)
@@ -123,7 +125,7 @@ def test_adam_converges_on_quadratic():
     p = rng.normal(size=5)
     opt = Adam(lr=0.05)
     for _ in range(500):
-        opt.step([p], [2.0 * (p - 3.0)])
+        opt.step(p, 2.0 * (p - 3.0))
     np.testing.assert_allclose(p, 3.0, atol=1e-3)
 
 
@@ -160,3 +162,74 @@ def test_copy_is_deep():
     dup.weights[0][0, 0] += 1.0
     assert net.weights[0][0, 0] != dup.weights[0][0, 0]
     assert net.sizes == [3, 4, 2]
+    dup.flat[:] = 0.0
+    assert not np.shares_memory(net.flat, dup.flat)
+    assert np.any(net.flat != 0.0)
+
+
+def test_layers_are_views_of_one_flat_vector():
+    rng = np.random.default_rng(8)
+    net = mlp_init([3, 4, 2], rng)
+    assert net.flat.shape == (3 * 4 + 4 * 2 + 4 + 2,)
+    np.testing.assert_array_equal(
+        net.flat, np.concatenate([p.ravel() for p in net.parameters()]))
+    net.weights[1][2, 1] = 7.0  # a write through a layer reaches the vector
+    net.biases[0][3] = -5.0
+    assert net.flat[12 + 2 * 2 + 1] == 7.0
+    assert net.flat[12 + 8 + 3] == -5.0
+    net.flat[0] = 3.0  # and a write to the vector reaches the layer
+    assert net.weights[0][0, 0] == 3.0
+    assert net.copy().grad is None  # gradients only where backprop runs
+
+
+def test_backward_fills_the_flat_gradient():
+    rng = np.random.default_rng(9)
+    net = mlp_init([4, 8, 6, 2], rng, "bounded",
+                   low=np.array([-1.0, 0.0]), high=np.array([2.0, 5.0]))
+    x = rng.normal(size=(5, 4))
+    x_copy = x.copy()
+    out, cache = mlp_forward(net, x)
+    g_out = rng.normal(size=out.shape)
+    gw, gb, gin = mlp_backward(net, cache, g_out)
+    np.testing.assert_array_equal(
+        net.grad, np.concatenate([g.ravel() for g in gw + gb]))
+    assert cache[0] is x and cache[-1] is out  # left as they were
+    np.testing.assert_array_equal(x, x_copy)
+    grads = net.grad.copy()
+    # skipping either product leaves the other bit for bit; the first
+    # pass consumed the hidden activations, so each pass has its own
+    # forward
+    _, _, none_in = mlp_backward(net, mlp_forward(net, x)[1], g_out,
+                                 inputs=False)
+    assert none_in is None
+    np.testing.assert_array_equal(net.grad, grads)
+    net.grad[:] = np.nan
+    none_w, none_b, gin2 = mlp_backward(net, mlp_forward(net, x)[1], g_out,
+                                        params=False)
+    assert none_w is None and none_b is None
+    np.testing.assert_array_equal(gin2, gin)
+    assert np.all(np.isnan(net.grad))  # params=False writes no gradient
+
+
+def test_flat_adam_matches_per_layer_update(monkeypatch):
+    # the update of the per-layer formulation, element for element; a
+    # small block makes the 32 parameters span five blocks, the last short
+    monkeypatch.setattr(nets, "ADAM_BLOCK", 7)
+    rng = np.random.default_rng(10)
+    net = mlp_init([3, 5, 2], rng)
+    ref = [p.copy() for p in net.parameters()]
+    ref_m = [np.zeros_like(p) for p in ref]
+    ref_v = [np.zeros_like(p) for p in ref]
+    opt = Adam(lr=1e-2)
+    for t in range(1, 6):
+        g_layers = [rng.normal(size=p.shape) for p in ref]
+        opt.step(net.flat, np.concatenate([g.ravel() for g in g_layers]))
+        b1t, b2t = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for p, g, m, v in zip(ref, g_layers, ref_m, ref_v):
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            p -= 1e-2 * (m / b1t) / (np.sqrt(v / b2t) + 1e-8)
+    for p, r in zip(net.parameters(), ref):
+        np.testing.assert_array_equal(p, r)

@@ -1,5 +1,6 @@
 """Actor-critic learner: update rules, determinism, toy-task learning."""
 
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -7,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from driftcorner.envs import DriftEnv, run_episode
+from driftcorner.envs import ACTION_HIGH, ACTION_LOW, OBS_DIM, DriftEnv, run_episode
 from driftcorner.nets import mlp_forward
 from driftcorner.td3 import (
     Policy,
@@ -249,6 +250,44 @@ def test_seeded_uturn_training_matches_recorded_checksum(uturn, uturn_pretraj):
     assert state.checksum() == 45.11612520855356
 
 
+def test_full_size_learner_matches_recorded_checksum():
+    # the benchmark's learner shape, default hidden (256, 256) and batch
+    # 256, on a seeded replay buffer: a short behavior-cloning fit, then
+    # 240 learning steps whose reward scale clips some of the gradients;
+    # recorded with numpy 2.4 and OpenBLAS.  The checksum is a sum, blind
+    # to last-bit changes of single weights, so a digest of every
+    # parameter and Adam moment pins the state bit for bit.
+    hp = Td3Hyperparams(buffer_size=4096)
+    state = td3_init(OBS_DIM, ACTION_LOW, ACTION_HIGH, hp, seed=17)
+    rng = np.random.default_rng(18)
+    n = 2048
+    obs = rng.normal(size=(n, OBS_DIM))
+    act = rng.uniform(ACTION_LOW, ACTION_HIGH, size=(n, len(ACTION_LOW)))
+    rew = rng.normal(0.0, 3.0, n)
+    obs_next = rng.normal(size=(n, OBS_DIM))
+    done = (rng.random(n) < 0.05).astype(float)
+    for row in zip(obs, act, rew, obs_next, done):
+        state.buffer.add(*row)
+    behavior_clone(state, 8, dataset=(obs, act))
+    for _ in range(240):
+        batch = state.buffer.sample(hp.batch_size, state.rng)
+        y = compute_target(batch, state, hp)
+        update_critics(state, batch, y)
+        if state.critic_updates % hp.policy_delay == 0:
+            update_actor_and_targets(state, batch)
+    assert state.actor_updates == 120
+    assert state.clip_events == 45
+    assert state.checksum() == 148.56307344780882
+    digest = hashlib.sha256()
+    for net in (state.actor, state.critic1, state.critic2, state.target_actor,
+                state.target_critic1, state.target_critic2):
+        digest.update(net.flat.tobytes())
+    for key in ("m", "v"):
+        for opt in (state.opt_actor, state.opt_critic1, state.opt_critic2):
+            digest.update(getattr(opt, key).tobytes())
+    assert digest.hexdigest()[:16] == "6f3602a98f646555"
+
+
 def test_toy_reach_task_learned_within_200_episodes():
     policy, tlog, state = train(ReachEnv, TOY_HP, episodes=200, seed=0)
     env = ReachEnv()
@@ -269,6 +308,46 @@ def test_checkpoint_round_trip(tmp_path):
     obs = np.array([0.4, -0.1])
     np.testing.assert_array_equal(policy_from_checkpoint(path)(obs),
                                   Policy(state.actor, state.obs_scale)(obs))
+
+
+def test_checkpoint_layout_is_per_layer(tmp_path):
+    # version 1 layout: one array per layer and network, and one per
+    # layer for each optimizer moment, in the order weights then biases
+    state = _toy_state()
+    batch = _fake_batch(state)
+    update_critics(state, batch, compute_target(batch, state, state.hp))
+    update_actor_and_targets(state, batch)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(state, path)
+    actor, critic = [2, 16, 16, 1], [3, 16, 16, 1]
+    want = {"low": (1,), "high": (1,), "obs_scale": (2,)}
+    for name, sizes in (("actor", actor), ("critic1", critic), ("critic2", critic),
+                        ("target_actor", actor), ("target_critic1", critic),
+                        ("target_critic2", critic)):
+        shapes = [(a, b) for a, b in zip(sizes[:-1], sizes[1:])]
+        want.update({f"{name}_w{i}": s for i, s in enumerate(shapes)})
+        want.update({f"{name}_b{i}": (s[1],) for i, s in enumerate(shapes)})
+        if not name.startswith("target"):
+            layers = shapes + [(s[1],) for s in shapes]
+            for key in ("m", "v"):
+                want.update({f"opt_{name}_{key}{i}": s for i, s in enumerate(layers)})
+    with np.load(path) as data:
+        got = {k: data[k].shape for k in data.files if k != "meta"}
+        meta = json.loads(bytes(data["meta"]).decode())
+        np.testing.assert_array_equal(data["critic2_w1"], state.critic2.weights[1])
+        # the second bias layer follows 320 weights and the first 16 biases
+        np.testing.assert_array_equal(data["opt_critic1_v4"],
+                                      state.opt_critic1.v[336:352])
+    assert got == want
+    assert meta["version"] == 1
+    back = load_checkpoint(path)
+    for opt, ref in ((back.opt_actor, state.opt_actor),
+                     (back.opt_critic1, state.opt_critic1),
+                     (back.opt_critic2, state.opt_critic2)):
+        np.testing.assert_array_equal(opt.m, ref.m)
+        np.testing.assert_array_equal(opt.v, ref.v)
+        assert opt.t == ref.t
+    assert back.checksum() == state.checksum()
 
 
 def test_load_checkpoint_rejects_other_versions(tmp_path):
