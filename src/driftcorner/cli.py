@@ -40,7 +40,7 @@ from .fusion import (
 )
 from .planner import load_pretrajectory, plan_pretrajectory, save_pretrajectory
 from .plant import TireParams, VehicleParams
-from .td3 import Td3Hyperparams, policy_from_checkpoint, train
+from .td3 import DAGGER_EPISODES, Td3Hyperparams, policy_from_checkpoint, train
 from .track import LIBRARY_KINDS, build_library_track, load_track, save_track
 
 TRAINING_MU = 0.85
@@ -219,10 +219,19 @@ def cmd_train(args) -> int:
         demo_policy=demo,
         demo_episodes=args.demo_episodes,
     )
-    chi_tail = float(np.mean(tlog.chi[-100:])) if tlog.chi else 0.0
     print(f"trained {args.episodes} episodes -> {run_dir}/policy.npz "
-          f"(completion rate over last 100: {chi_tail:.2f})")
+          f"({learner_completion(tlog.chi, args.demo_episodes)})")
     return 0
+
+
+def learner_completion(chi: list[int], demo_episodes: int) -> str:
+    """Completion rate over the last (up to) 100 episodes the learner
+    drove itself, after the demonstrator's and the DAgger episodes."""
+    own = chi[demo_episodes + DAGGER_EPISODES if demo_episodes > 0 else 0:][-100:]
+    if not own:
+        return "no learner episodes"
+    return (f"completion rate over the learner's last {len(own)} episodes: "
+            f"{float(np.mean(own)):.2f}")
 
 
 def cmd_preview(args) -> int:

@@ -47,6 +47,8 @@ ACTION_HIGH = np.array([_LIMITS.delta_max, _LIMITS.t_max, _LIMITS.p_max])
 ACTION_SPAN = ACTION_HIGH - ACTION_LOW
 for _box in (ACTION_LOW, ACTION_HIGH, ACTION_SPAN):
     _box.flags.writeable = False
+_PREVIEW_OFFSETS = PREVIEW_SPACING * np.arange(1, N_PREVIEW + 1)
+_PREVIEW_OFFSETS.flags.writeable = False
 
 
 class FrenetObservation(NamedTuple):
@@ -100,9 +102,7 @@ def observe(
     s_dot = (state.v_x * ca - state.v_y * sa) / denom
     l_dot = state.v_x * sa + state.v_y * ca
     alpha_dot = state.yaw_rate - kc * s_dot
-    preview_s = np.minimum(
-        fp.s + PREVIEW_SPACING * np.arange(1, N_PREVIEW + 1), track.s_max
-    )
+    preview_s = np.minimum(fp.s + _PREVIEW_OFFSETS, track.s_max)
     kappa_preview = track.curvature_at_many(preview_s)
     return FrenetObservation(
         s=fp.s, l=fp.l, alpha=alpha, s_dot=s_dot, l_dot=l_dot,
@@ -264,10 +264,13 @@ class DriftEnv:
     def step(self, action) -> tuple[FrenetObservation, float, bool, dict]:
         if self.state is None:
             raise RuntimeError("call reset() before step()")
-        cmd = np.clip(np.asarray(action, dtype=float), ACTION_LOW, ACTION_HIGH)
+        delta_f, t_rt, p_b = action
+        clipped = [min(max(float(delta_f), -_LIMITS.delta_max), _LIMITS.delta_max),
+                   min(max(float(t_rt), 0.0), _LIMITS.t_max),
+                   min(max(float(p_b), 0.0), _LIMITS.p_max)]
         try:
             self.state = plant_step(
-                self.state, Action(*cmd), CONTROL_DT, self.tires, self.params,
+                self.state, Action(*clipped), CONTROL_DT, self.tires, self.params,
             )
         except NumericalBlowup:
             self._fault = True
@@ -286,6 +289,7 @@ class DriftEnv:
         self._max_beta = max(self._max_beta, abs(beta.value))
         self._max_speed = max(self._max_speed, math.hypot(obs.v_x, obs.v_y))
 
+        cmd = np.array(clipped)
         terms = reward_step(obs, cmd, self._prev_cmd, self.pretraj,
                             beta_r=beta.value)
         self._prev_cmd = cmd

@@ -7,6 +7,15 @@ primary input, a two-step MPC tracks the preview's Cartesian trace to
 produce a corrective input, and the two are summed in actuator space.
 A side-slip safety fallback overrides everything when the rear swings
 out beyond its threshold.
+
+Offline, when the controller is built, each preview point k gets its
+condensed tracking QP (`mpc.condense`): the Hessian H_k, the gradient
+map F_k and the unconstrained gain K_k, from the models at k and at
+the step-2 point k1, which is a function of k alone.  Per tick the
+controller projects the c.g., picks k, forms the deviation from the
+preview, and `mpc.solve_qp` takes g = F_k gamma_aug and the
+unconstrained minimizer K_k gamma_aug, bounds the rates and inputs, and
+returns without a solve when that minimizer is feasible.
 """
 
 from __future__ import annotations
@@ -23,11 +32,13 @@ from .envs import ACTION_HIGH, ACTION_LOW, CONTROL_DT, DriftEnv, EpisodeResult
 from .errors import PreviewExhausted, PreviewFailed
 from .mpc import (
     N_AUG,
-    N_INPUT,
+    N_Z,
     V_EPS,
     CartesianState,
+    CondensedQp,
     MpcInput,
     MpcWeights,
+    condense,
     discretize_augment,
     linearize,
     solve_qp,
@@ -39,7 +50,7 @@ from .track import TrackGeometry, to_frenet
 SPEED_BUCKET = 0.5  # m/s, entry-speed quantization of stored previews
 PREVIEW_FILE_VERSION = "driftcorner preview v1"
 MPC_WEIGHTS = MpcWeights()
-MODEL_BLOCK = 128  # preview points per stacked discretization (small temporaries)
+MODEL_BLOCK = 128  # preview points per stacked model build (small temporaries)
 
 # Side-slip fallback: past FALLBACK_BETA of rear side-slip the drive is
 # cut and the brakes held at FALLBACK_P_BM until the slip falls back
@@ -222,22 +233,37 @@ class FusionController:
             preview.a_rl[:, 0],
             np.gradient(vx) / CONTROL_DT - vy * r,
         ])
-        self._mats = self._precompute() if mpc_enabled else None
+        self._qp = self._precompute() if mpc_enabled else None
 
-    def _precompute(self):
-        """Prediction matrices (a_aug, b_aug) at every preview point,
-        (n, 8, 8) and (n, 8, 2): one stacked linearization, v_x held at
-        the singularity guard, then one discretization per MODEL_BLOCK
-        points.  The preview is fixed, so this is offline work."""
-        g = self.preview.gamma
-        ref = CartesianState(*g.T)._replace(v_x=np.maximum(g[:, 3], V_EPS))
-        a_t, b_t = linearize(ref, self.params)
-        n = len(g)
-        a_aug, b_aug = np.empty((n, N_AUG, N_AUG)), np.empty((n, N_AUG, N_INPUT))
+    def _precompute(self) -> CondensedQp:
+        """Condensed tracking QP at every preview point: stacks (n, 4, 4)
+        of H_k and (n, 4, 8) of F_k and K_k.
+
+        Step 2 of the QP at k uses the model at k1, the first point at
+        least one sample and the preview's own progress over one sample
+        time ahead (k1 = k at the last point), so k1 is a function of k.
+        Per MODEL_BLOCK points, extended to the farthest k1 of the
+        block, one stacked linearization (v_x held at the singularity
+        guard) and one discretization feed one `condense`; no model
+        stack outlives its block.  The preview is fixed, so this is
+        offline work."""
+        p = self.preview
+        n = len(p)
+        ahead = p.s + np.maximum(self._s_dots * MPC_WEIGHTS.t_s, 0.0)
+        k1 = np.minimum(np.maximum(np.searchsorted(p.s, ahead), np.arange(1, n + 1)),
+                        n - 1)
+        h = np.empty((n, N_Z, N_Z))
+        f, gain = np.empty((n, N_Z, N_AUG)), np.empty((n, N_Z, N_AUG))
         for i in range(0, n, MODEL_BLOCK):
-            blk = slice(i, i + MODEL_BLOCK)
-            a_aug[blk], b_aug[blk] = discretize_augment(a_t[blk], b_t[blk], MPC_WEIGHTS.t_s)
-        return a_aug, b_aug
+            blk = slice(i, min(i + MODEL_BLOCK, n))
+            g = p.gamma[i:max(blk.stop, k1[blk].max() + 1)]
+            ref = CartesianState(*g.T)._replace(v_x=np.maximum(g[:, 3], V_EPS))
+            a_aug, b_aug = discretize_augment(*linearize(ref, self.params),
+                                              MPC_WEIGHTS.t_s)
+            m, j1 = blk.stop - i, k1[blk] - i
+            qp = condense((a_aug[:m], b_aug[:m], a_aug[j1], b_aug[j1]), MPC_WEIGHTS)
+            h[blk], f[blk], gain[blk] = qp.h, qp.f, qp.k
+        return CondensedQp(h, f, gain)
 
     def _reference_index(self, s: float) -> int:
         """Nearest preview sample by arc length, ties toward larger s."""
@@ -256,34 +282,28 @@ class FusionController:
             fp = to_frenet((state.x, state.y), self.track, s_hint=self.s_hint)
             self.s_hint = fp.s
             k = self._reference_index(fp.s)
-            exhausted = False
         except PreviewExhausted:
             k = len(self.preview) - 1
-            exhausted = True
         a_rl = (self.preview.a_rl[k].copy() if self.primary_enabled
                 else np.zeros(3))
 
         du_act = np.zeros(3)
         kkt = 0.0
         if self.mpc_enabled and state.v_x >= V_EPS:
-            # Advance along the preview by its own progress rate.
-            k1 = k if exhausted else self._index_ahead(
-                k, self._s_dots[k] * MPC_WEIGHTS.t_s)
-            gamma_now = np.array([state.x, state.y, state.phi,
-                                  state.v_x, state.v_y, state.yaw_rate])
             # Correction acts on the deviation from the preview: the
             # primary input already produces the reference motion, so the
             # linearized model propagates the error with a zero target.
-            gamma_err = gamma_now - self.preview.gamma[k]
-            gamma_err[2] = math.atan2(math.sin(gamma_err[2]),
-                                      math.cos(gamma_err[2]))
-            gamma_aug = np.concatenate([gamma_err, np.asarray(self.u_mpc)])
-            mats = (self._mats[0][k], self._mats[1][k],
-                    self._mats[0][k1], self._mats[1][k1])
+            x, y, phi, v_x, v_y, r = self.preview.gamma[k].tolist()
+            d_phi = state.phi - phi
+            gamma_aug = np.array([
+                state.x - x, state.y - y,
+                math.atan2(math.sin(d_phi), math.cos(d_phi)),
+                state.v_x - v_x, state.v_y - v_y, state.yaw_rate - r,
+                self.u_mpc.delta_f, self.u_mpc.a_xt,
+            ])
+            qp = self._qp
             du_k, _, sol = solve_qp(
-                gamma_aug,
-                (np.zeros(6), np.zeros(6)),
-                mats, MPC_WEIGHTS)
+                gamma_aug, CondensedQp(qp.h[k], qp.f[k], qp.k[k]), MPC_WEIGHTS)
             kkt = sol.kkt_residual
             self.u_mpc = MpcInput(self.u_mpc.delta_f + float(du_k[0]),
                                   self.u_mpc.a_xt + float(du_k[1]))
@@ -315,11 +335,6 @@ class FusionController:
         ))
         self.t += CONTROL_DT
         return applied
-
-    def _index_ahead(self, k: int, ds: float) -> int:
-        s_target = self.preview.s[k] + max(ds, 0.0)
-        j = int(np.searchsorted(self.preview.s, s_target))
-        return min(max(j, k + 1), len(self.preview) - 1)
 
     def _to_actuator_space(self, u: MpcInput, a_rl: np.ndarray) -> np.ndarray:
         """Map the (delta, a_xt) correction onto actuator channels; an

@@ -2,22 +2,20 @@
 
 The chassis + wheel-spin right-hand side and the fixed-step RK4 loop are
 the innermost loop of training and deployment: each control period runs
-10 substeps of 4 stages.  `integrate` reads the state and parameter
-arrays into Python floats once per call, computes the quantities that
-hold over the whole period (static axle loads, tire peaks, brake torque
-factors, the rolling loss, cos/sin of the wheel angle) once in
-`_period_constants`, runs the unrolled stages on floats held in locals,
-and writes the state back once.  The hoisted expressions keep their
-per-stage operand order, so the results are bit for bit those of
-evaluating everything at every stage.
+10 substeps of 4 stages.  `integrate` takes the state and the parameters
+as sequences of floats, computes the quantities that hold over the whole
+period (static axle loads, tire peaks, brake torque factors, the
+rolling loss, cos/sin of the wheel angle) once in `_period_constants`,
+runs the unrolled stages on floats held in locals, and returns the new
+state as floats.  The hoisted expressions keep their per-stage operand
+order, so the results are bit for bit those of evaluating everything at
+every stage.
 
-The kernel keeps to what numba compiles (scalar indexing, float tuples,
-`math` functions).  When numba can be imported the functions are
-compiled with it, otherwise they run as written; ``NUMBA_ENABLED`` says
-which.  numba is an optional extra, and the test suite covers the
-compiled path only where it is installed.
+The kernel is plain Python on floats and `math` functions: at 7 states
+and 4 stages a numpy array per stage would cost more than the
+arithmetic it holds.
 
-State layout (float64 array of length 7):
+State layout (7 floats):
     [X, Y, phi, v_x, v_y, yaw_rate, omega_r]
 Vehicle parameter layout (length 10):
     [m, I_z, l_f, l_r, r_w, I_w, K_b, brake_front_frac, c_rr, c_drag]
@@ -30,6 +28,7 @@ from __future__ import annotations
 from math import atan, atan2, cos, sin, sqrt, tanh
 
 G = 9.81
+NUMBA_ENABLED = False  # the kernel always runs as plain Python
 
 
 def _tire_curve(slip, B, C, E, scale):
@@ -38,7 +37,7 @@ def _tire_curve(slip, B, C, E, scale):
     return scale * sin(C * atan(bs - E * (bs - atan(bs))))
 
 
-def _magic_formula(slip, B, C, D, E, peak):
+def magic_formula(slip, B, C, D, E, peak):
     """Pure-slip Magic Formula force; odd in slip, saturates at `peak*D`."""
     return _tire_curve(slip, B, C, E, peak * D)
 
@@ -135,7 +134,7 @@ def _rhs(phi, vx, vy, r, om, const):
     )
 
 
-def _derivative(y, delta, trt, pb, vp, tp, out):
+def derivative(y, delta, trt, pb, vp, tp, out):
     """Right-hand side at state `y` into out[:7], and the lateral
     acceleration at the c.g. into out[7]."""
     k = _rhs(float(y[2]), float(y[3]), float(y[4]), float(y[5]), float(y[6]),
@@ -144,11 +143,11 @@ def _derivative(y, delta, trt, pb, vp, tp, out):
         out[i] = k[i]
 
 
-def _integrate(y, delta, trt, pb, dt, n_sub, vp, tp):
+def integrate(y, delta, trt, pb, dt, n_sub, vp, tp):
     """Fixed-step RK4 with zero-order-hold inputs over the control period.
 
-    Advances `y` in place and returns the lateral acceleration at the
-    final substep (rollover diagnostic).
+    Returns the state `y` advanced by `dt`, as 7 floats, followed by the
+    lateral acceleration at the final substep (rollover diagnostic).
     """
     const = _period_constants(delta, trt, pb, vp, tp)
     h = dt / n_sub
@@ -184,31 +183,4 @@ def _integrate(y, delta, trt, pb, dt, n_sub, vp, tp):
             vx = 0.0
         if om < 0.0:  # no reverse wheel spin
             om = 0.0
-    y[0] = px
-    y[1] = py
-    y[2] = phi
-    y[3] = vx
-    y[4] = vy
-    y[5] = r
-    y[6] = om
-    return ay
-
-
-magic_formula = _magic_formula
-derivative = _derivative
-integrate = _integrate
-
-try:
-    import numba
-except ImportError:
-    NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = True
-    # Rebind the globals the outer kernels reference so numba picks up
-    # the compiled inner functions when it compiles them lazily.
-    _tire_curve = numba.njit(cache=True)(_tire_curve)
-    magic_formula = numba.njit(cache=True)(_magic_formula)
-    _period_constants = numba.njit(cache=True)(_period_constants)
-    _rhs = numba.njit(cache=True)(_rhs)
-    derivative = numba.njit(cache=True)(_derivative)
-    integrate = numba.njit(cache=True)(_integrate)
+    return px, py, phi, vx, vy, r, om, ay

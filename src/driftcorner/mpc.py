@@ -5,9 +5,18 @@ rate) with linear tire forces is linearized about a reference point,
 discretized exactly under zero-order hold, and augmented with the
 previous input so the decision variables are input *rates*.  The
 linearization and the discretization also take stacks of reference
-points, so a whole reference trajectory is modelled in one pass.  A
-two-step prediction feeds a four-variable dense QP solved by an
-active-set iteration; every solution is KKT-checked.
+points, so a whole reference trajectory is modelled in one pass.
+
+A two-step prediction gives a four-variable dense QP.  Everything in it
+but the gradient is fixed by the two step models and the weights, so
+`condense` builds, offline and for a whole stack at once, the Hessian
+H, the gradient map F (g = F gamma_aug with zero targets; the reference
+columns come separately) and the unconstrained gain K = -H^-1 F.  What
+runs per tick is `solve_qp`: two small products for g and the
+unconstrained minimizer, the box bounds, and an active-set iteration
+that starts from that minimizer and returns at once when it is
+feasible.  Every solution is KKT-checked against the gradient formed
+from F.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ V_EPS = 0.5  # m/s, model-singularity guard on 1/v_x terms
 N_STATE = 6
 N_INPUT = 2
 N_AUG = N_STATE + N_INPUT
+N_Z = 2 * N_INPUT  # decision variables (du_k, du_{k+1})
 
 
 class CartesianState(NamedTuple):
@@ -193,6 +203,49 @@ def predict_two_step(
     return g1, g2
 
 
+class CondensedQp(NamedTuple):
+    """The two-step tracking QP with the state left symbolic.
+
+    For the augmented state gamma_aug and the stacked references r of
+    steps k+1 and k+2, the QP is min 1/2 z'Hz + g'z over
+    z = (du_k, du_{k+1}) with g = f gamma_aug + f_ref r, and
+    k gamma_aug is its unconstrained minimizer when r = 0.  The fields
+    may be stacks over leading axes; f_ref may be left out where the
+    targets are zero."""
+
+    h: np.ndarray  # (..., 4, 4)
+    f: np.ndarray  # (..., 4, 8)
+    k: np.ndarray  # (..., 4, 8), -H^-1 f
+    f_ref: np.ndarray | None = None  # (..., 4, 12)
+
+
+def condense(
+    mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    weights: MpcWeights,
+) -> CondensedQp:
+    """Condensed QP of the models (A_k, B_k) of step k+1 and
+    (A_{k+1}, B_{k+1}) of step k+2, from discretize_augment.
+
+    Gamma(k+1) is the state rows of A_k x + B_k du_k, and Gamma(k+2)
+    those of A_{k+1}A_k x + A_{k+1}B_k du_k + B_{k+1} du_{k+1}; stacked,
+    the predicted states are P x + M z.  With Qb = diag(Q, Q) and
+    Rb = diag(R, R), H = 2(M'Qb M + Rb), f = 2M'Qb P and f_ref = -2M'Qb.
+    Stacks of models give stacks of QPs.
+    """
+    a_k, b_k, a_k1, b_k1 = mats
+    head = a_k1[..., :N_STATE, :]
+    free = np.concatenate([a_k[..., :N_STATE, :], head @ a_k], axis=-2)
+    pred = np.zeros(free.shape[:-1] + (N_Z,))
+    pred[..., :N_STATE, :N_INPUT] = b_k[..., :N_STATE, :]
+    pred[..., N_STATE:, :N_INPUT] = head @ b_k
+    pred[..., N_STATE:, N_INPUT:] = b_k1[..., :N_STATE, :]
+    w = 2.0 * np.swapaxes(pred, -1, -2) @ np.kron(np.eye(2), weights.q)
+    h = w @ pred + 2.0 * np.kron(np.eye(2), weights.r)
+    h = 0.5 * (h + np.swapaxes(h, -1, -2))
+    f = w @ free
+    return CondensedQp(h, f, -np.linalg.solve(h, f), -w)
+
+
 # -- dense QP ---------------------------------------------------------
 
 
@@ -211,17 +264,23 @@ def solve_box_qp(
     a_ineq: np.ndarray,
     b_ineq: np.ndarray,
     max_iter: int = 60,
+    z_free: np.ndarray | None = None,
 ) -> QpSolution:
     """min 1/2 z'Hz + g'z  s.t.  A z <= b, H positive definite.
 
     Primal active-set iteration: start unconstrained, add the most
     violated constraint, drop constraints with negative multipliers.
     Falls back to exhaustive active-set enumeration if it cycles.
+    `z_free`, when given, is the unconstrained minimizer -H^-1 g
+    computed beforehand; it then stands for the empty working set, so
+    a feasible one returns after one iteration without a solve.
     """
     n = len(g)
     m = len(b_ineq)
 
     def solve_eq(active: list[int]):
+        if z_free is not None and not active:
+            return z_free, _NO_MULTIPLIERS
         k = len(active)
         kkt = np.zeros((n + k, n + k))
         kkt[:n, :n] = h
@@ -277,6 +336,10 @@ def solve_box_qp(
     return best
 
 
+_NO_MULTIPLIERS = np.empty(0)
+_NO_MULTIPLIERS.flags.writeable = False
+
+
 def _kkt_residual(h, g, a_ineq, b_ineq, z, active, lam) -> float:
     grad = h @ z + g
     if active:
@@ -300,44 +363,34 @@ A_INEQ.flags.writeable = False
 
 def solve_qp(
     gamma_aug: np.ndarray,
-    refs: tuple[np.ndarray, np.ndarray],
-    mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    qp: CondensedQp,
     weights: MpcWeights,
+    refs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, QpSolution]:
-    """Two-step tracking QP in the input-rate variables.
+    """One tick of the two-step tracking QP in the input-rate variables.
 
     gamma_aug: current augmented state [Gamma; u_{k-1}].
-    refs: reference 6-vectors for steps k+1 and k+2.
-    mats: (A_k, B_k, A_{k+1}, B_{k+1}) from discretize_augment.
+    qp: the tick's condensed QP from `condense`.
+    refs: reference 6-vectors for steps k+1 and k+2 (needs qp.f_ref),
+    or None for zero targets, where qp.k gives the unconstrained
+    minimizer without a solve.
     Returns (du_k, du_{k+1}, the QP solution with its KKT residual).
     """
-    a_k, b_k, a_k1, b_k1 = mats
-    q, r = weights.q, weights.r
-
-    # Gamma(k+1) = the state rows of A_k x + B_k du_k; Gamma(k+2) = those
-    # of A_{k+1}A_k x + A_{k+1}B_k du_k + B_{k+1} du_{k+1}.
-    free1 = (a_k @ gamma_aug)[:N_STATE]
-    free2 = (a_k1 @ a_k @ gamma_aug)[:N_STATE]
-    m1 = np.hstack([b_k[:N_STATE], np.zeros((N_STATE, N_INPUT))])
-    m2 = np.hstack([(a_k1 @ b_k)[:N_STATE], b_k1[:N_STATE]])
-    err1, err2 = free1 - refs[0], free2 - refs[1]
-    r2 = np.zeros((4, 4))
-    r2[:2, :2] = r
-    r2[2:, 2:] = r
-    h = 2.0 * (m1.T @ q @ m1 + m2.T @ q @ m2 + r2)
-    g = 2.0 * (m1.T @ q @ err1 + m2.T @ q @ err2)
-    h = 0.5 * (h + h.T)
+    g = qp.f @ gamma_aug
+    z_free = None
+    if refs is None:
+        z_free = qp.k @ gamma_aug
+    else:
+        g = g + qp.f_ref @ np.concatenate(refs)
 
     u_prev = gamma_aug[N_STATE:]
-    lo1 = np.maximum(weights.du_min, weights.u_min - u_prev)
-    hi1 = np.minimum(weights.du_max, weights.u_max - u_prev)
+    room_up, room_down = weights.u_max - u_prev, weights.u_min - u_prev
+    lo1 = np.maximum(weights.du_min, room_down)
+    hi1 = np.minimum(weights.du_max, room_up)
     if np.any(lo1 > hi1 + 1e-12):
         raise Infeasible("rate box and accumulated-input box are disjoint")
-    b_ineq = np.concatenate([
-        weights.du_max, -weights.du_min,
-        weights.du_max, -weights.du_min,
-        weights.u_max - u_prev, -(weights.u_min - u_prev),
-        weights.u_max - u_prev, -(weights.u_min - u_prev),
-    ])
-    sol = solve_box_qp(h, g, A_INEQ, b_ineq)
+    rates = (weights.du_max, -weights.du_min)
+    inputs = (room_up, -room_down)
+    b_ineq = np.concatenate([*rates, *rates, *inputs, *inputs])
+    sol = solve_box_qp(qp.h, g, A_INEQ, b_ineq, z_free=z_free)
     return sol.z[:2], sol.z[2:], sol

@@ -159,7 +159,16 @@ def mlp_backward(
         if i == 0:
             break
         active = cache[i] > 0.0
-        g = np.matmul(g, net.weights[i].T, out=cache[i])
+        w = net.weights[i]
+        if w.shape[1] == 1:
+            # A scalar head (the critic's): an outer product, which
+            # broadcasting forms about twice as fast as a matmul with
+            # inner dimension 1.  The matmul adds the product to +0.0,
+            # so `+= 0.0` gives its signed zeros too.
+            g = np.multiply(g, w.T, out=cache[i])
+            g += 0.0
+        else:
+            g = np.matmul(g, w.T, out=cache[i])
         g *= active
     return gw, gb, (g @ net.weights[0].T if inputs else None)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -56,14 +57,18 @@ class TireParams:
     e_rear: float = 0.97
     mu: float = 0.85
 
+    @cached_property
+    def kernel_layout(self) -> tuple[float, ...]:
+        """The plant kernel's tire parameter layout as floats, built on
+        first use and kept by the (frozen) instance."""
+        return tuple(float(v) for v in (
+            self.b_front, self.c_front, self.d_front, self.e_front,
+            self.b_rear, self.c_rear, self.d_rear, self.e_rear,
+            self.mu,
+        ))
+
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.b_front, self.c_front, self.d_front, self.e_front,
-                self.b_rear, self.c_rear, self.d_rear, self.e_rear,
-                self.mu,
-            ]
-        )
+        return np.array(self.kernel_layout)
 
     def cornering_stiffness(self, params: "VehicleParams") -> tuple[float, float]:
         """Per-tire small-slip stiffness (N/rad) of each axle."""
@@ -101,13 +106,17 @@ class VehicleParams:
     def wheelbase(self) -> float:
         return self.l_f + self.l_r
 
+    @cached_property
+    def kernel_layout(self) -> tuple[float, ...]:
+        """The plant kernel's vehicle parameter layout as floats, built on
+        first use and kept by the (frozen) instance."""
+        return tuple(float(v) for v in (
+            self.m, self.i_z, self.l_f, self.l_r, self.r_w, self.i_w,
+            self.k_b, self.brake_front_frac, self.c_rr, self.c_drag,
+        ))
+
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.m, self.i_z, self.l_f, self.l_r, self.r_w, self.i_w,
-                self.k_b, self.brake_front_frac, self.c_rr, self.c_drag,
-            ]
-        )
+        return np.array(self.kernel_layout)
 
 
 @dataclass(frozen=True)
@@ -186,21 +195,24 @@ def step(
     latch = Action(state.delta_applied, state.trt_applied, state.pb_applied)
     applied = apply_actuator_limits(cmd, latch, dt, limits)
 
-    y = state.dynamic_array()
     n_sub = max(1, int(round(dt / SUBSTEP_DT)))
-    a_y = kernels.integrate(
-        y, applied.delta_f, applied.t_rt, applied.p_b, dt, n_sub,
-        params.as_array(), tires.as_array(),
+    out = kernels.integrate(
+        (state.x, state.y, state.phi, state.v_x, state.v_y, state.yaw_rate,
+         state.omega_r),
+        applied.delta_f, applied.t_rt, applied.p_b, dt, n_sub,
+        params.kernel_layout, tires.kernel_layout,
     )
+    x, y, phi, v_x, v_y, yaw_rate, omega_r, a_y = out
+    dynamic = out[:7]
     if (
-        not np.all(np.isfinite(y))
-        or math.hypot(y[3], y[4]) > _SANITY_V
-        or abs(y[5]) > _SANITY_YAW
+        not all(map(math.isfinite, dynamic))
+        or math.hypot(v_x, v_y) > _SANITY_V
+        or abs(yaw_rate) > _SANITY_YAW
     ):
-        raise NumericalBlowup(f"plant state left sanity bounds: {y}")
+        raise NumericalBlowup(f"plant state left sanity bounds: {dynamic}")
     return PlantState(
-        x=y[0], y=y[1], phi=y[2], v_x=y[3], v_y=y[4], yaw_rate=y[5],
-        omega_r=y[6], delta_applied=applied.delta_f,
+        x=x, y=y, phi=phi, v_x=v_x, v_y=v_y, yaw_rate=yaw_rate,
+        omega_r=omega_r, delta_applied=applied.delta_f,
         trt_applied=applied.t_rt, pb_applied=applied.p_b, a_y=a_y,
     )
 
@@ -225,16 +237,16 @@ class TerminationMonitor:
         return self._above * CONTROL_DT >= ROLLOVER_T
 
 
-def vehicle_corners(state: PlantState, params: VehicleParams) -> np.ndarray:
-    """World positions of the four bounding-box corners, shape (4, 2)."""
+def vehicle_corners(
+    state: PlantState, params: VehicleParams
+) -> list[tuple[float, float]]:
+    """World positions (x, y) of the four bounding-box corners: front
+    left, front right, rear left, rear right."""
     c, s = math.cos(state.phi), math.sin(state.phi)
-    out = np.empty((4, 2))
-    i = 0
+    out = []
     for dx in (params.l_f, -params.l_r):
         for dy in (params.veh_half_width, -params.veh_half_width):
-            out[i, 0] = state.x + dx * c - dy * s
-            out[i, 1] = state.y + dx * s + dy * c
-            i += 1
+            out.append((state.x + dx * c - dy * s, state.y + dx * s + dy * c))
     return out
 
 
@@ -251,7 +263,7 @@ def detect_termination(
         return "crashed"
     try:
         for corner in vehicle_corners(state, params):
-            fp = to_frenet((corner[0], corner[1]), track, s_hint=cg.s)
+            fp = to_frenet(corner, track, s_hint=cg.s)
             if abs(fp.l) > track.half_width:
                 return "crashed"
     except (OffCorridor, AmbiguousProjection):

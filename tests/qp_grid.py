@@ -12,6 +12,7 @@ from driftcorner.mpc import (
     CartesianState,
     MpcWeights,
     N_STATE,
+    condense,
     discretize_augment,
     linearize,
     predict_two_step,
@@ -99,7 +100,7 @@ def qp_vs_grid_gap(rng, params, n_per_axis=41):
     """(gap, kkt_residual) of one random instance: positive gap means
     the dense grid found something better than the QP."""
     gamma_aug, refs, mats, weights = random_instance(rng, params)
-    du_k, du_k1, sol = solve_qp(gamma_aug, refs, mats, weights)
+    du_k, du_k1, sol = solve_qp(gamma_aug, condense(mats, weights), weights, refs)
     z = np.concatenate([du_k, du_k1])
     j_qp = true_objective(z, gamma_aug, refs, mats, weights)
     j_grid = grid_minimum(gamma_aug, refs, mats, weights, n_per_axis)

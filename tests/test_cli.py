@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import driftcorner
-from driftcorner import cli
+from driftcorner import cli, td3
 from driftcorner.envs import EpisodeResult
 from driftcorner.fusion import save_preview
 from driftcorner.planner import save_pretrajectory
@@ -66,6 +67,27 @@ def test_train_progress_reaches_stderr(uturn_pretraj, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "driftcorner.td3: imitation fit at ep 1" in proc.stderr
+
+
+@pytest.mark.parametrize("demo, chi, line", [
+    # the demonstrator's and the DAgger episodes complete, the learner's crash
+    (50, [1] * (50 + td3.DAGGER_EPISODES) + [0] * 20,
+     "completion rate over the learner's last 20 episodes: 0.00"),
+    # without demonstrations every episode is the learner's; the last 100 count
+    (0, [0] * 50 + [1] * 100,
+     "completion rate over the learner's last 100 episodes: 1.00"),
+    (5, [1] * (5 + td3.DAGGER_EPISODES), "no learner episodes"),
+])
+def test_train_reports_the_learners_own_completion(demo, chi, line, monkeypatch,
+                                                   uturn_pretraj, tmp_path, capsys):
+    monkeypatch.setattr(cli, "train",
+                        lambda *args, **kwargs: (None, SimpleNamespace(chi=chi), None))
+    pretraj = tmp_path / "pretraj.txt"
+    save_pretrajectory(uturn_pretraj, pretraj)
+    assert cli.main(["train", "--kind", "uturn", "--pretraj", str(pretraj),
+                     "--episodes", str(len(chi)), "--demo-episodes", str(demo),
+                     "--out", str(tmp_path / "run")]) == 0
+    assert f"({line})" in capsys.readouterr().out
 
 
 def test_deploy_rejects_preview_of_another_track(uturn_preview8, tmp_path,

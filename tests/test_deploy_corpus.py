@@ -135,13 +135,7 @@ _cells = json.loads(CORPUS.read_text())["cells"] if CORPUS.exists() else {}
 
 @pytest.fixture(scope="module")
 def tasks():
-    cache = {}
-
-    def get(kind):
-        if kind not in cache:
-            cache[kind] = build_task(kind)
-        return cache[kind]
-    return get
+    return {kind: build_task(kind) for kind in TASKS}
 
 
 def _params(select):
@@ -151,7 +145,7 @@ def _params(select):
 @pytest.mark.parametrize("task,mu,mass,mode", _params(tier1))
 def test_deploy_cell_matches_corpus(task, mu, mass, mode, tasks):
     want = _cells[cell_id(task, mu, mass, mode)]
-    got = run_cell(tasks(task), mu, mass, mode)
+    got = run_cell(tasks[task], mu, mass, mode)
     assert (got["status"], got["ticks"]) == (want["status"], want["ticks"])
     for key in FLOATS:
         np.testing.assert_allclose(got[key], want[key], rtol=0, atol=ATOL, err_msg=key)

@@ -21,7 +21,13 @@ from driftcorner.fusion import (
     speed_bucket,
     write_deploy_csv,
 )
-from driftcorner.mpc import solve_qp
+from driftcorner.mpc import (
+    V_EPS,
+    CartesianState,
+    discretize_augment,
+    linearize,
+    solve_qp,
+)
 from driftcorner.plant import PlantState, TireParams, VehicleParams
 from driftcorner.track import to_frenet
 
@@ -128,12 +134,14 @@ def test_decomposition_bookkeeping(matched_run):
 
 def test_tick_accumulates_qp_rate_onto_correction(monkeypatch, uturn,
                                                   uturn_preview8):
-    # each tick adds the QP's first input rate to the correction it holds
-    rates = []
+    # each tick adds the QP's first input rate to the correction it holds,
+    # and hands over the QP condensed offline at its reference point
+    rates, qps = [], []
 
     def recording(*args):
         out = solve_qp(*args)
         rates.append(out[0])
+        qps.append(args[1])
         return out
 
     monkeypatch.setattr(fusion, "solve_qp", recording)
@@ -141,18 +149,23 @@ def test_tick_accumulates_qp_rate_onto_correction(monkeypatch, uturn,
     g = uturn_preview8.gamma[50]
     state = PlantState(x=g[0], y=g[1] + 0.3, phi=g[2], v_x=g[3], v_y=g[4],
                        yaw_rate=g[5])
+    k = ctl._reference_index(to_frenet((state.x, state.y), uturn).s)
     total = np.zeros(2)
     for _ in range(3):
         ctl(state)
         total += rates[-1]
         np.testing.assert_allclose(np.asarray(ctl.u_mpc), total, atol=1e-15)
+        for got, stored in zip(qps[-1][:3], ctl._qp[:3]):
+            np.testing.assert_array_equal(got, stored[k])
     assert len(rates) == 3 and np.any(total != 0.0)
 
 
 def test_controller_model_is_built_in_blocks(monkeypatch, uturn,
                                              uturn_preview8):
     # one stacked discretization per block of preview points, not one
-    # per point
+    # per point; a block also models the step-2 points just past its end
+    # (at most 2 samples ahead on this preview), and only the condensed
+    # QP is kept
     calls = []
     original = fusion.discretize_augment
 
@@ -163,8 +176,50 @@ def test_controller_model_is_built_in_blocks(monkeypatch, uturn,
     monkeypatch.setattr(fusion, "discretize_augment", counting)
     ctl = FusionController(uturn_preview8, uturn, PARAMS)
     n = len(uturn_preview8)
-    assert len(calls) <= math.ceil(n / 128) and sum(calls) == n
-    assert ctl._mats[0].shape == (n, 8, 8) and ctl._mats[1].shape == (n, 8, 2)
+    assert len(calls) == math.ceil(n / fusion.MODEL_BLOCK)
+    assert n <= sum(calls) and max(calls) <= fusion.MODEL_BLOCK + 2
+    assert ctl._qp.h.shape == (n, 4, 4)
+    assert ctl._qp.f.shape == ctl._qp.k.shape == (n, 4, 8)
+    assert ctl._qp.f_ref is None
+
+
+def _per_tick_qp(a_k, b_k, a_k1, b_k1, weights):
+    """H and F as a tick built them before the QP was condensed offline:
+    from the prediction rows, with g = F gamma_aug taken column by column."""
+    q, r = weights.q, weights.r
+    m1 = np.hstack([b_k[:6], np.zeros((6, 2))])
+    m2 = np.hstack([(a_k1 @ b_k)[:6], b_k1[:6]])
+    r2 = np.zeros((4, 4))
+    r2[:2, :2] = r
+    r2[2:, 2:] = r
+    h = 2.0 * (m1.T @ q @ m1 + m2.T @ q @ m2 + r2)
+    f = np.column_stack([2.0 * (m1.T @ q @ (a_k @ e)[:6] + m2.T @ q @ (a_k1 @ a_k @ e)[:6])
+                         for e in np.eye(8)])
+    return 0.5 * (h + h.T), f
+
+
+def test_condensed_qp_matches_the_per_tick_build(uturn, uturn_preview8, rng):
+    # at every preview point, against models discretized point by point
+    # and the step-2 point picked the way a tick picked it
+    ctl = FusionController(uturn_preview8, uturn, PARAMS)
+    p, n = uturn_preview8, len(uturn_preview8)
+
+    def model(i):
+        ref = CartesianState(*p.gamma[i])
+        ref = ref._replace(v_x=max(ref.v_x, V_EPS))
+        return discretize_augment(*linearize(ref, PARAMS), fusion.MPC_WEIGHTS.t_s)
+
+    models = [model(i) for i in range(n)]
+    for k in range(n):
+        ds = max(ctl._s_dots[k] * fusion.MPC_WEIGHTS.t_s, 0.0)
+        k1 = min(max(int(np.searchsorted(p.s, p.s[k] + ds)), k + 1), n - 1)
+        h, f = _per_tick_qp(*models[k], *models[k1], fusion.MPC_WEIGHTS)
+        np.testing.assert_allclose(ctl._qp.h[k], h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ctl._qp.f[k], f, rtol=0, atol=1e-12)
+        gamma_aug = rng.normal(0.0, 0.3, 8)
+        np.testing.assert_allclose(
+            ctl._qp.k[k] @ gamma_aug,
+            np.linalg.solve(ctl._qp.h[k], -ctl._qp.f[k] @ gamma_aug), rtol=0, atol=1e-12)
 
 
 def test_tick_stats_recorded(matched_run):

@@ -16,6 +16,7 @@ from driftcorner.mpc import (
     N_INPUT,
     N_STATE,
     V_EPS,
+    condense,
     discretize_augment,
     dynamics_rhs,
     expm,
@@ -184,8 +185,8 @@ def _tick_qp(state, u_prev, ref1, ref2, lin_ref, weights=MpcWeights()):
     the augmented state carrying the previous input."""
     mat = discretize_augment(*linearize(lin_ref, PARAMS), weights.t_s)
     gamma_aug = np.concatenate([state.vector(), np.asarray(u_prev)])
-    return solve_qp(gamma_aug, (ref1.vector(), ref2.vector()), (*mat, *mat),
-                    weights)
+    return solve_qp(gamma_aug, condense((*mat, *mat), weights), weights,
+                    (ref1.vector(), ref2.vector()))
 
 
 def test_qp_accumulates_rate_onto_previous_input():

@@ -240,7 +240,8 @@ def test_rollover_monitor_needs_consecutive_ticks():
 
 
 def test_vehicle_corners_geometry():
-    corners = vehicle_corners(PlantState(x=1.0, y=2.0, phi=math.pi / 2), PARAMS)
+    corners = np.array(vehicle_corners(PlantState(x=1.0, y=2.0, phi=math.pi / 2),
+                                       PARAMS))
     assert corners.shape == (4, 2)
     # at 90 deg heading the front corners sit above the c.g.
     assert np.max(corners[:, 1]) == pytest.approx(2.0 + PARAMS.l_f)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from driftcorner.errors import Infeasible
-from driftcorner.mpc import MpcWeights, solve_box_qp, solve_qp
+from driftcorner.mpc import A_INEQ, MpcWeights, condense, solve_box_qp, solve_qp
 from driftcorner.plant import VehicleParams
 
-from qp_grid import qp_vs_grid_gap, random_instance, true_objective
+from qp_grid import grid_minimum, qp_vs_grid_gap, random_instance, true_objective
 
 PARAMS = VehicleParams()
 
@@ -60,10 +60,46 @@ def test_random_instances_beat_dense_grid(rng):
         assert kkt < 1e-8
 
 
+def test_zero_target_tick_takes_the_unconstrained_gain(rng):
+    # the controller's case: a feasible K gamma_aug is the solution, found
+    # in one iteration without a solve, and KKT-checked against F gamma_aug
+    zero = (np.zeros(6), np.zeros(6))
+    for _ in range(10):
+        gamma_aug, refs, mats, weights = random_instance(rng, PARAMS)
+        gamma_aug[:6] -= refs[0]  # a deviation from the reference
+        qp = condense(mats, weights)
+        du_k, du_k1, sol = solve_qp(gamma_aug, qp, weights)
+        assert sol.iterations == 1 and sol.active == []
+        np.testing.assert_array_equal(sol.z, qp.k @ gamma_aug)
+        assert sol.kkt_residual < 1e-12
+        # the same QP through the reference columns, with zero references
+        np.testing.assert_allclose(
+            solve_qp(gamma_aug, qp, weights, zero)[2].z, sol.z, rtol=0, atol=1e-14)
+
+
+def test_binding_bound_falls_through_to_the_active_set(rng):
+    # held acceleration just above its floor: the unconstrained minimizer
+    # brakes through it, so the active set takes over from K gamma_aug
+    zero = (np.zeros(6), np.zeros(6))
+    for _ in range(5):
+        gamma_aug, _, mats, weights = random_instance(rng, PARAMS)
+        gamma_aug[7] = weights.u_min[1] + 0.05
+        qp = condense(mats, weights)
+        du_k, du_k1, sol = solve_qp(gamma_aug, qp, weights)
+        assert sol.iterations > 1 and sol.active
+        b = np.concatenate([weights.du_max, -weights.du_min] * 2
+                           + [weights.u_max - gamma_aug[6:],
+                              gamma_aug[6:] - weights.u_min] * 2)
+        assert np.max(A_INEQ @ (qp.k @ gamma_aug) - b) > 1e-3
+        assert sol.kkt_residual < 1e-8
+        j_qp = true_objective(sol.z, gamma_aug, zero, mats, weights)
+        assert j_qp - grid_minimum(gamma_aug, zero, mats, weights) <= 1e-6
+
+
 def test_solution_is_feasible_and_stationary(rng):
     for _ in range(20):
         gamma_aug, refs, mats, weights = random_instance(rng, PARAMS)
-        du_k, du_k1, _ = solve_qp(gamma_aug, refs, mats, weights)
+        du_k, du_k1, _ = solve_qp(gamma_aug, condense(mats, weights), weights, refs)
         z = np.concatenate([du_k, du_k1])
         assert np.all(z >= np.tile(weights.du_min, 2) - 1e-10)
         assert np.all(z <= np.tile(weights.du_max, 2) + 1e-10)
@@ -91,8 +127,11 @@ def test_disjoint_boxes_raise():
     rng = np.random.default_rng(0)
     gamma_aug, refs, mats, weights = random_instance(rng, PARAMS)
     gamma_aug[6] = 5.0  # held steering far outside its box
+    qp = condense(mats, weights)
     with pytest.raises(Infeasible):
-        solve_qp(gamma_aug, refs, mats, weights)
+        solve_qp(gamma_aug, qp, weights, refs)
+    with pytest.raises(Infeasible):  # and with zero targets
+        solve_qp(gamma_aug, qp, weights)
 
 
 def test_weights_r_spot_values():
