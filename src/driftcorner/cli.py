@@ -43,7 +43,7 @@ from .plant import TireParams, VehicleParams
 from .td3 import DAGGER_EPISODES, Td3Hyperparams, policy_from_checkpoint, train
 from .track import LIBRARY_KINDS, build_library_track, load_track, save_track
 
-TRAINING_MU = 0.85
+TRAINING_MU = TireParams().mu  # the training plant's adhesion, planned for
 SWEEP_MUS = (0.95, 0.85, 0.75, 0.65, 0.55)
 
 # Table III/IV column schema, reproduced verbatim.
@@ -96,7 +96,7 @@ def _load_pretraj_arg(args, track):
         if not path.exists():
             raise FileNotFoundError(f"pre-trajectory file not found: {path}")
         return load_pretrajectory(path), [path]
-    return plan_pretrajectory(track, mu=getattr(args, "mu", TRAINING_MU)), []
+    return plan_pretrajectory(track, mu=TRAINING_MU), []
 
 
 def _deployment_spec(args) -> DeploymentSpec:
@@ -277,7 +277,7 @@ def cmd_deploy(args) -> int:
     }, inputs + pre_inputs + [preview_path])
     res = deploy_run(
         preview, track, pre, params, dep_params, dep_tires,
-        seed=args.seed, nominal=not args.randomized,
+        seed=args.seed or 0, nominal=args.seed is None,
         mpc_enabled=not args.no_mpc,
         primary_enabled=not args.no_primary,
         record_trace=True,
@@ -515,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="TD3 training run")
     _add_track_args(p)
     p.add_argument("--pretraj", help="pre-trajectory file (planned if omitted)")
-    p.add_argument("--mu", type=float, default=TRAINING_MU)
     p.add_argument("--episodes", type=int, default=5000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--demo-episodes", type=int, default=50,
@@ -527,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preview", help="offline preview from a trained policy")
     _add_track_args(p)
     p.add_argument("--pretraj")
-    p.add_argument("--mu", type=float, default=TRAINING_MU)
     p.add_argument("--policy", required=True)
     p.add_argument("--v-ini", type=float, default=9.0)
     p.add_argument("--out", required=True)
@@ -536,12 +534,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deploy", help="fusion deployment run")
     _add_track_args(p)
     p.add_argument("--pretraj")
-    p.add_argument("--mu", type=float, default=TRAINING_MU)
     p.add_argument("--preview", required=True)
     _add_deploy_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--randomized", action="store_true",
-                   help="randomize the initial state (default: nominal)")
+    p.add_argument("--seed", type=int,
+                   help="randomize the initial state from this seed "
+                        "(default: the nominal start)")
     p.add_argument("--no-mpc", action="store_true")
     p.add_argument("--no-primary", action="store_true")
     p.add_argument("--out")
@@ -558,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="four-row policy comparison table")
     _add_track_args(p)
     p.add_argument("--pretraj")
-    p.add_argument("--mu", type=float, default=TRAINING_MU)
     p.add_argument("--policy", required=True)
     _add_deploy_args(p)
     p.add_argument("--v-ini", type=float, default=9.0)
@@ -577,6 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", required=True)
     p.set_defaults(func=cmd_export_plots)
 
+    # whole option names only: "--mu" must not pass for "--mu-deploy"
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return ap
 
 

@@ -11,11 +11,12 @@ out beyond its threshold.
 Offline, when the controller is built, each preview point k gets its
 condensed tracking QP (`mpc.condense`): the Hessian H_k, the gradient
 map F_k and the unconstrained gain K_k, from the models at k and at
-the step-2 point k1, which is a function of k alone.  Per tick the
-controller projects the c.g., picks k, forms the deviation from the
-preview, and `mpc.solve_qp` takes g = F_k gamma_aug and the
-unconstrained minimizer K_k gamma_aug, bounds the rates and inputs, and
-returns without a solve when that minimizer is feasible.
+the step-2 point k1, which is a function of k alone.  The weights,
+boxes and sample time are the constants of `mpc`.  Per tick the
+controller projects the c.g., picks k, and forms the deviation from the
+preview, whose target is zero; `mpc.solve_qp` takes g = F_k gamma_aug
+and the unconstrained minimizer K_k gamma_aug, bounds the rates and
+inputs, and returns without a solve when that minimizer is feasible.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from .errors import PreviewExhausted, PreviewFailed
 from .mpc import (
     N_AUG,
     N_Z,
+    T_S,
     V_EPS,
     CartesianState,
     CondensedQp,
     MpcInput,
-    MpcWeights,
     condense,
     discretize_augment,
     linearize,
@@ -49,7 +50,6 @@ from .track import TrackGeometry, to_frenet
 
 SPEED_BUCKET = 0.5  # m/s, entry-speed quantization of stored previews
 PREVIEW_FILE_VERSION = "driftcorner preview v1"
-MPC_WEIGHTS = MpcWeights()
 MODEL_BLOCK = 128  # preview points per stacked model build (small temporaries)
 
 # Side-slip fallback: past FALLBACK_BETA of rear side-slip the drive is
@@ -249,7 +249,7 @@ class FusionController:
         offline work."""
         p = self.preview
         n = len(p)
-        ahead = p.s + np.maximum(self._s_dots * MPC_WEIGHTS.t_s, 0.0)
+        ahead = p.s + np.maximum(self._s_dots * T_S, 0.0)
         k1 = np.minimum(np.maximum(np.searchsorted(p.s, ahead), np.arange(1, n + 1)),
                         n - 1)
         h = np.empty((n, N_Z, N_Z))
@@ -258,10 +258,9 @@ class FusionController:
             blk = slice(i, min(i + MODEL_BLOCK, n))
             g = p.gamma[i:max(blk.stop, k1[blk].max() + 1)]
             ref = CartesianState(*g.T)._replace(v_x=np.maximum(g[:, 3], V_EPS))
-            a_aug, b_aug = discretize_augment(*linearize(ref, self.params),
-                                              MPC_WEIGHTS.t_s)
+            a_aug, b_aug = discretize_augment(*linearize(ref, self.params))
             m, j1 = blk.stop - i, k1[blk] - i
-            qp = condense((a_aug[:m], b_aug[:m], a_aug[j1], b_aug[j1]), MPC_WEIGHTS)
+            qp = condense((a_aug[:m], b_aug[:m], a_aug[j1], b_aug[j1]))
             h[blk], f[blk], gain[blk] = qp.h, qp.f, qp.k
         return CondensedQp(h, f, gain)
 
@@ -302,8 +301,7 @@ class FusionController:
                 self.u_mpc.delta_f, self.u_mpc.a_xt,
             ])
             qp = self._qp
-            du_k, _, sol = solve_qp(
-                gamma_aug, CondensedQp(qp.h[k], qp.f[k], qp.k[k]), MPC_WEIGHTS)
+            du_k, _, sol = solve_qp(gamma_aug, CondensedQp(qp.h[k], qp.f[k], qp.k[k]))
             kkt = sol.kkt_residual
             self.u_mpc = MpcInput(self.u_mpc.delta_f + float(du_k[0]),
                                   self.u_mpc.a_xt + float(du_k[1]))

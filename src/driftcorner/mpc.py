@@ -2,40 +2,60 @@
 
 A six-state Cartesian model (position, heading, body velocities, yaw
 rate) with linear tire forces is linearized about a reference point,
-discretized exactly under zero-order hold, and augmented with the
-previous input so the decision variables are input *rates*.  The
-linearization and the discretization also take stacks of reference
-points, so a whole reference trajectory is modelled in one pass.
+discretized exactly under zero-order hold at the control period T_S,
+and augmented with the previous input so the decision variables are
+input *rates*.  The linearization and the discretization also take
+stacks of reference points, so a whole reference trajectory is
+modelled in one pass.
 
-A two-step prediction gives a four-variable dense QP.  Everything in it
-but the gradient is fixed by the two step models and the weights, so
-`condense` builds, offline and for a whole stack at once, the Hessian
-H, the gradient map F (g = F gamma_aug with zero targets; the reference
-columns come separately) and the unconstrained gain K = -H^-1 F.  What
-runs per tick is `solve_qp`: two small products for g and the
-unconstrained minimizer, the box bounds, and an active-set iteration
-that starts from that minimizer and returns at once when it is
-feasible.  Every solution is KKT-checked against the gradient formed
-from F.
+The tracker solves one problem: over two steps, drive the deviation
+from the reference to zero, with the state weights Q, the rate weights
+R, the rate box DU_MIN..DU_MAX and the input box U_MIN..U_MAX, all
+module constants.  The state is the deviation gamma_aug itself, so the
+targets are zero and everything in the four-variable dense QP but the
+gradient is fixed by the two step models.  `condense` builds, offline
+and for a whole stack at once, the Hessian H, the gradient map F
+(g = F gamma_aug) and the unconstrained gain K = -H^-1 F.  What runs
+per tick is `solve_qp`: two small products for g and the unconstrained
+minimizer, the box bounds, and an active-set iteration that starts
+from that minimizer and returns at once when it is feasible.  Every
+solution is KKT-checked against the gradient formed from F.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import Infeasible, NoConvergence, SingularSpeed
-from .plant import VehicleParams
+from .plant import CONTROL_DT, VehicleParams
 
 V_EPS = 0.5  # m/s, model-singularity guard on 1/v_x terms
 N_STATE = 6
 N_INPUT = 2
 N_AUG = N_STATE + N_INPUT
 N_Z = 2 * N_INPUT  # decision variables (du_k, du_{k+1})
+
+# The tracker's one configuration: sample time, cost weights on the
+# state deviation and on the input rates, and the boxes on the rates
+# and on the accumulated inputs (delta_f in rad, a_xt in m/s^2).
+T_S = CONTROL_DT  # s
+Q = np.diag([50.0, 50.0, 20.0, 5.0, 5.0, 5.0])
+R = np.diag([200.0, 10.0])
+U_MIN = np.array([-0.524, -8.0])
+U_MAX = np.array([0.524, 3.0])
+DU_MIN = np.array([-0.07, -0.8])
+DU_MAX = np.array([0.07, 0.8])
+# Block-diagonal weights of the two stacked steps, diag(Q, Q), diag(R, R).
+Q_BAR = np.kron(np.eye(2), Q)
+R_BAR = np.kron(np.eye(2), R)
+QP_MAX_ITER = 60  # active-set iterations before the enumeration fallback
+for _const in (Q, R, U_MIN, U_MAX, DU_MIN, DU_MAX, Q_BAR, R_BAR):
+    _const.flags.writeable = False
 
 
 class CartesianState(NamedTuple):
@@ -55,34 +75,6 @@ class CartesianState(NamedTuple):
 class MpcInput(NamedTuple):
     delta_f: float  # rad
     a_xt: float  # m/s^2
-
-
-@dataclass(frozen=True)
-class MpcWeights:
-    """Cost weights, sample time and box limits of the tracker."""
-
-    q: np.ndarray = field(
-        default_factory=lambda: np.diag([50.0, 50.0, 20.0, 5.0, 5.0, 5.0]))
-    r: np.ndarray = field(default_factory=lambda: np.diag([200.0, 10.0]))
-    t_s: float = 0.01  # s
-    u_min: np.ndarray = field(
-        default_factory=lambda: np.array([-0.524, -8.0]))
-    u_max: np.ndarray = field(
-        default_factory=lambda: np.array([0.524, 3.0]))
-    du_min: np.ndarray = field(
-        default_factory=lambda: np.array([-0.07, -0.8]))
-    du_max: np.ndarray = field(
-        default_factory=lambda: np.array([0.07, 0.8]))
-
-    def __post_init__(self):
-        qe = np.linalg.eigvalsh(0.5 * (self.q + self.q.T))
-        re = np.linalg.eigvalsh(0.5 * (self.r + self.r.T))
-        if qe.min() < -1e-12:
-            raise ValueError("Q must be positive semidefinite")
-        if re.min() <= 0.0:
-            raise ValueError("R must be positive definite")
-        if self.t_s <= 0.0:
-            raise ValueError("T_s must be positive")
 
 
 def dynamics_rhs(
@@ -169,67 +161,46 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def discretize_augment(
-    a_t: np.ndarray, b_t: np.ndarray, t_s: float
+    a_t: np.ndarray, b_t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact zero-order-hold discretization with input-rate augmentation.
 
-    exp([[A, B], [0, 0]] T_s) = [[A_d, B_d], [0, I]] (Van Loan, IEEE TAC
+    exp([[A, B], [0, 0]] T_S) = [[A_d, B_d], [0, I]] (Van Loan, IEEE TAC
     1978) is the augmented model a_aug of the state [Gamma; u_{k-1}],
     and its last two columns [B_d; I] are b_aug.  Stacks (..., 6, 6) and
     (..., 6, 2) give stacks (..., 8, 8) and (..., 8, 2), exponentiated
     in one pass.
     """
-    if t_s <= 0.0:
-        raise ValueError("t_s must be positive")
     big = np.zeros(a_t.shape[:-2] + (N_AUG, N_AUG))
-    big[..., :N_STATE, :N_STATE] = a_t * t_s
-    big[..., :N_STATE, N_STATE:] = b_t * t_s
+    big[..., :N_STATE, :N_STATE] = a_t * T_S
+    big[..., :N_STATE, N_STATE:] = b_t * T_S
     a_aug = expm(big)
     return a_aug, a_aug[..., N_STATE:].copy()
-
-
-def predict_two_step(
-    gamma_aug: np.ndarray,
-    a_k: np.ndarray,
-    b_k: np.ndarray,
-    a_k1: np.ndarray,
-    b_k1: np.ndarray,
-    du_k: np.ndarray,
-    du_k1: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two applications of the augmented prediction model."""
-    g1 = a_k @ gamma_aug + b_k @ du_k
-    g2 = a_k1 @ g1 + b_k1 @ du_k1
-    return g1, g2
 
 
 class CondensedQp(NamedTuple):
     """The two-step tracking QP with the state left symbolic.
 
-    For the augmented state gamma_aug and the stacked references r of
-    steps k+1 and k+2, the QP is min 1/2 z'Hz + g'z over
-    z = (du_k, du_{k+1}) with g = f gamma_aug + f_ref r, and
-    k gamma_aug is its unconstrained minimizer when r = 0.  The fields
-    may be stacks over leading axes; f_ref may be left out where the
-    targets are zero."""
+    For the augmented deviation gamma_aug the QP is min 1/2 z'Hz + g'z
+    over z = (du_k, du_{k+1}) with g = f gamma_aug, and k gamma_aug is
+    its unconstrained minimizer.  The fields may be stacks over leading
+    axes."""
 
     h: np.ndarray  # (..., 4, 4)
     f: np.ndarray  # (..., 4, 8)
     k: np.ndarray  # (..., 4, 8), -H^-1 f
-    f_ref: np.ndarray | None = None  # (..., 4, 12)
 
 
 def condense(
     mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    weights: MpcWeights,
 ) -> CondensedQp:
     """Condensed QP of the models (A_k, B_k) of step k+1 and
     (A_{k+1}, B_{k+1}) of step k+2, from discretize_augment.
 
     Gamma(k+1) is the state rows of A_k x + B_k du_k, and Gamma(k+2)
     those of A_{k+1}A_k x + A_{k+1}B_k du_k + B_{k+1} du_{k+1}; stacked,
-    the predicted states are P x + M z.  With Qb = diag(Q, Q) and
-    Rb = diag(R, R), H = 2(M'Qb M + Rb), f = 2M'Qb P and f_ref = -2M'Qb.
+    the predicted states are P x + M z, whose target is zero.  With
+    Q_BAR and R_BAR, H = 2(M' Q_BAR M + R_BAR) and f = 2M' Q_BAR P.
     Stacks of models give stacks of QPs.
     """
     a_k, b_k, a_k1, b_k1 = mats
@@ -239,11 +210,11 @@ def condense(
     pred[..., :N_STATE, :N_INPUT] = b_k[..., :N_STATE, :]
     pred[..., N_STATE:, :N_INPUT] = head @ b_k
     pred[..., N_STATE:, N_INPUT:] = b_k1[..., :N_STATE, :]
-    w = 2.0 * np.swapaxes(pred, -1, -2) @ np.kron(np.eye(2), weights.q)
-    h = w @ pred + 2.0 * np.kron(np.eye(2), weights.r)
+    w = 2.0 * np.swapaxes(pred, -1, -2) @ Q_BAR
+    h = w @ pred + 2.0 * R_BAR
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
     f = w @ free
-    return CondensedQp(h, f, -np.linalg.solve(h, f), -w)
+    return CondensedQp(h, f, -np.linalg.solve(h, f))
 
 
 # -- dense QP ---------------------------------------------------------
@@ -263,14 +234,14 @@ def solve_box_qp(
     g: np.ndarray,
     a_ineq: np.ndarray,
     b_ineq: np.ndarray,
-    max_iter: int = 60,
     z_free: np.ndarray | None = None,
 ) -> QpSolution:
     """min 1/2 z'Hz + g'z  s.t.  A z <= b, H positive definite.
 
     Primal active-set iteration: start unconstrained, add the most
     violated constraint, drop constraints with negative multipliers.
-    Falls back to exhaustive active-set enumeration if it cycles.
+    Falls back to exhaustive active-set enumeration if it cycles or
+    takes QP_MAX_ITER iterations.
     `z_free`, when given, is the unconstrained minimizer -H^-1 g
     computed beforehand; it then stands for the empty working set, so
     a feasible one returns after one iteration without a solve.
@@ -298,7 +269,7 @@ def solve_box_qp(
         return sol[:n], sol[n:]
 
     active: list[int] = []
-    for it in range(max_iter):
+    for it in range(QP_MAX_ITER):
         z, lam = solve_eq(active)
         if z is None:
             # Degenerate working set; drop the newest member.
@@ -330,7 +301,7 @@ def solve_box_qp(
             obj = 0.5 * z @ h @ z + g @ z
             if best is None or obj < best.objective - 1e-12:
                 res = _kkt_residual(h, g, a_ineq, b_ineq, z, list(combo), lam)
-                best = QpSolution(z, obj, sorted(combo), res, max_iter)
+                best = QpSolution(z, obj, sorted(combo), res, QP_MAX_ITER)
     if best is None:
         raise NoConvergence("active-set QP failed to find a feasible point")
     return best
@@ -362,34 +333,25 @@ A_INEQ.flags.writeable = False
 
 
 def solve_qp(
-    gamma_aug: np.ndarray,
-    qp: CondensedQp,
-    weights: MpcWeights,
-    refs: tuple[np.ndarray, np.ndarray] | None = None,
+    gamma_aug: np.ndarray, qp: CondensedQp
 ) -> tuple[np.ndarray, np.ndarray, QpSolution]:
     """One tick of the two-step tracking QP in the input-rate variables.
 
-    gamma_aug: current augmented state [Gamma; u_{k-1}].
-    qp: the tick's condensed QP from `condense`.
-    refs: reference 6-vectors for steps k+1 and k+2 (needs qp.f_ref),
-    or None for zero targets, where qp.k gives the unconstrained
-    minimizer without a solve.
+    gamma_aug: the augmented deviation [Gamma - Gamma_ref; u_{k-1}].
+    qp: the tick's condensed QP from `condense`; qp.k gives the
+    unconstrained minimizer without a solve.
     Returns (du_k, du_{k+1}, the QP solution with its KKT residual).
     """
     g = qp.f @ gamma_aug
-    z_free = None
-    if refs is None:
-        z_free = qp.k @ gamma_aug
-    else:
-        g = g + qp.f_ref @ np.concatenate(refs)
+    z_free = qp.k @ gamma_aug
 
     u_prev = gamma_aug[N_STATE:]
-    room_up, room_down = weights.u_max - u_prev, weights.u_min - u_prev
-    lo1 = np.maximum(weights.du_min, room_down)
-    hi1 = np.minimum(weights.du_max, room_up)
+    room_up, room_down = U_MAX - u_prev, U_MIN - u_prev
+    lo1 = np.maximum(DU_MIN, room_down)
+    hi1 = np.minimum(DU_MAX, room_up)
     if np.any(lo1 > hi1 + 1e-12):
         raise Infeasible("rate box and accumulated-input box are disjoint")
-    rates = (weights.du_max, -weights.du_min)
+    rates = (DU_MAX, -DU_MIN)
     inputs = (room_up, -room_down)
     b_ineq = np.concatenate([*rates, *rates, *inputs, *inputs])
     sol = solve_box_qp(qp.h, g, A_INEQ, b_ineq, z_free=z_free)

@@ -387,7 +387,7 @@ def load_pretrajectory(path: str | Path) -> PreTrajectory:
     with open(path) as fh:
         first = fh.readline().strip()
         if first != f"# {PRETRAJ_FILE_VERSION}":
-            raise BadTrackSpec(f"unrecognized pretrajectory header: {first!r}")
+            raise BadTrackSpec(f"{path}: unrecognized pretrajectory header {first!r}")
         for line in fh:
             line = line.strip()
             if not line or line.startswith("s,"):
@@ -400,9 +400,13 @@ def load_pretrajectory(path: str | Path) -> PreTrajectory:
                     mu = float(value)
                 continue
             rows.append([float(v) for v in line.split(",")])
+            if len(rows[-1]) != 6:  # s, l, x, y, kappa, v_d
+                raise BadTrackSpec(f"{path}: expected rows of 6 numbers")
+    if not rows:
+        raise BadTrackSpec(f"{path}: no rows after the header")
     data = np.array(rows)
     if t_ref is None or mu is None:
-        raise BadTrackSpec("pretrajectory file missing t_ref/mu header")
+        raise BadTrackSpec(f"{path}: no t_ref or mu header line")
     speed = SpeedPlan(s=data[:, 0], v_d=data[:, 5], mu=mu)
     return PreTrajectory(
         path=None,

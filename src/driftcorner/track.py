@@ -353,7 +353,7 @@ def load_track(path: str | Path) -> TrackGeometry:
     with open(path) as fh:
         first = fh.readline().strip()
         if first != f"# {TRACK_FILE_VERSION}":
-            raise BadTrackSpec(f"unrecognized track file header: {first!r}")
+            raise BadTrackSpec(f"{path}: unrecognized track file header {first!r}")
         for line in fh:
             line = line.strip()
             if not line or line.startswith("s,"):
@@ -373,8 +373,12 @@ def load_track(path: str | Path) -> TrackGeometry:
                     seg_kappa = np.array(kappas)
                 continue
             rows.append([float(v) for v in line.split(",")])
+            if len(rows[-1]) != 5:  # s, x, y, heading, curvature
+                raise BadTrackSpec(f"{path}: expected rows of 5 numbers")
     if half_width is None:
-        raise BadTrackSpec("track file missing half_width header")
+        raise BadTrackSpec(f"{path}: no half_width header line")
+    if not rows:
+        raise BadTrackSpec(f"{path}: no rows after the header")
     data = np.array(rows)
     return TrackGeometry(
         s=data[:, 0],

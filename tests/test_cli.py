@@ -1,5 +1,6 @@
 """Command-line runs end to end."""
 
+import json
 import os
 import subprocess
 import sys
@@ -12,8 +13,9 @@ import pytest
 import driftcorner
 from driftcorner import cli, td3
 from driftcorner.envs import EpisodeResult
-from driftcorner.fusion import save_preview
+from driftcorner.fusion import DeployResult, save_preview
 from driftcorner.planner import save_pretrajectory
+from driftcorner.track import save_track
 
 
 def test_deploy_completes_under_mismatch(uturn_preview8, tmp_path):
@@ -117,6 +119,43 @@ def test_deploy_rejects_broken_preview_file(fault, uturn_preview8, tmp_path,
     assert str(preview) in capsys.readouterr().err
 
 
+def _cut_rows(path, keep):
+    """Rewrite a saved file: comment lines stay, every other line
+    becomes keep(its comma-separated cells), or goes when that is None."""
+    lines = []
+    for ln in path.read_text().splitlines():
+        if not ln.startswith("#"):
+            ln = keep(ln.split(","))
+            if ln is None:
+                continue
+            ln = ",".join(ln)
+        lines.append(ln)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("fault", ["pretraj_five_columns", "pretraj_header_only",
+                                   "track_three_columns"])
+def test_broken_track_or_pretrajectory_file_is_a_config_error(
+        fault, uturn, uturn_pretraj, tmp_path, capsys):
+    if fault.startswith("pretraj"):
+        broken = tmp_path / "pretraj.txt"
+        save_pretrajectory(uturn_pretraj, broken)
+        argv = ["deploy", "--kind", "uturn", "--pretraj", str(broken),
+                "--preview", str(tmp_path / "preview.txt")]
+    else:
+        broken = tmp_path / "track.txt"
+        save_track(uturn, broken)
+        argv = ["plan", "--track", str(broken)]
+    if fault == "pretraj_header_only":
+        _cut_rows(broken, lambda cells: cells if cells[0] == "s" else None)
+    else:
+        width = 5 if fault == "pretraj_five_columns" else 3
+        _cut_rows(broken, lambda cells: cells[:width])
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert str(broken) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_preview_rejects_npz_that_is_not_a_checkpoint(tmp_path, capsys):
     junk = tmp_path / "junk.npz"
     np.savez(junk, weights=np.zeros(3))
@@ -156,3 +195,48 @@ def test_mu_sweep_rejects_missing_checkpoint_before_writing(tmp_path, capsys):
                      "--out", str(out)]) == 3
     assert f"checkpoint not found: {missing}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["train", "--kind", "uturn"], ["--mu", "0.7"]),
+    (["preview", "--kind", "uturn", "--policy", "p.npz", "--out", "o.txt"],
+     ["--mu", "0.7"]),
+    (["deploy", "--kind", "uturn", "--preview", "p.txt"], ["--mu", "0.7"]),
+    (["compare", "--kind", "uturn", "--policy", "p.npz"], ["--mu", "0.7"]),
+    (["deploy", "--kind", "uturn", "--preview", "p.txt"], ["--randomized"]),
+])
+def test_options_without_effect_are_rejected(argv, option, capsys):
+    # --mu set only the planner's adhesion while these commands' plants
+    # ran at the training value (and "--mu" must not pass for
+    # "--mu-deploy"); a deploy seed means a randomized start by itself
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv + option)
+    assert exc.value.code == 2
+    assert option[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed_args, seed, nominal", [
+    ([], None, True),
+    (["--seed", "3"], 3, False),
+    (["--seed", "0"], 0, False),
+])
+def test_deploy_seed_means_a_randomized_start(seed_args, seed, nominal, monkeypatch,
+                                              uturn_preview8, tmp_path):
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(kwargs)
+        return DeployResult(episode=_episode(1, "completed", 18.2), records=[],
+                            fallback_events=0, mean_tick_ms=0.0,
+                            completion_deg=180.0, total_deg=180.0)
+
+    monkeypatch.setattr(cli, "deploy_run", stub)
+    preview = tmp_path / "preview.txt"
+    save_preview(uturn_preview8, preview)
+    out = tmp_path / "deploy"
+    assert cli.main(["deploy", "--kind", "uturn", "--preview", str(preview),
+                     "--out", str(out), *seed_args]) == 0
+    assert len(calls) == 1 and calls[0]["nominal"] is nominal
+    if seed is not None:
+        assert calls[0]["seed"] == seed
+    assert json.loads((out / "config.json").read_text())["seed"] == seed

@@ -22,6 +22,9 @@ from driftcorner.fusion import (
     write_deploy_csv,
 )
 from driftcorner.mpc import (
+    Q,
+    R,
+    T_S,
     V_EPS,
     CartesianState,
     discretize_augment,
@@ -169,9 +172,9 @@ def test_controller_model_is_built_in_blocks(monkeypatch, uturn,
     calls = []
     original = fusion.discretize_augment
 
-    def counting(a_t, b_t, t_s):
+    def counting(a_t, b_t):
         calls.append(len(a_t))
-        return original(a_t, b_t, t_s)
+        return original(a_t, b_t)
 
     monkeypatch.setattr(fusion, "discretize_augment", counting)
     ctl = FusionController(uturn_preview8, uturn, PARAMS)
@@ -180,20 +183,18 @@ def test_controller_model_is_built_in_blocks(monkeypatch, uturn,
     assert n <= sum(calls) and max(calls) <= fusion.MODEL_BLOCK + 2
     assert ctl._qp.h.shape == (n, 4, 4)
     assert ctl._qp.f.shape == ctl._qp.k.shape == (n, 4, 8)
-    assert ctl._qp.f_ref is None
 
 
-def _per_tick_qp(a_k, b_k, a_k1, b_k1, weights):
+def _per_tick_qp(a_k, b_k, a_k1, b_k1):
     """H and F as a tick built them before the QP was condensed offline:
     from the prediction rows, with g = F gamma_aug taken column by column."""
-    q, r = weights.q, weights.r
     m1 = np.hstack([b_k[:6], np.zeros((6, 2))])
     m2 = np.hstack([(a_k1 @ b_k)[:6], b_k1[:6]])
     r2 = np.zeros((4, 4))
-    r2[:2, :2] = r
-    r2[2:, 2:] = r
-    h = 2.0 * (m1.T @ q @ m1 + m2.T @ q @ m2 + r2)
-    f = np.column_stack([2.0 * (m1.T @ q @ (a_k @ e)[:6] + m2.T @ q @ (a_k1 @ a_k @ e)[:6])
+    r2[:2, :2] = R
+    r2[2:, 2:] = R
+    h = 2.0 * (m1.T @ Q @ m1 + m2.T @ Q @ m2 + r2)
+    f = np.column_stack([2.0 * (m1.T @ Q @ (a_k @ e)[:6] + m2.T @ Q @ (a_k1 @ a_k @ e)[:6])
                          for e in np.eye(8)])
     return 0.5 * (h + h.T), f
 
@@ -207,13 +208,13 @@ def test_condensed_qp_matches_the_per_tick_build(uturn, uturn_preview8, rng):
     def model(i):
         ref = CartesianState(*p.gamma[i])
         ref = ref._replace(v_x=max(ref.v_x, V_EPS))
-        return discretize_augment(*linearize(ref, PARAMS), fusion.MPC_WEIGHTS.t_s)
+        return discretize_augment(*linearize(ref, PARAMS))
 
     models = [model(i) for i in range(n)]
     for k in range(n):
-        ds = max(ctl._s_dots[k] * fusion.MPC_WEIGHTS.t_s, 0.0)
+        ds = max(ctl._s_dots[k] * T_S, 0.0)
         k1 = min(max(int(np.searchsorted(p.s, p.s[k] + ds)), k + 1), n - 1)
-        h, f = _per_tick_qp(*models[k], *models[k1], fusion.MPC_WEIGHTS)
+        h, f = _per_tick_qp(*models[k], *models[k1])
         np.testing.assert_allclose(ctl._qp.h[k], h, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ctl._qp.f[k], f, rtol=0, atol=1e-12)
         gamma_aug = rng.normal(0.0, 0.3, 8)

@@ -7,24 +7,26 @@ import pytest
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
+from driftcorner import mpc
 from driftcorner.errors import SingularSpeed
 from driftcorner.mpc import (
-    CartesianState,
-    MpcInput,
-    MpcWeights,
     N_AUG,
     N_INPUT,
     N_STATE,
+    T_S,
     V_EPS,
+    CartesianState,
+    MpcInput,
     condense,
     discretize_augment,
     dynamics_rhs,
     expm,
     linearize,
-    predict_two_step,
     solve_qp,
 )
 from driftcorner.plant import VehicleParams
+
+from qp_grid import predict_two_step
 
 PARAMS = VehicleParams()
 
@@ -78,14 +80,14 @@ def _stack(refs):
 def test_stacked_model_matches_point_by_point(rng):
     refs = [random_ref(rng) for _ in range(64)]
     a_s, b_s = linearize(_stack(refs), PARAMS)
-    a_aug_s, b_aug_s = discretize_augment(a_s, b_s, 0.01)
+    a_aug_s, b_aug_s = discretize_augment(a_s, b_s)
     assert a_s.shape == (64, N_STATE, N_STATE) and b_s.shape == (64, N_STATE, N_INPUT)
     assert a_aug_s.shape == (64, N_AUG, N_AUG) and b_aug_s.shape == (64, N_AUG, N_INPUT)
     for i, ref in enumerate(refs):
         a, b = linearize(ref, PARAMS)
         np.testing.assert_array_equal(a_s[i], a)
         np.testing.assert_array_equal(b_s[i], b)
-        a_aug, b_aug = discretize_augment(a, b, 0.01)
+        a_aug, b_aug = discretize_augment(a, b)
         np.testing.assert_allclose(a_aug_s[i], a_aug, rtol=0, atol=1e-13)
         np.testing.assert_allclose(b_aug_s[i], b_aug, rtol=0, atol=1e-13)
 
@@ -93,7 +95,7 @@ def test_stacked_model_matches_point_by_point(rng):
 def test_point_model_keeps_its_shapes(rng):
     a, b = linearize(random_ref(rng), PARAMS)
     assert a.shape == (N_STATE, N_STATE) and b.shape == (N_STATE, N_INPUT)
-    a_aug, b_aug = discretize_augment(a, b, 0.01)
+    a_aug, b_aug = discretize_augment(a, b)
     assert a_aug.shape == (N_AUG, N_AUG) and b_aug.shape == (N_AUG, N_INPUT)
     np.testing.assert_array_equal(b_aug, a_aug[:, N_STATE:])
 
@@ -133,8 +135,7 @@ def test_discretization_matches_integrated_linear_system(rng):
     # ZOH oracle: integrate x' = A x + B u with constant u
     ref = random_ref(rng)
     a, b = linearize(ref, PARAMS)
-    t_s = 0.01
-    a_aug, b_aug = discretize_augment(a, b, t_s)
+    a_aug, b_aug = discretize_augment(a, b)
     x0 = rng.normal(0, 0.5, N_STATE)
     u_prev = np.array([0.1, -0.5])
     du = np.array([0.02, 0.3])
@@ -142,22 +143,17 @@ def test_discretization_matches_integrated_linear_system(rng):
     def rhs(_t, x):
         return a @ x + b @ (u_prev + du)
 
-    ref_x = solve_ivp(rhs, (0, t_s), x0, rtol=1e-12, atol=1e-13).y[:, -1]
+    ref_x = solve_ivp(rhs, (0, T_S), x0, rtol=1e-12, atol=1e-13).y[:, -1]
     gamma = np.concatenate([x0, u_prev])
     nxt = a_aug @ gamma + b_aug @ du
     assert np.max(np.abs(nxt[:N_STATE] - ref_x)) < 1e-8
     np.testing.assert_allclose(nxt[N_STATE:], u_prev + du, atol=1e-15)
 
 
-def test_discretize_validates_sample_time(rng):
-    a, b = linearize(random_ref(rng), PARAMS)
-    with pytest.raises(ValueError):
-        discretize_augment(a, b, 0.0)
-
-
 def test_predict_two_step_composition(rng):
+    # the grid oracle's prediction, which the QP tests measure cost with
     a, b = linearize(random_ref(rng), PARAMS)
-    a_d, b_d = discretize_augment(a, b, 0.01)
+    a_d, b_d = discretize_augment(a, b)
     g0 = rng.normal(size=N_AUG)
     d1, d2 = rng.normal(0, 0.05, (2, N_INPUT))
     g1, g2 = predict_two_step(g0, a_d, b_d, a_d, b_d, d1, d2)
@@ -165,39 +161,31 @@ def test_predict_two_step_composition(rng):
     np.testing.assert_allclose(g2, a_d @ g1 + b_d @ d2, atol=1e-14)
 
 
-# -- weights and actuator mapping --------------------------------------
-
-
-def test_weights_validation():
-    with pytest.raises(ValueError):
-        MpcWeights(r=np.diag([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        MpcWeights(q=np.diag([-1.0, 1, 1, 1, 1, 1]))
-    with pytest.raises(ValueError):
-        MpcWeights(t_s=-0.01)
-
-
 # -- closed-form sanity of one MPC tick --------------------------------
 
+REF = CartesianState(0, 0, 0, 9.0, 0.0, 0.0)  # straight at 9 m/s
 
-def _tick_qp(state, u_prev, ref1, ref2, lin_ref, weights=MpcWeights()):
-    """The tick's QP: both prediction steps linearized at `lin_ref`,
-    the augmented state carrying the previous input."""
-    mat = discretize_augment(*linearize(lin_ref, PARAMS), weights.t_s)
-    gamma_aug = np.concatenate([state.vector(), np.asarray(u_prev)])
-    return solve_qp(gamma_aug, condense((*mat, *mat), weights), weights,
-                    (ref1.vector(), ref2.vector()))
+
+def _tick_qp(deviation, u_prev=MpcInput(0.0, 0.0)):
+    """The tick's QP at REF: both prediction steps linearized there,
+    the augmented deviation carrying the previous input."""
+    mat = discretize_augment(*linearize(REF, PARAMS))
+    gamma_aug = np.concatenate([deviation, np.asarray(u_prev)])
+    return solve_qp(gamma_aug, condense((*mat, *mat)))
+
+
+def _deviation(**fields):
+    return np.array(CartesianState(0, 0, 0, 0, 0, 0)._replace(**fields))
 
 
 def test_qp_accumulates_rate_onto_previous_input():
-    ref = CartesianState(0, 0, 0, 9.0, 0.0, 0.0)
-    state = CartesianState(0, 0.3, 0.02, 9.0, 0.1, 0.05)
+    deviation = _deviation(y=0.3, phi=0.02, v_y=0.1, yaw_rate=0.05)
     u_prev = MpcInput(0.05, 0.5)
-    du_k, du_k1, sol = _tick_qp(state, u_prev, ref, ref, ref)
+    du_k, du_k1, sol = _tick_qp(deviation, u_prev)
     np.testing.assert_array_equal(sol.z, np.concatenate([du_k, du_k1]))
     # the predicted input channels hold the previous input plus the rates
-    mat = discretize_augment(*linearize(ref, PARAMS), MpcWeights().t_s)
-    gamma_aug = np.concatenate([state.vector(), np.asarray(u_prev)])
+    mat = discretize_augment(*linearize(REF, PARAMS))
+    gamma_aug = np.concatenate([deviation, np.asarray(u_prev)])
     g1, g2 = predict_two_step(gamma_aug, *mat, *mat, du_k, du_k1)
     assert g1[N_STATE] == pytest.approx(u_prev.delta_f + du_k[0])
     assert g1[N_STATE + 1] == pytest.approx(u_prev.a_xt + du_k[1])
@@ -205,40 +193,26 @@ def test_qp_accumulates_rate_onto_previous_input():
     assert sol.kkt_residual < 1e-8
 
 
-def _rolling_refs(v=9.0, t_s=0.01):
-    # reference points one and two sample periods ahead of the origin
-    here = CartesianState(0, 0, 0, v, 0.0, 0.0)
-    r1 = CartesianState(v * t_s, 0, 0, v, 0.0, 0.0)
-    r2 = CartesianState(2 * v * t_s, 0, 0, v, 0.0, 0.0)
-    return here, r1, r2
-
-
 def test_mpc_on_reference_does_nothing():
-    # exactly on a constant-speed straight reference: no correction
-    here, r1, r2 = _rolling_refs()
-    du_k, _, sol = _tick_qp(here, MpcInput(0.0, 0.0), r1, r2, here)
-    assert abs(du_k[0]) < 1e-8 and abs(du_k[1]) < 1e-8
-    assert sol.objective == pytest.approx(0.0, abs=1e-9)
+    # no deviation and no correction held: no correction
+    du_k, du_k1, sol = _tick_qp(np.zeros(N_STATE))
+    assert not du_k.any() and not du_k1.any()
+    assert sol.objective == 0.0
 
 
 def test_mpc_corrects_toward_reference():
-    # start left of the reference line: the first steering move is negative
-    here, r1, r2 = _rolling_refs()
-    state = CartesianState(0, 0.5, 0.0, 9.0, 0.0, 0.0)
-    du_k, _, _ = _tick_qp(state, MpcInput(0.0, 0.0), r1, r2, here)
+    # left of the reference line: the first steering move is negative
+    du_k, _, _ = _tick_qp(_deviation(y=0.5))
     assert du_k[0] < 0.0
     # and a slow vehicle is told to speed up
-    slow = CartesianState(0, 0, 0, 7.0, 0.0, 0.0)
-    du_k, _, _ = _tick_qp(slow, MpcInput(0.0, 0.0), r1, r2, here)
+    du_k, _, _ = _tick_qp(_deviation(v_x=-2.0))
     assert du_k[1] > 0.0
 
 
-def test_mpc_rate_limits_bind():
+def test_mpc_rate_limits_bind(monkeypatch):
     # light input-rate penalty and a big speed error: accel rate saturates
-    here, r1, r2 = _rolling_refs()
-    slow = CartesianState(0, 0, 0, 5.0, 0.0, 0.0)
-    w = MpcWeights(r=np.diag([0.1, 0.1]))
-    du_k, _, sol = _tick_qp(slow, MpcInput(0.0, 0.0), r1, r2, here, w)
-    assert du_k[1] == pytest.approx(w.du_max[1])
+    monkeypatch.setattr(mpc, "R_BAR", np.kron(np.eye(2), np.diag([0.1, 0.1])))
+    du_k, _, sol = _tick_qp(_deviation(v_x=-4.0))
+    assert du_k[1] == pytest.approx(mpc.DU_MAX[1])
     assert len(sol.active) > 0
     assert sol.kkt_residual < 1e-8

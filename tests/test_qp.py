@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
+from driftcorner import mpc
 from driftcorner.errors import Infeasible
-from driftcorner.mpc import A_INEQ, MpcWeights, condense, solve_box_qp, solve_qp
+from driftcorner.mpc import A_INEQ, condense, solve_box_qp, solve_qp
 from driftcorner.plant import VehicleParams
 
 from qp_grid import grid_minimum, qp_vs_grid_gap, random_instance, true_objective
 
 PARAMS = VehicleParams()
+# deviation scales of the random instances, in turn: a typical tracking
+# error, where the unconstrained minimizer is feasible, and one far off
+# the reference, where the boxes often bind
+SCALES = (1.0, 30.0)
 
 
 def box_rows(n, lo, hi):
@@ -53,88 +58,89 @@ def test_coupled_constraint_optimum():
 
 
 def test_random_instances_beat_dense_grid(rng):
-    # the solver must never be worse than a 41-per-axis exhaustive grid
-    for _ in range(10):
-        gap, kkt = qp_vs_grid_gap(rng, PARAMS)
+    # the solver must never be worse than a 41-per-axis exhaustive grid,
+    # whether the boxes bind or not
+    bound = 0
+    for i in range(10):
+        gap, sol = qp_vs_grid_gap(rng, PARAMS, SCALES[i % 2])
         assert gap <= 1e-6
-        assert kkt < 1e-8
+        assert sol.kkt_residual < 1e-8
+        bound += bool(sol.active)
+    assert bound == 3  # instances where the boxes bind
 
 
 def test_zero_target_tick_takes_the_unconstrained_gain(rng):
     # the controller's case: a feasible K gamma_aug is the solution, found
     # in one iteration without a solve, and KKT-checked against F gamma_aug
-    zero = (np.zeros(6), np.zeros(6))
     for _ in range(10):
-        gamma_aug, refs, mats, weights = random_instance(rng, PARAMS)
-        gamma_aug[:6] -= refs[0]  # a deviation from the reference
-        qp = condense(mats, weights)
-        du_k, du_k1, sol = solve_qp(gamma_aug, qp, weights)
+        gamma_aug, mats = random_instance(rng, PARAMS)
+        qp = condense(mats)
+        du_k, du_k1, sol = solve_qp(gamma_aug, qp)
         assert sol.iterations == 1 and sol.active == []
         np.testing.assert_array_equal(sol.z, qp.k @ gamma_aug)
+        np.testing.assert_array_equal(sol.z, np.concatenate([du_k, du_k1]))
         assert sol.kkt_residual < 1e-12
-        # the same QP through the reference columns, with zero references
-        np.testing.assert_allclose(
-            solve_qp(gamma_aug, qp, weights, zero)[2].z, sol.z, rtol=0, atol=1e-14)
 
 
 def test_binding_bound_falls_through_to_the_active_set(rng):
-    # held acceleration just above its floor: the unconstrained minimizer
-    # brakes through it, so the active set takes over from K gamma_aug
-    zero = (np.zeros(6), np.zeros(6))
+    # too fast, with the held acceleration just above its floor: the
+    # unconstrained minimizer brakes through it, so the active set takes
+    # over from K gamma_aug
     for _ in range(5):
-        gamma_aug, _, mats, weights = random_instance(rng, PARAMS)
-        gamma_aug[7] = weights.u_min[1] + 0.05
-        qp = condense(mats, weights)
-        du_k, du_k1, sol = solve_qp(gamma_aug, qp, weights)
+        gamma_aug, mats = random_instance(rng, PARAMS)
+        gamma_aug[3] = 3.0
+        gamma_aug[7] = mpc.U_MIN[1] + 0.05
+        qp = condense(mats)
+        du_k, du_k1, sol = solve_qp(gamma_aug, qp)
         assert sol.iterations > 1 and sol.active
-        b = np.concatenate([weights.du_max, -weights.du_min] * 2
-                           + [weights.u_max - gamma_aug[6:],
-                              gamma_aug[6:] - weights.u_min] * 2)
+        b = np.concatenate([mpc.DU_MAX, -mpc.DU_MIN] * 2
+                           + [mpc.U_MAX - gamma_aug[6:],
+                              gamma_aug[6:] - mpc.U_MIN] * 2)
         assert np.max(A_INEQ @ (qp.k @ gamma_aug) - b) > 1e-3
         assert sol.kkt_residual < 1e-8
-        j_qp = true_objective(sol.z, gamma_aug, zero, mats, weights)
-        assert j_qp - grid_minimum(gamma_aug, zero, mats, weights) <= 1e-6
+        j_qp = true_objective(sol.z, gamma_aug, mats)
+        assert j_qp - grid_minimum(gamma_aug, mats) <= 1e-6
 
 
 def test_solution_is_feasible_and_stationary(rng):
-    for _ in range(20):
-        gamma_aug, refs, mats, weights = random_instance(rng, PARAMS)
-        du_k, du_k1, _ = solve_qp(gamma_aug, condense(mats, weights), weights, refs)
+    du_lo, du_hi = np.tile(mpc.DU_MIN, 2), np.tile(mpc.DU_MAX, 2)
+    bound = 0
+    for i in range(20):
+        gamma_aug, mats = random_instance(rng, PARAMS, SCALES[i % 2])
+        du_k, du_k1, sol = solve_qp(gamma_aug, condense(mats))
+        bound += bool(sol.active)
         z = np.concatenate([du_k, du_k1])
-        assert np.all(z >= np.tile(weights.du_min, 2) - 1e-10)
-        assert np.all(z <= np.tile(weights.du_max, 2) + 1e-10)
+        assert np.all(z >= du_lo - 1e-10)
+        assert np.all(z <= du_hi + 1e-10)
         u_prev = gamma_aug[6:]
         for u in (u_prev + du_k, u_prev + du_k + du_k1):
-            assert np.all(u >= weights.u_min - 1e-9)
-            assert np.all(u <= weights.u_max + 1e-9)
+            assert np.all(u >= mpc.U_MIN - 1e-9)
+            assert np.all(u <= mpc.U_MAX + 1e-9)
         # small inward perturbations never improve the true objective
-        j0 = true_objective(z, gamma_aug, refs, mats, weights)
+        j0 = true_objective(z, gamma_aug, mats)
         for _ in range(8):
-            trial = z + rng.normal(0, 1e-4, 4)
-            trial = np.clip(trial, np.tile(weights.du_min, 2),
-                            np.tile(weights.du_max, 2))
+            trial = np.clip(z + rng.normal(0, 1e-4, 4), du_lo, du_hi)
             ok = all(
-                np.all(u >= weights.u_min - 1e-12)
-                and np.all(u <= weights.u_max + 1e-12)
+                np.all(u >= mpc.U_MIN - 1e-12)
+                and np.all(u <= mpc.U_MAX + 1e-12)
                 for u in (u_prev + trial[:2], u_prev + trial[:2] + trial[2:])
             )
             if ok:
-                assert true_objective(trial, gamma_aug, refs, mats,
-                                      weights) >= j0 - 1e-9
+                assert true_objective(trial, gamma_aug, mats) >= j0 - 1e-9
+    assert bound == 6  # instances where the boxes bind
 
 
 def test_disjoint_boxes_raise():
     rng = np.random.default_rng(0)
-    gamma_aug, refs, mats, weights = random_instance(rng, PARAMS)
+    gamma_aug, mats = random_instance(rng, PARAMS)
     gamma_aug[6] = 5.0  # held steering far outside its box
-    qp = condense(mats, weights)
     with pytest.raises(Infeasible):
-        solve_qp(gamma_aug, qp, weights, refs)
-    with pytest.raises(Infeasible):  # and with zero targets
-        solve_qp(gamma_aug, qp, weights)
+        solve_qp(gamma_aug, condense(mats))
 
 
 def test_weights_r_spot_values():
-    w = MpcWeights()
-    assert np.diag(w.q).tolist() == [50.0, 50.0, 20.0, 5.0, 5.0, 5.0]
-    assert np.diag(w.r).tolist() == [200.0, 10.0]
+    assert np.diag(mpc.Q).tolist() == [50.0, 50.0, 20.0, 5.0, 5.0, 5.0]
+    assert np.diag(mpc.R).tolist() == [200.0, 10.0]
+    np.testing.assert_array_equal(mpc.Q_BAR[6:, 6:], mpc.Q)
+    np.testing.assert_array_equal(mpc.R_BAR[2:, 2:], mpc.R)
+    assert not mpc.Q_BAR[:6, 6:].any() and not mpc.R_BAR[:2, 2:].any()
