@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import td3
 from .baseline import BaselineTracker
 from .envs import TRACE_COLUMNS, DriftEnv, EpisodeResult, run_episode, summary_line
 from .errors import DriftCornerError, MissingLog, MissingPolicy
@@ -45,6 +46,9 @@ from .track import LIBRARY_KINDS, build_library_track, load_track, save_track
 
 TRAINING_MU = TireParams().mu  # the training plant's adhesion, planned for
 SWEEP_MUS = (0.95, 0.85, 0.75, 0.65, 0.55)
+# the learner's fixed update rule, recorded beside its hyperparameters
+TD3_UPDATE_RULE = ("GAMMA", "TAU", "LR", "SIGMA_EXPLORE", "SIGMA_TARGET",
+                   "NOISE_CLIP", "GRAD_CLIP")
 
 # Table III/IV column schema, reproduced verbatim.
 TABLE_COLUMNS = (
@@ -202,6 +206,7 @@ def cmd_train(args) -> int:
         "seed": args.seed,
         "demo_episodes": args.demo_episodes,
         "hyperparams": dataclasses.asdict(hp),
+        "update_rule": {name: getattr(td3, name) for name in TD3_UPDATE_RULE},
         "t_ref": pre.t_ref,
     }, inputs + pre_inputs)
     # a conservative demonstrator clones much more reliably than one that

@@ -134,13 +134,11 @@ def _rhs(phi, vx, vy, r, om, const):
     )
 
 
-def derivative(y, delta, trt, pb, vp, tp, out):
-    """Right-hand side at state `y` into out[:7], and the lateral
-    acceleration at the c.g. into out[7]."""
-    k = _rhs(float(y[2]), float(y[3]), float(y[4]), float(y[5]), float(y[6]),
-             _period_constants(delta, trt, pb, vp, tp))
-    for i in range(8):
-        out[i] = k[i]
+def derivative(y, delta, trt, pb, vp, tp):
+    """Right-hand side at state `y`: the 7 state rates, then the lateral
+    acceleration at the c.g."""
+    return _rhs(float(y[2]), float(y[3]), float(y[4]), float(y[5]), float(y[6]),
+                _period_constants(delta, trt, pb, vp, tp))
 
 
 def integrate(y, delta, trt, pb, dt, n_sub, vp, tp):

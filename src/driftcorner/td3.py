@@ -25,7 +25,18 @@ from .replay import ReplayBuffer
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# The update rule of Fujimoto, van Hoof and Meger (2018): discount,
+# target blend, one Adam step size for the actor and both critics, the
+# exploration and target-smoothing noise and the smoothing clip (each a
+# fraction of the action range), and the global gradient-norm clip.
+GAMMA = 0.99
+TAU = 0.005
+LR = 3e-4
+SIGMA_EXPLORE = 0.1
+SIGMA_TARGET = 0.2
+NOISE_CLIP = 0.5
+GRAD_CLIP = 10.0
 DAGGER_EPISODES = 12  # episodes the cloned actor drives after the demos
 BC_STEPS = 4000  # supervised batches of the first behavior-cloning fit
 BC_BATCH = 256  # labels per behavior-cloning batch
@@ -35,29 +46,24 @@ EVAL_EVERY = 50  # episodes between greedy evaluation rollouts
 
 @dataclass(frozen=True)
 class Td3Hyperparams:
-    gamma: float = 0.99
-    tau: float = 0.005
-    lr_critic: float = 3e-4
-    lr_actor: float = 3e-4
     policy_delay: int = 2
-    sigma_explore: float = 0.1  # fraction of action range
-    sigma_target: float = 0.2  # fraction of action range
-    noise_clip: float = 0.5  # fraction of action range
     batch_size: int = 256
     buffer_size: int = 500_000
     warmup: int = 5000  # random-action steps before learning
     hidden: tuple[int, ...] = (256, 256)
-    grad_clip: float = 10.0
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must be in (0, 1]")
         if self.policy_delay < 1:
             raise ValueError("policy_delay must be >= 1")
-        if self.noise_clip <= 0.0:
-            raise ValueError("noise_clip must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.buffer_size < self.batch_size:
+            raise ValueError("buffer_size must be >= batch_size, or no batch "
+                             "is ever drawn")
+        if self.warmup < 0:
+            raise ValueError("warmup must be >= 0")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError("every hidden width must be >= 1")
 
 
 @dataclass
@@ -74,19 +80,13 @@ class Td3State:
     high: np.ndarray
     obs_scale: np.ndarray
     rng: np.random.Generator
-    opt_actor: Adam = field(default=None)
-    opt_critic1: Adam = field(default=None)
-    opt_critic2: Adam = field(default=None)
+    opt_actor: Adam = field(default_factory=lambda: Adam(LR))
+    opt_critic1: Adam = field(default_factory=lambda: Adam(LR))
+    opt_critic2: Adam = field(default_factory=lambda: Adam(LR))
     critic_updates: int = 0
     actor_updates: int = 0
     env_steps: int = 0
     clip_events: int = 0
-
-    def __post_init__(self):
-        if self.opt_actor is None:
-            self.opt_actor = Adam(self.hp.lr_actor)
-            self.opt_critic1 = Adam(self.hp.lr_critic)
-            self.opt_critic2 = Adam(self.hp.lr_critic)
 
     def checksum(self) -> float:
         return (self.actor.checksum() + self.critic1.checksum()
@@ -147,20 +147,32 @@ def select_action(
 
 def compute_target(batch, state: Td3State, hp: Td3Hyperparams) -> np.ndarray:
     """Bootstrap targets: smoothed target-policy action, then the
-    element-wise minimum of the two target critics."""
+    element-wise minimum of the two target critics.  `hp` is unused."""
     _, _, rew, obs_next, done = batch
     a_next, _ = mlp_forward(state.target_actor, obs_next)
     span = state.high - state.low
     noise = np.clip(
-        state.rng.normal(0.0, 1.0, a_next.shape) * (hp.sigma_target * span),
-        -hp.noise_clip * span, hp.noise_clip * span,
+        state.rng.normal(0.0, 1.0, a_next.shape) * (SIGMA_TARGET * span),
+        -NOISE_CLIP * span, NOISE_CLIP * span,
     )
     a_next = np.clip(a_next + noise, state.low, state.high)
     x = _critic_input(obs_next, a_next, state.low, state.high)
     q1, _ = mlp_forward(state.target_critic1, x)
     q2, _ = mlp_forward(state.target_critic2, x)
     q_min = np.minimum(q1[:, 0], q2[:, 0])
-    return rew + hp.gamma * (1.0 - done) * q_min
+    return rew + GAMMA * (1.0 - done) * q_min
+
+
+def _clip(state: Td3State, grads: list[np.ndarray]) -> None:
+    """Clip one network's gradient to `GRAD_CLIP` in place, counting
+    each clip in `state.clip_events` and logging one in every 1000."""
+    norm = clip_gradients(grads, GRAD_CLIP)
+    if norm > GRAD_CLIP:
+        state.clip_events += 1
+        if state.clip_events % 1000 == 1:
+            log.warning("gradient norm %.2f clipped to %.2f "
+                        "(%d clip events so far)",
+                        norm, GRAD_CLIP, state.clip_events)
 
 
 def update_critics(state: Td3State, batch, y: np.ndarray) -> tuple[float, float]:
@@ -176,13 +188,7 @@ def update_critics(state: Td3State, batch, y: np.ndarray) -> tuple[float, float]
         losses.append(float(np.mean(err * err)))
         gw, gb, _ = mlp_backward(critic, cache, (2.0 * err / n)[:, None],
                                  inputs=False)
-        norm = clip_gradients(gw + gb, state.hp.grad_clip)
-        if norm > state.hp.grad_clip:
-            state.clip_events += 1
-            if state.clip_events % 1000 == 1:
-                log.warning("gradient norm %.2f clipped to %.2f "
-                            "(%d clip events so far)",
-                            norm, state.hp.grad_clip, state.clip_events)
+        _clip(state, gw + gb)
         opt.step(critic.flat, critic.grad)
     state.critic_updates += 1
     return losses[0], losses[1]
@@ -200,14 +206,12 @@ def update_actor_and_targets(state: Td3State, batch) -> None:
                               np.full((n, 1), -1.0 / n), params=False)
     g_a = g_in[:, obs.shape[1]:] * (2.0 / (state.high - state.low))
     gw, gb, _ = mlp_backward(state.actor, cache_a, g_a, inputs=False)
-    if clip_gradients(gw + gb, state.hp.grad_clip) > state.hp.grad_clip:
-        state.clip_events += 1
+    _clip(state, gw + gb)
     state.opt_actor.step(state.actor.flat, state.actor.grad)
     state.actor_updates += 1
-    tau = state.hp.tau
-    soft_update(state.target_actor, state.actor, tau)
-    soft_update(state.target_critic1, state.critic1, tau)
-    soft_update(state.target_critic2, state.critic2, tau)
+    soft_update(state.target_actor, state.actor, TAU)
+    soft_update(state.target_critic1, state.critic1, TAU)
+    soft_update(state.target_critic2, state.critic2, TAU)
 
 
 def behavior_clone(state: Td3State, steps: int, dataset) -> float:
@@ -232,7 +236,7 @@ def behavior_clone(state: Td3State, steps: int, dataset) -> float:
         gw, gb, _ = mlp_backward(state.actor, cache,
                                  err * (2.0 / span) * (2.0 / len(err)),
                                  inputs=False)
-        clip_gradients(gw + gb, state.hp.grad_clip)
+        _clip(state, gw + gb)
         state.opt_actor.step(state.actor.flat, state.actor.grad)
     soft_update(state.target_actor, state.actor, 1.0)
     return mse
@@ -262,26 +266,19 @@ class Policy:
 
 _NETS = ("actor", "critic1", "critic2",
          "target_actor", "target_critic1", "target_critic2")
+_OPTS = ("opt_actor", "opt_critic1", "opt_critic2")
 
 
 def save_checkpoint(state: Td3State, path) -> None:
     """Binary dump of all parameters, optimizer moments, hyperparams,
-    counters, and the RNG state; round-trips exactly."""
-    arrays: dict[str, np.ndarray] = {}
-    for name in _NETS:
-        net: Mlp = getattr(state, name)
-        for i, w in enumerate(net.weights):
-            arrays[f"{name}_w{i}"] = w
-        for i, b in enumerate(net.biases):
-            arrays[f"{name}_b{i}"] = b
-    for name, opt, net in (("opt_actor", state.opt_actor, state.actor),
-                           ("opt_critic1", state.opt_critic1, state.critic1),
-                           ("opt_critic2", state.opt_critic2, state.critic2)):
-        if opt.m.size:  # per layer, in the order of net.parameters()
-            for key, flat in (("m", opt.m), ("v", opt.v)):
-                ws, bs = layer_views(flat, net.sizes)
-                for i, part in enumerate(ws + bs):
-                    arrays[f"{name}_{key}{i}"] = part
+    counters, and the RNG state; round-trips exactly.
+
+    Each network is stored as its flat parameter vector and each
+    optimizer as its flat `m` and `v` (empty before its first step)."""
+    arrays = {name: getattr(state, name).flat for name in _NETS}
+    for name in _OPTS:
+        opt = getattr(state, name)
+        arrays[f"{name}_m"], arrays[f"{name}_v"] = opt.m, opt.v
     arrays["low"] = state.low
     arrays["high"] = state.high
     arrays["obs_scale"] = state.obs_scale
@@ -296,8 +293,7 @@ def save_checkpoint(state: Td3State, path) -> None:
             "actor_updates": state.actor_updates,
             "env_steps": state.env_steps,
         },
-        "opt_t": [state.opt_actor.t, state.opt_critic1.t,
-                  state.opt_critic2.t],
+        "opt_t": [getattr(state, name).t for name in _OPTS],
         "rng_state": state.rng.bit_generator.state,
         "checksum": state.checksum(),
     }
@@ -325,7 +321,8 @@ def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
     """Rebuild a learner state from `save_checkpoint` output.
 
     The replay buffer contents are not stored; pass one in to resume
-    training, or leave it empty for deployment-only use."""
+    training, or leave it empty for deployment-only use.  Parameters
+    that do not sum to the stored checksum are a ValueError."""
     if Path(path).is_file() and not zipfile.is_zipfile(path):
         # numpy would try the file as a pickle and refuse it
         raise ValueError(f"{path}: not a driftcorner checkpoint")
@@ -335,45 +332,29 @@ def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
         hp_d["hidden"] = tuple(hp_d["hidden"])
         hp = Td3Hyperparams(**hp_d)
         low, high = data["low"], data["high"]
-
-        def read_net(name, head="linear", lo=None, hi=None):
-            ws, bs, i = [], [], 0
-            while f"{name}_w{i}" in data:
-                ws.append(data[f"{name}_w{i}"])
-                bs.append(data[f"{name}_b{i}"])
-                i += 1
-            return Mlp(ws, bs, head, lo, hi)
-
         nets = {}
         for name in _NETS:
-            bounded = "actor" in name
-            nets[name] = read_net(name, "bounded" if bounded else "linear",
-                                  low.copy() if bounded else None,
-                                  high.copy() if bounded else None)
-        obs_dim = nets["actor"].sizes[0]
-        act_dim = len(low)
+            if "actor" in name:
+                views = layer_views(data[name], meta["sizes"])
+                nets[name] = Mlp(*views, "bounded", low.copy(), high.copy())
+            else:
+                nets[name] = Mlp(*layer_views(data[name], meta["critic_sizes"]))
         state = Td3State(
             **nets,
-            buffer=buffer or ReplayBuffer(hp.buffer_size, obs_dim, act_dim),
+            buffer=buffer or ReplayBuffer(hp.buffer_size, meta["sizes"][0],
+                                          len(low)),
             hp=hp, low=low.copy(), high=high.copy(),
             obs_scale=data["obs_scale"].copy(),
             rng=np.random.default_rng(),
-            critic_updates=meta["counters"]["critic_updates"],
-            actor_updates=meta["counters"]["actor_updates"],
-            env_steps=meta["counters"]["env_steps"],
+            **meta["counters"],
         )
         state.rng.bit_generator.state = meta["rng_state"]
-        for name, opt, t in (("opt_actor", state.opt_actor, meta["opt_t"][0]),
-                             ("opt_critic1", state.opt_critic1, meta["opt_t"][1]),
-                             ("opt_critic2", state.opt_critic2, meta["opt_t"][2])):
-            ms, vs, i = [], [], 0
-            while f"{name}_m{i}" in data:
-                ms.append(np.ravel(data[f"{name}_m{i}"]))
-                vs.append(np.ravel(data[f"{name}_v{i}"]))
-                i += 1
-            if ms:
-                opt.m, opt.v = np.concatenate(ms), np.concatenate(vs)
-            opt.t = t
+        for name, t in zip(_OPTS, meta["opt_t"]):
+            opt = getattr(state, name)
+            opt.m, opt.v, opt.t = data[f"{name}_m"], data[f"{name}_v"], t
+    if (got := state.checksum()) != meta["checksum"]:
+        raise ValueError(f"{path}: parameters sum to {got!r}, "
+                         f"the checkpoint records {meta['checksum']!r}")
     return state
 
 
@@ -455,7 +436,7 @@ def train(
     if state is None:
         state = td3_init(len(obs_scale), low, high, hp, seed, obs_scale)
     hp = state.hp
-    sigma_explore = hp.sigma_explore * (high - low)
+    sigma_explore = SIGMA_EXPLORE * (high - low)
     tlog = TrainLog()
     out_dir = Path(out_dir) if out_dir is not None else None
     start = time.time()

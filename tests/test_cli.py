@@ -92,6 +92,25 @@ def test_train_reports_the_learners_own_completion(demo, chi, line, monkeypatch,
     assert f"({line})" in capsys.readouterr().out
 
 
+def test_train_config_records_every_learner_value(monkeypatch, uturn_pretraj,
+                                                 tmp_path):
+    monkeypatch.setattr(cli, "train",
+                        lambda *args, **kwargs: (None, SimpleNamespace(chi=[1]), None))
+    pretraj = tmp_path / "pretraj.txt"
+    save_pretrajectory(uturn_pretraj, pretraj)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--kind", "uturn", "--pretraj", str(pretraj),
+                     "--episodes", "1", "--out", str(out)]) == 0
+    config = json.loads((out / "config.json").read_text())
+    assert config["hyperparams"] == {"policy_delay": 2, "batch_size": 256,
+                                     "buffer_size": 500_000, "warmup": 5000,
+                                     "hidden": [256, 256]}
+    assert config["update_rule"] == {
+        "GAMMA": td3.GAMMA, "TAU": td3.TAU, "LR": td3.LR,
+        "SIGMA_EXPLORE": td3.SIGMA_EXPLORE, "SIGMA_TARGET": td3.SIGMA_TARGET,
+        "NOISE_CLIP": td3.NOISE_CLIP, "GRAD_CLIP": td3.GRAD_CLIP}
+
+
 def test_deploy_rejects_preview_of_another_track(uturn_preview8, tmp_path,
                                                  capsys):
     preview = tmp_path / "preview.txt"
@@ -172,6 +191,20 @@ def test_preview_rejects_file_that_is_not_an_archive(tmp_path, capsys):
                      "--out", str(tmp_path / "preview.txt")]) == 3
     err = capsys.readouterr().err
     assert f"{junk}: not a driftcorner checkpoint" in err
+    assert not (tmp_path / "preview.txt").exists()
+
+
+def test_preview_rejects_checkpoint_with_wrong_checksum(tmp_path, capsys):
+    ckpt = tmp_path / "policy.npz"
+    td3.save_checkpoint(td3.td3_init(3, [-1.0], [1.0], td3.Td3Hyperparams(
+        hidden=(4,), batch_size=1, buffer_size=1)), ckpt)
+    with np.load(ckpt) as data:
+        arrays = dict(data)
+    arrays["actor"][0] += 1.0
+    np.savez(ckpt, **arrays)
+    assert cli.main(["preview", "--kind", "uturn", "--policy", str(ckpt),
+                     "--out", str(tmp_path / "preview.txt")]) == 3
+    assert f"{ckpt}: parameters sum to" in capsys.readouterr().err
     assert not (tmp_path / "preview.txt").exists()
 
 

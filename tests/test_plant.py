@@ -73,11 +73,9 @@ def test_rk4_tracks_adaptive_reference():
     state = PlantState.rolling(12.0, PARAMS, v_y=0.4, yaw_rate=0.3)
     delta, trt, pb = 0.1, 300.0, 0.0
     vp, tp = PARAMS.as_array(), TIRES.as_array()
-    scratch = np.empty(8)
 
     def rhs(_t, y):
-        kernels.derivative(y.copy(), delta, trt, pb, vp, tp, scratch)
-        return scratch[:7].copy()
+        return np.array(kernels.derivative(y, delta, trt, pb, vp, tp)[:7])
 
     y0 = state.dynamic_array()
     ref = solve_ivp(rhs, (0.0, CONTROL_DT), y0, rtol=1e-11, atol=1e-11).y[:, -1]

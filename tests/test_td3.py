@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from driftcorner import td3
 from driftcorner.envs import ACTION_HIGH, ACTION_LOW, OBS_DIM, DriftEnv, run_episode
 from driftcorner.nets import mlp_forward
 from driftcorner.td3 import (
@@ -114,8 +116,9 @@ def _fake_batch(state, n=32):
     return obs, act, rew, obs_next, done
 
 
-def test_target_uses_minimum_of_twin_critics():
-    state = _toy_state(sigma_target=1e-12)  # disable smoothing noise
+def test_target_uses_minimum_of_twin_critics(monkeypatch):
+    monkeypatch.setattr(td3, "SIGMA_TARGET", 1e-12)  # disable smoothing noise
+    state = _toy_state()
     batch = _fake_batch(state)
     y = compute_target(batch, state, state.hp)
     obs, act, rew, obs_next, done = batch
@@ -124,17 +127,19 @@ def test_target_uses_minimum_of_twin_critics():
                         / (state.high - state.low) - 1], axis=-1)
     q1, _ = mlp_forward(state.target_critic1, x)
     q2, _ = mlp_forward(state.target_critic2, x)
-    want = rew + state.hp.gamma * (1 - done) * np.minimum(q1[:, 0], q2[:, 0])
+    want = rew + td3.GAMMA * (1 - done) * np.minimum(q1[:, 0], q2[:, 0])
     np.testing.assert_allclose(y, want, atol=1e-12)
     # the minimum actually binds on some rows in both directions
     assert np.any(q1[:, 0] < q2[:, 0]) and np.any(q2[:, 0] < q1[:, 0])
 
 
-def test_target_smoothing_noise_is_clipped():
-    state = _toy_state(sigma_target=10.0, noise_clip=0.01)
+def test_target_smoothing_noise_is_clipped(monkeypatch):
+    state, base_state = _toy_state(), _toy_state()
     batch = _fake_batch(state)
-    base_state = _toy_state(sigma_target=1e-12)
+    monkeypatch.setattr(td3, "SIGMA_TARGET", 10.0)
+    monkeypatch.setattr(td3, "NOISE_CLIP", 0.01)
     y_noisy = compute_target(batch, state, state.hp)
+    monkeypatch.setattr(td3, "SIGMA_TARGET", 1e-12)
     y_clean = compute_target(batch, base_state, base_state.hp)
     # huge sigma but tight clip: targets stay close to the clean ones
     assert np.max(np.abs(y_noisy - y_clean)) < 0.5
@@ -203,6 +208,27 @@ def test_behavior_clone_fits_linear_demonstrator():
     assert mse < 5e-3
     out, _ = mlp_forward(state.actor, obs[:200])
     assert float(np.mean((out - act[:200]) ** 2)) < 5e-3
+
+
+def test_behavior_clone_counts_its_gradient_clips(monkeypatch):
+    monkeypatch.setattr(td3, "GRAD_CLIP", 1e-9)
+    state = _toy_state()
+    obs = np.random.default_rng(1).uniform(-1, 1, size=(64, 2))
+    behavior_clone(state, 3, dataset=(obs, 0.5 * obs[:, :1]))
+    assert state.clip_events == 3
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"batch_size": 0}, "batch_size must be >= 1"),
+    # a buffer smaller than a batch never yields one: no critic update runs
+    ({"hidden": (8,), "batch_size": 32, "buffer_size": 16, "warmup": 0},
+     "buffer_size must be >= batch_size"),
+    ({"warmup": -1}, "warmup must be >= 0"),
+    ({"hidden": (16, 0)}, "every hidden width must be >= 1"),
+])
+def test_hyperparams_are_validated(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Td3Hyperparams(**fields)
 
 
 # -- training loop -----------------------------------------------------
@@ -310,56 +336,74 @@ def test_checkpoint_round_trip(tmp_path):
                                   Policy(state.actor, state.obs_scale)(obs))
 
 
-def test_checkpoint_layout_is_per_layer(tmp_path):
-    # version 1 layout: one array per layer and network, and one per
-    # layer for each optimizer moment, in the order weights then biases
+def test_checkpoint_layout_is_flat(tmp_path):
+    # version 2 layout: one flat parameter vector per network and the
+    # flat moments of each optimizer, empty before its first step
     state = _toy_state()
     batch = _fake_batch(state)
     update_critics(state, batch, compute_target(batch, state, state.hp))
-    update_actor_and_targets(state, batch)
     path = tmp_path / "ck.npz"
     save_checkpoint(state, path)
-    actor, critic = [2, 16, 16, 1], [3, 16, 16, 1]
-    want = {"low": (1,), "high": (1,), "obs_scale": (2,)}
-    for name, sizes in (("actor", actor), ("critic1", critic), ("critic2", critic),
-                        ("target_actor", actor), ("target_critic1", critic),
-                        ("target_critic2", critic)):
-        shapes = [(a, b) for a, b in zip(sizes[:-1], sizes[1:])]
-        want.update({f"{name}_w{i}": s for i, s in enumerate(shapes)})
-        want.update({f"{name}_b{i}": (s[1],) for i, s in enumerate(shapes)})
-        if not name.startswith("target"):
-            layers = shapes + [(s[1],) for s in shapes]
-            for key in ("m", "v"):
-                want.update({f"opt_{name}_{key}{i}": s for i, s in enumerate(layers)})
+    # weights (2 or 3)·16 + 16·16 + 16·1, then biases 16 + 16 + 1
+    actor, critic = 337, 353
+    want = {"low": (1,), "high": (1,), "obs_scale": (2,),
+            "opt_actor_m": (0,), "opt_actor_v": (0,)}
+    for name, size in (("actor", actor), ("critic1", critic), ("critic2", critic),
+                       ("target_actor", actor), ("target_critic1", critic),
+                       ("target_critic2", critic)):
+        want[name] = (size,)
+    for name in ("opt_critic1", "opt_critic2"):
+        want.update({f"{name}_m": (critic,), f"{name}_v": (critic,)})
     with np.load(path) as data:
         got = {k: data[k].shape for k in data.files if k != "meta"}
         meta = json.loads(bytes(data["meta"]).decode())
-        np.testing.assert_array_equal(data["critic2_w1"], state.critic2.weights[1])
-        # the second bias layer follows 320 weights and the first 16 biases
-        np.testing.assert_array_equal(data["opt_critic1_v4"],
-                                      state.opt_critic1.v[336:352])
+        np.testing.assert_array_equal(data["critic2"], state.critic2.flat)
+        np.testing.assert_array_equal(data["opt_critic1_v"], state.opt_critic1.v)
     assert got == want
-    assert meta["version"] == 1
+    assert meta["version"] == 2
+    assert load_checkpoint(path).opt_actor.m.size == 0
+    update_actor_and_targets(state, batch)
+    save_checkpoint(state, path)
     back = load_checkpoint(path)
-    for opt, ref in ((back.opt_actor, state.opt_actor),
-                     (back.opt_critic1, state.opt_critic1),
-                     (back.opt_critic2, state.opt_critic2)):
+    for name in ("actor", "critic1", "critic2", "target_actor", "target_critic1",
+                 "target_critic2"):
+        np.testing.assert_array_equal(getattr(back, name).flat,
+                                      getattr(state, name).flat)
+    for name in ("opt_actor", "opt_critic1", "opt_critic2"):
+        opt, ref = getattr(back, name), getattr(state, name)
         np.testing.assert_array_equal(opt.m, ref.m)
         np.testing.assert_array_equal(opt.v, ref.v)
-        assert opt.t == ref.t
-    assert back.checksum() == state.checksum()
+        assert opt.t == ref.t and opt.lr == ref.lr
+    assert (back.critic_updates, back.actor_updates, back.env_steps) == (
+        state.critic_updates, state.actor_updates, state.env_steps)
+    assert back.rng.bit_generator.state == state.rng.bit_generator.state
+    assert back.hp == state.hp
 
 
 def test_load_checkpoint_rejects_other_versions(tmp_path):
+    # version 1 stored every layer and moment as an array of its own
     path = tmp_path / "ck.npz"
     save_checkpoint(_toy_state(), path)
     with np.load(path) as data:
         arrays = dict(data)
     meta = json.loads(bytes(arrays["meta"]).decode())
-    meta["version"] += 1
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    for version in (1, 3):
+        meta["version"] = version
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: checkpoint version {version}, this program reads version 2")):
+            load_checkpoint(path)
+
+
+def test_load_checkpoint_checks_the_stored_checksum(tmp_path):
+    path = tmp_path / "ck.npz"
+    save_checkpoint(_toy_state(), path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["critic1"][5] += 1.0
     np.savez(path, **arrays)
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: parameters sum to")):
         load_checkpoint(path)
 
 
