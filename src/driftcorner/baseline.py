@@ -14,13 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .planner import PreTrajectory
-from .plant import ActuatorLimits, TireParams, VehicleParams, G
+from .plant import DELTA_MAX, G, P_MAX, T_MAX, TireParams, VehicleParams
 from .track import TrackGeometry
 
-# The tracker drives the training plant.
-PARAMS = VehicleParams()
-LIMITS = ActuatorLimits()
-TIRES = TireParams()
 LOOKAHEAD_GAIN = 0.2  # s, lookahead = gain * speed + min
 LOOKAHEAD_MIN = 1.5  # m
 KP_SPEED = 1.2  # 1/s, speed-loop gain
@@ -67,12 +63,12 @@ class BaselineTracker:
         # curve for the required front force, and steer relative to the
         # measured front-axle course.  Feedback-linearizing like this
         # avoids winding past the peak-slip angle into deep understeer.
-        p, tp = PARAMS, TIRES
+        p, tp = VehicleParams(), TireParams()  # the training plant
         ay_req = v * v * kappa_dem
         fz_f = p.m * G * p.l_r / p.wheelbase
         f = (p.m * abs(ay_req) * p.l_r / p.wheelbase) / (
-            tp.mu * tp.d_front * fz_f)
-        slip = math.tan(math.asin(min(f, 0.985)) / tp.c_front) / tp.b_front
+            tp.mu * tp.d * fz_f)
+        slip = math.tan(math.asin(min(f, 0.985)) / tp.c) / tp.b
         slip = math.copysign(min(slip, SLIP_CAP), ay_req)
         yaw_rate = obs[5] + kappa_c * obs[3]
         axle_course = math.atan2(v_y + p.l_f * yaw_rate, max(v_x, 1.0))
@@ -90,7 +86,7 @@ class BaselineTracker:
         f_loss = p.c_rr * p.m * G + p.c_drag * v_x * abs(v_x)
         # Steering drag: the front lateral force pulls backward along the
         # body x-axis by sin(delta).
-        f_loss += f * tp.mu * tp.d_front * fz_f * abs(math.sin(delta))
+        f_loss += f * tp.mu * tp.d * fz_f * abs(math.sin(delta))
         if a >= 0.0:
             t_rt = (p.m * a + f_loss) * p.r_w
             p_b = 0.0
@@ -98,7 +94,7 @@ class BaselineTracker:
             t_rt = 0.0
             p_b = max(0.0, (-p.m * a - f_loss) * p.r_w / p.k_b)
         return np.array([
-            min(max(delta, -LIMITS.delta_max), LIMITS.delta_max),
-            min(max(t_rt, 0.0), LIMITS.t_max),
-            min(p_b, LIMITS.p_max),
+            min(max(delta, -DELTA_MAX), DELTA_MAX),
+            min(max(t_rt, 0.0), T_MAX),
+            min(p_b, P_MAX),
         ])

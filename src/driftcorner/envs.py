@@ -20,8 +20,10 @@ from .errors import AmbiguousProjection, NumericalBlowup, OffCorridor
 from .planner import PreTrajectory
 from .plant import (
     CONTROL_DT,
+    DELTA_MAX,
+    P_MAX,
+    T_MAX,
     Action,
-    ActuatorLimits,
     PlantState,
     TerminationMonitor,
     TireParams,
@@ -41,9 +43,8 @@ TIME_CAP_FACTOR = 3.0  # episode cap as a multiple of t_ref
 
 # The (delta_f, T_rt, P_b) action box, read-only: every env, the
 # reward and the deploy controller share these arrays.
-_LIMITS = ActuatorLimits()
-ACTION_LOW = np.array([-_LIMITS.delta_max, 0.0, 0.0])
-ACTION_HIGH = np.array([_LIMITS.delta_max, _LIMITS.t_max, _LIMITS.p_max])
+ACTION_LOW = np.array([-DELTA_MAX, 0.0, 0.0])
+ACTION_HIGH = np.array([DELTA_MAX, T_MAX, P_MAX])
 ACTION_SPAN = ACTION_HIGH - ACTION_LOW
 for _box in (ACTION_LOW, ACTION_HIGH, ACTION_SPAN):
     _box.flags.writeable = False
@@ -242,7 +243,7 @@ class DriftEnv:
             a0 = rng.uniform(-math.radians(2.0), math.radians(2.0))
         x0, y0 = to_cartesian(FrenetPoint(0.0, l0), self.track)
         self.state = PlantState.rolling(
-            v0, self.params, x=x0, y=y0,
+            v0, x=x0, y=y0,
             phi=_wrap_angle(self.track.heading_at(0.0) + a0),
         )
         self._t = 0.0
@@ -265,9 +266,9 @@ class DriftEnv:
         if self.state is None:
             raise RuntimeError("call reset() before step()")
         delta_f, t_rt, p_b = action
-        clipped = [min(max(float(delta_f), -_LIMITS.delta_max), _LIMITS.delta_max),
-                   min(max(float(t_rt), 0.0), _LIMITS.t_max),
-                   min(max(float(p_b), 0.0), _LIMITS.p_max)]
+        clipped = [min(max(float(delta_f), -DELTA_MAX), DELTA_MAX),
+                   min(max(float(t_rt), 0.0), T_MAX),
+                   min(max(float(p_b), 0.0), P_MAX)]
         try:
             self.state = plant_step(
                 self.state, Action(*clipped), CONTROL_DT, self.tires, self.params,
@@ -285,7 +286,7 @@ class DriftEnv:
             self._status = "crashed"
             return self._finish(0.0)
         self._s = obs.s
-        beta = side_slip_rear(self.state, self.params)
+        beta = side_slip_rear(self.state)
         self._max_beta = max(self._max_beta, abs(beta.value))
         self._max_speed = max(self._max_speed, math.hypot(obs.v_x, obs.v_y))
 
@@ -305,8 +306,7 @@ class DriftEnv:
             ])
 
         status = detect_termination(self.state, self.track,
-                                    FrenetPoint(obs.s, obs.l), self.params,
-                                    self._monitor)
+                                    FrenetPoint(obs.s, obs.l), self._monitor)
         if status == "running" and self._t >= self.time_cap - 1e-9:
             status = "timeout"
         if status != "running":

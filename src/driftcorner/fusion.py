@@ -61,8 +61,8 @@ FALLBACK_HYSTERESIS = math.radians(10.0)
 
 
 def params_digest(params: VehicleParams, tires: TireParams) -> str:
-    """Short content hash identifying a plant configuration."""
-    raw = np.concatenate([params.as_array(), tires.as_array()]).tobytes()
+    """Short content hash of the plant's settable values."""
+    raw = np.array([params.m, tires.mu, tires.b, tires.d], dtype=float).tobytes()
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
@@ -316,7 +316,7 @@ class FusionController:
         u_t = a_rl + du_act
         applied = np.clip(u_t, ACTION_LOW, ACTION_HIGH)
 
-        beta = side_slip_rear(state, self.params).value
+        beta = side_slip_rear(state).value
         if self.fallback_on and abs(beta) < FALLBACK_BETA - FALLBACK_HYSTERESIS:
             self.fallback_on = False
         if abs(beta) >= FALLBACK_BETA:
@@ -367,16 +367,11 @@ class DeploymentSpec:
     def apply(
         self, params: VehicleParams, tires: TireParams
     ) -> tuple[VehicleParams, TireParams]:
-        out_p = replace(params, m=params.m * self.mass_scale)
-        out_t = tires
-        if self.mu is not None:
-            out_t = replace(out_t, mu=self.mu)
-        out_t = replace(out_t,
-                        b_front=out_t.b_front * self.tire_b_scale,
-                        b_rear=out_t.b_rear * self.tire_b_scale,
-                        d_front=out_t.d_front * self.tire_d_scale,
-                        d_rear=out_t.d_rear * self.tire_d_scale)
-        return out_p, out_t
+        """The deployment plant; a ValueError if a value leaves (0, inf)."""
+        mu = tires.mu if self.mu is None else self.mu
+        return (replace(params, m=params.m * self.mass_scale),
+                replace(tires, mu=mu, b=tires.b * self.tire_b_scale,
+                        d=tires.d * self.tire_d_scale))
 
 
 @dataclass

@@ -1,15 +1,17 @@
-"""Hot numeric kernel for the vehicle plant.
+"""Hot numeric kernel for the vehicle plant, and the modelled vehicle.
 
 The chassis + wheel-spin right-hand side and the fixed-step RK4 loop are
 the innermost loop of training and deployment: each control period runs
-10 substeps of 4 stages.  `integrate` takes the state and the parameters
-as sequences of floats, computes the quantities that hold over the whole
-period (static axle loads, tire peaks, brake torque factors, the
-rolling loss, cos/sin of the wheel angle) once in `_period_constants`,
-runs the unrolled stages on floats held in locals, and returns the new
-state as floats.  The hoisted expressions keep their per-stage operand
-order, so the results are bit for bit those of evaluating everything at
-every stage.
+10 substeps of 4 stages.  `integrate` takes the state as 7 floats and
+the four settable values of the plant (mass, adhesion mu, and the
+Magic-Formula B and D of both axles) as floats; every other value of
+the one modelled vehicle is a constant of this module.  It computes the
+quantities that hold over the whole period (static axle loads, tire
+peaks, brake forces, the rolling loss, cos/sin of the wheel angle) once
+in `_period_constants`, runs the unrolled stages on floats held in
+locals, and returns the new state as floats.  The hoisted expressions
+keep their per-stage operand order, so the results are bit for bit
+those of evaluating everything at every stage.
 
 The kernel is plain Python on floats and `math` functions: at 7 states
 and 4 stages a numpy array per stage would cost more than the
@@ -17,18 +19,31 @@ arithmetic it holds.
 
 State layout (7 floats):
     [X, Y, phi, v_x, v_y, yaw_rate, omega_r]
-Vehicle parameter layout (length 10):
-    [m, I_z, l_f, l_r, r_w, I_w, K_b, brake_front_frac, c_rr, c_drag]
-Tire parameter layout (length 9):
-    [B_f, C_f, D_f, E_f, B_r, C_r, D_r, E_r, mu]
 """
 
 from __future__ import annotations
 
 from math import atan, atan2, cos, sin, sqrt, tanh
 
-G = 9.81
+G = 9.81  # m/s^2
 NUMBA_ENABLED = False  # the kernel always runs as plain Python
+
+# The modelled vehicle: every value but the settable four.
+I_Z = 3200.0  # kg*m^2, yaw inertia
+L_F = 1.4  # m, c.g. to front axle
+L_R = 1.6  # m, c.g. to rear axle
+R_W = 0.32  # m, wheel radius
+I_W = 1.5  # kg*m^2 per wheel
+K_B = 600.0  # N*m/MPa; P_max * K_B locks the wheels at mu = 1
+BRAKE_FRONT_FRAC = 0.6
+C_RR = 0.012  # rolling resistance coefficient
+C_DRAG = 0.42  # N/(m/s)^2 aerodynamic drag
+TIRE_C = 1.9  # Magic-Formula shape C, both axles
+TIRE_E = 0.97  # Magic-Formula curvature E, both axles
+WHEELBASE = L_F + L_R
+_IW2 = 2.0 * I_W  # the rear axle's two wheels
+_BRAKE_F = BRAKE_FRONT_FRAC * K_B
+_BRAKE_R = (1.0 - BRAKE_FRONT_FRAC) * K_B
 
 
 def _tire_curve(slip, B, C, E, scale):
@@ -42,35 +57,26 @@ def magic_formula(slip, B, C, D, E, peak):
     return _tire_curve(slip, B, C, E, peak * D)
 
 
-def _period_constants(delta, trt, pb, vp, tp):
+def _period_constants(delta, trt, pb, m, mu, b, d):
     """The right-hand side's inputs that stay fixed over one control
-    period (zero-order-hold inputs), as one tuple of floats."""
+    period (zero-order-hold inputs and the settable plant values), as
+    one tuple of floats."""
     pb = float(pb)
-    m = float(vp[0])
-    lf = float(vp[2])
-    lr = float(vp[3])
-    rw = float(vp[4])
-    kb = float(vp[6])
-    bff = float(vp[7])
-    mu = float(tp[8])
-    d_f = float(tp[2])
-    d_r = float(tp[6])
+    m = float(m)
+    mu = float(mu)
+    d = float(d)
     # static axle loads
-    fzf = m * G * lr / (lf + lr)
-    fzr = m * G * lf / (lf + lr)
+    fzf = m * G * L_R / WHEELBASE
+    fzr = m * G * L_F / WHEELBASE
     return (
-        float(delta), cos(delta), sin(delta), float(trt),
-        m, float(vp[1]), lf, lr, rw, 2.0 * float(vp[5]),
-        float(tp[0]), float(tp[1]), float(tp[3]),
-        float(tp[4]), float(tp[5]), float(tp[7]),
+        float(delta), cos(delta), sin(delta), float(trt), m, float(b),
         # mu*Fz*D twice: the Magic Formula scales and the friction-ellipse
         # peaks round the product in different operand orders
-        mu * fzf * d_f, mu * fzr * d_r,
-        mu * d_f * fzf, mu * d_r * fzr,
-        -(bff * kb * pb / rw),  # front brake force per unit tanh(v_x / 0.5)
-        (1.0 - bff) * kb * pb,  # rear brake torque per unit tanh(omega / 0.5)
-        float(vp[8]) * m * G,  # rolling loss per unit tanh(v_x / 0.5)
-        float(vp[9]),
+        mu * fzf * d, mu * fzr * d,
+        mu * d * fzf, mu * d * fzr,
+        -(_BRAKE_F * pb / R_W),  # front brake force per unit tanh(v_x / 0.5)
+        _BRAKE_R * pb,  # rear brake torque per unit tanh(omega / 0.5)
+        C_RR * m * G,  # rolling loss per unit tanh(v_x / 0.5)
     )
 
 
@@ -78,23 +84,23 @@ def _rhs(phi, vx, vy, r, om, const):
     """Right-hand side of the 3-DOF chassis + rear wheel spin model at
     one stage state; returns the 7 state rates and the lateral
     acceleration at the c.g. (diagnostic for the rollover proxy)."""
-    (delta, cd, sd, trt, m, iz, lf, lr, rw, iw2, b_f, c_f, e_f, b_r, c_r, e_r,
-     scale_f, scale_r, peak_f, peak_r, brake_f, brake_r, roll, c_drag) = const
+    (delta, cd, sd, trt, m, b, scale_f, scale_r, peak_f, peak_r, brake_f,
+     brake_r, roll) = const
 
     vx_s = vx if vx > 0.3 else 0.3  # slip-angle guard at low speed
-    alpha_f = atan2(vy + lf * r, vx_s) - delta
-    alpha_r = atan2(vy - lr * r, vx_s)
+    alpha_f = atan2(vy + L_F * r, vx_s) - delta
+    alpha_r = atan2(vy - L_R * r, vx_s)
 
     # Rear longitudinal slip from wheel spin (lumped axle).
     denom = abs(vx)
     if denom < 0.5:
         denom = 0.5
-    sx_r = (om * rw - vx) / denom
+    sx_r = (om * R_W - vx) / denom
 
     # Pure-slip Magic Formula forces (lateral force opposes the slip angle).
-    fy_f0 = -_tire_curve(alpha_f, b_f, c_f, e_f, scale_f)
-    fy_r0 = -_tire_curve(alpha_r, b_r, c_r, e_r, scale_r)
-    fx_r0 = _tire_curve(sx_r, b_r, c_r, e_r, scale_r)
+    fy_f0 = -_tire_curve(alpha_f, b, TIRE_C, TIRE_E, scale_f)
+    fy_r0 = -_tire_curve(alpha_r, b, TIRE_C, TIRE_E, scale_r)
+    fx_r0 = _tire_curve(sx_r, b, TIRE_C, TIRE_E, scale_r)
 
     # Front longitudinal force: brake demand only (no front drive).
     th = tanh(vx / 0.5)
@@ -117,7 +123,7 @@ def _rhs(phi, vx, vy, r, om, const):
         fy_r = fy_r0
 
     # Losses (rolling resistance + aerodynamic drag), smooth-signed.
-    f_loss = roll * th + c_drag * vx * abs(vx)
+    f_loss = roll * th + C_DRAG * vx * abs(vx)
 
     ax = (fx_f * cd - fy_f * sd + fx_r - f_loss) / m
     ay = (fx_f * sd + fy_f * cd + fy_r) / m
@@ -127,27 +133,27 @@ def _rhs(phi, vx, vy, r, om, const):
         r,
         vy * r + ax,
         -vx * r + ay,
-        (lf * (fy_f * cd + fx_f * sd) - lr * fy_r) / iz,
+        (L_F * (fy_f * cd + fx_f * sd) - L_R * fy_r) / I_Z,
         # Lumped rear axle spin: drive torque, brake torque, tire reaction.
-        (trt - brake_r * tanh(om / 0.5) - rw * fx_r) / iw2,
+        (trt - brake_r * tanh(om / 0.5) - R_W * fx_r) / _IW2,
         ay,
     )
 
 
-def derivative(y, delta, trt, pb, vp, tp):
+def derivative(y, delta, trt, pb, m, mu, b, d):
     """Right-hand side at state `y`: the 7 state rates, then the lateral
     acceleration at the c.g."""
     return _rhs(float(y[2]), float(y[3]), float(y[4]), float(y[5]), float(y[6]),
-                _period_constants(delta, trt, pb, vp, tp))
+                _period_constants(delta, trt, pb, m, mu, b, d))
 
 
-def integrate(y, delta, trt, pb, dt, n_sub, vp, tp):
+def integrate(y, delta, trt, pb, dt, n_sub, m, mu, b, d):
     """Fixed-step RK4 with zero-order-hold inputs over the control period.
 
     Returns the state `y` advanced by `dt`, as 7 floats, followed by the
     lateral acceleration at the final substep (rollover diagnostic).
     """
-    const = _period_constants(delta, trt, pb, vp, tp)
+    const = _period_constants(delta, trt, pb, m, mu, b, d)
     h = dt / n_sub
     hh = 0.5 * h
     h6 = h / 6.0

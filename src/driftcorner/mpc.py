@@ -40,10 +40,13 @@ N_INPUT = 2
 N_AUG = N_STATE + N_INPUT
 N_Z = 2 * N_INPUT  # decision variables (du_k, du_{k+1})
 
-# The tracker's one configuration: sample time, cost weights on the
-# state deviation and on the input rates, and the boxes on the rates
-# and on the accumulated inputs (delta_f in rad, a_xt in m/s^2).
+# The tracker's one configuration: sample time, the model's linear
+# tire stiffness, cost weights on the state deviation and on the input
+# rates, and the boxes on the rates and on the accumulated inputs
+# (delta_f in rad, a_xt in m/s^2).
 T_S = CONTROL_DT  # s
+C_CF = 8.0e4  # N/rad per tire, front
+C_CR = 8.0e4  # N/rad per tire, rear
 Q = np.diag([50.0, 50.0, 20.0, 5.0, 5.0, 5.0])
 R = np.diag([200.0, 10.0])
 U_MIN = np.array([-0.524, -8.0])
@@ -90,8 +93,8 @@ def dynamics_rhs(
     if v_x < V_EPS:
         raise SingularSpeed(f"v_x={v_x:.3f} below {V_EPS}")
     p = params
-    ff = p.c_cf * (delta - (v_y + p.l_f * r) / v_x)
-    fr = p.c_cr * ((p.l_r * r - v_y) / v_x)
+    ff = C_CF * (delta - (v_y + p.l_f * r) / v_x)
+    fr = C_CR * ((p.l_r * r - v_y) / v_x)
     return np.array([
         v_x * math.cos(phi) - v_y * math.sin(phi),
         v_x * math.sin(phi) + v_y * math.cos(phi),
@@ -115,7 +118,7 @@ def linearize(
         raise SingularSpeed(f"reference v_x={np.min(vx):.3f} below {V_EPS}")
     p = params
     c, s = np.cos(phi), np.sin(phi)
-    cf, cr = p.c_cf, p.c_cr
+    cf, cr = C_CF, C_CR
     a = np.zeros(np.shape(vx) + (N_STATE, N_STATE))
     a[..., 0, 2] = -vx * s - vy * c
     a[..., 0, 3] = c
@@ -325,10 +328,11 @@ def _kkt_residual(h, g, a_ineq, b_ineq, z, active, lam) -> float:
 
 # Box constraints A z <= b on z = (du_k, du_{k+1}), the same on every
 # tick.  Each row pair bounds both input channels from above and below:
-# the rates du_k and du_{k+1}, then the accumulated inputs u(k) and
-# u(k+1), which couple the two steps.
-A_INEQ = np.kron([[1, 0], [-1, 0], [0, 1], [0, -1],
-                  [1, 0], [-1, 0], [1, 1], [-1, -1]], np.eye(2))
+# du_k by the intersection of its rate box and the box on u(k), du_{k+1}
+# by its rate box, and du_k + du_{k+1} by the box on u(k+1), which
+# couples the two steps.
+A_INEQ = np.kron([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]],
+                 np.eye(2))
 A_INEQ.flags.writeable = False
 
 
@@ -351,8 +355,6 @@ def solve_qp(
     hi1 = np.minimum(DU_MAX, room_up)
     if np.any(lo1 > hi1 + 1e-12):
         raise Infeasible("rate box and accumulated-input box are disjoint")
-    rates = (DU_MAX, -DU_MIN)
-    inputs = (room_up, -room_down)
-    b_ineq = np.concatenate([*rates, *rates, *inputs, *inputs])
+    b_ineq = np.concatenate([hi1, -lo1, DU_MAX, -DU_MIN, room_up, -room_down])
     sol = solve_box_qp(qp.h, g, A_INEQ, b_ineq, z_free=z_free)
     return sol.z[:2], sol.z[2:], sol

@@ -19,10 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadTrackSpec, Infeasible
-from .plant import ActuatorLimits, VehicleParams
+from .plant import G, T_MAX, VehicleParams
 from .track import FrenetPoint, TrackGeometry, to_cartesian
-
-G = 9.81
 
 CORRIDOR_MARGIN = 1.0  # m, kept clear of each boundary: boundary-check
 # half width (0.4) plus bounding-box overhang and tracking-error budget
@@ -30,7 +28,6 @@ V_STRAIGHT_MAX = 16.0  # m/s, speed cap on zero-curvature sections
 A_LONG_LIMITS = (-6.0, 3.0)  # m/s^2, (braking, accelerating)
 V_START = 9.0  # m/s, cap on the planned speed at s = 0
 SPEED_DS = 0.25  # m, target spacing of the speed-plan samples
-POWERTRAIN = VehicleParams()  # drive-force limit of the forward pass
 KNOT_SPACING = 2.0  # m, target spacing of the offset-spline knots
 MIN_KNOT_INTERVALS = 10
 MAX_ITER = 2000  # Gauss-Newton iterations of minimize_curvature
@@ -242,8 +239,8 @@ def plan_speed(
 ) -> SpeedPlan:
     """Adhesion-limited speed with a forward-backward acceleration pass.
 
-    The forward pass is additionally limited by the drive force of
-    `POWERTRAIN` minus its losses, both passes respect the friction-ellipse
+    The forward pass is additionally limited by the training plant's
+    drive force minus its losses, both passes respect the friction-ellipse
     coupling with the lateral demand, and the speed at s = 0 is capped at
     `V_START`, so the plan is drivable rather than merely
     adhesion-feasible pointwise.
@@ -270,11 +267,10 @@ def plan_speed(
         lat = v * v * k / (mu * G)
         return math.sqrt(max(0.0, 1.0 - min(lat, 1.0) ** 2))
 
-    t_max = ActuatorLimits().t_max
-    p = POWERTRAIN
+    p = VehicleParams()
 
     def a_fwd(v, k):
-        f = t_max / p.r_w - p.c_rr * p.m * G - p.c_drag * v * v
+        f = T_MAX / p.r_w - p.c_rr * p.m * G - p.c_drag * v * v
         return min(a_max, f / p.m, mu * G) * ellipse(v, k)
 
     def a_bwd(v, k):

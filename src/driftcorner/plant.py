@@ -5,6 +5,14 @@ tires (friction-ellipse coupling), rear-drive torque and master-cylinder
 brake pressure mapped through a lumped rear axle spin DOF, actuator
 saturation and rate limits, and termination detection.
 
+One vehicle is modelled.  Four of its values are settable, because the
+deployment plant varies them (`fusion.DeploymentSpec`): the mass
+(`VehicleParams.m`), the adhesion and the Magic-Formula B and D of both
+axles (`TireParams.mu`, `.b`, `.d`).  Every other value is a constant:
+the geometry, inertias, brake and loss coefficients and tire shape are
+those of `kernels`, readable as class attributes of the two parameter
+classes, and the actuator envelope is the constants below.
+
 `step` is a pure transition function; instances carry no mutable state.
 """
 
@@ -12,19 +20,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .errors import AmbiguousProjection, NumericalBlowup, OffCorridor
+from .kernels import G
 from .track import FrenetPoint, TrackGeometry, to_frenet
-
-G = 9.81
 
 CONTROL_DT = 0.01  # s, control task period (100 Hz)
 SUBSTEP_DT = 0.001  # s, internal RK4 step
+
+# The actuator envelope: saturation and rate of each channel.
+DELTA_MAX = 0.524  # rad (30 deg at the wheel)
+DELTA_RATE = 7.0  # rad/s
+T_MAX = 1000.0  # N*m, peak drive torque
+T_RATE = 20000.0  # N*m/s, drive torque filter
+P_MAX = 10.0  # MPa
+P_RATE = 100.0  # MPa/s
 
 
 class Action(NamedTuple):
@@ -33,90 +47,53 @@ class Action(NamedTuple):
     p_b: float  # master-cylinder pressure, MPa
 
 
-@dataclass(frozen=True)
-class ActuatorLimits:
-    delta_max: float = 0.524  # rad (30 deg at the wheel)
-    delta_rate: float = 7.0  # rad/s
-    t_max: float = 1000.0  # N*m, peak drive torque
-    t_rate: float = 20000.0  # N*m/s, drive torque filter
-    p_max: float = 10.0  # MPa
-    p_rate: float = 100.0  # MPa/s
+def _require_positive(obj, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
 class TireParams:
-    """Magic-Formula shape per axle plus the friction scale."""
+    """Friction scale and the Magic-Formula B and D of both axles."""
 
-    b_front: float = 5.5
-    c_front: float = 1.9
-    d_front: float = 1.0
-    e_front: float = 0.97
-    b_rear: float = 5.5
-    c_rear: float = 1.9
-    d_rear: float = 1.0
-    e_rear: float = 0.97
     mu: float = 0.85
+    b: float = 5.5
+    d: float = 1.0
+    c: ClassVar[float] = kernels.TIRE_C
+    e: ClassVar[float] = kernels.TIRE_E
 
-    @cached_property
-    def kernel_layout(self) -> tuple[float, ...]:
-        """The plant kernel's tire parameter layout as floats, built on
-        first use and kept by the (frozen) instance."""
-        return tuple(float(v) for v in (
-            self.b_front, self.c_front, self.d_front, self.e_front,
-            self.b_rear, self.c_rear, self.d_rear, self.e_rear,
-            self.mu,
-        ))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.kernel_layout)
+    def __post_init__(self):
+        _require_positive(self, "mu", "b", "d")
 
     def cornering_stiffness(self, params: "VehicleParams") -> tuple[float, float]:
         """Per-tire small-slip stiffness (N/rad) of each axle."""
         fzf = params.m * G * params.l_r / params.wheelbase
         fzr = params.m * G * params.l_f / params.wheelbase
-        front = 0.5 * self.b_front * self.c_front * self.d_front * self.mu * fzf
-        rear = 0.5 * self.b_rear * self.c_rear * self.d_rear * self.mu * fzr
+        front = 0.5 * self.b * self.c * self.d * self.mu * fzf
+        rear = 0.5 * self.b * self.c * self.d * self.mu * fzr
         return front, rear
 
 
 @dataclass(frozen=True)
 class VehicleParams:
+    """The vehicle's mass, its one settable value; the kernel constants
+    that other modules read are class attributes."""
+
     m: float = 1800.0  # kg
-    i_z: float = 3200.0  # kg*m^2
-    l_f: float = 1.4  # m
-    l_r: float = 1.6  # m
-    r_w: float = 0.32  # m
-    i_w: float = 1.5  # kg*m^2 per wheel
-    k_b: float = 600.0  # N*m/MPa; P_max * k_b locks the wheels at mu = 1
-    brake_front_frac: float = 0.6
-    c_cf: float = 8.0e4  # N/rad per tire, linear model (MPC) front
-    c_cr: float = 8.0e4  # N/rad per tire, linear model (MPC) rear
-    veh_half_width: float = 0.4  # m, boundary-check half width
-    c_rr: float = 0.012  # rolling resistance coefficient
-    c_drag: float = 0.42  # N/(m/s)^2 aerodynamic drag
+    i_z: ClassVar[float] = kernels.I_Z
+    l_f: ClassVar[float] = kernels.L_F
+    l_r: ClassVar[float] = kernels.L_R
+    wheelbase: ClassVar[float] = kernels.WHEELBASE
+    r_w: ClassVar[float] = kernels.R_W
+    k_b: ClassVar[float] = kernels.K_B
+    c_rr: ClassVar[float] = kernels.C_RR
+    c_drag: ClassVar[float] = kernels.C_DRAG
+    veh_half_width: ClassVar[float] = 0.4  # m, boundary-check half width
 
     def __post_init__(self):
-        for name in ("m", "i_z", "l_f", "l_r", "r_w", "i_w", "k_b"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 2.0 <= self.l_f + self.l_r <= 4.0:
-            raise ValueError("wheelbase outside the [2, 4] m sanity gate")
-
-    @property
-    def wheelbase(self) -> float:
-        return self.l_f + self.l_r
-
-    @cached_property
-    def kernel_layout(self) -> tuple[float, ...]:
-        """The plant kernel's vehicle parameter layout as floats, built on
-        first use and kept by the (frozen) instance."""
-        return tuple(float(v) for v in (
-            self.m, self.i_z, self.l_f, self.l_r, self.r_w, self.i_w,
-            self.k_b, self.brake_front_frac, self.c_rr, self.c_drag,
-        ))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.kernel_layout)
+        _require_positive(self, "m")
 
 
 @dataclass(frozen=True)
@@ -141,9 +118,9 @@ class PlantState:
         )
 
     @staticmethod
-    def rolling(v_x: float, params: VehicleParams, **kw) -> "PlantState":
+    def rolling(v_x: float, **kw) -> "PlantState":
         """State rolling straight at v_x with matched wheel speed."""
-        return PlantState(v_x=v_x, omega_r=v_x / params.r_w, **kw)
+        return PlantState(v_x=v_x, omega_r=v_x / VehicleParams.r_w, **kw)
 
 
 class SideSlip(NamedTuple):
@@ -151,20 +128,18 @@ class SideSlip(NamedTuple):
     low_speed: bool
 
 
-def side_slip_rear(state: PlantState, params: VehicleParams) -> SideSlip:
+def side_slip_rear(state: PlantState) -> SideSlip:
     """Side-slip angle at the rear axle center.
 
     Below 0.1 m/s the angle is undefined; returns 0 with the flag set."""
     if state.v_x <= 0.1:
         return SideSlip(0.0, True)
     return SideSlip(
-        math.atan2(state.v_y - params.l_r * state.yaw_rate, state.v_x), False
+        math.atan2(state.v_y - VehicleParams.l_r * state.yaw_rate, state.v_x), False
     )
 
 
-def apply_actuator_limits(
-    cmd: Action, latch: Action, dt: float, limits: ActuatorLimits
-) -> Action:
+def apply_actuator_limits(cmd: Action, latch: Action, dt: float) -> Action:
     """Saturate to the actuator envelope, then rate-limit from the latch."""
 
     def _one(value, prev, lo, hi, rate):
@@ -172,10 +147,9 @@ def apply_actuator_limits(
         return min(max(value, prev - rate * dt), prev + rate * dt)
 
     return Action(
-        _one(cmd.delta_f, latch.delta_f, -limits.delta_max, limits.delta_max,
-             limits.delta_rate),
-        _one(cmd.t_rt, latch.t_rt, 0.0, limits.t_max, limits.t_rate),
-        _one(cmd.p_b, latch.p_b, 0.0, limits.p_max, limits.p_rate),
+        _one(cmd.delta_f, latch.delta_f, -DELTA_MAX, DELTA_MAX, DELTA_RATE),
+        _one(cmd.t_rt, latch.t_rt, 0.0, T_MAX, T_RATE),
+        _one(cmd.p_b, latch.p_b, 0.0, P_MAX, P_RATE),
     )
 
 
@@ -189,18 +163,17 @@ def step(
     dt: float = CONTROL_DT,
     tires: TireParams = TireParams(),
     params: VehicleParams = VehicleParams(),
-    limits: ActuatorLimits = ActuatorLimits(),
 ) -> PlantState:
     """Advance the plant one control period under a zero-order-hold input."""
     latch = Action(state.delta_applied, state.trt_applied, state.pb_applied)
-    applied = apply_actuator_limits(cmd, latch, dt, limits)
+    applied = apply_actuator_limits(cmd, latch, dt)
 
     n_sub = max(1, int(round(dt / SUBSTEP_DT)))
     out = kernels.integrate(
         (state.x, state.y, state.phi, state.v_x, state.v_y, state.yaw_rate,
          state.omega_r),
         applied.delta_f, applied.t_rt, applied.p_b, dt, n_sub,
-        params.kernel_layout, tires.kernel_layout,
+        params.m, tires.mu, tires.b, tires.d,
     )
     x, y, phi, v_x, v_y, yaw_rate, omega_r, a_y = out
     dynamic = out[:7]
@@ -237,15 +210,14 @@ class TerminationMonitor:
         return self._above * CONTROL_DT >= ROLLOVER_T
 
 
-def vehicle_corners(
-    state: PlantState, params: VehicleParams
-) -> list[tuple[float, float]]:
+def vehicle_corners(state: PlantState) -> list[tuple[float, float]]:
     """World positions (x, y) of the four bounding-box corners: front
     left, front right, rear left, rear right."""
     c, s = math.cos(state.phi), math.sin(state.phi)
     out = []
-    for dx in (params.l_f, -params.l_r):
-        for dy in (params.veh_half_width, -params.veh_half_width):
+    p = VehicleParams
+    for dx in (p.l_f, -p.l_r):
+        for dy in (p.veh_half_width, -p.veh_half_width):
             out.append((state.x + dx * c - dy * s, state.y + dx * s + dy * c))
     return out
 
@@ -254,7 +226,6 @@ def detect_termination(
     state: PlantState,
     track: TrackGeometry,
     cg: FrenetPoint,
-    params: VehicleParams = VehicleParams(),
     monitor: TerminationMonitor | None = None,
 ) -> str:
     """'running' | 'completed' | 'crashed' for the current state, whose
@@ -262,7 +233,7 @@ def detect_termination(
     if monitor is not None and monitor.update(state.a_y):
         return "crashed"
     try:
-        for corner in vehicle_corners(state, params):
+        for corner in vehicle_corners(state):
             fp = to_frenet(corner, track, s_hint=cg.s)
             if abs(fp.l) > track.half_width:
                 return "crashed"

@@ -322,7 +322,9 @@ def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
 
     The replay buffer contents are not stored; pass one in to resume
     training, or leave it empty for deployment-only use.  Parameters
-    that do not sum to the stored checksum are a ValueError."""
+    that do not sum to the stored checksum, action bounds or observation
+    scales not sized for the stored actor, and optimizer moments neither
+    empty nor sized for their network are each a ValueError."""
     if Path(path).is_file() and not zipfile.is_zipfile(path):
         # numpy would try the file as a pickle and refuse it
         raise ValueError(f"{path}: not a driftcorner checkpoint")
@@ -332,17 +334,21 @@ def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
         hp_d["hidden"] = tuple(hp_d["hidden"])
         hp = Td3Hyperparams(**hp_d)
         low, high = data["low"], data["high"]
+        sizes = meta["sizes"]
+        for name, size in (("low", sizes[-1]), ("high", sizes[-1]),
+                           ("obs_scale", sizes[0])):
+            _check_shape(path, name, data[name], (size,))
         nets = {}
         for name in _NETS:
             if "actor" in name:
-                views = layer_views(data[name], meta["sizes"])
+                views = layer_views(data[name], sizes)
                 nets[name] = Mlp(*views, "bounded", low.copy(), high.copy())
             else:
                 nets[name] = Mlp(*layer_views(data[name], meta["critic_sizes"]))
         state = Td3State(
             **nets,
-            buffer=buffer or ReplayBuffer(hp.buffer_size, meta["sizes"][0],
-                                          len(low)),
+            buffer=(buffer if buffer is not None
+                    else ReplayBuffer(hp.buffer_size, sizes[0], len(low))),
             hp=hp, low=low.copy(), high=high.copy(),
             obs_scale=data["obs_scale"].copy(),
             rng=np.random.default_rng(),
@@ -352,10 +358,19 @@ def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
         for name, t in zip(_OPTS, meta["opt_t"]):
             opt = getattr(state, name)
             opt.m, opt.v, opt.t = data[f"{name}_m"], data[f"{name}_v"], t
+            flat = getattr(state, name.removeprefix("opt_")).flat.shape
+            _check_shape(path, f"{name}_m", opt.m, (0,), flat)
+            _check_shape(path, f"{name}_v", opt.v, (0,), flat)
     if (got := state.checksum()) != meta["checksum"]:
         raise ValueError(f"{path}: parameters sum to {got!r}, "
                          f"the checkpoint records {meta['checksum']!r}")
     return state
+
+
+def _check_shape(path, name: str, array: np.ndarray, *shapes) -> None:
+    if array.shape not in shapes:
+        raise ValueError(f"{path}: {name} has shape {array.shape}, "
+                         f"expected {' or '.join(map(str, shapes))}")
 
 
 def policy_from_checkpoint(path) -> Policy:

@@ -28,6 +28,17 @@ def test_deploy_completes_under_mismatch(uturn_preview8, tmp_path):
     assert "chi=1" in (out / "summary.txt").read_text()
 
 
+def test_deploy_rejects_a_non_physical_plant(uturn_preview8, tmp_path, capsys):
+    # a zero tire D would divide by zero inside the plant kernel
+    preview = tmp_path / "preview.txt"
+    save_preview(uturn_preview8, preview)
+    out = tmp_path / "deploy"
+    assert cli.main(["deploy", "--kind", "uturn", "--preview", str(preview),
+                     "--tire-d-scale", "0", "--out", str(out)]) == 3
+    assert "d must be finite and positive" in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+
+
 def _episode(chi, status, t_f):
     return EpisodeResult(chi=chi, t_f=t_f, s_final=94.65, status=status,
                          total_reward=0.0, r_p_sum=0.0, r_s_sum=0.0,

@@ -14,6 +14,7 @@ from driftcorner.envs import (
     PREVIEW_SPACING,
     TIME_CAP_FACTOR,
     DriftEnv,
+    EpisodeResult,
     observation_scales,
     observe,
     reward_step,
@@ -157,6 +158,21 @@ def test_crash_ends_episode(uturn, uturn_pretraj):
         _, _, done, info = env.step(np.array([0.5, 1000.0, 0.0]))
     assert info["result"].status == "crashed"
     assert info["result"].chi == 0
+
+
+def test_random_action_episodes_end_with_a_status(uturn, uturn_pretraj):
+    # the learner's warm-up: 2 s episodes from random starts under
+    # uniformly random actions, one generator drawing both per seed;
+    # whatever the actions do, each episode ends in a result, not an error
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        env = DriftEnv(uturn, uturn_pretraj, time_cap=2.0)
+        env.reset(rng)
+        done, info = False, {}
+        while not done:
+            _, _, done, info = env.step(rng.uniform(ACTION_LOW, ACTION_HIGH))
+        assert isinstance(info["result"], EpisodeResult)
+        assert info["result"].status in ("completed", "crashed", "timeout")
 
 
 def test_ambiguous_projection_ends_episode_crashed(monkeypatch, uturn,

@@ -94,6 +94,8 @@ def test_params_digest_tracks_plant_changes():
     assert base == params_digest(VehicleParams(), TireParams())
     assert base != params_digest(dataclasses.replace(PARAMS, m=1900.0), TIRES)
     assert base != params_digest(PARAMS, dataclasses.replace(TIRES, mu=0.75))
+    assert base != params_digest(PARAMS, dataclasses.replace(TIRES, b=5.0))
+    assert base != params_digest(PARAMS, dataclasses.replace(TIRES, d=0.9))
 
 
 
@@ -287,11 +289,22 @@ def test_deployment_spec_apply():
     p, t = spec.apply(PARAMS, TIRES)
     assert p.m == pytest.approx(1980.0)
     assert t.mu == 0.65
-    assert t.b_front == pytest.approx(TIRES.b_front * 0.9)
-    assert t.d_rear == pytest.approx(TIRES.d_rear * 1.05)
+    assert t.b == pytest.approx(TIRES.b * 0.9)
+    assert t.d == pytest.approx(TIRES.d * 1.05)
     # no-op spec changes nothing
     p2, t2 = DeploymentSpec().apply(PARAMS, TIRES)
     assert p2 == PARAMS and t2 == TIRES
+
+
+@pytest.mark.parametrize("spec", [
+    DeploymentSpec(tire_d_scale=0.0), DeploymentSpec(mu=-0.5),
+    DeploymentSpec(tire_b_scale=-1.0), DeploymentSpec(mass_scale=math.nan),
+], ids=["d_zero", "mu_negative", "b_negative", "mass_nan"])
+def test_deployment_spec_rejects_a_non_physical_plant(spec):
+    # a zero D would divide by zero in the kernel, and a negative mu or B
+    # would crash the car as if the controller had failed
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        spec.apply(PARAMS, TIRES)
 
 
 # -- fallback ----------------------------------------------------------

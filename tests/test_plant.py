@@ -1,5 +1,6 @@
 """Vehicle plant: tire model, integration accuracy, limits, termination."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -7,13 +8,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from driftcorner import kernels
+from driftcorner import kernels, plant
 from driftcorner.errors import AmbiguousProjection, NumericalBlowup
 from driftcorner.plant import (
     CONTROL_DT,
     SUBSTEP_DT,
     Action,
-    ActuatorLimits,
     PlantState,
     TerminationMonitor,
     TireParams,
@@ -28,6 +28,13 @@ from driftcorner.track import FrenetPoint, build_library_track, to_frenet
 
 PARAMS = VehicleParams()
 TIRES = TireParams()
+
+
+@pytest.fixture()
+def free_rates(monkeypatch):
+    """Rate limits that never bind, so step applies the command as given."""
+    for name in ("DELTA_RATE", "T_RATE", "P_RATE"):
+        monkeypatch.setattr(plant, name, 1e9)
 
 
 # -- tire model --------------------------------------------------------
@@ -57,8 +64,7 @@ def test_cornering_stiffness_matches_tire_slope():
     front, rear = TIRES.cornering_stiffness(PARAMS)
     fzf = PARAMS.m * kernels.G * PARAMS.l_r / PARAMS.wheelbase
     h = 1e-7
-    slope = (kernels.magic_formula(h, TIRES.b_front, TIRES.c_front,
-                                   TIRES.d_front, TIRES.e_front,
+    slope = (kernels.magic_formula(h, TIRES.b, TIRES.c, TIRES.d, TIRES.e,
                                    TIRES.mu * fzf) / h)
     assert 2 * front == pytest.approx(slope, rel=1e-5)
     assert rear / front == pytest.approx(PARAMS.l_f / PARAMS.l_r, rel=1e-12)
@@ -67,20 +73,19 @@ def test_cornering_stiffness_matches_tire_slope():
 # -- integration accuracy ----------------------------------------------
 
 
-def test_rk4_tracks_adaptive_reference():
+def test_rk4_tracks_adaptive_reference(free_rates):
     # one control period against scipy's adaptive integrator on the
     # same right-hand side, away from any clamp
-    state = PlantState.rolling(12.0, PARAMS, v_y=0.4, yaw_rate=0.3)
+    state = PlantState.rolling(12.0, v_y=0.4, yaw_rate=0.3)
     delta, trt, pb = 0.1, 300.0, 0.0
-    vp, tp = PARAMS.as_array(), TIRES.as_array()
 
     def rhs(_t, y):
-        return np.array(kernels.derivative(y, delta, trt, pb, vp, tp)[:7])
+        return np.array(kernels.derivative(y, delta, trt, pb, PARAMS.m, TIRES.mu,
+                                           TIRES.b, TIRES.d)[:7])
 
     y0 = state.dynamic_array()
     ref = solve_ivp(rhs, (0.0, CONTROL_DT), y0, rtol=1e-11, atol=1e-11).y[:, -1]
-    out = step(state, Action(delta, trt, pb),
-               limits=ActuatorLimits(delta_rate=1e9, t_rate=1e9, p_rate=1e9))
+    out = step(state, Action(delta, trt, pb))
     got = out.dynamic_array()
     # chassis states are essentially exact; the wheel-spin DOF is the
     # stiffest and carries the fixed-step truncation error
@@ -88,14 +93,13 @@ def test_rk4_tracks_adaptive_reference():
     assert abs(got[6] - ref[6]) / abs(ref[6]) < 1e-6
 
 
-def test_integrate_outputs_match_recorded_digest():
+def test_integrate_outputs_match_recorded_digest(free_rates):
     # sha256 over the integrated state bytes and a_y of 600 seeded
     # periods (mu 0.55 / 0.75 / 0.95; low speeds, braking, both clamps),
     # recorded with the numpy-indexing kernel that the float-local one
     # replaced.  plant.step hands the inputs to kernels.integrate
     # unchanged: the envelope holds every draw and the rates are free.
     rng = np.random.default_rng(11762)
-    free = ActuatorLimits(delta_rate=1e9, t_rate=1e9, p_rate=1e9)
     digest = hashlib.sha256()
     for mu in (0.55, 0.75, 0.95):
         tires = TireParams(mu=mu)
@@ -109,7 +113,7 @@ def test_integrate_outputs_match_recorded_digest():
             cmd = Action(rng.uniform(-0.524, 0.524),
                          rng.choice([0.0, rng.uniform(0, 1000)]),
                          rng.choice([0.0, rng.uniform(0, 10)]))
-            out = step(state, cmd, tires=tires, params=PARAMS, limits=free)
+            out = step(state, cmd, tires=tires, params=PARAMS)
             digest.update(out.dynamic_array().tobytes())
             digest.update(np.float64(out.a_y).tobytes())
     assert digest.hexdigest() == (
@@ -121,8 +125,8 @@ def test_substep_count():
 
 
 def test_step_is_deterministic():
-    a = step(PlantState.rolling(9.0, PARAMS), Action(0.2, 400.0, 0.0))
-    b = step(PlantState.rolling(9.0, PARAMS), Action(0.2, 400.0, 0.0))
+    a = step(PlantState.rolling(9.0), Action(0.2, 400.0, 0.0))
+    b = step(PlantState.rolling(9.0), Action(0.2, 400.0, 0.0))
     assert a == b
 
 
@@ -130,7 +134,7 @@ def test_step_is_deterministic():
 
 
 def test_straight_coast_decelerates():
-    state = PlantState.rolling(10.0, PARAMS)
+    state = PlantState.rolling(10.0)
     for _ in range(100):
         state = step(state, Action(0.0, 0.0, 0.0))
     assert 0.0 < state.v_x < 10.0
@@ -142,14 +146,14 @@ def test_straight_coast_decelerates():
 
 
 def test_drive_torque_accelerates():
-    state = PlantState.rolling(8.0, PARAMS)
+    state = PlantState.rolling(8.0)
     for _ in range(100):
         state = step(state, Action(0.0, 800.0, 0.0))
     assert state.v_x > 8.5
 
 
 def test_brake_slows_and_wheel_never_reverses():
-    state = PlantState.rolling(12.0, PARAMS)
+    state = PlantState.rolling(12.0)
     for _ in range(200):
         state = step(state, Action(0.0, 0.0, 8.0))
         assert state.omega_r >= 0.0
@@ -167,7 +171,7 @@ def test_steady_state_cornering_matches_linear_model():
     k_us = PARAMS.m * (cr * PARAMS.l_r - cf * PARAMS.l_f) / (
         cf * cr * PARAMS.wheelbase)
     r_lin = v * delta / (PARAMS.wheelbase + k_us * v * v)
-    state = PlantState.rolling(v, PARAMS)
+    state = PlantState.rolling(v)
     for _ in range(400):
         state = step(state, Action(delta, 60.0, 0.0))
     assert state.yaw_rate == pytest.approx(r_lin, rel=0.1)
@@ -175,37 +179,36 @@ def test_steady_state_cornering_matches_linear_model():
 
 def test_rear_slip_angle():
     state = PlantState(v_x=10.0, v_y=1.0, yaw_rate=0.5)
-    got = side_slip_rear(state, PARAMS)
+    got = side_slip_rear(state)
     assert not got.low_speed
     assert got.value == pytest.approx(
         math.atan2(1.0 - PARAMS.l_r * 0.5, 10.0), abs=1e-12)
-    assert side_slip_rear(PlantState(v_x=0.05), PARAMS).low_speed
+    assert side_slip_rear(PlantState(v_x=0.05)).low_speed
 
 
 # -- actuator envelope -------------------------------------------------
 
 
 def test_actuator_saturation_and_rate():
-    lim = ActuatorLimits()
     latch = Action(0.0, 0.0, 0.0)
-    out = apply_actuator_limits(Action(1.0, 5000.0, 50.0), latch, 0.01, lim)
-    assert out.delta_f == pytest.approx(lim.delta_rate * 0.01)
-    assert out.t_rt == pytest.approx(lim.t_rate * 0.01)
-    assert out.p_b == pytest.approx(lim.p_rate * 0.01)
+    out = apply_actuator_limits(Action(1.0, 5000.0, 50.0), latch, 0.01)
+    assert out.delta_f == pytest.approx(plant.DELTA_RATE * 0.01)
+    assert out.t_rt == pytest.approx(plant.T_RATE * 0.01)
+    assert out.p_b == pytest.approx(plant.P_RATE * 0.01)
     # once the latch is at the cap, saturation is the binding constraint
-    at_cap = Action(lim.delta_max, lim.t_max, lim.p_max)
-    out = apply_actuator_limits(Action(1.0, 5000.0, 50.0), at_cap, 0.01, lim)
+    at_cap = Action(plant.DELTA_MAX, plant.T_MAX, plant.P_MAX)
+    out = apply_actuator_limits(Action(1.0, 5000.0, 50.0), at_cap, 0.01)
     assert out == at_cap
 
 
 def test_negative_commands_clamp_to_zero():
     out = apply_actuator_limits(Action(0.0, -100.0, -1.0),
-                                Action(0.0, 0.0, 0.0), 0.01, ActuatorLimits())
+                                Action(0.0, 0.0, 0.0), 0.01)
     assert out.t_rt == 0.0 and out.p_b == 0.0
 
 
 def test_step_applies_latched_limits():
-    state = PlantState.rolling(9.0, PARAMS)
+    state = PlantState.rolling(9.0)
     out = step(state, Action(0.5, 0.0, 0.0))
     assert out.delta_applied == pytest.approx(7.0 * CONTROL_DT)
     out2 = step(out, Action(0.5, 0.0, 0.0))
@@ -220,11 +223,37 @@ def test_blowup_detection():
         step(PlantState(v_x=59.0, v_y=20.0), Action(0.0, 0.0, 0.0))
 
 
+# zero, negative, not a number and unbounded
+NON_PHYSICAL = (0.0, -0.5, math.nan, math.inf)
+
+
 def test_param_validation():
-    with pytest.raises(ValueError):
-        VehicleParams(m=-1.0)
-    with pytest.raises(ValueError):
-        VehicleParams(l_f=3.0, l_r=2.0)
+    for value in NON_PHYSICAL:
+        with pytest.raises(ValueError, match="m must be finite and positive"):
+            VehicleParams(m=value)
+
+
+def test_tire_mu_must_be_finite_and_positive():
+    for value in NON_PHYSICAL:
+        with pytest.raises(ValueError, match="mu must be finite and positive"):
+            TireParams(mu=value)
+
+
+def test_tire_b_must_be_finite_and_positive():
+    for value in NON_PHYSICAL:
+        with pytest.raises(ValueError, match="b must be finite and positive"):
+            TireParams(b=value)
+
+
+def test_tire_d_must_be_finite_and_positive():
+    for value in NON_PHYSICAL:
+        with pytest.raises(ValueError, match="d must be finite and positive"):
+            TireParams(d=value)
+
+
+def test_plant_has_four_settable_values():
+    assert [f.name for f in dataclasses.fields(VehicleParams)] == ["m"]
+    assert [f.name for f in dataclasses.fields(TireParams)] == ["mu", "b", "d"]
 
 
 def test_rollover_monitor_needs_consecutive_ticks():
@@ -238,8 +267,7 @@ def test_rollover_monitor_needs_consecutive_ticks():
 
 
 def test_vehicle_corners_geometry():
-    corners = np.array(vehicle_corners(PlantState(x=1.0, y=2.0, phi=math.pi / 2),
-                                       PARAMS))
+    corners = np.array(vehicle_corners(PlantState(x=1.0, y=2.0, phi=math.pi / 2)))
     assert corners.shape == (4, 2)
     # at 90 deg heading the front corners sit above the c.g.
     assert np.max(corners[:, 1]) == pytest.approx(2.0 + PARAMS.l_f)
@@ -263,7 +291,7 @@ def test_ambiguous_corner_projection_is_a_crash():
     # both straights
     track = build_library_track("uturn", radius=3.0)
     state = PlantState(x=30.0 - PARAMS.l_f, y=3.0 - PARAMS.veh_half_width)
-    corner = vehicle_corners(state, PARAMS)[0]
+    corner = vehicle_corners(state)[0]
     np.testing.assert_allclose(corner, (30.0, 3.0), atol=1e-12)
     with pytest.raises(AmbiguousProjection):
         to_frenet(tuple(corner), track, s_hint=34.0)

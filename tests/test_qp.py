@@ -93,9 +93,11 @@ def test_binding_bound_falls_through_to_the_active_set(rng):
         qp = condense(mats)
         du_k, du_k1, sol = solve_qp(gamma_aug, qp)
         assert sol.iterations > 1 and sol.active
-        b = np.concatenate([mpc.DU_MAX, -mpc.DU_MIN] * 2
-                           + [mpc.U_MAX - gamma_aug[6:],
-                              gamma_aug[6:] - mpc.U_MIN] * 2)
+        room_up, room_down = mpc.U_MAX - gamma_aug[6:], mpc.U_MIN - gamma_aug[6:]
+        b = np.concatenate([np.minimum(mpc.DU_MAX, room_up),
+                            -np.maximum(mpc.DU_MIN, room_down),
+                            mpc.DU_MAX, -mpc.DU_MIN, room_up, -room_down])
+        assert A_INEQ.shape == (12, 4)
         assert np.max(A_INEQ @ (qp.k @ gamma_aug) - b) > 1e-3
         assert sol.kkt_residual < 1e-8
         j_qp = true_objective(sol.z, gamma_aug, mats)

@@ -12,6 +12,7 @@ import pytest
 from driftcorner import td3
 from driftcorner.envs import ACTION_HIGH, ACTION_LOW, OBS_DIM, DriftEnv, run_episode
 from driftcorner.nets import mlp_forward
+from driftcorner.replay import ReplayBuffer
 from driftcorner.td3 import (
     Policy,
     Td3Hyperparams,
@@ -405,6 +406,51 @@ def test_load_checkpoint_checks_the_stored_checksum(tmp_path):
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match=re.escape(f"{path}: parameters sum to")):
         load_checkpoint(path)
+
+
+def _rewrite(path, **changes):
+    """Re-save a checkpoint with some of its arrays replaced."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays.update(changes)
+    np.savez(path, **arrays)
+
+
+def test_load_checkpoint_keeps_an_empty_buffer_passed_in(tmp_path):
+    # an empty buffer is falsy (it has length 0), and is still the one used
+    path = tmp_path / "ck.npz"
+    save_checkpoint(_toy_state(), path)
+    buf = ReplayBuffer(100, 2, 1)
+    assert load_checkpoint(path, buffer=buf).buffer is buf
+
+
+def test_load_checkpoint_checks_the_moment_lengths(tmp_path):
+    # a moment is empty before its optimizer's first step, else as long
+    # as its network's flat vector (353 for the toy critic)
+    state = _toy_state()
+    batch = _fake_batch(state)
+    update_critics(state, batch, compute_target(batch, state, state.hp))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(state, path)
+    for key in ("opt_critic1_m", "opt_critic2_v", "opt_actor_m"):
+        _rewrite(path, **{key: np.zeros(17)})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {key} has shape (17,), expected (0,) or (")):
+            load_checkpoint(path)
+        save_checkpoint(state, path)
+
+
+def test_load_checkpoint_checks_the_bounds_and_scales(tmp_path):
+    # the toy actor maps 2 observations to 1 action
+    path = tmp_path / "ck.npz"
+    state = _toy_state()
+    save_checkpoint(state, path)
+    for key, size in (("low", 1), ("high", 1), ("obs_scale", 2)):
+        _rewrite(path, **{key: np.ones(size + 1)})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {key} has shape ({size + 1},), expected ({size},)")):
+            load_checkpoint(path)
+        save_checkpoint(state, path)
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
