@@ -13,10 +13,13 @@ condensed tracking QP (`mpc.condense`): the Hessian H_k, the gradient
 map F_k and the unconstrained gain K_k, from the models at k and at
 the step-2 point k1, which is a function of k alone.  The weights,
 boxes and sample time are the constants of `mpc`.  Per tick the
-controller projects the c.g., picks k, and forms the deviation from the
-preview, whose target is zero; `mpc.solve_qp` takes g = F_k gamma_aug
-and the unconstrained minimizer K_k gamma_aug, bounds the rates and
-inputs, and returns without a solve when that minimizer is feasible.
+controller takes the arc length that the env's observation projected
+the c.g. to, picks k, and forms the deviation from the preview, whose
+target is zero; `mpc.solve_qp` takes g = F_k gamma_aug and the
+unconstrained minimizer K_k gamma_aug, bounds the rates and inputs, and
+returns without a solve when that minimizer is feasible.  The rest of
+the tick (the sum of the two inputs, the clamp to the action box and
+the fallback) is arithmetic on three Python floats.
 """
 
 from __future__ import annotations
@@ -46,7 +49,11 @@ from .mpc import (
 )
 from .planner import PreTrajectory
 from .plant import TireParams, VehicleParams, side_slip_rear
-from .track import TrackGeometry, to_frenet
+from .track import TrackGeometry
+# Not called here; the traced benchmark run (perfbench/spans.py) patches
+# this binding through the module's __dict__, and tests/test_spans.py
+# asserts that it exists.
+from .track import to_frenet  # noqa: F401
 
 SPEED_BUCKET = 0.5  # m/s, entry-speed quantization of stored previews
 PREVIEW_FILE_VERSION = "driftcorner preview v1"
@@ -58,6 +65,8 @@ MODEL_BLOCK = 128  # preview points per stacked model build (small temporaries)
 FALLBACK_BETA = math.radians(75.0)
 FALLBACK_P_BM = 3.0  # MPa, moderate braking
 FALLBACK_HYSTERESIS = math.radians(10.0)
+# (low, high) of each action channel, as Python floats for the tick.
+_ACTION_BOX = tuple(zip(ACTION_LOW.tolist(), ACTION_HIGH.tolist()))
 
 
 def params_digest(params: VehicleParams, tires: TireParams) -> str:
@@ -208,20 +217,17 @@ class FusionController:
     def __init__(
         self,
         preview: PreviewTrajectory,
-        track: TrackGeometry,
         model_params: VehicleParams,  # the controller's belief (training plant)
         mpc_enabled: bool = True,
         primary_enabled: bool = True,
     ):
         self.preview = preview
-        self.track = track
         self.params = model_params
         self.mpc_enabled = mpc_enabled
         self.primary_enabled = primary_enabled
         self.u_mpc = MpcInput(0.0, 0.0)
         self.fallback_on = False
         self.t = 0.0
-        self.s_hint = 0.0
         self.records: list[TickRecord] = []
         self._s_dots = np.gradient(preview.s) / CONTROL_DT
         # Reference inputs implied by the preview motion, used as the
@@ -272,21 +278,22 @@ class FusionController:
             return 0
         if j >= len(sp):
             raise PreviewExhausted(f"s={s:.2f} beyond preview end {sp[-1]:.2f}")
-        return j if sp[j] - s <= s - sp[j - 1] else j - 1
+        s_before, s_at = sp[j - 1:j + 1].tolist()
+        return j if s_at - s <= s - s_before else j - 1
 
-    def __call__(self, state) -> np.ndarray:
-        """One 100 Hz tick: PlantState in, actuator command out."""
+    def __call__(self, state, s: float) -> np.ndarray:
+        """One 100 Hz tick: the PlantState and the arc length s its c.g.
+        projects to (the env's observation of it) in, actuator command
+        out."""
         t0 = time.perf_counter()
         try:
-            fp = to_frenet((state.x, state.y), self.track, s_hint=self.s_hint)
-            self.s_hint = fp.s
-            k = self._reference_index(fp.s)
+            k = self._reference_index(s)
         except PreviewExhausted:
             k = len(self.preview) - 1
-        a_rl = (self.preview.a_rl[k].copy() if self.primary_enabled
-                else np.zeros(3))
+        a_rl = (self.preview.a_rl[k].tolist() if self.primary_enabled
+                else [0.0, 0.0, 0.0])
 
-        du_act = np.zeros(3)
+        du_act = (0.0, 0.0, 0.0)
         kkt = 0.0
         if self.mpc_enabled and state.v_x >= V_EPS:
             # Correction acts on the deviation from the preview: the
@@ -303,18 +310,20 @@ class FusionController:
             qp = self._qp
             du_k, _, sol = solve_qp(gamma_aug, CondensedQp(qp.h[k], qp.f[k], qp.k[k]))
             kkt = sol.kkt_residual
-            self.u_mpc = MpcInput(self.u_mpc.delta_f + float(du_k[0]),
-                                  self.u_mpc.a_xt + float(du_k[1]))
+            dd, da = du_k.tolist()
+            self.u_mpc = MpcInput(self.u_mpc.delta_f + dd, self.u_mpc.a_xt + da)
             u_out = self.u_mpc
             if not self.primary_enabled:
-                u_out = MpcInput(u_out.delta_f + self._u_ff[k, 0],
-                                 u_out.a_xt + self._u_ff[k, 1])
+                ff_d, ff_a = self._u_ff[k].tolist()
+                u_out = MpcInput(u_out.delta_f + ff_d, u_out.a_xt + ff_a)
             du_act = self._to_actuator_space(u_out, a_rl)
         elif not self.mpc_enabled:
             self.u_mpc = MpcInput(0.0, 0.0)
 
-        u_t = a_rl + du_act
-        applied = np.clip(u_t, ACTION_LOW, ACTION_HIGH)
+        u_t = [a + d for a, d in zip(a_rl, du_act)]
+        # np.clip's rule: -0.0 below a 0.0 floor becomes 0.0, NaN stays NaN
+        applied = [lo if u <= lo else hi if u >= hi else u
+                   for u, (lo, hi) in zip(u_t, _ACTION_BOX)]
 
         beta = side_slip_rear(state).value
         if self.fallback_on and abs(beta) < FALLBACK_BETA - FALLBACK_HYSTERESIS:
@@ -323,10 +332,12 @@ class FusionController:
             self.fallback_on = True
         engaged = self.fallback_on
         if engaged:
-            applied = np.array([applied[0], 0.0, FALLBACK_P_BM])
+            applied[1:] = 0.0, FALLBACK_P_BM
+        applied = np.array(applied)
 
         self.records.append(TickRecord(
-            t=self.t, a_rl=a_rl, du_mpc=du_act, u_t=u_t, applied=applied,
+            t=self.t, a_rl=np.array(a_rl), du_mpc=np.array(du_act),
+            u_t=np.array(u_t), applied=applied,
             fallback=engaged,
             compute_ms=(time.perf_counter() - t0) * 1e3,
             kkt_residual=kkt,
@@ -334,7 +345,9 @@ class FusionController:
         self.t += CONTROL_DT
         return applied
 
-    def _to_actuator_space(self, u: MpcInput, a_rl: np.ndarray) -> np.ndarray:
+    def _to_actuator_space(
+        self, u: MpcInput, a_rl: list[float]
+    ) -> tuple[float, float, float]:
         """Map the (delta, a_xt) correction onto actuator channels; an
         acceleration correction opposing the primary command cancels it
         before engaging the opposite actuator."""
@@ -344,11 +357,11 @@ class FusionController:
             # Positive correction releases brake pressure first.
             p_release = min(a_rl[2], torque_equiv / p.k_b)
             d_trt = torque_equiv - p_release * p.k_b
-            return np.array([u.delta_f, d_trt, -p_release])
+            return u.delta_f, d_trt, -p_release
         # Braking correction cancels drive torque first.
         t_cancel = min(a_rl[1], -torque_equiv)
         d_pb = (-torque_equiv - t_cancel) / p.k_b
-        return np.array([u.delta_f, -t_cancel, d_pb])
+        return u.delta_f, -t_cancel, d_pb
 
 
 # -- deployment run ---------------------------------------------------
@@ -412,14 +425,14 @@ def deploy_run(
     """Closed-loop run of the fusion controller on the deployment plant."""
     env = DriftEnv(track, pretraj, tires=deploy_tires, params=deploy_params,
                    record=record_trace)
-    ctl = FusionController(preview, track, train_params,
+    ctl = FusionController(preview, train_params,
                            mpc_enabled=mpc_enabled,
                            primary_enabled=primary_enabled)
     obs = env.reset(seed, nominal=nominal, v0=preview.v_ini)
     done = False
     info: dict = {}
     while not done:
-        act = ctl(env.state)
+        act = ctl(env.state, obs.s)
         obs, _, done, info = env.step(act)
     result: EpisodeResult = info["result"]
     ach, tot = completion_degrees(track, result.s_final)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Infeasible, NoConvergence, SingularSpeed
-from .plant import CONTROL_DT, VehicleParams
+from .plant import CONTROL_DT, DELTA_MAX, VehicleParams
 
 V_EPS = 0.5  # m/s, model-singularity guard on 1/v_x terms
 N_STATE = 6
@@ -43,14 +43,14 @@ N_Z = 2 * N_INPUT  # decision variables (du_k, du_{k+1})
 # The tracker's one configuration: sample time, the model's linear
 # tire stiffness, cost weights on the state deviation and on the input
 # rates, and the boxes on the rates and on the accumulated inputs
-# (delta_f in rad, a_xt in m/s^2).
+# (delta_f in rad, a_xt in m/s^2); the steering box is the plant's.
 T_S = CONTROL_DT  # s
 C_CF = 8.0e4  # N/rad per tire, front
 C_CR = 8.0e4  # N/rad per tire, rear
 Q = np.diag([50.0, 50.0, 20.0, 5.0, 5.0, 5.0])
 R = np.diag([200.0, 10.0])
-U_MIN = np.array([-0.524, -8.0])
-U_MAX = np.array([0.524, 3.0])
+U_MIN = np.array([-DELTA_MAX, -8.0])
+U_MAX = np.array([DELTA_MAX, 3.0])
 DU_MIN = np.array([-0.07, -0.8])
 DU_MAX = np.array([0.07, 0.8])
 # Block-diagonal weights of the two stacked steps, diag(Q, Q), diag(R, R).
@@ -334,6 +334,9 @@ def _kkt_residual(h, g, a_ineq, b_ineq, z, active, lam) -> float:
 A_INEQ = np.kron([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]],
                  np.eye(2))
 A_INEQ.flags.writeable = False
+# The boxes' bounds as Python floats, for the per-tick arithmetic.
+(_U_MIN_D, _U_MIN_A), (_U_MAX_D, _U_MAX_A) = U_MIN.tolist(), U_MAX.tolist()
+(_DU_MIN_D, _DU_MIN_A), (_DU_MAX_D, _DU_MAX_A) = DU_MIN.tolist(), DU_MAX.tolist()
 
 
 def solve_qp(
@@ -345,16 +348,24 @@ def solve_qp(
     qp: the tick's condensed QP from `condense`; qp.k gives the
     unconstrained minimizer without a solve.
     Returns (du_k, du_{k+1}, the QP solution with its KKT residual).
+
+    g and the minimizer stay numpy products, which fixes their summation
+    order; the rate and input bounds of the tick are four numbers, so
+    they are formed on Python floats and go into one array, b.
     """
     g = qp.f @ gamma_aug
     z_free = qp.k @ gamma_aug
 
-    u_prev = gamma_aug[N_STATE:]
-    room_up, room_down = U_MAX - u_prev, U_MIN - u_prev
-    lo1 = np.maximum(DU_MIN, room_down)
-    hi1 = np.minimum(DU_MAX, room_up)
-    if np.any(lo1 > hi1 + 1e-12):
+    d_prev, a_prev = gamma_aug[N_STATE:].tolist()
+    up_d, up_a = _U_MAX_D - d_prev, _U_MAX_A - a_prev
+    down_d, down_a = _U_MIN_D - d_prev, _U_MIN_A - a_prev
+    # the room first: then max and min return it when it is NaN, as
+    # np.maximum and np.minimum do
+    lo_d, lo_a = max(down_d, _DU_MIN_D), max(down_a, _DU_MIN_A)
+    hi_d, hi_a = min(up_d, _DU_MAX_D), min(up_a, _DU_MAX_A)
+    if lo_d > hi_d + 1e-12 or lo_a > hi_a + 1e-12:
         raise Infeasible("rate box and accumulated-input box are disjoint")
-    b_ineq = np.concatenate([hi1, -lo1, DU_MAX, -DU_MIN, room_up, -room_down])
+    b_ineq = np.array([hi_d, hi_a, -lo_d, -lo_a, _DU_MAX_D, _DU_MAX_A,
+                       -_DU_MIN_D, -_DU_MIN_A, up_d, up_a, -down_d, -down_a])
     sol = solve_box_qp(qp.h, g, A_INEQ, b_ineq, z_free=z_free)
     return sol.z[:2], sol.z[2:], sol

@@ -229,13 +229,29 @@ def detect_termination(
     monitor: TerminationMonitor | None = None,
 ) -> str:
     """'running' | 'completed' | 'crashed' for the current state, whose
-    c.g. projects onto the track at `cg`."""
+    c.g. projects onto the track at `cg`.
+
+    The state crashes when a box corner projects more than a half width
+    off the centerline, or does not project at all.  `to_frenet` searches
+    s within HINT_WINDOW of cg.s, so the centerline point at cg.s is a
+    candidate foot: a corner's |l| is at most its distance to the nearest
+    candidate, so at most its distance to that point.  A corner nearer to it
+    than the half width (less 1e-9 for rounding) is therefore inside, and
+    only the other corners are projected.  Such a corner would not have
+    failed to project either: OffCorridor needs |l| above
+    CORRIDOR_FACTOR half widths, and AmbiguousProjection two equally near
+    feet more than 1 m apart, which on lines and arcs takes a point at
+    least an arc's radius from the centerline, and `TrackGeometry`
+    requires every radius to exceed the half width."""
     if monitor is not None and monitor.update(state.a_y):
         return "crashed"
+    x, y, _ = track.frame_at(cg.s)
+    settled = track.half_width - 1e-9
     try:
-        for corner in vehicle_corners(state):
-            fp = to_frenet(corner, track, s_hint=cg.s)
-            if abs(fp.l) > track.half_width:
+        for cx, cy in vehicle_corners(state):
+            if math.hypot(cx - x, cy - y) < settled:
+                continue
+            if abs(to_frenet((cx, cy), track, s_hint=cg.s).l) > track.half_width:
                 return "crashed"
     except (OffCorridor, AmbiguousProjection):
         return "crashed"

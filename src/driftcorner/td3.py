@@ -9,6 +9,7 @@ fixed seed.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import time
@@ -25,7 +26,7 @@ from .replay import ReplayBuffer
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # The update rule of Fujimoto, van Hoof and Meger (2018): discount,
 # target blend, one Adam step size for the actor and both critics, the
 # exploration and target-smoothing noise and the smoothing clip (each a
@@ -267,6 +268,19 @@ class Policy:
 _NETS = ("actor", "critic1", "critic2",
          "target_actor", "target_critic1", "target_critic2")
 _OPTS = ("opt_actor", "opt_critic1", "opt_critic2")
+_ARRAYS = (*_NETS, *(f"{name}_{moment}" for name in _OPTS for moment in "mv"),
+           "low", "high", "obs_scale")
+
+
+def _arrays_digest(arrays) -> str:
+    """SHA-256 over the stored arrays: each one's name, dtype, shape and
+    bytes, in the order of _ARRAYS."""
+    h = hashlib.sha256()
+    for name in _ARRAYS:
+        a = np.ascontiguousarray(arrays[name])
+        h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def save_checkpoint(state: Td3State, path) -> None:
@@ -274,7 +288,9 @@ def save_checkpoint(state: Td3State, path) -> None:
     counters, and the RNG state; round-trips exactly.
 
     Each network is stored as its flat parameter vector and each
-    optimizer as its flat `m` and `v` (empty before its first step)."""
+    optimizer as its flat `m` and `v` (empty before its first step); the
+    metadata holds the parameters' sum and a SHA-256 digest of every
+    stored array."""
     arrays = {name: getattr(state, name).flat for name in _NETS}
     for name in _OPTS:
         opt = getattr(state, name)
@@ -296,6 +312,7 @@ def save_checkpoint(state: Td3State, path) -> None:
         "opt_t": [getattr(state, name).t for name in _OPTS],
         "rng_state": state.rng.bit_generator.state,
         "checksum": state.checksum(),
+        "digest": _arrays_digest(arrays),
     }
     arrays["meta"] = np.frombuffer(
         json.dumps(meta, default=str).encode(), dtype=np.uint8)
@@ -323,13 +340,15 @@ def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
     The replay buffer contents are not stored; pass one in to resume
     training, or leave it empty for deployment-only use.  Parameters
     that do not sum to the stored checksum, action bounds or observation
-    scales not sized for the stored actor, and optimizer moments neither
-    empty nor sized for their network are each a ValueError."""
+    scales not sized for the stored actor, optimizer moments neither
+    empty nor sized for their network, and arrays that do not match the
+    stored digest are each a ValueError."""
     if Path(path).is_file() and not zipfile.is_zipfile(path):
         # numpy would try the file as a pickle and refuse it
         raise ValueError(f"{path}: not a driftcorner checkpoint")
     with np.load(path) as data:
         meta = _checkpoint_meta(data, path)
+        digest = _arrays_digest(data)
         hp_d = dict(meta["hp"])
         hp_d["hidden"] = tuple(hp_d["hidden"])
         hp = Td3Hyperparams(**hp_d)
@@ -364,6 +383,9 @@ def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
     if (got := state.checksum()) != meta["checksum"]:
         raise ValueError(f"{path}: parameters sum to {got!r}, "
                          f"the checkpoint records {meta['checksum']!r}")
+    if digest != meta["digest"]:
+        raise ValueError(f"{path}: stored arrays do not match the checkpoint's "
+                         "SHA-256 digest")
     return state
 
 

@@ -69,6 +69,10 @@ class TrackGeometry:
             raise BadTrackSpec("half_width must be positive")
         if self.s[0] != 0.0 or np.any(np.diff(self.s) <= 0):
             raise BadTrackSpec("s must be strictly increasing from 0")
+        # a tighter turn folds the corridor's inner edge over itself
+        kappa = self.curvature if self.seg_kappa is None else self.seg_kappa
+        if np.max(np.abs(kappa)) * self.half_width >= 1.0:
+            raise BadTrackSpec("every radius of curvature must exceed the half width")
         if self.seg_breaks is not None:
             object.__setattr__(self, "_segments", _segment_poses(self))
             object.__setattr__(self, "_breaks", tuple(self.seg_breaks.tolist()))
@@ -96,13 +100,14 @@ class TrackGeometry:
         return float(np.interp(s, self.s, self.curvature))
 
     def curvature_at_many(self, s: np.ndarray) -> np.ndarray:
-        """Vectorized curvature query (no bounds check)."""
+        """Vectorized curvature query (no bounds check).
+
+        Searching the interior breaks gives each s its segment directly:
+        below 0 the first, past s_max (and NaN, sorted last) the last, and
+        on a break the segment it starts."""
         if self.seg_kappa is not None:
-            idx = np.clip(
-                np.searchsorted(self.seg_breaks, s, side="right") - 1,
-                0, len(self.seg_kappa) - 1,
-            )
-            return self.seg_kappa[idx]
+            return self.seg_kappa[
+                np.searchsorted(self.seg_breaks[1:-1], s, side="right")]
         return np.interp(s, self.s, self.curvature)
 
     def heading_at(self, s: float) -> float:

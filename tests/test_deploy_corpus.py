@@ -15,11 +15,15 @@ every float to stay within ATOL.  The matched cells and the fused cells
 that crash where the plain replay completes run by default; the rest
 run under `-m nightly`.  Re-record, only when deploy runs are meant to
 change, with `PYTHONPATH=src python tests/test_deploy_corpus.py`; it
-prints every cell that moved, with its old and new values.
+prints every cell that moved, with its old and new values.  Given an
+output path, it writes there and leaves the committed file alone, so
+that two commits' recordings can be compared byte for byte (`cmp`) on
+one host; the last bits of some floats differ between hosts.
 """
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +106,9 @@ def _float_gap(old: dict, new: dict) -> float:
     return max(float(np.max(np.abs(np.subtract(old[k], new[k])))) for k in FLOATS)
 
 
-def record() -> None:
-    """Run the whole grid, print every cell that moved, and write the file."""
+def record(out: Path = CORPUS) -> None:
+    """Run the whole grid, print every cell that moved from the committed
+    corpus, and write the result to `out`."""
     old = json.loads(CORPUS.read_text())["cells"] if CORPUS.exists() else {}
     tasks = {kind: build_task(kind) for kind in TASKS}
     cells = {}
@@ -120,7 +125,7 @@ def record() -> None:
         for key, value in new.items():
             if prev.get(key) != value:
                 print(f"  {key}: {prev.get(key)} -> {value}")
-    CORPUS.write_text(json.dumps({
+    out.write_text(json.dumps({
         "grid": "tasks x mu x mass scale x mode; 8 m/s tracker previews, "
                 "matched-plant controller model",
         "metrics": "status, ticks, t_f (s), s_final (m), max_abs_l (m, c.g.), "
@@ -166,4 +171,4 @@ def test_known_bad_cells_crash_fused_and_complete_as_replay():
 
 
 if __name__ == "__main__":
-    record()
+    record(Path(sys.argv[1]) if len(sys.argv) > 1 else CORPUS)

@@ -137,6 +137,21 @@ def test_decomposition_bookkeeping(matched_run):
         np.testing.assert_array_equal(r.applied, np.clip(r.u_t, low, high))
 
 
+def test_controller_takes_the_env_arc_length(monkeypatch, matched_run, uturn,
+                                            uturn_pretraj, uturn_preview8):
+    # the env's observation projects the c.g. once per tick and the
+    # controller reads its s: a run without projections in the
+    # controller drives the same run
+    def no_projection(*args, **kwargs):
+        raise AssertionError("the controller projected the c.g.")
+
+    monkeypatch.setattr(fusion, "to_frenet", no_projection)
+    res = deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, PARAMS, TIRES,
+                     record_trace=True)
+    assert res.completed
+    np.testing.assert_array_equal(res.episode.trace, matched_run.episode.trace)
+
+
 def test_tick_accumulates_qp_rate_onto_correction(monkeypatch, uturn,
                                                   uturn_preview8):
     # each tick adds the QP's first input rate to the correction it holds,
@@ -150,14 +165,15 @@ def test_tick_accumulates_qp_rate_onto_correction(monkeypatch, uturn,
         return out
 
     monkeypatch.setattr(fusion, "solve_qp", recording)
-    ctl = FusionController(uturn_preview8, uturn, PARAMS)
+    ctl = FusionController(uturn_preview8, PARAMS)
     g = uturn_preview8.gamma[50]
     state = PlantState(x=g[0], y=g[1] + 0.3, phi=g[2], v_x=g[3], v_y=g[4],
                        yaw_rate=g[5])
-    k = ctl._reference_index(to_frenet((state.x, state.y), uturn).s)
+    s = to_frenet((state.x, state.y), uturn).s
+    k = ctl._reference_index(s)
     total = np.zeros(2)
     for _ in range(3):
-        ctl(state)
+        ctl(state, s)
         total += rates[-1]
         np.testing.assert_allclose(np.asarray(ctl.u_mpc), total, atol=1e-15)
         for got, stored in zip(qps[-1][:3], ctl._qp[:3]):
@@ -179,7 +195,7 @@ def test_controller_model_is_built_in_blocks(monkeypatch, uturn,
         return original(a_t, b_t)
 
     monkeypatch.setattr(fusion, "discretize_augment", counting)
-    ctl = FusionController(uturn_preview8, uturn, PARAMS)
+    ctl = FusionController(uturn_preview8, PARAMS)
     n = len(uturn_preview8)
     assert len(calls) == math.ceil(n / fusion.MODEL_BLOCK)
     assert n <= sum(calls) and max(calls) <= fusion.MODEL_BLOCK + 2
@@ -204,7 +220,7 @@ def _per_tick_qp(a_k, b_k, a_k1, b_k1):
 def test_condensed_qp_matches_the_per_tick_build(uturn, uturn_preview8, rng):
     # at every preview point, against models discretized point by point
     # and the step-2 point picked the way a tick picked it
-    ctl = FusionController(uturn_preview8, uturn, PARAMS)
+    ctl = FusionController(uturn_preview8, PARAMS)
     p, n = uturn_preview8, len(uturn_preview8)
 
     def model(i):

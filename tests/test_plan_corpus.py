@@ -10,10 +10,13 @@ compare digests only.  The library tracks and the TIER1_CORNERS run by
 default; the rest run under `-m nightly`.  Re-record, only when plans
 are meant to change, with `PYTHONPATH=src python tests/test_plan_corpus.py`;
 it prints every entry whose digest changed, with its old and new values.
+Given an output path, it writes there and leaves the committed file
+alone, so that two commits' recordings can be compared with `cmp`.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,9 +78,9 @@ def _print_if_changed(name: str, old: dict | None, new: dict) -> None:
         print(f"  {key}: {old.get(key, '-')} -> {new[key]}")
 
 
-def record() -> None:
-    """Re-plan the corpus, print the entries whose digest changed, and
-    write the file."""
+def record(out: Path = CORPUS) -> None:
+    """Re-plan the corpus, print the entries whose digest changed from
+    the committed corpus, and write the result to `out`."""
     old = json.loads(CORPUS.read_text()) if CORPUS.exists() else {}
     library = {k: plan_entry(build_library_track(k)) for k in LIBRARY_KINDS}
     corners = [{**spec, **plan_entry(build_library_track(**spec))}
@@ -95,7 +98,7 @@ def record() -> None:
         "library": library,
         "corners": corners,
     }
-    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
+    out.write_text(json.dumps(corpus, indent=1) + "\n")
 
 
 def _corner_params(corners):
@@ -128,4 +131,4 @@ def test_generated_plan_matches_corpus_nightly(corner):
 
 
 if __name__ == "__main__":
-    record()
+    record(Path(sys.argv[1]) if len(sys.argv) > 1 else CORPUS)

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from driftcorner import kernels, plant
-from driftcorner.errors import AmbiguousProjection, NumericalBlowup
+from driftcorner.errors import AmbiguousProjection, NumericalBlowup, OffCorridor
 from driftcorner.plant import (
     CONTROL_DT,
     SUBSTEP_DT,
@@ -24,7 +24,12 @@ from driftcorner.plant import (
     step,
     vehicle_corners,
 )
-from driftcorner.track import FrenetPoint, build_library_track, to_frenet
+from driftcorner.track import (
+    FrenetPoint,
+    build_library_track,
+    to_cartesian,
+    to_frenet,
+)
 
 PARAMS = VehicleParams()
 TIRES = TireParams()
@@ -296,3 +301,47 @@ def test_ambiguous_corner_projection_is_a_crash():
     with pytest.raises(AmbiguousProjection):
         to_frenet(tuple(corner), track, s_hint=34.0)
     assert detect_termination(state, track, FrenetPoint(34.0, 0.0)) == "crashed"
+
+
+def _four_projection_status(state, track, cg):
+    """The corner check that projects all four corners."""
+    try:
+        for corner in vehicle_corners(state):
+            if abs(to_frenet(corner, track, s_hint=cg.s).l) > track.half_width:
+                return "crashed"
+    except (OffCorridor, AmbiguousProjection):
+        return "crashed"
+    return "completed" if cg.s >= track.s_max - 1e-9 else "running"
+
+
+def test_corner_check_matches_four_projections(monkeypatch, all_tracks):
+    # seeded c.g. positions inside, near and across the corridor edge, at
+    # any heading; states whose c.g. itself does not project never reach
+    # the check.  Corners that the distance bound settles skip to_frenet.
+    projected = []
+
+    def counting(*args, **kwargs):
+        projected.append(args[0])
+        return to_frenet(*args, **kwargs)
+
+    monkeypatch.setattr(plant, "to_frenet", counting)
+    tracks = dict(all_tracks, uturn_r3=build_library_track("uturn", radius=3.0))
+    rng = np.random.default_rng(2024)
+    for name, track in tracks.items():
+        hw = track.half_width
+        statuses = []
+        for _ in range(1500):
+            s = float(rng.uniform(0.0, track.s_max))
+            l = float(rng.uniform(-hw - 1.8, hw + 1.8))
+            x, y = to_cartesian(FrenetPoint(s, l), track)
+            try:
+                cg = to_frenet((x, y), track, s_hint=s)
+            except (OffCorridor, AmbiguousProjection):
+                continue
+            state = PlantState(x=x, y=y, phi=float(rng.uniform(-math.pi, math.pi)))
+            got = detect_termination(state, track, cg)
+            assert got == _four_projection_status(state, track, cg), (name, s, l)
+            statuses.append(got)
+        assert {"running", "crashed"} <= set(statuses), name
+        assert 0 < len(projected) < 4 * len(statuses), name
+        projected.clear()

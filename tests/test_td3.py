@@ -338,8 +338,8 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_layout_is_flat(tmp_path):
-    # version 2 layout: one flat parameter vector per network and the
-    # flat moments of each optimizer, empty before its first step
+    # the layout since version 2: one flat parameter vector per network
+    # and the flat moments of each optimizer, empty before its first step
     state = _toy_state()
     batch = _fake_batch(state)
     update_critics(state, batch, compute_target(batch, state, state.hp))
@@ -361,7 +361,7 @@ def test_checkpoint_layout_is_flat(tmp_path):
         np.testing.assert_array_equal(data["critic2"], state.critic2.flat)
         np.testing.assert_array_equal(data["opt_critic1_v"], state.opt_critic1.v)
     assert got == want
-    assert meta["version"] == 2
+    assert meta["version"] == 3
     assert load_checkpoint(path).opt_actor.m.size == 0
     update_actor_and_targets(state, batch)
     save_checkpoint(state, path)
@@ -382,18 +382,19 @@ def test_checkpoint_layout_is_flat(tmp_path):
 
 
 def test_load_checkpoint_rejects_other_versions(tmp_path):
-    # version 1 stored every layer and moment as an array of its own
+    # version 1 stored every layer and moment as an array of its own, and
+    # version 2 kept no digest of the arrays
     path = tmp_path / "ck.npz"
     save_checkpoint(_toy_state(), path)
     with np.load(path) as data:
         arrays = dict(data)
     meta = json.loads(bytes(arrays["meta"]).decode())
-    for version in (1, 3):
+    for version in (1, 2, 4):
         meta["version"] = version
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: checkpoint version {version}, this program reads version 2")):
+                f"{path}: checkpoint version {version}, this program reads version 3")):
             load_checkpoint(path)
 
 
@@ -414,6 +415,25 @@ def _rewrite(path, **changes):
         arrays = dict(data)
     arrays.update(changes)
     np.savez(path, **arrays)
+
+
+def test_load_checkpoint_checks_the_stored_digest(tmp_path):
+    # values that keep every shape and the parameters' sum: scaled
+    # observation scales, moved action bounds, an edited moment
+    state = _toy_state()
+    batch = _fake_batch(state)
+    update_critics(state, batch, compute_target(batch, state, state.hp))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(state, path)
+    for key, new in (("obs_scale", 7.0 * state.obs_scale),
+                     ("low", state.low - 0.5), ("high", state.high + 0.5),
+                     ("opt_critic1_v", 2.0 * state.opt_critic1.v)):
+        _rewrite(path, **{key: new})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: stored arrays do not match the checkpoint's SHA-256 digest")):
+            load_checkpoint(path)
+        save_checkpoint(state, path)
+    load_checkpoint(path)
 
 
 def test_load_checkpoint_keeps_an_empty_buffer_passed_in(tmp_path):

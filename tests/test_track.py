@@ -76,6 +76,21 @@ def test_curvature_query_bounds(uturn):
         uturn.heading_at(uturn.s_max + 0.5)
 
 
+def test_vectorized_curvature_takes_the_segment_of_every_s(all_tracks):
+    # the rule it replaced: the last break at or below s, clipped to the
+    # first and the last segment; NaN sorts past every break
+    for track in all_tracks.values():
+        b, kappa = track.seg_breaks, track.seg_kappa
+        s = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                            [-1e9, -1.0, -0.0, track.s_max + 1.0, 1e9,
+                             np.inf, -np.inf, np.nan],
+                            np.linspace(0.0, track.s_max, 997)])
+        want = kappa[np.clip(np.searchsorted(b, s, side="right") - 1,
+                             0, len(kappa) - 1)]
+        np.testing.assert_array_equal(track.curvature_at_many(s), want)
+        assert track.curvature_at_many(np.nan) == kappa[-1]
+
+
 # -- Frenet round trip --------------------------------------------------
 
 
@@ -216,6 +231,17 @@ def test_track_file_round_trip(uturn, tmp_path):
     np.testing.assert_allclose(back.x, uturn.x, atol=1e-12)
     # analytic segment map survives the round trip
     assert back.curvature_at(50.0) == pytest.approx(1 / 11, abs=1e-12)
+
+
+def test_load_rejects_an_arc_tighter_than_the_half_width(uturn, tmp_path):
+    # the U-turn's 11 m arc inside a 12 m half width
+    path = tmp_path / "wide.txt"
+    save_track(uturn, path)
+    text = path.read_text()
+    path.write_text(text.replace(f"# half_width = {uturn.half_width!r}",
+                                 "# half_width = 12.0"))
+    with pytest.raises(BadTrackSpec, match="radius of curvature"):
+        load_track(path)
 
 
 def test_load_rejects_foreign_files(tmp_path):
