@@ -29,7 +29,7 @@ import numpy as np
 from . import td3
 from .baseline import BaselineTracker
 from .envs import TRACE_COLUMNS, DriftEnv, EpisodeResult, run_episode, summary_line
-from .errors import DriftCornerError, MissingLog, MissingPolicy
+from .errors import BadTrackSpec, DriftCornerError, MissingLog, MissingPolicy
 from .fusion import (
     DeploymentSpec,
     DeployResult,
@@ -99,7 +99,11 @@ def _load_pretraj_arg(args, track):
         path = Path(args.pretraj)
         if not path.exists():
             raise FileNotFoundError(f"pre-trajectory file not found: {path}")
-        return load_pretrajectory(path), [path]
+        pre = load_pretrajectory(path)
+        if abs(pre.s[-1] - track.s_max) > 1e-9:
+            raise BadTrackSpec(f"{path}: ends at s = {float(pre.s[-1])!r} m, not at "
+                               f"the track's s_max = {track.s_max!r} m")
+        return pre, [path]
     return plan_pretrajectory(track, mu=TRAINING_MU), []
 
 

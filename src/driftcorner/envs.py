@@ -74,7 +74,7 @@ class FrenetObservation(NamedTuple):
 
 def observation_scales(track: TrackGeometry) -> np.ndarray:
     """Fixed per-channel normalization scales for the policy input."""
-    kappa_scale = max(float(np.max(np.abs(track.curvature))), 1e-3)
+    kappa_scale = max(float(np.max(np.abs(track.seg_kappa))), 1e-3)
     out = np.empty(OBS_DIM)
     out[:9] = (track.s_max, track.half_width, math.pi, 16.0, 8.0, 3.0,
                16.0, 8.0, 1.0)

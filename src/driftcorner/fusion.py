@@ -98,6 +98,8 @@ class PreviewTrajectory:
     t_f: float  # s, completion time of the rollout
 
     def __post_init__(self):
+        if not all(np.all(np.isfinite(a)) for a in (self.t, self.s, self.gamma, self.a_rl)):
+            raise ValueError("preview t, s, gamma and a_rl must be finite")
         dt = np.diff(self.t)
         if len(dt) and (np.max(np.abs(dt - CONTROL_DT)) > 1e-9):
             raise ValueError("preview ticks must be uniform at 10 ms")
@@ -185,12 +187,15 @@ def load_preview(path) -> PreviewTrajectory:
     data = np.array(rows)
     if data.ndim != 2 or data.shape[1] != 11:  # t, 6 states, 3 actions, s
         raise ValueError(f"{path}: expected rows of 11 numbers after the header")
-    return PreviewTrajectory(
-        t=data[:, 0], gamma=data[:, 1:7], a_rl=data[:, 7:10], s=data[:, 10],
-        policy_checksum=float(meta["policy_checksum"]),
-        plant_digest=meta["plant_digest"], track_id=meta["track_id"],
-        v_ini=float(meta["v_ini"]), t_f=float(meta["t_f"]),
-    )
+    try:
+        return PreviewTrajectory(
+            t=data[:, 0], gamma=data[:, 1:7], a_rl=data[:, 7:10], s=data[:, 10],
+            policy_checksum=float(meta["policy_checksum"]),
+            plant_digest=meta["plant_digest"], track_id=meta["track_id"],
+            v_ini=float(meta["v_ini"]), t_f=float(meta["t_f"]),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- fusion controller ------------------------------------------------

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadTrackSpec, Infeasible
-from .plant import G, T_MAX, VehicleParams
+from .plant import G, T_MAX, TireParams, VehicleParams
 from .track import FrenetPoint, TrackGeometry, to_cartesian
 
 CORRIDOR_MARGIN = 1.0  # m, kept clear of each boundary: boundary-check
@@ -344,7 +344,7 @@ def build_pretrajectory(
 
 
 def plan_pretrajectory(
-    track: TrackGeometry, mu: float = 0.85, use_centerline: bool = False
+    track: TrackGeometry, mu: float = TireParams.mu, use_centerline: bool = False
 ) -> PreTrajectory:
     """End-to-end planning convenience used by the CLI and experiments."""
     if use_centerline:
@@ -403,6 +403,12 @@ def load_pretrajectory(path: str | Path) -> PreTrajectory:
     data = np.array(rows)
     if t_ref is None or mu is None:
         raise BadTrackSpec(f"{path}: no t_ref or mu header line")
+    if not (np.all(np.isfinite(data)) and math.isfinite(t_ref) and math.isfinite(mu)):
+        raise BadTrackSpec(f"{path}: a value is not finite")
+    if np.any(np.diff(data[:, 0]) <= 0):
+        raise BadTrackSpec(f"{path}: s does not increase strictly")
+    if np.any(data[:, 5] <= 0):
+        raise BadTrackSpec(f"{path}: a speed v_d is not positive")
     speed = SpeedPlan(s=data[:, 0], v_d=data[:, 5], mu=mu)
     return PreTrajectory(
         path=None,

@@ -1,13 +1,14 @@
 """Arc-length track representation and Cartesian <-> Frenet conversion.
 
-A track is a centerline sampled along arc length s together with heading,
-curvature and a constant half width.  Library tracks (U-turn, 90 degree,
-135 degree) are built from straight + circular-arc segments and carry an
-exact segment map (piecewise-constant curvature), which makes heading,
-curvature and position queries analytic, and the Frenet projection a
-closed-form foot on each line and arc.  Tracks loaded from files without
-a segment map fall back to linear interpolation between samples, and
-project onto the sample polyline.
+A track is a segment map: straight lines and circular arcs, each of
+constant curvature, joined tangent-continuously, with a constant half
+width.  The centerline starts at the origin heading along +x.  Heading,
+curvature and position queries are analytic, and the Frenet projection
+is a closed-form foot on each line and arc.  Library tracks (U-turn,
+90 degree, 135 degree) are a straight entry, one arc and a straight exit.
+
+A track file (version 2) holds a header line, the half width and the
+segment map on one line, and nothing else.
 
 Sign convention: l > 0 lies to the left of the direction of travel.
 """
@@ -29,11 +30,10 @@ from .errors import (
     OutOfRange,
 )
 
-SAMPLE_STEP = 0.1  # m, centerline sampling step
 CORRIDOR_FACTOR = 3.0  # half widths from the centerline that still project
 HINT_WINDOW = 8.0  # m, s distance from s_hint searched by to_frenet
 
-TRACK_FILE_VERSION = "driftcorner track v1"
+TRACK_FILE_VERSION = "driftcorner track v2"
 
 
 class FrenetPoint(NamedTuple):
@@ -43,45 +43,43 @@ class FrenetPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class TrackGeometry:
-    """Immutable centerline geometry; safe for concurrent read."""
+    """Immutable centerline geometry; safe for concurrent read.
 
-    s: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    heading: np.ndarray  # unwrapped, rad
-    curvature: np.ndarray  # 1/m
+    Segment k runs from seg_breaks[k] to seg_breaks[k + 1] at constant
+    curvature seg_kappa[k]."""
+
     half_width: float
-    # Exact piecewise-constant-curvature segment map (library tracks and
-    # files that carry it).  seg_breaks has one more entry than seg_kappa.
-    seg_breaks: np.ndarray | None = None
-    seg_kappa: np.ndarray | None = None
+    seg_breaks: np.ndarray  # m, from 0, strictly increasing
+    seg_kappa: np.ndarray  # 1/m, one fewer than seg_breaks
     # Per-segment start pose and curvature (s0, x0, y0, h0, kappa), and
     # the breaks, as Python floats for the scalar queries.
-    _segments: tuple | None = field(default=None, init=False, repr=False)
-    _breaks: tuple | None = field(default=None, init=False, repr=False)
+    _segments: tuple = field(default=(), init=False, repr=False)
+    _breaks: tuple = field(default=(), init=False, repr=False)
 
     @property
     def s_max(self) -> float:
-        return float(self.s[-1])
+        return self._breaks[-1]
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise BadTrackSpec("half_width must be positive")
-        if self.s[0] != 0.0 or np.any(np.diff(self.s) <= 0):
-            raise BadTrackSpec("s must be strictly increasing from 0")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise BadTrackSpec("half_width must be finite and positive")
+        breaks, kappa = self.seg_breaks, self.seg_kappa
+        if len(breaks) != len(kappa) + 1 or not len(kappa):
+            raise BadTrackSpec("the segment map needs a segment, and one more "
+                               "break than curvatures")
+        if not np.all(np.isfinite(breaks)) or breaks[0] != 0.0 \
+                or np.any(np.diff(breaks) <= 0):
+            raise BadTrackSpec("segment breaks must be finite and strictly "
+                               "increasing from 0")
+        if not np.all(np.isfinite(kappa)):
+            raise BadTrackSpec("segment curvatures must be finite")
         # a tighter turn folds the corridor's inner edge over itself
-        kappa = self.curvature if self.seg_kappa is None else self.seg_kappa
         if np.max(np.abs(kappa)) * self.half_width >= 1.0:
             raise BadTrackSpec("every radius of curvature must exceed the half width")
-        if self.seg_breaks is not None:
-            object.__setattr__(self, "_segments", _segment_poses(self))
-            object.__setattr__(self, "_breaks", tuple(self.seg_breaks.tolist()))
+        object.__setattr__(self, "_segments", _segment_poses(breaks, kappa))
+        object.__setattr__(self, "_breaks", tuple(breaks.tolist()))
 
-    # -- analytic / interpolated scalar queries ------------------------
-
-    def _check_s(self, s: float) -> None:
-        if s < -1e-9 or s > self.s_max + 1e-9:
-            raise OutOfRange(f"s = {s} outside [0, {self.s_max}]")
+    # -- analytic scalar queries ---------------------------------------
 
     def _segment_index(self, s: float) -> int:
         idx = bisect_right(self._breaks, s) - 1
@@ -90,14 +88,9 @@ class TrackGeometry:
     def _segment_at(self, s: float) -> tuple[float, float, float, float, float]:
         """(s0, x0, y0, h0, kappa) of the segment holding s, after the
         range check."""
-        self._check_s(s)
+        if s < -1e-9 or s > self._breaks[-1] + 1e-9:
+            raise OutOfRange(f"s = {s} outside [0, {self.s_max}]")
         return self._segments[self._segment_index(s)]
-
-    def curvature_at(self, s: float) -> float:
-        if self.seg_kappa is not None:
-            return self._segment_at(s)[4]
-        self._check_s(s)
-        return float(np.interp(s, self.s, self.curvature))
 
     def curvature_at_many(self, s: np.ndarray) -> np.ndarray:
         """Vectorized curvature query (no bounds check).
@@ -105,42 +98,21 @@ class TrackGeometry:
         Searching the interior breaks gives each s its segment directly:
         below 0 the first, past s_max (and NaN, sorted last) the last, and
         on a break the segment it starts."""
-        if self.seg_kappa is not None:
-            return self.seg_kappa[
-                np.searchsorted(self.seg_breaks[1:-1], s, side="right")]
-        return np.interp(s, self.s, self.curvature)
+        return self.seg_kappa[np.searchsorted(self.seg_breaks[1:-1], s, side="right")]
 
     def heading_at(self, s: float) -> float:
         return self.heading_curvature_at(s)[0]
 
     def heading_curvature_at(self, s: float) -> tuple[float, float]:
         """(heading, curvature) at s from one range check and lookup."""
-        if self.seg_breaks is not None:
-            s0, _, _, h0, kappa = self._segment_at(s)
-            return float(h0 + kappa * (s - s0)), kappa
-        self._check_s(s)
-        return (float(np.interp(s, self.s, self.heading)),
-                float(np.interp(s, self.s, self.curvature)))
-
-    def position_at(self, s: float) -> tuple[float, float]:
-        """Centerline point at arc length s."""
-        return self.frame_at(s)[:2]
+        s0, _, _, h0, kappa = self._segment_at(s)
+        return float(h0 + kappa * (s - s0)), kappa
 
     def frame_at(self, s: float) -> tuple[float, float, float]:
         """(x, y, heading) of the centerline frame at s."""
-        if self.seg_breaks is not None:
-            s0, x0, y0, h0, kappa = self._segment_at(s)
-            x, y, _ = _advance(x0, y0, h0, kappa, s - s0)
-            return x, y, float(h0 + kappa * (s - s0))
-        self._check_s(s)
-        return (float(np.interp(s, self.s, self.x)),
-                float(np.interp(s, self.s, self.y)),
-                float(np.interp(s, self.s, self.heading)))
-
-
-class _ArcSegment(NamedTuple):
-    length: float
-    kappa: float
+        s0, x0, y0, h0, kappa = self._segment_at(s)
+        x, y, _ = _advance(x0, y0, h0, kappa, s - s0)
+        return x, y, float(h0 + kappa * (s - s0))
 
 
 def _advance(x: float, y: float, h: float, kappa: float, ds: float):
@@ -153,53 +125,17 @@ def _advance(x: float, y: float, h: float, kappa: float, ds: float):
     return x1, y1, h1
 
 
-def _segment_poses(track: TrackGeometry) -> tuple:
+def _segment_poses(seg_breaks: np.ndarray, seg_kappa: np.ndarray) -> tuple:
     """Start pose and curvature (s, x, y, heading, kappa) of each
-    constant-curvature segment."""
+    constant-curvature segment, from the origin heading along +x."""
     poses = []
-    x, y, h = float(track.x[0]), float(track.y[0]), float(track.heading[0])
-    for k, kappa in enumerate(track.seg_kappa.tolist()):
-        s0 = float(track.seg_breaks[k])
+    x, y, h = 0.0, 0.0, 0.0
+    for k, kappa in enumerate(seg_kappa.tolist()):
+        s0 = float(seg_breaks[k])
         poses.append((s0, x, y, h, kappa))
-        ds = float(track.seg_breaks[k + 1]) - s0
+        ds = float(seg_breaks[k + 1]) - s0
         x, y, h = _advance(x, y, h, kappa, ds)
     return tuple(poses)
-
-
-def _build_from_segments(
-    segments: list[_ArcSegment], half_width: float, step: float = SAMPLE_STEP
-) -> TrackGeometry:
-    seg_breaks = np.concatenate(
-        ([0.0], np.cumsum([seg.length for seg in segments]))
-    )
-    seg_kappa = np.array([seg.kappa for seg in segments])
-
-    s_list, x_list, y_list, h_list, k_list = [0.0], [0.0], [0.0], [0.0], []
-    x, y, h = 0.0, 0.0, 0.0
-    k_list.append(segments[0].kappa)
-    s_base = 0.0
-    for seg in segments:
-        n = max(1, int(round(seg.length / step)))
-        for i in range(1, n + 1):
-            ds = seg.length * i / n
-            xi, yi, hi = _advance(x, y, h, seg.kappa, ds)
-            s_list.append(s_base + ds)
-            x_list.append(xi)
-            y_list.append(yi)
-            h_list.append(hi)
-            k_list.append(seg.kappa)
-        x, y, h = _advance(x, y, h, seg.kappa, seg.length)
-        s_base += seg.length
-    return TrackGeometry(
-        s=np.array(s_list),
-        x=np.array(x_list),
-        y=np.array(y_list),
-        heading=np.array(h_list),
-        curvature=np.array(k_list),
-        half_width=half_width,
-        seg_breaks=seg_breaks,
-        seg_kappa=seg_kappa,
-    )
 
 
 LIBRARY_KINDS = ("uturn", "right_angle", "turn_135")
@@ -223,13 +159,18 @@ def build_library_track(
         raise BadTrackSpec("radius must exceed half the track width")
     if entry_len < 0 or exit_len < 0:
         raise BadTrackSpec("entry/exit lengths must be non-negative")
-    segments = []
+    segments = []  # (length, kappa)
     if entry_len > 0:
-        segments.append(_ArcSegment(entry_len, 0.0))
-    segments.append(_ArcSegment(_ARC_ANGLE[kind] * radius, 1.0 / radius))
+        segments.append((entry_len, 0.0))
+    segments.append((_ARC_ANGLE[kind] * radius, 1.0 / radius))
     if exit_len > 0:
-        segments.append(_ArcSegment(exit_len, 0.0))
-    return _build_from_segments(segments, half_width=width / 2)
+        segments.append((exit_len, 0.0))
+    lengths, kappas = zip(*segments)
+    return TrackGeometry(
+        half_width=width / 2,
+        seg_breaks=np.concatenate(([0.0], np.cumsum(lengths))),
+        seg_kappa=np.array(kappas),
+    )
 
 
 # -- Frenet conversion ------------------------------------------------
@@ -275,21 +216,6 @@ def _segment_feet(
     return ss, ds
 
 
-def _polyline_feet(
-    track: TrackGeometry, px: float, py: float, lo: float, hi: float
-) -> tuple[list[float], list[float]]:
-    """Nearest point of each sample interval overlapping [lo, hi]."""
-    j0 = int(np.clip(np.searchsorted(track.s, lo, side="right") - 1, 0, len(track.s) - 2))
-    j1 = max(int(np.searchsorted(track.s, hi)), j0 + 1)
-    s, x, y = track.s[j0:j1 + 1], track.x[j0:j1 + 1], track.y[j0:j1 + 1]
-    dx, dy, dsi = np.diff(x), np.diff(y), np.diff(s)
-    t = ((px - x[:-1]) * dx + (py - y[:-1]) * dy) / (dx * dx + dy * dy)
-    s_foot = np.clip(s[:-1] + t * dsi, np.maximum(s[:-1], lo), np.minimum(s[1:], hi))
-    t = (s_foot - s[:-1]) / dsi
-    d = np.hypot(px - x[:-1] - t * dx, py - y[:-1] - t * dy)
-    return s_foot.tolist(), d.tolist()
-
-
 def to_frenet(
     point: tuple[float, float],
     track: TrackGeometry,
@@ -298,11 +224,10 @@ def to_frenet(
     """Project a Cartesian point onto the centerline.
 
     The foot is the nearest point over the segment map's lines and arcs,
-    each found in closed form, or over the sample polyline for a track
-    without a segment map; ties go to the smaller s.  l is the offset from
-    the frame at the foot (cross-product rule).  `s_hint` restricts the
-    search to s within HINT_WINDOW of a known arc length (warm start for
-    per-tick projections).
+    each found in closed form; ties go to the smaller s.  l is the offset
+    from the frame at the foot (cross-product rule).  `s_hint` restricts
+    the search to s within HINT_WINDOW of a known arc length (warm start
+    for per-tick projections).
 
     Raises OffCorridor when |l| exceeds CORRIDOR_FACTOR half widths, then
     AmbiguousProjection when a second foot more than 1 m away along s
@@ -312,8 +237,7 @@ def to_frenet(
     lo, hi = 0.0, track.s_max
     if s_hint is not None:
         lo, hi = max(s_hint - HINT_WINDOW, lo), min(s_hint + HINT_WINDOW, hi)
-    feet = _segment_feet if track.seg_breaks is not None else _polyline_feet
-    s_feet, d_feet = feet(track, px, py, lo, hi)
+    s_feet, d_feet = _segment_feet(track, px, py, lo, hi)
     d_min = min(d_feet)
     # index() takes the first, smallest-s, tie; the clamp undoes rounding
     # of s0 + t past the window
@@ -335,63 +259,47 @@ def to_frenet(
 
 
 def save_track(track: TrackGeometry, path: str | Path) -> None:
-    path = Path(path)
-    lines = [f"# {TRACK_FILE_VERSION}", f"# half_width = {track.half_width!r}"]
-    if track.seg_breaks is not None:
-        seg = ";".join(
-            f"{float(b)!r}:{float(k)!r}"
-            for b, k in zip(track.seg_breaks[:-1], track.seg_kappa)
-        )
-        lines.append(f"# segments = {seg};{float(track.s_max)!r}:end")
-    lines.append("s,x,y,heading,curvature")
-    for row in zip(track.s, track.x, track.y, track.heading, track.curvature):
-        lines.append(",".join(repr(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write the header, the half width and the segment map
+    `s0:kappa0;s1:kappa1;...;s_max:end`."""
+    seg = ";".join(f"{b!r}:{k!r}" for b, k in zip(track._breaks, track.seg_kappa.tolist()))
+    Path(path).write_text(f"# {TRACK_FILE_VERSION}\n"
+                          f"# half_width = {track.half_width!r}\n"
+                          f"# segments = {seg};{track.s_max!r}:end\n")
 
 
 def load_track(path: str | Path) -> TrackGeometry:
     path = Path(path)
-    half_width = None
-    seg_breaks = None
-    seg_kappa = None
-    rows = []
+    half_width = seg_breaks = seg_kappa = None
     with open(path) as fh:
         first = fh.readline().strip()
+        if first == "# driftcorner track v1":  # held sampled rows as well
+            raise BadTrackSpec(f"{path}: a version 1 track file, which this version "
+                               "no longer reads; re-create it with "
+                               "`driftcorner build-track`")
         if first != f"# {TRACK_FILE_VERSION}":
             raise BadTrackSpec(f"{path}: unrecognized track file header {first!r}")
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("s,"):
+            if not line:
                 continue
-            if line.startswith("#"):
+            try:
+                if not line.startswith("#"):
+                    raise ValueError(f"unexpected line {line!r}; a track file has no rows")
                 key, _, value = line.lstrip("# ").partition(" = ")
                 if key == "half_width":
                     half_width = float(value)
                 elif key == "segments":
-                    breaks, kappas = [], []
-                    for item in value.split(";"):
-                        b, _, k = item.partition(":")
-                        breaks.append(float(b))
-                        if k != "end":
-                            kappas.append(float(k))
-                    seg_breaks = np.array(breaks)
-                    seg_kappa = np.array(kappas)
-                continue
-            rows.append([float(v) for v in line.split(",")])
-            if len(rows[-1]) != 5:  # s, x, y, heading, curvature
-                raise BadTrackSpec(f"{path}: expected rows of 5 numbers")
-    if half_width is None:
-        raise BadTrackSpec(f"{path}: no half_width header line")
-    if not rows:
-        raise BadTrackSpec(f"{path}: no rows after the header")
-    data = np.array(rows)
-    return TrackGeometry(
-        s=data[:, 0],
-        x=data[:, 1],
-        y=data[:, 2],
-        heading=data[:, 3],
-        curvature=data[:, 4],
-        half_width=half_width,
-        seg_breaks=seg_breaks,
-        seg_kappa=seg_kappa,
-    )
+                    items = [item.partition(":") for item in value.split(";")]
+                    if items[-1][2] != "end":
+                        raise ValueError("the segment map does not end in 's_max:end'")
+                    seg_breaks = np.array([float(b) for b, _, _ in items])
+                    seg_kappa = np.array([float(k) for _, _, k in items[:-1]])
+            except ValueError as exc:
+                raise BadTrackSpec(f"{path}: {exc}") from None
+    if half_width is None or seg_breaks is None:
+        raise BadTrackSpec(f"{path}: no half_width or segments header line")
+    try:
+        return TrackGeometry(half_width=half_width, seg_breaks=seg_breaks,
+                             seg_kappa=seg_kappa)
+    except BadTrackSpec as exc:
+        raise BadTrackSpec(f"{path}: {exc}") from None

@@ -149,41 +149,80 @@ def test_deploy_rejects_broken_preview_file(fault, uturn_preview8, tmp_path,
     assert str(preview) in capsys.readouterr().err
 
 
-def _cut_rows(path, keep):
-    """Rewrite a saved file: comment lines stay, every other line
-    becomes keep(its comma-separated cells), or goes when that is None."""
-    lines = []
-    for ln in path.read_text().splitlines():
-        if not ln.startswith("#"):
-            ln = keep(ln.split(","))
-            if ln is None:
-                continue
-            ln = ",".join(ln)
-        lines.append(ln)
+def _edit_rows(path, edit):
+    """Rewrite a saved file: comment lines stay, and the other lines, each
+    split into its comma-separated cells, become edit(list of lines)."""
+    lines = path.read_text().splitlines()
+    rows = edit([ln.split(",") for ln in lines if not ln.startswith("#")])
+    lines = [ln for ln in lines if ln.startswith("#")] + [",".join(r) for r in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("fault", ["pretraj_five_columns", "pretraj_header_only",
-                                   "track_three_columns"])
+def _swap_rows(rows):
+    rows[3], rows[4] = rows[4], rows[3]
+    return rows
+
+
+def _set_speed(value):
+    def edit(rows):
+        rows[3][5] = value
+        return rows
+    return edit
+
+
+PRETRAJ_FAULTS = {
+    "pretraj_five_columns": lambda rows: [r[:5] for r in rows],
+    "pretraj_header_only": lambda rows: rows[:1],
+    "pretraj_rows_swapped": _swap_rows,
+    "pretraj_nan_speed": _set_speed("nan"),
+    "pretraj_zero_speed": _set_speed("0.0"),
+    "pretraj_of_another_track": lambda rows: rows,  # deployed on the right angle
+}
+TRACK_FAULTS = {
+    "track_version_1": lambda text: (text.replace("track v2", "track v1")
+                                     + "s,x,y,heading,curvature\n0.0,0.0,0.0,0.0,0.0\n"),
+    "track_nan_curvature": lambda text: text.replace(f":{1 / 11!r};", ":nan;"),
+    "track_breaks_not_increasing": lambda text: text.replace(";30.0:", ";300.0:"),
+}
+
+
+@pytest.mark.parametrize("fault", [*PRETRAJ_FAULTS, *TRACK_FAULTS])
 def test_broken_track_or_pretrajectory_file_is_a_config_error(
         fault, uturn, uturn_pretraj, tmp_path, capsys):
-    if fault.startswith("pretraj"):
+    if fault in PRETRAJ_FAULTS:
         broken = tmp_path / "pretraj.txt"
         save_pretrajectory(uturn_pretraj, broken)
-        argv = ["deploy", "--kind", "uturn", "--pretraj", str(broken),
+        _edit_rows(broken, PRETRAJ_FAULTS[fault])
+        kind = "right_angle" if fault == "pretraj_of_another_track" else "uturn"
+        argv = ["deploy", "--kind", kind, "--pretraj", str(broken),
                 "--preview", str(tmp_path / "preview.txt")]
     else:
         broken = tmp_path / "track.txt"
         save_track(uturn, broken)
+        text = broken.read_text()
+        broken.write_text(TRACK_FAULTS[fault](text))
+        assert broken.read_text() != text
         argv = ["plan", "--track", str(broken)]
-    if fault == "pretraj_header_only":
-        _cut_rows(broken, lambda cells: cells if cells[0] == "s" else None)
-    else:
-        width = 5 if fault == "pretraj_five_columns" else 3
-        _cut_rows(broken, lambda cells: cells[:width])
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 3
     assert str(broken) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_deploy_rejects_a_preview_with_a_nan_row(uturn_preview8, tmp_path, capsys):
+    # NaN compares false, so it passed the checks of tick spacing and of s
+    preview = tmp_path / "preview.txt"
+    save_preview(uturn_preview8, preview)
+    lines = preview.read_text().splitlines()
+    k = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 100
+    cells = lines[k].split()
+    cells[0] = cells[1] = cells[10] = "nan"  # t, X and s
+    lines[k] = " ".join(cells)
+    preview.write_text("\n".join(lines) + "\n")
+    assert cli.main(["deploy", "--kind", "uturn", "--preview", str(preview),
+                     "--out", str(tmp_path / "deploy")]) == 3
+    err = capsys.readouterr().err
+    assert f"{preview}: preview t, s, gamma and a_rl must be finite" in err
+    assert not (tmp_path / "deploy" / "summary.txt").exists()
 
 
 def test_preview_rejects_npz_that_is_not_a_checkpoint(tmp_path, capsys):

@@ -24,7 +24,9 @@ from driftcorner.envs import (
 from driftcorner.errors import AmbiguousProjection
 from driftcorner.planner import plan_pretrajectory
 from driftcorner.plant import CONTROL_DT, PlantState
-from driftcorner.track import FrenetPoint, to_cartesian
+from driftcorner.track import FrenetPoint, build_library_track, to_cartesian
+
+from test_plan_corpus import generated_corners
 
 
 # -- observation -------------------------------------------------------
@@ -48,7 +50,7 @@ def test_observation_frenet_agreement(uturn):
     assert obs.l == pytest.approx(0.5, abs=1e-6)
     assert obs.alpha == pytest.approx(0.0, abs=1e-9)
     # heading aligned with the tangent: progress rate = v_x / (1 - k l)
-    k = uturn.curvature_at(45.0)
+    k = uturn.heading_curvature_at(45.0)[1]
     assert obs.s_dot == pytest.approx(9.0 / (1.0 - k * 0.5), rel=1e-9)
     assert obs.l_dot == pytest.approx(0.0, abs=1e-9)
 
@@ -57,7 +59,7 @@ def test_preview_samples_curvature_ahead(uturn):
     state = PlantState(x=25.0, y=0.0, v_x=9.0)  # 5 m before the arc
     obs = observe(state, uturn)
     dists = PREVIEW_SPACING * np.arange(1, N_PREVIEW + 1)
-    want = np.array([uturn.curvature_at(min(25.0 + d, uturn.s_max))
+    want = np.array([uturn.heading_curvature_at(min(25.0 + d, uturn.s_max))[1]
                      for d in dists])
     np.testing.assert_allclose(obs.kappa_preview, want, atol=1e-12)
 
@@ -161,30 +163,51 @@ def test_crash_ends_episode(uturn, uturn_pretraj):
     assert info["result"].chi == 0
 
 
-# Random-action episodes of seeds 0-149 under a 4 s cap, recorded with
-# the corner check that projected all four corners.  Every crash is found
-# by the corner check on the 30 m entry straight that the library tracks
-# share, so the record is the same on all three: these seeds crash after
-# the given number of ticks, and every other seed times out after 400.
+# Random-action episodes, seeds 0-39 under a 4 s cap, on the first six
+# generated corners of the plan corpus (radius and width as drawn there)
+# with the entry cut to 3 m, so that the episodes reach the arc.  Each
+# crash comes early on the arc, after the given number of ticks; every
+# other seed times out after 400.  The records differ between corners,
+# in the crashing seeds and in their tick counts: the projection and the
+# corner check run on arcs of several radii.
 RANDOM_CAP = 4.0
-RANDOM_SEEDS = range(150)
-RANDOM_CRASHES = {31: 121, 37: 71, 46: 114, 51: 114, 55: 168, 59: 82, 67: 67,
-                  87: 126, 95: 125, 98: 58, 106: 49, 120: 76, 122: 89,
-                  123: 147, 130: 47, 147: 220, 149: 99}
-RANDOM_TIER1_SEEDS = range(30, 38)  # two crashes among them
+RANDOM_ENTRY = 3.0  # m
+RANDOM_SEEDS = range(40)
+RANDOM_CRASHES = [
+    {0: 125, 1: 112, 4: 99, 5: 107, 7: 107, 9: 103, 10: 94, 13: 120, 14: 132,
+     15: 122, 16: 76, 17: 62, 20: 139, 21: 141, 22: 108, 23: 90, 24: 144,
+     26: 80, 27: 81, 28: 150, 31: 51, 33: 115, 37: 58, 38: 104, 39: 152},
+    {0: 338, 1: 121, 4: 114, 5: 120, 7: 126, 9: 117, 10: 105, 13: 137, 14: 162,
+     15: 151, 16: 78, 17: 66, 22: 122, 23: 100, 26: 86, 27: 89, 31: 53,
+     33: 131, 37: 59, 38: 116},
+    {1: 135, 4: 127, 5: 134, 7: 148, 9: 133, 10: 121, 13: 162, 16: 80, 17: 71,
+     22: 131, 23: 109, 26: 91, 27: 99, 31: 55, 33: 150, 37: 60, 38: 138},
+    {1: 140, 4: 132, 5: 138, 7: 187, 9: 140, 10: 125, 13: 171, 16: 81, 17: 72,
+     22: 132, 23: 112, 26: 92, 27: 106, 31: 55, 33: 154, 37: 61, 38: 146},
+    {1: 122, 4: 115, 5: 121, 7: 127, 9: 118, 10: 106, 13: 139, 14: 164,
+     15: 154, 16: 78, 17: 67, 22: 123, 23: 101, 26: 86, 27: 90, 31: 53,
+     33: 133, 37: 59, 38: 117},
+    {1: 127, 4: 120, 5: 127, 7: 134, 9: 124, 10: 112, 13: 148, 14: 182,
+     15: 270, 16: 79, 17: 68, 22: 127, 23: 104, 26: 89, 27: 93, 31: 54,
+     33: 142, 37: 60, 38: 123},
+]
+RANDOM_TIER1 = (range(3), range(8))  # one corner of each kind
 
 
 @pytest.fixture(scope="module")
-def library_tasks(all_tracks, uturn_pretraj):
-    return {kind: (track, uturn_pretraj if kind == "uturn"
-                   else plan_pretrajectory(track))
-            for kind, track in all_tracks.items()}
+def random_action_tasks():
+    tasks = []
+    for _, spec in zip(RANDOM_CRASHES, generated_corners()):
+        track = build_library_track(**{**spec, "entry_len": RANDOM_ENTRY})
+        tasks.append((track, plan_pretrajectory(track)))
+    return tasks
 
 
-def _check_random_action_episodes(library_tasks, seeds):
+def _check_random_action_episodes(tasks, corners, seeds):
     # the learner's warm-up: episodes from random starts under uniformly
     # random actions, one generator drawing both per seed
-    for kind, (track, pretraj) in library_tasks.items():
+    for corner in corners:
+        track, pretraj = tasks[corner]
         for seed in seeds:
             rng = np.random.default_rng(seed)
             env = DriftEnv(track, pretraj, time_cap=RANDOM_CAP)
@@ -193,20 +216,27 @@ def _check_random_action_episodes(library_tasks, seeds):
             while not done:
                 _, _, done, info = env.step(rng.uniform(ACTION_LOW, ACTION_HIGH))
                 ticks += 1
-            assert isinstance(info["result"], EpisodeResult)
-            want = (("crashed", RANDOM_CRASHES[seed]) if seed in RANDOM_CRASHES
+            result = info["result"]
+            assert isinstance(result, EpisodeResult)
+            crashes = RANDOM_CRASHES[corner]
+            want = (("crashed", crashes[seed]) if seed in crashes
                     else ("timeout", 400))
-            assert (info["result"].status, ticks) == want, (kind, seed)
+            assert (result.status, ticks) == want, (corner, seed)
+            if result.status == "crashed":
+                assert result.s_final > RANDOM_ENTRY, (corner, seed)
 
 
-def test_random_action_episodes_end_with_a_status(library_tasks):
-    _check_random_action_episodes(library_tasks, RANDOM_TIER1_SEEDS)
+def test_random_action_episodes_end_with_a_status(random_action_tasks):
+    _check_random_action_episodes(random_action_tasks, *RANDOM_TIER1)
 
 
 @pytest.mark.nightly
-def test_random_action_episodes_end_with_a_status_nightly(library_tasks):
-    _check_random_action_episodes(
-        library_tasks, [s for s in RANDOM_SEEDS if s not in RANDOM_TIER1_SEEDS])
+def test_random_action_episodes_end_with_a_status_nightly(random_action_tasks):
+    corners, seeds = RANDOM_TIER1
+    for corner in range(len(RANDOM_CRASHES)):
+        _check_random_action_episodes(
+            random_action_tasks, [corner],
+            [s for s in RANDOM_SEEDS if corner not in corners or s not in seeds])
 
 
 def test_ambiguous_projection_ends_episode_crashed(monkeypatch, uturn,

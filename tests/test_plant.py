@@ -286,7 +286,7 @@ def test_detect_termination_states(uturn):
     # c.g. point is written out
     off = PlantState(x=10.0, y=10.0)
     assert detect_termination(off, uturn, FrenetPoint(10.0, 10.0)) == "crashed"
-    x_end, y_end = uturn.x[-1], uturn.y[-1]
+    x_end, y_end, _ = uturn.frame_at(uturn.s_max)
     done = PlantState(x=x_end, y=y_end, phi=math.pi)
     assert detect_termination(done, uturn, to_frenet((x_end, y_end), uturn)) == "completed"
 

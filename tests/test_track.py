@@ -37,8 +37,8 @@ def test_uturn_dimensions(uturn):
     # 30 m entry + half-circle of radius 11 + 70 m exit
     assert uturn.s_max == pytest.approx(30 + math.pi * 11 + 70)
     assert uturn.half_width == 2.75
-    assert uturn.curvature_at(50.0) == pytest.approx(1 / 11, abs=1e-9)
-    assert uturn.curvature_at(10.0) == 0.0
+    assert uturn.heading_curvature_at(50.0)[1] == pytest.approx(1 / 11, abs=1e-9)
+    assert uturn.heading_curvature_at(10.0)[1] == 0.0
 
 
 def test_right_angle_arc_length(right_angle):
@@ -63,15 +63,16 @@ def test_bad_track_specs():
 
 def test_heading_integrates_curvature(uturn):
     # heading increments must match the curvature integral between samples
-    s = uturn.s
-    dh = np.diff(uturn.heading)
-    mid_k = np.array([uturn.curvature_at(float(v)) for v in (s[:-1] + s[1:]) / 2])
+    b = uturn.seg_breaks
+    s = np.unique(np.concatenate([np.linspace(b0, b1, 500) for b0, b1 in zip(b, b[1:])]))
+    dh = np.diff([uturn.heading_at(float(v)) for v in s])
+    mid_k = np.array([uturn.heading_curvature_at(float(v))[1] for v in (s[:-1] + s[1:]) / 2])
     assert np.max(np.abs(dh - mid_k * np.diff(s))) < 1e-6
 
 
 def test_curvature_query_bounds(uturn):
     with pytest.raises(OutOfRange):
-        uturn.curvature_at(-0.5)
+        uturn.heading_curvature_at(-0.5)
     with pytest.raises(OutOfRange):
         uturn.heading_at(uturn.s_max + 0.5)
 
@@ -108,8 +109,7 @@ def test_projection_matches_brute_force(uturn, rng):
     from scipy.optimize import minimize_scalar
 
     s_dense = np.linspace(0.0, uturn.s_max, 200_000)
-    cx = np.interp(s_dense, uturn.s, uturn.x)
-    cy = np.interp(s_dense, uturn.s, uturn.y)
+    cx, cy, _ = np.array([uturn.frame_at(float(v)) for v in s_dense]).T
     s, l = random_on_track_points(uturn, 50, rng)
     for si, li in zip(s, l):
         x, y = to_cartesian(FrenetPoint(float(si), float(li)), uturn)
@@ -117,7 +117,7 @@ def test_projection_matches_brute_force(uturn, rng):
         coarse = s_dense[np.argmin((cx - x) ** 2 + (cy - y) ** 2)]
 
         def dist2(sv):
-            px, py = uturn.position_at(float(np.clip(sv, 0, uturn.s_max)))
+            px, py, _ = uturn.frame_at(float(np.clip(sv, 0, uturn.s_max)))
             return (px - x) ** 2 + (py - y) ** 2
 
         ref = minimize_scalar(
@@ -200,25 +200,6 @@ def test_projection_queries_the_frame_at_most_twice(monkeypatch, all_tracks, rng
                 assert len(calls) <= 2
 
 
-def test_sampled_track_projects_onto_the_polyline(uturn, tmp_path, rng):
-    path = tmp_path / "track.csv"
-    save_track(uturn, path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(ln for ln in lines if not ln.startswith("# segments")))
-    sampled = load_track(path)
-    assert sampled.seg_breaks is None
-    s, l = random_on_track_points(uturn, 1000, rng)
-    for si, li in zip(s, l):
-        x, y = to_cartesian(FrenetPoint(float(si), float(li)), uturn)
-        exact, approx = to_frenet((x, y), uturn), to_frenet((x, y), sampled)
-        # chords of 0.1 m on an 11 m arc sit up to 1.1e-4 m inside it
-        assert abs(approx.s - exact.s) <= 0.02
-        assert abs(approx.l - exact.l) <= 5e-4
-    x, y = to_cartesian(FrenetPoint(50.0, 3.1 * uturn.half_width), uturn)
-    with pytest.raises(OffCorridor):
-        to_frenet((x, y), sampled)
-
-
 # -- file format -------------------------------------------------------
 
 
@@ -228,9 +209,12 @@ def test_track_file_round_trip(uturn, tmp_path):
     back = load_track(path)
     assert back.half_width == uturn.half_width
     assert back.s_max == pytest.approx(uturn.s_max)
-    np.testing.assert_allclose(back.x, uturn.x, atol=1e-12)
+    np.testing.assert_array_equal(back.seg_breaks, uturn.seg_breaks)
+    np.testing.assert_array_equal(back.seg_kappa, uturn.seg_kappa)
     # analytic segment map survives the round trip
-    assert back.curvature_at(50.0) == pytest.approx(1 / 11, abs=1e-12)
+    assert back.heading_curvature_at(50.0)[1] == pytest.approx(1 / 11, abs=1e-12)
+    # the header, the half width and the segment map, and no rows
+    assert len(path.read_text().splitlines()) == 3
 
 
 def test_load_rejects_an_arc_tighter_than_the_half_width(uturn, tmp_path):
@@ -249,3 +233,48 @@ def test_load_rejects_foreign_files(tmp_path):
     p.write_text("s,x,y\n0,0,0\n")
     with pytest.raises(BadTrackSpec):
         load_track(p)
+
+
+def test_load_refuses_a_version_1_file(uturn, tmp_path):
+    # version 1 also held sampled rows, a second copy of the centerline
+    path = tmp_path / "v1.csv"
+    save_track(uturn, path)
+    text = path.read_text().replace("track v2", "track v1")
+    path.write_text(text + "s,x,y,heading,curvature\n0.0,0.0,0.0,0.0,0.0\n")
+    with pytest.raises(BadTrackSpec, match="build-track") as exc:
+        load_track(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("fault, edit, message", [
+    ("nan_curvature", lambda text: text.replace(f":{1 / 11!r};", ":nan;"), "finite"),
+    ("no_end", lambda text: text.replace(":end", ":0.0"), "s_max:end"),
+    ("end_inside", lambda text: text.replace(f":{1 / 11!r};", ":end;"), "float"),
+    ("a_row", lambda text: text + "0.0,0.0,0.0,0.0,0.0\n", "unexpected line"),
+])
+def test_load_refuses_a_broken_file(fault, edit, message, uturn, tmp_path):
+    path = tmp_path / f"{fault}.csv"
+    save_track(uturn, path)
+    text = path.read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    with pytest.raises(BadTrackSpec, match=message) as exc:
+        load_track(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("breaks, kappa, half_width, message", [
+    ([0.0, 10.0, 20.0], [0.0], 1.0, "one more break"),
+    ([0.0], [], 1.0, "one more break"),
+    ([0.0, 10.0, 10.0], [0.0, 0.1], 1.0, "increasing"),
+    ([0.0, 20.0, 10.0], [0.0, 0.1], 1.0, "increasing"),
+    ([1.0, 10.0, 20.0], [0.0, 0.1], 1.0, "from 0"),
+    ([0.0, 10.0, np.inf], [0.0, 0.1], 1.0, "finite"),
+    ([0.0, 10.0, 20.0], [0.0, np.nan], 1.0, "finite"),
+    ([0.0, 10.0, 20.0], [0.0, -0.5], 2.0, "radius of curvature"),
+    ([0.0, 10.0], [0.0], np.nan, "half_width"),
+])
+def test_track_geometry_checks_its_segment_map(breaks, kappa, half_width, message):
+    with pytest.raises(BadTrackSpec, match=message):
+        TrackGeometry(half_width=half_width, seg_breaks=np.array(breaks),
+                      seg_kappa=np.array(kappa))
