@@ -180,7 +180,10 @@ def load_preview(path) -> PreviewTrajectory:
                 key, val = ln[1:].split("=", 1)
                 meta[key.strip()] = val.strip()
             continue
-        rows.append([float(v) for v in ln.split()])
+        try:
+            rows.append([float(v) for v in ln.split()])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     for key in ("policy_checksum", "plant_digest", "track_id", "v_ini", "t_f"):
         if key not in meta:
             raise ValueError(f"{path}: no '# {key} = ...' header line")

@@ -395,7 +395,10 @@ def load_pretrajectory(path: str | Path) -> PreTrajectory:
                 elif key == "mu":
                     mu = float(value)
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            try:
+                rows.append([float(v) for v in line.split(",")])
+            except ValueError as exc:
+                raise BadTrackSpec(f"{path}: {exc}") from None
             if len(rows[-1]) != 6:  # s, l, x, y, kappa, v_d
                 raise BadTrackSpec(f"{path}: expected rows of 6 numbers")
     if not rows:

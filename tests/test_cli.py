@@ -133,7 +133,7 @@ def test_deploy_rejects_preview_of_another_track(uturn_preview8, tmp_path,
     assert not (out / "summary.txt").exists()
 
 
-@pytest.mark.parametrize("fault", ["missing_header_line", "no_rows"])
+@pytest.mark.parametrize("fault", ["missing_header_line", "no_rows", "not_a_number"])
 def test_deploy_rejects_broken_preview_file(fault, uturn_preview8, tmp_path,
                                             capsys):
     preview = tmp_path / "preview.txt"
@@ -141,8 +141,10 @@ def test_deploy_rejects_broken_preview_file(fault, uturn_preview8, tmp_path,
     lines = preview.read_text().splitlines()
     if fault == "missing_header_line":
         lines = [ln for ln in lines if not ln.startswith("# t_f =")]
-    else:
+    elif fault == "no_rows":
         lines = [ln for ln in lines if ln.startswith("#")]
+    else:
+        lines[-1] = lines[-1].replace(" ", " fast ", 1)
     preview.write_text("\n".join(lines) + "\n")
     assert cli.main(["deploy", "--kind", "uturn", "--preview", str(preview),
                      "--out", str(tmp_path / "deploy")]) == 3
@@ -176,6 +178,7 @@ PRETRAJ_FAULTS = {
     "pretraj_rows_swapped": _swap_rows,
     "pretraj_nan_speed": _set_speed("nan"),
     "pretraj_zero_speed": _set_speed("0.0"),
+    "pretraj_not_a_number": _set_speed("fast"),
     "pretraj_of_another_track": lambda rows: rows,  # deployed on the right angle
 }
 TRACK_FAULTS = {
