@@ -29,7 +29,7 @@ import numpy as np
 from . import td3
 from .baseline import BaselineTracker
 from .envs import TRACE_COLUMNS, DriftEnv, EpisodeResult, run_episode, summary_line
-from .errors import BadTrackSpec, DriftCornerError, MissingLog, MissingPolicy
+from .errors import DriftCornerError, MissingLog, MissingPolicy
 from .fusion import (
     DeploymentSpec,
     DeployResult,
@@ -99,11 +99,7 @@ def _load_pretraj_arg(args, track):
         path = Path(args.pretraj)
         if not path.exists():
             raise FileNotFoundError(f"pre-trajectory file not found: {path}")
-        pre = load_pretrajectory(path)
-        if abs(pre.s[-1] - track.s_max) > 1e-9:
-            raise BadTrackSpec(f"{path}: ends at s = {float(pre.s[-1])!r} m, not at "
-                               f"the track's s_max = {track.s_max!r} m")
-        return pre, [path]
+        return load_pretrajectory(path, track), [path]
     return plan_pretrajectory(track, mu=TRAINING_MU), []
 
 
@@ -399,6 +395,8 @@ def cmd_compare(args) -> int:
 
 def cmd_mu_sweep(args) -> int:
     """Deployment adhesion sweep for the fused controller."""
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, not {args.seeds}")
     tasks = []
     if args.policy_uturn:
         tasks.append(("uturn", Path(args.policy_uturn)))
@@ -494,6 +492,11 @@ def _add_track_args(p):
                    help="library track (alternative to --track)")
 
 
+def _add_pretraj_arg(p):
+    p.add_argument("--pretraj", help="pre-trajectory file from `driftcorner plan` "
+                                     "on the same track (planned if omitted)")
+
+
 def _add_deploy_args(p):
     p.add_argument("--mu-deploy", type=float, default=None,
                    help="deployment adhesion (default: training value)")
@@ -523,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="TD3 training run")
     _add_track_args(p)
-    p.add_argument("--pretraj", help="pre-trajectory file (planned if omitted)")
+    _add_pretraj_arg(p)
     p.add_argument("--episodes", type=int, default=5000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--demo-episodes", type=int, default=50,
@@ -534,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preview", help="offline preview from a trained policy")
     _add_track_args(p)
-    p.add_argument("--pretraj")
+    _add_pretraj_arg(p)
     p.add_argument("--policy", required=True)
     p.add_argument("--v-ini", type=float, default=9.0)
     p.add_argument("--out", required=True)
@@ -542,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deploy", help="fusion deployment run")
     _add_track_args(p)
-    p.add_argument("--pretraj")
+    _add_pretraj_arg(p)
     p.add_argument("--preview", required=True)
     _add_deploy_args(p)
     p.add_argument("--seed", type=int,
@@ -563,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="four-row policy comparison table")
     _add_track_args(p)
-    p.add_argument("--pretraj")
+    _add_pretraj_arg(p)
     p.add_argument("--policy", required=True)
     _add_deploy_args(p)
     p.add_argument("--v-ini", type=float, default=9.0)

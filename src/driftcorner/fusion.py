@@ -82,7 +82,7 @@ def speed_bucket(v: float) -> float:
 # -- preview trajectory -----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreviewTrajectory:
     """Offline policy rollout: per-tick Cartesian state, action, and
     arc-length, with the provenance needed to know when to regenerate."""

@@ -1,18 +1,26 @@
 """Pre-trajectory planning: minimum-curvature path + friction-limited speed.
 
 The lateral offset l(s) is a C1 piecewise-cubic (Hermite) spline over
-knots along s.  One Gauss-Newton refinement of the knot offsets, started
-from the centerline (with any pinned end offsets set) and clipped to the
-corridor at the knots, minimizes the integral of squared curvature of the
-composed Cartesian path.  Speed is capped pointwise by the lateral-adhesion
-limit, then smoothed by a forward-backward longitudinal-acceleration pass
-that the powertrain and the friction ellipse limit.
+knots along s, with zero slope at both ends.  One Gauss-Newton refinement
+of the knot offsets, started from the centerline (with any pinned end
+offsets set) and clipped to the corridor at the knots, minimizes the
+integral of squared curvature of the composed Cartesian path.  Speed is
+capped pointwise by the lateral-adhesion limit, then smoothed by a
+forward-backward longitudinal-acceleration pass that the powertrain and
+the friction ellipse limit.
+
+A pre-trajectory is a function of its offset spline and adhesion mu:
+`PreTrajectory` holds both beside the samples s, l, x, y, kappa, v_d and
+the reference time t_ref that `plan_speed` and `build_pretrajectory`
+derive from them.  The file (version 2) holds the header and `# key =
+value` lines for mu, the converged flag, the knots and the values, and
+`load_pretrajectory` rebuilds the samples on the track it is given.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,14 +43,11 @@ TOL = 1e-8  # stop once one iteration lowers the objective by less
 
 
 class Boundary(NamedTuple):
-    """Endpoint constraints: slopes are always enforced; offsets of None
-    are left free for the optimizer (slope-only form of the boundary
-    conditions)."""
+    """Pinned end offsets; an end of None is left free for the optimizer.
+    The end slopes are always zero."""
 
     l0: float | None = None
-    dl0: float = 0.0
     l1: float | None = None
-    dl1: float = 0.0
 
 
 # -- C1 Hermite spline over s -----------------------------------------
@@ -78,16 +83,15 @@ def _hermite_eval(knots, values, slopes, s):
     return l, dl, ddl
 
 
-def _catmull_rom_slopes(knots, values, dl0, dl1):
-    slopes = np.empty_like(values)
-    slopes[0] = dl0
-    slopes[-1] = dl1
+def _catmull_rom_slopes(knots, values):
+    """Central-difference slopes at the interior knots, zero at the ends."""
+    slopes = np.zeros_like(values)
     if len(values) > 2:
         slopes[1:-1] = (values[2:] - values[:-2]) / (knots[2:] - knots[:-2])
     return slopes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LateralOffsetPath:
     """C1 piecewise-cubic lateral offset l(s)."""
 
@@ -103,6 +107,13 @@ class LateralOffsetPath:
     def derivatives(self, s):
         """(l, dl/ds, d2l/ds2) at s (scalar or array)."""
         return _hermite_eval(self.knots, self.values, self.slopes, s)
+
+
+def offset_path(knots, values, boundary: Boundary = Boundary(),
+                converged: bool = True) -> LateralOffsetPath:
+    """The spline through `values` at `knots`, with Catmull-Rom slopes."""
+    return LateralOffsetPath(knots, values, _catmull_rom_slopes(knots, values),
+                             boundary, converged)
 
 
 # -- curvature of the composed path -----------------------------------
@@ -139,9 +150,7 @@ def curvature_objective(
 
 
 def centerline_path(track: TrackGeometry) -> LateralOffsetPath:
-    knots = np.array([0.0, track.s_max])
-    zeros = np.zeros(2)
-    return LateralOffsetPath(knots, zeros.copy(), zeros.copy(), Boundary())
+    return offset_path(np.array([0.0, track.s_max]), np.zeros(2))
 
 
 # -- minimum-curvature optimization -----------------------------------
@@ -181,7 +190,7 @@ def minimize_curvature(
     w = np.sqrt(np.gradient(s_dense))  # trapezoid weights for the residual
 
     def kappa_dense(v):
-        slopes = _catmull_rom_slopes(knots, v, boundary.dl0, boundary.dl1)
+        slopes = _catmull_rom_slopes(knots, v)
         l, dl, ddl = _hermite_eval(knots, v, slopes, s_dense)
         return _frenet_path_curvature(track, s_dense, l, dl, ddl, kc=kc_dense)
 
@@ -219,19 +228,18 @@ def minimize_curvature(
         if delta < TOL:
             converged = True
             break
-    slopes = _catmull_rom_slopes(knots, values, boundary.dl0, boundary.dl1)
-    return LateralOffsetPath(knots, values, slopes, boundary, converged=converged)
+    return offset_path(knots, values, boundary, converged)
 
 
 # -- speed planning and reference time --------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpeedPlan:
     s: np.ndarray  # track arc length samples
     v_d: np.ndarray  # m/s
     mu: float
-    stretch: np.ndarray | None = None  # d(path length)/ds at samples
+    stretch: np.ndarray  # d(path length)/ds at samples
 
 
 def plan_speed(
@@ -245,8 +253,8 @@ def plan_speed(
     `V_START`, so the plan is drivable rather than merely
     adhesion-feasible pointwise.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and positive, not {mu!r}")
     a_min, a_max = A_LONG_LIMITS
     n = max(2, int(math.ceil(track.s_max / SPEED_DS)))
     if n % 2:
@@ -293,20 +301,21 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return float(h / 3.0 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreTrajectory:
-    """Planned path + speed plan + its reference traversal time."""
+    """A planned path and adhesion, and what `build_pretrajectory`
+    derives from them: the reference traversal time and the dense
+    samples s, l, x, y, kappa, v_d."""
 
-    path: LateralOffsetPath | None
-    speed: SpeedPlan
+    path: LateralOffsetPath
+    mu: float
     t_ref: float
-    # Dense samples (the file contract): s, l, x, y, kappa, v_d
-    s: np.ndarray = field(default=None)
-    l: np.ndarray = field(default=None)
-    x: np.ndarray = field(default=None)
-    y: np.ndarray = field(default=None)
-    kappa: np.ndarray = field(default=None)
-    v_d: np.ndarray = field(default=None)
+    s: np.ndarray
+    l: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    kappa: np.ndarray
+    v_d: np.ndarray
 
     def l_ref(self, s):
         return np.interp(s, self.s, self.l)
@@ -317,8 +326,7 @@ class PreTrajectory:
 
 def reference_time(speed: SpeedPlan) -> float:
     """Traversal time of the speed plan (path length over speed)."""
-    stretch = speed.stretch if speed.stretch is not None else np.ones_like(speed.s)
-    return _simpson(stretch / speed.v_d, speed.s)
+    return _simpson(speed.stretch / speed.v_d, speed.s)
 
 
 def build_pretrajectory(
@@ -332,7 +340,7 @@ def build_pretrajectory(
     )
     return PreTrajectory(
         path=path,
-        speed=speed,
+        mu=speed.mu,
         t_ref=reference_time(speed),
         s=s,
         l=l,
@@ -358,69 +366,57 @@ def plan_pretrajectory(
 
 # -- file format ------------------------------------------------------
 
-PRETRAJ_FILE_VERSION = "driftcorner pretrajectory v1"
+PRETRAJ_FILE_VERSION = "driftcorner pretrajectory v2"
 
 
 def save_pretrajectory(pre: PreTrajectory, path: str | Path) -> None:
-    path = Path(path)
-    b = pre.path.boundary if pre.path is not None else Boundary()
-    lines = [
-        f"# {PRETRAJ_FILE_VERSION}",
-        f"# t_ref = {pre.t_ref!r}",
-        f"# mu = {pre.speed.mu!r}",
-        f"# boundary = {b.l0!r},{b.dl0!r},{b.l1!r},{b.dl1!r}",
-        "s,l,x,y,kappa,v_d",
-    ]
-    for row in zip(pre.s, pre.l, pre.x, pre.y, pre.kappa, pre.v_d):
-        lines.append(",".join(repr(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write the header, mu, the converged flag, and the knots and values
+    of the offset spline; the samples are derived from these on load."""
+    knots = ",".join(repr(v) for v in pre.path.knots.tolist())
+    values = ",".join(repr(v) for v in pre.path.values.tolist())
+    Path(path).write_text(f"# {PRETRAJ_FILE_VERSION}\n"
+                          f"# mu = {float(pre.mu)!r}\n"
+                          f"# converged = {bool(pre.path.converged)!r}\n"
+                          f"# knots = {knots}\n"
+                          f"# values = {values}\n")
 
 
-def load_pretrajectory(path: str | Path) -> PreTrajectory:
+def load_pretrajectory(path: str | Path, track: TrackGeometry) -> PreTrajectory:
+    """Rebuild a saved pre-trajectory on `track` from its spline and mu."""
     path = Path(path)
-    t_ref = mu = None
-    rows = []
     with open(path) as fh:
         first = fh.readline().strip()
-        if first != f"# {PRETRAJ_FILE_VERSION}":
-            raise BadTrackSpec(f"{path}: unrecognized pretrajectory header {first!r}")
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("s,"):
-                continue
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition(" = ")
-                if key == "t_ref":
-                    t_ref = float(value)
-                elif key == "mu":
-                    mu = float(value)
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError as exc:
-                raise BadTrackSpec(f"{path}: {exc}") from None
-            if len(rows[-1]) != 6:  # s, l, x, y, kappa, v_d
-                raise BadTrackSpec(f"{path}: expected rows of 6 numbers")
-    if not rows:
-        raise BadTrackSpec(f"{path}: no rows after the header")
-    data = np.array(rows)
-    if t_ref is None or mu is None:
-        raise BadTrackSpec(f"{path}: no t_ref or mu header line")
-    if not (np.all(np.isfinite(data)) and math.isfinite(t_ref) and math.isfinite(mu)):
-        raise BadTrackSpec(f"{path}: a value is not finite")
-    if np.any(np.diff(data[:, 0]) <= 0):
-        raise BadTrackSpec(f"{path}: s does not increase strictly")
-    if np.any(data[:, 5] <= 0):
-        raise BadTrackSpec(f"{path}: a speed v_d is not positive")
-    speed = SpeedPlan(s=data[:, 0], v_d=data[:, 5], mu=mu)
-    return PreTrajectory(
-        path=None,
-        speed=speed,
-        t_ref=t_ref,
-        s=data[:, 0],
-        l=data[:, 1],
-        x=data[:, 2],
-        y=data[:, 3],
-        kappa=data[:, 4],
-        v_d=data[:, 5],
-    )
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if first == "# driftcorner pretrajectory v1":  # held sampled rows
+        raise BadTrackSpec(f"{path}: a version 1 pre-trajectory file, which this version "
+                           "no longer reads; re-create it with `driftcorner plan`")
+    if first != f"# {PRETRAJ_FILE_VERSION}":
+        raise BadTrackSpec(f"{path}: unrecognized pre-trajectory header {first!r}")
+    try:
+        for line in lines:
+            if not line.startswith("#"):
+                raise ValueError(f"unexpected line {line!r}; a pre-trajectory file has no rows")
+        fields = {k: v for k, _, v in (ln.lstrip("# ").partition(" = ") for ln in lines)}
+        missing = [k for k in ("mu", "converged", "knots", "values") if k not in fields]
+        if missing:
+            raise ValueError(f"no {', '.join(missing)} header line")
+        if fields["converged"] not in ("True", "False"):
+            raise ValueError(f"converged is {fields['converged']!r}, not True or False")
+        knots, values = (np.array([float(v) for v in fields[k].split(",")])
+                         for k in ("knots", "values"))
+        if not (np.all(np.isfinite(knots)) and knots[0] == 0.0
+                and np.all(np.diff(knots) > 0.0)):
+            raise ValueError("the knots are not finite and strictly rising from 0")
+        if abs(knots[-1] - track.s_max) > 1e-9:
+            raise ValueError(f"the knots end at s = {float(knots[-1])!r} m, not at "
+                             f"the track's s_max = {track.s_max!r} m")
+        if len(values) != len(knots):
+            raise ValueError(f"{len(knots)} knots but {len(values)} values")
+        lim = track.half_width - CORRIDOR_MARGIN
+        if not np.all(np.abs(values) <= lim):
+            raise ValueError(f"a value is not finite or beyond the corridor +-{lim!r} m")
+        spline = offset_path(knots, values, converged=fields["converged"] == "True")
+        speed = plan_speed(spline, track, float(fields["mu"]))
+    except ValueError as exc:
+        raise BadTrackSpec(f"{path}: {exc}") from None
+    return build_pretrajectory(spline, track, speed)

@@ -467,6 +467,8 @@ def train(
     nominal=)` and `step(action)` returning observations with
     `.vector()`, and an episode result in the final step's info.
     """
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be at least 1, not {checkpoint_every}")
     env = env_factory()
     low, high = env.action_low, env.action_high
     obs_scale = env.scales

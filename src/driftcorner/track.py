@@ -41,7 +41,7 @@ class FrenetPoint(NamedTuple):
     l: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackGeometry:
     """Immutable centerline geometry; safe for concurrent read.
 

@@ -151,35 +151,50 @@ def test_deploy_rejects_broken_preview_file(fault, uturn_preview8, tmp_path,
     assert str(preview) in capsys.readouterr().err
 
 
-def _edit_rows(path, edit):
-    """Rewrite a saved file: comment lines stay, and the other lines, each
-    split into its comma-separated cells, become edit(list of lines)."""
-    lines = path.read_text().splitlines()
-    rows = edit([ln.split(",") for ln in lines if not ln.startswith("#")])
-    lines = [ln for ln in lines if ln.startswith("#")] + [",".join(r) for r in rows]
-    path.write_text("\n".join(lines) + "\n")
+def _edit_cells(key, edit):
+    """A fault that rewrites the comma-separated cells of the `# key = ...`
+    line of a saved file as edit(list of cells)."""
+    def fault(text):
+        lines = text.splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith(f"# {key} = "))
+        lines[k] = f"# {key} = " + ",".join(edit(lines[k].partition(" = ")[2].split(",")))
+        return "\n".join(lines) + "\n"
+    return fault
 
 
-def _swap_rows(rows):
-    rows[3], rows[4] = rows[4], rows[3]
-    return rows
+def _set_cell(key, i, value):
+    return _edit_cells(key, lambda cells: [*cells[:i], value, *cells[i + 1:]])
 
 
-def _set_speed(value):
-    def edit(rows):
-        rows[3][5] = value
-        return rows
-    return edit
+def _swap_cells(cells):
+    cells[3], cells[4] = cells[4], cells[3]
+    return cells
 
 
+# fault: (edit of the saved U-turn plan's text, words of the refusal)
 PRETRAJ_FAULTS = {
-    "pretraj_five_columns": lambda rows: [r[:5] for r in rows],
-    "pretraj_header_only": lambda rows: rows[:1],
-    "pretraj_rows_swapped": _swap_rows,
-    "pretraj_nan_speed": _set_speed("nan"),
-    "pretraj_zero_speed": _set_speed("0.0"),
-    "pretraj_not_a_number": _set_speed("fast"),
-    "pretraj_of_another_track": lambda rows: rows,  # deployed on the right angle
+    "pretraj_version_1": (lambda text: text.replace("pretrajectory v2", "pretrajectory v1"),
+                          "re-create it with `driftcorner plan`"),
+    "pretraj_header_only": (lambda text: text.splitlines()[0] + "\n",
+                            "no mu, converged, knots, values header line"),
+    "pretraj_a_row": (lambda text: text + "0.0,0.0,0.0,0.0,0.0,9.0\n", "has no rows"),
+    "pretraj_not_a_number": (_set_cell("values", 3, "fast"), "could not convert"),
+    "pretraj_unknown_converged": (_set_cell("converged", 0, "maybe"),
+                                  "not True or False"),
+    "pretraj_nan_mu": (_set_cell("mu", 0, "nan"), "mu must be finite and positive"),
+    "pretraj_zero_mu": (_set_cell("mu", 0, "0.0"), "mu must be finite and positive"),
+    "pretraj_infinite_mu": (_set_cell("mu", 0, "inf"), "mu must be finite and positive"),
+    "pretraj_nan_knot": (_set_cell("knots", 3, "nan"), "strictly rising from 0"),
+    "pretraj_knots_swapped": (_edit_cells("knots", _swap_cells), "strictly rising from 0"),
+    "pretraj_knots_from_one": (_set_cell("knots", 0, "1.0"), "strictly rising from 0"),
+    "pretraj_knots_end_short": (_edit_cells("knots", lambda cells: cells[:-1]),
+                                "not at the track's s_max"),
+    "pretraj_knot_count_differs": (_edit_cells("values", lambda cells: cells[:-1]),
+                                   "knots but"),
+    "pretraj_value_off_corridor": (_set_cell("values", 3, "1.76"),
+                                   "beyond the corridor +-1.75 m"),
+    # unchanged, but deployed on the right angle
+    "pretraj_of_another_track": (lambda text: text, "not at the track's s_max"),
 }
 TRACK_FAULTS = {
     "track_version_1": lambda text: (text.replace("track v2", "track v1")
@@ -195,20 +210,65 @@ def test_broken_track_or_pretrajectory_file_is_a_config_error(
     if fault in PRETRAJ_FAULTS:
         broken = tmp_path / "pretraj.txt"
         save_pretrajectory(uturn_pretraj, broken)
-        _edit_rows(broken, PRETRAJ_FAULTS[fault])
+        edit, words = PRETRAJ_FAULTS[fault]
         kind = "right_angle" if fault == "pretraj_of_another_track" else "uturn"
         argv = ["deploy", "--kind", kind, "--pretraj", str(broken),
                 "--preview", str(tmp_path / "preview.txt")]
     else:
         broken = tmp_path / "track.txt"
         save_track(uturn, broken)
-        text = broken.read_text()
-        broken.write_text(TRACK_FAULTS[fault](text))
-        assert broken.read_text() != text
+        edit, words = TRACK_FAULTS[fault], ""
         argv = ["plan", "--track", str(broken)]
+    text = broken.read_text()
+    broken.write_text(edit(text))
+    assert broken.read_text() != text or fault == "pretraj_of_another_track"
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 3
-    assert str(broken) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{broken}: " in err and words in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf", "0"])
+def test_plan_refuses_an_adhesion_outside_zero_to_infinity(mu, tmp_path, capsys):
+    # NaN planned NaN speeds and t_ref, and inf a finite t_ref, both exit 0
+    out = tmp_path / "plan" / "pre.txt"
+    assert cli.main(["plan", "--kind", "uturn", "--mu", mu, "--out", str(out)]) == 3
+    assert "mu must be finite and positive" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_train_refuses_a_checkpoint_period_below_one(monkeypatch, uturn_pretraj,
+                                                     tmp_path, capsys):
+    # it ran a whole episode and then divided by zero
+    monkeypatch.setattr(cli, "DriftEnv", None)  # building an env would fail
+    pretraj = tmp_path / "pretraj.txt"
+    save_pretrajectory(uturn_pretraj, pretraj)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--kind", "uturn", "--pretraj", str(pretraj),
+                     "--checkpoint-every", "0", "--out", str(out)]) == 3
+    assert "checkpoint_every must be at least 1, not 0" in capsys.readouterr().err
+    assert not (out / "policy.npz").exists()
+
+
+def test_mu_sweep_refuses_fewer_than_one_seed(tmp_path, capsys):
+    # it took max() of an empty run list after planning and a preview
+    ckpt = tmp_path / "policy.npz"
+    td3.save_checkpoint(td3.td3_init(3, [-1.0], [1.0], td3.Td3Hyperparams(
+        hidden=(4,), batch_size=1, buffer_size=1)), ckpt)
+    out = tmp_path / "sweep"
+    assert cli.main(["mu-sweep", "--policy-uturn", str(ckpt), "--seeds", "0",
+                     "--out", str(out)]) == 3
+    assert "--seeds must be at least 1, not 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pretraj_help_is_the_same_on_every_subcommand():
+    sub = cli.build_parser()._subparsers._group_actions[0].choices
+    helps = {name: next(a.help for a in p._actions if a.dest == "pretraj")
+             for name, p in sub.items() if any(a.dest == "pretraj" for a in p._actions)}
+    assert sorted(helps) == ["compare", "deploy", "preview", "train"]
+    assert set(helps.values()) == {"pre-trajectory file from `driftcorner plan` "
+                                   "on the same track (planned if omitted)"}
 
 
 def test_deploy_rejects_a_preview_with_a_nan_row(uturn_preview8, tmp_path, capsys):

@@ -12,8 +12,13 @@ are meant to change, with `PYTHONPATH=src python tests/test_plan_corpus.py`;
 it prints every entry whose digest changed, with its old and new values.
 Given an output path, it writes there and leaves the committed file
 alone, so that two commits' recordings can be compared with `cmp`.
+
+Every corpus plan, and the centerline plan of each library track, also
+survives a save and a load bit for bit: the file holds the spline and
+mu, and the load rebuilds every sample and t_ref from them.
 """
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -22,7 +27,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftcorner.planner import curvature_objective, plan_pretrajectory
+from driftcorner.planner import (
+    curvature_objective,
+    load_pretrajectory,
+    plan_pretrajectory,
+    save_pretrajectory,
+)
 from driftcorner.track import LIBRARY_KINDS, build_library_track
 
 CORPUS = Path(__file__).parent / "data" / "plan_corpus.json"
@@ -128,6 +138,39 @@ def test_generated_plan_matches_corpus(corner):
     "corner", _corner_params([c for c in _corners if c[0] not in TIER1_CORNERS]))
 def test_generated_plan_matches_corpus_nightly(corner):
     test_generated_plan_matches_corpus(corner)
+
+
+def assert_round_trip(track, tmp_path, use_centerline=False):
+    """Every field of a plan, and of its path, comes back from its file."""
+    pre = plan_pretrajectory(track, use_centerline=use_centerline)
+    save_pretrajectory(pre, tmp_path / "pre.txt")
+    back = load_pretrajectory(tmp_path / "pre.txt", track)
+    for old, new in [(pre, back), (pre.path, back.path)]:
+        for f in dataclasses.fields(old):
+            a, b = getattr(old, f.name), getattr(new, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+            elif f.name != "path":  # floats, flag and pins: repr is exact
+                assert repr(a) == repr(b), f.name
+
+
+@pytest.mark.parametrize("use_centerline", [False, True], ids=["planned", "centerline"])
+@pytest.mark.parametrize("kind", LIBRARY_KINDS)
+def test_library_plan_survives_its_file(kind, use_centerline, tmp_path):
+    assert_round_trip(build_library_track(kind), tmp_path, use_centerline)
+
+
+@pytest.mark.parametrize(
+    "corner", _corner_params([c for c in _corners if c[0] in TIER1_CORNERS]))
+def test_generated_plan_survives_its_file(corner, tmp_path):
+    assert_round_trip(build_library_track(**{k: corner[k] for k in SPEC_KEYS}), tmp_path)
+
+
+@pytest.mark.nightly
+@pytest.mark.parametrize(
+    "corner", _corner_params([c for c in _corners if c[0] not in TIER1_CORNERS]))
+def test_generated_plan_survives_its_file_nightly(corner, tmp_path):
+    test_generated_plan_survives_its_file(corner, tmp_path)
 
 
 if __name__ == "__main__":

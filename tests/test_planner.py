@@ -12,6 +12,7 @@ from driftcorner.planner import (
     curvature_objective,
     load_pretrajectory,
     minimize_curvature,
+    offset_path,
     path_curvature,
     plan_pretrajectory,
     plan_speed,
@@ -89,14 +90,9 @@ def test_local_optimality_of_planned_path(uturn, rng):
     pre = plan_pretrajectory(uturn)
     path = pre.path
     j0 = curvature_objective(path, uturn, n_dense=2000)
-    from driftcorner.planner import LateralOffsetPath, _catmull_rom_slopes
-
     for _ in range(20):
         delta = rng.normal(0.0, 1e-3, len(path.values))
-        values = path.values + delta
-        slopes = _catmull_rom_slopes(path.knots, values,
-                                     path.boundary.dl0, path.boundary.dl1)
-        trial = LateralOffsetPath(path.knots, values, slopes, path.boundary)
+        trial = offset_path(path.knots, path.values + delta)
         assert curvature_objective(trial, uturn, n_dense=2000) >= j0 - 1e-7
 
 
@@ -119,7 +115,7 @@ def test_boundary_outside_corridor_is_infeasible(uturn):
 def test_speed_respects_adhesion_everywhere(all_tracks):
     for track in all_tracks.values():
         pre = plan_pretrajectory(track)
-        kappa = path_curvature(pre.path, track, pre.speed.s)
+        kappa = path_curvature(pre.path, track, pre.s)
         assert np.all(pre.v_d**2 * np.abs(kappa) <= MU * G + 1e-9)
 
 
@@ -133,9 +129,8 @@ def test_arc_speed_matches_adhesion_limit(uturn):
 
 
 def test_longitudinal_accel_within_limits(uturn):
-    pre = plan_pretrajectory(uturn)
-    v, s = pre.speed.v_d, pre.speed.s
-    stretch = pre.speed.stretch
+    plan = plan_speed(plan_pretrajectory(uturn).path, uturn, MU)
+    v, s, stretch = plan.v_d, plan.s, plan.stretch
     dsig = np.diff(s) * 0.5 * (stretch[:-1] + stretch[1:])
     accel = np.diff(v**2) / (2.0 * dsig)
     assert np.max(accel) <= 3.0 + 1e-6
@@ -153,9 +148,10 @@ def test_start_speed_clamp(uturn):
 
 
 def test_speed_plan_rejects_bad_arguments(uturn):
-    path = centerline_path(uturn)
-    with pytest.raises(ValueError):
-        plan_speed(path, uturn, mu=0.0)
+    # a NaN mu planned NaN speeds and an infinite one a finite t_ref
+    for mu in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mu must be finite and positive"):
+            plan_speed(centerline_path(uturn), uturn, mu=mu)
 
 
 # -- reference time ----------------------------------------------------
@@ -164,7 +160,7 @@ def test_speed_plan_rejects_bad_arguments(uturn):
 def test_reference_time_constant_speed_oracle(uturn):
     n = 400
     s = np.linspace(0.0, uturn.s_max, n + 1)
-    plan = SpeedPlan(s=s, v_d=np.full(n + 1, 10.0), mu=MU)
+    plan = SpeedPlan(s=s, v_d=np.full(n + 1, 10.0), mu=MU, stretch=np.ones(n + 1))
     assert reference_time(plan) == pytest.approx(uturn.s_max / 10.0, rel=1e-12)
 
 
@@ -173,7 +169,7 @@ def test_reference_time_with_unit_stretch_is_trapezoid_like(uturn):
     n = 2000
     s = np.linspace(0.0, uturn.s_max, n + 1)
     v = 8.0 + 4.0 * s / uturn.s_max
-    plan = SpeedPlan(s=s, v_d=v, mu=MU)
+    plan = SpeedPlan(s=s, v_d=v, mu=MU, stretch=np.ones(n + 1))
     want = uturn.s_max / 4.0 * math.log(12.0 / 8.0)
     assert reference_time(plan) == pytest.approx(want, rel=1e-8)
 
@@ -190,13 +186,24 @@ def test_plan_is_deterministic(uturn):
 
 
 def test_pretrajectory_round_trip(uturn, uturn_pretraj, tmp_path):
-    p = tmp_path / "pre.csv"
+    # the file holds the spline and mu; the load rebuilds the samples
+    p = tmp_path / "pre.txt"
     save_pretrajectory(uturn_pretraj, p)
-    back = load_pretrajectory(p)
-    assert back.t_ref == pytest.approx(uturn_pretraj.t_ref, rel=1e-12)
-    np.testing.assert_allclose(back.l, uturn_pretraj.l, atol=1e-12)
-    np.testing.assert_allclose(back.v_d, uturn_pretraj.v_d, atol=1e-12)
-    np.testing.assert_allclose(back.kappa, uturn_pretraj.kappa, atol=1e-12)
+    keys = [ln.partition(" = ")[0] for ln in p.read_text().splitlines()]
+    assert keys == ["# driftcorner pretrajectory v2", "# mu", "# converged",
+                    "# knots", "# values"]
+    back = load_pretrajectory(p, uturn)
+    assert back.t_ref == uturn_pretraj.t_ref
+    for name in ("s", "l", "x", "y", "kappa", "v_d"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(uturn_pretraj, name))
+
+
+def test_track_and_plan_compare_and_hash_by_identity(uturn, uturn_pretraj):
+    # value equality over array fields raised instead of answering
+    for obj, twin in [(uturn, build_library_track("uturn")),
+                      (uturn_pretraj, plan_pretrajectory(uturn, use_centerline=True))]:
+        assert obj == obj and obj != twin
+        assert len({obj, obj, twin}) == 2
 
 
 def test_mu_monotonicity(uturn):

@@ -243,6 +243,18 @@ def test_zero_episodes_returns_initial_policy():
     assert tlog.rows == []
 
 
+def test_train_refuses_a_checkpoint_period_below_one(tmp_path):
+    # it divided by zero after the first episode had run
+    def no_env():
+        raise AssertionError("an environment was built")
+
+    for every in (0, -1):
+        with pytest.raises(ValueError, match="checkpoint_every must be at least 1"):
+            train(no_env, TOY_HP, episodes=3, seed=0, out_dir=tmp_path,
+                  checkpoint_every=every)
+    assert not any(tmp_path.iterdir())
+
+
 def test_train_resets_once_per_episode():
     class CountingReachEnv(ReachEnv):
         resets = 0
