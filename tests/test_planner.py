@@ -186,16 +186,14 @@ def test_plan_is_deterministic(uturn):
 
 
 def test_pretrajectory_round_trip(uturn, uturn_pretraj, tmp_path):
-    # the file holds the spline and mu; the load rebuilds the samples
+    # the file holds the spline and mu, and the load rebuilds the samples;
+    # tests/test_plan_corpus.py compares every field of every corpus plan
     p = tmp_path / "pre.txt"
     save_pretrajectory(uturn_pretraj, p)
     keys = [ln.partition(" = ")[0] for ln in p.read_text().splitlines()]
     assert keys == ["# driftcorner pretrajectory v2", "# mu", "# converged",
                     "# knots", "# values"]
-    back = load_pretrajectory(p, uturn)
-    assert back.t_ref == uturn_pretraj.t_ref
-    for name in ("s", "l", "x", "y", "kappa", "v_d"):
-        np.testing.assert_array_equal(getattr(back, name), getattr(uturn_pretraj, name))
+    assert load_pretrajectory(p, uturn).t_ref == uturn_pretraj.t_ref
 
 
 def test_track_and_plan_compare_and_hash_by_identity(uturn, uturn_pretraj):
