@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from driftcorner import td3
+from driftcorner.baseline import BaselineTracker
 from driftcorner.envs import ACTION_HIGH, ACTION_LOW, OBS_DIM, DriftEnv, run_episode
 from driftcorner.nets import mlp_forward
 from driftcorner.replay import ReplayBuffer
@@ -287,6 +288,20 @@ def test_seeded_uturn_training_matches_recorded_checksum(uturn, uturn_pretraj):
                         hp, episodes=6, seed=3)
     assert state.env_steps == 532
     assert state.checksum() == 45.11612520855356
+
+
+def test_seeded_demonstration_training_matches_recorded_checksum(uturn,
+                                                                 uturn_pretraj):
+    # two demonstrated episodes, the first cloning fit, the DAgger episodes
+    # with their top-up fits, then learning: pins the demonstrator's labels
+    # and every draw of the imitation path; recorded as the test above
+    hp = Td3Hyperparams(warmup=300, batch_size=64, hidden=(32, 32))
+    demo = BaselineTracker(uturn, uturn_pretraj, speed_factor=0.88)
+    _, _, state = train(lambda: DriftEnv(uturn, uturn_pretraj, time_cap=1.5),
+                        hp, episodes=16, seed=3, demo_policy=demo,
+                        demo_episodes=2)
+    assert state.env_steps == 2400
+    assert state.checksum() == 44.418166667689874
 
 
 def test_full_size_learner_matches_recorded_checksum():
