@@ -30,15 +30,16 @@ RATE_DAMPING = 0.2  # on the lateral-rate error
 class BaselineTracker:
     """Pure-pursuit path tracking + proportional speed control.
 
-    Callable on a raw observation vector; usable directly as the policy
-    argument of `run_episode`.
+    A controller of `envs.episode`: it indexes the observation, so it
+    reads a `FrenetObservation` and its raw vector alike, and ignores
+    the plant state.
     """
 
     track: TrackGeometry
     pretraj: PreTrajectory
     speed_factor: float = 0.97  # scale on the planned speed (tracking margin)
 
-    def __call__(self, obs: np.ndarray) -> np.ndarray:
+    def __call__(self, obs, state) -> np.ndarray:
         s, l, alpha, v_x, v_y = obs[0], obs[1], obs[2], obs[6], obs[7]
         v = math.hypot(v_x, v_y)
 

@@ -36,6 +36,7 @@ from .fusion import (
     deploy_run,
     generate_preview,
     load_preview,
+    params_digest,
     save_preview,
     write_deploy_csv,
 )
@@ -197,6 +198,8 @@ def cmd_plan(args) -> int:
 def cmd_train(args) -> int:
     track, inputs = _load_track_arg(args)
     pre, pre_inputs = _load_pretraj_arg(args, track)
+    if args.checkpoint_every < 1:  # before the run directory is written
+        raise ValueError(f"checkpoint_every must be at least 1, not {args.checkpoint_every}")
     run_dir = Path(args.out) if args.out else output_root() / f"train_seed{args.seed}"
     hp = Td3Hyperparams()
     _write_metadata(run_dir, {
@@ -268,8 +271,13 @@ def cmd_deploy(args) -> int:
     if args.kind and preview.track_id != args.kind:
         raise ValueError(f"{preview_path} is a preview of track "
                          f"'{preview.track_id}', not of --kind {args.kind}")
-    spec = _deployment_spec(args)
     params = VehicleParams()
+    model = params_digest(params, TireParams())
+    if preview.plant_digest != model:
+        raise ValueError(f"{preview_path} is a preview made in plant "
+                         f"{preview.plant_digest}, not in the controller's "
+                         f"model plant {model}")
+    spec = _deployment_spec(args)
     dep_params, dep_tires = spec.apply(params, TireParams())
     run_dir = Path(args.out) if args.out else output_root() / "deploy"
     _write_metadata(run_dir, {

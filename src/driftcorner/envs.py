@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -190,13 +190,13 @@ def reward_terminal(
 
 
 class DriftEnv:
-    """Gym-style environment over the nonlinear plant.
+    """Episodic environment over the nonlinear plant.
 
     `reset(rng)` draws the initial state (entry of the track, speed
     uniform in [5, 9] m/s, small lateral/heading noise around the
-    pre-trajectory) and `step(action)` advances one 10 ms control tick.
-    All stochasticity comes through the generator handed to reset, so
-    episodes are reproducible.
+    pre-trajectory) and `step(action)` advances one 10 ms control tick;
+    `episode` drives the two.  All stochasticity comes through the
+    generator handed to reset, so episodes are reproducible.
     """
 
     action_low = ACTION_LOW
@@ -247,22 +247,22 @@ class DriftEnv:
             phi=_wrap_angle(self.track.heading_at(0.0) + a0),
         )
         self._t = 0.0
-        self._steps = 0
         self._s = 0.0
         self._prev_cmd = np.zeros(3)
         self._monitor = TerminationMonitor()
         self._sums = [0.0, 0.0, 0.0]
         self._max_beta = 0.0
         self._max_speed = self.state.v_x
-        self._fault = False
-        self._status = "running"
         self._rows: list[list[float]] = []
         self._obs = observe(self.state, self.track, s_hint=0.0)
         return self._obs
 
     # one control tick ------------------------------------------------
 
-    def step(self, action) -> tuple[FrenetObservation, float, bool, dict]:
+    def step(self, action) -> tuple[FrenetObservation, float, EpisodeResult | None]:
+        """One tick of `action`, clamped to the box: (observation, reward,
+        result).  `result` is None until the last tick, whose reward
+        includes the terminal term and whose observation has chi = 0."""
         if self.state is None:
             raise RuntimeError("call reset() before step()")
         delta_f, t_rt, p_b = action
@@ -274,17 +274,13 @@ class DriftEnv:
                 self.state, Action(*clipped), CONTROL_DT, self.tires, self.params,
             )
         except NumericalBlowup:
-            self._fault = True
-            self._status = "crashed"
-            return self._finish(0.0)
+            return self._finish("crashed", 0.0, fault=True)
         self._t += CONTROL_DT
-        self._steps += 1
 
         try:
             obs = observe(self.state, self.track, s_hint=self._s)
         except (OffCorridor, AmbiguousProjection):
-            self._status = "crashed"
-            return self._finish(0.0)
+            return self._finish("crashed", 0.0)
         self._s = obs.s
         beta = side_slip_rear(self.state)
         self._max_beta = max(self._max_beta, abs(beta.value))
@@ -310,44 +306,53 @@ class DriftEnv:
         if status == "running" and self._t >= self.time_cap - 1e-9:
             status = "timeout"
         if status != "running":
-            self._status = status
-            return self._finish(sum(terms), obs)
+            return self._finish(status, sum(terms), obs)
         self._obs = obs
-        return obs, sum(terms), False, {"terms": terms, "beta_r": beta.value,
-                                        "status": "running"}
+        return obs, sum(terms), None
 
-    def _finish(self, step_reward: float, obs: FrenetObservation | None = None):
-        chi = 1 if self._status == "completed" else 0
+    def _finish(self, status: str, step_reward: float,
+                obs: FrenetObservation | None = None, fault: bool = False):
+        chi = 1 if status == "completed" else 0
         r_t = reward_terminal(chi, self._t, self._s, self.pretraj)
         result = EpisodeResult(
-            chi=chi, t_f=self._t, s_final=self._s, status=self._status,
+            chi=chi, t_f=self._t, s_final=self._s, status=status,
             total_reward=sum(self._sums) + r_t,
             r_p_sum=self._sums[0], r_s_sum=self._sums[1],
             r_m_sum=self._sums[2], r_t=r_t,
             max_beta=self._max_beta, max_speed=self._max_speed,
-            fault=self._fault,
+            fault=fault,
             trace=np.array(self._rows) if self.record else None,
         )
-        obs = obs if obs is not None else self._obs
-        obs = obs._replace(chi=0.0)
-        return obs, step_reward + r_t, True, {"result": result,
-                                              "status": self._status}
+        obs = (obs if obs is not None else self._obs)._replace(chi=0.0)
+        return obs, step_reward + r_t, result
 
 
-def run_episode(
-    policy: Callable[[np.ndarray], np.ndarray],
-    env: DriftEnv,
-    seed: int | np.random.Generator | None = None,
-    nominal: bool = False,
-) -> EpisodeResult:
-    """Roll one episode; `policy` maps a raw observation vector to an
-    action within bounds.  Deterministic given the seed and policy."""
-    obs = env.reset(seed, nominal=nominal)
-    done = False
-    info: dict = {}
-    while not done:
-        obs, _, done, info = env.step(policy(obs.vector()))
-    return info["result"]
+Controller = Callable[[FrenetObservation, PlantState], np.ndarray]  # (obs, state) -> action
+
+
+def episode(controller: Controller, env: DriftEnv, seed=None, nominal: bool = False,
+            v0: float | None = None) -> Iterator[tuple]:
+    """Roll one episode: `env.reset(seed, nominal=, v0=)`, then per tick
+    `controller(obs, state)` and `env.step`, yielding `(obs, state,
+    action, reward, next_obs, result)`: what the controller saw, what it
+    chose, and what the step returned.  `result` is None until the last
+    tick.  Deterministic given the seed and the controller."""
+    obs = env.reset(seed, nominal=nominal, v0=v0)
+    result = None
+    while result is None:
+        state = env.state
+        action = controller(obs, state)
+        next_obs, reward, result = env.step(action)
+        yield obs, state, action, reward, next_obs, result
+        obs = next_obs
+
+
+def run_episode(controller: Controller, env: DriftEnv, seed=None, nominal: bool = False,
+                v0: float | None = None) -> EpisodeResult:
+    """Roll `episode` to its end and return its `EpisodeResult`."""
+    for *_, result in episode(controller, env, seed, nominal, v0):
+        pass
+    return result
 
 
 def summary_line(result: EpisodeResult, seed: int | None = None) -> str:

@@ -1,10 +1,11 @@
 """Deployment controller: preview replay + corrective tracking + fallback.
 
-The trained policy is rolled out once, offline, in its own training
-plant to produce a preview trajectory (states in Cartesian form plus the
-action applied each tick).  At deployment the recorded action is the
-primary input, a two-step MPC tracks the preview's Cartesian trace to
-produce a corrective input, and the two are summed in actuator space.
+The trained policy is rolled out (`envs.episode`) once, offline, in its
+own training plant to produce a preview trajectory (states in Cartesian
+form plus the action applied each tick); the fusion controller is then
+rolled out in the deployment plant.  The recorded action is its primary
+input, a two-step MPC tracks the preview's Cartesian trace to produce a
+corrective input, and the two are summed in actuator space.
 A side-slip safety fallback overrides everything when the rear swings
 out beyond its threshold.
 
@@ -13,8 +14,8 @@ condensed tracking QP (`mpc.condense`): the Hessian H_k, the gradient
 map F_k and the unconstrained gain K_k, from the models at k and at
 the step-2 point k1, which is a function of k alone.  The weights,
 boxes and sample time are the constants of `mpc`.  Per tick the
-controller takes the arc length that the env's observation projected
-the c.g. to, picks k, and forms the deviation from the preview, whose
+controller takes the arc length `obs.s` that the env projected the
+c.g. to, picks k, and forms the deviation from the preview, whose
 target is zero; `mpc.solve_qp` takes g = F_k gamma_aug and the
 unconstrained minimizer K_k gamma_aug, bounds the rates and inputs, and
 returns without a solve when that minimizer is feasible.  The rest of
@@ -32,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .envs import ACTION_HIGH, ACTION_LOW, CONTROL_DT, DriftEnv, EpisodeResult
+from .envs import (ACTION_HIGH, ACTION_LOW, CONTROL_DT, DriftEnv, EpisodeResult,
+                   FrenetObservation, episode, run_episode)
 from .errors import PreviewExhausted, PreviewFailed
 from .mpc import (
     N_AUG,
@@ -48,7 +50,7 @@ from .mpc import (
     solve_qp,
 )
 from .planner import PreTrajectory
-from .plant import TireParams, VehicleParams, side_slip_rear
+from .plant import PlantState, TireParams, VehicleParams, side_slip_rear
 from .track import TrackGeometry
 # Not called here; the traced benchmark run (perfbench/spans.py) patches
 # this binding through the module's __dict__, and tests/test_spans.py
@@ -109,6 +111,19 @@ class PreviewTrajectory:
     def __len__(self) -> int:
         return len(self.t)
 
+    @classmethod
+    def from_rows(cls, rows, **provenance) -> PreviewTrajectory:
+        """From (n, 11) rows of t, gamma, a_rl and s, the file's layout."""
+        data = np.array(rows, dtype=float)
+        if data.ndim != 2 or data.shape[1] != 11:
+            raise ValueError("expected rows of 11 numbers")
+        return cls(t=data[:, 0].copy(), gamma=data[:, 1:7].copy(),
+                   a_rl=data[:, 7:10].copy(), s=data[:, 10].copy(), **provenance)
+
+    def rows(self) -> np.ndarray:
+        """The inverse of `from_rows`."""
+        return np.column_stack((self.t, self.gamma, self.a_rl, self.s))
+
 
 def generate_preview(
     policy,
@@ -124,29 +139,17 @@ def generate_preview(
     complete the corner."""
     env = DriftEnv(track, pretraj, tires=tires, params=params)
     v_ini = speed_bucket(v_ini)
-    obs = env.reset(nominal=True, v0=v_ini)
-    rows_g, rows_a, rows_s, rows_t = [], [], [], []
-    done = False
-    t = 0.0
-    info: dict = {}
-    while not done:
-        act = np.asarray(policy(obs.vector()), dtype=float)
-        st = env.state
-        rows_t.append(t)
-        rows_g.append([st.x, st.y, st.phi, st.v_x, st.v_y, st.yaw_rate])
-        rows_a.append(act)
-        rows_s.append(obs.s)
-        obs, _, done, info = env.step(act)
+    rows, t = [], 0.0
+    for obs, st, act, _, _, result in episode(policy, env, nominal=True, v0=v_ini):
+        rows.append([t, st.x, st.y, st.phi, st.v_x, st.v_y, st.yaw_rate, *act, obs.s])
         t += CONTROL_DT
-    result: EpisodeResult = info["result"]
     if result.chi != 1:
         raise PreviewFailed(
             f"policy rollout ended '{result.status}' at s={result.s_final:.1f}"
         )
     checksum = policy.checksum() if hasattr(policy, "checksum") else 0.0
-    return PreviewTrajectory(
-        t=np.array(rows_t), gamma=np.array(rows_g), a_rl=np.array(rows_a),
-        s=np.array(rows_s), policy_checksum=float(checksum),
+    return PreviewTrajectory.from_rows(
+        rows, policy_checksum=float(checksum),
         plant_digest=params_digest(params, tires), track_id=track_id,
         v_ini=v_ini, t_f=result.t_f,
     )
@@ -162,9 +165,7 @@ def save_preview(preview: PreviewTrajectory, path) -> None:
         f"# t_f = {preview.t_f!r}",
         "# t X Y phi v_x v_y yaw_rate delta_f T_rt P_b s",
     ]
-    for i in range(len(preview)):
-        vals = [preview.t[i], *preview.gamma[i], *preview.a_rl[i], preview.s[i]]
-        lines.append(" ".join(repr(float(v)) for v in vals))
+    lines += [" ".join(map(repr, row)) for row in preview.rows().tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -187,13 +188,9 @@ def load_preview(path) -> PreviewTrajectory:
     for key in ("policy_checksum", "plant_digest", "track_id", "v_ini", "t_f"):
         if key not in meta:
             raise ValueError(f"{path}: no '# {key} = ...' header line")
-    data = np.array(rows)
-    if data.ndim != 2 or data.shape[1] != 11:  # t, 6 states, 3 actions, s
-        raise ValueError(f"{path}: expected rows of 11 numbers after the header")
     try:
-        return PreviewTrajectory(
-            t=data[:, 0], gamma=data[:, 1:7], a_rl=data[:, 7:10], s=data[:, 10],
-            policy_checksum=float(meta["policy_checksum"]),
+        return PreviewTrajectory.from_rows(
+            rows, policy_checksum=float(meta["policy_checksum"]),
             plant_digest=meta["plant_digest"], track_id=meta["track_id"],
             v_ini=float(meta["v_ini"]), t_f=float(meta["t_f"]),
         )
@@ -235,6 +232,7 @@ class FusionController:
         self.primary_enabled = primary_enabled
         self.u_mpc = MpcInput(0.0, 0.0)
         self.fallback_on = False
+        self.fallback_events = 0  # engagements, counted as each starts
         self.t = 0.0
         self.records: list[TickRecord] = []
         self._s_dots = np.gradient(preview.s) / CONTROL_DT
@@ -289,13 +287,13 @@ class FusionController:
         s_before, s_at = sp[j - 1:j + 1].tolist()
         return j if s_at - s <= s - s_before else j - 1
 
-    def __call__(self, state, s: float) -> np.ndarray:
-        """One 100 Hz tick: the PlantState and the arc length s its c.g.
-        projects to (the env's observation of it) in, actuator command
-        out."""
+    def __call__(self, obs: FrenetObservation, state: PlantState) -> np.ndarray:
+        """One 100 Hz tick: the env's observation, of which only the arc
+        length `obs.s` of the c.g. is read, and the plant state in, the
+        actuator command out."""
         t0 = time.perf_counter()
         try:
-            k = self._reference_index(s)
+            k = self._reference_index(obs.s)
         except PreviewExhausted:
             k = len(self.preview) - 1
         a_rl = (self.preview.a_rl[k].tolist() if self.primary_enabled
@@ -333,12 +331,11 @@ class FusionController:
         applied = [lo if u <= lo else hi if u >= hi else u
                    for u, (lo, hi) in zip(u_t, _ACTION_BOX)]
 
-        beta = side_slip_rear(state).value
-        if self.fallback_on and abs(beta) < FALLBACK_BETA - FALLBACK_HYSTERESIS:
-            self.fallback_on = False
-        if abs(beta) >= FALLBACK_BETA:
-            self.fallback_on = True
-        engaged = self.fallback_on
+        beta = abs(side_slip_rear(state).value)
+        engaged = beta >= FALLBACK_BETA or (
+            self.fallback_on and not beta < FALLBACK_BETA - FALLBACK_HYSTERESIS)
+        self.fallback_events += engaged and not self.fallback_on
+        self.fallback_on = engaged
         if engaged:
             applied[1:] = 0.0, FALLBACK_P_BM
         applied = np.array(applied)
@@ -436,33 +433,13 @@ def deploy_run(
     ctl = FusionController(preview, train_params,
                            mpc_enabled=mpc_enabled,
                            primary_enabled=primary_enabled)
-    obs = env.reset(seed, nominal=nominal, v0=preview.v_ini)
-    done = False
-    info: dict = {}
-    while not done:
-        act = ctl(env.state, obs.s)
-        obs, _, done, info = env.step(act)
-    result: EpisodeResult = info["result"]
+    result = run_episode(ctl, env, seed, nominal=nominal, v0=preview.v_ini)
     ach, tot = completion_degrees(track, result.s_final)
-    ticks = ctl.records
-    return DeployResult(
-        episode=result,
-        records=ticks,
-        fallback_events=_count_engagements(ticks),
-        mean_tick_ms=float(np.mean([r.compute_ms for r in ticks])) if ticks else 0.0,
-        completion_deg=ach,
-        total_deg=tot,
+    return DeployResult(  # an episode has at least one tick
+        episode=result, records=ctl.records, fallback_events=ctl.fallback_events,
+        mean_tick_ms=float(np.mean([r.compute_ms for r in ctl.records])),
+        completion_deg=ach, total_deg=tot,
     )
-
-
-def _count_engagements(records: list[TickRecord]) -> int:
-    count = 0
-    prev = False
-    for r in records:
-        if r.fallback and not prev:
-            count += 1
-        prev = r.fallback
-    return count
 
 
 def write_deploy_csv(result: DeployResult, path) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envs import run_episode
+from .envs import episode, run_episode
 from .nets import (Adam, Mlp, clip_gradients, layer_views, mlp_backward, mlp_forward,
                    mlp_init, soft_update)
 from .replay import ReplayBuffer
@@ -248,14 +248,14 @@ def behavior_clone(state: Td3State, steps: int, dataset) -> float:
 
 @dataclass
 class Policy:
-    """Deterministic actor over raw (unnormalized) observations."""
+    """Deterministic actor over raw (unnormalized) observations, as a
+    controller that reads `obs.vector()`."""
 
     actor: Mlp
     obs_scale: np.ndarray
 
-    def __call__(self, obs: np.ndarray) -> np.ndarray:
-        out, _ = mlp_forward(self.actor, np.asarray(obs, dtype=float)
-                             / self.obs_scale)
+    def __call__(self, obs, state) -> np.ndarray:
+        out, _ = mlp_forward(self.actor, obs.vector() / self.obs_scale)
         return out
 
     def checksum(self) -> float:
@@ -462,10 +462,12 @@ def train(
     warmup never sees a completion and the per-step penalties make
     instant termination a local optimum.
 
-    The environment follows the `DriftEnv` contract: `action_low` and
-    `action_high` arrays, per-channel observation `scales`, `reset(rng,
-    nominal=)` and `step(action)` returning observations with
-    `.vector()`, and an episode result in the final step's info.
+    The environment follows the `DriftEnv` contract that `envs.episode`
+    drives: `action_low`, `action_high`, observation `scales`, `state`,
+    `reset(rng, nominal=, v0=)` and `step(action)` returning observations
+    with `.vector()`, the reward, and a result that is None until the
+    last step.  `demo_policy(obs, state)` is handed the learner's
+    observation vector scaled back to raw units.
     """
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be at least 1, not {checkpoint_every}")
@@ -484,18 +486,31 @@ def train(
     imitation_end = demo_episodes + DAGGER_EPISODES if use_demos else 0
     bc_obs: list[np.ndarray] = []
     bc_act: list[np.ndarray] = []
-    bc_set = None
     freeze_until = 0
     best_eval = None
+
+    def choose(raw, plant_state):  # demonstrated, cloned, random or explored
+        obs = raw.vector() / obs_scale
+        if imitating:  # label every state; the demonstrator or the clone drives
+            label = np.asarray(demo_policy(obs * obs_scale, plant_state), dtype=float)
+            bc_obs.append(obs)
+            bc_act.append(label)
+            if ep < demo_episodes:
+                return np.clip(label + state.rng.normal(0.0, 0.5 * sigma_explore), low, high)
+            a, _ = mlp_forward(state.actor, obs)
+            return np.clip(a + state.rng.normal(0.0, 0.3 * sigma_explore), low, high)
+        if not use_demos and state.env_steps < hp.warmup:
+            return state.rng.uniform(low, high)
+        return select_action(state.actor, obs, sigma_explore, state.rng)
 
     for ep in range(episodes):
         if use_demos and demo_episodes <= ep < imitation_end + 1:
             # refit on the aggregated imitation set: the full budget once
             # the demos end, then smaller top-ups after each episode the
             # clone drives itself (its mistakes now carry expert labels)
-            bc_set = (np.asarray(bc_obs), np.asarray(bc_act))
             rounds = BC_STEPS if ep == demo_episodes else BC_STEPS // 4
-            mse = behavior_clone(state, rounds, dataset=bc_set)
+            mse = behavior_clone(state, rounds,
+                                 dataset=(np.asarray(bc_obs), np.asarray(bc_act)))
             if ep == imitation_end:
                 freeze_until = state.critic_updates + ACTOR_FREEZE
             if progress:
@@ -503,37 +518,13 @@ def train(
                          "mse %.4f%s", ep, rounds, len(bc_obs), mse,
                          "; actor frozen for %d critic updates"
                          % ACTOR_FREEZE if ep == imitation_end else "")
-        demo_phase = use_demos and ep < demo_episodes
-        dagger_phase = use_demos and demo_episodes <= ep < imitation_end
-        obs = env.reset(state.rng).vector() / obs_scale
-        done = False
-        ep_steps = 0
-        info: dict = {}
-        while not done:
-            if demo_phase or dagger_phase:
-                label = demo_policy(obs * obs_scale)
-                bc_obs.append(obs)
-                bc_act.append(np.asarray(label, dtype=float))
-            if demo_phase:
-                noise = state.rng.normal(0.0, 0.5 * sigma_explore)
-                act = np.clip(label + noise, low, high)
-            elif dagger_phase:
-                noise = state.rng.normal(0.0, 0.3 * sigma_explore)
-                a, _ = mlp_forward(state.actor, obs)
-                act = np.clip(a + noise, low, high)
-            elif not use_demos and state.env_steps < hp.warmup:
-                act = state.rng.uniform(low, high)
-            else:
-                act = select_action(state.actor, obs, sigma_explore,
-                                    state.rng)
-            nxt, rew, done, info = env.step(act)
-            nxt = nxt.vector() / obs_scale
-            state.buffer.add(obs, act, rew, nxt, done)
-            obs = nxt
+        imitating = use_demos and ep < imitation_end
+        for ep_steps, (obs, _, act, rew, nxt, result) in enumerate(
+                episode(choose, env, state.rng), 1):
+            state.buffer.add(obs.vector() / obs_scale, act, rew,
+                             nxt.vector() / obs_scale, result is not None)
             state.env_steps += 1
-            ep_steps += 1
-            if (not demo_phase and not dagger_phase
-                    and state.env_steps >= hp.warmup
+            if (not imitating and state.env_steps >= hp.warmup
                     and len(state.buffer) >= hp.batch_size):
                 batch = state.buffer.sample(hp.batch_size, state.rng)
                 y = compute_target(batch, state, hp)
@@ -541,7 +532,7 @@ def train(
                 if (state.critic_updates % hp.policy_delay == 0
                         and state.critic_updates >= freeze_until):
                     update_actor_and_targets(state, batch)
-        tlog.append(ep, info["result"], ep_steps)
+        tlog.append(ep, result, ep_steps)
         if (progress or out_dir is not None) and (ep + 1) % EVAL_EVERY == 0:
             res = run_episode(Policy(state.actor, obs_scale), env, 0, nominal=True)
             key = (res.chi, -res.t_f)

@@ -1,5 +1,6 @@
 """Command-line runs end to end."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,8 +14,9 @@ import pytest
 import driftcorner
 from driftcorner import cli, td3
 from driftcorner.envs import EpisodeResult
-from driftcorner.fusion import DeployResult, save_preview
+from driftcorner.fusion import DeployResult, params_digest, save_preview
 from driftcorner.planner import save_pretrajectory
+from driftcorner.plant import TireParams, VehicleParams
 from driftcorner.track import save_track
 
 
@@ -133,6 +135,22 @@ def test_deploy_rejects_preview_of_another_track(uturn_preview8, tmp_path,
     assert not (out / "summary.txt").exists()
 
 
+def test_deploy_rejects_preview_made_in_another_plant(uturn_preview8, tmp_path,
+                                                     capsys):
+    # a preview made at m = 2400 and mu = 0.6 ran to a crash with exit 0
+    other = params_digest(dataclasses.replace(VehicleParams(), m=2400.0),
+                          dataclasses.replace(TireParams(), mu=0.6))
+    preview = tmp_path / "preview.txt"
+    save_preview(dataclasses.replace(uturn_preview8, plant_digest=other), preview)
+    out = tmp_path / "deploy"
+    assert cli.main(["deploy", "--kind", "uturn", "--preview", str(preview),
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{preview} is a preview made in plant {other}" in err
+    assert params_digest(VehicleParams(), TireParams()) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fault", ["missing_header_line", "no_rows", "not_a_number"])
 def test_deploy_rejects_broken_preview_file(fault, uturn_preview8, tmp_path,
                                             capsys):
@@ -247,7 +265,7 @@ def test_train_refuses_a_checkpoint_period_below_one(monkeypatch, uturn_pretraj,
     assert cli.main(["train", "--kind", "uturn", "--pretraj", str(pretraj),
                      "--checkpoint-every", "0", "--out", str(out)]) == 3
     assert "checkpoint_every must be at least 1, not 0" in capsys.readouterr().err
-    assert not (out / "policy.npz").exists()
+    assert not out.exists()  # not even the run's config.json
 
 
 def test_mu_sweep_refuses_fewer_than_one_seed(tmp_path, capsys):

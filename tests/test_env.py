@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from driftcorner import envs
+from driftcorner.baseline import BaselineTracker
 from driftcorner.envs import (
     ACTION_HIGH,
     ACTION_LOW,
@@ -126,8 +127,6 @@ def test_random_reset_spread(uturn, uturn_pretraj, rng):
 
 
 def test_full_episode_with_tracker(uturn, uturn_pretraj):
-    from driftcorner.baseline import BaselineTracker
-
     env = DriftEnv(uturn, uturn_pretraj, record=True)
     res = run_episode(BaselineTracker(uturn, uturn_pretraj, speed_factor=0.88),
                       env, nominal=True)
@@ -141,26 +140,41 @@ def test_full_episode_with_tracker(uturn, uturn_pretraj):
 
 
 def test_episode_time_cap(uturn, uturn_pretraj):
-    env = DriftEnv(uturn, uturn_pretraj)
-    env.reset(0, nominal=True, v0=1.0)
-    done, ticks, info = False, 0, {}
-    while not done:
-        # crawl forward so neither completion nor crash ever fires
-        _, _, done, info = env.step(np.array([0.0, 120.0, 10.0]))
-        ticks += 1
-    res = info["result"]
+    # crawl forward so neither completion nor crash ever fires
+    crawl = lambda obs, state: np.array([0.0, 120.0, 10.0])
+    res = run_episode(crawl, DriftEnv(uturn, uturn_pretraj), 0, nominal=True, v0=1.0)
     assert res.status == "timeout" and res.chi == 0
     assert res.t_f <= TIME_CAP_FACTOR * uturn_pretraj.t_ref + CONTROL_DT
 
 
 def test_crash_ends_episode(uturn, uturn_pretraj):
-    env = DriftEnv(uturn, uturn_pretraj)
-    env.reset(0, nominal=True)
-    done, info = False, {}
-    while not done:
-        _, _, done, info = env.step(np.array([0.5, 1000.0, 0.0]))
-    assert info["result"].status == "crashed"
-    assert info["result"].chi == 0
+    swerve = lambda obs, state: np.array([0.5, 1000.0, 0.0])
+    res = run_episode(swerve, DriftEnv(uturn, uturn_pretraj), 0, nominal=True)
+    assert res.status == "crashed"
+    assert res.chi == 0
+
+
+def test_episode_yields_each_tick_and_the_result_last(uturn, uturn_pretraj):
+    # what the controller saw, what it chose, and what the env returned
+    seen = []
+    drive = BaselineTracker(uturn, uturn_pretraj, speed_factor=0.88)
+
+    def tracker(obs, state):
+        seen.append((obs, state))
+        return drive(obs, state)
+
+    ticks = list(envs.episode(tracker, DriftEnv(uturn, uturn_pretraj), nominal=True))
+    assert len(ticks) == len(seen)
+    assert all(tick[0] is obs and tick[1] is state
+               for tick, (obs, state) in zip(ticks, seen))
+    assert all(nxt is obs for (*_, nxt, _), (obs, *_) in zip(ticks, ticks[1:]))
+    assert all(result is None for *_, result in ticks[:-1])
+    result = ticks[-1][-1]
+    assert result.status == "completed" and result.chi == 1
+    assert ticks[-1][4].chi == 0.0 and ticks[-2][4].chi == 1.0
+    assert result.t_f == pytest.approx(len(ticks) * CONTROL_DT)
+    assert result.total_reward == pytest.approx(sum(r for _, _, _, r, _, _ in ticks),
+                                                abs=1e-9)
 
 
 # Random-action episodes, seeds 0-39 under a 4 s cap, on the first six
@@ -211,17 +225,14 @@ def _check_random_action_episodes(tasks, corners, seeds):
         for seed in seeds:
             rng = np.random.default_rng(seed)
             env = DriftEnv(track, pretraj, time_cap=RANDOM_CAP)
-            env.reset(rng)
-            done, info, ticks = False, {}, 0
-            while not done:
-                _, _, done, info = env.step(rng.uniform(ACTION_LOW, ACTION_HIGH))
-                ticks += 1
-            result = info["result"]
+            ticks = list(envs.episode(
+                lambda obs, state: rng.uniform(ACTION_LOW, ACTION_HIGH), env, rng))
+            result = ticks[-1][-1]
             assert isinstance(result, EpisodeResult)
             crashes = RANDOM_CRASHES[corner]
             want = (("crashed", crashes[seed]) if seed in crashes
                     else ("timeout", 400))
-            assert (result.status, ticks) == want, (corner, seed)
+            assert (result.status, len(ticks)) == want, (corner, seed)
             if result.status == "crashed":
                 assert result.s_final > RANDOM_ENTRY, (corner, seed)
 
@@ -248,15 +259,12 @@ def test_ambiguous_projection_ends_episode_crashed(monkeypatch, uturn,
     env = DriftEnv(uturn, uturn_pretraj)
     env.reset(0, nominal=True)
     monkeypatch.setattr(envs, "to_frenet", tied)
-    _, _, done, info = env.step(np.zeros(3))
-    assert done
-    assert info["result"].status == "crashed"
-    assert info["result"].chi == 0
+    _, _, result = env.step(np.zeros(3))
+    assert result.status == "crashed"
+    assert result.chi == 0
 
 
 def test_completion_total_reward_consistency(uturn, uturn_pretraj):
-    from driftcorner.baseline import BaselineTracker
-
     env = DriftEnv(uturn, uturn_pretraj)
     res = run_episode(BaselineTracker(uturn, uturn_pretraj, speed_factor=0.88),
                       env, nominal=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from driftcorner import fusion
+from driftcorner.envs import observe
 from driftcorner.errors import PreviewFailed
 from driftcorner.fusion import (
     DeploymentSpec,
@@ -52,7 +53,7 @@ def test_preview_is_complete_and_uniform(uturn, uturn_preview8):
 
 
 def test_preview_generation_rejects_crashing_policy(uturn, uturn_pretraj):
-    steer_hard = lambda obs: np.array([0.52, 800.0, 0.0])
+    steer_hard = lambda obs, state: np.array([0.52, 800.0, 0.0])
     with pytest.raises(PreviewFailed):
         generate_preview(steer_hard, PARAMS, TIRES, uturn, uturn_pretraj)
 
@@ -169,11 +170,11 @@ def test_tick_accumulates_qp_rate_onto_correction(monkeypatch, uturn,
     g = uturn_preview8.gamma[50]
     state = PlantState(x=g[0], y=g[1] + 0.3, phi=g[2], v_x=g[3], v_y=g[4],
                        yaw_rate=g[5])
-    s = to_frenet((state.x, state.y), uturn).s
-    k = ctl._reference_index(s)
+    obs = observe(state, uturn)
+    k = ctl._reference_index(obs.s)
     total = np.zeros(2)
     for _ in range(3):
-        ctl(state, s)
+        ctl(obs, state)
         total += rates[-1]
         np.testing.assert_allclose(np.asarray(ctl.u_mpc), total, atol=1e-15)
         for got, stored in zip(qps[-1][:3], ctl._qp[:3]):
@@ -337,6 +338,19 @@ def test_forced_fallback_brakes(monkeypatch, uturn, uturn_pretraj, uturn_preview
         assert r.fallback
         assert r.applied[1] == 0.0
         assert r.applied[2] == 3.0
+
+
+def test_fallback_counts_each_engagement_once(uturn, uturn_preview8):
+    # 75 deg engages, the brake holds down to 65 deg, and the next swing
+    # past 75 deg is a second engagement
+    ctl = FusionController(uturn_preview8, PARAMS, mpc_enabled=False)
+    g = uturn_preview8.gamma[50]
+    obs = observe(PlantState(x=g[0], y=g[1], phi=g[2], v_x=5.0), uturn)
+    for deg in (0.0, 80.0, 70.0, 60.0, 80.0, 0.0):
+        ctl(obs, PlantState(x=g[0], y=g[1], phi=g[2], v_x=5.0,
+                            v_y=5.0 * math.tan(math.radians(deg))))
+    assert [r.fallback for r in ctl.records] == [False, True, True, False, True, False]
+    assert ctl.fallback_events == 2
 
 
 # -- bookkeeping helpers -----------------------------------------------

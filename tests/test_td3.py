@@ -67,13 +67,17 @@ class ReachEnv:
     horizon = 60
     dt = 0.1
 
-    def reset(self, rng=None, nominal=False):
+    def reset(self, rng=None, nominal=False, v0=None):
         rng = (rng if isinstance(rng, np.random.Generator)
                else np.random.default_rng(rng))
         self.p = 1.2 if nominal else float(rng.uniform(-1.5, 1.5))
-        self.v = 0.0
+        self.v = 0.0 if v0 is None else v0
         self.k = 0
         self.ret = 0.0
+        return ReachObs(self.p, self.v)
+
+    @property
+    def state(self):
         return ReachObs(self.p, self.v)
 
     def step(self, action):
@@ -84,14 +88,13 @@ class ReachEnv:
         hit = abs(self.p) < 0.1 and abs(self.v) < 0.2
         rew = -abs(self.p) - 0.1 * abs(self.v) + (10.0 if hit else 0.0)
         self.ret += rew
-        done = hit or self.k >= self.horizon
-        info = {}
-        if done:
-            info["result"] = ToyResult(
+        result = None
+        if hit or self.k >= self.horizon:
+            result = ToyResult(
                 chi=int(hit), status="completed" if hit else "timeout",
                 t_f=self.k * self.dt, s_final=-abs(self.p),
                 total_reward=self.ret)
-        return ReachObs(self.p, self.v), rew, done, info
+        return ReachObs(self.p, self.v), rew, result
 
 
 TOY_HP = Td3Hyperparams(warmup=1000, batch_size=128, hidden=(64, 64),
@@ -260,9 +263,9 @@ def test_train_resets_once_per_episode():
     class CountingReachEnv(ReachEnv):
         resets = 0
 
-        def reset(self, rng=None, nominal=False):
+        def reset(self, rng=None, nominal=False, v0=None):
             self.resets += 1
-            return super().reset(rng, nominal)
+            return super().reset(rng, nominal, v0)
 
     env = CountingReachEnv()
     train(lambda: env, TOY_HP, episodes=2, seed=0)
@@ -359,9 +362,9 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.critic_updates == state.critic_updates
     assert back.env_steps == state.env_steps
     assert back.rng.bit_generator.state == state.rng.bit_generator.state
-    obs = np.array([0.4, -0.1])
-    np.testing.assert_array_equal(policy_from_checkpoint(path)(obs),
-                                  Policy(state.actor, state.obs_scale)(obs))
+    obs = ReachObs(0.4, -0.1)
+    np.testing.assert_array_equal(policy_from_checkpoint(path)(obs, None),
+                                  Policy(state.actor, state.obs_scale)(obs, None))
 
 
 def test_checkpoint_layout_is_flat(tmp_path):
