@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planner import PreTrajectory
+from .planner import A_LONG_LIMITS, PreTrajectory
 from .plant import DELTA_MAX, G, P_MAX, T_MAX, TireParams, VehicleParams
 from .track import TrackGeometry
 
@@ -21,7 +21,6 @@ LOOKAHEAD_GAIN = 0.2  # s, lookahead = gain * speed + min
 LOOKAHEAD_MIN = 1.5  # m
 KP_SPEED = 1.2  # 1/s, speed-loop gain
 ERROR_SLOWDOWN = 0.75  # 1/m^2, speed cut per squared lateral error
-A_LIMITS = (-6.0, 3.0)  # m/s^2, (braking, driving)
 SLIP_CAP = math.radians(10.0)  # front-axle slip clamp (pre-peak)
 RATE_DAMPING = 0.2  # on the lateral-rate error
 
@@ -82,7 +81,7 @@ class BaselineTracker:
         e_l = l - float(self.pretraj.l_ref(s))
         v_t = max(2.0, v_t / (1.0 + ERROR_SLOWDOWN * e_l * e_l))
         a = KP_SPEED * (v_t - v_x)
-        a = min(max(a, A_LIMITS[0]), A_LIMITS[1])
+        a = min(max(a, A_LONG_LIMITS[0]), A_LONG_LIMITS[1])
 
         f_loss = p.c_rr * p.m * G + p.c_drag * v_x * abs(v_x)
         # Steering drag: the front lateral force pulls backward along the

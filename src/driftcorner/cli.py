@@ -86,8 +86,6 @@ def _load_track_arg(args) -> "tuple":
     """(track, source paths) from either --track <file> or --kind."""
     if getattr(args, "track", None):
         path = Path(args.track)
-        if not path.exists():
-            raise FileNotFoundError(f"track file not found: {path}")
         return load_track(path), [path]
     kind = getattr(args, "kind", None)
     if kind is None:
@@ -98,8 +96,6 @@ def _load_track_arg(args) -> "tuple":
 def _load_pretraj_arg(args, track):
     if getattr(args, "pretraj", None):
         path = Path(args.pretraj)
-        if not path.exists():
-            raise FileNotFoundError(f"pre-trajectory file not found: {path}")
         return load_pretrajectory(path, track), [path]
     return plan_pretrajectory(track, mu=TRAINING_MU), []
 
@@ -265,8 +261,6 @@ def cmd_deploy(args) -> int:
     track, inputs = _load_track_arg(args)
     pre, pre_inputs = _load_pretraj_arg(args, track)
     preview_path = Path(args.preview)
-    if not preview_path.exists():
-        raise FileNotFoundError(f"preview file not found: {preview_path}")
     preview = load_preview(preview_path)
     if args.kind and preview.track_id != args.kind:
         raise ValueError(f"{preview_path} is a preview of track "

@@ -157,7 +157,7 @@ class EpisodeResult:
     chi: int  # 1 iff the full track was completed
     t_f: float  # s, episode duration
     s_final: float  # m, arc length reached
-    status: str  # completed | crashed | timeout
+    status: str  # completed | crashed | timeout | blowup (NumericalBlowup)
     total_reward: float
     r_p_sum: float
     r_s_sum: float
@@ -165,7 +165,6 @@ class EpisodeResult:
     r_t: float
     max_beta: float  # rad, peak |rear side-slip| over the episode
     max_speed: float  # m/s
-    fault: bool = False  # plant left its sanity envelope
     trace: np.ndarray | None = None  # (ticks, len(TRACE_COLUMNS))
 
 
@@ -274,7 +273,7 @@ class DriftEnv:
                 self.state, Action(*clipped), CONTROL_DT, self.tires, self.params,
             )
         except NumericalBlowup:
-            return self._finish("crashed", 0.0, fault=True)
+            return self._finish("blowup", 0.0)
         self._t += CONTROL_DT
 
         try:
@@ -311,7 +310,7 @@ class DriftEnv:
         return obs, sum(terms), None
 
     def _finish(self, status: str, step_reward: float,
-                obs: FrenetObservation | None = None, fault: bool = False):
+                obs: FrenetObservation | None = None):
         chi = 1 if status == "completed" else 0
         r_t = reward_terminal(chi, self._t, self._s, self.pretraj)
         result = EpisodeResult(
@@ -320,7 +319,6 @@ class DriftEnv:
             r_p_sum=self._sums[0], r_s_sum=self._sums[1],
             r_m_sum=self._sums[2], r_t=r_t,
             max_beta=self._max_beta, max_speed=self._max_speed,
-            fault=fault,
             trace=np.array(self._rows) if self.record else None,
         )
         obs = (obs if obs is not None else self._obs)._replace(chi=0.0)

@@ -22,7 +22,8 @@ class OutOfRange(DriftCornerError):
 
 
 class BadTrackSpec(DriftCornerError):
-    """Library-track parameters are inconsistent."""
+    """Track parameters are inconsistent, or an input file (track,
+    pre-trajectory or preview) is malformed; a file's refusal names it."""
 
 
 class Infeasible(DriftCornerError):

@@ -2,7 +2,8 @@
 
 The trained policy is rolled out (`envs.episode`) once, offline, in its
 own training plant to produce a preview trajectory (states in Cartesian
-form plus the action applied each tick); the fusion controller is then
+form plus the action applied each tick), saved as a preview file
+(`textfile` convention, one row per tick); the fusion controller is then
 rolled out in the deployment plant.  The recorded action is its primary
 input, a two-step MPC tracks the preview's Cartesian trace to produce a
 corrective input, and the two are summed in actuator space.
@@ -33,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import textfile
 from .envs import (ACTION_HIGH, ACTION_LOW, CONTROL_DT, DriftEnv, EpisodeResult,
                    FrenetObservation, episode, run_episode)
 from .errors import PreviewExhausted, PreviewFailed
@@ -58,7 +60,9 @@ from .track import TrackGeometry
 from .track import to_frenet  # noqa: F401
 
 SPEED_BUCKET = 0.5  # m/s, entry-speed quantization of stored previews
-PREVIEW_FILE_VERSION = "driftcorner preview v1"
+PREVIEW_FILE = textfile.Format(
+    "preview", 1, ("policy_checksum", "plant_digest", "track_id", "v_ini", "t_f"),
+    recreate="driftcorner preview", columns="t X Y phi v_x v_y yaw_rate delta_f T_rt P_b s")
 MODEL_BLOCK = 128  # preview points per stacked model build (small temporaries)
 
 # Side-slip fallback: past FALLBACK_BETA of rear side-slip the drive is
@@ -156,46 +160,15 @@ def generate_preview(
 
 
 def save_preview(preview: PreviewTrajectory, path) -> None:
-    lines = [
-        f"# {PREVIEW_FILE_VERSION}",
-        f"# policy_checksum = {preview.policy_checksum!r}",
-        f"# plant_digest = {preview.plant_digest}",
-        f"# track_id = {preview.track_id}",
-        f"# v_ini = {preview.v_ini!r}",
-        f"# t_f = {preview.t_f!r}",
-        "# t X Y phi v_x v_y yaw_rate delta_f T_rt P_b s",
-    ]
-    lines += [" ".join(map(repr, row)) for row in preview.rows().tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    textfile.write(path, PREVIEW_FILE, {key: getattr(preview, key) for key in PREVIEW_FILE.keys},
+                   preview.rows().tolist())
 
 
 def load_preview(path) -> PreviewTrajectory:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != f"# {PREVIEW_FILE_VERSION}":
-        raise ValueError(f"not a {PREVIEW_FILE_VERSION} file: {path}")
-    meta: dict[str, str] = {}
-    rows = []
-    for ln in lines[1:]:
-        if ln.startswith("#"):
-            if "=" in ln:
-                key, val = ln[1:].split("=", 1)
-                meta[key.strip()] = val.strip()
-            continue
-        try:
-            rows.append([float(v) for v in ln.split()])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    for key in ("policy_checksum", "plant_digest", "track_id", "v_ini", "t_f"):
-        if key not in meta:
-            raise ValueError(f"{path}: no '# {key} = ...' header line")
-    try:
-        return PreviewTrajectory.from_rows(
-            rows, policy_checksum=float(meta["policy_checksum"]),
-            plant_digest=meta["plant_digest"], track_id=meta["track_id"],
-            v_ini=float(meta["v_ini"]), t_f=float(meta["t_f"]),
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return textfile.read(path, PREVIEW_FILE, lambda fields, rows: PreviewTrajectory.from_rows(
+        rows, policy_checksum=float(fields["policy_checksum"]),
+        plant_digest=fields["plant_digest"], track_id=fields["track_id"],
+        v_ini=float(fields["v_ini"]), t_f=float(fields["t_f"])))
 
 
 # -- fusion controller ------------------------------------------------

@@ -12,8 +12,8 @@ the friction ellipse limit.
 A pre-trajectory is a function of its offset spline and adhesion mu:
 `PreTrajectory` holds both beside the samples s, l, x, y, kappa, v_d and
 the reference time t_ref that `plan_speed` and `build_pretrajectory`
-derive from them.  The file (version 2) holds the header and `# key =
-value` lines for mu, the converged flag, the knots and the values, and
+derive from them.  The file (`textfile` convention, version 2) holds mu,
+the converged flag, the knots and the values, and no rows;
 `load_pretrajectory` rebuilds the samples on the track it is given.
 """
 
@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadTrackSpec, Infeasible
+from . import textfile
+from .errors import Infeasible
 from .plant import G, T_MAX, TireParams, VehicleParams
 from .track import FrenetPoint, TrackGeometry, to_cartesian
 
@@ -366,40 +367,23 @@ def plan_pretrajectory(
 
 # -- file format ------------------------------------------------------
 
-PRETRAJ_FILE_VERSION = "driftcorner pretrajectory v2"
+PRETRAJ_FILE = textfile.Format("pretrajectory", 2, ("mu", "converged", "knots", "values"),
+                               recreate="driftcorner plan")
 
 
 def save_pretrajectory(pre: PreTrajectory, path: str | Path) -> None:
-    """Write the header, mu, the converged flag, and the knots and values
-    of the offset spline; the samples are derived from these on load."""
-    knots = ",".join(repr(v) for v in pre.path.knots.tolist())
-    values = ",".join(repr(v) for v in pre.path.values.tolist())
-    Path(path).write_text(f"# {PRETRAJ_FILE_VERSION}\n"
-                          f"# mu = {float(pre.mu)!r}\n"
-                          f"# converged = {bool(pre.path.converged)!r}\n"
-                          f"# knots = {knots}\n"
-                          f"# values = {values}\n")
+    """Write mu, the converged flag, and the knots and values of the
+    offset spline; the samples are derived from these on load."""
+    textfile.write(path, PRETRAJ_FILE, {
+        "mu": float(pre.mu), "converged": bool(pre.path.converged),
+        "knots": ",".join(map(repr, pre.path.knots.tolist())),
+        "values": ",".join(map(repr, pre.path.values.tolist())),
+    })
 
 
 def load_pretrajectory(path: str | Path, track: TrackGeometry) -> PreTrajectory:
     """Rebuild a saved pre-trajectory on `track` from its spline and mu."""
-    path = Path(path)
-    with open(path) as fh:
-        first = fh.readline().strip()
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if first == "# driftcorner pretrajectory v1":  # held sampled rows
-        raise BadTrackSpec(f"{path}: a version 1 pre-trajectory file, which this version "
-                           "no longer reads; re-create it with `driftcorner plan`")
-    if first != f"# {PRETRAJ_FILE_VERSION}":
-        raise BadTrackSpec(f"{path}: unrecognized pre-trajectory header {first!r}")
-    try:
-        for line in lines:
-            if not line.startswith("#"):
-                raise ValueError(f"unexpected line {line!r}; a pre-trajectory file has no rows")
-        fields = {k: v for k, _, v in (ln.lstrip("# ").partition(" = ") for ln in lines)}
-        missing = [k for k in ("mu", "converged", "knots", "values") if k not in fields]
-        if missing:
-            raise ValueError(f"no {', '.join(missing)} header line")
+    def build(fields, rows):
         if fields["converged"] not in ("True", "False"):
             raise ValueError(f"converged is {fields['converged']!r}, not True or False")
         knots, values = (np.array([float(v) for v in fields[k].split(",")])
@@ -416,7 +400,5 @@ def load_pretrajectory(path: str | Path, track: TrackGeometry) -> PreTrajectory:
         if not np.all(np.abs(values) <= lim):
             raise ValueError(f"a value is not finite or beyond the corridor +-{lim!r} m")
         spline = offset_path(knots, values, converged=fields["converged"] == "True")
-        speed = plan_speed(spline, track, float(fields["mu"]))
-    except ValueError as exc:
-        raise BadTrackSpec(f"{path}: {exc}") from None
-    return build_pretrajectory(spline, track, speed)
+        return build_pretrajectory(spline, track, plan_speed(spline, track, float(fields["mu"])))
+    return textfile.read(path, PRETRAJ_FILE, build)

@@ -488,8 +488,10 @@ def train(
     bc_act: list[np.ndarray] = []
     freeze_until = 0
     best_eval = None
+    obs = None  # the normalized observation `choose` last saw, for the buffer
 
     def choose(raw, plant_state):  # demonstrated, cloned, random or explored
+        nonlocal obs
         obs = raw.vector() / obs_scale
         if imitating:  # label every state; the demonstrator or the clone drives
             label = np.asarray(demo_policy(obs * obs_scale, plant_state), dtype=float)
@@ -519,10 +521,9 @@ def train(
                          "; actor frozen for %d critic updates"
                          % ACTOR_FREEZE if ep == imitation_end else "")
         imitating = use_demos and ep < imitation_end
-        for ep_steps, (obs, _, act, rew, nxt, result) in enumerate(
+        for ep_steps, (_, _, act, rew, nxt, result) in enumerate(
                 episode(choose, env, state.rng), 1):
-            state.buffer.add(obs.vector() / obs_scale, act, rew,
-                             nxt.vector() / obs_scale, result is not None)
+            state.buffer.add(obs, act, rew, nxt.vector() / obs_scale, result is not None)
             state.env_steps += 1
             if (not imitating and state.env_steps >= hp.warmup
                     and len(state.buffer) >= hp.batch_size):

@@ -7,8 +7,8 @@ curvature and position queries are analytic, and the Frenet projection
 is a closed-form foot on each line and arc.  Library tracks (U-turn,
 90 degree, 135 degree) are a straight entry, one arc and a straight exit.
 
-A track file (version 2) holds a header line, the half width and the
-segment map on one line, and nothing else.
+A track file (`textfile` convention, version 2) holds the half width
+and the segment map on one line each, and no rows.
 
 Sign convention: l > 0 lies to the left of the direction of travel.
 """
@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import textfile
 from .errors import (
     AmbiguousProjection,
     BadTrackSpec,
@@ -33,7 +34,8 @@ from .errors import (
 CORRIDOR_FACTOR = 3.0  # half widths from the centerline that still project
 HINT_WINDOW = 8.0  # m, s distance from s_hint searched by to_frenet
 
-TRACK_FILE_VERSION = "driftcorner track v2"
+TRACK_FILE = textfile.Format("track", 2, ("half_width", "segments"),
+                             recreate="driftcorner build-track")
 
 
 class FrenetPoint(NamedTuple):
@@ -259,47 +261,19 @@ def to_frenet(
 
 
 def save_track(track: TrackGeometry, path: str | Path) -> None:
-    """Write the header, the half width and the segment map
+    """Write the half width and the segment map
     `s0:kappa0;s1:kappa1;...;s_max:end`."""
     seg = ";".join(f"{b!r}:{k!r}" for b, k in zip(track._breaks, track.seg_kappa.tolist()))
-    Path(path).write_text(f"# {TRACK_FILE_VERSION}\n"
-                          f"# half_width = {track.half_width!r}\n"
-                          f"# segments = {seg};{track.s_max!r}:end\n")
+    textfile.write(path, TRACK_FILE, {"half_width": track.half_width,
+                                      "segments": f"{seg};{track.s_max!r}:end"})
 
 
 def load_track(path: str | Path) -> TrackGeometry:
-    path = Path(path)
-    half_width = seg_breaks = seg_kappa = None
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if first == "# driftcorner track v1":  # held sampled rows as well
-            raise BadTrackSpec(f"{path}: a version 1 track file, which this version "
-                               "no longer reads; re-create it with "
-                               "`driftcorner build-track`")
-        if first != f"# {TRACK_FILE_VERSION}":
-            raise BadTrackSpec(f"{path}: unrecognized track file header {first!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if not line.startswith("#"):
-                    raise ValueError(f"unexpected line {line!r}; a track file has no rows")
-                key, _, value = line.lstrip("# ").partition(" = ")
-                if key == "half_width":
-                    half_width = float(value)
-                elif key == "segments":
-                    items = [item.partition(":") for item in value.split(";")]
-                    if items[-1][2] != "end":
-                        raise ValueError("the segment map does not end in 's_max:end'")
-                    seg_breaks = np.array([float(b) for b, _, _ in items])
-                    seg_kappa = np.array([float(k) for _, _, k in items[:-1]])
-            except ValueError as exc:
-                raise BadTrackSpec(f"{path}: {exc}") from None
-    if half_width is None or seg_breaks is None:
-        raise BadTrackSpec(f"{path}: no half_width or segments header line")
-    try:
-        return TrackGeometry(half_width=half_width, seg_breaks=seg_breaks,
-                             seg_kappa=seg_kappa)
-    except BadTrackSpec as exc:
-        raise BadTrackSpec(f"{path}: {exc}") from None
+    def build(fields, rows):
+        items = [item.partition(":") for item in fields["segments"].split(";")]
+        if items[-1][2] != "end":
+            raise ValueError("the segment map does not end in 's_max:end'")
+        return TrackGeometry(half_width=float(fields["half_width"]),
+                             seg_breaks=np.array([float(b) for b, _, _ in items]),
+                             seg_kappa=np.array([float(k) for _, _, k in items[:-1]]))
+    return textfile.read(path, TRACK_FILE, build)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from driftcorner import envs
+from driftcorner import envs, plant
 from driftcorner.baseline import BaselineTracker
 from driftcorner.envs import (
     ACTION_HIGH,
@@ -152,6 +152,15 @@ def test_crash_ends_episode(uturn, uturn_pretraj):
     res = run_episode(swerve, DriftEnv(uturn, uturn_pretraj), 0, nominal=True)
     assert res.status == "crashed"
     assert res.chi == 0
+
+
+def test_plant_blowup_ends_episode_with_its_own_status(uturn, uturn_pretraj, monkeypatch):
+    # the plant leaving its sanity bounds is a fault, not the car off the road
+    monkeypatch.setattr(plant, "_SANITY_V", 5.0)  # below the 9 m/s start
+    coast = lambda obs, state: np.array([0.0, 0.0, 0.0])
+    res = run_episode(coast, DriftEnv(uturn, uturn_pretraj), 0, nominal=True)
+    assert res.status == "blowup" and res.chi == 0
+    assert res.t_f == 0.0  # the first tick
 
 
 def test_episode_yields_each_tick_and_the_result_last(uturn, uturn_pretraj):

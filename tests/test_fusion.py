@@ -8,7 +8,7 @@ import pytest
 
 from driftcorner import fusion
 from driftcorner.envs import observe
-from driftcorner.errors import PreviewFailed
+from driftcorner.errors import BadTrackSpec, PreviewFailed
 from driftcorner.fusion import (
     DeploymentSpec,
     FusionController,
@@ -72,7 +72,7 @@ def test_preview_file_round_trip(uturn_preview8, tmp_path):
 def test_load_preview_rejects_foreign_file(tmp_path):
     p = tmp_path / "junk.txt"
     p.write_text("t,x,y\n0,0,0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(BadTrackSpec, match="junk.txt"):
         load_preview(p)
 
 
