@@ -241,10 +241,7 @@ def learner_completion(chi: list[int], demo_episodes: int) -> str:
 def cmd_preview(args) -> int:
     track, inputs = _load_track_arg(args)
     pre, pre_inputs = _load_pretraj_arg(args, track)
-    policy_path = Path(args.policy)
-    if not policy_path.exists():
-        raise MissingPolicy(f"checkpoint not found: {policy_path}")
-    policy = policy_from_checkpoint(policy_path)
+    policy = policy_from_checkpoint(args.policy)
     params = VehicleParams()
     preview = generate_preview(
         policy, params, TireParams(), track, pre,
@@ -295,6 +292,7 @@ def cmd_deploy(args) -> int:
         f"{summary_line(res.episode, args.seed)} "
         f"completion={res.completion_deg:.0f}/{res.total_deg:.0f} "
         f"fallback_events={res.fallback_events} "
+        f"qp_failures={res.qp_failures} "
         f"mean_tick_ms={res.mean_tick_ms:.3f}"
     )
     (run_dir / "summary.txt").write_text(summary + "\n")
@@ -355,8 +353,6 @@ def cmd_compare(args) -> int:
     track, inputs = _load_track_arg(args)
     pre, pre_inputs = _load_pretraj_arg(args, track)
     policy_path = Path(args.policy)
-    if not policy_path.exists():
-        raise MissingPolicy(f"checkpoint not found: {policy_path}")
     policy = policy_from_checkpoint(policy_path)
     params = VehicleParams()
     spec = _deployment_spec(args)

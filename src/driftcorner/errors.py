@@ -22,8 +22,12 @@ class OutOfRange(DriftCornerError):
 
 
 class BadTrackSpec(DriftCornerError):
-    """Track parameters are inconsistent, or an input file (track,
-    pre-trajectory or preview) is malformed; a file's refusal names it."""
+    """Track parameters are inconsistent."""
+
+
+class BadInputFile(DriftCornerError):
+    """A track, pre-trajectory or preview file is malformed, or holds
+    values its loader refuses; the refusal names the file."""
 
 
 class Infeasible(DriftCornerError):

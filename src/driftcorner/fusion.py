@@ -19,7 +19,9 @@ controller takes the arc length `obs.s` that the env projected the
 c.g. to, picks k, and forms the deviation from the preview, whose
 target is zero; `mpc.solve_qp` takes g = F_k gamma_aug and the
 unconstrained minimizer K_k gamma_aug, bounds the rates and inputs, and
-returns without a solve when that minimizer is feasible.  The rest of
+returns without a solve when that minimizer is feasible.  A tick whose
+QP does not converge is counted in `qp_failures` and applies no
+correction, as a tick below the model's speed guard does.  The rest of
 the tick (the sum of the two inputs, the clamp to the action box and
 the fallback) is arithmetic on three Python floats.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,7 @@ import numpy as np
 from . import textfile
 from .envs import (ACTION_HIGH, ACTION_LOW, CONTROL_DT, DriftEnv, EpisodeResult,
                    FrenetObservation, episode, run_episode)
-from .errors import PreviewExhausted, PreviewFailed
+from .errors import NoConvergence, PreviewExhausted, PreviewFailed
 from .mpc import (
     N_AUG,
     N_Z,
@@ -59,7 +61,6 @@ from .track import TrackGeometry
 # asserts that it exists.
 from .track import to_frenet  # noqa: F401
 
-SPEED_BUCKET = 0.5  # m/s, entry-speed quantization of stored previews
 PREVIEW_FILE = textfile.Format(
     "preview", 1, ("policy_checksum", "plant_digest", "track_id", "v_ini", "t_f"),
     recreate="driftcorner preview", columns="t X Y phi v_x v_y yaw_rate delta_f T_rt P_b s")
@@ -81,10 +82,6 @@ def params_digest(params: VehicleParams, tires: TireParams) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
-def speed_bucket(v: float) -> float:
-    return round(v / SPEED_BUCKET) * SPEED_BUCKET
-
-
 # -- preview trajectory -----------------------------------------------
 
 
@@ -100,7 +97,7 @@ class PreviewTrajectory:
     policy_checksum: float
     plant_digest: str
     track_id: str
-    v_ini: float  # m/s, bucketed entry speed
+    v_ini: float  # m/s, entry speed
     t_f: float  # s, completion time of the rollout
 
     def __post_init__(self):
@@ -142,7 +139,6 @@ def generate_preview(
     plant; fails (rather than returning junk) if the rollout does not
     complete the corner."""
     env = DriftEnv(track, pretraj, tires=tires, params=params)
-    v_ini = speed_bucket(v_ini)
     rows, t = [], 0.0
     for obs, st, act, _, _, result in episode(policy, env, nominal=True, v0=v_ini):
         rows.append([t, st.x, st.y, st.phi, st.v_x, st.v_y, st.yaw_rate, *act, obs.s])
@@ -206,6 +202,7 @@ class FusionController:
         self.u_mpc = MpcInput(0.0, 0.0)
         self.fallback_on = False
         self.fallback_events = 0  # engagements, counted as each starts
+        self.qp_failures = 0  # ticks whose QP did not converge
         self.t = 0.0
         self.records: list[TickRecord] = []
         self._s_dots = np.gradient(preview.s) / CONTROL_DT
@@ -287,15 +284,21 @@ class FusionController:
                 self.u_mpc.delta_f, self.u_mpc.a_xt,
             ])
             qp = self._qp
-            du_k, _, sol = solve_qp(gamma_aug, CondensedQp(qp.h[k], qp.f[k], qp.k[k]))
-            kkt = sol.kkt_residual
-            dd, da = du_k.tolist()
-            self.u_mpc = MpcInput(self.u_mpc.delta_f + dd, self.u_mpc.a_xt + da)
-            u_out = self.u_mpc
-            if not self.primary_enabled:
-                ff_d, ff_a = self._u_ff[k].tolist()
-                u_out = MpcInput(u_out.delta_f + ff_d, u_out.a_xt + ff_a)
-            du_act = self._to_actuator_space(u_out, a_rl)
+            try:
+                du_k, _, sol = solve_qp(gamma_aug, CondensedQp(qp.h[k], qp.f[k], qp.k[k]))
+            except NoConvergence:
+                # counted; the tick applies no correction and holds u_mpc,
+                # as below V_EPS
+                self.qp_failures += 1
+            else:
+                kkt = sol.kkt_residual
+                dd, da = du_k.tolist()
+                self.u_mpc = MpcInput(self.u_mpc.delta_f + dd, self.u_mpc.a_xt + da)
+                u_out = self.u_mpc
+                if not self.primary_enabled:
+                    ff_d, ff_a = self._u_ff[k].tolist()
+                    u_out = MpcInput(u_out.delta_f + ff_d, u_out.a_xt + ff_a)
+                du_act = self._to_actuator_space(u_out, a_rl)
         elif not self.mpc_enabled:
             self.u_mpc = MpcInput(0.0, 0.0)
 
@@ -370,6 +373,7 @@ class DeployResult:
     episode: EpisodeResult
     records: list[TickRecord]
     fallback_events: int
+    qp_failures: int = field(default=0, kw_only=True)  # ticks whose QP did not converge
     mean_tick_ms: float
     completion_deg: float
     total_deg: float
@@ -410,6 +414,7 @@ def deploy_run(
     ach, tot = completion_degrees(track, result.s_final)
     return DeployResult(  # an episode has at least one tick
         episode=result, records=ctl.records, fallback_events=ctl.fallback_events,
+        qp_failures=ctl.qp_failures,
         mean_tick_ms=float(np.mean([r.compute_ms for r in ctl.records])),
         completion_deg=ach, total_deg=tot,
     )

@@ -19,12 +19,13 @@ and for a whole stack at once, the Hessian H, the gradient map F
 per tick is `solve_qp`: two small products for g and the unconstrained
 minimizer, the box bounds, and an active-set iteration that starts
 from that minimizer and returns at once when it is feasible.  Every
-solution is KKT-checked against the gradient formed from F.
+solution is KKT-checked against the gradient formed from F.  The
+iteration's one failure exit is NoConvergence; the fusion controller
+counts it and applies no correction on that tick.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,7 +57,7 @@ DU_MAX = np.array([0.07, 0.8])
 # Block-diagonal weights of the two stacked steps, diag(Q, Q), diag(R, R).
 Q_BAR = np.kron(np.eye(2), Q)
 R_BAR = np.kron(np.eye(2), R)
-QP_MAX_ITER = 60  # active-set iterations before the enumeration fallback
+QP_MAX_ITER = 60  # active-set iterations before NoConvergence
 for _const in (Q, R, U_MIN, U_MAX, DU_MIN, DU_MAX, Q_BAR, R_BAR):
     _const.flags.writeable = False
 
@@ -226,7 +227,6 @@ def condense(
 @dataclass
 class QpSolution:
     z: np.ndarray  # stacked (du_k, du_k1)
-    objective: float
     active: list[int]
     kkt_residual: float
     iterations: int
@@ -242,19 +242,21 @@ def solve_box_qp(
     """min 1/2 z'Hz + g'z  s.t.  A z <= b, H positive definite.
 
     Primal active-set iteration: start unconstrained, add the most
-    violated constraint, drop constraints with negative multipliers.
-    Falls back to exhaustive active-set enumeration if it cycles or
-    takes QP_MAX_ITER iterations.
+    violated constraint, drop the constraint with the most negative
+    multiplier.  There are two exits: the solution, or NoConvergence
+    when the working set stalls or QP_MAX_ITER iterations pass.  It
+    stalls when the most violated constraint is already in it, or when
+    the constraint just added depends on the others (a singular KKT
+    system; dropping it again would only re-add it).
     `z_free`, when given, is the unconstrained minimizer -H^-1 g
     computed beforehand; it then stands for the empty working set, so
     a feasible one returns after one iteration without a solve.
     """
     n = len(g)
-    m = len(b_ineq)
 
     def solve_eq(active: list[int]):
         if z_free is not None and not active:
-            return z_free, _NO_MULTIPLIERS
+            return z_free, None  # no multipliers without constraints
         k = len(active)
         kkt = np.zeros((n + k, n + k))
         kkt[:n, :n] = h
@@ -268,50 +270,25 @@ def solve_box_qp(
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
-            return None, None
+            raise NoConvergence(f"singular working set {active}") from None
         return sol[:n], sol[n:]
 
     active: list[int] = []
     for it in range(QP_MAX_ITER):
         z, lam = solve_eq(active)
-        if z is None:
-            # Degenerate working set; drop the newest member.
-            active.pop()
-            continue
-        if lam is not None and len(active) and np.min(lam) < -1e-11:
+        if active and np.min(lam) < -1e-11:
             active.pop(int(np.argmin(lam)))
             continue
         slack = a_ineq @ z - b_ineq
         worst = int(np.argmax(slack))
         if slack[worst] <= 1e-10:
-            obj = 0.5 * z @ h @ z + g @ z
             res = _kkt_residual(h, g, a_ineq, b_ineq, z, active, lam)
-            return QpSolution(z, obj, sorted(active), res, it + 1)
-        if worst in active:  # numerical stall
-            break
+            return QpSolution(z, sorted(active), res, it + 1)
+        if worst in active:
+            raise NoConvergence(f"active set stalled on constraint {worst} "
+                                f"after {it + 1} iterations")
         active.append(worst)
-
-    # Exhaustive enumeration over active sets (small problem, safe net).
-    best = None
-    for k in range(0, n + 1):
-        for combo in itertools.combinations(range(m), k):
-            z, lam = solve_eq(list(combo))
-            if z is None or (lam is not None and len(combo)
-                             and np.min(lam) < -1e-9):
-                continue
-            if np.max(a_ineq @ z - b_ineq) > 1e-9:
-                continue
-            obj = 0.5 * z @ h @ z + g @ z
-            if best is None or obj < best.objective - 1e-12:
-                res = _kkt_residual(h, g, a_ineq, b_ineq, z, list(combo), lam)
-                best = QpSolution(z, obj, sorted(combo), res, QP_MAX_ITER)
-    if best is None:
-        raise NoConvergence("active-set QP failed to find a feasible point")
-    return best
-
-
-_NO_MULTIPLIERS = np.empty(0)
-_NO_MULTIPLIERS.flags.writeable = False
+    raise NoConvergence(f"active set not settled in {QP_MAX_ITER} iterations")
 
 
 def _kkt_residual(h, g, a_ineq, b_ineq, z, active, lam) -> float:
@@ -348,6 +325,8 @@ def solve_qp(
     qp: the tick's condensed QP from `condense`; qp.k gives the
     unconstrained minimizer without a solve.
     Returns (du_k, du_{k+1}, the QP solution with its KKT residual).
+    Raises Infeasible when the rate and input boxes are disjoint, and
+    NoConvergence when `solve_box_qp` does not converge.
 
     g and the minimizer stay numpy products, which fixes their summation
     order; the rate and input bounds of the tick are four numbers, so

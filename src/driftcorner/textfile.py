@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import BadTrackSpec
+from .errors import BadInputFile, BadTrackSpec
 
 
 class Format(NamedTuple):
@@ -40,7 +40,7 @@ def read(path, fmt: Format, build: Callable[[dict, list], object]):
     """`build(fields, rows)` of the file at `path`: its `# key = value`
     values as strings and its rows as lists of floats.  A malformed file,
     and a ValueError or BadTrackSpec from `build`, are refused with a
-    BadTrackSpec that names the file."""
+    BadInputFile that names the file."""
     try:
         first, *lines = [line.strip() for line in Path(path).read_text().splitlines()] or [""]
         if first != fmt.header:
@@ -64,4 +64,4 @@ def read(path, fmt: Format, build: Callable[[dict, list], object]):
             raise ValueError(f"no {', '.join(missing)} header line")
         return build(fields, rows)
     except (ValueError, BadTrackSpec) as exc:
-        raise BadTrackSpec(f"{path}: {exc}") from None
+        raise BadInputFile(f"{path}: {exc}") from None

@@ -15,19 +15,65 @@ import driftcorner
 from driftcorner import cli, td3
 from driftcorner.envs import EpisodeResult
 from driftcorner.fusion import DeployResult, params_digest, save_preview
-from driftcorner.planner import save_pretrajectory
+from driftcorner.planner import load_pretrajectory, save_pretrajectory
 from driftcorner.plant import TireParams, VehicleParams
-from driftcorner.track import save_track
+from driftcorner.track import load_track, save_track
 
 
-def test_deploy_completes_under_mismatch(uturn_preview8, tmp_path):
-    preview = tmp_path / "preview.txt"
+@pytest.fixture(scope="module")
+def mismatch_run_dir(uturn_preview8, tmp_path_factory):
+    """Run directory of a U-turn deploy with less grip and more mass."""
+    tmp = tmp_path_factory.mktemp("mismatch")
+    preview = tmp / "preview.txt"
     save_preview(uturn_preview8, preview)
-    out = tmp_path / "deploy"
+    out = tmp / "deploy"
     assert cli.main(["deploy", "--kind", "uturn", "--preview", str(preview),
                      "--mu-deploy", "0.75", "--mass-scale", "1.1",
                      "--out", str(out)]) == 0
-    assert "chi=1" in (out / "summary.txt").read_text()
+    return out
+
+
+def test_deploy_completes_under_mismatch(mismatch_run_dir):
+    summary = (mismatch_run_dir / "summary.txt").read_text()
+    assert "chi=1" in summary and "qp_failures=0" in summary
+
+
+def test_export_plots_writes_every_panel(mismatch_run_dir, capsys):
+    assert cli.main(["export-plots", "--run-dir", str(mismatch_run_dir)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {', '.join(cli._PANELS)}")
+    ticks = len((mismatch_run_dir / "deploy.csv").read_text().splitlines())
+    for name, (_, columns) in cli._PANELS.items():
+        lines = (mismatch_run_dir / name).read_text().splitlines()
+        assert lines[0] == ",".join(columns)
+        assert len(lines) == ticks
+        assert all(len(line.split(",")) == len(columns) for line in lines)
+
+
+def test_build_track_then_plan_on_it(uturn, uturn_pretraj, tmp_path, capsys):
+    # a track file and a plan on it, each loading back to what the
+    # library track and its plan hold
+    track, pretraj = tmp_path / "t" / "uturn.txt", tmp_path / "p" / "uturn.txt"
+    assert cli.main(["build-track", "--kind", "uturn", "--out", str(track)]) == 0
+    assert cli.main(["plan", "--track", str(track), "--out", str(pretraj)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"wrote {pretraj} (t_ref=")
+    back = load_track(track)
+    np.testing.assert_array_equal(back.seg_breaks, uturn.seg_breaks)
+    np.testing.assert_array_equal(back.seg_kappa, uturn.seg_kappa)
+    assert back.half_width == uturn.half_width
+    plan = load_pretrajectory(pretraj, back)
+    assert plan.t_ref == uturn_pretraj.t_ref and plan.mu == uturn_pretraj.mu
+    np.testing.assert_array_equal(plan.l, uturn_pretraj.l)
+
+
+@pytest.mark.nightly
+def test_table1_with_the_tracker_writes_six_rows(tmp_path):
+    out = tmp_path / "table1"
+    assert cli.main(["table1", "--tracker", "--out", str(out)]) in (0, 2)
+    lines = (out / "table1.csv").read_text().splitlines()
+    assert lines[0] == "scenario,completed,time_s,s_final_m"
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        f"{kind} / {variant}" for kind in ("uturn", "right_angle", "turn_135")
+        for variant in ("centerline", "planned")]
 
 
 def test_deploy_rejects_a_non_physical_plant(uturn_preview8, tmp_path, capsys):
@@ -304,6 +350,18 @@ def test_deploy_rejects_a_preview_with_a_nan_row(uturn_preview8, tmp_path, capsy
     err = capsys.readouterr().err
     assert f"{preview}: preview t, s, gamma and a_rl must be finite" in err
     assert not (tmp_path / "deploy" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["preview", "--kind", "uturn", "--out", "{out}"],
+    ["compare", "--kind", "uturn", "--out", "{out}"],
+])
+def test_a_missing_checkpoint_is_refused_naming_it(argv, tmp_path, capsys):
+    missing, out = tmp_path / "nowhere.npz", tmp_path / "out"
+    argv = [arg.format(out=out) for arg in argv] + ["--policy", str(missing)]
+    assert cli.main(argv) == 3
+    assert str(missing) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_preview_rejects_npz_that_is_not_a_checkpoint(tmp_path, capsys):

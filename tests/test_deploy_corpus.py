@@ -10,15 +10,16 @@ plant.  Per cell it keeps the episode status, the tick count, t_f,
 s_final, the largest |l| of the c.g., the largest rear side-slip, and
 the sum and the maximum of each applied input channel.
 
-The tests require the status and the tick count to match exactly and
-every float to stay within ATOL.  The matched cells and the fused cells
-that crash where the plain replay completes run by default; the rest
-run under `-m nightly`.  Re-record, only when deploy runs are meant to
-change, with `PYTHONPATH=src python tests/test_deploy_corpus.py`; it
-prints every cell that moved, with its old and new values.  Given an
-output path, it writes there and leaves the committed file alone, so
-that two commits' recordings can be compared byte for byte (`cmp`) on
-one host; the last bits of some floats differ between hosts.
+The tests require the status and the tick count to match exactly,
+every float to stay within ATOL, and every tracking QP to converge.
+The matched cells and the fused cells that crash where the plain replay
+completes run by default; the rest run under `-m nightly`.  Re-record,
+only when deploy runs are meant to change, with
+`PYTHONPATH=src python tests/test_deploy_corpus.py`; it prints every
+cell that moved, with its old and new values.  Given an output path, it
+writes there and leaves the committed file alone, so that two commits'
+recordings can be compared byte for byte (`cmp`) on one host; the last
+bits of some floats differ between hosts.
 """
 
 import dataclasses
@@ -83,12 +84,15 @@ def build_task(kind: str):
     return track, pre, preview
 
 
-def run_cell(task, mu: float, mass: float, mode: str) -> dict:
+def deploy_cell(task, mu: float, mass: float, mode: str):
     track, pre, preview = task
     dep_params, dep_tires = DeploymentSpec(mu=mu, mass_scale=mass).apply(
         VehicleParams(), TireParams())
-    res = deploy_run(preview, track, pre, VehicleParams(), dep_params, dep_tires,
-                     record_trace=True, **MODES[mode])
+    return deploy_run(preview, track, pre, VehicleParams(), dep_params, dep_tires,
+                      record_trace=True, **MODES[mode])
+
+
+def cell_metrics(res) -> dict:
     applied = np.array([r.applied for r in res.records])
     return {
         "status": res.episode.status,
@@ -114,7 +118,7 @@ def record(out: Path = CORPUS) -> None:
     cells = {}
     for task, mu, mass, mode in grid():
         name = cell_id(task, mu, mass, mode)
-        new = cells[name] = run_cell(tasks[task], mu, mass, mode)
+        new = cells[name] = cell_metrics(deploy_cell(tasks[task], mu, mass, mode))
         prev = old.get(name)
         if prev == new:
             continue
@@ -150,7 +154,9 @@ def _params(select):
 @pytest.mark.parametrize("task,mu,mass,mode", _params(tier1))
 def test_deploy_cell_matches_corpus(task, mu, mass, mode, tasks):
     want = _cells[cell_id(task, mu, mass, mode)]
-    got = run_cell(tasks[task], mu, mass, mode)
+    res = deploy_cell(tasks[task], mu, mass, mode)
+    assert res.qp_failures == 0  # every tracking QP of the corpus converges
+    got = cell_metrics(res)
     assert (got["status"], got["ticks"]) == (want["status"], want["ticks"])
     for key in FLOATS:
         np.testing.assert_allclose(got[key], want[key], rtol=0, atol=ATOL, err_msg=key)

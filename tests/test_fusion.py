@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from driftcorner import fusion
+from driftcorner.baseline import BaselineTracker
 from driftcorner.envs import observe
-from driftcorner.errors import BadTrackSpec, PreviewFailed
+from driftcorner.errors import BadInputFile, NoConvergence, PreviewFailed
 from driftcorner.fusion import (
     DeploymentSpec,
     FusionController,
@@ -19,7 +20,6 @@ from driftcorner.fusion import (
     load_preview,
     params_digest,
     save_preview,
-    speed_bucket,
     write_deploy_csv,
 )
 from driftcorner.mpc import (
@@ -52,6 +52,14 @@ def test_preview_is_complete_and_uniform(uturn, uturn_preview8):
     assert p.gamma.shape == (len(p), 6) and p.a_rl.shape == (len(p), 3)
 
 
+def test_preview_starts_at_the_entry_speed_given(uturn, uturn_pretraj):
+    # no rounding of v_ini: the rollout starts at 8.7 m/s, not 8.5
+    slow = dataclasses.replace(uturn_pretraj, v_d=np.minimum(uturn_pretraj.v_d, 8.0))
+    p = generate_preview(BaselineTracker(uturn, slow), PARAMS, TIRES, uturn,
+                         uturn_pretraj, v_ini=8.7)
+    assert p.v_ini == 8.7 and p.gamma[0, 3] == 8.7
+
+
 def test_preview_generation_rejects_crashing_policy(uturn, uturn_pretraj):
     steer_hard = lambda obs, state: np.array([0.52, 800.0, 0.0])
     with pytest.raises(PreviewFailed):
@@ -72,7 +80,7 @@ def test_preview_file_round_trip(uturn_preview8, tmp_path):
 def test_load_preview_rejects_foreign_file(tmp_path):
     p = tmp_path / "junk.txt"
     p.write_text("t,x,y\n0,0,0\n")
-    with pytest.raises(BadTrackSpec, match="junk.txt"):
+    with pytest.raises(BadInputFile, match="junk.txt"):
         load_preview(p)
 
 
@@ -83,11 +91,6 @@ def test_preview_validation():
                           a_rl=np.zeros((2, 3)), s=np.array([0.0, 1.0]),
                           policy_checksum=0.0, plant_digest="x",
                           track_id="t", v_ini=9.0, t_f=1.0)
-
-
-def test_speed_bucketing():
-    assert speed_bucket(8.74) == 8.5
-    assert speed_bucket(8.76) == 9.0
 
 
 def test_params_digest_tracks_plant_changes():
@@ -114,6 +117,7 @@ def test_matched_replay_completes(matched_run, uturn_preview8):
     assert matched_run.episode.t_f == pytest.approx(uturn_preview8.t_f,
                                                     abs=0.5)
     assert matched_run.fallback_events == 0
+    assert matched_run.qp_failures == 0
 
 
 def test_matched_lateral_rms_small(matched_run, uturn, uturn_preview8):
@@ -322,6 +326,34 @@ def test_deployment_spec_rejects_a_non_physical_plant(spec):
     # would crash the car as if the controller had failed
     with pytest.raises(ValueError, match="must be finite and positive"):
         spec.apply(PARAMS, TIRES)
+
+
+def test_a_qp_that_does_not_converge_is_counted(monkeypatch, uturn, uturn_pretraj,
+                                                uturn_preview8):
+    # every tenth solve fails, in a plant with less grip and more mass
+    # than the preview's: the run goes on, each failure is counted, its
+    # tick applies no correction, and the next tick starts from the
+    # correction held before it (the last two entries of gamma_aug)
+    held = []
+
+    def flaky(gamma_aug, qp):
+        held.append(gamma_aug[6:].tolist())
+        if len(held) % 10 == 0:
+            raise NoConvergence("forced")
+        return solve_qp(gamma_aug, qp)
+
+    monkeypatch.setattr(fusion, "solve_qp", flaky)
+    params, tires = DeploymentSpec(mu=0.75, mass_scale=1.1).apply(PARAMS, TIRES)
+    res = deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, params, tires)
+    assert res.completed
+    assert len(held) == len(res.records)  # one solve a tick
+    failed = range(9, len(held), 10)
+    assert res.qp_failures == len(failed) > 10
+    for i in failed:
+        assert not res.records[i].du_mpc.any() and res.records[i].kkt_residual == 0.0
+    for i in failed[:-1]:
+        assert held[i + 1] == held[i]
+    assert sum(any(held[i]) for i in failed) > 10  # a correction was held
 
 
 # -- fallback ----------------------------------------------------------

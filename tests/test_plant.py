@@ -166,6 +166,23 @@ def test_brake_slows_and_wheel_never_reverses():
     assert state.v_x < 6.0
 
 
+@pytest.mark.parametrize("v0, action, v_end", [
+    (2.0, Action(0.0, 0.0, plant.P_MAX), (0.0, 0.01)),
+    (0.3, Action(0.0, plant.T_MAX, 0.0), (4.0, 10.0)),
+], ids=["brake_to_standstill", "launch"])
+def test_low_speed_stays_finite_and_forward(v0, action, v_end):
+    # near standstill the wheel-spin mode is stiff (about -2540/v_x 1/s),
+    # beyond RK4's stability interval at the 1 ms substep below about
+    # 1 m/s: 3 s of full braking to a stop, and of a full-torque launch,
+    # stay finite, and neither the wheel nor the car runs backwards
+    state = PlantState.rolling(v0)
+    for _ in range(300):
+        state = step(state, action)
+        assert all(map(math.isfinite, state.dynamic_array()))
+        assert state.omega_r >= 0.0 and state.v_x >= 0.0
+    assert v_end[0] <= state.v_x < v_end[1]
+
+
 def test_steady_state_cornering_matches_linear_model():
     # low lateral acceleration: yaw-rate gain within 10% of the linear
     # bicycle prediction  r = v*delta / (L + K*v^2),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftcorner import mpc
-from driftcorner.errors import Infeasible
+from driftcorner.errors import Infeasible, NoConvergence
 from driftcorner.mpc import A_INEQ, condense, solve_box_qp, solve_qp
 from driftcorner.plant import VehicleParams
 
@@ -130,6 +130,41 @@ def test_solution_is_feasible_and_stationary(rng):
             if ok:
                 assert true_objective(trial, gamma_aug, mats) >= j0 - 1e-9
     assert bound == 6  # instances where the boxes bind
+
+
+def test_multiplier_drop_matches_dense_grid():
+    # a draw far off the reference whose working set takes a constraint
+    # that the optimum does not hold: 5 iterations end in 2 active rows,
+    # so one constraint was added and dropped again on a negative
+    # multiplier
+    gamma_aug, mats = random_instance(np.random.default_rng(734), PARAMS, 30.0)
+    _, _, sol = solve_qp(gamma_aug, condense(mats))
+    assert sol.iterations == 5 and len(sol.active) == 2
+    assert sol.kkt_residual < 1e-8
+    j_qp = true_objective(sol.z, gamma_aug, mats)
+    assert j_qp - grid_minimum(gamma_aug, mats) <= 1e-6
+
+
+def test_iteration_cap_raises_no_convergence(monkeypatch):
+    # the same draw needs 5 iterations: a cap of 4 is a failure, not an
+    # answer
+    gamma_aug, mats = random_instance(np.random.default_rng(734), PARAMS, 30.0)
+    qp = condense(mats)
+    monkeypatch.setattr(mpc, "QP_MAX_ITER", 4)
+    with pytest.raises(NoConvergence, match="4 iterations"):
+        solve_qp(gamma_aug, qp)
+    monkeypatch.setattr(mpc, "QP_MAX_ITER", 5)
+    assert solve_qp(gamma_aug, qp)[2].iterations == 5
+
+
+def test_singular_working_set_raises_no_convergence():
+    # rows 0 and 1 bind first and hold z at (1, 1), which violates row 2,
+    # a combination of them: the KKT system of all three is singular, and
+    # dropping row 2 again would only lead back to it
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    b = np.array([1.0, 1.0, 0.75])
+    with pytest.raises(NoConvergence, match=r"singular working set \[0, 1, 2\]"):
+        solve_box_qp(np.eye(2), np.array([-10.0, -5.0]), a, b)
 
 
 def test_disjoint_boxes_raise():

@@ -3,7 +3,7 @@
 import pytest
 
 from driftcorner import cli
-from driftcorner.errors import BadTrackSpec
+from driftcorner.errors import BadInputFile
 from driftcorner.fusion import PREVIEW_FILE, load_preview, save_preview
 from driftcorner.planner import PRETRAJ_FILE, load_pretrajectory, save_pretrajectory
 from driftcorner.track import TRACK_FILE, load_track, save_track
@@ -60,7 +60,7 @@ def test_a_broken_file_is_refused_naming_it(kind, fault, request, uturn, tmp_pat
     text = path.read_text()
     path.write_text(edit(text, fmt, number_line))
     assert path.read_text() != text
-    with pytest.raises(BadTrackSpec, match=words) as exc:
+    with pytest.raises(BadInputFile, match=words) as exc:
         load(path, uturn)
     assert str(exc.value).startswith(f"{path}: ")
     out = tmp_path / "out"

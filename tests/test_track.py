@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from driftcorner.errors import (
     AmbiguousProjection,
+    BadInputFile,
     BadTrackSpec,
     OffCorridor,
     OutOfRange,
@@ -224,14 +225,14 @@ def test_load_rejects_an_arc_tighter_than_the_half_width(uturn, tmp_path):
     text = path.read_text()
     path.write_text(text.replace(f"# half_width = {uturn.half_width!r}",
                                  "# half_width = 12.0"))
-    with pytest.raises(BadTrackSpec, match="radius of curvature"):
+    with pytest.raises(BadInputFile, match="radius of curvature"):
         load_track(path)
 
 
 def test_load_rejects_foreign_files(tmp_path):
     p = tmp_path / "junk.csv"
     p.write_text("s,x,y\n0,0,0\n")
-    with pytest.raises(BadTrackSpec):
+    with pytest.raises(BadInputFile):
         load_track(p)
 
 
@@ -241,7 +242,7 @@ def test_load_refuses_a_version_1_file(uturn, tmp_path):
     save_track(uturn, path)
     text = path.read_text().replace("track v2", "track v1")
     path.write_text(text + "s,x,y,heading,curvature\n0.0,0.0,0.0,0.0,0.0\n")
-    with pytest.raises(BadTrackSpec, match="build-track") as exc:
+    with pytest.raises(BadInputFile, match="build-track") as exc:
         load_track(path)
     assert str(path) in str(exc.value)
 
@@ -258,7 +259,7 @@ def test_load_refuses_a_broken_file(fault, edit, message, uturn, tmp_path):
     text = path.read_text()
     path.write_text(edit(text))
     assert path.read_text() != text
-    with pytest.raises(BadTrackSpec, match=message) as exc:
+    with pytest.raises(BadInputFile, match=message) as exc:
         load_track(path)
     assert str(path) in str(exc.value)
 
