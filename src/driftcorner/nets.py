@@ -6,12 +6,18 @@ construction.  Gradients are computed by hand (no autograd dependency)
 and verified against finite differences in the test suite.  The
 optimizer is per-parameter adaptive moment estimation.
 
-Each network keeps all of its parameters in one contiguous float64
-vector, the weights of every layer first and then the biases; the
-per-layer arrays are reshaped views of it.  Backpropagation writes the
-parameter gradients into a second vector of the same layout, so the
-optimizer and the target blend run over whole vectors, not layer by
-layer, and the gradient clip scales the gradient in place.
+Each network keeps all of its parameters in one contiguous vector, the
+weights of every layer first and then the biases; the per-layer arrays
+are reshaped views of it.  Backpropagation writes the parameter
+gradients into a second vector of the same layout, so the optimizer
+and the target blend run over whole vectors, not layer by layer, and
+the gradient clip scales the gradient in place.
+
+A network computes in the dtype of its vector.  The learner's master
+networks are float64; `float32_mirror` makes a float32 copy of the same
+layout, which the learner's batch arithmetic runs on.  `Adam` takes the
+mirror's float32 gradient into the float64 master and its float64
+moments (mixed precision: Micikevicius et al. 2018, arXiv:1710.03740).
 """
 
 from __future__ import annotations
@@ -41,11 +47,12 @@ class Mlp:
     [low, high]).
 
     The constructor copies `weights` and `biases` into one flat vector,
-    `flat`, and replaces them with views of it: writing through
-    `weights[i]` or `biases[i]` changes `flat`, and `parameters()`
-    lists the same views.  `copy()` is deep.  `grad` is the flat
-    gradient vector that `mlp_backward` fills, made on first use, so
-    target networks, which are never backpropagated, carry none.
+    `flat` (float32 if they all are, else float64), and replaces them
+    with views of it: writing through `weights[i]` or `biases[i]`
+    changes `flat`, and `parameters()` lists the same views.  `copy()`
+    is deep.  `grad` is the flat gradient vector that `mlp_backward`
+    fills, made on first use, so networks that are never
+    backpropagated carry none.
     """
 
     weights: list[np.ndarray]
@@ -58,8 +65,10 @@ class Mlp:
 
     def __post_init__(self):
         sizes = self.sizes
-        self.flat = np.concatenate(
-            [np.ravel(p) for p in (*self.weights, *self.biases)], dtype=float)
+        parts = [np.ravel(p) for p in (*self.weights, *self.biases)]
+        # float64 unless every part is float32, as in a `float32_mirror`
+        dtype = np.float32 if all(p.dtype == np.float32 for p in parts) else np.float64
+        self.flat = np.concatenate(parts, dtype=dtype)
         self.weights, self.biases = layer_views(self.flat, sizes)
 
     @property
@@ -107,12 +116,20 @@ def mlp_init(
     return Mlp(weights, biases, head, low, high)
 
 
+def float32_mirror(net: Mlp) -> Mlp:
+    """A float32 copy of `net` with the same flat layout; writing
+    ``mirror.flat[...] = net.flat`` refreshes it."""
+    bounds = [None if b is None else b.astype(np.float32) for b in (net.low, net.high)]
+    return Mlp(*layer_views(net.flat.astype(np.float32), net.sizes), net.head, *bounds)
+
+
 def mlp_forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Forward pass; returns (output, cache-for-backward).
+    """Forward pass in the dtype of `net.flat`, to which `x` is cast;
+    returns (output, cache-for-backward).
 
     x: (batch, in) or (in,)."""
     single = x.ndim == 1
-    h = np.atleast_2d(np.asarray(x, dtype=float))
+    h = np.atleast_2d(np.asarray(x, dtype=net.flat.dtype))
     cache = [h]
     n = len(net.weights)
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -139,13 +156,14 @@ def mlp_backward(
     summed over the batch.  The weight and bias gradients are the
     per-layer views of `net.grad`, overwritten by the next call on the
     same net.  `params=False` skips them and `inputs=False` skips the
-    input gradient; a skipped item is returned as None.
+    input gradient; a skipped item is returned as None.  The pass runs
+    in the dtype of `net.flat`, to which `grad_out` is cast.
 
     The pass consumes `cache`: each hidden activation's array is reused
     for the gradient with respect to it, so no batch-sized array is
     allocated per hidden layer and a forward pass serves one backward
     pass.  The input and the output entries are left as they were."""
-    g = np.atleast_2d(np.asarray(grad_out, dtype=float))
+    g = np.atleast_2d(np.asarray(grad_out, dtype=net.flat.dtype))
     n = len(net.weights)
     gw, gb = net.grad_views() if params else (None, None)
     if net.head == "bounded":
@@ -173,13 +191,12 @@ def mlp_backward(
     return gw, gb, (g @ net.weights[0].T if inputs else None)
 
 
-def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
-    """Global-norm clipping in place; returns the norm before clipping."""
-    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
+    """Global-norm clipping of a network's flat gradient in place;
+    returns the norm before clipping."""
+    norm = float(np.sqrt(np.dot(grad, grad)))
     if norm > max_norm > 0.0:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
+        grad *= max_norm / norm
     return norm
 
 
@@ -198,8 +215,10 @@ ADAM_BLOCK = 32768
 class Adam:
     """Adaptive moment estimation over one flat parameter vector.
 
-    `m` and `v` are flat moment vectors of the parameters' layout,
-    empty until the first step."""
+    `m` and `v` are flat moment vectors of the parameters' layout and
+    dtype, empty until the first step.  The gradient may be of a
+    narrower dtype (a float32 mirror's); each block of it is cast once
+    into the parameters' dtype."""
 
     lr: float = 3e-4
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -214,11 +233,13 @@ class Adam:
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
-        scratch = np.empty((2, min(ADAM_BLOCK, param.size)))
+        scratch = np.empty((3, min(ADAM_BLOCK, param.size)), dtype=param.dtype)
         for k in range(0, param.size, ADAM_BLOCK):
             block = slice(k, k + ADAM_BLOCK)
-            m, v, g, p = self.m[block], self.v[block], grad[block], param[block]
-            step, denom = scratch[:, :g.size]
+            m, v, p = self.m[block], self.v[block], param[block]
+            step, denom, g = scratch[:, :p.size]
+            # one cast per block: a mixed-dtype operation casts on every pass
+            g[...] = grad[block]
             # the operation order of m += (1-b1)*g, v += (1-b2)*g*g and
             # p -= lr*(m/b1t)/(sqrt(v/b2t)+eps), element for element
             np.multiply(g, 1.0 - ADAM_BETA1, out=step)

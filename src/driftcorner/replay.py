@@ -9,7 +9,8 @@ class ReplayBuffer:
     """Ring of (s, a, r, s', done) transitions.
 
     Oldest entries are evicted first once capacity is reached; batches
-    are drawn uniformly without replacement.
+    are drawn uniformly without replacement.  The ring stores float64;
+    a batch is cast once to float32, the learner's precision.
     """
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
@@ -36,13 +37,9 @@ class ReplayBuffer:
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        """Uniform sample without replacement within the batch."""
+        """Uniform sample without replacement within the batch, as
+        float32 (obs, act, rew, obs_next, done)."""
         n = min(batch_size, self.size)
         idx = rng.choice(self.size, size=n, replace=False)
-        return (
-            self.obs[idx],
-            self.act[idx],
-            self.rew[idx],
-            self.obs_next[idx],
-            self.done[idx],
-        )
+        return tuple(a[idx].astype(np.float32)
+                     for a in (self.obs, self.act, self.rew, self.obs_next, self.done))

@@ -3,8 +3,18 @@
 Twin critics bootstrapped through the element-wise minimum of their
 target copies, target-policy smoothing noise, delayed actor/target
 updates, and a ring replay buffer.  Everything runs on the explicit
-numpy networks in `nets`, so training is fully deterministic under a
-fixed seed.
+numpy networks in `nets`, so training is deterministic under a fixed
+seed for a given numpy and BLAS build.
+
+The six networks are kept twice.  The float64 masters are what acting,
+evaluation, the policy and the checkpoints use, and the only networks
+the Adam steps and the target blends write.  The batch updates
+(`compute_target`, `update_critics`, `update_actor_and_targets` and
+`behavior_clone`) compute in float32 on mirrors of the masters, whose
+float32 gradients Adam takes into the float64 masters and moments.
+Every write to a master is followed, in the same function, by one cast
+of it into its mirror, so a mirror always equals its master cast to
+float32.
 """
 
 from __future__ import annotations
@@ -20,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .envs import episode, run_episode
-from .nets import (Adam, Mlp, clip_gradients, layer_views, mlp_backward, mlp_forward,
-                   mlp_init, soft_update)
+from .nets import (Adam, Mlp, clip_gradients, float32_mirror, layer_views, mlp_backward,
+                   mlp_forward, mlp_init, soft_update)
 from .replay import ReplayBuffer
 
 log = logging.getLogger(__name__)
@@ -43,6 +53,8 @@ BC_STEPS = 4000  # supervised batches of the first behavior-cloning fit
 BC_BATCH = 256  # labels per behavior-cloning batch
 ACTOR_FREEZE = 10000  # critic updates with the actor held after imitation
 EVAL_EVERY = 50  # episodes between greedy evaluation rollouts
+_NETS = ("actor", "critic1", "critic2",
+         "target_actor", "target_critic1", "target_critic2")
 
 
 @dataclass(frozen=True)
@@ -69,6 +81,11 @@ class Td3Hyperparams:
 
 @dataclass
 class Td3State:
+    """The learner: the six float64 master networks and their optimizers,
+    the replay buffer, the generator and the counters.  `mirror` maps
+    each network's name to its float32 mirror, built with the state;
+    it is not stored in checkpoints nor summed by `checksum()`."""
+
     actor: Mlp
     critic1: Mlp
     critic2: Mlp
@@ -88,6 +105,10 @@ class Td3State:
     actor_updates: int = 0
     env_steps: int = 0
     clip_events: int = 0
+    mirror: dict[str, Mlp] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.mirror = {name: float32_mirror(getattr(self, name)) for name in _NETS}
 
     def checksum(self) -> float:
         return (self.actor.checksum() + self.critic1.checksum()
@@ -129,7 +150,14 @@ def _act_norm(a: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
 
 
 def _critic_input(obs: np.ndarray, act: np.ndarray, low, high) -> np.ndarray:
-    return np.concatenate([obs, _act_norm(act, low, high)], axis=-1)
+    """The float32 critic input of observations and actions."""
+    return np.concatenate([obs, _act_norm(act, low, high)], axis=-1, dtype=np.float32)
+
+
+def _refresh(state: Td3State, *names: str) -> None:
+    """Cast each named master network into its float32 mirror."""
+    for name in names:
+        state.mirror[name].flat[...] = getattr(state, name).flat
 
 
 def select_action(
@@ -148,9 +176,11 @@ def select_action(
 
 def compute_target(batch, state: Td3State, hp: Td3Hyperparams) -> np.ndarray:
     """Bootstrap targets: smoothed target-policy action, then the
-    element-wise minimum of the two target critics.  `hp` is unused."""
+    element-wise minimum of the two target critics, computed on their
+    float32 mirrors.  `hp` is unused."""
     _, _, rew, obs_next, done = batch
-    a_next, _ = mlp_forward(state.target_actor, obs_next)
+    mirror = state.mirror
+    a_next, _ = mlp_forward(mirror["target_actor"], obs_next)
     span = state.high - state.low
     noise = np.clip(
         state.rng.normal(0.0, 1.0, a_next.shape) * (SIGMA_TARGET * span),
@@ -158,16 +188,16 @@ def compute_target(batch, state: Td3State, hp: Td3Hyperparams) -> np.ndarray:
     )
     a_next = np.clip(a_next + noise, state.low, state.high)
     x = _critic_input(obs_next, a_next, state.low, state.high)
-    q1, _ = mlp_forward(state.target_critic1, x)
-    q2, _ = mlp_forward(state.target_critic2, x)
+    q1, _ = mlp_forward(mirror["target_critic1"], x)
+    q2, _ = mlp_forward(mirror["target_critic2"], x)
     q_min = np.minimum(q1[:, 0], q2[:, 0])
     return rew + GAMMA * (1.0 - done) * q_min
 
 
-def _clip(state: Td3State, grads: list[np.ndarray]) -> None:
-    """Clip one network's gradient to `GRAD_CLIP` in place, counting
+def _clip(state: Td3State, grad: np.ndarray) -> None:
+    """Clip one network's flat gradient to `GRAD_CLIP` in place, counting
     each clip in `state.clip_events` and logging one in every 1000."""
-    norm = clip_gradients(grads, GRAD_CLIP)
+    norm = clip_gradients(grad, GRAD_CLIP)
     if norm > GRAD_CLIP:
         state.clip_events += 1
         if state.clip_events % 1000 == 1:
@@ -182,15 +212,16 @@ def update_critics(state: Td3State, batch, y: np.ndarray) -> tuple[float, float]
     x = _critic_input(obs, act, state.low, state.high)
     n = len(y)
     losses = []
-    for critic, opt in ((state.critic1, state.opt_critic1),
-                        (state.critic2, state.opt_critic2)):
+    for name, opt in (("critic1", state.opt_critic1),
+                      ("critic2", state.opt_critic2)):
+        critic = state.mirror[name]
         q, cache = mlp_forward(critic, x)
         err = q[:, 0] - y
         losses.append(float(np.mean(err * err)))
-        gw, gb, _ = mlp_backward(critic, cache, (2.0 * err / n)[:, None],
-                                 inputs=False)
-        _clip(state, gw + gb)
-        opt.step(critic.flat, critic.grad)
+        mlp_backward(critic, cache, (2.0 * err / n)[:, None], inputs=False)
+        _clip(state, critic.grad)
+        opt.step(getattr(state, name).flat, critic.grad)
+        _refresh(state, name)
     state.critic_updates += 1
     return losses[0], losses[1]
 
@@ -199,20 +230,21 @@ def update_actor_and_targets(state: Td3State, batch) -> None:
     """Actor ascent on the first critic's value, then soft target updates."""
     obs = batch[0]
     n = len(obs)
-    a, cache_a = mlp_forward(state.actor, obs)
-    x = np.concatenate([obs, _act_norm(a, state.low, state.high)], axis=-1)
-    _, cache_q = mlp_forward(state.critic1, x)
+    actor, critic1 = state.mirror["actor"], state.mirror["critic1"]
+    a, cache_a = mlp_forward(actor, obs)
+    _, cache_q = mlp_forward(critic1, _critic_input(obs, a, state.low, state.high))
     # Maximize mean Q: push -dQ/da back through the actor.
-    _, _, g_in = mlp_backward(state.critic1, cache_q,
-                              np.full((n, 1), -1.0 / n), params=False)
+    _, _, g_in = mlp_backward(critic1, cache_q, np.full((n, 1), -1.0 / n),
+                              params=False)
     g_a = g_in[:, obs.shape[1]:] * (2.0 / (state.high - state.low))
-    gw, gb, _ = mlp_backward(state.actor, cache_a, g_a, inputs=False)
-    _clip(state, gw + gb)
-    state.opt_actor.step(state.actor.flat, state.actor.grad)
+    mlp_backward(actor, cache_a, g_a, inputs=False)
+    _clip(state, actor.grad)
+    state.opt_actor.step(state.actor.flat, actor.grad)
     state.actor_updates += 1
     soft_update(state.target_actor, state.actor, TAU)
     soft_update(state.target_critic1, state.critic1, TAU)
     soft_update(state.target_critic2, state.critic2, TAU)
+    _refresh(state, "actor", "target_actor", "target_critic1", "target_critic2")
 
 
 def behavior_clone(state: Td3State, steps: int, dataset) -> float:
@@ -226,20 +258,22 @@ def behavior_clone(state: Td3State, steps: int, dataset) -> float:
     """
     mse = float("nan")
     span = state.high - state.low
+    actor = state.mirror["actor"]
     for _ in range(steps):
         idx = state.rng.integers(0, len(dataset[0]), BC_BATCH)
         obs, act = dataset[0][idx], dataset[1][idx]
-        out, cache = mlp_forward(state.actor, obs)
+        out, cache = mlp_forward(actor, obs)
         # regress in normalized action space so no dimension's physical
         # units dominate the loss (or the gradient clip)
         err = (out - act) * (2.0 / span)
         mse = float(np.mean(err**2))
-        gw, gb, _ = mlp_backward(state.actor, cache,
-                                 err * (2.0 / span) * (2.0 / len(err)),
-                                 inputs=False)
-        _clip(state, gw + gb)
-        state.opt_actor.step(state.actor.flat, state.actor.grad)
+        mlp_backward(actor, cache, err * (2.0 / span) * (2.0 / len(err)),
+                     inputs=False)
+        _clip(state, actor.grad)
+        state.opt_actor.step(state.actor.flat, actor.grad)
+        _refresh(state, "actor")
     soft_update(state.target_actor, state.actor, 1.0)
+    _refresh(state, "target_actor")
     return mse
 
 
@@ -265,8 +299,6 @@ class Policy:
 # -- checkpoints ------------------------------------------------------
 
 
-_NETS = ("actor", "critic1", "critic2",
-         "target_actor", "target_critic1", "target_critic2")
 _OPTS = ("opt_actor", "opt_critic1", "opt_critic2")
 _ARRAYS = (*_NETS, *(f"{name}_{moment}" for name in _OPTS for moment in "mv"),
            "low", "high", "obs_scale")

@@ -97,16 +97,17 @@ def test_forward_single_and_batch_agree():
     assert single.shape == (2,)
 
 
-def test_gradient_clipping():
-    grads = [np.full(4, 3.0), np.full(3, -4.0)]
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_gradient_clipping(dtype):
+    # one network's flat gradient, in the master's and the mirror's dtype
+    grad = np.concatenate([np.full(4, 3.0), np.full(3, -4.0)]).astype(dtype)
     norm0 = np.sqrt(4 * 9.0 + 3 * 16.0)
-    assert clip_gradients(grads, 1.0) == pytest.approx(norm0)
-    total = np.sqrt(sum(np.sum(g * g) for g in grads))  # scaled in place
-    assert total == pytest.approx(1.0)
-    before = [g.copy() for g in grads]
-    assert clip_gradients(grads, 1e9) == pytest.approx(1.0)
-    for g, b in zip(grads, before):
-        np.testing.assert_array_equal(g, b)
+    assert clip_gradients(grad, 1.0) == pytest.approx(norm0)
+    assert np.sqrt(np.sum(grad * grad)) == pytest.approx(1.0)  # scaled in place
+    assert grad.dtype == dtype
+    before = grad.copy()
+    assert clip_gradients(grad, 1e9) == pytest.approx(1.0)
+    np.testing.assert_array_equal(grad, before)
 
 
 def test_adam_first_step_is_signed_lr():

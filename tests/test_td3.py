@@ -12,7 +12,7 @@ import pytest
 from driftcorner import td3
 from driftcorner.baseline import BaselineTracker
 from driftcorner.envs import ACTION_HIGH, ACTION_LOW, OBS_DIM, DriftEnv, run_episode
-from driftcorner.nets import mlp_forward
+from driftcorner.nets import mlp_backward, mlp_forward
 from driftcorner.replay import ReplayBuffer
 from driftcorner.td3 import (
     Policy,
@@ -127,11 +127,13 @@ def test_target_uses_minimum_of_twin_critics(monkeypatch):
     batch = _fake_batch(state)
     y = compute_target(batch, state, state.hp)
     obs, act, rew, obs_next, done = batch
-    a_next, _ = mlp_forward(state.target_actor, obs_next)
+    # the reference runs on the same float32 mirrors the learner computes on
+    mirror = state.mirror
+    a_next, _ = mlp_forward(mirror["target_actor"], obs_next)
     x = np.concatenate([obs_next, 2 * (a_next - state.low)
                         / (state.high - state.low) - 1], axis=-1)
-    q1, _ = mlp_forward(state.target_critic1, x)
-    q2, _ = mlp_forward(state.target_critic2, x)
+    q1, _ = mlp_forward(mirror["target_critic1"], x)
+    q2, _ = mlp_forward(mirror["target_critic2"], x)
     want = rew + td3.GAMMA * (1 - done) * np.minimum(q1[:, 0], q2[:, 0])
     np.testing.assert_allclose(y, want, atol=1e-12)
     # the minimum actually binds on some rows in both directions
@@ -281,42 +283,44 @@ def test_training_is_seed_deterministic():
     assert p3.checksum() != p1.checksum()
 
 
-def test_seeded_uturn_training_matches_recorded_checksum(uturn, uturn_pretraj):
-    # six 1.5 s episodes on the U-turn (300 random warm-up steps, then
-    # learning) pin the whole loop: plant, projection, reward, replay and
-    # updates; recorded with the numpy-indexing plant kernel (numpy 2.4,
-    # OpenBLAS)
+# The TD3 goldens, recorded with the numpy-indexing plant kernel (numpy
+# 2.4, OpenBLAS); `PYTHONPATH=src python tests/test_td3.py` prints what
+# this build computes for each, to re-record them.
+UTURN_GOLDEN = (532, 45.11612520855356)  # env steps, checksum
+DEMONSTRATION_GOLDEN = (2400, 44.418166667689874)  # env steps, checksum
+# actor updates, clip events, checksum, digest
+FULL_SIZE_GOLDEN = (120, 45, 148.56307344780882, "6f3602a98f646555")
+
+
+def uturn_run(uturn, uturn_pretraj):
+    """Six 1.5 s episodes on the U-turn (300 random warm-up steps, then
+    learning): pin the whole loop: plant, projection, reward, replay and
+    updates."""
     hp = Td3Hyperparams(warmup=300, batch_size=64, hidden=(32, 32))
     _, _, state = train(lambda: DriftEnv(uturn, uturn_pretraj, time_cap=1.5),
                         hp, episodes=6, seed=3)
-    assert state.env_steps == 532
-    assert state.checksum() == 45.11612520855356
+    return state.env_steps, state.checksum()
 
 
-def test_seeded_demonstration_training_matches_recorded_checksum(uturn,
-                                                                 uturn_pretraj):
-    # two demonstrated episodes, the first cloning fit, the DAgger episodes
-    # with their top-up fits, then learning: pins the demonstrator's labels
-    # and every draw of the imitation path; recorded as the test above
+def demonstration_run(uturn, uturn_pretraj):
+    """Two demonstrated episodes, the first cloning fit, the DAgger
+    episodes with their top-up fits, then learning with the actor
+    frozen: pin the demonstrator's labels and every draw of the
+    imitation path."""
     hp = Td3Hyperparams(warmup=300, batch_size=64, hidden=(32, 32))
     demo = BaselineTracker(uturn, uturn_pretraj, speed_factor=0.88)
     _, _, state = train(lambda: DriftEnv(uturn, uturn_pretraj, time_cap=1.5),
                         hp, episodes=16, seed=3, demo_policy=demo,
                         demo_episodes=2)
-    assert state.env_steps == 2400
-    assert state.checksum() == 44.418166667689874
+    return state.env_steps, state.checksum()
 
 
-def test_full_size_learner_matches_recorded_checksum():
-    # the benchmark's learner shape, default hidden (256, 256) and batch
-    # 256, on a seeded replay buffer: a short behavior-cloning fit, then
-    # 240 learning steps whose reward scale clips some of the gradients;
-    # recorded with numpy 2.4 and OpenBLAS.  The checksum is a sum, blind
-    # to last-bit changes of single weights, so a digest of every
-    # parameter and Adam moment pins the state bit for bit.
-    hp = Td3Hyperparams(buffer_size=4096)
-    state = td3_init(OBS_DIM, ACTION_LOW, ACTION_HIGH, hp, seed=17)
-    rng = np.random.default_rng(18)
+def _full_size_state(seed=17):
+    """The benchmark's learner shape, default hidden (256, 256) and batch
+    256, with 2048 seeded transitions in its replay buffer."""
+    state = td3_init(OBS_DIM, ACTION_LOW, ACTION_HIGH, Td3Hyperparams(buffer_size=4096),
+                     seed=seed)
+    rng = np.random.default_rng(seed + 1)
     n = 2048
     obs = rng.normal(size=(n, OBS_DIM))
     act = rng.uniform(ACTION_LOW, ACTION_HIGH, size=(n, len(ACTION_LOW)))
@@ -325,16 +329,24 @@ def test_full_size_learner_matches_recorded_checksum():
     done = (rng.random(n) < 0.05).astype(float)
     for row in zip(obs, act, rew, obs_next, done):
         state.buffer.add(*row)
-    behavior_clone(state, 8, dataset=(obs, act))
+    return state, (obs, act)
+
+
+def full_size_run():
+    """A short behavior-cloning fit of the full-size learner, then 240
+    learning steps whose reward scale clips some of the gradients.  The
+    checksum is a sum, blind to last-bit changes of single weights, so a
+    digest of every parameter and Adam moment pins the state bit for
+    bit."""
+    state, demos = _full_size_state()
+    hp = state.hp
+    behavior_clone(state, 8, dataset=demos)
     for _ in range(240):
         batch = state.buffer.sample(hp.batch_size, state.rng)
         y = compute_target(batch, state, hp)
         update_critics(state, batch, y)
         if state.critic_updates % hp.policy_delay == 0:
             update_actor_and_targets(state, batch)
-    assert state.actor_updates == 120
-    assert state.clip_events == 45
-    assert state.checksum() == 148.56307344780882
     digest = hashlib.sha256()
     for net in (state.actor, state.critic1, state.critic2, state.target_actor,
                 state.target_critic1, state.target_critic2):
@@ -342,7 +354,92 @@ def test_full_size_learner_matches_recorded_checksum():
     for key in ("m", "v"):
         for opt in (state.opt_actor, state.opt_critic1, state.opt_critic2):
             digest.update(getattr(opt, key).tobytes())
-    assert digest.hexdigest()[:16] == "6f3602a98f646555"
+    return (state.actor_updates, state.clip_events, state.checksum(),
+            digest.hexdigest()[:16])
+
+
+def test_seeded_uturn_training_matches_recorded_checksum(uturn, uturn_pretraj):
+    assert uturn_run(uturn, uturn_pretraj) == UTURN_GOLDEN
+
+
+def test_seeded_demonstration_training_matches_recorded_checksum(uturn,
+                                                                 uturn_pretraj):
+    assert demonstration_run(uturn, uturn_pretraj) == DEMONSTRATION_GOLDEN
+
+
+def test_full_size_learner_matches_recorded_checksum():
+    assert full_size_run() == FULL_SIZE_GOLDEN
+
+
+def _assert_mirrors_equal_masters(state):
+    for name in td3._NETS:
+        master, mirror = getattr(state, name), state.mirror[name]
+        assert mirror.flat.dtype == np.float32
+        np.testing.assert_array_equal(mirror.flat, master.flat.astype(np.float32))
+        if master.head == "bounded":
+            np.testing.assert_array_equal(mirror.low, master.low.astype(np.float32))
+            np.testing.assert_array_equal(mirror.high, master.high.astype(np.float32))
+
+
+def test_mirrors_equal_their_masters_after_training_and_loading(monkeypatch,
+                                                                tmp_path):
+    obs = np.random.default_rng(1).uniform(-1, 1, size=(64, 2))
+    state = _toy_state()
+    behavior_clone(state, 3, dataset=(obs, 0.5 * obs[:, :1]))
+    _assert_mirrors_equal_masters(state)
+    # demonstrations, the cloning fits, DAgger, the actor freeze and then
+    # actor updates: every path that writes a master
+    monkeypatch.setattr(td3, "DAGGER_EPISODES", 2)
+    monkeypatch.setattr(td3, "BC_STEPS", 40)
+    monkeypatch.setattr(td3, "ACTOR_FREEZE", 30)
+    hp = Td3Hyperparams(warmup=100, batch_size=32, hidden=(16, 16), buffer_size=5000)
+    _, _, state = train(ReachEnv, hp, episodes=10, seed=2,
+                        demo_policy=lambda obs, _: np.clip(-0.8 * obs[:1] - 0.5 * obs[1:],
+                                                           -1.0, 1.0),
+                        demo_episodes=2)
+    assert 0 < state.actor_updates < state.critic_updates // hp.policy_delay
+    _assert_mirrors_equal_masters(state)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(state, path)
+    back = load_checkpoint(path)
+    _assert_mirrors_equal_masters(back)
+    for name in td3._NETS:
+        np.testing.assert_array_equal(back.mirror[name].flat, state.mirror[name].flat)
+
+
+def test_float32_gradients_agree_with_the_float64_masters(monkeypatch):
+    # the gradients the learner hands Adam, against the same gradients
+    # computed on the float64 masters: within 64 float32 epsilons of the
+    # largest entry (a seeded full-size batch reads 2 to 4)
+    grads = []
+    monkeypatch.setattr(td3.Adam, "step", lambda opt, param, grad: grads.append(grad.copy()))
+    monkeypatch.setattr(td3, "GRAD_CLIP", np.inf)
+    state, _ = _full_size_state()
+    batch = state.buffer.sample(state.hp.batch_size, state.rng)
+    update_critics(state, batch, batch[2])
+    update_actor_and_targets(state, batch)
+
+    obs, act, rew = (b.astype(float) for b in batch[:3])
+    n, span = len(obs), state.high - state.low
+    x = np.concatenate([obs, 2.0 * (act - state.low) / span - 1.0], axis=1)
+    want = []
+    for critic in (state.critic1, state.critic2):
+        q, cache = mlp_forward(critic, x)
+        mlp_backward(critic, cache, (2.0 * (q[:, 0] - rew) / n)[:, None], inputs=False)
+        want.append(critic.grad)
+    a, cache_a = mlp_forward(state.actor, obs)
+    x = np.concatenate([obs, 2.0 * (a - state.low) / span - 1.0], axis=1)
+    _, cache_q = mlp_forward(state.critic1, x)
+    _, _, g_in = mlp_backward(state.critic1, cache_q, np.full((n, 1), -1.0 / n),
+                              params=False)
+    mlp_backward(state.actor, cache_a, g_in[:, OBS_DIM:] * (2.0 / span), inputs=False)
+    want.append(state.actor.grad)
+
+    assert len(grads) == 3
+    tol = 64 * np.finfo(np.float32).eps
+    for got, ref in zip(grads, want):
+        assert got.dtype == np.float32 and ref.dtype == np.float64
+        assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
 
 
 def test_toy_reach_task_learned_within_200_episodes():
@@ -513,3 +610,17 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     p_res, log_b, _ = train(ReachEnv, TOY_HP, episodes=6, seed=5,
                             state=resumed)
     assert p_res.checksum() == pytest.approx(p_full.checksum(), abs=1e-12)
+
+
+if __name__ == "__main__":
+    from driftcorner.planner import plan_pretrajectory
+    from driftcorner.track import build_library_track
+
+    geometry = build_library_track("uturn")
+    pretraj = plan_pretrajectory(geometry)
+    for name, recorded, run in (
+            ("UTURN_GOLDEN", UTURN_GOLDEN, lambda: uturn_run(geometry, pretraj)),
+            ("DEMONSTRATION_GOLDEN", DEMONSTRATION_GOLDEN,
+             lambda: demonstration_run(geometry, pretraj)),
+            ("FULL_SIZE_GOLDEN", FULL_SIZE_GOLDEN, full_size_run)):
+        print(f"{name} = {run()!r}  # recorded {recorded!r}")
