@@ -136,8 +136,11 @@ def generate_preview(
     track_id: str = "custom",
 ) -> PreviewTrajectory:
     """Deterministic closed-loop rollout of the policy in the training
-    plant; fails (rather than returning junk) if the rollout does not
-    complete the corner."""
+    plant from the entry speed `v_ini`; fails (rather than returning
+    junk) if the rollout does not complete the corner.  A `v_ini`
+    outside (0, inf) is a ValueError."""
+    if not 0.0 < v_ini < math.inf:
+        raise ValueError(f"v_ini must be finite and positive, got {v_ini!r}")
     env = DriftEnv(track, pretraj, tires=tires, params=params)
     rows, t = [], 0.0
     for obs, st, act, _, _, result in episode(policy, env, nominal=True, v0=v_ini):

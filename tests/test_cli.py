@@ -326,6 +326,25 @@ def test_mu_sweep_refuses_fewer_than_one_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("v_ini", ["-1", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["preview", "--kind", "uturn", "--policy", "{ckpt}", "--out", "{out}/preview.txt"],
+    ["compare", "--kind", "uturn", "--policy", "{ckpt}", "--out", "{out}"],
+    ["mu-sweep", "--policy-uturn", "{ckpt}", "--out", "{out}"],
+])
+def test_an_entry_speed_outside_zero_to_infinity_is_refused(argv, v_ini, tmp_path,
+                                                            capsys):
+    # -1 started the car rolling backwards and wrote a preview of v_ini -1.0
+    ckpt, out = tmp_path / "policy.npz", tmp_path / "out"
+    td3.save_checkpoint(td3.td3_init(3, [-1.0], [1.0], td3.Td3Hyperparams(
+        hidden=(4,), batch_size=1, buffer_size=1)), ckpt)
+    argv = [arg.format(ckpt=ckpt, out=out) for arg in argv] + ["--v-ini", v_ini]
+    assert cli.main(argv) == 3
+    value = float(v_ini)
+    assert f"v_ini must be finite and positive, got {value!r}" in capsys.readouterr().err
+    assert not (out / "preview.txt").exists()
+
+
 def test_pretraj_help_is_the_same_on_every_subcommand():
     sub = cli.build_parser()._subparsers._group_actions[0].choices
     helps = {name: next(a.help for a in p._actions if a.dest == "pretraj")
