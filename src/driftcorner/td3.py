@@ -53,6 +53,7 @@ BC_STEPS = 4000  # supervised batches of the first behavior-cloning fit
 BC_BATCH = 256  # labels per behavior-cloning batch
 ACTOR_FREEZE = 10000  # critic updates with the actor held after imitation
 EVAL_EVERY = 50  # episodes between greedy evaluation rollouts
+# the six networks, by their `Td3State` field names
 _NETS = ("actor", "critic1", "critic2",
          "target_actor", "target_critic1", "target_critic2")
 
