@@ -13,40 +13,110 @@ import pytest
 
 import driftcorner
 from driftcorner import cli, td3
-from driftcorner.envs import EpisodeResult
-from driftcorner.fusion import DeployResult, params_digest, save_preview
+from driftcorner.envs import TRACE_COLUMNS, EpisodeResult, run_episode
+from driftcorner.fusion import (
+    DeployResult,
+    completion_degrees,
+    deploy_run,
+    params_digest,
+    save_preview,
+)
 from driftcorner.planner import load_pretrajectory, save_pretrajectory
 from driftcorner.plant import TireParams, VehicleParams
-from driftcorner.track import load_track, save_track
+from driftcorner.track import LIBRARY_KINDS, build_library_track, load_track, save_track
+
+
+def _csv(header, rows) -> str:
+    """The text of a comma-separated file: a header line, then one line
+    per row of string cells."""
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])
 
 
 @pytest.fixture(scope="module")
-def mismatch_run_dir(uturn_preview8, tmp_path_factory):
-    """Run directory of a U-turn deploy with less grip and more mass."""
+def mismatch_run(uturn_preview8, tmp_path_factory):
+    """Run directory of a U-turn deploy with less grip and more mass, and
+    the `DeployResult` the command wrote it from."""
     tmp = tmp_path_factory.mktemp("mismatch")
     preview = tmp / "preview.txt"
     save_preview(uturn_preview8, preview)
     out = tmp / "deploy"
-    assert cli.main(["deploy", "--kind", "uturn", "--preview", str(preview),
-                     "--mu-deploy", "0.75", "--mass-scale", "1.1",
-                     "--out", str(out)]) == 0
-    return out
+    results = []
+
+    def keep(*args, **kwargs):
+        results.append(deploy_run(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "deploy_run", keep)
+        assert cli.main(["deploy", "--kind", "uturn", "--preview", str(preview),
+                         "--mu-deploy", "0.75", "--mass-scale", "1.1",
+                         "--out", str(out)]) == 0
+    [res] = results
+    return out, res
 
 
-def test_deploy_completes_under_mismatch(mismatch_run_dir):
-    summary = (mismatch_run_dir / "summary.txt").read_text()
+def test_deploy_completes_under_mismatch(mismatch_run):
+    summary = (mismatch_run[0] / "summary.txt").read_text()
     assert "chi=1" in summary and "qp_failures=0" in summary
 
 
-def test_export_plots_writes_every_panel(mismatch_run_dir, capsys):
-    assert cli.main(["export-plots", "--run-dir", str(mismatch_run_dir)]) == 0
+def test_trace_csv_holds_the_episode_trace(mismatch_run):
+    run_dir, res = mismatch_run
+    assert (run_dir / "trace.csv").read_text() == _csv(
+        TRACE_COLUMNS, ([f"{v:.6g}" for v in row] for row in res.episode.trace))
+
+
+def test_deploy_csv(mismatch_run):
+    run_dir, res = mismatch_run
+    text = (run_dir / "deploy.csv").read_text()
+    lines = text.splitlines()
+    assert lines[0] == (
+        "t,a_rl_delta,a_rl_trt,a_rl_pb,du_delta,du_trt,du_pb,"
+        "ut_delta,ut_trt,ut_pb,applied_delta,applied_trt,applied_pb,"
+        "fallback,compute_ms,kkt_residual")
+    assert len(lines) == len(res.records) + 1
+    kkt = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
+    assert kkt == pytest.approx([r.kkt_residual for r in res.records],
+                                rel=1e-3, abs=0.0)
+    assert text == _csv(lines[0].split(","), (
+        [f"{r.t:.3f}", *(f"{v:.6g}" for v in (*r.a_rl, *r.du_mpc, *r.u_t, *r.applied)),
+         str(int(r.fallback)), f"{r.compute_ms:.4f}", f"{r.kkt_residual:.3e}"]
+        for r in res.records))
+
+
+def test_export_plots_writes_every_panel(mismatch_run, capsys):
+    run_dir = mismatch_run[0]
+    assert cli.main(["export-plots", "--run-dir", str(run_dir)]) == 0
     assert capsys.readouterr().out.startswith(f"wrote {', '.join(cli._PANELS)}")
-    ticks = len((mismatch_run_dir / "deploy.csv").read_text().splitlines())
-    for name, (_, columns) in cli._PANELS.items():
-        lines = (mismatch_run_dir / name).read_text().splitlines()
+    ticks = len((run_dir / "deploy.csv").read_text().splitlines())
+    for name, (source, columns) in cli._PANELS.items():
+        lines = (run_dir / name).read_text().splitlines()
         assert lines[0] == ",".join(columns)
         assert len(lines) == ticks
         assert all(len(line.split(",")) == len(columns) for line in lines)
+        cells = [line.split(",") for line in (run_dir / source).read_text().splitlines()]
+        picks = [cells[0].index(c) for c in columns]
+        assert (run_dir / name).read_text() == _csv(
+            columns, ([row[i] for i in picks] for row in cells[1:]))
+
+
+def test_table1_csv_and_stdout_hold_each_run(monkeypatch, tmp_path, capsys):
+    runs = []
+
+    def keep(*args, **kwargs):
+        runs.append(run_episode(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_episode", keep)
+    out = tmp_path / "table1"
+    assert cli.main(["table1", "--tracker", "--out", str(out)]) == 0
+    scenarios = [f"{kind} / {variant}" for kind in LIBRARY_KINDS
+                 for variant in ("centerline", "planned")]
+    expected = _csv(["scenario", "completed", "time_s", "s_final_m"], (
+        [name, str(r.chi), f"{r.t_f:.2f}", f"{r.s_final:.1f}"]
+        for name, r in zip(scenarios, runs, strict=True)))
+    assert (out / "table1.csv").read_text() == expected
+    assert capsys.readouterr().out == expected
 
 
 def test_build_track_then_plan_on_it(uturn, uturn_pretraj, tmp_path, capsys):
@@ -456,6 +526,89 @@ def test_options_without_effect_are_rejected(argv, option, capsys):
     assert option[0] in capsys.readouterr().err
 
 
+def _deployed(chi, status, t_f, completion_deg, total_deg):
+    return DeployResult(episode=_episode(chi, status, t_f), records=[],
+                        fallback_events=0, mean_tick_ms=0.0,
+                        completion_deg=completion_deg, total_deg=total_deg)
+
+
+def test_compare_csv_and_table_hold_the_four_rows(monkeypatch, tmp_path, capsys):
+    # raw RL completes in the training plant and crashes in the
+    # deployment plant; MPC-only runs off the track, the fusion completes
+    episodes = iter([_episode(1, "completed", 18.2), _episode(0, "crashed", 12.79)])
+    deploys = iter([_deployed(0, "off_corridor", 9.1, 97.3, 180.0),
+                    _deployed(1, "completed", 17.5, 180.0, 180.0)])
+    monkeypatch.setattr(cli, "policy_from_checkpoint", lambda path: None)
+    monkeypatch.setattr(cli, "generate_preview", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli, "run_episode", lambda *args, **kwargs: next(episodes))
+    monkeypatch.setattr(cli, "deploy_run", lambda *args, **kwargs: next(deploys))
+    policy = tmp_path / "policy.npz"
+    policy.write_bytes(b"stub")
+    out = tmp_path / "compare"
+    assert cli.main(["compare", "--kind", "uturn", "--policy", str(policy),
+                     "--mu-deploy", "0.75", "--out", str(out)]) == 0
+    uturn = build_library_track("uturn")
+    rows = [
+        cli._episode_row("RL policy (training plant)", _episode(1, "completed", 18.2),
+                         *completion_degrees(uturn, 94.65)),
+        cli._episode_row("RL policy (deployment plant)", _episode(0, "crashed", 12.79),
+                         *completion_degrees(uturn, 94.65)),
+        cli._episode_row("MPC tracking (deployment plant)",
+                         _episode(0, "off_corridor", 9.1), 97.3, 180.0),
+        cli._episode_row("Fused RL+MPC (deployment plant)",
+                         _episode(1, "completed", 17.5), 180.0, 180.0),
+    ]
+    assert (out / "compare.csv").read_text() == _csv(["Policy", *cli.TABLE_COLUMNS], rows)
+    assert capsys.readouterr().out == (
+        "Policy                          | Task Completion (deg) | Max. speed (m/s) "
+        "| Max. side-slip angle (deg) | Total time (s)\n"
+        "--------------------------------+-----------------------+------------------"
+        "+----------------------------+---------------\n"
+        "RL policy (training plant)      | 180/180               | 9.00             "
+        "| 5.7                        | 18.20         \n"
+        "RL policy (deployment plant)    | 180/180 (crashed)     | 9.00             "
+        "| 5.7                        | N/A           \n"
+        "MPC tracking (deployment plant) | 97/180 (off_corridor) | 9.00             "
+        "| 5.7                        | N/A           \n"
+        "Fused RL+MPC (deployment plant) | 180/180               | 9.00             "
+        "| 5.7                        | 17.50         \n")
+
+
+def test_mu_sweep_csv_holds_the_median_time_or_the_furthest_run(monkeypatch, tmp_path,
+                                                                capsys):
+    # per mu, how many of the five seeds complete (seed < n), each in
+    # base + seed / 2 seconds; a run that does not complete sweeps
+    # base / 2 + seed * 10 degrees of the task's total
+    completes = {0.95: 5, 0.85: 5, 0.75: 3, 0.65: 2, 0.55: 0}
+    base = {"uturn": 20.0, "right_angle": 15.0}
+    total = {"uturn": 180.0, "right_angle": 90.0}
+
+    def stub(kind, track, pre, params, dep_params, dep_tires, seed, nominal):
+        assert nominal is False
+        if seed < completes[dep_tires.mu]:
+            return _deployed(1, "completed", base[kind] + seed / 2, total[kind], total[kind])
+        return _deployed(0, "crashed", 5.0, base[kind] / 2 + seed * 10, total[kind])
+
+    monkeypatch.setattr(cli, "policy_from_checkpoint", lambda path: None)
+    monkeypatch.setattr(cli, "generate_preview", lambda *args, track_id, **kwargs: track_id)
+    monkeypatch.setattr(cli, "deploy_run", stub)
+    uturn, right_angle = tmp_path / "uturn.npz", tmp_path / "right_angle.npz"
+    uturn.write_bytes(b"stub")
+    right_angle.write_bytes(b"stub")
+    out = tmp_path / "sweep"
+    assert cli.main(["mu-sweep", "--policy-uturn", str(uturn), "--policy-right-angle",
+                     str(right_angle), "--out", str(out)]) == 0
+    expected = _csv(["mu", "uturn", "right_angle"], [
+        ["0.95", "21.00", "16.00"],
+        ["0.85", "21.00", "16.00"],
+        ["0.75", "20.50", "15.50"],
+        ["0.65", "N/A (180/180)", "N/A (90/90)"],
+        ["0.55", "N/A (50/180)", "N/A (48/90)"],
+    ])
+    assert (out / "mu_sweep.csv").read_text() == expected
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("seed_args, seed, nominal", [
     ([], None, True),
     (["--seed", "3"], 3, False),
@@ -467,9 +620,7 @@ def test_deploy_seed_means_a_randomized_start(seed_args, seed, nominal, monkeypa
 
     def stub(*args, **kwargs):
         calls.append(kwargs)
-        return DeployResult(episode=_episode(1, "completed", 18.2), records=[],
-                            fallback_events=0, mean_tick_ms=0.0,
-                            completion_deg=180.0, total_deg=180.0)
+        return _deployed(1, "completed", 18.2, 180.0, 180.0)
 
     monkeypatch.setattr(cli, "deploy_run", stub)
     preview = tmp_path / "preview.txt"

@@ -20,7 +20,6 @@ from driftcorner.fusion import (
     load_preview,
     params_digest,
     save_preview,
-    write_deploy_csv,
 )
 from driftcorner.mpc import (
     Q,
@@ -394,17 +393,3 @@ def test_completion_degrees(uturn):
     assert deg == pytest.approx(90.0)
     assert completion_degrees(uturn, 0.0)[0] == 0.0
     assert completion_degrees(uturn, 1e9)[0] == pytest.approx(180.0)
-
-
-def test_deploy_csv(matched_run, tmp_path):
-    path = tmp_path / "deploy.csv"
-    write_deploy_csv(matched_run, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == (
-        "t,a_rl_delta,a_rl_trt,a_rl_pb,du_delta,du_trt,du_pb,"
-        "ut_delta,ut_trt,ut_pb,applied_delta,applied_trt,applied_pb,"
-        "fallback,compute_ms,kkt_residual")
-    assert len(lines) == len(matched_run.records) + 1
-    kkt = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
-    assert kkt == pytest.approx([r.kkt_residual for r in matched_run.records],
-                                rel=1e-3, abs=0.0)
