@@ -7,6 +7,20 @@ exports.  Every run writes its resolved configuration, its seed where
 one has an effect, and a content hash of its file inputs into the run
 directory so results can be reproduced bit-for-bit.
 
+`build-track`, `plan` and `preview` write the one file --out names.  The
+other subcommands write into a run directory, --out or else <name> under
+$DRIFTCORNER_OUT (default `runs`):
+
+  train         train_seed<N>/: config.json, policy.npz, policy_best.npz,
+                checkpoint_ep<NNNNN>.npz, train.log
+  deploy        deploy/: config.json, deploy.csv (per tick: RL, MPC and
+                applied inputs), trace.csv (plant trace), summary.txt
+  table1        table1/: config.json, table1.csv
+  compare       compare/: config.json, compare.csv (Table III/IV rows)
+  mu-sweep      mu_sweep/: config.json, mu_sweep.csv
+  export-plots  the panel_*.csv picks of trace.csv and deploy.csv, into
+                the run directory it reads
+
 Exit codes: 0 on success, 2 when a result-level assertion fails (a
 comparison table violates its expected direction), 3 on configuration
 errors (bad arguments, missing files).
@@ -32,13 +46,12 @@ from .envs import TRACE_COLUMNS, DriftEnv, EpisodeResult, run_episode, summary_l
 from .errors import DriftCornerError, MissingLog, MissingPolicy
 from .fusion import (
     DeploymentSpec,
-    DeployResult,
+    completion_degrees,
     deploy_run,
     generate_preview,
     load_preview,
     params_digest,
     save_preview,
-    write_deploy_csv,
 )
 from .planner import load_pretrajectory, plan_pretrajectory, save_pretrajectory
 from .plant import TireParams, VehicleParams
@@ -60,44 +73,48 @@ TABLE_COLUMNS = (
 )
 
 
-def output_root() -> Path:
-    return Path(os.environ.get("DRIFTCORNER_OUT", "runs"))
-
-
-def _hash_inputs(paths) -> str:
-    h = hashlib.sha256()
-    for p in sorted(str(p) for p in paths):
-        h.update(p.encode())
-        h.update(Path(p).read_bytes())
-    return h.hexdigest()[:16]
-
-
-def _write_metadata(run_dir: Path, config: dict, inputs=()) -> None:
+def _run_dir(args, name: str, config: dict, inputs=()) -> Path:
+    """--out, or else `name` under $DRIFTCORNER_OUT, made and holding the
+    run's config.json with a content hash of its file inputs."""
+    run_dir = Path(args.out) if args.out else Path(
+        os.environ.get("DRIFTCORNER_OUT", "runs")) / name
     run_dir.mkdir(parents=True, exist_ok=True)
-    resolved = dict(config)
     if inputs:
-        resolved["input_hash"] = _hash_inputs(inputs)
-    (run_dir / "config.json").write_text(
-        json.dumps(resolved, indent=2, default=str) + "\n"
-    )
+        h = hashlib.sha256()
+        for p in sorted(str(p) for p in inputs):
+            h.update(p.encode())
+            h.update(Path(p).read_bytes())
+        config = {**config, "input_hash": h.hexdigest()[:16]}
+    (run_dir / "config.json").write_text(json.dumps(config, indent=2, default=str) + "\n")
+    return run_dir
 
 
-def _load_track_arg(args) -> "tuple":
+def _write_csv(path: Path, header, rows) -> str:
+    """A header line, then one line per row with each cell written by
+    `str`, then a trailing newline; returns the text without it."""
+    text = "\n".join(",".join(map(str, cells)) for cells in [header, *rows])
+    path.write_text(text + "\n")
+    return text
+
+
+def _load_track_arg(args) -> tuple:
     """(track, source paths) from either --track <file> or --kind."""
-    if getattr(args, "track", None):
+    if args.track:
         path = Path(args.track)
         return load_track(path), [path]
-    kind = getattr(args, "kind", None)
-    if kind is None:
+    if args.kind is None:
         raise ValueError("one of --track or --kind is required")
-    return build_library_track(kind), []
+    return build_library_track(args.kind), []
 
 
-def _load_pretraj_arg(args, track):
-    if getattr(args, "pretraj", None):
+def _track_and_plan(args) -> tuple:
+    """(track, pre-trajectory, source paths): the --pretraj file, or else
+    a plan at the training adhesion."""
+    track, inputs = _load_track_arg(args)
+    if args.pretraj:
         path = Path(args.pretraj)
-        return load_pretrajectory(path, track), [path]
-    return plan_pretrajectory(track, mu=TRAINING_MU), []
+        return track, load_pretrajectory(path, track), [*inputs, path]
+    return track, plan_pretrajectory(track, mu=TRAINING_MU), inputs
 
 
 def _deployment_spec(args) -> DeploymentSpec:
@@ -109,41 +126,16 @@ def _deployment_spec(args) -> DeploymentSpec:
     )
 
 
-def _write_trace_csv(result: EpisodeResult, path: Path) -> None:
-    if result.trace is None:
-        return
-    lines = [",".join(TRACE_COLUMNS)]
-    for row in result.trace:
-        lines.append(",".join(f"{v:.6g}" for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
 # -- results table ----------------------------------------------------
 
 
-@dataclasses.dataclass
-class ResultsTable:
-    """Rows in the Table III/IV schema; first column names the variant."""
+def _render_table(header, rows) -> str:
+    """The rows under their header as text columns, padded to align."""
+    widths = [max(len(str(c)) for c in column) for column in zip(header, *rows)]
 
-    rows: list
-
-    def render(self) -> str:
-        header = ["Policy", *TABLE_COLUMNS]
-        widths = [
-            max(len(header[i]), *(len(str(r[i])) for r in self.rows))
-            for i in range(len(header))
-        ] if self.rows else [len(h) for h in header]
-        def fmt(cells):
-            return " | ".join(str(c).ljust(w) for c, w in zip(cells, widths))
-        out = [fmt(header), "-+-".join("-" * w for w in widths)]
-        out += [fmt(r) for r in self.rows]
-        return "\n".join(out)
-
-    def write_csv(self, path: Path) -> None:
-        lines = [",".join(["Policy", *TABLE_COLUMNS])]
-        for r in self.rows:
-            lines.append(",".join(str(c) for c in r))
-        path.write_text("\n".join(lines) + "\n")
+    def fmt(cells):
+        return " | ".join(str(c).ljust(w) for c, w in zip(cells, widths))
+    return "\n".join([fmt(header), "-+-".join("-" * w for w in widths), *map(fmt, rows)])
 
 
 def _episode_row(name, result: EpisodeResult, achieved, total) -> tuple:
@@ -162,10 +154,6 @@ def _episode_row(name, result: EpisodeResult, achieved, total) -> tuple:
     )
 
 
-def _deploy_row(name, res: DeployResult) -> tuple:
-    return _episode_row(name, res.episode, res.completion_deg, res.total_deg)
-
-
 # -- subcommands ------------------------------------------------------
 
 
@@ -182,7 +170,7 @@ def cmd_build_track(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    track, inputs = _load_track_arg(args)
+    track, _ = _load_track_arg(args)
     pre = plan_pretrajectory(track, mu=args.mu)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -192,22 +180,20 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
-    track, inputs = _load_track_arg(args)
-    pre, pre_inputs = _load_pretraj_arg(args, track)
+    track, pre, inputs = _track_and_plan(args)
     if args.checkpoint_every < 1:  # before the run directory is written
         raise ValueError(f"checkpoint_every must be at least 1, not {args.checkpoint_every}")
-    run_dir = Path(args.out) if args.out else output_root() / f"train_seed{args.seed}"
     hp = Td3Hyperparams()
-    _write_metadata(run_dir, {
+    run_dir = _run_dir(args, f"train_seed{args.seed}", {
         "command": "train",
-        "kind": getattr(args, "kind", None),
+        "kind": args.kind,
         "episodes": args.episodes,
         "seed": args.seed,
         "demo_episodes": args.demo_episodes,
         "hyperparams": dataclasses.asdict(hp),
         "update_rule": {name: getattr(td3, name) for name in TD3_UPDATE_RULE},
         "t_ref": pre.t_ref,
-    }, inputs + pre_inputs)
+    }, inputs)
     # a conservative demonstrator clones much more reliably than one that
     # rides the friction limit; the learner recovers the pace afterwards
     demo = (BaselineTracker(track, pre, speed_factor=0.88)
@@ -239,8 +225,7 @@ def learner_completion(chi: list[int], demo_episodes: int) -> str:
 
 
 def cmd_preview(args) -> int:
-    track, inputs = _load_track_arg(args)
-    pre, pre_inputs = _load_pretraj_arg(args, track)
+    track, pre, _ = _track_and_plan(args)
     policy = policy_from_checkpoint(args.policy)
     params = VehicleParams()
     preview = generate_preview(
@@ -255,8 +240,7 @@ def cmd_preview(args) -> int:
 
 
 def cmd_deploy(args) -> int:
-    track, inputs = _load_track_arg(args)
-    pre, pre_inputs = _load_pretraj_arg(args, track)
+    track, pre, inputs = _track_and_plan(args)
     preview_path = Path(args.preview)
     preview = load_preview(preview_path)
     if args.kind and preview.track_id != args.kind:
@@ -270,15 +254,14 @@ def cmd_deploy(args) -> int:
                          f"model plant {model}")
     spec = _deployment_spec(args)
     dep_params, dep_tires = spec.apply(params, TireParams())
-    run_dir = Path(args.out) if args.out else output_root() / "deploy"
-    _write_metadata(run_dir, {
+    run_dir = _run_dir(args, "deploy", {
         "command": "deploy",
-        "kind": getattr(args, "kind", None),
+        "kind": args.kind,
         "seed": args.seed,
         "deployment": dataclasses.asdict(spec),
         "mpc_enabled": not args.no_mpc,
         "primary_enabled": not args.no_primary,
-    }, inputs + pre_inputs + [preview_path])
+    }, [*inputs, preview_path])
     res = deploy_run(
         preview, track, pre, params, dep_params, dep_tires,
         seed=args.seed or 0, nominal=args.seed is None,
@@ -286,8 +269,17 @@ def cmd_deploy(args) -> int:
         primary_enabled=not args.no_primary,
         record_trace=True,
     )
-    write_deploy_csv(res, run_dir / "deploy.csv")
-    _write_trace_csv(res.episode, run_dir / "trace.csv")
+    # per-tick decomposition (Fig. 12-style paired channels)
+    _write_csv(run_dir / "deploy.csv", (
+        "t", *(f"{name}_{ch}" for name in ("a_rl", "du", "ut", "applied")
+               for ch in ("delta", "trt", "pb")),
+        "fallback", "compute_ms", "kkt_residual",
+    ), ([f"{r.t:.3f}", *(f"{v:.6g}" for v in (*r.a_rl, *r.du_mpc, *r.u_t, *r.applied)),
+         int(r.fallback), f"{r.compute_ms:.4f}", f"{r.kkt_residual:.3e}"]
+        for r in res.records))
+    if res.episode.trace is not None:
+        _write_csv(run_dir / "trace.csv", TRACE_COLUMNS,
+                   ([f"{v:.6g}" for v in row] for row in res.episode.trace))
     summary = (
         f"{summary_line(res.episode, args.seed)} "
         f"completion={res.completion_deg:.0f}/{res.total_deg:.0f} "
@@ -305,8 +297,7 @@ def cmd_table1(args) -> int:
     policy_dir = Path(args.policy_dir) if args.policy_dir else None
     rows = []
     violations = 0
-    run_dir = Path(args.out) if args.out else output_root() / "table1"
-    _write_metadata(run_dir, {
+    run_dir = _run_dir(args, "table1", {
         "command": "table1",
         "policy_dir": str(policy_dir) if policy_dir else None,
         "tracker": args.tracker,
@@ -335,10 +326,8 @@ def cmd_table1(args) -> int:
         if not (times["planned"].chi and
                 times["planned"].t_f <= times["centerline"].t_f):
             violations += 1
-    lines = ["scenario,completed,time_s,s_final_m"]
-    lines += [",".join(r) for r in rows]
-    (run_dir / "table1.csv").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    print(_write_csv(run_dir / "table1.csv",
+                     ("scenario", "completed", "time_s", "s_final_m"), rows))
     if violations:
         print(f"direction violated in {violations} scenario(s): "
               "planned pre-trajectory did not beat the centerline",
@@ -350,23 +339,20 @@ def cmd_table1(args) -> int:
 def cmd_compare(args) -> int:
     """Four-row policy comparison: RL (training plant), raw RL
     (deployment plant), MPC-only tracking, fused (deployment plant)."""
-    track, inputs = _load_track_arg(args)
-    pre, pre_inputs = _load_pretraj_arg(args, track)
+    track, pre, inputs = _track_and_plan(args)
     policy_path = Path(args.policy)
     policy = policy_from_checkpoint(policy_path)
     params = VehicleParams()
     spec = _deployment_spec(args)
     dep_params, dep_tires = spec.apply(params, TireParams())
-    run_dir = Path(args.out) if args.out else output_root() / "compare"
-    _write_metadata(run_dir, {
+    run_dir = _run_dir(args, "compare", {
         "command": "compare",
         "deployment": dataclasses.asdict(spec),
-    }, inputs + pre_inputs + [policy_path])
+    }, [*inputs, policy_path])
 
     preview = generate_preview(policy, params, TireParams(), track, pre,
                                v_ini=args.v_ini, track_id=args.kind or "custom")
     rows = []
-    from .fusion import completion_degrees
     # 1) RL policy in its own training plant.
     res = run_episode(policy, DriftEnv(track, pre), nominal=True)
     rows.append(_episode_row("RL policy (training plant)", res,
@@ -380,14 +366,16 @@ def cmd_compare(args) -> int:
     # 3) MPC-only tracking of the preview (primary input zeroed).
     dres = deploy_run(preview, track, pre, params, dep_params, dep_tires,
                       primary_enabled=False)
-    rows.append(_deploy_row("MPC tracking (deployment plant)", dres))
+    rows.append(_episode_row("MPC tracking (deployment plant)", dres.episode,
+                             dres.completion_deg, dres.total_deg))
     # 4) Fused controller.
     dres = deploy_run(preview, track, pre, params, dep_params, dep_tires)
-    rows.append(_deploy_row("Fused RL+MPC (deployment plant)", dres))
+    rows.append(_episode_row("Fused RL+MPC (deployment plant)", dres.episode,
+                             dres.completion_deg, dres.total_deg))
 
-    table = ResultsTable(rows)
-    table.write_csv(run_dir / "compare.csv")
-    print(table.render())
+    header = ("Policy", *TABLE_COLUMNS)
+    _write_csv(run_dir / "compare.csv", header, rows)
+    print(_render_table(header, rows))
     return 0
 
 
@@ -406,8 +394,7 @@ def cmd_mu_sweep(args) -> int:
         if not ckpt.exists():
             raise MissingPolicy(f"checkpoint not found: {ckpt}")
     params = VehicleParams()
-    run_dir = Path(args.out) if args.out else output_root() / "mu_sweep"
-    _write_metadata(run_dir, {
+    run_dir = _run_dir(args, "mu_sweep", {
         "command": "mu-sweep", "seeds": args.seeds,
         "tasks": [t[0] for t in tasks],
     }, [p for _, p in tasks])
@@ -435,12 +422,8 @@ def cmd_mu_sweep(args) -> int:
                 cell = f"N/A ({worst.completion_deg:.0f}/{worst.total_deg:.0f})"
             results[kind][mu] = cell
 
-    header = "mu," + ",".join(k for k, _ in tasks)
-    lines = [header]
-    for mu in SWEEP_MUS:
-        lines.append(",".join([f"{mu}"] + [results[k][mu] for k, _ in tasks]))
-    (run_dir / "mu_sweep.csv").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    print(_write_csv(run_dir / "mu_sweep.csv", ("mu", *results),
+                     ([mu, *(results[k][mu] for k in results)] for mu in SWEEP_MUS)))
     return 0
 
 
@@ -465,15 +448,10 @@ def cmd_export_plots(args) -> int:
         src = run_dir / src_name
         if not src.exists():
             continue
-        rows = src.read_text().strip().splitlines()
-        have = rows[0].split(",")
+        have, *rows = (line.split(",") for line in src.read_text().strip().splitlines())
         idx = [have.index(c) for c in cols if c in have]
-        names = [have[i] for i in idx]
-        out_lines = [",".join(names)]
-        for row in rows[1:]:
-            cells = row.split(",")
-            out_lines.append(",".join(cells[i] for i in idx))
-        (run_dir / out_name).write_text("\n".join(out_lines) + "\n")
+        _write_csv(run_dir / out_name, [have[i] for i in idx],
+                   ([row[i] for i in idx] for row in rows))
         written.append(out_name)
     if not written:
         raise MissingLog(f"no trace.csv/deploy.csv under {run_dir}")
@@ -549,8 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int,
                    help="randomize the initial state from this seed "
                         "(default: the nominal start)")
-    p.add_argument("--no-mpc", action="store_true")
-    p.add_argument("--no-primary", action="store_true")
+    # with neither input the plant would coast on zero commands
+    inputs = p.add_mutually_exclusive_group()
+    inputs.add_argument("--no-mpc", action="store_true")
+    inputs.add_argument("--no-primary", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_deploy)
 

@@ -32,7 +32,6 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -302,8 +301,6 @@ class FusionController:
                     ff_d, ff_a = self._u_ff[k].tolist()
                     u_out = MpcInput(u_out.delta_f + ff_d, u_out.a_xt + ff_a)
                 du_act = self._to_actuator_space(u_out, a_rl)
-        elif not self.mpc_enabled:
-            self.u_mpc = MpcInput(0.0, 0.0)
 
         u_t = [a + d for a, d in zip(a_rl, du_act)]
         # np.clip's rule: -0.0 below a 0.0 floor becomes 0.0, NaN stays NaN
@@ -421,20 +418,3 @@ def deploy_run(
         mean_tick_ms=float(np.mean([r.compute_ms for r in ctl.records])),
         completion_deg=ach, total_deg=tot,
     )
-
-
-def write_deploy_csv(result: DeployResult, path) -> None:
-    """Per-tick decomposition log (Fig. 12-style paired channels)."""
-    header = ("t,a_rl_delta,a_rl_trt,a_rl_pb,"
-              "du_delta,du_trt,du_pb,ut_delta,ut_trt,ut_pb,"
-              "applied_delta,applied_trt,applied_pb,fallback,compute_ms,"
-              "kkt_residual")
-    lines = [header]
-    for r in result.records:
-        lines.append(",".join(
-            [f"{r.t:.3f}"]
-            + [f"{v:.6g}" for v in (*r.a_rl, *r.du_mpc, *r.u_t, *r.applied)]
-            + [str(int(r.fallback)), f"{r.compute_ms:.4f}",
-               f"{r.kkt_residual:.3e}"]
-        ))
-    Path(path).write_text("\n".join(lines) + "\n")

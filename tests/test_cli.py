@@ -515,11 +515,13 @@ def test_mu_sweep_rejects_missing_checkpoint_before_writing(tmp_path, capsys):
     (["deploy", "--kind", "uturn", "--preview", "p.txt"], ["--mu", "0.7"]),
     (["compare", "--kind", "uturn", "--policy", "p.npz"], ["--mu", "0.7"]),
     (["deploy", "--kind", "uturn", "--preview", "p.txt"], ["--randomized"]),
+    (["deploy", "--kind", "uturn", "--preview", "p.txt", "--no-mpc"], ["--no-primary"]),
 ])
 def test_options_without_effect_are_rejected(argv, option, capsys):
     # --mu set only the planner's adhesion while these commands' plants
     # ran at the training value (and "--mu" must not pass for
-    # "--mu-deploy"); a deploy seed means a randomized start by itself
+    # "--mu-deploy"); a deploy seed means a randomized start by itself;
+    # a deploy without the MPC and the primary input coasted on zeros
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(argv + option)
     assert exc.value.code == 2
