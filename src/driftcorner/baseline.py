@@ -23,6 +23,7 @@ KP_SPEED = 1.2  # 1/s, speed-loop gain
 ERROR_SLOWDOWN = 0.75  # 1/m^2, speed cut per squared lateral error
 SLIP_CAP = math.radians(10.0)  # front-axle slip clamp (pre-peak)
 RATE_DAMPING = 0.2  # on the lateral-rate error
+PLANT, TIRES = VehicleParams(), TireParams()  # the training plant
 
 
 @dataclass
@@ -63,7 +64,7 @@ class BaselineTracker:
         # curve for the required front force, and steer relative to the
         # measured front-axle course.  Feedback-linearizing like this
         # avoids winding past the peak-slip angle into deep understeer.
-        p, tp = VehicleParams(), TireParams()  # the training plant
+        p, tp = PLANT, TIRES
         ay_req = v * v * kappa_dem
         fz_f = p.m * G * p.l_r / p.wheelbase
         f = (p.m * abs(ay_req) * p.l_r / p.wheelbase) / (

@@ -443,7 +443,6 @@ class TrainLog:
     rows: list[str] = field(default_factory=list)
     reward: list[float] = field(default_factory=list)
     chi: list[int] = field(default_factory=list)
-    t_f: list[float] = field(default_factory=list)
 
     def append(self, episode: int, result, steps: int) -> None:
         self.rows.append(
@@ -455,7 +454,6 @@ class TrainLog:
         )
         self.reward.append(result.total_reward)
         self.chi.append(result.chi)
-        self.t_f.append(result.t_f)
 
     def write(self, path) -> None:
         Path(path).write_text("\n".join(self.rows) + "\n")
