@@ -13,11 +13,13 @@ gradients into a second vector of the same layout, so the optimizer
 and the target blend run over whole vectors, not layer by layer, and
 the gradient clip scales the gradient in place.
 
-A network computes in the dtype of its vector.  The learner's master
-networks are float64; `float32_mirror` makes a float32 copy of the same
-layout, which the learner's batch arithmetic runs on.  `Adam` takes the
-mirror's float32 gradient into the float64 master and its float64
-moments (mixed precision: Micikevicius et al. 2018, arXiv:1710.03740).
+A network computes in the dtype of its vector.  The learner's online
+networks are float64 masters; `float32_mirror` makes a float32 copy of
+the same layout, which the learner's batch arithmetic runs on, and its
+target networks are float32 from the start.  `Adam` keeps its moments
+in the gradient's dtype, float32 for a mirror's gradient, and subtracts
+each step from the float64 master (mixed precision: Micikevicius et al.
+2018, arXiv:1710.03740).  `soft_update` blends in the target's dtype.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ class Mlp:
     The constructor copies `weights` and `biases` into one flat vector,
     `flat` (float32 if they all are, else float64), and replaces them
     with views of it: writing through `weights[i]` or `biases[i]`
-    changes `flat`, and `parameters()` lists the same views.  `copy()`
-    is deep.  `grad` is the flat gradient vector that `mlp_backward`
+    changes `flat`, and `parameters()` lists the same views.  `grad` is
+    the flat gradient vector that `mlp_backward`
     fills, made on first use, so networks that are never
     backpropagated carry none.
     """
@@ -84,15 +86,6 @@ class Mlp:
             self.grad = np.empty_like(self.flat)
         return layer_views(self.grad, self.sizes)
 
-    def copy(self) -> "Mlp":
-        return Mlp(
-            self.weights,
-            self.biases,
-            self.head,
-            None if self.low is None else self.low.copy(),
-            None if self.high is None else self.high.copy(),
-        )
-
     def checksum(self) -> float:
         return float(sum(float(np.sum(p)) for p in self.parameters()))
 
@@ -117,8 +110,9 @@ def mlp_init(
 
 
 def float32_mirror(net: Mlp) -> Mlp:
-    """A float32 copy of `net` with the same flat layout; writing
-    ``mirror.flat[...] = net.flat`` refreshes it."""
+    """A float32 copy of `net` with the same flat layout, sharing no
+    memory with it; writing ``mirror.flat[...] = net.flat`` refreshes
+    it."""
     bounds = [None if b is None else b.astype(np.float32) for b in (net.low, net.high)]
     return Mlp(*layer_views(net.flat.astype(np.float32), net.sizes), net.head, *bounds)
 
@@ -204,9 +198,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # Adam updates the flat vector in blocks of this many elements, so its
-# two scratch vectors stay small.  Scratch the size of a whole critic
-# (0.56 MB each) was handed back to the system after every step and
-# page-faulted in again on the next: 1.19 ms against 0.55 ms in blocks
+# two scratch rows stay small.  Scratch the size of a whole critic was
+# handed back to the system after every step and page-faulted in again
+# on the next: float64 scratch took 1.19 ms against 0.55 ms in blocks
 # per step of a 69,889-parameter critic on a 2-vCPU Xeon host.
 ADAM_BLOCK = 32768
 
@@ -216,9 +210,9 @@ class Adam:
     """Adaptive moment estimation over one flat parameter vector.
 
     `m` and `v` are flat moment vectors of the parameters' layout and
-    dtype, empty until the first step.  The gradient may be of a
-    narrower dtype (a float32 mirror's); each block of it is cast once
-    into the parameters' dtype."""
+    the gradient's dtype, empty until the first step.  Each block's step
+    is computed in that dtype and subtracted from the parameters, which
+    may be wider (the float64 master of a float32 mirror's gradient)."""
 
     lr: float = 3e-4
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -228,18 +222,16 @@ class Adam:
     def step(self, param: np.ndarray, grad: np.ndarray) -> None:
         """One in-place update of `param` from its gradient `grad`."""
         if not self.m.size:
-            self.m = np.zeros_like(param)
-            self.v = np.zeros_like(param)
+            self.m = np.zeros_like(grad)
+            self.v = np.zeros_like(grad)
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
-        scratch = np.empty((3, min(ADAM_BLOCK, param.size)), dtype=param.dtype)
-        for k in range(0, param.size, ADAM_BLOCK):
+        scratch = np.empty((2, min(ADAM_BLOCK, grad.size)), dtype=grad.dtype)
+        for k in range(0, grad.size, ADAM_BLOCK):
             block = slice(k, k + ADAM_BLOCK)
-            m, v, p = self.m[block], self.v[block], param[block]
-            step, denom, g = scratch[:, :p.size]
-            # one cast per block: a mixed-dtype operation casts on every pass
-            g[...] = grad[block]
+            m, v, g = self.m[block], self.v[block], grad[block]
+            step, denom = scratch[:, :g.size]
             # the operation order of m += (1-b1)*g, v += (1-b2)*g*g and
             # p -= lr*(m/b1t)/(sqrt(v/b2t)+eps), element for element
             np.multiply(g, 1.0 - ADAM_BETA1, out=step)
@@ -255,10 +247,11 @@ class Adam:
             np.sqrt(denom, out=denom)
             denom += ADAM_EPS
             step /= denom
-            p -= step
+            param[block] -= step
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
-    """theta' <- tau*theta + (1-tau)*theta', over the flat vectors."""
+    """theta' <- tau*theta + (1-tau)*theta', over the flat vectors, in
+    the dtype of the target's."""
     target.flat *= 1.0 - tau
-    target.flat += tau * online.flat
+    target.flat += np.multiply(online.flat, tau, dtype=target.flat.dtype)

@@ -6,15 +6,17 @@ updates, and a ring replay buffer.  Everything runs on the explicit
 numpy networks in `nets`, so training is deterministic under a fixed
 seed for a given numpy and BLAS build.
 
-The six networks are kept twice.  The float64 masters are what acting,
-evaluation, the policy and the checkpoints use, and the only networks
-the Adam steps and the target blends write.  The batch updates
-(`compute_target`, `update_critics`, `update_actor_and_targets` and
-`behavior_clone`) compute in float32 on mirrors of the masters, whose
-float32 gradients Adam takes into the float64 masters and moments.
-Every write to a master is followed, in the same function, by one cast
-of it into its mirror, so a mirror always equals its master cast to
-float32.
+Each learner quantity is stored once, in the precision it is used in.
+The three online networks (actor and twin critics) are float64 masters,
+which acting, evaluation, the policy and the checkpoints read, and each
+has a float32 mirror.  The batch updates (`compute_target`,
+`update_critics`, `update_actor_and_targets` and `behavior_clone`)
+compute in float32 on the mirrors, whose float32 gradients Adam takes
+into float32 moments and the float64 masters.  Every write to a master
+is followed, in the same function, by one cast of it into its mirror,
+so a mirror always equals its master cast to float32.  The three target
+networks are read only by the float32 batch arithmetic, so they are
+float32 networks, blended from the online mirrors.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .replay import ReplayBuffer
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # The update rule of Fujimoto, van Hoof and Meger (2018): discount,
 # target blend, one Adam step size for the actor and both critics, the
 # exploration and target-smoothing noise and the smoothing clip (each a
@@ -53,9 +55,9 @@ BC_STEPS = 4000  # supervised batches of the first behavior-cloning fit
 BC_BATCH = 256  # labels per behavior-cloning batch
 ACTOR_FREEZE = 10000  # critic updates with the actor held after imitation
 EVAL_EVERY = 50  # episodes between greedy evaluation rollouts
-# the six networks, by their `Td3State` field names
-_NETS = ("actor", "critic1", "critic2",
-         "target_actor", "target_critic1", "target_critic2")
+# the online networks and then their targets, by their `Td3State` field names
+_ONLINE = ("actor", "critic1", "critic2")
+_NETS = (*_ONLINE, *(f"target_{name}" for name in _ONLINE))
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,11 @@ class Td3Hyperparams:
 
 @dataclass
 class Td3State:
-    """The learner: the six float64 master networks and their optimizers,
-    the replay buffer, the generator and the counters.  `mirror` maps
-    each network's name to its float32 mirror, built with the state;
-    it is not stored in checkpoints nor summed by `checksum()`."""
+    """The learner: the three float64 online networks and their
+    optimizers, the three float32 target networks, the replay buffer,
+    the generator and the counters.  `mirror` maps each online network's
+    name to its float32 mirror, built with the state; it is not stored
+    in checkpoints nor summed by `checksum()`."""
 
     actor: Mlp
     critic1: Mlp
@@ -109,7 +112,7 @@ class Td3State:
     mirror: dict[str, Mlp] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.mirror = {name: float32_mirror(getattr(self, name)) for name in _NETS}
+        self.mirror = {name: float32_mirror(getattr(self, name)) for name in _ONLINE}
 
     def checksum(self) -> float:
         return (self.actor.checksum() + self.critic1.checksum()
@@ -135,8 +138,8 @@ def td3_init(
     critic2 = mlp_init([obs_dim + act_dim, *hp.hidden, 1], rng)
     return Td3State(
         actor=actor, critic1=critic1, critic2=critic2,
-        target_actor=actor.copy(), target_critic1=critic1.copy(),
-        target_critic2=critic2.copy(),
+        target_actor=float32_mirror(actor), target_critic1=float32_mirror(critic1),
+        target_critic2=float32_mirror(critic2),
         buffer=ReplayBuffer(hp.buffer_size, obs_dim, act_dim),
         hp=hp, low=low, high=high,
         obs_scale=(np.ones(obs_dim) if obs_scale is None
@@ -155,10 +158,9 @@ def _critic_input(obs: np.ndarray, act: np.ndarray, low, high) -> np.ndarray:
     return np.concatenate([obs, _act_norm(act, low, high)], axis=-1, dtype=np.float32)
 
 
-def _refresh(state: Td3State, *names: str) -> None:
-    """Cast each named master network into its float32 mirror."""
-    for name in names:
-        state.mirror[name].flat[...] = getattr(state, name).flat
+def _refresh(state: Td3State, name: str) -> None:
+    """Cast the named master network into its float32 mirror."""
+    state.mirror[name].flat[...] = getattr(state, name).flat
 
 
 def select_action(
@@ -177,11 +179,10 @@ def select_action(
 
 def compute_target(batch, state: Td3State, hp: Td3Hyperparams) -> np.ndarray:
     """Bootstrap targets: smoothed target-policy action, then the
-    element-wise minimum of the two target critics, computed on their
-    float32 mirrors.  `hp` is unused."""
+    element-wise minimum of the two float32 target critics.  `hp` is
+    unused."""
     _, _, rew, obs_next, done = batch
-    mirror = state.mirror
-    a_next, _ = mlp_forward(mirror["target_actor"], obs_next)
+    a_next, _ = mlp_forward(state.target_actor, obs_next)
     span = state.high - state.low
     noise = np.clip(
         state.rng.normal(0.0, 1.0, a_next.shape) * (SIGMA_TARGET * span),
@@ -189,8 +190,8 @@ def compute_target(batch, state: Td3State, hp: Td3Hyperparams) -> np.ndarray:
     )
     a_next = np.clip(a_next + noise, state.low, state.high)
     x = _critic_input(obs_next, a_next, state.low, state.high)
-    q1, _ = mlp_forward(mirror["target_critic1"], x)
-    q2, _ = mlp_forward(mirror["target_critic2"], x)
+    q1, _ = mlp_forward(state.target_critic1, x)
+    q2, _ = mlp_forward(state.target_critic2, x)
     q_min = np.minimum(q1[:, 0], q2[:, 0])
     return rew + GAMMA * (1.0 - done) * q_min
 
@@ -228,7 +229,8 @@ def update_critics(state: Td3State, batch, y: np.ndarray) -> tuple[float, float]
 
 
 def update_actor_and_targets(state: Td3State, batch) -> None:
-    """Actor ascent on the first critic's value, then soft target updates."""
+    """Actor ascent on the first critic's value, then soft updates of
+    each target from its online network's mirror."""
     obs = batch[0]
     n = len(obs)
     actor, critic1 = state.mirror["actor"], state.mirror["critic1"]
@@ -242,10 +244,9 @@ def update_actor_and_targets(state: Td3State, batch) -> None:
     _clip(state, actor.grad)
     state.opt_actor.step(state.actor.flat, actor.grad)
     state.actor_updates += 1
-    soft_update(state.target_actor, state.actor, TAU)
-    soft_update(state.target_critic1, state.critic1, TAU)
-    soft_update(state.target_critic2, state.critic2, TAU)
-    _refresh(state, "actor", "target_actor", "target_critic1", "target_critic2")
+    _refresh(state, "actor")
+    for name in _ONLINE:
+        soft_update(getattr(state, f"target_{name}"), state.mirror[name], TAU)
 
 
 def behavior_clone(state: Td3State, steps: int, dataset) -> float:
@@ -255,7 +256,8 @@ def behavior_clone(state: Td3State, steps: int, dataset) -> float:
     batches of `BC_BATCH`.  Used to pull the freshly initialized actor
     into the demonstration tube before value-driven updates start;
     returns the last batch MSE.  The target actor is hard-synced
-    afterwards so smoothing noise is applied around the cloned policy.
+    afterwards, from the actor's mirror, so smoothing noise is applied
+    around the cloned policy.
     """
     mse = float("nan")
     span = state.high - state.low
@@ -273,8 +275,7 @@ def behavior_clone(state: Td3State, steps: int, dataset) -> float:
         _clip(state, actor.grad)
         state.opt_actor.step(state.actor.flat, actor.grad)
         _refresh(state, "actor")
-    soft_update(state.target_actor, state.actor, 1.0)
-    _refresh(state, "target_actor")
+    state.target_actor.flat[...] = actor.flat
     return mse
 
 
@@ -320,10 +321,11 @@ def save_checkpoint(state: Td3State, path) -> None:
     """Binary dump of all parameters, optimizer moments, hyperparams,
     counters, and the RNG state; round-trips exactly.
 
-    Each network is stored as its flat parameter vector and each
-    optimizer as its flat `m` and `v` (empty before its first step); the
-    metadata holds the parameters' sum and a SHA-256 digest of every
-    stored array."""
+    Each network is stored as its flat parameter vector, float64 for an
+    online network and float32 for a target, and each optimizer as its
+    flat float32 `m` and `v` (empty before its first step); the metadata
+    holds the parameters' sum and a SHA-256 digest of every stored
+    array."""
     arrays = {name: getattr(state, name).flat for name in _NETS}
     for name in _OPTS:
         opt = getattr(state, name)
@@ -392,11 +394,13 @@ def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
             _check_shape(path, name, data[name], (size,))
         nets = {}
         for name in _NETS:
+            flat = data[name]  # float64 for an online network, float32 for a target
             if "actor" in name:
-                views = layer_views(data[name], sizes)
-                nets[name] = Mlp(*views, "bounded", low.copy(), high.copy())
+                views = layer_views(flat, sizes)
+                nets[name] = Mlp(*views, "bounded", low.astype(flat.dtype),
+                                 high.astype(flat.dtype))
             else:
-                nets[name] = Mlp(*layer_views(data[name], meta["critic_sizes"]))
+                nets[name] = Mlp(*layer_views(flat, meta["critic_sizes"]))
         state = Td3State(
             **nets,
             buffer=(buffer if buffer is not None

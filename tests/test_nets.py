@@ -10,6 +10,7 @@ from driftcorner.nets import (
     Adam,
     Mlp,
     clip_gradients,
+    float32_mirror,
     mlp_backward,
     mlp_forward,
     mlp_init,
@@ -130,6 +131,26 @@ def test_adam_converges_on_quadratic():
     np.testing.assert_allclose(p, 3.0, atol=1e-3)
 
 
+def test_adam_keeps_moments_in_the_gradients_dtype():
+    # a float32 gradient (a mirror's) gives float32 moments and a float32
+    # step subtracted from the float64 parameters; the same gradients in
+    # float64 give the float64 reference, which 100 steps stay within a
+    # few float32 roundings per step of
+    steps, lr = 100, 1e-2
+    rng = np.random.default_rng(11)
+    p = rng.normal(size=1000)
+    ref = p.copy()
+    opt, ref_opt = Adam(lr=lr), Adam(lr=lr)
+    for _ in range(steps):
+        g = rng.normal(1.0, 2.0, size=p.size).astype(np.float32)
+        opt.step(p, g)
+        ref_opt.step(ref, g.astype(np.float64))
+    assert opt.m.dtype == opt.v.dtype == np.float32 and p.dtype == np.float64
+    assert ref_opt.m.dtype == ref_opt.v.dtype == np.float64
+    assert np.max(np.abs(p - ref)) <= steps * lr * 8 * np.finfo(np.float32).eps
+    assert np.max(np.abs(p - ref)) > 0.0  # the float32 arithmetic did run
+
+
 @settings(max_examples=30, deadline=None)
 @given(tau=st.floats(0.0, 1.0))
 def test_soft_update_blends_linearly(tau):
@@ -143,29 +164,36 @@ def test_soft_update_blends_linearly(tau):
 
 
 def test_soft_update_limits():
+    # a float32 target (a mirror's) blends a float64 network in float32
     rng = np.random.default_rng(6)
-    online = mlp_init([3, 4, 2], rng)
-    target = online.copy()
-    frozen = [p.copy() for p in target.parameters()]
-    other = mlp_init([3, 4, 2], rng)
-    soft_update(target, other, 0.0)  # tau=0: no movement
-    for t, f in zip(target.parameters(), frozen):
-        np.testing.assert_array_equal(t, f)
-    soft_update(target, other, 1.0)  # tau=1: hard copy
-    for t, o in zip(target.parameters(), other.parameters()):
-        np.testing.assert_array_equal(t, o)
+    for target in (mlp_init([3, 4, 2], rng), float32_mirror(mlp_init([3, 4, 2], rng))):
+        dtype = target.flat.dtype
+        frozen = [p.copy() for p in target.parameters()]
+        other = mlp_init([3, 4, 2], rng)
+        soft_update(target, other, 0.0)  # tau=0: no movement
+        for t, f in zip(target.parameters(), frozen):
+            np.testing.assert_array_equal(t, f)
+        soft_update(target, other, 1.0)  # tau=1: hard copy
+        assert target.flat.dtype == dtype
+        for t, o in zip(target.parameters(), other.parameters()):
+            np.testing.assert_array_equal(t, o.astype(dtype))
 
 
-def test_copy_is_deep():
+def test_float32_mirror_is_deep():
+    # a target network starts as a mirror and is then blended on its own
     rng = np.random.default_rng(7)
-    net = mlp_init([3, 4, 2], rng)
-    dup = net.copy()
+    net = mlp_init([3, 4, 2], rng, "bounded", low=np.array([-1.0, 0.0]),
+                   high=np.array([2.0, 5.0]))
+    dup = float32_mirror(net)
+    assert dup.flat.dtype == dup.low.dtype == dup.high.dtype == np.float32
+    np.testing.assert_array_equal(dup.flat, net.flat.astype(np.float32))
     dup.weights[0][0, 0] += 1.0
     assert net.weights[0][0, 0] != dup.weights[0][0, 0]
-    assert net.sizes == [3, 4, 2]
+    assert dup.sizes == [3, 4, 2]
     dup.flat[:] = 0.0
+    dup.low[:] = 0.0
     assert not np.shares_memory(net.flat, dup.flat)
-    assert np.any(net.flat != 0.0)
+    assert np.any(net.flat != 0.0) and net.low[0] == -1.0
 
 
 def test_layers_are_views_of_one_flat_vector():
@@ -180,7 +208,7 @@ def test_layers_are_views_of_one_flat_vector():
     assert net.flat[12 + 8 + 3] == -5.0
     net.flat[0] = 3.0  # and a write to the vector reaches the layer
     assert net.weights[0][0, 0] == 3.0
-    assert net.copy().grad is None  # gradients only where backprop runs
+    assert float32_mirror(net).grad is None  # gradients only where backprop runs
 
 
 def test_backward_fills_the_flat_gradient():

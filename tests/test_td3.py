@@ -127,13 +127,12 @@ def test_target_uses_minimum_of_twin_critics(monkeypatch):
     batch = _fake_batch(state)
     y = compute_target(batch, state, state.hp)
     obs, act, rew, obs_next, done = batch
-    # the reference runs on the same float32 mirrors the learner computes on
-    mirror = state.mirror
-    a_next, _ = mlp_forward(mirror["target_actor"], obs_next)
+    # the reference runs on the same float32 targets the learner computes on
+    a_next, _ = mlp_forward(state.target_actor, obs_next)
     x = np.concatenate([obs_next, 2 * (a_next - state.low)
                         / (state.high - state.low) - 1], axis=-1)
-    q1, _ = mlp_forward(mirror["target_critic1"], x)
-    q2, _ = mlp_forward(mirror["target_critic2"], x)
+    q1, _ = mlp_forward(state.target_critic1, x)
+    q2, _ = mlp_forward(state.target_critic2, x)
     want = rew + td3.GAMMA * (1 - done) * np.minimum(q1[:, 0], q2[:, 0])
     np.testing.assert_allclose(y, want, atol=1e-12)
     # the minimum actually binds on some rows in both directions
@@ -192,6 +191,23 @@ def test_actor_update_increases_value():
     for _ in range(25):
         update_actor_and_targets(state, batch)
     assert mean_q() > before
+
+
+def test_targets_blend_from_the_online_mirrors_in_float32():
+    # each target moves by tau towards its online network's mirror, the
+    # actor's refreshed after its Adam step, in float32 arithmetic
+    state = _toy_state()
+    batch = _fake_batch(state)
+    update_critics(state, batch, compute_target(batch, state, state.hp))
+    old = {name: getattr(state, f"target_{name}").flat.copy() for name in td3._ONLINE}
+    actor_before = state.mirror["actor"].flat.copy()
+    update_actor_and_targets(state, batch)
+    assert not np.array_equal(state.mirror["actor"].flat, actor_before)
+    for name in td3._ONLINE:
+        target, mirror = getattr(state, f"target_{name}"), state.mirror[name]
+        want = np.float32(1.0 - td3.TAU) * old[name] + np.float32(td3.TAU) * mirror.flat
+        assert target.flat.dtype == want.dtype == np.float32
+        np.testing.assert_array_equal(target.flat, want)
 
 
 def test_select_action_respects_bounds_and_noise():
@@ -372,7 +388,7 @@ def test_full_size_learner_matches_recorded_checksum():
 
 
 def _assert_mirrors_equal_masters(state):
-    for name in td3._NETS:
+    for name in td3._ONLINE:
         master, mirror = getattr(state, name), state.mirror[name]
         assert mirror.flat.dtype == np.float32
         np.testing.assert_array_equal(mirror.flat, master.flat.astype(np.float32))
@@ -403,7 +419,7 @@ def test_mirrors_equal_their_masters_after_training_and_loading(monkeypatch,
     save_checkpoint(state, path)
     back = load_checkpoint(path)
     _assert_mirrors_equal_masters(back)
-    for name in td3._NETS:
+    for name in td3._ONLINE:
         np.testing.assert_array_equal(back.mirror[name].flat, state.mirror[name].flat)
 
 
@@ -466,7 +482,8 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_layout_is_flat(tmp_path):
     # the layout since version 2: one flat parameter vector per network
-    # and the flat moments of each optimizer, empty before its first step
+    # and the flat moments of each optimizer, empty before its first
+    # step; since version 4 the targets and the moments are float32
     state = _toy_state()
     batch = _fake_batch(state)
     update_critics(state, batch, compute_target(batch, state, state.hp))
@@ -488,17 +505,25 @@ def test_checkpoint_layout_is_flat(tmp_path):
         np.testing.assert_array_equal(data["critic2"], state.critic2.flat)
         np.testing.assert_array_equal(data["opt_critic1_v"], state.opt_critic1.v)
     assert got == want
-    assert meta["version"] == 3
+    assert meta["version"] == 4
     assert load_checkpoint(path).opt_actor.m.size == 0
     update_actor_and_targets(state, batch)
     save_checkpoint(state, path)
+    with np.load(path) as data:
+        dtypes = {k: data[k].dtype for k in data.files if k != "meta"}
+    assert dtypes == {**dict.fromkeys(want, np.dtype(np.float32)),
+                      **dict.fromkeys(("actor", "critic1", "critic2", "low", "high",
+                                       "obs_scale"), np.dtype(np.float64))}
     back = load_checkpoint(path)
     for name in ("actor", "critic1", "critic2", "target_actor", "target_critic1",
                  "target_critic2"):
         np.testing.assert_array_equal(getattr(back, name).flat,
                                       getattr(state, name).flat)
+        assert getattr(back, name).flat.dtype == dtypes[name]
+    assert back.target_actor.low.dtype == back.target_actor.high.dtype == np.float32
     for name in ("opt_actor", "opt_critic1", "opt_critic2"):
         opt, ref = getattr(back, name), getattr(state, name)
+        assert opt.m.dtype == opt.v.dtype == np.float32
         np.testing.assert_array_equal(opt.m, ref.m)
         np.testing.assert_array_equal(opt.v, ref.v)
         assert opt.t == ref.t and opt.lr == ref.lr
@@ -509,19 +534,20 @@ def test_checkpoint_layout_is_flat(tmp_path):
 
 
 def test_load_checkpoint_rejects_other_versions(tmp_path):
-    # version 1 stored every layer and moment as an array of its own, and
-    # version 2 kept no digest of the arrays
+    # version 1 stored every layer and moment as an array of its own,
+    # version 2 kept no digest of the arrays, and version 3 kept the
+    # targets and the moments in float64
     path = tmp_path / "ck.npz"
     save_checkpoint(_toy_state(), path)
     with np.load(path) as data:
         arrays = dict(data)
     meta = json.loads(bytes(arrays["meta"]).decode())
-    for version in (1, 2, 4):
+    for version in (1, 2, 3, 5):
         meta["version"] = version
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: checkpoint version {version}, this program reads version 3")):
+                f"{path}: checkpoint version {version}, this program reads version 4")):
             load_checkpoint(path)
 
 
