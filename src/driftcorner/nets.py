@@ -203,6 +203,18 @@ ADAM_EPS = 1e-8
 # on the next: float64 scratch took 1.19 ms against 0.55 ms in blocks
 # per step of a 69,889-parameter critic on a 2-vCPU Xeon host.
 ADAM_BLOCK = 32768
+# The moments of a parameter whose gradient stays zero, as behind a dead
+# rectifier unit, decay geometrically; float32 ones reach the subnormal
+# range, where arithmetic is many times slower, after about 800 steps.
+# Training on the U-turn with a warm-up of 1000 steps (seed 5), 11 % of
+# the actor's first moments were subnormal by env step 3500, and over
+# env steps 2000-4000 Adam took 2.3-2.5 ms per env step against
+# 1.2-1.3 ms with this flush, on a 2-vCPU Xeon host.  Every
+# ADAM_FLUSH_EVERY steps a moment below 2**26 times its dtype's smallest
+# normal is set to zero: at ADAM_BETA1 a first moment takes 171 steps to
+# decay from there to subnormal, and the step it would still make is
+# below lr * 1e-22.
+ADAM_FLUSH_EVERY = 64
 
 
 @dataclass
@@ -212,7 +224,9 @@ class Adam:
     `m` and `v` are flat moment vectors of the parameters' layout and
     the gradient's dtype, empty until the first step.  Each block's step
     is computed in that dtype and subtracted from the parameters, which
-    may be wider (the float64 master of a float32 mirror's gradient)."""
+    may be wider (the float64 master of a float32 mirror's gradient).
+    Moments that have decayed close to the subnormal range are set to
+    zero every `ADAM_FLUSH_EVERY` steps."""
 
     lr: float = 3e-4
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -248,6 +262,10 @@ class Adam:
             denom += ADAM_EPS
             step /= denom
             param[block] -= step
+        if self.t % ADAM_FLUSH_EVERY == 0:
+            floor = np.finfo(self.m.dtype).tiny * 2.0 ** 26
+            for moment in (self.m, self.v):
+                moment[np.abs(moment) < floor] = 0.0
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:

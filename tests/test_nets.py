@@ -151,6 +151,21 @@ def test_adam_keeps_moments_in_the_gradients_dtype():
     assert np.max(np.abs(p - ref)) > 0.0  # the float32 arithmetic did run
 
 
+def test_adam_moments_of_a_zero_gradient_never_turn_subnormal():
+    # 1000 zero-gradient steps decay m by 0.9**1000; unflushed, a float32
+    # m of 0.1 is subnormal from step 828 on
+    tiny = np.finfo(np.float32).tiny
+    p = np.ones(3)
+    opt = Adam()
+    opt.step(p, np.array([1.0, -1.0, 0.0], dtype=np.float32))
+    zero = np.zeros(3, dtype=np.float32)
+    for _ in range(1000):
+        opt.step(p, zero)
+        for moment in (opt.m, opt.v):
+            assert np.all((moment == 0.0) | (np.abs(moment) >= tiny))
+    assert np.all(opt.m == 0.0) and np.all(opt.v[:2] > 0.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(tau=st.floats(0.0, 1.0))
 def test_soft_update_blends_linearly(tau):
