@@ -102,8 +102,6 @@ def _load_track_arg(args) -> tuple:
     if args.track:
         path = Path(args.track)
         return load_track(path), [path]
-    if args.kind is None:
-        raise ValueError("one of --track or --kind is required")
     return build_library_track(args.kind), []
 
 
@@ -463,9 +461,12 @@ def cmd_export_plots(args) -> int:
 
 
 def _add_track_args(p):
-    p.add_argument("--track", help="track geometry file")
-    p.add_argument("--kind", choices=LIBRARY_KINDS,
-                   help="library track (alternative to --track)")
+    # exactly one: with both, the geometry came from --track while --kind
+    # alone was checked against a preview's track
+    track = p.add_mutually_exclusive_group(required=True)
+    track.add_argument("--track", help="track geometry file")
+    track.add_argument("--kind", choices=LIBRARY_KINDS,
+                       help="library track (alternative to --track)")
 
 
 def _add_pretraj_arg(p):
@@ -535,10 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_deploy)
 
     p = sub.add_parser("table1", help="planned vs centerline cornering times")
-    p.add_argument("--policy-dir",
-                   help="directory with <kind>_<variant>.npz checkpoints")
-    p.add_argument("--tracker", action="store_true",
-                   help="use the scripted tracker instead of trained policies")
+    # the tracker replaces the policies, so a policy directory with it is unread
+    controllers = p.add_mutually_exclusive_group()
+    controllers.add_argument("--policy-dir",
+                             help="directory with <kind>_<variant>.npz checkpoints")
+    controllers.add_argument("--tracker", action="store_true",
+                             help="use the scripted tracker instead of trained policies")
     p.add_argument("--out")
     p.set_defaults(func=cmd_table1)
 

@@ -516,12 +516,16 @@ def test_mu_sweep_rejects_missing_checkpoint_before_writing(tmp_path, capsys):
     (["compare", "--kind", "uturn", "--policy", "p.npz"], ["--mu", "0.7"]),
     (["deploy", "--kind", "uturn", "--preview", "p.txt"], ["--randomized"]),
     (["deploy", "--kind", "uturn", "--preview", "p.txt", "--no-mpc"], ["--no-primary"]),
+    (["deploy", "--track", "ra.txt", "--preview", "p.txt"], ["--kind", "uturn"]),
+    (["table1", "--tracker"], ["--policy-dir", "/nonexistent"]),
 ])
 def test_options_without_effect_are_rejected(argv, option, capsys):
     # --mu set only the planner's adhesion while these commands' plants
     # ran at the training value (and "--mu" must not pass for
     # "--mu-deploy"); a deploy seed means a randomized start by itself;
-    # a deploy without the MPC and the primary input coasted on zeros
+    # a deploy without the MPC and the primary input coasted on zeros;
+    # --kind beside --track checked a preview against a track it did not
+    # load, and the tracker left --policy-dir unread
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(argv + option)
     assert exc.value.code == 2
