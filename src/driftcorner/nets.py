@@ -52,9 +52,8 @@ class Mlp:
     `flat` (float32 if they all are, else float64), and replaces them
     with views of it: writing through `weights[i]` or `biases[i]`
     changes `flat`, and `parameters()` lists the same views.  `grad` is
-    the flat gradient vector that `mlp_backward`
-    fills, made on first use, so networks that are never
-    backpropagated carry none.
+    the flat gradient vector that `mlp_backward` fills, made on first
+    use, so networks that are never backpropagated carry none.
     """
 
     weights: list[np.ndarray]

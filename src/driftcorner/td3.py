@@ -323,9 +323,9 @@ def save_checkpoint(state: Td3State, path) -> None:
 
     Each network is stored as its flat parameter vector, float64 for an
     online network and float32 for a target, and each optimizer as its
-    flat float32 `m` and `v` (empty before its first step); the metadata
-    holds the parameters' sum and a SHA-256 digest of every stored
-    array."""
+    flat `m` and `v` (empty before its first step, then float32); the
+    metadata holds the parameters' sum and a SHA-256 digest of every
+    stored array."""
     arrays = {name: getattr(state, name).flat for name in _NETS}
     for name in _OPTS:
         opt = getattr(state, name)
