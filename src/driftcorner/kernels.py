@@ -8,10 +8,15 @@ Magic-Formula B and D of both axles) as floats; every other value of
 the one modelled vehicle is a constant of this module.  It computes the
 quantities that hold over the whole period (static axle loads, tire
 peaks, brake forces, the rolling loss, cos/sin of the wheel angle) once
-in `_period_constants`, runs the unrolled stages on floats held in
-locals, and returns the new state as floats.  The hoisted expressions
-keep their per-stage operand order, so the results are bit for bit
-those of evaluating everything at every stage.
+in `_period_constants`, and returns the new state as floats.
+
+`_rhs` (with `derivative`) is the one reference right-hand side.
+`integrate` writes the four stages of a substep out, each with the
+right-hand side and the Magic-Formula tire curve inline, on floats held
+in locals: no call, constant unpack or tuple return per stage.  Every
+inlined expression keeps the operand order of `_rhs`, and the hoisted
+ones their per-stage order, so the results are bit for bit those of an
+RK4 loop over `_rhs` (the tests compare the two).
 
 The kernel is plain Python on floats and `math` functions: at 7 states
 and 4 stages a numpy array per stage would cost more than the
@@ -152,8 +157,14 @@ def integrate(y, delta, trt, pb, dt, n_sub, m, mu, b, d):
 
     Returns the state `y` advanced by `dt`, as 7 floats, followed by the
     lateral acceleration at the final substep (rollover diagnostic).
+
+    The four stages are written out, each with the right-hand side and
+    the tire curve inline: the same expressions as `_rhs`, in the same
+    operand order, so the result is bit for bit that of a substep loop
+    over `_rhs`.  A stage's rate of phi is its yaw rate.
     """
-    const = _period_constants(delta, trt, pb, m, mu, b, d)
+    (delta, cd, sd, trt, m, b, scale_f, scale_r, peak_f, peak_r, brake_f,
+     brake_r, roll) = _period_constants(delta, trt, pb, m, mu, b, d)
     h = dt / n_sub
     hh = 0.5 * h
     h6 = h / 6.0
@@ -166,19 +177,136 @@ def integrate(y, delta, trt, pb, dt, n_sub, m, mu, b, d):
     om = float(y[6])
     ay = 0.0
     for _ in range(n_sub):
-        a0, a1, a2, a3, a4, a5, a6, _ = _rhs(phi, vx, vy, r, om, const)
-        b0, b1, b2, b3, b4, b5, b6, _ = _rhs(
-            phi + hh * a2, vx + hh * a3, vy + hh * a4, r + hh * a5,
-            om + hh * a6, const)
-        c0, c1, c2, c3, c4, c5, c6, _ = _rhs(
-            phi + hh * b2, vx + hh * b3, vy + hh * b4, r + hh * b5,
-            om + hh * b6, const)
-        d0, d1, d2, d3, d4, d5, d6, ay = _rhs(
-            phi + h * c2, vx + h * c3, vy + h * c4, r + h * c5,
-            om + h * c6, const)
+        # stage 1, at the substep's start
+        vs = vx if vx > 0.3 else 0.3
+        bs = b * (atan2(vy + L_F * r, vs) - delta)
+        fyf = -(scale_f * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
+        bs = b * atan2(vy - L_R * r, vs)
+        fyr = -(scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
+        au = abs(vx)
+        bs = b * ((om * R_W - vx) / (0.5 if au < 0.5 else au))
+        fxr = scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs))))
+        th = tanh(vx / 0.5)
+        fxf = brake_f * th
+        q = sqrt((fxf / peak_f) ** 2 + (fyf / peak_f) ** 2)
+        if q > 1.0:
+            fxf = fxf / q
+            fyf = fyf / q
+        q = sqrt((fxr / peak_r) ** 2 + (fyr / peak_r) ** 2)
+        if q > 1.0:
+            fxr = fxr / q
+            fyr = fyr / q
+        ay = (fxf * sd + fyf * cd + fyr) / m
+        cp = cos(phi)
+        sp = sin(phi)
+        a0 = vx * cp - vy * sp
+        a1 = vx * sp + vy * cp
+        a3 = vy * r + (fxf * cd - fyf * sd + fxr - (roll * th + C_DRAG * vx * au)) / m
+        a4 = -vx * r + ay
+        a5 = (L_F * (fyf * cd + fxf * sd) - L_R * fyr) / I_Z
+        a6 = (trt - brake_r * tanh(om / 0.5) - R_W * fxr) / _IW2
+        # stage 2
+        p2 = phi + hh * r
+        u2 = vx + hh * a3
+        v2 = vy + hh * a4
+        r2 = r + hh * a5
+        o2 = om + hh * a6
+        vs = u2 if u2 > 0.3 else 0.3
+        bs = b * (atan2(v2 + L_F * r2, vs) - delta)
+        fyf = -(scale_f * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
+        bs = b * atan2(v2 - L_R * r2, vs)
+        fyr = -(scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
+        au = abs(u2)
+        bs = b * ((o2 * R_W - u2) / (0.5 if au < 0.5 else au))
+        fxr = scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs))))
+        th = tanh(u2 / 0.5)
+        fxf = brake_f * th
+        q = sqrt((fxf / peak_f) ** 2 + (fyf / peak_f) ** 2)
+        if q > 1.0:
+            fxf = fxf / q
+            fyf = fyf / q
+        q = sqrt((fxr / peak_r) ** 2 + (fyr / peak_r) ** 2)
+        if q > 1.0:
+            fxr = fxr / q
+            fyr = fyr / q
+        ay = (fxf * sd + fyf * cd + fyr) / m
+        cp = cos(p2)
+        sp = sin(p2)
+        b0 = u2 * cp - v2 * sp
+        b1 = u2 * sp + v2 * cp
+        b3 = v2 * r2 + (fxf * cd - fyf * sd + fxr - (roll * th + C_DRAG * u2 * au)) / m
+        b4 = -u2 * r2 + ay
+        b5 = (L_F * (fyf * cd + fxf * sd) - L_R * fyr) / I_Z
+        b6 = (trt - brake_r * tanh(o2 / 0.5) - R_W * fxr) / _IW2
+        # stage 3
+        p3 = phi + hh * r2
+        u3 = vx + hh * b3
+        v3 = vy + hh * b4
+        r3 = r + hh * b5
+        o3 = om + hh * b6
+        vs = u3 if u3 > 0.3 else 0.3
+        bs = b * (atan2(v3 + L_F * r3, vs) - delta)
+        fyf = -(scale_f * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
+        bs = b * atan2(v3 - L_R * r3, vs)
+        fyr = -(scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
+        au = abs(u3)
+        bs = b * ((o3 * R_W - u3) / (0.5 if au < 0.5 else au))
+        fxr = scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs))))
+        th = tanh(u3 / 0.5)
+        fxf = brake_f * th
+        q = sqrt((fxf / peak_f) ** 2 + (fyf / peak_f) ** 2)
+        if q > 1.0:
+            fxf = fxf / q
+            fyf = fyf / q
+        q = sqrt((fxr / peak_r) ** 2 + (fyr / peak_r) ** 2)
+        if q > 1.0:
+            fxr = fxr / q
+            fyr = fyr / q
+        ay = (fxf * sd + fyf * cd + fyr) / m
+        cp = cos(p3)
+        sp = sin(p3)
+        c0 = u3 * cp - v3 * sp
+        c1 = u3 * sp + v3 * cp
+        c3 = v3 * r3 + (fxf * cd - fyf * sd + fxr - (roll * th + C_DRAG * u3 * au)) / m
+        c4 = -u3 * r3 + ay
+        c5 = (L_F * (fyf * cd + fxf * sd) - L_R * fyr) / I_Z
+        c6 = (trt - brake_r * tanh(o3 / 0.5) - R_W * fxr) / _IW2
+        # stage 4
+        p4 = phi + h * r3
+        u4 = vx + h * c3
+        v4 = vy + h * c4
+        r4 = r + h * c5
+        o4 = om + h * c6
+        vs = u4 if u4 > 0.3 else 0.3
+        bs = b * (atan2(v4 + L_F * r4, vs) - delta)
+        fyf = -(scale_f * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
+        bs = b * atan2(v4 - L_R * r4, vs)
+        fyr = -(scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
+        au = abs(u4)
+        bs = b * ((o4 * R_W - u4) / (0.5 if au < 0.5 else au))
+        fxr = scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs))))
+        th = tanh(u4 / 0.5)
+        fxf = brake_f * th
+        q = sqrt((fxf / peak_f) ** 2 + (fyf / peak_f) ** 2)
+        if q > 1.0:
+            fxf = fxf / q
+            fyf = fyf / q
+        q = sqrt((fxr / peak_r) ** 2 + (fyr / peak_r) ** 2)
+        if q > 1.0:
+            fxr = fxr / q
+            fyr = fyr / q
+        ay = (fxf * sd + fyf * cd + fyr) / m
+        cp = cos(p4)
+        sp = sin(p4)
+        d0 = u4 * cp - v4 * sp
+        d1 = u4 * sp + v4 * cp
+        d3 = v4 * r4 + (fxf * cd - fyf * sd + fxr - (roll * th + C_DRAG * u4 * au)) / m
+        d4 = -u4 * r4 + ay
+        d5 = (L_F * (fyf * cd + fxf * sd) - L_R * fyr) / I_Z
+        d6 = (trt - brake_r * tanh(o4 / 0.5) - R_W * fxr) / _IW2
         px += h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
         py += h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        phi += h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        phi += h6 * (r + 2.0 * r2 + 2.0 * r3 + r4)
         vx += h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
         vy += h6 * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
         r += h6 * (a5 + 2.0 * b5 + 2.0 * c5 + d5)

@@ -4,8 +4,12 @@ import dataclasses
 import hashlib
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from driftcorner import kernels, plant
@@ -123,6 +127,91 @@ def test_integrate_outputs_match_recorded_digest(free_rates):
             digest.update(np.float64(out.a_y).tobytes())
     assert digest.hexdigest() == (
         "1fa627248689349f630ba8e193626be6c8aab41a3eb94c48b8a329f497bf4306")
+
+
+def _rk4_over_rhs(y, delta, trt, pb, dt, n_sub, m, mu, b, d, reached=None):
+    """The plain RK4 loop over `kernels._rhs` that `integrate` writes out.
+    Adds to `reached` the branches its stages took: the slip-angle guard
+    (v_x <= 0.3), the slip-denominator floor (|v_x| < 0.5), the friction
+    ellipse on each axle, and the v_x and omega clamps."""
+    reached = set() if reached is None else reached
+    ratios = []  # the two friction-ellipse ratios of every stage, front first
+
+    def sqrt(value):
+        ratios.append(math.sqrt(value))
+        return ratios[-1]
+
+    def rhs(phi, vx, vy, r, om):
+        reached.update(name for name, hit in (("slip_guard", vx <= 0.3),
+                                              ("slip_floor", abs(vx) < 0.5)) if hit)
+        with mock.patch.object(kernels, "sqrt", sqrt):
+            rates = kernels._rhs(phi, vx, vy, r, om, const)
+        reached.update(name for name, ratio in zip(("ellipse_front", "ellipse_rear"),
+                                                   ratios[-2:]) if ratio > 1.0)
+        return rates
+
+    const = kernels._period_constants(delta, trt, pb, m, mu, b, d)
+    h = dt / n_sub
+    hh, h6 = 0.5 * h, h / 6.0
+    z = [float(v) for v in y]
+    ay = 0.0
+    for _ in range(n_sub):
+        k1 = rhs(*z[2:])
+        k2 = rhs(*(v + hh * k for v, k in zip(z[2:], k1[2:7])))
+        k3 = rhs(*(v + hh * k for v, k in zip(z[2:], k2[2:7])))
+        k4 = rhs(*(v + h * k for v, k in zip(z[2:], k3[2:7])))
+        ay = k4[7]
+        z = [v + h6 * (a + 2.0 * b_ + 2.0 * c + d_)
+             for v, a, b_, c, d_ in zip(z, k1, k2, k3, k4)]
+        for i, name in ((3, "clamp_vx"), (6, "clamp_omega")):
+            if z[i] < 0.0:
+                z[i] = 0.0
+                reached.add(name)
+    return (*z, ay)
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+# (state, (delta, T_rt, P_b), (m, mu, B, D)) draws that between them take
+# every branch of `_rk4_over_rhs`'s list
+BRANCH_EXAMPLES = [
+    # at rest, yawing and sliding, under full brake: the guard, the floor,
+    # both clamps (v_y * r pulls v_x below 0) and the rear ellipse
+    ((0.0, 0.0, 0.0, 0.0, 1.0, -3.0, 0.0), (0.0, 0.0, 10.0), (1800.0, 0.85, 5.5, 1.0)),
+    # sliding sideways at 10 m/s, steered and braked to locked wheels: both ellipses
+    ((3.0, -2.0, 1.0, 10.0, 3.0, 1.5, 0.0), (0.5, 0.0, 10.0), (1800.0, 0.85, 5.5, 1.0)),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    state=st.tuples(
+        st.floats(-100.0, 100.0, **_finite), st.floats(-100.0, 100.0, **_finite),
+        st.floats(-4.0, 4.0, **_finite),
+        st.one_of(st.floats(-0.6, 0.6, **_finite), st.floats(0.0, 30.0, **_finite)),
+        st.floats(-6.0, 6.0, **_finite), st.floats(-3.0, 3.0, **_finite),
+        st.one_of(st.floats(0.0, 2.0, **_finite), st.floats(0.0, 100.0, **_finite))),
+    inputs=st.tuples(st.floats(-0.6, 0.6, **_finite), st.floats(0.0, 1000.0, **_finite),
+                     st.one_of(st.just(0.0), st.floats(0.0, 10.0, **_finite))),
+    plant_values=st.tuples(st.floats(1000.0, 2500.0, **_finite),
+                           st.floats(0.3, 1.2, **_finite), st.floats(3.0, 8.0, **_finite),
+                           st.floats(0.7, 1.3, **_finite)),
+)
+@example(*BRANCH_EXAMPLES[0])
+@example(*BRANCH_EXAMPLES[1])
+def test_integrate_is_an_rk4_loop_over_rhs_bit_for_bit(state, inputs, plant_values):
+    # the stages are written out with the right-hand side inline; every
+    # output, signed zeros included, is that of the loop over `_rhs`
+    got = kernels.integrate(state, *inputs, CONTROL_DT, 10, *plant_values)
+    want = _rk4_over_rhs(state, *inputs, CONTROL_DT, 10, *plant_values)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_the_bit_identity_examples_take_every_branch():
+    reached = set()
+    for state, inputs, plant_values in BRANCH_EXAMPLES:
+        _rk4_over_rhs(state, *inputs, CONTROL_DT, 10, *plant_values, reached=reached)
+    assert reached == {"slip_guard", "slip_floor", "ellipse_front", "ellipse_rear",
+                       "clamp_vx", "clamp_omega"}
 
 
 def test_substep_count():
