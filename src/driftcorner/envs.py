@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ ACTION_HIGH = np.array([DELTA_MAX, T_MAX, P_MAX])
 ACTION_SPAN = ACTION_HIGH - ACTION_LOW
 for _box in (ACTION_LOW, ACTION_HIGH, ACTION_SPAN):
     _box.flags.writeable = False
+_SPAN = tuple(ACTION_SPAN.tolist())  # the span as Python floats for the tick
 _PREVIEW_OFFSETS = PREVIEW_SPACING * np.arange(1, N_PREVIEW + 1)
 _PREVIEW_OFFSETS.flags.writeable = False
 
@@ -132,8 +133,8 @@ class RewardTerms(NamedTuple):
 
 def reward_step(
     obs: FrenetObservation,
-    action: np.ndarray,
-    prev_action: np.ndarray,
+    action: Sequence[float],
+    prev_action: Sequence[float],
     pretraj: PreTrajectory,
     beta_r: float = 0.0,
 ) -> RewardTerms:
@@ -141,13 +142,19 @@ def reward_step(
 
     r_p penalizes lateral and speed deviation from the pre-trajectory,
     r_s is a bonus saturating toward k_s as |beta_r| grows, r_m
-    penalizes squared normalized action increments.
+    penalizes squared normalized action increments.  The actions are
+    (delta_f, t_rt, p_b) each.
     """
     v = math.hypot(obs.v_x, obs.v_y)
     r_p = (K_PL * abs(obs.l - float(pretraj.l_ref(obs.s)))
            + K_PV * abs(v - float(pretraj.v_ref(obs.s))))
     r_s = K_S * (1.0 - math.exp(K_S1 * abs(beta_r)))
-    d = (np.asarray(action) - np.asarray(prev_action)) / ACTION_SPAN
+    # the increment on floats; its square by numpy's dot, whose rounding
+    # a float sum of the three squares does not always share
+    a0, a1, a2 = action
+    p0, p1, p2 = prev_action
+    s0, s1, s2 = _SPAN
+    d = np.array(((a0 - p0) / s0, (a1 - p1) / s1, (a2 - p2) / s2))
     r_m = K_M * float(d @ d)
     return RewardTerms(r_p, r_s, r_m)
 
@@ -247,7 +254,7 @@ class DriftEnv:
         )
         self._t = 0.0
         self._s = 0.0
-        self._prev_cmd = np.zeros(3)
+        self._prev_cmd = (0.0, 0.0, 0.0)
         self._monitor = TerminationMonitor()
         self._sums = [0.0, 0.0, 0.0]
         self._max_beta = 0.0
@@ -265,13 +272,11 @@ class DriftEnv:
         if self.state is None:
             raise RuntimeError("call reset() before step()")
         delta_f, t_rt, p_b = action
-        clipped = [min(max(float(delta_f), -DELTA_MAX), DELTA_MAX),
-                   min(max(float(t_rt), 0.0), T_MAX),
-                   min(max(float(p_b), 0.0), P_MAX)]
+        cmd = Action(min(max(float(delta_f), -DELTA_MAX), DELTA_MAX),
+                     min(max(float(t_rt), 0.0), T_MAX),
+                     min(max(float(p_b), 0.0), P_MAX))
         try:
-            self.state = plant_step(
-                self.state, Action(*clipped), CONTROL_DT, self.tires, self.params,
-            )
+            self.state = plant_step(self.state, cmd, CONTROL_DT, self.tires, self.params)
         except NumericalBlowup:
             return self._finish("blowup", 0.0)
         self._t += CONTROL_DT
@@ -285,7 +290,6 @@ class DriftEnv:
         self._max_beta = max(self._max_beta, abs(beta.value))
         self._max_speed = max(self._max_speed, math.hypot(obs.v_x, obs.v_y))
 
-        cmd = np.array(clipped)
         terms = reward_step(obs, cmd, self._prev_cmd, self.pretraj,
                             beta_r=beta.value)
         self._prev_cmd = cmd

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -208,6 +209,7 @@ class FusionController:
         self.t = 0.0
         self.records: list[TickRecord] = []
         self._s_dots = np.gradient(preview.s) / CONTROL_DT
+        self._s_list = preview.s.tolist()  # for the per-tick bisection
         # Reference inputs implied by the preview motion, used as the
         # feedforward when the primary channel is ablated (tracker-only
         # mode): steering as recorded, acceleration from the recorded
@@ -250,13 +252,13 @@ class FusionController:
 
     def _reference_index(self, s: float) -> int:
         """Nearest preview sample by arc length, ties toward larger s."""
-        sp = self.preview.s
-        j = int(np.searchsorted(sp, s))
+        sp = self._s_list
+        j = bisect_left(sp, s)  # np.searchsorted's side="left"
         if j <= 0:
             return 0
         if j >= len(sp):
             raise PreviewExhausted(f"s={s:.2f} beyond preview end {sp[-1]:.2f}")
-        s_before, s_at = sp[j - 1:j + 1].tolist()
+        s_before, s_at = sp[j - 1], sp[j]
         return j if s_at - s <= s - s_before else j - 1
 
     def __call__(self, obs: FrenetObservation, state: PlantState) -> np.ndarray:

@@ -96,8 +96,11 @@ class VehicleParams:
         _require_positive(self, "m")
 
 
-@dataclass(frozen=True)
-class PlantState:
+class PlantState(NamedTuple):
+    """The plant's state after a control tick: the 7 dynamic states,
+    the actuator latches and the lateral acceleration diagnostic.  A
+    named tuple, because `step` builds one every tick."""
+
     x: float = 0.0
     y: float = 0.0
     phi: float = 0.0
@@ -112,10 +115,7 @@ class PlantState:
     a_y: float = 0.0  # lateral acceleration diagnostic (rollover proxy)
 
     def dynamic_array(self) -> np.ndarray:
-        return np.array(
-            [self.x, self.y, self.phi, self.v_x, self.v_y, self.yaw_rate,
-             self.omega_r]
-        )
+        return np.array(self[:7])
 
     @staticmethod
     def rolling(v_x: float, **kw) -> "PlantState":
@@ -141,15 +141,13 @@ def side_slip_rear(state: PlantState) -> SideSlip:
 
 def apply_actuator_limits(cmd: Action, latch: Action, dt: float) -> Action:
     """Saturate to the actuator envelope, then rate-limit from the latch."""
-
-    def _one(value, prev, lo, hi, rate):
-        value = min(max(value, lo), hi)
-        return min(max(value, prev - rate * dt), prev + rate * dt)
-
+    delta = min(max(cmd.delta_f, -DELTA_MAX), DELTA_MAX)
+    trt = min(max(cmd.t_rt, 0.0), T_MAX)
+    pb = min(max(cmd.p_b, 0.0), P_MAX)
     return Action(
-        _one(cmd.delta_f, latch.delta_f, -DELTA_MAX, DELTA_MAX, DELTA_RATE),
-        _one(cmd.t_rt, latch.t_rt, 0.0, T_MAX, T_RATE),
-        _one(cmd.p_b, latch.p_b, 0.0, P_MAX, P_RATE),
+        min(max(delta, latch.delta_f - DELTA_RATE * dt), latch.delta_f + DELTA_RATE * dt),
+        min(max(trt, latch.t_rt - T_RATE * dt), latch.t_rt + T_RATE * dt),
+        min(max(pb, latch.p_b - P_RATE * dt), latch.p_b + P_RATE * dt),
     )
 
 
@@ -170,24 +168,20 @@ def step(
 
     n_sub = max(1, int(round(dt / SUBSTEP_DT)))
     out = kernels.integrate(
-        (state.x, state.y, state.phi, state.v_x, state.v_y, state.yaw_rate,
-         state.omega_r),
-        applied.delta_f, applied.t_rt, applied.p_b, dt, n_sub,
+        state[:7], applied.delta_f, applied.t_rt, applied.p_b, dt, n_sub,
         params.m, tires.mu, tires.b, tires.d,
     )
     x, y, phi, v_x, v_y, yaw_rate, omega_r, a_y = out
-    dynamic = out[:7]
-    if (
-        not all(map(math.isfinite, dynamic))
-        or math.hypot(v_x, v_y) > _SANITY_V
-        or abs(yaw_rate) > _SANITY_YAW
+    # a NaN or infinite v_x, v_y or yaw rate fails its bound's comparison
+    if not (
+        math.hypot(v_x, v_y) <= _SANITY_V
+        and abs(yaw_rate) <= _SANITY_YAW
+        and math.isfinite(x) and math.isfinite(y) and math.isfinite(phi)
+        and math.isfinite(omega_r)
     ):
-        raise NumericalBlowup(f"plant state left sanity bounds: {dynamic}")
-    return PlantState(
-        x=x, y=y, phi=phi, v_x=v_x, v_y=v_y, yaw_rate=yaw_rate,
-        omega_r=omega_r, delta_applied=applied.delta_f,
-        trt_applied=applied.t_rt, pb_applied=applied.p_b, a_y=a_y,
-    )
+        raise NumericalBlowup(f"plant state left sanity bounds: {out[:7]}")
+    # the latches are the applied (delta_f, t_rt, p_b)
+    return PlantState(x, y, phi, v_x, v_y, yaw_rate, omega_r, *applied, a_y)
 
 
 ROLLOVER_A_Y = 8.0  # m/s^2, rollover proxy threshold
