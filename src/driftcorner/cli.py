@@ -52,6 +52,7 @@ from .fusion import (
     load_preview,
     params_digest,
     save_preview,
+    track_digest,
 )
 from .planner import load_pretrajectory, plan_pretrajectory, save_pretrajectory
 from .plant import TireParams, VehicleParams
@@ -188,6 +189,7 @@ def cmd_train(args) -> int:
         "episodes": args.episodes,
         "seed": args.seed,
         "demo_episodes": args.demo_episodes,
+        "checkpoint_every": args.checkpoint_every,
         "hyperparams": dataclasses.asdict(hp),
         "update_rule": {name: getattr(td3, name) for name in TD3_UPDATE_RULE},
         "t_ref": pre.t_ref,
@@ -241,9 +243,11 @@ def cmd_deploy(args) -> int:
     track, pre, inputs = _track_and_plan(args)
     preview_path = Path(args.preview)
     preview = load_preview(preview_path)
-    if args.kind and preview.track_id != args.kind:
-        raise ValueError(f"{preview_path} is a preview of track "
-                         f"'{preview.track_id}', not of --kind {args.kind}")
+    geometry = track_digest(track)
+    if preview.track_digest != geometry:
+        raise ValueError(f"{preview_path} is a preview of track '{preview.track_id}' "
+                         f"(geometry {preview.track_digest}), not of the deploy's "
+                         f"track {args.kind or args.track} (geometry {geometry})")
     params = VehicleParams()
     model = params_digest(params, TireParams())
     if preview.plant_digest != model:
@@ -283,6 +287,7 @@ def cmd_deploy(args) -> int:
         f"completion={res.completion_deg:.0f}/{res.total_deg:.0f} "
         f"fallback_events={res.fallback_events} "
         f"qp_failures={res.qp_failures} "
+        f"preview_exhausted={res.preview_exhausted} "
         f"mean_tick_ms={res.mean_tick_ms:.3f}"
     )
     (run_dir / "summary.txt").write_text(summary + "\n")
@@ -345,6 +350,8 @@ def cmd_compare(args) -> int:
     dep_params, dep_tires = spec.apply(params, TireParams())
     run_dir = _run_dir(args, "compare", {
         "command": "compare",
+        "kind": args.kind,
+        "v_ini": args.v_ini,
         "deployment": dataclasses.asdict(spec),
     }, [*inputs, policy_path])
 
@@ -393,7 +400,7 @@ def cmd_mu_sweep(args) -> int:
             raise MissingPolicy(f"checkpoint not found: {ckpt}")
     params = VehicleParams()
     run_dir = _run_dir(args, "mu_sweep", {
-        "command": "mu-sweep", "seeds": args.seeds,
+        "command": "mu-sweep", "seeds": args.seeds, "v_ini": args.v_ini,
         "tasks": [t[0] for t in tasks],
     }, [p for _, p in tasks])
 

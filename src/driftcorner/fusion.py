@@ -3,7 +3,8 @@
 The trained policy is rolled out (`envs.episode`) once, offline, in its
 own training plant to produce a preview trajectory (states in Cartesian
 form plus the action applied each tick), saved as a preview file
-(`textfile` convention, one row per tick); the fusion controller is then
+(`textfile` convention, one row per tick, with digests of the plant and
+of the track geometry it was made on); the fusion controller is then
 rolled out in the deployment plant.  The recorded action is its primary
 input, a two-step MPC tracks the preview's Cartesian trace to produce a
 corrective input, and the two are summed in actuator space.
@@ -62,7 +63,8 @@ from .track import TrackGeometry
 from .track import to_frenet  # noqa: F401
 
 PREVIEW_FILE = textfile.Format(
-    "preview", 1, ("policy_checksum", "plant_digest", "track_id", "v_ini", "t_f"),
+    "preview", 2,
+    ("policy_checksum", "plant_digest", "track_id", "track_digest", "v_ini", "t_f"),
     recreate="driftcorner preview", columns="t X Y phi v_x v_y yaw_rate delta_f T_rt P_b s")
 MODEL_BLOCK = 128  # preview points per stacked model build (small temporaries)
 
@@ -82,6 +84,14 @@ def params_digest(params: VehicleParams, tires: TireParams) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
+def track_digest(track: TrackGeometry) -> str:
+    """Short content hash of the track geometry: the half width, the
+    segment breaks and the curvatures."""
+    raw = np.concatenate(([track.half_width], track.seg_breaks, track.seg_kappa),
+                         dtype=float).tobytes()
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
 # -- preview trajectory -----------------------------------------------
 
 
@@ -97,6 +107,7 @@ class PreviewTrajectory:
     policy_checksum: float
     plant_digest: str
     track_id: str
+    track_digest: str  # `track_digest` of the geometry it was rolled out on
     v_ini: float  # m/s, entry speed
     t_f: float  # s, completion time of the rollout
 
@@ -154,7 +165,7 @@ def generate_preview(
     return PreviewTrajectory.from_rows(
         rows, policy_checksum=float(checksum),
         plant_digest=params_digest(params, tires), track_id=track_id,
-        v_ini=v_ini, t_f=result.t_f,
+        track_digest=track_digest(track), v_ini=v_ini, t_f=result.t_f,
     )
 
 
@@ -167,7 +178,8 @@ def load_preview(path) -> PreviewTrajectory:
     return textfile.read(path, PREVIEW_FILE, lambda fields, rows: PreviewTrajectory.from_rows(
         rows, policy_checksum=float(fields["policy_checksum"]),
         plant_digest=fields["plant_digest"], track_id=fields["track_id"],
-        v_ini=float(fields["v_ini"]), t_f=float(fields["t_f"])))
+        track_digest=fields["track_digest"], v_ini=float(fields["v_ini"]),
+        t_f=float(fields["t_f"])))
 
 
 # -- fusion controller ------------------------------------------------
@@ -206,6 +218,7 @@ class FusionController:
         self.fallback_on = False
         self.fallback_events = 0  # engagements, counted as each starts
         self.qp_failures = 0  # ticks whose QP did not converge
+        self.preview_exhausted = 0  # ticks past the preview's end, held at its last point
         self.t = 0.0
         self.records: list[TickRecord] = []
         self._s_dots = np.gradient(preview.s) / CONTROL_DT
@@ -269,6 +282,7 @@ class FusionController:
         try:
             k = self._reference_index(obs.s)
         except PreviewExhausted:
+            self.preview_exhausted += 1
             k = len(self.preview) - 1
         a_rl = (self.preview.a_rl[k].tolist() if self.primary_enabled
                 else [0.0, 0.0, 0.0])
@@ -376,6 +390,8 @@ class DeployResult:
     records: list[TickRecord]
     fallback_events: int
     qp_failures: int = field(default=0, kw_only=True)  # ticks whose QP did not converge
+    # ticks past the preview's end, which held its last point
+    preview_exhausted: int = field(default=0, kw_only=True)
     mean_tick_ms: float
     completion_deg: float
     total_deg: float
@@ -416,7 +432,7 @@ def deploy_run(
     ach, tot = completion_degrees(track, result.s_final)
     return DeployResult(  # an episode has at least one tick
         episode=result, records=ctl.records, fallback_events=ctl.fallback_events,
-        qp_failures=ctl.qp_failures,
+        qp_failures=ctl.qp_failures, preview_exhausted=ctl.preview_exhausted,
         mean_tick_ms=float(np.mean([r.compute_ms for r in ctl.records])),
         completion_deg=ach, total_deg=tot,
     )

@@ -56,8 +56,10 @@ def mismatch_run(uturn_preview8, tmp_path_factory):
 
 
 def test_deploy_completes_under_mismatch(mismatch_run):
-    summary = (mismatch_run[0] / "summary.txt").read_text()
+    out, res = mismatch_run
+    summary = (out / "summary.txt").read_text()
     assert "chi=1" in summary and "qp_failures=0" in summary
+    assert f" preview_exhausted={res.preview_exhausted} " in summary
 
 
 def test_trace_csv_holds_the_episode_trace(mismatch_run):
@@ -249,6 +251,28 @@ def test_deploy_rejects_preview_of_another_track(uturn_preview8, tmp_path,
                      str(preview), "--out", str(out)]) == 3
     assert "'uturn'" in capsys.readouterr().err
     assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("kind, refused", [("right_angle", True), ("uturn", False)])
+def test_deploy_checks_a_preview_against_a_track_file(kind, refused, uturn_preview8,
+                                                      monkeypatch, tmp_path, capsys):
+    # a U-turn preview on a right-angle track file ran to a crash with exit 0
+    monkeypatch.setattr(cli, "deploy_run",
+                        lambda *args, **kwargs: _deployed(1, "completed", 18.2, 180.0, 180.0))
+    track, preview = tmp_path / f"{kind}.txt", tmp_path / "preview.txt"
+    assert cli.main(["build-track", "--kind", kind, "--out", str(track)]) == 0
+    save_preview(uturn_preview8, preview)
+    out = tmp_path / "deploy"
+    code = cli.main(["deploy", "--track", str(track), "--preview", str(preview),
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    if refused:
+        assert code == 3
+        assert (f"{preview} is a preview of track 'uturn' (geometry "
+                f"{uturn_preview8.track_digest}), not of the deploy's track {track}") in err
+        assert not out.exists()
+    else:  # the file holds the U-turn's geometry
+        assert code == 0 and (out / "summary.txt").exists()
 
 
 def test_deploy_rejects_preview_made_in_another_plant(uturn_preview8, tmp_path,
@@ -638,3 +662,182 @@ def test_deploy_seed_means_a_randomized_start(seed_args, seed, nominal, monkeypa
     if seed is not None:
         assert calls[0]["seed"] == seed
     assert json.loads((out / "config.json").read_text())["seed"] == seed
+
+
+# -- every option is recorded ------------------------------------------
+
+# Per subcommand and option: the config.json key (dotted into nested
+# objects) or, for build-track, plan and preview, the field of the file
+# written that records the option, and two argument lists that differ in
+# it.  {name} is a file of `option_files`; a file input is recorded
+# through the run's input_hash.
+_A = ["--kind", "uturn", "--policy", "{policy_a}"]
+_D = ["--kind", "uturn", "--preview", "{preview_a}"]
+_DEPLOYMENT = {"--mu-deploy": ("mu", "0.75"), "--mass-scale": ("mass_scale", "1.1"),
+               "--tire-b-scale": ("tire_b_scale", "0.9"),
+               "--tire-d-scale": ("tire_d_scale", "0.9")}
+RECORDED = {
+    "build-track": {
+        "--kind": ("segments", ["--kind", "uturn"], ["--kind", "right_angle"]),
+        **{opt: (field, ["--kind", "uturn"], ["--kind", "uturn", opt, value])
+           for opt, field, value in (("--radius", "segments", "12"),
+                                     ("--width", "half_width", "5.0"),
+                                     ("--entry-len", "segments", "20"),
+                                     ("--exit-len", "segments", "60"))},
+    },
+    "plan": {
+        "--track": ("knots", ["--track", "{uturn}"], ["--track", "{right_angle}"]),
+        "--kind": ("knots", ["--kind", "uturn"], ["--kind", "right_angle"]),
+        "--mu": ("mu", ["--kind", "uturn"], ["--kind", "uturn", "--mu", "0.7"]),
+    },
+    "train": {
+        "--track": ("input_hash", ["--kind", "uturn"], ["--track", "{uturn}"]),
+        "--kind": ("kind", ["--kind", "uturn"], ["--kind", "right_angle"]),
+        "--pretraj": ("input_hash", ["--kind", "uturn"],
+                      ["--kind", "uturn", "--pretraj", "{pretraj}"]),
+        **{opt: (key, ["--kind", "uturn"], ["--kind", "uturn", opt, value])
+           for opt, key, value in (("--episodes", "episodes", "2"), ("--seed", "seed", "3"),
+                                   ("--demo-episodes", "demo_episodes", "0"),
+                                   ("--checkpoint-every", "checkpoint_every", "10"))},
+    },
+    "preview": {
+        "--track": ("track_digest", ["--track", "{uturn}", "--policy", "{policy_a}"],
+                    ["--track", "{uturn_wide}", "--policy", "{policy_a}"]),
+        "--kind": ("track_id", _A, ["--kind", "right_angle", "--policy", "{policy_a}"]),
+        # the file names no plan; the tracker drives a slower plan's speeds
+        "--pretraj": ("t_f", _A, [*_A, "--pretraj", "{pretraj}"]),
+        "--policy": ("policy_checksum", _A, ["--kind", "uturn", "--policy", "{policy_b}"]),
+        "--v-ini": ("v_ini", _A, [*_A, "--v-ini", "8.5"]),
+    },
+    "deploy": {
+        "--track": ("input_hash", _D, ["--track", "{uturn}", "--preview", "{preview_a}"]),
+        "--kind": ("kind", ["--track", "{uturn}", "--preview", "{preview_a}"], _D),
+        "--pretraj": ("input_hash", _D, [*_D, "--pretraj", "{pretraj}"]),
+        "--preview": ("input_hash", _D, ["--kind", "uturn", "--preview", "{preview_b}"]),
+        **{opt: (f"deployment.{key}", _D, [*_D, opt, value])
+           for opt, (key, value) in _DEPLOYMENT.items()},
+        "--seed": ("seed", _D, [*_D, "--seed", "3"]),
+        "--no-mpc": ("mpc_enabled", _D, [*_D, "--no-mpc"]),
+        "--no-primary": ("primary_enabled", _D, [*_D, "--no-primary"]),
+    },
+    "table1": {
+        "--policy-dir": ("policy_dir", ["--policy-dir", "{policies_a}"],
+                         ["--policy-dir", "{policies_b}"]),
+        "--tracker": ("tracker", ["--policy-dir", "{policies_a}"], ["--tracker"]),
+    },
+    "compare": {
+        "--track": ("input_hash", _A, ["--track", "{uturn}", "--policy", "{policy_a}"]),
+        "--kind": ("kind", _A, ["--kind", "right_angle", "--policy", "{policy_a}"]),
+        "--pretraj": ("input_hash", _A, [*_A, "--pretraj", "{pretraj}"]),
+        "--policy": ("input_hash", _A, ["--kind", "uturn", "--policy", "{policy_b}"]),
+        **{opt: (f"deployment.{key}", _A, [*_A, opt, value])
+           for opt, (key, value) in _DEPLOYMENT.items()},
+        "--v-ini": ("v_ini", _A, [*_A, "--v-ini", "8.5"]),
+    },
+    "mu-sweep": {
+        "--policy-uturn": ("input_hash", ["--policy-uturn", "{policy_a}"],
+                           ["--policy-uturn", "{policy_b}"]),
+        "--policy-right-angle": ("tasks", ["--policy-uturn", "{policy_a}"],
+                                 ["--policy-uturn", "{policy_a}",
+                                  "--policy-right-angle", "{policy_a}"]),
+        "--v-ini": ("v_ini", ["--policy-uturn", "{policy_a}"],
+                    ["--policy-uturn", "{policy_a}", "--v-ini", "8.5"]),
+        "--seeds": ("seeds", ["--policy-uturn", "{policy_a}"],
+                    ["--policy-uturn", "{policy_a}", "--seeds", "2"]),
+    },
+}
+# options that only name where a command writes or what it reads back
+FILE_ONLY = {**{name: {"--out"} for name in RECORDED}, "export-plots": {"--run-dir"}}
+FILE_COMMANDS = ("build-track", "plan", "preview")
+
+
+def test_every_option_is_recorded_or_file_only():
+    [sub] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    for name, parser in sub.choices.items():
+        options = {a.option_strings[-1] for a in parser._actions
+                   if a.option_strings and a.dest != "help"}
+        assert options == set(RECORDED.get(name, {})) | FILE_ONLY[name], name
+
+
+@pytest.fixture(scope="module")
+def recorded_run(uturn_pretraj, uturn_preview8, tmp_path_factory):
+    """record(command, argv): what the run records, as a flat dict: the
+    fields of the file written, or config.json with nested keys dotted.
+    The learner, the rollouts and the checkpoint loader are stubs, but a
+    preview is a real rollout of the 8 m/s path tracker."""
+    from driftcorner.baseline import BaselineTracker
+    from driftcorner.fusion import generate_preview
+    from driftcorner.planner import plan_pretrajectory
+
+    tmp = tmp_path_factory.mktemp("options")
+    files = {name: tmp / f"{name}.txt" for name in
+             ("uturn", "right_angle", "uturn_wide", "pretraj", "preview_a", "preview_b")}
+    save_track(build_library_track("uturn"), files["uturn"])
+    save_track(build_library_track("right_angle"), files["right_angle"])
+    save_track(build_library_track("uturn", width=6.0), files["uturn_wide"])
+    # planned at mu 0.5, so slower than 8 m/s through the arc
+    save_pretrajectory(plan_pretrajectory(build_library_track("uturn"), mu=0.5),
+                       files["pretraj"])
+    save_preview(uturn_preview8, files["preview_a"])
+    save_preview(dataclasses.replace(uturn_preview8, v_ini=8.5), files["preview_b"])
+    for name, content in (("policy_a", b"a"), ("policy_b", b"bb")):
+        files[name] = tmp / f"{name}.npz"
+        files[name].write_bytes(content)
+    for name in ("policies_a", "policies_b"):
+        files[name] = tmp / name
+        files[name].mkdir()
+        for kind in LIBRARY_KINDS:
+            for variant in ("centerline", "planned"):
+                (files[name] / f"{kind}_{variant}.npz").write_bytes(b"stub")
+
+    def tracker_preview(policy, params, tires, track, pre, v_ini, track_id):
+        tracker = BaselineTracker(
+            track, dataclasses.replace(pre, v_d=np.minimum(pre.v_d, 8.0)))
+        tracker.checksum = policy.checksum
+        return generate_preview(tracker, params, tires, track, pre, v_ini=v_ini,
+                                track_id=track_id)
+
+    stubs = {
+        "train": lambda *args, **kwargs: (None, SimpleNamespace(chi=[1]), None),
+        "deploy_run": lambda *args, **kwargs: _deployed(1, "completed", 18.2, 180.0, 180.0),
+        "run_episode": lambda *args, **kwargs: _episode(1, "completed", 18.2),
+        "policy_from_checkpoint": lambda path: SimpleNamespace(
+            checksum=lambda: float(sum(Path(path).read_bytes()))),
+    }
+    runs = {}
+
+    def record(command, argv):
+        argv = [arg.format(**files) for arg in argv]
+        key = (command, *argv)
+        if key not in runs:
+            out = tmp / f"run{len(runs)}"
+            with pytest.MonkeyPatch.context() as mp:
+                for name, stub in stubs.items():
+                    mp.setattr(cli, name, stub)
+                mp.setattr(cli, "generate_preview", tracker_preview if command == "preview"
+                           else lambda *args, **kwargs: None)
+                assert cli.main([command, *argv, "--out", str(out)]) == 0, key
+            if command in FILE_COMMANDS:
+                runs[key] = dict(line[2:].split(" = ", 1)
+                                 for line in out.read_text().splitlines()
+                                 if line.startswith("# ") and " = " in line)
+            else:
+                runs[key] = _flat(json.loads((out / "config.json").read_text()))
+        return runs[key]
+    return record
+
+
+def _flat(config: dict, prefix: str = "") -> dict:
+    out = {}
+    for key, value in config.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+@pytest.mark.parametrize("command, option", [(c, o) for c in RECORDED for o in RECORDED[c]])
+def test_an_option_is_recorded(command, option, recorded_run):
+    key, argv_a, argv_b = RECORDED[command][option]
+    assert recorded_run(command, argv_a).get(key) != recorded_run(command, argv_b).get(key)

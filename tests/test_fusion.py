@@ -20,6 +20,7 @@ from driftcorner.fusion import (
     load_preview,
     params_digest,
     save_preview,
+    track_digest,
 )
 from driftcorner.mpc import (
     Q,
@@ -32,7 +33,7 @@ from driftcorner.mpc import (
     solve_qp,
 )
 from driftcorner.plant import PlantState, TireParams, VehicleParams
-from driftcorner.track import to_frenet
+from driftcorner.track import build_library_track, load_track, save_track, to_frenet
 
 PARAMS = VehicleParams()
 TIRES = TireParams()
@@ -44,7 +45,7 @@ TIRES = TireParams()
 def test_preview_is_complete_and_uniform(uturn, uturn_preview8):
     p = uturn_preview8
     assert p.v_ini == 8.0
-    assert p.track_id == "uturn"
+    assert p.track_id == "uturn" and p.track_digest == track_digest(uturn)
     assert np.all(np.diff(p.s) >= -1e-9)
     assert np.max(p.s) == pytest.approx(uturn.s_max, abs=1.0)
     np.testing.assert_allclose(np.diff(p.t), 0.01, atol=1e-12)
@@ -73,6 +74,7 @@ def test_preview_file_round_trip(uturn_preview8, tmp_path):
     np.testing.assert_array_equal(back.a_rl, uturn_preview8.a_rl)
     np.testing.assert_array_equal(back.s, uturn_preview8.s)
     assert back.plant_digest == uturn_preview8.plant_digest
+    assert back.track_digest == uturn_preview8.track_digest
     assert back.t_f == uturn_preview8.t_f
 
 
@@ -89,7 +91,18 @@ def test_preview_validation():
         PreviewTrajectory(t=bad_t, gamma=np.zeros((2, 6)),
                           a_rl=np.zeros((2, 3)), s=np.array([0.0, 1.0]),
                           policy_checksum=0.0, plant_digest="x",
-                          track_id="t", v_ini=9.0, t_f=1.0)
+                          track_id="t", track_digest="x", v_ini=9.0, t_f=1.0)
+
+
+def test_track_digest_tracks_geometry_changes(all_tracks, tmp_path):
+    uturn = all_tracks["uturn"]
+    base = track_digest(uturn)
+    assert base == track_digest(build_library_track("uturn"))
+    save_track(uturn, tmp_path / "uturn.txt")
+    assert base == track_digest(load_track(tmp_path / "uturn.txt"))
+    assert len({track_digest(t) for t in all_tracks.values()}) == 3
+    assert base != track_digest(build_library_track("uturn", width=5.0))
+    assert base != track_digest(build_library_track("uturn", entry_len=29.0))
 
 
 def test_params_digest_tracks_plant_changes():
@@ -117,6 +130,18 @@ def test_matched_replay_completes(matched_run, uturn_preview8):
                                                     abs=0.5)
     assert matched_run.fallback_events == 0
     assert matched_run.qp_failures == 0
+    assert matched_run.preview_exhausted == 0
+
+
+def test_ticks_past_a_truncated_preview_are_counted(uturn, uturn_pretraj, uturn_preview8):
+    # the first 60 % of the preview: past its end the controller holds the
+    # last point, and counts each such tick
+    n = int(0.6 * len(uturn_preview8))
+    p = uturn_preview8
+    short = dataclasses.replace(p, t=p.t[:n], gamma=p.gamma[:n], a_rl=p.a_rl[:n], s=p.s[:n])
+    res = deploy_run(short, uturn, uturn_pretraj, PARAMS, PARAMS, TIRES)
+    assert res.episode.s_final > short.s[-1]
+    assert 0 < res.preview_exhausted < len(res.records)
 
 
 def test_matched_lateral_rms_small(matched_run, uturn, uturn_preview8):

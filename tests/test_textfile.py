@@ -40,7 +40,7 @@ def _first_cell_not_a_number(text, fmt, start):
 #         kinds it applies to)
 FAULTS = {
     "unknown_version": (_version(+1), "unrecognized", FORMATS),
-    "retired_version": (_version(-1), "re-create it with", ("track", "pretrajectory")),
+    "retired_version": (_version(-1), "re-create it with", FORMATS),
     "stray_row": (lambda text, fmt, _: text + "0.0 0.0\n", "has no rows",
                   ("track", "pretrajectory")),
     "missing_key": (lambda text, fmt, _: "".join(
