@@ -20,11 +20,13 @@ controller takes the arc length `obs.s` that the env projected the
 c.g. to, picks k, and forms the deviation from the preview, whose
 target is zero; `mpc.solve_qp` takes g = F_k gamma_aug and the
 unconstrained minimizer K_k gamma_aug, bounds the rates and inputs, and
-returns without a solve when that minimizer is feasible.  A tick whose
-QP does not converge is counted in `qp_failures` and applies no
-correction, as a tick below the model's speed guard does.  The rest of
-the tick (the sum of the two inputs, the clamp to the action box and
-the fallback) is arithmetic on three Python floats.
+returns without a solve when that minimizer is feasible; otherwise the
+dual active set of `mpc.solve_box_qp` starts from it.  That iteration
+ends finitely, and a tick that reaches its guard instead is counted in
+`qp_failures` and applies no correction, as a tick below the model's
+speed guard does.  The rest of the tick (the sum of the two inputs, the
+clamp to the action box and the fallback) is arithmetic on three Python
+floats.
 """
 
 from __future__ import annotations

@@ -17,11 +17,12 @@ gradient is fixed by the two step models.  `condense` builds, offline
 and for a whole stack at once, the Hessian H, the gradient map F
 (g = F gamma_aug) and the unconstrained gain K = -H^-1 F.  What runs
 per tick is `solve_qp`: two small products for g and the unconstrained
-minimizer, the box bounds, and an active-set iteration that starts
-from that minimizer and returns at once when it is feasible.  Every
-solution is KKT-checked against the gradient formed from F.  The
-iteration's one failure exit is NoConvergence; the fusion controller
-counts it and applies no correction on that tick.
+minimizer, the box bounds, and `solve_box_qp`, a dual active set that
+starts from that minimizer and returns at once when it is feasible.
+It ends finitely for a strictly convex QP; its one failure exit is the
+NoConvergence of an iteration guard, which the fusion controller
+counts, applying no correction on that tick.  Every solution is
+KKT-checked against the gradient formed from F.
 """
 
 from __future__ import annotations
@@ -241,66 +242,63 @@ def solve_box_qp(
 ) -> QpSolution:
     """min 1/2 z'Hz + g'z  s.t.  A z <= b, H positive definite.
 
-    Primal active-set iteration: start unconstrained, add the most
-    violated constraint, drop the constraint with the most negative
-    multiplier.  There are two exits: the solution, or NoConvergence
-    when the working set stalls or QP_MAX_ITER iterations pass.  It
-    stalls when the most violated constraint is already in it, or when
-    the constraint just added depends on the others (a singular KKT
-    system; dropping it again would only re-add it).
-    `z_free`, when given, is the unconstrained minimizer -H^-1 g
-    computed beforehand; it then stands for the empty working set, so
-    a feasible one returns after one iteration without a solve.
+    Dual active set (Goldfarb and Idnani, Math. Prog. 27, 1983): from the
+    unconstrained minimizer, raise the multiplier of the most violated
+    row p, moving z and the working rows' multipliers along the bordered
+    KKT system [[H, N'], [N, 0]] of the working rows N.  A full step,
+    where row p comes to hold, adds p; a partial step, where a working
+    multiplier reaches zero first, drops that row and goes on with p.
+    The multipliers stay nonnegative and the working rows independent.
+    Exits: the solution, once no row is violated; Infeasible, when p
+    depends on the working rows and no multiplier can fall; and
+    NoConvergence after QP_MAX_ITER iterations, one per step and one per
+    check.  `z_free`, when given, is -H^-1 g computed beforehand; a
+    feasible one returns after one iteration without a solve.
     """
     n = len(g)
-
-    def solve_eq(active: list[int]):
-        if z_free is not None and not active:
-            return z_free, None  # no multipliers without constraints
-        k = len(active)
-        kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = h
-        rhs = np.empty(n + k)
-        rhs[:n] = -g
-        if k:
-            aa = a_ineq[active]
-            kkt[:n, n:] = aa.T
-            kkt[n:, :n] = aa
-            rhs[n:] = b_ineq[active]
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            raise NoConvergence(f"singular working set {active}") from None
-        return sol[:n], sol[n:]
-
-    active: list[int] = []
+    z = np.linalg.solve(h, -g) if z_free is None else z_free
+    lam = np.zeros(len(b_ineq))  # nonzero on the working rows and on p
+    active: list[int] = []  # the working rows
+    p = -1  # the row being added
     for it in range(QP_MAX_ITER):
-        z, lam = solve_eq(active)
-        if active and np.min(lam) < -1e-11:
-            active.pop(int(np.argmin(lam)))
-            continue
-        slack = a_ineq @ z - b_ineq
-        worst = int(np.argmax(slack))
-        if slack[worst] <= 1e-10:
-            res = _kkt_residual(h, g, a_ineq, b_ineq, z, active, lam)
-            return QpSolution(z, sorted(active), res, it + 1)
-        if worst in active:
-            raise NoConvergence(f"active set stalled on constraint {worst} "
-                                f"after {it + 1} iterations")
-        active.append(worst)
+        if p < 0:
+            slack = a_ineq @ z - b_ineq
+            p = int(np.argmax(slack))
+            if slack[p] <= 1e-10:
+                res = _kkt_residual(h, g, a_ineq, z, lam, slack)
+                return QpSolution(z, sorted(active), res, it + 1)
+        rows, a_p, k = a_ineq[active], a_ineq[p], len(active)
+        kkt = np.block([[h, rows.T], [rows, np.zeros((k, k))]])
+        step = np.linalg.solve(kkt, np.concatenate([-a_p, np.zeros(k)]))
+        dz, dlam = step[:n], step[n:]
+        rate = -float(a_p @ dz)  # dz'H dz, the fall of row p's violation
+        falling = np.flatnonzero(dlam < 0.0)
+        t_drop = -lam[active][falling] / dlam[falling]
+        t = float(np.min(t_drop, initial=math.inf))
+        # the rate is rounding alone when a_p depends on the rows
+        full = rate > 1e-9 * float(a_p @ a_p) / np.trace(h)
+        if full:
+            t_full = float(a_p @ z - b_ineq[p]) / rate
+            full, t = t_full <= t, min(t, t_full)
+            z = z + t * dz
+        elif t == math.inf:
+            raise Infeasible(f"row {p} depends on the working rows {active}, "
+                             "and no step satisfies it")
+        lam[active] += t * dlam
+        lam[p] += t
+        if full:
+            active.append(p)
+            p = -1
+        else:
+            lam[active.pop(int(falling[np.argmin(t_drop)]))] = 0.0
     raise NoConvergence(f"active set not settled in {QP_MAX_ITER} iterations")
 
 
-def _kkt_residual(h, g, a_ineq, b_ineq, z, active, lam) -> float:
-    grad = h @ z + g
-    if active:
-        grad = grad + a_ineq[active].T @ np.asarray(lam)
-    stat = float(np.max(np.abs(grad)))
-    comp = 0.0
-    if active:
-        comp = float(np.max(np.abs(np.asarray(lam)
-                                   * (a_ineq[active] @ z - b_ineq[active]))))
-    return max(stat, comp)
+def _kkt_residual(h, g, a_ineq, z, lam, slack) -> float:
+    """Largest KKT violation of z and the multipliers lam, with the
+    slack A z - b."""
+    return max(float(np.abs(h @ z + g + a_ineq.T @ lam).max()),
+               float(np.abs(lam * slack).max()))
 
 
 # Box constraints A z <= b on z = (du_k, du_{k+1}), the same on every
