@@ -51,6 +51,7 @@ from .fusion import (
     generate_preview,
     load_preview,
     params_digest,
+    pretraj_digest,
     save_preview,
     track_digest,
 )
@@ -248,6 +249,11 @@ def cmd_deploy(args) -> int:
         raise ValueError(f"{preview_path} is a preview of track '{preview.track_id}' "
                          f"(geometry {preview.track_digest}), not of the deploy's "
                          f"track {args.kind or args.track} (geometry {geometry})")
+    plan = pretraj_digest(pre)
+    if preview.pretraj_digest != plan:
+        source = args.pretraj or f"planned at mu {TRAINING_MU}"
+        raise ValueError(f"{preview_path} is a preview made on plan {preview.pretraj_digest}, "
+                         f"not on the deploy's plan {plan} ({source})")
     params = VehicleParams()
     model = params_digest(params, TireParams())
     if preview.plant_digest != model:

@@ -3,13 +3,13 @@
 The trained policy is rolled out (`envs.episode`) once, offline, in its
 own training plant to produce a preview trajectory (states in Cartesian
 form plus the action applied each tick), saved as a preview file
-(`textfile` convention, one row per tick, with digests of the plant and
-of the track geometry it was made on); the fusion controller is then
-rolled out in the deployment plant.  The recorded action is its primary
-input, a two-step MPC tracks the preview's Cartesian trace to produce a
-corrective input, and the two are summed in actuator space.
-A side-slip safety fallback overrides everything when the rear swings
-out beyond its threshold.
+(`textfile` convention, one row per tick, with digests of the plant,
+the track geometry and the pre-trajectory it was made on); the fusion
+controller is then rolled out in the deployment plant.  The recorded
+action is its primary input, a two-step MPC tracks the preview's
+Cartesian trace to produce a corrective input, and the two are summed
+in actuator space.  A side-slip safety fallback overrides everything
+when the rear swings out beyond its threshold.
 
 Offline, when the controller is built, each preview point k gets its
 condensed tracking QP (`mpc.condense`): the Hessian H_k, the gradient
@@ -65,8 +65,9 @@ from .track import TrackGeometry
 from .track import to_frenet  # noqa: F401
 
 PREVIEW_FILE = textfile.Format(
-    "preview", 2,
-    ("policy_checksum", "plant_digest", "track_id", "track_digest", "v_ini", "t_f"),
+    "preview", 3,
+    ("policy_checksum", "plant_digest", "track_id", "track_digest", "pretraj_digest",
+     "v_ini", "t_f"),
     recreate="driftcorner preview", columns="t X Y phi v_x v_y yaw_rate delta_f T_rt P_b s")
 MODEL_BLOCK = 128  # preview points per stacked model build (small temporaries)
 
@@ -94,6 +95,14 @@ def track_digest(track: TrackGeometry) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
+def pretraj_digest(pretraj: PreTrajectory) -> str:
+    """Short content hash of a plan: its adhesion mu and the knots and
+    values of its offset spline, from which every sample is derived."""
+    raw = np.concatenate(([pretraj.mu], pretraj.path.knots, pretraj.path.values),
+                         dtype=float).tobytes()
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
 # -- preview trajectory -----------------------------------------------
 
 
@@ -110,10 +119,15 @@ class PreviewTrajectory:
     plant_digest: str
     track_id: str
     track_digest: str  # `track_digest` of the geometry it was rolled out on
+    pretraj_digest: str  # `pretraj_digest` of the plan it was rolled out on
     v_ini: float  # m/s, entry speed
     t_f: float  # s, completion time of the rollout
 
     def __post_init__(self):
+        if not 0.0 < self.v_ini < math.inf:
+            raise ValueError(f"v_ini must be finite and positive, got {self.v_ini!r}")
+        if not math.isfinite(self.t_f):
+            raise ValueError(f"t_f must be finite, got {self.t_f!r}")
         if not all(np.all(np.isfinite(a)) for a in (self.t, self.s, self.gamma, self.a_rl)):
             raise ValueError("preview t, s, gamma and a_rl must be finite")
         dt = np.diff(self.t)
@@ -167,7 +181,8 @@ def generate_preview(
     return PreviewTrajectory.from_rows(
         rows, policy_checksum=float(checksum),
         plant_digest=params_digest(params, tires), track_id=track_id,
-        track_digest=track_digest(track), v_ini=v_ini, t_f=result.t_f,
+        track_digest=track_digest(track), pretraj_digest=pretraj_digest(pretraj),
+        v_ini=v_ini, t_f=result.t_f,
     )
 
 
@@ -180,8 +195,8 @@ def load_preview(path) -> PreviewTrajectory:
     return textfile.read(path, PREVIEW_FILE, lambda fields, rows: PreviewTrajectory.from_rows(
         rows, policy_checksum=float(fields["policy_checksum"]),
         plant_digest=fields["plant_digest"], track_id=fields["track_id"],
-        track_digest=fields["track_digest"], v_ini=float(fields["v_ini"]),
-        t_f=float(fields["t_f"])))
+        track_digest=fields["track_digest"], pretraj_digest=fields["pretraj_digest"],
+        v_ini=float(fields["v_ini"]), t_f=float(fields["t_f"])))
 
 
 # -- fusion controller ------------------------------------------------

@@ -19,9 +19,10 @@ from driftcorner.fusion import (
     completion_degrees,
     deploy_run,
     params_digest,
+    pretraj_digest,
     save_preview,
 )
-from driftcorner.planner import load_pretrajectory, save_pretrajectory
+from driftcorner.planner import load_pretrajectory, plan_pretrajectory, save_pretrajectory
 from driftcorner.plant import TireParams, VehicleParams
 from driftcorner.track import LIBRARY_KINDS, build_library_track, load_track, save_track
 
@@ -288,6 +289,49 @@ def test_deploy_rejects_preview_made_in_another_plant(uturn_preview8, tmp_path,
     err = capsys.readouterr().err
     assert f"{preview} is a preview made in plant {other}" in err
     assert params_digest(VehicleParams(), TireParams()) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preview_plan, deploy_plan", [("mu0.5", None), (None, "mu0.5")])
+def test_deploy_rejects_preview_made_on_another_plan(preview_plan, deploy_plan, uturn,
+                                                    uturn_preview8, tmp_path, capsys):
+    # the env starts each run at l_ref(0) of the deploy's plan, the
+    # rollout that made the preview at its own: a preview made on a plan
+    # at mu 0.5 against the default plan, and the default plan's preview
+    # against a --pretraj file of the mu 0.5 plan
+    other = plan_pretrajectory(uturn, mu=0.5)
+    plans = {None: pretraj_digest(plan_pretrajectory(uturn, mu=cli.TRAINING_MU)),
+             "mu0.5": pretraj_digest(other)}
+    preview, pretraj = tmp_path / "preview.txt", tmp_path / "pretraj.txt"
+    save_preview(dataclasses.replace(uturn_preview8, pretraj_digest=plans[preview_plan]),
+                 preview)
+    save_pretrajectory(other, pretraj)
+    out = tmp_path / "deploy"
+    argv = ["deploy", "--kind", "uturn", "--preview", str(preview), "--out", str(out)]
+    assert cli.main(argv + (["--pretraj", str(pretraj)] if deploy_plan else [])) == 3
+    err = capsys.readouterr().err
+    assert (f"{preview} is a preview made on plan {plans[preview_plan]}, not on the "
+            f"deploy's plan {plans[deploy_plan]}") in err
+    assert (str(pretraj) if deploy_plan else f"planned at mu {cli.TRAINING_MU}") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, value", [("v_ini", "-1.0"), ("v_ini", "nan"),
+                                         ("v_ini", "inf"), ("t_f", "nan")])
+def test_deploy_rejects_preview_with_impossible_provenance(line, value, uturn_preview8,
+                                                          tmp_path, capsys):
+    # a U-turn preview edited to v_ini = -1 ran to a timeout with exit 0,
+    # and to v_ini = nan to a blowup at t_f = 0
+    preview = tmp_path / "preview.txt"
+    save_preview(uturn_preview8, preview)
+    text = preview.read_text()
+    old = f"# {line} = {getattr(uturn_preview8, line)!r}\n"
+    assert old in text
+    preview.write_text(text.replace(old, f"# {line} = {value}\n"))
+    out = tmp_path / "deploy"
+    assert cli.main(["deploy", "--kind", "uturn", "--preview", str(preview),
+                     "--out", str(out)]) == 3
+    assert f"{preview}: {line} must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -704,15 +748,15 @@ RECORDED = {
         "--track": ("track_digest", ["--track", "{uturn}", "--policy", "{policy_a}"],
                     ["--track", "{uturn_wide}", "--policy", "{policy_a}"]),
         "--kind": ("track_id", _A, ["--kind", "right_angle", "--policy", "{policy_a}"]),
-        # the file names no plan; the tracker drives a slower plan's speeds
-        "--pretraj": ("t_f", _A, [*_A, "--pretraj", "{pretraj}"]),
+        "--pretraj": ("pretraj_digest", _A, [*_A, "--pretraj", "{pretraj}"]),
         "--policy": ("policy_checksum", _A, ["--kind", "uturn", "--policy", "{policy_b}"]),
         "--v-ini": ("v_ini", _A, [*_A, "--v-ini", "8.5"]),
     },
     "deploy": {
         "--track": ("input_hash", _D, ["--track", "{uturn}", "--preview", "{preview_a}"]),
         "--kind": ("kind", ["--track", "{uturn}", "--preview", "{preview_a}"], _D),
-        "--pretraj": ("input_hash", _D, [*_D, "--pretraj", "{pretraj}"]),
+        # the default plan from a file: a preview made on any other is refused
+        "--pretraj": ("input_hash", _D, [*_D, "--pretraj", "{pretraj_default}"]),
         "--preview": ("input_hash", _D, ["--kind", "uturn", "--preview", "{preview_b}"]),
         **{opt: (f"deployment.{key}", _D, [*_D, opt, value])
            for opt, (key, value) in _DEPLOYMENT.items()},
@@ -767,17 +811,18 @@ def recorded_run(uturn_pretraj, uturn_preview8, tmp_path_factory):
     preview is a real rollout of the 8 m/s path tracker."""
     from driftcorner.baseline import BaselineTracker
     from driftcorner.fusion import generate_preview
-    from driftcorner.planner import plan_pretrajectory
 
     tmp = tmp_path_factory.mktemp("options")
     files = {name: tmp / f"{name}.txt" for name in
-             ("uturn", "right_angle", "uturn_wide", "pretraj", "preview_a", "preview_b")}
+             ("uturn", "right_angle", "uturn_wide", "pretraj", "pretraj_default",
+              "preview_a", "preview_b")}
     save_track(build_library_track("uturn"), files["uturn"])
     save_track(build_library_track("right_angle"), files["right_angle"])
     save_track(build_library_track("uturn", width=6.0), files["uturn_wide"])
     # planned at mu 0.5, so slower than 8 m/s through the arc
     save_pretrajectory(plan_pretrajectory(build_library_track("uturn"), mu=0.5),
                        files["pretraj"])
+    save_pretrajectory(uturn_pretraj, files["pretraj_default"])
     save_preview(uturn_preview8, files["preview_a"])
     save_preview(dataclasses.replace(uturn_preview8, v_ini=8.5), files["preview_b"])
     for name, content in (("policy_a", b"a"), ("policy_b", b"bb")):

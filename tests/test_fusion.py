@@ -19,6 +19,7 @@ from driftcorner.fusion import (
     generate_preview,
     load_preview,
     params_digest,
+    pretraj_digest,
     save_preview,
     track_digest,
 )
@@ -32,6 +33,7 @@ from driftcorner.mpc import (
     linearize,
     solve_qp,
 )
+from driftcorner.planner import load_pretrajectory, plan_pretrajectory, save_pretrajectory
 from driftcorner.plant import PlantState, TireParams, VehicleParams
 from driftcorner.track import build_library_track, load_track, save_track, to_frenet
 
@@ -42,10 +44,11 @@ TIRES = TireParams()
 # -- preview generation and files --------------------------------------
 
 
-def test_preview_is_complete_and_uniform(uturn, uturn_preview8):
+def test_preview_is_complete_and_uniform(uturn, uturn_pretraj, uturn_preview8):
     p = uturn_preview8
     assert p.v_ini == 8.0
     assert p.track_id == "uturn" and p.track_digest == track_digest(uturn)
+    assert p.pretraj_digest == pretraj_digest(uturn_pretraj)
     assert np.all(np.diff(p.s) >= -1e-9)
     assert np.max(p.s) == pytest.approx(uturn.s_max, abs=1.0)
     np.testing.assert_allclose(np.diff(p.t), 0.01, atol=1e-12)
@@ -75,6 +78,7 @@ def test_preview_file_round_trip(uturn_preview8, tmp_path):
     np.testing.assert_array_equal(back.s, uturn_preview8.s)
     assert back.plant_digest == uturn_preview8.plant_digest
     assert back.track_digest == uturn_preview8.track_digest
+    assert back.pretraj_digest == uturn_preview8.pretraj_digest
     assert back.t_f == uturn_preview8.t_f
 
 
@@ -85,13 +89,39 @@ def test_load_preview_rejects_foreign_file(tmp_path):
         load_preview(p)
 
 
+PREVIEW_FIELDS = dict(t=np.array([0.0, 0.01]), gamma=np.zeros((2, 6)),
+                      a_rl=np.zeros((2, 3)), s=np.array([0.0, 1.0]),
+                      policy_checksum=0.0, plant_digest="x", track_id="t",
+                      track_digest="x", pretraj_digest="x", v_ini=9.0, t_f=1.0)
+
+
 def test_preview_validation():
+    PreviewTrajectory(**PREVIEW_FIELDS)
     bad_t = np.array([0.0, 0.02])  # not 10 ms ticks
-    with pytest.raises(ValueError):
-        PreviewTrajectory(t=bad_t, gamma=np.zeros((2, 6)),
-                          a_rl=np.zeros((2, 3)), s=np.array([0.0, 1.0]),
-                          policy_checksum=0.0, plant_digest="x",
-                          track_id="t", track_digest="x", v_ini=9.0, t_f=1.0)
+    with pytest.raises(ValueError, match="uniform at 10 ms"):
+        PreviewTrajectory(**{**PREVIEW_FIELDS, "t": bad_t})
+
+
+@pytest.mark.parametrize("key, value", [("v_ini", -1.0), ("v_ini", 0.0), ("v_ini", math.nan),
+                                        ("v_ini", math.inf), ("t_f", math.nan),
+                                        ("t_f", math.inf)])
+def test_preview_refuses_an_impossible_entry_speed_or_time(key, value):
+    # generate_preview refuses such an entry speed; a file edited to one
+    # is refused on load
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        PreviewTrajectory(**{**PREVIEW_FIELDS, key: value})
+
+
+def test_pretraj_digest_tracks_plan_changes(uturn, uturn_pretraj, tmp_path):
+    base = pretraj_digest(uturn_pretraj)
+    assert base == pretraj_digest(plan_pretrajectory(uturn))
+    save_pretrajectory(uturn_pretraj, tmp_path / "plan.txt")
+    assert base == pretraj_digest(load_pretrajectory(tmp_path / "plan.txt", uturn))
+    # mu alone, and the spline alone
+    assert base != pretraj_digest(dataclasses.replace(uturn_pretraj, mu=0.7))
+    path = uturn_pretraj.path
+    moved = dataclasses.replace(path, values=path.values + 1e-9)
+    assert base != pretraj_digest(dataclasses.replace(uturn_pretraj, path=moved))
 
 
 def test_track_digest_tracks_geometry_changes(all_tracks, tmp_path):
