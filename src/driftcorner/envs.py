@@ -276,7 +276,7 @@ class DriftEnv:
                      min(max(float(t_rt), 0.0), T_MAX),
                      min(max(float(p_b), 0.0), P_MAX))
         try:
-            self.state = plant_step(self.state, cmd, CONTROL_DT, self.tires, self.params)
+            self.state = plant_step(self.state, cmd, self.tires, self.params)
         except NumericalBlowup:
             return self._finish("blowup", 0.0)
         self._t += CONTROL_DT

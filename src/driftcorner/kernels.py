@@ -31,6 +31,10 @@ from __future__ import annotations
 from math import atan, atan2, cos, sin, sqrt, tanh
 
 G = 9.81  # m/s^2
+# The period is the controller's 10 ms: N_SUBSTEPS RK4 substeps of
+# SUBSTEP_DT, and 0.01 / 10 is the double 0.001.
+SUBSTEP_DT = 0.001  # s
+N_SUBSTEPS = 10
 NUMBA_ENABLED = False  # the kernel always runs as plain Python
 
 # The modelled vehicle: every value but the settable four.
@@ -152,11 +156,12 @@ def derivative(y, delta, trt, pb, m, mu, b, d):
                 _period_constants(delta, trt, pb, m, mu, b, d))
 
 
-def integrate(y, delta, trt, pb, dt, n_sub, m, mu, b, d):
+def integrate(y, delta, trt, pb, m, mu, b, d):
     """Fixed-step RK4 with zero-order-hold inputs over the control period.
 
-    Returns the state `y` advanced by `dt`, as 7 floats, followed by the
-    lateral acceleration at the final substep (rollover diagnostic).
+    Returns the state `y` advanced by N_SUBSTEPS substeps of SUBSTEP_DT,
+    as 7 floats, followed by the lateral acceleration at the final
+    substep (rollover diagnostic).
 
     The four stages are written out, each with the right-hand side and
     the tire curve inline: the same expressions as `_rhs`, in the same
@@ -165,7 +170,7 @@ def integrate(y, delta, trt, pb, dt, n_sub, m, mu, b, d):
     """
     (delta, cd, sd, trt, m, b, scale_f, scale_r, peak_f, peak_r, brake_f,
      brake_r, roll) = _period_constants(delta, trt, pb, m, mu, b, d)
-    h = dt / n_sub
+    h = SUBSTEP_DT
     hh = 0.5 * h
     h6 = h / 6.0
     px = float(y[0])
@@ -176,7 +181,7 @@ def integrate(y, delta, trt, pb, dt, n_sub, m, mu, b, d):
     r = float(y[5])
     om = float(y[6])
     ay = 0.0
-    for _ in range(n_sub):
+    for _ in range(N_SUBSTEPS):
         # stage 1, at the substep's start
         vs = vx if vx > 0.3 else 0.3
         bs = b * (atan2(vy + L_F * r, vs) - delta)

@@ -26,11 +26,10 @@ import numpy as np
 
 from . import kernels
 from .errors import AmbiguousProjection, NumericalBlowup, OffCorridor
-from .kernels import G
+from .kernels import SUBSTEP_DT, G  # noqa: F401 (SUBSTEP_DT re-exported)
 from .track import FrenetPoint, TrackGeometry, to_frenet
 
-CONTROL_DT = 0.01  # s, control task period (100 Hz)
-SUBSTEP_DT = 0.001  # s, internal RK4 step
+CONTROL_DT = 0.01  # s, control task period (100 Hz), kernels.N_SUBSTEPS RK4 substeps
 
 # The actuator envelope: saturation and rate of each channel.
 DELTA_MAX = 0.524  # rad (30 deg at the wheel)
@@ -139,11 +138,13 @@ def side_slip_rear(state: PlantState) -> SideSlip:
     )
 
 
-def apply_actuator_limits(cmd: Action, latch: Action, dt: float) -> Action:
-    """Saturate to the actuator envelope, then rate-limit from the latch."""
+def apply_actuator_limits(cmd: Action, latch: Action) -> Action:
+    """Saturate to the actuator envelope, then rate-limit from the latch
+    over one control period."""
     delta = min(max(cmd.delta_f, -DELTA_MAX), DELTA_MAX)
     trt = min(max(cmd.t_rt, 0.0), T_MAX)
     pb = min(max(cmd.p_b, 0.0), P_MAX)
+    dt = CONTROL_DT
     return Action(
         min(max(delta, latch.delta_f - DELTA_RATE * dt), latch.delta_f + DELTA_RATE * dt),
         min(max(trt, latch.t_rt - T_RATE * dt), latch.t_rt + T_RATE * dt),
@@ -158,17 +159,15 @@ _SANITY_YAW = 20.0  # rad/s
 def step(
     state: PlantState,
     cmd: Action,
-    dt: float = CONTROL_DT,
     tires: TireParams = TireParams(),
     params: VehicleParams = VehicleParams(),
 ) -> PlantState:
-    """Advance the plant one control period under a zero-order-hold input."""
+    """Advance the plant one control period, CONTROL_DT, under a
+    zero-order-hold input."""
     latch = Action(state.delta_applied, state.trt_applied, state.pb_applied)
-    applied = apply_actuator_limits(cmd, latch, dt)
-
-    n_sub = max(1, int(round(dt / SUBSTEP_DT)))
+    applied = apply_actuator_limits(cmd, latch)
     out = kernels.integrate(
-        state[:7], applied.delta_f, applied.t_rt, applied.p_b, dt, n_sub,
+        state[:7], applied.delta_f, applied.t_rt, applied.p_b,
         params.m, tires.mu, tires.b, tires.d,
     )
     x, y, phi, v_x, v_y, yaw_rate, omega_r, a_y = out

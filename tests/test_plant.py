@@ -201,7 +201,7 @@ BRANCH_EXAMPLES = [
 def test_integrate_is_an_rk4_loop_over_rhs_bit_for_bit(state, inputs, plant_values):
     # the stages are written out with the right-hand side inline; every
     # output, signed zeros included, is that of the loop over `_rhs`
-    got = kernels.integrate(state, *inputs, CONTROL_DT, 10, *plant_values)
+    got = kernels.integrate(state, *inputs, *plant_values)
     want = _rk4_over_rhs(state, *inputs, CONTROL_DT, 10, *plant_values)
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -215,7 +215,9 @@ def test_the_bit_identity_examples_take_every_branch():
 
 
 def test_substep_count():
-    assert int(round(CONTROL_DT / SUBSTEP_DT)) == 10
+    # the kernel's fixed substep is the period split into ten, to the bit
+    assert kernels.N_SUBSTEPS == 10 and plant.SUBSTEP_DT == kernels.SUBSTEP_DT
+    assert (CONTROL_DT / kernels.N_SUBSTEPS).hex() == SUBSTEP_DT.hex()
 
 
 def test_step_is_deterministic():
@@ -302,19 +304,18 @@ def test_rear_slip_angle():
 
 def test_actuator_saturation_and_rate():
     latch = Action(0.0, 0.0, 0.0)
-    out = apply_actuator_limits(Action(1.0, 5000.0, 50.0), latch, 0.01)
+    out = apply_actuator_limits(Action(1.0, 5000.0, 50.0), latch)
     assert out.delta_f == pytest.approx(plant.DELTA_RATE * 0.01)
     assert out.t_rt == pytest.approx(plant.T_RATE * 0.01)
     assert out.p_b == pytest.approx(plant.P_RATE * 0.01)
     # once the latch is at the cap, saturation is the binding constraint
     at_cap = Action(plant.DELTA_MAX, plant.T_MAX, plant.P_MAX)
-    out = apply_actuator_limits(Action(1.0, 5000.0, 50.0), at_cap, 0.01)
+    out = apply_actuator_limits(Action(1.0, 5000.0, 50.0), at_cap)
     assert out == at_cap
 
 
 def test_negative_commands_clamp_to_zero():
-    out = apply_actuator_limits(Action(0.0, -100.0, -1.0),
-                                Action(0.0, 0.0, 0.0), 0.01)
+    out = apply_actuator_limits(Action(0.0, -100.0, -1.0), Action(0.0, 0.0, 0.0))
     assert out.t_rt == 0.0 and out.p_b == 0.0
 
 
