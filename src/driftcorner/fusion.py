@@ -13,8 +13,8 @@ when the rear swings out beyond its threshold.
 
 Offline, when the controller is built, each preview point k gets its
 condensed tracking QP (`mpc.condense`): the Hessian H_k, the gradient
-map F_k and the unconstrained gain K_k, from the models at k and at
-the step-2 point k1, which is a function of k alone.  The weights,
+map F_k and the unconstrained gain K_k, from the models at tick k and
+at the next tick, k + 1, for step 2.  The weights,
 boxes and sample time are the constants of `mpc`.  Per tick the
 controller takes the arc length `obs.s` that the env projected the
 c.g. to, picks k, and forms the deviation from the preview, whose
@@ -46,7 +46,6 @@ from .errors import NoConvergence, PreviewExhausted, PreviewFailed
 from .mpc import (
     N_AUG,
     N_Z,
-    T_S,
     V_EPS,
     CartesianState,
     CondensedQp,
@@ -238,7 +237,6 @@ class FusionController:
         self.preview_exhausted = 0  # ticks past the preview's end, held at its last point
         self.t = 0.0
         self.records: list[TickRecord] = []
-        self._s_dots = np.gradient(preview.s) / CONTROL_DT
         self._s_list = preview.s.tolist()  # for the per-tick bisection
         # Reference inputs implied by the preview motion, used as the
         # feedforward when the primary channel is ablated (tracker-only
@@ -255,19 +253,16 @@ class FusionController:
         """Condensed tracking QP at every preview point: stacks (n, 4, 4)
         of H_k and (n, 4, 8) of F_k and K_k.
 
-        Step 2 of the QP at k uses the model at k1, the first point at
-        least one sample and the preview's own progress over one sample
-        time ahead (k1 = k at the last point), so k1 is a function of k.
-        Per MODEL_BLOCK points, extended to the farthest k1 of the
-        block, one stacked linearization (v_x held at the singularity
+        Step 2 of the QP at k uses the model at k1 = k + 1, one sample
+        time ahead on the preview's uniform ticks (k1 = k at the last
+        point).  Per MODEL_BLOCK points, extended to the farthest k1 of
+        the block, one stacked linearization (v_x held at the singularity
         guard) and one discretization feed one `condense`; no model
         stack outlives its block.  The preview is fixed, so this is
         offline work."""
         p = self.preview
         n = len(p)
-        ahead = p.s + np.maximum(self._s_dots * T_S, 0.0)
-        k1 = np.minimum(np.maximum(np.searchsorted(p.s, ahead), np.arange(1, n + 1)),
-                        n - 1)
+        k1 = np.minimum(np.arange(1, n + 1), n - 1)
         h = np.empty((n, N_Z, N_Z))
         f, gain = np.empty((n, N_Z, N_AUG)), np.empty((n, N_Z, N_AUG))
         for i in range(0, n, MODEL_BLOCK):

@@ -26,7 +26,6 @@ from driftcorner.fusion import (
 from driftcorner.mpc import (
     Q,
     R,
-    T_S,
     V_EPS,
     CartesianState,
     discretize_augment,
@@ -243,9 +242,8 @@ def test_tick_accumulates_qp_rate_onto_correction(monkeypatch, uturn,
 def test_controller_model_is_built_in_blocks(monkeypatch, uturn,
                                              uturn_preview8):
     # one stacked discretization per block of preview points, not one
-    # per point; a block also models the step-2 points just past its end
-    # (at most 2 samples ahead on this preview), and only the condensed
-    # QP is kept
+    # per point; a block also models the step-2 point just past its end,
+    # and only the condensed QP is kept
     calls = []
     original = fusion.discretize_augment
 
@@ -257,7 +255,7 @@ def test_controller_model_is_built_in_blocks(monkeypatch, uturn,
     ctl = FusionController(uturn_preview8, PARAMS)
     n = len(uturn_preview8)
     assert len(calls) == math.ceil(n / fusion.MODEL_BLOCK)
-    assert n <= sum(calls) and max(calls) <= fusion.MODEL_BLOCK + 2
+    assert n <= sum(calls) and max(calls) == fusion.MODEL_BLOCK + 1
     assert ctl._qp.h.shape == (n, 4, 4)
     assert ctl._qp.f.shape == ctl._qp.k.shape == (n, 4, 8)
 
@@ -278,7 +276,7 @@ def _per_tick_qp(a_k, b_k, a_k1, b_k1):
 
 def test_condensed_qp_matches_the_per_tick_build(uturn, uturn_preview8, rng):
     # at every preview point, against models discretized point by point
-    # and the step-2 point picked the way a tick picked it
+    # and step 2 one tick ahead
     ctl = FusionController(uturn_preview8, PARAMS)
     p, n = uturn_preview8, len(uturn_preview8)
 
@@ -289,9 +287,7 @@ def test_condensed_qp_matches_the_per_tick_build(uturn, uturn_preview8, rng):
 
     models = [model(i) for i in range(n)]
     for k in range(n):
-        ds = max(ctl._s_dots[k] * T_S, 0.0)
-        k1 = min(max(int(np.searchsorted(p.s, p.s[k] + ds)), k + 1), n - 1)
-        h, f = _per_tick_qp(*models[k], *models[k1])
+        h, f = _per_tick_qp(*models[k], *models[min(k + 1, n - 1)])
         np.testing.assert_allclose(ctl._qp.h[k], h, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ctl._qp.f[k], f, rtol=0, atol=1e-12)
         gamma_aug = rng.normal(0.0, 0.3, 8)
@@ -324,14 +320,14 @@ GOLDEN_DEPLOY = {
     "matched": ("completed", 1811, 18.11000000000003, 134.55751918948772,
                 (125.38163188524562, 205460.243599334, 4.339438444074675),
                 (0.2542121659737458, 488.80397191569324, 0.1491328000000002)),
+    # Re-recorded when step 2 of the QP took its model from the next
+    # preview tick; the MPC alone drives tracker_only.
     "mismatch": ("completed", 1798, 17.98000000000001, 134.55751918948772,
-                 (126.22917017443385, 239957.01933266147, 4.83299836901363),
-                 (0.2685432233757306, 577.7186019390474, 0.1491328000000002)),
-    # Recorded with the per-point controller build that the stacked
-    # build replaced; the MPC alone drives this mode.
+                 (126.22842086261134, 239950.95144021342, 4.83299836901363),
+                 (0.268541821143965, 577.7590265668896, 0.1491328000000002)),
     "tracker_only": ("completed", 1814, 18.140000000000036, 134.55751918948772,
-                     (125.59774601772405, 230943.88660087663, 57.98434961840463),
-                     (0.25528190818621976, 673.527224403063, 0.5274743453779506)),
+                     (125.59556015941169, 230935.16867728188, 57.97903817112695),
+                     (0.25527870455957563, 673.536084463471, 0.5274709261968488)),
 }
 
 
