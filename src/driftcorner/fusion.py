@@ -6,16 +6,16 @@ form plus the action applied each tick), saved as a preview file
 (`textfile` convention, one row per tick, with digests of the plant,
 the track geometry and the pre-trajectory it was made on); the fusion
 controller is then rolled out in the deployment plant.  The recorded
-action is its primary input, a two-step MPC tracks the preview's
-Cartesian trace to produce a corrective input, and the two are summed
-in actuator space.  A side-slip safety fallback overrides everything
-when the rear swings out beyond its threshold.
+action is its primary input, an MPC over `mpc.N_STEPS` ticks tracks
+the preview's Cartesian trace to produce a corrective input, and the
+two are summed in actuator space.  A side-slip safety fallback
+overrides everything when the rear swings out beyond its threshold.
 
 Offline, when the controller is built, each preview point k gets its
 condensed tracking QP (`mpc.condense`): the Hessian H_k, the gradient
-map F_k and the unconstrained gain K_k, from the models at tick k and
-at the next tick, k + 1, for step 2.  The weights,
-boxes and sample time are the constants of `mpc`.  Per tick the
+map F_k and the unconstrained gain K_k, from the models at ticks k,
+k + 1, ..., one per step of the horizon.  The horizon, weights, boxes
+and sample time are the constants of `mpc`.  Per tick the
 controller takes the arc length `obs.s` that the env projected the
 c.g. to, picks k, and forms the deviation from the preview, whose
 target is zero; `mpc.solve_qp` takes g = F_k gamma_aug and the
@@ -45,6 +45,7 @@ from .envs import (ACTION_HIGH, ACTION_LOW, CONTROL_DT, DriftEnv, EpisodeResult,
 from .errors import NoConvergence, PreviewExhausted, PreviewFailed
 from .mpc import (
     N_AUG,
+    N_STEPS,
     N_Z,
     V_EPS,
     CartesianState,
@@ -250,29 +251,26 @@ class FusionController:
         self._qp = self._precompute() if mpc_enabled else None
 
     def _precompute(self) -> CondensedQp:
-        """Condensed tracking QP at every preview point: stacks (n, 4, 4)
-        of H_k and (n, 4, 8) of F_k and K_k.
+        """Condensed tracking QP at every preview point: stacks (n, 2N, 2N)
+        of H_k and (n, 2N, 8) of F_k and K_k, N = N_STEPS.
 
-        Step 2 of the QP at k uses the model at k1 = k + 1, one sample
-        time ahead on the preview's uniform ticks (k1 = k at the last
-        point).  Per MODEL_BLOCK points, extended to the farthest k1 of
-        the block, one stacked linearization (v_x held at the singularity
-        guard) and one discretization feed one `condense`; no model
-        stack outlives its block.  The preview is fixed, so this is
-        offline work."""
+        Step j of the QP at k uses the model at tick k + j, clamped to
+        the last tick: the preview's ticks are one sample time apart.
+        Per MODEL_BLOCK points, extended by N_STEPS - 1 ticks, one
+        stacked linearization (v_x held at the singularity guard) and
+        one discretization feed one `condense`; no model stack outlives
+        its block.  The preview is fixed, so this is offline work."""
         p = self.preview
         n = len(p)
-        k1 = np.minimum(np.arange(1, n + 1), n - 1)
         h = np.empty((n, N_Z, N_Z))
         f, gain = np.empty((n, N_Z, N_AUG)), np.empty((n, N_Z, N_AUG))
         for i in range(0, n, MODEL_BLOCK):
             blk = slice(i, min(i + MODEL_BLOCK, n))
-            g = p.gamma[i:max(blk.stop, k1[blk].max() + 1)]
+            g = p.gamma[i:blk.stop + N_STEPS - 1]
             ref = CartesianState(*g.T)._replace(v_x=np.maximum(g[:, 3], V_EPS))
             a_aug, b_aug = discretize_augment(*linearize(ref, self.params))
-            m, j1 = blk.stop - i, k1[blk] - i
-            qp = condense((a_aug[:m], b_aug[:m], a_aug[j1], b_aug[j1]))
-            h[blk], f[blk], gain[blk] = qp.h, qp.f, qp.k
+            ticks = np.minimum(np.arange(N_STEPS)[:, None] + np.arange(blk.stop - i), len(g) - 1)
+            h[blk], f[blk], gain[blk] = condense([m for t in ticks for m in (a_aug[t], b_aug[t])])
         return CondensedQp(h, f, gain)
 
     def _reference_index(self, s: float) -> int:

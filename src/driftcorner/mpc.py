@@ -8,21 +8,21 @@ input *rates*.  The linearization and the discretization also take
 stacks of reference points, so a whole reference trajectory is
 modelled in one pass.
 
-The tracker solves one problem: over two steps, drive the deviation
-from the reference to zero, with the state weights Q, the rate weights
-R, the rate box DU_MIN..DU_MAX and the input box U_MIN..U_MAX, all
-module constants.  The state is the deviation gamma_aug itself, so the
-targets are zero and everything in the four-variable dense QP but the
-gradient is fixed by the two step models.  `condense` builds, offline
-and for a whole stack at once, the Hessian H, the gradient map F
-(g = F gamma_aug) and the unconstrained gain K = -H^-1 F.  What runs
-per tick is `solve_qp`: two small products for g and the unconstrained
-minimizer, the box bounds, and `solve_box_qp`, a dual active set that
-starts from that minimizer and returns at once when it is feasible.
-It ends finitely for a strictly convex QP; its one failure exit is the
-NoConvergence of an iteration guard, which the fusion controller
-counts, applying no correction on that tick.  Every solution is
-KKT-checked against the gradient formed from F.
+The tracker solves one problem: over N_STEPS sample times, drive the
+deviation from the reference to zero, with the state weights Q, the
+rate weights R, the rate box DU_MIN..DU_MAX and the input box
+U_MIN..U_MAX, all module constants.  The state is the deviation
+gamma_aug itself, so the targets are zero and everything in the dense
+QP over the stacked rates but the gradient is fixed by the step models.
+`condense` builds, offline and for a whole stack at once, the Hessian
+H, the gradient map F (g = F gamma_aug) and the unconstrained gain
+K = -H^-1 F.  What runs per tick is `solve_qp`: two small products for
+g and the unconstrained minimizer, the box bounds, and `solve_box_qp`,
+a dual active set that starts from that minimizer and returns at once
+when it is feasible.  It ends finitely for a strictly convex QP; its
+one failure exit is the NoConvergence of an iteration guard, which the
+fusion controller counts, applying no correction on that tick.  Every
+solution is KKT-checked against the gradient formed from F.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ V_EPS = 0.5  # m/s, model-singularity guard on 1/v_x terms
 N_STATE = 6
 N_INPUT = 2
 N_AUG = N_STATE + N_INPUT
-N_Z = 2 * N_INPUT  # decision variables (du_k, du_{k+1})
+N_STEPS = 2  # the horizon, in sample times
+N_Z = N_STEPS * N_INPUT  # decision variables (du_k, ..., du_{k+N_STEPS-1})
 
 # The tracker's one configuration: sample time, the model's linear
 # tire stiffness, cost weights on the state deviation and on the input
@@ -55,11 +56,8 @@ U_MIN = np.array([-DELTA_MAX, -8.0])
 U_MAX = np.array([DELTA_MAX, 3.0])
 DU_MIN = np.array([-0.07, -0.8])
 DU_MAX = np.array([0.07, 0.8])
-# Block-diagonal weights of the two stacked steps, diag(Q, Q), diag(R, R).
-Q_BAR = np.kron(np.eye(2), Q)
-R_BAR = np.kron(np.eye(2), R)
 QP_MAX_ITER = 60  # active-set iterations before NoConvergence
-for _const in (Q, R, U_MIN, U_MAX, DU_MIN, DU_MAX, Q_BAR, R_BAR):
+for _const in (Q, R, U_MIN, U_MAX, DU_MIN, DU_MAX):
     _const.flags.writeable = False
 
 
@@ -184,39 +182,44 @@ def discretize_augment(
 
 
 class CondensedQp(NamedTuple):
-    """The two-step tracking QP with the state left symbolic.
+    """The tracking QP with the state left symbolic.
 
     For the augmented deviation gamma_aug the QP is min 1/2 z'Hz + g'z
-    over z = (du_k, du_{k+1}) with g = f gamma_aug, and k gamma_aug is
-    its unconstrained minimizer.  The fields may be stacks over leading
-    axes."""
+    over the stacked rates z = (du_k, ..., du_{k+N-1}) with
+    g = f gamma_aug, and k gamma_aug is its unconstrained minimizer.
+    The fields may be stacks over leading axes."""
 
-    h: np.ndarray  # (..., 4, 4)
-    f: np.ndarray  # (..., 4, 8)
-    k: np.ndarray  # (..., 4, 8), -H^-1 f
+    h: np.ndarray  # (..., 2N, 2N)
+    f: np.ndarray  # (..., 2N, 8)
+    k: np.ndarray  # (..., 2N, 8), -H^-1 f
 
 
-def condense(
-    mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> CondensedQp:
-    """Condensed QP of the models (A_k, B_k) of step k+1 and
-    (A_{k+1}, B_{k+1}) of step k+2, from discretize_augment.
+def condense(mats) -> CondensedQp:
+    """Condensed QP of the step models (A_0, B_0, ..., A_{N-1}, B_{N-1}),
+    from discretize_augment, one pair per step of the horizon.
 
-    Gamma(k+1) is the state rows of A_k x + B_k du_k, and Gamma(k+2)
-    those of A_{k+1}A_k x + A_{k+1}B_k du_k + B_{k+1} du_{k+1}; stacked,
-    the predicted states are P x + M z, whose target is zero.  With
-    Q_BAR and R_BAR, H = 2(M' Q_BAR M + R_BAR) and f = 2M' Q_BAR P.
-    Stacks of models give stacks of QPs.
+    From x_0 = gamma_aug, x_{j+1} = A_j x_j + B_j du_j; the state rows
+    of x_1 .. x_N, stacked, are P x_0 + M z, whose target is zero.  With
+    q_bar = diag(Q, .., Q) and r_bar = diag(R, .., R), H = 2(M' q_bar M
+    + r_bar) and f = 2M' q_bar P.  Stacks of models give stacks of QPs.
     """
-    a_k, b_k, a_k1, b_k1 = mats
-    head = a_k1[..., :N_STATE, :]
-    free = np.concatenate([a_k[..., :N_STATE, :], head @ a_k], axis=-2)
-    pred = np.zeros(free.shape[:-1] + (N_Z,))
-    pred[..., :N_STATE, :N_INPUT] = b_k[..., :N_STATE, :]
-    pred[..., N_STATE:, :N_INPUT] = head @ b_k
-    pred[..., N_STATE:, N_INPUT:] = b_k1[..., :N_STATE, :]
-    w = 2.0 * np.swapaxes(pred, -1, -2) @ Q_BAR
-    h = w @ pred + 2.0 * R_BAR
+    n = len(mats) // 2
+    q_bar, r_bar = np.zeros((n * N_STATE, n * N_STATE)), np.zeros((n * N_INPUT, n * N_INPUT))
+    free, pred = [], []
+    for j in range(n):  # x_{j+1} = x_free x_0 + x_pred z
+        a, b = mats[2 * j], mats[2 * j + 1]
+        rows, cols = slice(j * N_STATE, (j + 1) * N_STATE), slice(j * N_INPUT, (j + 1) * N_INPUT)
+        q_bar[rows, rows], r_bar[cols, cols] = Q, R  # cheaper than np.kron(np.eye(n), Q)
+        if j == n - 1:  # no step follows: only the state rows are needed
+            a, b = a[..., :N_STATE, :], b[..., :N_STATE, :]
+        x_free = a if j == 0 else a @ x_free
+        x_pred = np.zeros(b.shape[:-1] + (n * N_INPUT,)) if j == 0 else a @ x_pred
+        x_pred[..., cols] = b
+        free.append(x_free[..., :N_STATE, :])
+        pred.append(x_pred[..., :N_STATE, :])
+    free, pred = np.concatenate(free, axis=-2), np.concatenate(pred, axis=-2)
+    w = 2.0 * np.swapaxes(pred, -1, -2) @ q_bar
+    h = w @ pred + 2.0 * r_bar
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
     f = w @ free
     return CondensedQp(h, f, -np.linalg.solve(h, f))
@@ -227,7 +230,7 @@ def condense(
 
 @dataclass
 class QpSolution:
-    z: np.ndarray  # stacked (du_k, du_k1)
+    z: np.ndarray  # stacked (du_k, ..., du_{k+N-1})
     active: list[int]
     kkt_residual: float
     iterations: int
@@ -301,33 +304,35 @@ def _kkt_residual(h, g, a_ineq, z, lam, slack) -> float:
                float(np.abs(lam * slack).max()))
 
 
-# Box constraints A z <= b on z = (du_k, du_{k+1}), the same on every
-# tick.  Each row pair bounds both input channels from above and below:
-# du_k by the intersection of its rate box and the box on u(k), du_{k+1}
-# by its rate box, and du_k + du_{k+1} by the box on u(k+1), which
-# couples the two steps.
-A_INEQ = np.kron([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]],
-                 np.eye(2))
+# Box constraints A z <= b on z = (du_k, ..., du_{k+N-1}), the same on
+# every tick.  Each row pair bounds both input channels from above and
+# below: du_k by the intersection of its rate box and the box on u(k),
+# each later du_{k+j} by its rate box, and each partial sum
+# du_k + ... + du_{k+j} by the box on u(k+j), which couples the steps.
+A_INEQ = np.kron(
+    np.kron(np.vstack([np.eye(N_STEPS, dtype=int), np.tri(N_STEPS, dtype=int)[1:]]), [[1], [-1]]),
+    np.eye(N_INPUT))
 A_INEQ.flags.writeable = False
 # The boxes' bounds as Python floats, for the per-tick arithmetic.
 (_U_MIN_D, _U_MIN_A), (_U_MAX_D, _U_MAX_A) = U_MIN.tolist(), U_MAX.tolist()
 (_DU_MIN_D, _DU_MIN_A), (_DU_MAX_D, _DU_MAX_A) = DU_MIN.tolist(), DU_MAX.tolist()
+_DU_ROWS = [_DU_MAX_D, _DU_MAX_A, -_DU_MIN_D, -_DU_MIN_A] * (N_STEPS - 1)
 
 
 def solve_qp(
     gamma_aug: np.ndarray, qp: CondensedQp
 ) -> tuple[np.ndarray, np.ndarray, QpSolution]:
-    """One tick of the two-step tracking QP in the input-rate variables.
+    """One tick of the tracking QP in the input-rate variables.
 
     gamma_aug: the augmented deviation [Gamma - Gamma_ref; u_{k-1}].
     qp: the tick's condensed QP from `condense`; qp.k gives the
     unconstrained minimizer without a solve.
-    Returns (du_k, du_{k+1}, the QP solution with its KKT residual).
+    Returns (du_k, the later rates stacked, the QP solution with its KKT residual).
     Raises Infeasible when the rate and input boxes are disjoint, and
     NoConvergence when `solve_box_qp` does not converge.
 
     g and the minimizer stay numpy products, which fixes their summation
-    order; the rate and input bounds of the tick are four numbers, so
+    order; the rate and input bounds of the tick are a few numbers, so
     they are formed on Python floats and go into one array, b.
     """
     g = qp.f @ gamma_aug
@@ -342,7 +347,7 @@ def solve_qp(
     hi_d, hi_a = min(up_d, _DU_MAX_D), min(up_a, _DU_MAX_A)
     if lo_d > hi_d + 1e-12 or lo_a > hi_a + 1e-12:
         raise Infeasible("rate box and accumulated-input box are disjoint")
-    b_ineq = np.array([hi_d, hi_a, -lo_d, -lo_a, _DU_MAX_D, _DU_MAX_A,
-                       -_DU_MIN_D, -_DU_MIN_A, up_d, up_a, -down_d, -down_a])
+    b_ineq = np.array([hi_d, hi_a, -lo_d, -lo_a, *_DU_ROWS,
+                       *[up_d, up_a, -down_d, -down_a] * (N_STEPS - 1)])
     sol = solve_box_qp(qp.h, g, A_INEQ, b_ineq, z_free=z_free)
-    return sol.z[:2], sol.z[2:], sol
+    return sol.z[:N_INPUT], sol.z[N_INPUT:], sol

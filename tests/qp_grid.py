@@ -1,18 +1,26 @@
-"""Brute-force grid oracle for the two-step tracking QP.
+"""Oracles for the tracking QP.
 
-Evaluates the true tracking objective (squared state deviations plus
-input rates, via the prediction model itself rather than the QP's
-condensed matrices) on a dense per-axis grid of the rate box, masks out
-points violating the accumulated-input box, and returns the minimum.
-The targets are zero: the state is the deviation from the reference.
+The brute-force grid evaluates the true two-step tracking objective
+(squared state deviations plus input rates, via the prediction model
+itself rather than the QP's condensed matrices) on a dense per-axis
+grid of the rate box, masks out points violating the accumulated-input
+box, and returns the minimum.  The targets are zero: the state is the
+deviation from the reference.
+
+The KKT certificate works at any horizon: it finds nonnegative
+multipliers of the rows that hold at a solution, so it certifies the
+global minimum of a strictly convex QP without enumerating working sets.
 """
 
 import numpy as np
+from scipy.optimize import nnls
 
 from driftcorner.mpc import (
     DU_MAX,
     DU_MIN,
+    N_INPUT,
     N_STATE,
+    N_STEPS,
     Q,
     R,
     U_MAX,
@@ -25,19 +33,66 @@ from driftcorner.mpc import (
 )
 
 
-def predict_two_step(gamma_aug, a_k, b_k, a_k1, b_k1, du_k, du_k1):
-    """Two applications of the augmented prediction model."""
-    g1 = a_k @ gamma_aug + b_k @ du_k
-    g2 = a_k1 @ g1 + b_k1 @ du_k1
-    return g1, g2
+def predict(gamma_aug, mats, z):
+    """The augmented states x_1 .. x_N of x_{j+1} = A_j x_j + B_j du_j
+    from x_0 = gamma_aug, for the step models (A_0, B_0, ..., A_{N-1},
+    B_{N-1}) and the stacked rates z."""
+    states, x = [], gamma_aug
+    for j in range(len(mats) // 2):
+        x = mats[2 * j] @ x + mats[2 * j + 1] @ z[j * N_INPUT:(j + 1) * N_INPUT]
+        states.append(x)
+    return states
 
 
 def true_objective(z, gamma_aug, mats):
     """Tracking cost of a stacked rate vector, from first principles."""
-    du_k, du_k1 = np.asarray(z[:2]), np.asarray(z[2:])
-    g1, g2 = predict_two_step(gamma_aug, *mats, du_k, du_k1)
-    e1, e2 = g1[:N_STATE], g2[:N_STATE]
-    return float(e1 @ Q @ e1 + e2 @ Q @ e2 + du_k @ R @ du_k + du_k1 @ R @ du_k1)
+    du = np.reshape(z, (-1, N_INPUT))
+    return float(sum(x[:N_STATE] @ Q @ x[:N_STATE] for x in predict(gamma_aug, mats, z))
+                 + sum(d @ R @ d for d in du))
+
+
+def objective_qp(mats):
+    """H and F of the QP of `true_objective`, by polarization: the cost
+    is 1/2 z'Hz + (F gamma_aug)'z + c(gamma_aug), so its values at unit
+    vectors of z and of gamma_aug give H and F without `condense`."""
+    n_z, n_aug = len(mats) // 2 * N_INPUT, mats[0].shape[-1]
+    unit_z, unit_x = np.eye(n_z), np.eye(n_aug)
+    zero_z, zero_x = np.zeros(n_z), np.zeros(n_aug)
+    on_z = [true_objective(e, zero_x, mats) for e in unit_z]
+    h = np.array([[true_objective(unit_z[i] + unit_z[j], zero_x, mats) - on_z[i] - on_z[j]
+                   for j in range(n_z)] for i in range(n_z)])
+    f = np.array([[true_objective(unit_z[i], e, mats) - true_objective(zero_z, e, mats)
+                   - on_z[i] for e in unit_x] for i in range(n_z)])
+    return h, f
+
+
+def tracking_box(gamma_aug, n_steps):
+    """A z <= b of the rate box on each du_{k+j} and the input box on
+    each u(k+j) = u_{k-1} + du_k + ... + du_{k+j}, row by row."""
+    eye, tri = np.eye(n_steps * N_INPUT), np.kron(np.tri(n_steps), np.eye(N_INPUT))
+    u_prev = np.tile(gamma_aug[N_STATE:], n_steps)
+    a = np.vstack([eye, -eye, tri, -tri])
+    b = np.concatenate([np.tile(DU_MAX, n_steps), -np.tile(DU_MIN, n_steps),
+                        np.tile(U_MAX, n_steps) - u_prev, u_prev - np.tile(U_MIN, n_steps)])
+    return a, b
+
+
+def kkt_certificate(h, g, a, b, z):
+    """(stationarity, violation) of z for min 1/2 z'Hz + g'z s.t. a z <= b,
+    both relative.  The rows that hold with equality at z (to 1e-9 of
+    the largest bound) get multipliers lam >= 0 from a nonnegative least
+    squares fit of H z + g + A_act' lam = 0; stationarity is what that
+    fit leaves of H z + g, over the larger of |H z| and |g|, and the
+    violation is the largest excess of a z over b, over the largest
+    bound.  Both near rounding certify z as the global minimum of a
+    strictly convex QP."""
+    grad = h @ z + g
+    scale_b = float(np.max(np.abs(b)))
+    slack = a @ z - b
+    act = slack >= -1e-9 * scale_b
+    residual = (nnls(a[act].T, -grad)[1] if act.any() else float(np.linalg.norm(grad)))
+    scale_g = max(float(np.linalg.norm(h @ z)), float(np.linalg.norm(g)), 1e-300)
+    return residual / scale_g, max(float(slack.max()), 0.0) / scale_b
 
 
 def grid_minimum(gamma_aug, mats, n_per_axis=41):
@@ -84,7 +139,7 @@ def grid_minimum(gamma_aug, mats, n_per_axis=41):
 
 def random_instance(rng, params, scale=1.0):
     """A realistic solver input: the models at a random reference point
-    (used for both steps) and an augmented deviation from it, its state
+    (used for every step) and an augmented deviation from it, its state
     part `scale` times a typical tracking error.  At scale 1 the
     unconstrained minimizer is feasible; at scale 30 it often is not."""
     ref = CartesianState(
@@ -92,7 +147,7 @@ def random_instance(rng, params, scale=1.0):
         v_x=float(rng.uniform(3.0, 15.0)),
         v_y=float(rng.normal(0, 1.0)), yaw_rate=float(rng.normal(0, 0.5)),
     )
-    mats = discretize_augment(*linearize(ref, params)) * 2
+    mats = discretize_augment(*linearize(ref, params)) * N_STEPS
     deviation = scale * rng.normal(0, 0.3, 6) * np.array(
         [1.0, 1.0, 0.1, 0.5, 0.5, 0.3])
     u_prev = np.array([float(rng.uniform(-0.4, 0.4)),

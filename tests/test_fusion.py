@@ -242,8 +242,8 @@ def test_tick_accumulates_qp_rate_onto_correction(monkeypatch, uturn,
 def test_controller_model_is_built_in_blocks(monkeypatch, uturn,
                                              uturn_preview8):
     # one stacked discretization per block of preview points, not one
-    # per point; a block also models the step-2 point just past its end,
-    # and only the condensed QP is kept
+    # per point; a block also models the N_STEPS - 1 ticks just past its
+    # end, and only the condensed QP is kept
     calls = []
     original = fusion.discretize_augment
 
@@ -255,9 +255,9 @@ def test_controller_model_is_built_in_blocks(monkeypatch, uturn,
     ctl = FusionController(uturn_preview8, PARAMS)
     n = len(uturn_preview8)
     assert len(calls) == math.ceil(n / fusion.MODEL_BLOCK)
-    assert n <= sum(calls) and max(calls) == fusion.MODEL_BLOCK + 1
-    assert ctl._qp.h.shape == (n, 4, 4)
-    assert ctl._qp.f.shape == ctl._qp.k.shape == (n, 4, 8)
+    assert n <= sum(calls) and max(calls) == fusion.MODEL_BLOCK + fusion.N_STEPS - 1
+    assert ctl._qp.h.shape == (n, fusion.N_Z, fusion.N_Z)
+    assert ctl._qp.f.shape == ctl._qp.k.shape == (n, fusion.N_Z, 8)
 
 
 def _per_tick_qp(a_k, b_k, a_k1, b_k1):

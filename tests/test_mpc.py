@@ -26,7 +26,7 @@ from driftcorner.mpc import (
 )
 from driftcorner.plant import VehicleParams
 
-from qp_grid import predict_two_step
+from qp_grid import predict
 
 PARAMS = VehicleParams()
 
@@ -156,7 +156,7 @@ def test_predict_two_step_composition(rng):
     a_d, b_d = discretize_augment(a, b)
     g0 = rng.normal(size=N_AUG)
     d1, d2 = rng.normal(0, 0.05, (2, N_INPUT))
-    g1, g2 = predict_two_step(g0, a_d, b_d, a_d, b_d, d1, d2)
+    g1, g2 = predict(g0, (a_d, b_d, a_d, b_d), np.concatenate([d1, d2]))
     np.testing.assert_allclose(g1, a_d @ g0 + b_d @ d1, atol=1e-14)
     np.testing.assert_allclose(g2, a_d @ g1 + b_d @ d2, atol=1e-14)
 
@@ -186,7 +186,7 @@ def test_qp_accumulates_rate_onto_previous_input():
     # the predicted input channels hold the previous input plus the rates
     mat = discretize_augment(*linearize(REF, PARAMS))
     gamma_aug = np.concatenate([deviation, np.asarray(u_prev)])
-    g1, g2 = predict_two_step(gamma_aug, *mat, *mat, du_k, du_k1)
+    g1, g2 = predict(gamma_aug, (*mat, *mat), sol.z)
     assert g1[N_STATE] == pytest.approx(u_prev.delta_f + du_k[0])
     assert g1[N_STATE + 1] == pytest.approx(u_prev.a_xt + du_k[1])
     np.testing.assert_allclose(g2[N_STATE:], g1[N_STATE:] + du_k1, atol=1e-15)
@@ -210,7 +210,7 @@ def test_mpc_corrects_toward_reference():
 
 def test_mpc_rate_limits_bind(monkeypatch):
     # light input-rate penalty and a big speed error: accel rate saturates
-    monkeypatch.setattr(mpc, "R_BAR", np.kron(np.eye(2), np.diag([0.1, 0.1])))
+    monkeypatch.setattr(mpc, "R", np.diag([0.1, 0.1]))
     du_k, _, sol = _tick_qp(_deviation(v_x=-4.0))
     assert du_k[1] == pytest.approx(mpc.DU_MAX[1])
     assert len(sol.active) > 0

@@ -1,14 +1,17 @@
-"""Dual active-set QP solver: analytic cases and dense-grid comparisons."""
+"""Dual active-set QP solver: analytic cases, dense-grid comparisons and
+the KKT certificate."""
 
 import numpy as np
 import pytest
 
 from driftcorner import mpc
 from driftcorner.errors import Infeasible, NoConvergence
-from driftcorner.mpc import A_INEQ, condense, solve_box_qp, solve_qp
+from driftcorner.mpc import (A_INEQ, N_STEPS, CartesianState, condense, discretize_augment,
+                             linearize, solve_box_qp, solve_qp)
 from driftcorner.plant import VehicleParams
 
-from qp_grid import grid_minimum, qp_vs_grid_gap, random_instance, true_objective
+from qp_grid import (grid_minimum, kkt_certificate, objective_qp, qp_vs_grid_gap,
+                     random_instance, tracking_box, true_objective)
 
 PARAMS = VehicleParams()
 # deviation scales of the random instances, in turn: a typical tracking
@@ -191,9 +194,6 @@ def test_disjoint_boxes_raise():
 def test_weights_r_spot_values():
     assert np.diag(mpc.Q).tolist() == [50.0, 50.0, 20.0, 5.0, 5.0, 5.0]
     assert np.diag(mpc.R).tolist() == [200.0, 10.0]
-    np.testing.assert_array_equal(mpc.Q_BAR[6:, 6:], mpc.Q)
-    np.testing.assert_array_equal(mpc.R_BAR[2:, 2:], mpc.R)
-    assert not mpc.Q_BAR[:6, 6:].any() and not mpc.R_BAR[:2, 2:].any()
 
 
 # -- the dense-grid oracle over seeded draws ---------------------------
@@ -202,7 +202,7 @@ def test_weights_r_spot_values():
 # the reference, where a primal active-set iteration cycles to its cap
 # (302 at 30, 52 at 100) or meets a singular working set (211 and 531)
 NAMED_DRAWS = ((302, 30.0), (211, 100.0), (531, 100.0), (52, 100.0))
-TIER1_DRAWS = (*NAMED_DRAWS, *((seed, 100.0) for seed in range(40)))
+GRID_DRAWS = (*NAMED_DRAWS, *((seed, 100.0) for seed in range(40)))
 
 
 def _worse_than_the_grid(draws) -> list:
@@ -222,12 +222,59 @@ def _worse_than_the_grid(draws) -> list:
 
 
 def test_seeded_draws_match_dense_grid():
-    assert _worse_than_the_grid(TIER1_DRAWS) == []
+    assert _worse_than_the_grid(GRID_DRAWS) == []
 
 
-@pytest.mark.nightly
-@pytest.mark.parametrize("scale", (1.0, 30.0, 100.0))
-def test_seeded_draws_match_dense_grid_nightly(scale):
-    # with the tier-1 draws, seeds 0-999 at each scale: 3000 draws
-    draws = [(seed, scale) for seed in range(1000) if (seed, scale) not in TIER1_DRAWS]
-    assert _worse_than_the_grid(draws) == []
+# -- the KKT certificate over seeded draws -----------------------------
+
+
+def _certificate(gamma_aug, mats, z):
+    qp = condense(mats)
+    return kkt_certificate(qp.h, qp.f @ gamma_aug, *tracking_box(gamma_aug, N_STEPS), z)
+
+
+def test_seeded_draws_pass_the_kkt_certificate():
+    # seeds 0-999 at each deviation scale: 3000 draws, about half of
+    # them with a binding box
+    bad, bound = [], 0
+    for scale in (1.0, 30.0, 100.0):
+        for seed in range(1000):
+            gamma_aug, mats = random_instance(np.random.default_rng(seed), PARAMS, scale)
+            _, _, sol = solve_qp(gamma_aug, condense(mats))
+            bound += bool(sol.active)
+            stationarity, violation = _certificate(gamma_aug, mats, sol.z)
+            if not (stationarity <= 1e-9 and violation <= 1e-9):
+                bad.append((seed, scale, stationarity, violation))
+    assert bad == []
+    assert bound == 1590
+
+
+def test_the_kkt_certificate_rejects_a_clipped_minimizer():
+    # the draw of test_multiplier_drop_matches_dense_grid: clipping the
+    # unconstrained minimizer into the rate box gives a feasible point
+    # that is not stationary, while the unclipped one is infeasible
+    gamma_aug, mats = random_instance(np.random.default_rng(734), PARAMS, 30.0)
+    z_free = condense(mats).k @ gamma_aug
+    clipped = np.clip(z_free, np.tile(mpc.DU_MIN, N_STEPS), np.tile(mpc.DU_MAX, N_STEPS))
+    stationarity, violation = _certificate(gamma_aug, mats, clipped)
+    assert stationarity > 1e-6 and violation == 0.0
+    stationarity, violation = _certificate(gamma_aug, mats, z_free)
+    assert stationarity < 1e-12 and violation > 1e-2
+    _, _, sol = solve_qp(gamma_aug, condense(mats))
+    assert max(_certificate(gamma_aug, mats, sol.z)) < 1e-12
+
+
+def test_condense_matches_the_objective_at_three_steps(rng):
+    # the horizon-generic condensing, against H and F taken from the
+    # first-principles cost of three different step models
+    for _ in range(5):
+        refs = [CartesianState(0.0, 0.0, float(rng.uniform(-np.pi, np.pi)),
+                               float(rng.uniform(3.0, 15.0)), float(rng.normal(0, 1.0)),
+                               float(rng.normal(0, 0.5))) for _ in range(3)]
+        mats = [m for ref in refs for m in discretize_augment(*linearize(ref, PARAMS))]
+        qp = condense(mats)
+        h, f = objective_qp(mats)
+        assert qp.h.shape == (6, 6) and qp.f.shape == qp.k.shape == (6, 8)
+        np.testing.assert_allclose(qp.h, h, rtol=0, atol=1e-9 * np.abs(h).max())
+        np.testing.assert_allclose(qp.f, f, rtol=0, atol=1e-9 * np.abs(f).max())
+        np.testing.assert_allclose(qp.h @ qp.k, -qp.f, rtol=0, atol=1e-9 * np.abs(f).max())
