@@ -128,6 +128,8 @@ class PreviewTrajectory:
             raise ValueError(f"v_ini must be finite and positive, got {self.v_ini!r}")
         if not math.isfinite(self.t_f):
             raise ValueError(f"t_f must be finite, got {self.t_f!r}")
+        if not len(self.t) == len(self.s) == len(self.gamma) == len(self.a_rl):
+            raise ValueError("preview s, gamma and a_rl must have one row per tick of t")
         if not all(np.all(np.isfinite(a)) for a in (self.t, self.s, self.gamma, self.a_rl)):
             raise ValueError("preview t, s, gamma and a_rl must be finite")
         dt = np.diff(self.t)

@@ -39,8 +39,8 @@ def write(path, fmt: Format, fields: dict, rows=()) -> None:
 def read(path, fmt: Format, build: Callable[[dict, list], object]):
     """`build(fields, rows)` of the file at `path`: its `# key = value`
     values as strings and its rows as lists of floats.  A malformed file,
-    and a ValueError or BadTrackSpec from `build`, are refused with a
-    BadInputFile that names the file."""
+    one that repeats a key among them, and a ValueError or BadTrackSpec
+    from `build`, are refused with a BadInputFile that names the file."""
     try:
         first, *lines = [line.strip() for line in Path(path).read_text().splitlines()] or [""]
         if first != fmt.header:
@@ -54,6 +54,8 @@ def read(path, fmt: Format, build: Callable[[dict, list], object]):
             if line.startswith("#"):
                 key, eq, value = line.lstrip("# ").partition(" = ")
                 if eq:
+                    if key in fields:
+                        raise ValueError(f"a second {key} header line")
                     fields[key] = value
             elif fmt.columns is None:
                 raise ValueError(f"unexpected line {line!r}; a {fmt.kind} file has no rows")

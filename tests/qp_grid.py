@@ -90,7 +90,7 @@ def kkt_certificate(h, g, a, b, z):
     scale_b = float(np.max(np.abs(b)))
     slack = a @ z - b
     act = slack >= -1e-9 * scale_b
-    residual = (nnls(a[act].T, -grad)[1] if act.any() else float(np.linalg.norm(grad)))
+    residual = nnls(a[act].T, -grad)[1] if act.any() else float(np.linalg.norm(grad))
     scale_g = max(float(np.linalg.norm(h @ z)), float(np.linalg.norm(g)), 1e-300)
     return residual / scale_g, max(float(slack.max()), 0.0) / scale_b
 

@@ -99,6 +99,9 @@ def test_preview_validation():
     bad_t = np.array([0.0, 0.02])  # not 10 ms ticks
     with pytest.raises(ValueError, match="uniform at 10 ms"):
         PreviewTrajectory(**{**PREVIEW_FIELDS, "t": bad_t})
+    # the controller indexes every array by tick
+    with pytest.raises(ValueError, match="one row per tick"):
+        PreviewTrajectory(**{**PREVIEW_FIELDS, "gamma": np.zeros((1, 6))})
 
 
 @pytest.mark.parametrize("key, value", [("v_ini", -1.0), ("v_ini", 0.0), ("v_ini", math.nan),

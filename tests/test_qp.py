@@ -228,8 +228,7 @@ def test_seeded_draws_match_dense_grid():
 # -- the KKT certificate over seeded draws -----------------------------
 
 
-def _certificate(gamma_aug, mats, z):
-    qp = condense(mats)
+def _certificate(gamma_aug, qp, z):
     return kkt_certificate(qp.h, qp.f @ gamma_aug, *tracking_box(gamma_aug, N_STEPS), z)
 
 
@@ -240,9 +239,10 @@ def test_seeded_draws_pass_the_kkt_certificate():
     for scale in (1.0, 30.0, 100.0):
         for seed in range(1000):
             gamma_aug, mats = random_instance(np.random.default_rng(seed), PARAMS, scale)
-            _, _, sol = solve_qp(gamma_aug, condense(mats))
+            qp = condense(mats)
+            _, _, sol = solve_qp(gamma_aug, qp)
             bound += bool(sol.active)
-            stationarity, violation = _certificate(gamma_aug, mats, sol.z)
+            stationarity, violation = _certificate(gamma_aug, qp, sol.z)
             if not (stationarity <= 1e-9 and violation <= 1e-9):
                 bad.append((seed, scale, stationarity, violation))
     assert bad == []
@@ -254,14 +254,15 @@ def test_the_kkt_certificate_rejects_a_clipped_minimizer():
     # unconstrained minimizer into the rate box gives a feasible point
     # that is not stationary, while the unclipped one is infeasible
     gamma_aug, mats = random_instance(np.random.default_rng(734), PARAMS, 30.0)
-    z_free = condense(mats).k @ gamma_aug
+    qp = condense(mats)
+    z_free = qp.k @ gamma_aug
     clipped = np.clip(z_free, np.tile(mpc.DU_MIN, N_STEPS), np.tile(mpc.DU_MAX, N_STEPS))
-    stationarity, violation = _certificate(gamma_aug, mats, clipped)
+    stationarity, violation = _certificate(gamma_aug, qp, clipped)
     assert stationarity > 1e-6 and violation == 0.0
-    stationarity, violation = _certificate(gamma_aug, mats, z_free)
+    stationarity, violation = _certificate(gamma_aug, qp, z_free)
     assert stationarity < 1e-12 and violation > 1e-2
-    _, _, sol = solve_qp(gamma_aug, condense(mats))
-    assert max(_certificate(gamma_aug, mats, sol.z)) < 1e-12
+    _, _, sol = solve_qp(gamma_aug, qp)
+    assert max(_certificate(gamma_aug, qp, sol.z)) < 1e-12
 
 
 def test_condense_matches_the_objective_at_three_steps(rng):

@@ -36,6 +36,12 @@ def _first_cell_not_a_number(text, fmt, start):
     return "\n".join(lines) + "\n"
 
 
+def _first_key_repeated(text, fmt, _):
+    """A `# key = value` line for the first key, with another value,
+    above the real one."""
+    return text.replace(f"# {fmt.keys[0]} = ", f"# {fmt.keys[0]} = 1.0\n# {fmt.keys[0]} = ", 1)
+
+
 # fault: (edit(text, format, start of the number line), words of the refusal,
 #         kinds it applies to)
 FAULTS = {
@@ -47,6 +53,7 @@ FAULTS = {
         ln for ln in text.splitlines(True) if not ln.startswith(f"# {fmt.keys[-1]} = ")),
                     "header line", FORMATS),
     "not_a_number": (_first_cell_not_a_number, "could not convert", FORMATS),
+    "repeated_key": (_first_key_repeated, "a second {key} header line", FORMATS),
 }
 
 
@@ -60,7 +67,7 @@ def test_a_broken_file_is_refused_naming_it(kind, fault, request, uturn, tmp_pat
     text = path.read_text()
     path.write_text(edit(text, fmt, number_line))
     assert path.read_text() != text
-    with pytest.raises(BadInputFile, match=words) as exc:
+    with pytest.raises(BadInputFile, match=words.format(key=fmt.keys[0])) as exc:
         load(path, uturn)
     assert str(exc.value).startswith(f"{path}: ")
     out = tmp_path / "out"
