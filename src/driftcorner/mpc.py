@@ -71,9 +71,6 @@ class CartesianState(NamedTuple):
     v_y: float
     yaw_rate: float
 
-    def vector(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
 
 class MpcInput(NamedTuple):
     delta_f: float  # rad

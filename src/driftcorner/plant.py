@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
-import numpy as np
-
 from . import kernels
 from .errors import AmbiguousProjection, NumericalBlowup, OffCorridor
 from .kernels import SUBSTEP_DT, G  # noqa: F401 (SUBSTEP_DT re-exported)
@@ -112,9 +110,6 @@ class PlantState(NamedTuple):
     trt_applied: float = 0.0
     pb_applied: float = 0.0
     a_y: float = 0.0  # lateral acceleration diagnostic (rollover proxy)
-
-    def dynamic_array(self) -> np.ndarray:
-        return np.array(self[:7])
 
     @staticmethod
     def rolling(v_x: float, **kw) -> "PlantState":

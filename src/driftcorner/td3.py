@@ -376,53 +376,58 @@ def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
     training, or leave it empty for deployment-only use.  Parameters
     that do not sum to the stored checksum, action bounds or observation
     scales not sized for the stored actor, optimizer moments neither
-    empty nor sized for their network, and arrays that do not match the
-    stored digest are each a ValueError."""
+    empty nor sized for their network, arrays that do not match the
+    stored digest, and metadata or arrays missing or not of this
+    program's learner are each a ValueError naming the file."""
     if Path(path).is_file() and not zipfile.is_zipfile(path):
         # numpy would try the file as a pickle and refuse it
         raise ValueError(f"{path}: not a driftcorner checkpoint")
-    with np.load(path) as data:
-        meta = _checkpoint_meta(data, path)
-        digest = _arrays_digest(data)
-        hp_d = dict(meta["hp"])
-        hp_d["hidden"] = tuple(hp_d["hidden"])
-        hp = Td3Hyperparams(**hp_d)
-        low, high = data["low"], data["high"]
-        sizes = meta["sizes"]
-        for name, size in (("low", sizes[-1]), ("high", sizes[-1]),
-                           ("obs_scale", sizes[0])):
-            _check_shape(path, name, data[name], (size,))
-        nets = {}
-        for name in _NETS:
-            flat = data[name]  # float64 for an online network, float32 for a target
-            if "actor" in name:
-                views = layer_views(flat, sizes)
-                nets[name] = Mlp(*views, "bounded", low.astype(flat.dtype),
-                                 high.astype(flat.dtype))
-            else:
-                nets[name] = Mlp(*layer_views(flat, meta["critic_sizes"]))
-        state = Td3State(
-            **nets,
-            buffer=(buffer if buffer is not None
-                    else ReplayBuffer(hp.buffer_size, sizes[0], len(low))),
-            hp=hp, low=low.copy(), high=high.copy(),
-            obs_scale=data["obs_scale"].copy(),
-            rng=np.random.default_rng(),
-            **meta["counters"],
-        )
-        state.rng.bit_generator.state = meta["rng_state"]
-        for name, t in zip(_OPTS, meta["opt_t"]):
-            opt = getattr(state, name)
-            opt.m, opt.v, opt.t = data[f"{name}_m"], data[f"{name}_v"], t
-            flat = getattr(state, name.removeprefix("opt_")).flat.shape
-            _check_shape(path, f"{name}_m", opt.m, (0,), flat)
-            _check_shape(path, f"{name}_v", opt.v, (0,), flat)
-    if (got := state.checksum()) != meta["checksum"]:
-        raise ValueError(f"{path}: parameters sum to {got!r}, "
-                         f"the checkpoint records {meta['checksum']!r}")
-    if digest != meta["digest"]:
-        raise ValueError(f"{path}: stored arrays do not match the checkpoint's "
-                         "SHA-256 digest")
+    try:
+        with np.load(path) as data:
+            meta = _checkpoint_meta(data, path)
+            digest = _arrays_digest(data)
+            hp_d = dict(meta["hp"])
+            hp_d["hidden"] = tuple(hp_d["hidden"])
+            hp = Td3Hyperparams(**hp_d)
+            low, high = data["low"], data["high"]
+            sizes = meta["sizes"]
+            for name, size in (("low", sizes[-1]), ("high", sizes[-1]),
+                               ("obs_scale", sizes[0])):
+                _check_shape(path, name, data[name], (size,))
+            nets = {}
+            for name in _NETS:
+                flat = data[name]  # float64 for an online network, float32 for a target
+                if "actor" in name:
+                    views = layer_views(flat, sizes)
+                    nets[name] = Mlp(*views, "bounded", low.astype(flat.dtype),
+                                     high.astype(flat.dtype))
+                else:
+                    nets[name] = Mlp(*layer_views(flat, meta["critic_sizes"]))
+            state = Td3State(
+                **nets,
+                buffer=(buffer if buffer is not None
+                        else ReplayBuffer(hp.buffer_size, sizes[0], len(low))),
+                hp=hp, low=low.copy(), high=high.copy(),
+                obs_scale=data["obs_scale"].copy(),
+                rng=np.random.default_rng(),
+                **meta["counters"],
+            )
+            state.rng.bit_generator.state = meta["rng_state"]
+            for name, t in zip(_OPTS, meta["opt_t"]):
+                opt = getattr(state, name)
+                opt.m, opt.v, opt.t = data[f"{name}_m"], data[f"{name}_v"], t
+                flat = getattr(state, name.removeprefix("opt_")).flat.shape
+                _check_shape(path, f"{name}_m", opt.m, (0,), flat)
+                _check_shape(path, f"{name}_v", opt.v, (0,), flat)
+        if (got := state.checksum()) != meta["checksum"]:
+            raise ValueError(f"{path}: parameters sum to {got!r}, "
+                             f"the checkpoint records {meta['checksum']!r}")
+        if digest != meta["digest"]:
+            raise ValueError(f"{path}: stored arrays do not match the checkpoint's "
+                             "SHA-256 digest")
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        # metadata or arrays that this program cannot use
+        raise ValueError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     return state
 
 

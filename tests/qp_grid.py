@@ -1,15 +1,19 @@
 """Oracles for the tracking QP.
 
-The brute-force grid evaluates the true two-step tracking objective
-(squared state deviations plus input rates, via the prediction model
-itself rather than the QP's condensed matrices) on a dense per-axis
-grid of the rate box, masks out points violating the accumulated-input
-box, and returns the minimum.  The targets are zero: the state is the
-deviation from the reference.
+The KKT certificate is the oracle at the program's horizon, `N_STEPS`:
+it finds nonnegative multipliers of the rows that hold at a solution,
+so it certifies the global minimum of a strictly convex QP without
+enumerating working sets.
 
-The KKT certificate works at any horizon: it finds nonnegative
-multipliers of the rows that hold at a solution, so it certifies the
-global minimum of a strictly convex QP without enumerating working sets.
+The brute-force grid is a two-step oracle, whatever `N_STEPS` is: it
+needs 41^(2N) points, so it cannot go past N = 2.  It evaluates the
+true two-step tracking objective (squared state deviations plus input
+rates, via the prediction model itself rather than the QP's condensed
+matrices) on a dense per-axis grid of the rate box, masks out points
+violating the accumulated-input box, and returns the minimum.  The
+solver it checks is `solve_box_qp` on a two-step problem built on
+purpose (`random_instance(..., n_steps=2)`, `solve_two_step`).  The
+targets are zero: the state is the deviation from the reference.
 """
 
 import numpy as np
@@ -29,7 +33,7 @@ from driftcorner.mpc import (
     condense,
     discretize_augment,
     linearize,
-    solve_qp,
+    solve_box_qp,
 )
 
 
@@ -96,7 +100,8 @@ def kkt_certificate(h, g, a, b, z):
 
 
 def grid_minimum(gamma_aug, mats, n_per_axis=41):
-    """Minimum of the true objective over the dense feasible grid.
+    """Minimum of the true two-step objective over the dense feasible
+    grid, for two step models (A_0, B_0, A_1, B_1).
 
     The cost separates into terms in du_k, terms in du_k1, and a
     bilinear cross term, so the full n^4 grid reduces to an
@@ -137,17 +142,18 @@ def grid_minimum(gamma_aug, mats, n_per_axis=41):
     return float(total[mask].min())
 
 
-def random_instance(rng, params, scale=1.0):
+def random_instance(rng, params, scale=1.0, n_steps=N_STEPS):
     """A realistic solver input: the models at a random reference point
-    (used for every step) and an augmented deviation from it, its state
-    part `scale` times a typical tracking error.  At scale 1 the
-    unconstrained minimizer is feasible; at scale 30 it often is not."""
+    (used for each of `n_steps` steps) and an augmented deviation from
+    it, its state part `scale` times a typical tracking error.  At scale
+    1 the unconstrained minimizer is mostly feasible; at scale 30 it
+    often is not.  The draws do not depend on `n_steps`."""
     ref = CartesianState(
         x=0.0, y=0.0, phi=float(rng.uniform(-np.pi, np.pi)),
         v_x=float(rng.uniform(3.0, 15.0)),
         v_y=float(rng.normal(0, 1.0)), yaw_rate=float(rng.normal(0, 0.5)),
     )
-    mats = discretize_augment(*linearize(ref, params)) * N_STEPS
+    mats = discretize_augment(*linearize(ref, params)) * n_steps
     deviation = scale * rng.normal(0, 0.3, 6) * np.array(
         [1.0, 1.0, 0.1, 0.5, 0.5, 0.3])
     u_prev = np.array([float(rng.uniform(-0.4, 0.4)),
@@ -155,10 +161,18 @@ def random_instance(rng, params, scale=1.0):
     return np.concatenate([deviation, u_prev]), mats
 
 
+def solve_two_step(gamma_aug, mats):
+    """`solve_box_qp` on the condensed QP of two step models, with the
+    box of `tracking_box`: the two-step solve that the grid checks."""
+    qp = condense(mats)
+    return solve_box_qp(qp.h, qp.f @ gamma_aug, *tracking_box(gamma_aug, 2),
+                        z_free=qp.k @ gamma_aug)
+
+
 def qp_vs_grid_gap(rng, params, scale=1.0, n_per_axis=41):
-    """(gap, the QP solution) of one random instance: positive gap means
-    the dense grid found something better than the QP."""
-    gamma_aug, mats = random_instance(rng, params, scale)
-    _, _, sol = solve_qp(gamma_aug, condense(mats))
+    """(gap, the solution) of one random two-step instance: positive gap
+    means the dense grid found something better than the QP."""
+    gamma_aug, mats = random_instance(rng, params, scale, n_steps=2)
+    sol = solve_two_step(gamma_aug, mats)
     j_qp = true_objective(sol.z, gamma_aug, mats)
     return j_qp - grid_minimum(gamma_aug, mats, n_per_axis), sol

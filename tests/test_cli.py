@@ -13,7 +13,8 @@ import pytest
 
 import driftcorner
 from driftcorner import cli, td3
-from driftcorner.envs import TRACE_COLUMNS, EpisodeResult, run_episode
+from driftcorner.envs import (ACTION_HIGH, ACTION_LOW, OBS_DIM, TRACE_COLUMNS, EpisodeResult,
+                             run_episode)
 from driftcorner.fusion import (
     DeployResult,
     completion_degrees,
@@ -120,6 +121,24 @@ def test_table1_csv_and_stdout_hold_each_run(monkeypatch, tmp_path, capsys):
         for name, r in zip(scenarios, runs, strict=True)))
     assert (out / "table1.csv").read_text() == expected
     assert capsys.readouterr().out == expected
+
+
+def test_table1_with_policies_writes_six_rows(tmp_path):
+    # one untrained actor under every <kind>_<variant>.npz name: each run
+    # crashes, and the planned runs crash sooner, so the exit is 2
+    policies = tmp_path / "policies"
+    state = td3.td3_init(OBS_DIM, ACTION_LOW, ACTION_HIGH, td3.Td3Hyperparams(
+        hidden=(4,), batch_size=1, buffer_size=1))
+    for kind in LIBRARY_KINDS:
+        for variant in ("centerline", "planned"):
+            td3.save_checkpoint(state, policies / f"{kind}_{variant}.npz")
+    out = tmp_path / "table1"
+    assert cli.main(["table1", "--policy-dir", str(policies), "--out", str(out)]) == 2
+    assert (out / "table1.csv").read_text() == _csv(
+        ["scenario", "completed", "time_s", "s_final_m"],
+        ([f"{kind} / {variant}", "0", t_f, s_final] for kind in LIBRARY_KINDS
+         for variant, t_f, s_final in (("centerline", "8.77", "13.7"),
+                                       ("planned", "6.42", "10.6"))))
 
 
 def test_build_track_then_plan_on_it(uturn, uturn_pretraj, tmp_path, capsys):
@@ -527,6 +546,32 @@ def test_preview_rejects_npz_that_is_not_a_checkpoint(tmp_path, capsys):
     assert cli.main(["preview", "--kind", "uturn", "--policy", str(junk),
                      "--out", str(tmp_path / "preview.txt")]) == 3
     assert str(junk) in capsys.readouterr().err
+    assert not (tmp_path / "preview.txt").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta["hp"].update(bogus=1),
+    lambda meta: meta.pop("sizes"),
+    lambda meta: meta["counters"].update(bogus=0),
+    lambda meta: meta.update(sizes=[]),
+    lambda meta: meta["counters"].update(opt_actor=0),
+], ids=["unknown_hp_key", "missing_sizes", "unknown_counter", "empty_sizes",
+        "optimizer_as_counter"])
+def test_preview_rejects_checkpoint_with_malformed_metadata(edit, tmp_path, capsys):
+    # the digest covers the arrays, not the metadata: metadata this
+    # program cannot use is a configuration error naming the file
+    ckpt = tmp_path / "policy.npz"
+    td3.save_checkpoint(td3.td3_init(3, [-1.0], [1.0], td3.Td3Hyperparams(
+        hidden=(4,), batch_size=1, buffer_size=1)), ckpt)
+    with np.load(ckpt) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    edit(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(ckpt, **arrays)
+    assert cli.main(["preview", "--kind", "uturn", "--policy", str(ckpt),
+                     "--out", str(tmp_path / "preview.txt")]) == 3
+    assert f"{ckpt}: malformed checkpoint" in capsys.readouterr().err
     assert not (tmp_path / "preview.txt").exists()
 
 

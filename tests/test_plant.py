@@ -92,10 +92,10 @@ def test_rk4_tracks_adaptive_reference(free_rates):
         return np.array(kernels.derivative(y, delta, trt, pb, PARAMS.m, TIRES.mu,
                                            TIRES.b, TIRES.d)[:7])
 
-    y0 = state.dynamic_array()
+    y0 = np.array(state[:7])
     ref = solve_ivp(rhs, (0.0, CONTROL_DT), y0, rtol=1e-11, atol=1e-11).y[:, -1]
     out = step(state, Action(delta, trt, pb))
-    got = out.dynamic_array()
+    got = np.array(out[:7])
     # chassis states are essentially exact; the wheel-spin DOF is the
     # stiffest and carries the fixed-step truncation error
     assert np.max(np.abs(got[:6] - ref[:6])) < 1e-7
@@ -123,7 +123,7 @@ def test_integrate_outputs_match_recorded_digest(free_rates):
                          rng.choice([0.0, rng.uniform(0, 1000)]),
                          rng.choice([0.0, rng.uniform(0, 10)]))
             out = step(state, cmd, tires=tires, params=PARAMS)
-            digest.update(out.dynamic_array().tobytes())
+            digest.update(np.array(out[:7]).tobytes())
             digest.update(np.float64(out.a_y).tobytes())
     assert digest.hexdigest() == (
         "1fa627248689349f630ba8e193626be6c8aab41a3eb94c48b8a329f497bf4306")
@@ -269,7 +269,7 @@ def test_low_speed_stays_finite_and_forward(v0, action, v_end):
     state = PlantState.rolling(v0)
     for _ in range(300):
         state = step(state, action)
-        assert all(map(math.isfinite, state.dynamic_array()))
+        assert all(map(math.isfinite, state[:7]))
         assert state.omega_r >= 0.0 and state.v_x >= 0.0
     assert v_end[0] <= state.v_x < v_end[1]
 

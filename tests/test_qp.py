@@ -1,23 +1,29 @@
-"""Dual active-set QP solver: analytic cases, dense-grid comparisons and
-the KKT certificate."""
+"""Dual active-set QP solver: analytic cases, the KKT certificate at
+the program's horizon `N_STEPS`, and two-step dense-grid comparisons."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from driftcorner import mpc
 from driftcorner.errors import Infeasible, NoConvergence
-from driftcorner.mpc import (A_INEQ, N_STEPS, CartesianState, condense, discretize_augment,
+from driftcorner.mpc import (N_STEPS, N_Z, CartesianState, condense, discretize_augment,
                              linearize, solve_box_qp, solve_qp)
 from driftcorner.plant import VehicleParams
 
 from qp_grid import (grid_minimum, kkt_certificate, objective_qp, qp_vs_grid_gap,
-                     random_instance, tracking_box, true_objective)
+                     random_instance, solve_two_step, tracking_box, true_objective)
 
 PARAMS = VehicleParams()
 # deviation scales of the random instances, in turn: a typical tracking
-# error, where the unconstrained minimizer is feasible, and one far off
+# error, where the unconstrained minimizer is mostly feasible, and one far off
 # the reference, where the boxes often bind
 SCALES = (1.0, 30.0)
+# Counts that depend on the horizon, recorded at N_STEPS = 2: choosing N
+# (ROADMAP item 2) re-records them with the deploy corpus.
+BINDING_DRAWS = 1590  # of the certificate's 3000 draws, those where a box binds
+BINDING_OF_20 = 6  # of test_solution_is_feasible_and_stationary's 20 draws
 
 
 def box_rows(n, lo, hi):
@@ -61,8 +67,8 @@ def test_coupled_constraint_optimum():
 
 
 def test_random_instances_beat_dense_grid(rng):
-    # the solver must never be worse than a 41-per-axis exhaustive grid,
-    # whether the boxes bind or not
+    # the two-step solver must never be worse than a 41-per-axis
+    # exhaustive grid, whether the boxes bind or not
     bound = 0
     for i in range(10):
         gap, sol = qp_vs_grid_gap(rng, PARAMS, SCALES[i % 2])
@@ -72,16 +78,33 @@ def test_random_instances_beat_dense_grid(rng):
     assert bound == 3  # instances where the boxes bind
 
 
+def _certificate(gamma_aug, qp, z):
+    return kkt_certificate(qp.h, qp.f @ gamma_aug, *tracking_box(gamma_aug, N_STEPS), z)
+
+
+def _violation(gamma_aug, z):
+    """The largest excess of z over the rate and input boxes."""
+    a, b = tracking_box(gamma_aug, N_STEPS)
+    return float(np.max(a @ z - b))
+
+
 def test_zero_target_tick_takes_the_unconstrained_gain(rng):
     # the controller's case: a feasible K gamma_aug is the solution, found
-    # in one iteration without a solve, and KKT-checked against F gamma_aug
-    for _ in range(10):
+    # in one iteration without a solve, and KKT-checked against F gamma_aug.
+    # The premise, a feasible K gamma_aug, holds on most draws at scale 1
+    # (on all of the first 10 at N_STEPS = 2); the first 10 draws where it
+    # holds are checked
+    checked = 0
+    while checked < 10:
         gamma_aug, mats = random_instance(rng, PARAMS)
         qp = condense(mats)
-        du_k, du_k1, sol = solve_qp(gamma_aug, qp)
+        if _violation(gamma_aug, qp.k @ gamma_aug) > 1e-10:
+            continue
+        checked += 1
+        du_k, du_later, sol = solve_qp(gamma_aug, qp)
         assert sol.iterations == 1 and sol.active == []
         np.testing.assert_array_equal(sol.z, qp.k @ gamma_aug)
-        np.testing.assert_array_equal(sol.z, np.concatenate([du_k, du_k1]))
+        np.testing.assert_array_equal(sol.z, np.concatenate([du_k, du_later]))
         assert sol.kkt_residual < 1e-12
 
 
@@ -94,56 +117,41 @@ def test_binding_bound_falls_through_to_the_active_set(rng):
         gamma_aug[3] = 3.0
         gamma_aug[7] = mpc.U_MIN[1] + 0.05
         qp = condense(mats)
-        du_k, du_k1, sol = solve_qp(gamma_aug, qp)
+        _, _, sol = solve_qp(gamma_aug, qp)
         assert sol.iterations > 1 and sol.active
-        room_up, room_down = mpc.U_MAX - gamma_aug[6:], mpc.U_MIN - gamma_aug[6:]
-        b = np.concatenate([np.minimum(mpc.DU_MAX, room_up),
-                            -np.maximum(mpc.DU_MIN, room_down),
-                            mpc.DU_MAX, -mpc.DU_MIN, room_up, -room_down])
-        assert A_INEQ.shape == (12, 4)
-        assert np.max(A_INEQ @ (qp.k @ gamma_aug) - b) > 1e-3
+        assert _violation(gamma_aug, qp.k @ gamma_aug) > 1e-3
         assert sol.kkt_residual < 1e-8
-        j_qp = true_objective(sol.z, gamma_aug, mats)
-        assert j_qp - grid_minimum(gamma_aug, mats) <= 1e-6
+        assert max(_certificate(gamma_aug, qp, sol.z)) <= 1e-9
 
 
 def test_solution_is_feasible_and_stationary(rng):
-    du_lo, du_hi = np.tile(mpc.DU_MIN, 2), np.tile(mpc.DU_MAX, 2)
+    du_lo, du_hi = np.tile(mpc.DU_MIN, N_STEPS), np.tile(mpc.DU_MAX, N_STEPS)
     bound = 0
     for i in range(20):
         gamma_aug, mats = random_instance(rng, PARAMS, SCALES[i % 2])
-        du_k, du_k1, sol = solve_qp(gamma_aug, condense(mats))
+        _, _, sol = solve_qp(gamma_aug, condense(mats))
         bound += bool(sol.active)
-        z = np.concatenate([du_k, du_k1])
-        assert np.all(z >= du_lo - 1e-10)
-        assert np.all(z <= du_hi + 1e-10)
-        u_prev = gamma_aug[6:]
-        for u in (u_prev + du_k, u_prev + du_k + du_k1):
-            assert np.all(u >= mpc.U_MIN - 1e-9)
-            assert np.all(u <= mpc.U_MAX + 1e-9)
+        z = sol.z
+        assert _violation(gamma_aug, z) <= 1e-10
         # small inward perturbations never improve the true objective
         j0 = true_objective(z, gamma_aug, mats)
         for _ in range(8):
-            trial = np.clip(z + rng.normal(0, 1e-4, 4), du_lo, du_hi)
-            ok = all(
-                np.all(u >= mpc.U_MIN - 1e-12)
-                and np.all(u <= mpc.U_MAX + 1e-12)
-                for u in (u_prev + trial[:2], u_prev + trial[:2] + trial[2:])
-            )
-            if ok:
+            trial = np.clip(z + rng.normal(0, 1e-4, N_Z), du_lo, du_hi)
+            if _violation(gamma_aug, trial) <= 1e-12:
                 assert true_objective(trial, gamma_aug, mats) >= j0 - 1e-9
-    assert bound == 6  # instances where the boxes bind
+    assert bound == BINDING_OF_20  # instances where the boxes bind
 
 
 def test_multiplier_drop_matches_dense_grid():
-    # a draw far off the reference whose working set takes a row that the
-    # optimum does not hold: rows 10 (the floor on u(k+1)'s steering) and
-    # 2 (du_k's) are added; row 6 (du_k1's) is their difference, so a
-    # partial step takes row 10's multiplier to zero and drops it, and a
-    # full step adds row 6: four steps and the final check
-    gamma_aug, mats = random_instance(np.random.default_rng(734), PARAMS, 30.0)
-    _, _, sol = solve_qp(gamma_aug, condense(mats))
-    assert sol.iterations == 5 and sol.active == [2, 6]
+    # a two-step draw far off the reference whose working set takes a row
+    # that the optimum does not hold: in the rows of `tracking_box`, rows
+    # 14 (the floor on u(k+1)'s steering) and 4 (du_k's) are added; row 6
+    # (du_k1's) is their difference, so a partial step takes row 14's
+    # multiplier to zero and drops it, and a full step adds row 6: four
+    # steps and the final check
+    gamma_aug, mats = random_instance(np.random.default_rng(734), PARAMS, 30.0, n_steps=2)
+    sol = solve_two_step(gamma_aug, mats)
+    assert sol.iterations == 5 and sol.active == [4, 6]
     assert sol.kkt_residual < 1e-8
     j_qp = true_objective(sol.z, gamma_aug, mats)
     assert j_qp - grid_minimum(gamma_aug, mats) <= 1e-6
@@ -152,13 +160,12 @@ def test_multiplier_drop_matches_dense_grid():
 def test_iteration_cap_raises_no_convergence(monkeypatch):
     # the same draw needs 5 iterations: a cap of 4 is a failure, not an
     # answer
-    gamma_aug, mats = random_instance(np.random.default_rng(734), PARAMS, 30.0)
-    qp = condense(mats)
+    gamma_aug, mats = random_instance(np.random.default_rng(734), PARAMS, 30.0, n_steps=2)
     monkeypatch.setattr(mpc, "QP_MAX_ITER", 4)
     with pytest.raises(NoConvergence, match="4 iterations"):
-        solve_qp(gamma_aug, qp)
+        solve_two_step(gamma_aug, mats)
     monkeypatch.setattr(mpc, "QP_MAX_ITER", 5)
-    assert solve_qp(gamma_aug, qp)[2].iterations == 5
+    assert solve_two_step(gamma_aug, mats).iterations == 5
 
 
 def test_a_row_that_depends_on_the_working_set_is_solved():
@@ -196,7 +203,7 @@ def test_weights_r_spot_values():
     assert np.diag(mpc.R).tolist() == [200.0, 10.0]
 
 
-# -- the dense-grid oracle over seeded draws ---------------------------
+# -- the two-step dense-grid oracle over seeded draws ------------------
 
 # (seed, deviation scale) of the first draw of `random_instance`: far off
 # the reference, where a primal active-set iteration cycles to its cap
@@ -228,10 +235,6 @@ def test_seeded_draws_match_dense_grid():
 # -- the KKT certificate over seeded draws -----------------------------
 
 
-def _certificate(gamma_aug, qp, z):
-    return kkt_certificate(qp.h, qp.f @ gamma_aug, *tracking_box(gamma_aug, N_STEPS), z)
-
-
 def test_seeded_draws_pass_the_kkt_certificate():
     # seeds 0-999 at each deviation scale: 3000 draws, about half of
     # them with a binding box
@@ -246,17 +249,22 @@ def test_seeded_draws_pass_the_kkt_certificate():
             if not (stationarity <= 1e-9 and violation <= 1e-9):
                 bad.append((seed, scale, stationarity, violation))
     assert bad == []
-    assert bound == 1590
+    assert bound == BINDING_DRAWS
 
 
 def test_the_kkt_certificate_rejects_a_clipped_minimizer():
-    # the draw of test_multiplier_drop_matches_dense_grid: clipping the
-    # unconstrained minimizer into the rate box gives a feasible point
-    # that is not stationary, while the unclipped one is infeasible
-    gamma_aug, mats = random_instance(np.random.default_rng(734), PARAMS, 30.0)
-    qp = condense(mats)
-    z_free = qp.k @ gamma_aug
-    clipped = np.clip(z_free, np.tile(mpc.DU_MIN, N_STEPS), np.tile(mpc.DU_MAX, N_STEPS))
+    # clipping the unconstrained minimizer into the rate box gives a point
+    # that is not stationary, while the unclipped one is infeasible.  The
+    # premise, a clipped point inside the input box too, holds for draw
+    # 734 at scale 30 (that of test_multiplier_drop_matches_dense_grid) at
+    # N_STEPS = 2; the first seed from 734 on where it holds is taken
+    for seed in itertools.count(734):
+        gamma_aug, mats = random_instance(np.random.default_rng(seed), PARAMS, 30.0)
+        qp = condense(mats)
+        z_free = qp.k @ gamma_aug
+        clipped = np.clip(z_free, np.tile(mpc.DU_MIN, N_STEPS), np.tile(mpc.DU_MAX, N_STEPS))
+        if _violation(gamma_aug, clipped) <= 0.0:
+            break
     stationarity, violation = _certificate(gamma_aug, qp, clipped)
     assert stationarity > 1e-6 and violation == 0.0
     stationarity, violation = _certificate(gamma_aug, qp, z_free)

@@ -626,6 +626,19 @@ def test_load_checkpoint_checks_the_bounds_and_scales(tmp_path):
         save_checkpoint(state, path)
 
 
+def test_train_writes_its_run_directory(tmp_path):
+    # one evaluation period with two periodic checkpoints; the warm-up
+    # outlasts the budget, so no update runs
+    hp = Td3Hyperparams(warmup=10_000, batch_size=32, hidden=(16, 16), buffer_size=5000)
+    train(ReachEnv, hp, episodes=td3.EVAL_EVERY, out_dir=tmp_path, checkpoint_every=25)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "checkpoint_ep00025.npz", "checkpoint_ep00050.npz", "policy.npz",
+        "policy_best.npz", "train.log"]
+    assert len((tmp_path / "train.log").read_text().splitlines()) == td3.EVAL_EVERY
+    best = load_checkpoint(tmp_path / "policy_best.npz")
+    assert best.critic_updates == 0 and best.env_steps > 0
+
+
 def test_resume_matches_uninterrupted_run(tmp_path):
     # 12 episodes straight == 6 episodes, checkpoint, 6 more
     p_full, log_full, _ = train(ReachEnv, TOY_HP, episodes=12, seed=5)
