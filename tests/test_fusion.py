@@ -35,6 +35,7 @@ from driftcorner.mpc import (
 from driftcorner.planner import load_pretrajectory, plan_pretrajectory, save_pretrajectory
 from driftcorner.plant import PlantState, TireParams, VehicleParams
 from driftcorner.track import build_library_track, load_track, save_track, to_frenet
+from test_deploy_corpus import _cells as CORPUS_CELLS
 
 PARAMS = VehicleParams()
 TIRES = TireParams()
@@ -295,6 +296,44 @@ def test_tick_stats_recorded(matched_run):
 
 
 # -- plant mismatch ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def mismatch_run(uturn, uturn_pretraj, uturn_preview8):
+    dp, dt = DeploymentSpec(mu=0.75, mass_scale=1.1).apply(PARAMS, TIRES)
+    return deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, dp, dt)
+
+
+@pytest.fixture(scope="module")
+def tracker_only_run(uturn, uturn_pretraj, uturn_preview8):
+    return deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, PARAMS,
+                      TIRES, primary_enabled=False)
+
+
+def test_completes_with_heavier_vehicle_and_less_grip(mismatch_run):
+    assert mismatch_run.completed
+
+
+def test_tracker_only_mode_completes(tracker_only_run):
+    # primary channel ablated: the corrective tracker plus feedforward
+    # must still drive the preview
+    assert tracker_only_run.completed
+
+
+# Each run is a deploy-corpus cell, whose record is its only golden:
+# the episode is pinned exactly, the applied commands to 1e-8 absolute.
+DEPLOY_CELLS = {"matched": "uturn-mu0.85-m1.0-fused", "mismatch": "uturn-mu0.75-m1.1-fused",
+                "tracker_only": "uturn-mu0.85-m1.0-mpc_only"}
+
+
+@pytest.mark.parametrize("case", sorted(DEPLOY_CELLS))
+def test_deploy_matches_golden(case, request):
+    want, res = CORPUS_CELLS[DEPLOY_CELLS[case]], request.getfixturevalue(f"{case}_run")
+    assert (res.episode.status, len(res.records)) == (want["status"], want["ticks"])
+    assert (res.episode.t_f, res.episode.s_final) == (want["t_f"], want["s_final"])
+    applied = np.array([r.applied for r in res.records])
+    np.testing.assert_allclose(applied.sum(axis=0), want["applied_sum"], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(applied.max(axis=0), want["applied_max"], rtol=0, atol=1e-8)
 
 
 def test_deployment_spec_apply():
