@@ -5,7 +5,10 @@ pre-trajectory planning, TD3 training, preview generation, deployment
 runs under plant mismatch, and the comparison tables / plot-data
 exports.  Every run writes its resolved configuration, its seed where
 one has an effect, and a content hash of its file inputs into the run
-directory so results can be reproduced bit-for-bit.
+directory so results can be reproduced bit-for-bit.  Rollouts start
+at the nominal state unless a seed draws the start (`deploy --seed`,
+`mu-sweep --seeds` above 1, `train`); `deploy --mode` is `fused`
+(preview replay plus MPC), `mpc_only` (the MPC alone) or `replay`.
 
 `build-track`, `plan` and `preview` write the one file --out names.  The
 other subcommands write into a run directory, --out or else <name> under
@@ -45,6 +48,7 @@ from .baseline import BaselineTracker
 from .envs import TRACE_COLUMNS, DriftEnv, EpisodeResult, run_episode, summary_line
 from .errors import DriftCornerError, MissingLog, MissingPolicy
 from .fusion import (
+    MODES,
     DeploymentSpec,
     completion_degrees,
     deploy_run,
@@ -267,16 +271,10 @@ def cmd_deploy(args) -> int:
         "kind": args.kind,
         "seed": args.seed,
         "deployment": dataclasses.asdict(spec),
-        "mpc_enabled": not args.no_mpc,
-        "primary_enabled": not args.no_primary,
+        "mode": args.mode,
     }, [*inputs, preview_path])
-    res = deploy_run(
-        preview, track, pre, params, dep_params, dep_tires,
-        seed=args.seed or 0, nominal=args.seed is None,
-        mpc_enabled=not args.no_mpc,
-        primary_enabled=not args.no_primary,
-        record_trace=True,
-    )
+    res = deploy_run(preview, track, pre, params, dep_params, dep_tires,
+                     seed=args.seed, mode=args.mode, record_trace=True)
     # per-tick decomposition (Fig. 12-style paired channels)
     _write_csv(run_dir / "deploy.csv", (
         "t", *(f"{name}_{ch}" for name in ("a_rl", "du", "ut", "applied")
@@ -328,7 +326,7 @@ def cmd_table1(args) -> int:
                 if not ckpt.exists():
                     raise MissingPolicy(f"missing checkpoint {ckpt}")
                 controller = policy_from_checkpoint(ckpt)
-            res = run_episode(controller, DriftEnv(track, pre), nominal=True)
+            res = run_episode(controller, DriftEnv(track, pre))
             times[variant] = res
             rows.append((f"{kind} / {variant}",
                          f"{res.chi}", f"{res.t_f:.2f}", f"{res.s_final:.1f}"))
@@ -365,18 +363,16 @@ def cmd_compare(args) -> int:
                                v_ini=args.v_ini, track_id=args.kind or "custom")
     rows = []
     # 1) RL policy in its own training plant.
-    res = run_episode(policy, DriftEnv(track, pre), nominal=True)
+    res = run_episode(policy, DriftEnv(track, pre))
     rows.append(_episode_row("RL policy (training plant)", res,
                              *completion_degrees(track, res.s_final)))
     # 2) Raw RL in the deployment plant.
-    res = run_episode(policy, DriftEnv(track, pre, tires=dep_tires,
-                                       params=dep_params),
-                      nominal=True)
+    res = run_episode(policy, DriftEnv(track, pre, tires=dep_tires, params=dep_params))
     rows.append(_episode_row("RL policy (deployment plant)", res,
                              *completion_degrees(track, res.s_final)))
     # 3) MPC-only tracking of the preview (primary input zeroed).
     dres = deploy_run(preview, track, pre, params, dep_params, dep_tires,
-                      primary_enabled=False)
+                      mode="mpc_only")
     rows.append(_episode_row("MPC tracking (deployment plant)", dres.episode,
                              dres.completion_deg, dres.total_deg))
     # 4) Fused controller.
@@ -422,7 +418,7 @@ def cmd_mu_sweep(args) -> int:
             dep_params, dep_tires = DeploymentSpec(mu=mu).apply(params, TireParams())
             runs = [
                 deploy_run(preview, track, pre, params, dep_params, dep_tires,
-                           seed=s, nominal=(args.seeds == 1))
+                           seed=None if args.seeds == 1 else s)
                 for s in range(args.seeds)
             ]
             times = sorted(r.episode.t_f for r in runs if r.completed)
@@ -541,10 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int,
                    help="randomize the initial state from this seed "
                         "(default: the nominal start)")
-    # with neither input the plant would coast on zero commands
-    inputs = p.add_mutually_exclusive_group()
-    inputs.add_argument("--no-mpc", action="store_true")
-    inputs.add_argument("--no-primary", action="store_true")
+    p.add_argument("--mode", choices=MODES, default="fused",
+                   help="controller: recorded action plus MPC correction (fused), "
+                        "MPC tracker alone (mpc_only) or recorded action alone (replay)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_deploy)
 

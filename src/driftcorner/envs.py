@@ -198,11 +198,11 @@ def reward_terminal(
 class DriftEnv:
     """Episodic environment over the nonlinear plant.
 
-    `reset(rng)` draws the initial state (entry of the track, speed
-    uniform in [5, 9] m/s, small lateral/heading noise around the
-    pre-trajectory) and `step(action)` advances one 10 ms control tick;
-    `episode` drives the two.  All stochasticity comes through the
-    generator handed to reset, so episodes are reproducible.
+    `reset(seed)` starts at the track's entry: nominally with `seed`
+    None, else drawn from it (speed uniform in [5, 9] m/s, small
+    lateral/heading noise around the pre-trajectory); `step(action)`
+    advances one 10 ms control tick; `episode` drives the two.  All
+    stochasticity comes from the seed, so episodes are reproducible.
     """
 
     action_low = ACTION_LOW
@@ -231,18 +231,18 @@ class DriftEnv:
 
     def reset(
         self,
-        rng: np.random.Generator | int | None = None,
-        nominal: bool = False,
+        seed: np.random.Generator | int | None = None,
         v0: float | None = None,
     ) -> FrenetObservation:
-        """Draw the initial state; `nominal` skips the randomization for
-        deterministic benchmark runs (start of entry, 9 m/s by default or
-        `v0` when given, on the reference line)."""
-        if nominal:
+        """Set the initial state.  With `seed` None it is the nominal
+        start (start of entry, 9 m/s by default or `v0` when given, on
+        the reference line); an int or a Generator draws a randomized
+        start from it instead, with the speed drawn unless `v0` is given."""
+        if seed is None:
             v0 = 9.0 if v0 is None else v0
             l0, a0 = float(self.pretraj.l_ref(0.0)), 0.0
         else:
-            rng = np.random.default_rng(rng)  # a Generator passes through
+            rng = np.random.default_rng(seed)  # a Generator passes through
             if v0 is None:
                 v0 = rng.uniform(5.0, 9.0)
             l0 = float(self.pretraj.l_ref(0.0)) + rng.uniform(-0.2, 0.2)
@@ -287,11 +287,11 @@ class DriftEnv:
             return self._finish("crashed", 0.0)
         self._s = obs.s
         beta = side_slip_rear(self.state)
-        self._max_beta = max(self._max_beta, abs(beta.value))
+        self._max_beta = max(self._max_beta, abs(beta))
         self._max_speed = max(self._max_speed, math.hypot(obs.v_x, obs.v_y))
 
         terms = reward_step(obs, cmd, self._prev_cmd, self.pretraj,
-                            beta_r=beta.value)
+                            beta_r=beta)
         self._prev_cmd = cmd
         for i, v in enumerate(terms):
             self._sums[i] += v
@@ -299,7 +299,7 @@ class DriftEnv:
             self._rows.append([
                 self._t, self.state.x, self.state.y, self.state.phi,
                 self.state.v_x, self.state.v_y, self.state.yaw_rate,
-                self.state.omega_r, obs.s, obs.l, obs.alpha, beta.value,
+                self.state.omega_r, obs.s, obs.l, obs.alpha, beta,
                 self.state.a_y, self.state.delta_applied,
                 self.state.trt_applied, self.state.pb_applied, *terms,
             ])
@@ -332,14 +332,14 @@ class DriftEnv:
 Controller = Callable[[FrenetObservation, PlantState], np.ndarray]  # (obs, state) -> action
 
 
-def episode(controller: Controller, env: DriftEnv, seed=None, nominal: bool = False,
+def episode(controller: Controller, env: DriftEnv, seed=None,
             v0: float | None = None) -> Iterator[tuple]:
-    """Roll one episode: `env.reset(seed, nominal=, v0=)`, then per tick
-    `controller(obs, state)` and `env.step`, yielding `(obs, state,
-    action, reward, next_obs, result)`: what the controller saw, what it
-    chose, and what the step returned.  `result` is None until the last
-    tick.  Deterministic given the seed and the controller."""
-    obs = env.reset(seed, nominal=nominal, v0=v0)
+    """Roll one episode from `env.reset(seed, v0)`, None the nominal
+    start; per tick `controller(obs, state)` and `env.step`, yielding
+    `(obs, state, action, reward, next_obs, result)`: what the controller
+    saw, what it chose, and what the step returned.  `result` is None
+    until the last tick.  Deterministic given the seed and the controller."""
+    obs = env.reset(seed, v0)
     result = None
     while result is None:
         state = env.state
@@ -349,10 +349,10 @@ def episode(controller: Controller, env: DriftEnv, seed=None, nominal: bool = Fa
         obs = next_obs
 
 
-def run_episode(controller: Controller, env: DriftEnv, seed=None, nominal: bool = False,
+def run_episode(controller: Controller, env: DriftEnv, seed=None,
                 v0: float | None = None) -> EpisodeResult:
     """Roll `episode` to its end and return its `EpisodeResult`."""
-    for *_, result in episode(controller, env, seed, nominal, v0):
+    for *_, result in episode(controller, env, seed, v0):
         pass
     return result
 

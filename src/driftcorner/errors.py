@@ -50,10 +50,6 @@ class PreviewFailed(DriftCornerError):
     """Policy crashed in its own training plant while generating a preview."""
 
 
-class PreviewExhausted(DriftCornerError):
-    """Control tick requested past the end of the preview."""
-
-
 class MissingPolicy(DriftCornerError):
     """Experiment requires a trained policy that is not available."""
 

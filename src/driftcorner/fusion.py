@@ -10,6 +10,10 @@ action is its primary input, an MPC over `mpc.N_STEPS` ticks tracks
 the preview's Cartesian trace to produce a corrective input, and the
 two are summed in actuator space.  A side-slip safety fallback
 overrides everything when the rear swings out beyond its threshold.
+Both rollouts start from the nominal state unless given a seed.  The
+controller's `MODES` are `fused`, `mpc_only` (the MPC, with the
+preview motion's feedforward in place of the recorded action) and
+`replay` (the recorded action alone).
 
 Offline, when the controller is built, each preview point k gets its
 condensed tracking QP (`mpc.condense`): the Hessian H_k, the gradient
@@ -42,7 +46,7 @@ import numpy as np
 from . import textfile
 from .envs import (ACTION_HIGH, ACTION_LOW, CONTROL_DT, DriftEnv, EpisodeResult,
                    FrenetObservation, episode, run_episode)
-from .errors import NoConvergence, PreviewExhausted, PreviewFailed
+from .errors import NoConvergence, PreviewFailed
 from .mpc import (
     N_AUG,
     N_STEPS,
@@ -70,6 +74,7 @@ PREVIEW_FILE = textfile.Format(
      "v_ini", "t_f"),
     recreate="driftcorner preview", columns="t X Y phi v_x v_y yaw_rate delta_f T_rt P_b s")
 MODEL_BLOCK = 128  # preview points per stacked model build (small temporaries)
+MODES = ("fused", "mpc_only", "replay")  # FusionController's input channels
 
 # Side-slip fallback: past FALLBACK_BETA of rear side-slip the drive is
 # cut and the brakes held at FALLBACK_P_BM until the slip falls back
@@ -175,7 +180,7 @@ def generate_preview(
         raise ValueError(f"v_ini must be finite and positive, got {v_ini!r}")
     env = DriftEnv(track, pretraj, tires=tires, params=params)
     rows, t = [], 0.0
-    for obs, st, act, _, _, result in episode(policy, env, nominal=True, v0=v_ini):
+    for obs, st, act, _, _, result in episode(policy, env, v0=v_ini):
         rows.append([t, st.x, st.y, st.phi, st.v_x, st.v_y, st.yaw_rate, *act, obs.s])
         t += CONTROL_DT
     if result.chi != 1:
@@ -223,19 +228,19 @@ class TickRecord:
 
 class FusionController:
     """Stateful per-tick controller combining preview replay with the
-    corrective tracker and the side-slip fallback."""
+    corrective tracker and the side-slip fallback; `mode` is `fused`,
+    `mpc_only` or `replay` (`MODES`), and any other is a ValueError."""
 
     def __init__(
         self,
         preview: PreviewTrajectory,
         model_params: VehicleParams,  # the controller's belief (training plant)
-        mpc_enabled: bool = True,
-        primary_enabled: bool = True,
+        mode: str = "fused",
     ):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
         self.preview = preview
         self.params = model_params
-        self.mpc_enabled = mpc_enabled
-        self.primary_enabled = primary_enabled
         self.u_mpc = MpcInput(0.0, 0.0)
         self.fallback_on = False
         self.fallback_events = 0  # engagements, counted as each starts
@@ -244,16 +249,17 @@ class FusionController:
         self.t = 0.0
         self.records: list[TickRecord] = []
         self._s_list = preview.s.tolist()  # for the per-tick bisection
-        # Reference inputs implied by the preview motion, used as the
-        # feedforward when the primary channel is ablated (tracker-only
-        # mode): steering as recorded, acceleration from the recorded
+        # The mode, resolved for the tick: the feedforward only where it
+        # replaces the recorded action, the QP stack only where the MPC
+        # runs.  The feedforward is the input the preview motion implies:
+        # steering as recorded, acceleration from the recorded
         # longitudinal rate minus the kinematic coupling term.
-        vx, vy, r = preview.gamma[:, 3], preview.gamma[:, 4], preview.gamma[:, 5]
-        self._u_ff = np.column_stack([
-            preview.a_rl[:, 0],
-            np.gradient(vx) / CONTROL_DT - vy * r,
-        ])
-        self._qp = self._precompute() if mpc_enabled else None
+        self._u_ff = None
+        if mode == "mpc_only":
+            vx, vy, r = preview.gamma[:, 3:6].T
+            self._u_ff = np.column_stack([preview.a_rl[:, 0],
+                                          np.gradient(vx) / CONTROL_DT - vy * r])
+        self._qp = self._precompute() if mode != "replay" else None
 
     def _precompute(self) -> CondensedQp:
         """Condensed tracking QP at every preview point: stacks (n, 2N, 2N)
@@ -279,13 +285,14 @@ class FusionController:
         return CondensedQp(h, f, gain)
 
     def _reference_index(self, s: float) -> int:
-        """Nearest preview sample by arc length, ties toward larger s."""
+        """Nearest preview sample by arc length, ties toward larger s;
+        past the preview's end, its last sample."""
         sp = self._s_list
         j = bisect_left(sp, s)  # np.searchsorted's side="left"
         if j <= 0:
             return 0
         if j >= len(sp):
-            raise PreviewExhausted(f"s={s:.2f} beyond preview end {sp[-1]:.2f}")
+            return j - 1
         s_before, s_at = sp[j - 1], sp[j]
         return j if s_at - s <= s - s_before else j - 1
 
@@ -294,17 +301,15 @@ class FusionController:
         length `obs.s` of the c.g. is read, and the plant state in, the
         actuator command out."""
         t0 = time.perf_counter()
-        try:
-            k = self._reference_index(obs.s)
-        except PreviewExhausted:
-            self.preview_exhausted += 1
-            k = len(self.preview) - 1
-        a_rl = (self.preview.a_rl[k].tolist() if self.primary_enabled
-                else [0.0, 0.0, 0.0])
+        k = self._reference_index(obs.s)
+        self.preview_exhausted += obs.s > self._s_list[-1]
+        u_ff = self._u_ff
+        a_rl = self.preview.a_rl[k].tolist() if u_ff is None else [0.0, 0.0, 0.0]
 
         du_act = (0.0, 0.0, 0.0)
         kkt = 0.0
-        if self.mpc_enabled and state.v_x >= V_EPS:
+        qp = self._qp
+        if qp is not None and state.v_x >= V_EPS:
             # Correction acts on the deviation from the preview: the
             # primary input already produces the reference motion, so the
             # linearized model propagates the error with a zero target.
@@ -316,7 +321,6 @@ class FusionController:
                 state.v_x - v_x, state.v_y - v_y, state.yaw_rate - r,
                 self.u_mpc.delta_f, self.u_mpc.a_xt,
             ])
-            qp = self._qp
             try:
                 du_k, _, sol = solve_qp(gamma_aug, CondensedQp(qp.h[k], qp.f[k], qp.k[k]))
             except NoConvergence:
@@ -328,8 +332,8 @@ class FusionController:
                 dd, da = du_k.tolist()
                 self.u_mpc = MpcInput(self.u_mpc.delta_f + dd, self.u_mpc.a_xt + da)
                 u_out = self.u_mpc
-                if not self.primary_enabled:
-                    ff_d, ff_a = self._u_ff[k].tolist()
+                if u_ff is not None:
+                    ff_d, ff_a = u_ff[k].tolist()
                     u_out = MpcInput(u_out.delta_f + ff_d, u_out.a_xt + ff_a)
                 du_act = self._to_actuator_space(u_out, a_rl)
 
@@ -338,7 +342,7 @@ class FusionController:
         applied = [lo if u <= lo else hi if u >= hi else u
                    for u, (lo, hi) in zip(u_t, _ACTION_BOX)]
 
-        beta = abs(side_slip_rear(state).value)
+        beta = abs(side_slip_rear(state))
         engaged = beta >= FALLBACK_BETA or (
             self.fallback_on and not beta < FALLBACK_BETA - FALLBACK_HYSTERESIS)
         self.fallback_events += engaged and not self.fallback_on
@@ -431,19 +435,17 @@ def deploy_run(
     train_params: VehicleParams,
     deploy_params: VehicleParams,
     deploy_tires: TireParams,
-    seed: int = 0,
-    nominal: bool = True,
-    mpc_enabled: bool = True,
-    primary_enabled: bool = True,
+    seed=None,
+    mode: str = "fused",
     record_trace: bool = False,
 ) -> DeployResult:
-    """Closed-loop run of the fusion controller on the deployment plant."""
+    """Closed-loop run of the fusion controller in `mode` (one of `MODES`)
+    on the deployment plant, at the preview's entry speed, from the
+    nominal start when `seed` is None, else from one the seed draws."""
     env = DriftEnv(track, pretraj, tires=deploy_tires, params=deploy_params,
                    record=record_trace)
-    ctl = FusionController(preview, train_params,
-                           mpc_enabled=mpc_enabled,
-                           primary_enabled=primary_enabled)
-    result = run_episode(ctl, env, seed, nominal=nominal, v0=preview.v_ini)
+    ctl = FusionController(preview, train_params, mode)
+    result = run_episode(ctl, env, seed, v0=preview.v_ini)
     ach, tot = completion_degrees(track, result.s_final)
     return DeployResult(  # an episode has at least one tick
         episode=result, records=ctl.records, fallback_events=ctl.fallback_events,

@@ -117,20 +117,12 @@ class PlantState(NamedTuple):
         return PlantState(v_x=v_x, omega_r=v_x / VehicleParams.r_w, **kw)
 
 
-class SideSlip(NamedTuple):
-    value: float  # rad
-    low_speed: bool
-
-
-def side_slip_rear(state: PlantState) -> SideSlip:
-    """Side-slip angle at the rear axle center.
-
-    Below 0.1 m/s the angle is undefined; returns 0 with the flag set."""
+def side_slip_rear(state: PlantState) -> float:
+    """Side-slip angle at the rear axle center, in rad; 0.0 at or below
+    0.1 m/s, where the angle is undefined."""
     if state.v_x <= 0.1:
-        return SideSlip(0.0, True)
-    return SideSlip(
-        math.atan2(state.v_y - VehicleParams.l_r * state.yaw_rate, state.v_x), False
-    )
+        return 0.0
+    return math.atan2(state.v_y - VehicleParams.l_r * state.yaw_rate, state.v_x)
 
 
 def apply_actuator_limits(cmd: Action, latch: Action) -> Action:

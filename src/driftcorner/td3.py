@@ -412,7 +412,13 @@ def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
                 rng=np.random.default_rng(),
                 **meta["counters"],
             )
-            state.rng.bit_generator.state = meta["rng_state"]
+            try:
+                state.rng.bit_generator.state = meta["rng_state"]
+            except ValueError as exc:  # numpy's refusal of another generator's state
+                raise ValueError(f"{path}: malformed checkpoint (rng_state: {exc})") from exc
+            if len(meta["opt_t"]) != len(_OPTS):
+                raise ValueError(f"{path}: malformed checkpoint (opt_t holds {len(meta['opt_t'])} "
+                                 f"step counts for {len(_OPTS)} optimizers)")
             for name, t in zip(_OPTS, meta["opt_t"]):
                 opt = getattr(state, name)
                 opt.m, opt.v, opt.t = data[f"{name}_m"], data[f"{name}_v"], t
@@ -504,10 +510,11 @@ def train(
 
     The environment follows the `DriftEnv` contract that `envs.episode`
     drives: `action_low`, `action_high`, observation `scales`, `state`,
-    `reset(rng, nominal=, v0=)` and `step(action)` returning observations
-    with `.vector()`, the reward, and a result that is None until the
-    last step.  `demo_policy(obs, state)` is handed the learner's
-    observation vector scaled back to raw units.
+    `reset(seed, v0)` and `step(action)` returning observations with
+    `.vector()`, the reward, and a result that is None until the last
+    step.  Episodes start as the learner's generator draws, evaluations
+    at the nominal start, `seed=None`.  `demo_policy(obs, state)` is
+    handed the learner's observation vector scaled back to raw units.
     """
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be at least 1, not {checkpoint_every}")
@@ -575,7 +582,7 @@ def train(
                     update_actor_and_targets(state, batch)
         tlog.append(ep, result, ep_steps)
         if (progress or out_dir is not None) and (ep + 1) % EVAL_EVERY == 0:
-            res = run_episode(Policy(state.actor, obs_scale), env, 0, nominal=True)
+            res = run_episode(Policy(state.actor, obs_scale), env)
             key = (res.chi, -res.t_f)
             if best_eval is None or key > best_eval:
                 best_eval = key

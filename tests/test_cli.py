@@ -555,8 +555,10 @@ def test_preview_rejects_npz_that_is_not_a_checkpoint(tmp_path, capsys):
     lambda meta: meta["counters"].update(bogus=0),
     lambda meta: meta.update(sizes=[]),
     lambda meta: meta["counters"].update(opt_actor=0),
+    lambda meta: meta.update(opt_t=[5]),
+    lambda meta: meta.update(rng_state={"bit_generator": "MT19937"}),
 ], ids=["unknown_hp_key", "missing_sizes", "unknown_counter", "empty_sizes",
-        "optimizer_as_counter"])
+        "optimizer_as_counter", "short_opt_t", "foreign_rng_state"])
 def test_preview_rejects_checkpoint_with_malformed_metadata(edit, tmp_path, capsys):
     # the digest covers the arrays, not the metadata: metadata this
     # program cannot use is a configuration error naming the file
@@ -628,7 +630,7 @@ def test_mu_sweep_rejects_missing_checkpoint_before_writing(tmp_path, capsys):
     (["deploy", "--kind", "uturn", "--preview", "p.txt"], ["--mu", "0.7"]),
     (["compare", "--kind", "uturn", "--policy", "p.npz"], ["--mu", "0.7"]),
     (["deploy", "--kind", "uturn", "--preview", "p.txt"], ["--randomized"]),
-    (["deploy", "--kind", "uturn", "--preview", "p.txt", "--no-mpc"], ["--no-primary"]),
+    (["deploy", "--kind", "uturn", "--preview", "p.txt"], ["--mode", "coast"]),
     (["deploy", "--track", "ra.txt", "--preview", "p.txt"], ["--kind", "uturn"]),
     (["table1", "--tracker"], ["--policy-dir", "/nonexistent"]),
 ])
@@ -636,7 +638,7 @@ def test_options_without_effect_are_rejected(argv, option, capsys):
     # --mu set only the planner's adhesion while these commands' plants
     # ran at the training value (and "--mu" must not pass for
     # "--mu-deploy"); a deploy seed means a randomized start by itself;
-    # a deploy without the MPC and the primary input coasted on zeros;
+    # a deploy mode is one of fusion.MODES;
     # --kind beside --track checked a preview against a track it did not
     # load, and the tracker left --policy-dir unread
     with pytest.raises(SystemExit) as exc:
@@ -702,8 +704,8 @@ def test_mu_sweep_csv_holds_the_median_time_or_the_furthest_run(monkeypatch, tmp
     base = {"uturn": 20.0, "right_angle": 15.0}
     total = {"uturn": 180.0, "right_angle": 90.0}
 
-    def stub(kind, track, pre, params, dep_params, dep_tires, seed, nominal):
-        assert nominal is False
+    def stub(kind, track, pre, params, dep_params, dep_tires, seed):
+        assert seed is not None  # more than one seed: randomized starts
         if seed < completes[dep_tires.mu]:
             return _deployed(1, "completed", base[kind] + seed / 2, total[kind], total[kind])
         return _deployed(0, "crashed", 5.0, base[kind] / 2 + seed * 10, total[kind])
@@ -728,13 +730,14 @@ def test_mu_sweep_csv_holds_the_median_time_or_the_furthest_run(monkeypatch, tmp
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("seed_args, seed, nominal", [
+@pytest.mark.parametrize("seed_args, seed, nominal_start", [
     ([], None, True),
     (["--seed", "3"], 3, False),
     (["--seed", "0"], 0, False),
 ])
-def test_deploy_seed_means_a_randomized_start(seed_args, seed, nominal, monkeypatch,
+def test_deploy_seed_means_a_randomized_start(seed_args, seed, nominal_start, monkeypatch,
                                               uturn_preview8, tmp_path):
+    # the seed goes to deploy_run as it is; None is the nominal start
     calls = []
 
     def stub(*args, **kwargs):
@@ -747,9 +750,8 @@ def test_deploy_seed_means_a_randomized_start(seed_args, seed, nominal, monkeypa
     out = tmp_path / "deploy"
     assert cli.main(["deploy", "--kind", "uturn", "--preview", str(preview),
                      "--out", str(out), *seed_args]) == 0
-    assert len(calls) == 1 and calls[0]["nominal"] is nominal
-    if seed is not None:
-        assert calls[0]["seed"] == seed
+    assert len(calls) == 1 and calls[0]["seed"] == seed
+    assert (calls[0]["seed"] is None) is nominal_start
     assert json.loads((out / "config.json").read_text())["seed"] == seed
 
 
@@ -806,8 +808,7 @@ RECORDED = {
         **{opt: (f"deployment.{key}", _D, [*_D, opt, value])
            for opt, (key, value) in _DEPLOYMENT.items()},
         "--seed": ("seed", _D, [*_D, "--seed", "3"]),
-        "--no-mpc": ("mpc_enabled", _D, [*_D, "--no-mpc"]),
-        "--no-primary": ("primary_enabled", _D, [*_D, "--no-primary"]),
+        "--mode": ("mode", _D, [*_D, "--mode", "replay"]),
     },
     "table1": {
         "--policy-dir": ("policy_dir", ["--policy-dir", "{policies_a}"],

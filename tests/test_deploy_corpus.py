@@ -2,13 +2,14 @@
 
 `tests/data/deploy_corpus.json` holds one cell per task (U-turn, right
 angle), friction mu (0.95, 0.85, 0.75, 0.65, 0.55), mass scale (x1.0,
-x1.1) and controller mode: `fused` (preview replay plus MPC
-correction), `mpc_only` (primary channel off, the MPC with its
-feedforward drives) and `replay` (MPC off).  Every run drives the
-8 m/s path-tracker preview of its task, generated in the matched
-plant.  Per cell it keeps the episode status, the tick count, t_f,
-s_final, the largest |l| of the c.g., the largest rear side-slip, and
-the sum and the maximum of each applied input channel.
+x1.1) and controller mode, one of `fusion.MODES`, passed to
+`deploy_run` by name: `fused` (preview replay plus MPC correction),
+`mpc_only` (primary channel off, the MPC with its feedforward drives)
+and `replay` (MPC off).  Every run drives the 8 m/s path-tracker
+preview of its task, generated in the matched plant, from the nominal
+start (`seed=None`).  Per cell it keeps the episode status, the tick
+count, t_f, s_final, the largest |l| of the c.g., the largest rear
+side-slip, and the sum and the maximum of each applied input channel.
 
 The tests require the status and the tick count to match exactly,
 every float to stay within ATOL, and every tracking QP to converge.
@@ -34,7 +35,7 @@ import pytest
 
 from driftcorner.baseline import BaselineTracker
 from driftcorner.envs import TRACE_COLUMNS
-from driftcorner.fusion import DeploymentSpec, deploy_run, generate_preview
+from driftcorner.fusion import MODES, DeploymentSpec, deploy_run, generate_preview
 from driftcorner.planner import plan_pretrajectory
 from driftcorner.plant import TireParams, VehicleParams
 from driftcorner.track import build_library_track
@@ -43,11 +44,6 @@ CORPUS = Path(__file__).parent / "data" / "deploy_corpus.json"
 TASKS = ("uturn", "right_angle")
 MUS = (0.95, 0.85, 0.75, 0.65, 0.55)
 MASSES = (1.0, 1.1)
-MODES = {
-    "fused": {},
-    "mpc_only": {"primary_enabled": False},
-    "replay": {"mpc_enabled": False},
-}
 PREVIEW_SPEED = 8.0  # m/s, tracker speed cap and entry speed
 ATOL = 1e-8
 FLOATS = ("t_f", "s_final", "max_abs_l", "max_beta", "applied_sum", "applied_max")
@@ -94,7 +90,7 @@ def deploy_cell(task, mu: float, mass: float, mode: str):
     dep_params, dep_tires = DeploymentSpec(mu=mu, mass_scale=mass).apply(
         VehicleParams(), TireParams())
     return deploy_run(preview, track, pre, VehicleParams(), dep_params, dep_tires,
-                      record_trace=True, **MODES[mode])
+                      mode=mode, record_trace=True)
 
 
 def cell_metrics(res) -> dict:

@@ -35,7 +35,7 @@ from test_plan_corpus import generated_corners
 
 def test_observation_vector_layout(uturn, uturn_pretraj):
     env = DriftEnv(uturn, uturn_pretraj)
-    obs = env.reset(0, nominal=True)
+    obs = env.reset()
     v = obs.vector()
     assert v.shape == (OBS_DIM,)
     assert v[0] == pytest.approx(obs.s)
@@ -115,8 +115,8 @@ def test_terminal_reward_components(uturn_pretraj):
 
 def test_nominal_reset_is_deterministic(uturn, uturn_pretraj):
     env = DriftEnv(uturn, uturn_pretraj)
-    a = env.reset(0, nominal=True).vector()
-    b = env.reset(1, nominal=True).vector()
+    a = env.reset().vector()
+    b = env.reset().vector()
     np.testing.assert_array_equal(a, b)
 
 
@@ -128,8 +128,7 @@ def test_random_reset_spread(uturn, uturn_pretraj, rng):
 
 def test_full_episode_with_tracker(uturn, uturn_pretraj):
     env = DriftEnv(uturn, uturn_pretraj, record=True)
-    res = run_episode(BaselineTracker(uturn, uturn_pretraj, speed_factor=0.88),
-                      env, nominal=True)
+    res = run_episode(BaselineTracker(uturn, uturn_pretraj, speed_factor=0.88), env)
     assert res.chi == 1 and res.status == "completed"
     assert res.s_final == pytest.approx(uturn.s_max, abs=1e-6)
     assert res.trace is not None and res.trace.shape[1] == 19
@@ -142,14 +141,14 @@ def test_full_episode_with_tracker(uturn, uturn_pretraj):
 def test_episode_time_cap(uturn, uturn_pretraj):
     # crawl forward so neither completion nor crash ever fires
     crawl = lambda obs, state: np.array([0.0, 120.0, 10.0])
-    res = run_episode(crawl, DriftEnv(uturn, uturn_pretraj), 0, nominal=True, v0=1.0)
+    res = run_episode(crawl, DriftEnv(uturn, uturn_pretraj), v0=1.0)
     assert res.status == "timeout" and res.chi == 0
     assert res.t_f <= TIME_CAP_FACTOR * uturn_pretraj.t_ref + CONTROL_DT
 
 
 def test_crash_ends_episode(uturn, uturn_pretraj):
     swerve = lambda obs, state: np.array([0.5, 1000.0, 0.0])
-    res = run_episode(swerve, DriftEnv(uturn, uturn_pretraj), 0, nominal=True)
+    res = run_episode(swerve, DriftEnv(uturn, uturn_pretraj))
     assert res.status == "crashed"
     assert res.chi == 0
 
@@ -158,7 +157,7 @@ def test_plant_blowup_ends_episode_with_its_own_status(uturn, uturn_pretraj, mon
     # the plant leaving its sanity bounds is a fault, not the car off the road
     monkeypatch.setattr(plant, "_SANITY_V", 5.0)  # below the 9 m/s start
     coast = lambda obs, state: np.array([0.0, 0.0, 0.0])
-    res = run_episode(coast, DriftEnv(uturn, uturn_pretraj), 0, nominal=True)
+    res = run_episode(coast, DriftEnv(uturn, uturn_pretraj))
     assert res.status == "blowup" and res.chi == 0
     assert res.t_f == 0.0  # the first tick
 
@@ -172,7 +171,7 @@ def test_episode_yields_each_tick_and_the_result_last(uturn, uturn_pretraj):
         seen.append((obs, state))
         return drive(obs, state)
 
-    ticks = list(envs.episode(tracker, DriftEnv(uturn, uturn_pretraj), nominal=True))
+    ticks = list(envs.episode(tracker, DriftEnv(uturn, uturn_pretraj)))
     assert len(ticks) == len(seen)
     assert all(tick[0] is obs and tick[1] is state
                for tick, (obs, state) in zip(ticks, seen))
@@ -266,7 +265,7 @@ def test_ambiguous_projection_ends_episode_crashed(monkeypatch, uturn,
         raise AmbiguousProjection((30.0, 39.4))
 
     env = DriftEnv(uturn, uturn_pretraj)
-    env.reset(0, nominal=True)
+    env.reset()
     monkeypatch.setattr(envs, "to_frenet", tied)
     _, _, result = env.step(np.zeros(3))
     assert result.status == "crashed"
@@ -275,8 +274,7 @@ def test_ambiguous_projection_ends_episode_crashed(monkeypatch, uturn,
 
 def test_completion_total_reward_consistency(uturn, uturn_pretraj):
     env = DriftEnv(uturn, uturn_pretraj)
-    res = run_episode(BaselineTracker(uturn, uturn_pretraj, speed_factor=0.88),
-                      env, nominal=True)
+    res = run_episode(BaselineTracker(uturn, uturn_pretraj, speed_factor=0.88), env)
     assert res.total_reward == pytest.approx(
         res.r_p_sum + res.r_s_sum + res.r_m_sum + res.r_t, abs=1e-9)
     assert res.r_t == pytest.approx(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from driftcorner.baseline import BaselineTracker
 from driftcorner.envs import observe
 from driftcorner.errors import BadInputFile, NoConvergence, PreviewFailed
 from driftcorner.fusion import (
+    MODES,
     DeploymentSpec,
     FusionController,
     PreviewTrajectory,
@@ -307,7 +309,23 @@ def mismatch_run(uturn, uturn_pretraj, uturn_preview8):
 @pytest.fixture(scope="module")
 def tracker_only_run(uturn, uturn_pretraj, uturn_preview8):
     return deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, PARAMS,
-                      TIRES, primary_enabled=False)
+                      TIRES, mode="mpc_only")
+
+
+@pytest.mark.parametrize("mode, feedforward, mpc", [
+    ("fused", False, True), ("mpc_only", True, True), ("replay", False, False)])
+def test_each_mode_builds_only_what_it_reads(mode, feedforward, mpc, uturn_preview8):
+    ctl = FusionController(uturn_preview8, PARAMS, mode)
+    assert (ctl._u_ff is not None, ctl._qp is not None) == (feedforward, mpc)
+
+
+def test_an_unknown_mode_is_refused(uturn, uturn_pretraj, uturn_preview8):
+    # the three modes are the whole choice: no mode without either input
+    with pytest.raises(ValueError, match=re.escape(str(MODES))):
+        FusionController(uturn_preview8, PARAMS, mode="coast")
+    with pytest.raises(ValueError, match=re.escape(str(MODES))):
+        deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, PARAMS, TIRES,
+                   mode="coast")
 
 
 def test_completes_with_heavier_vehicle_and_less_grip(mismatch_run):
@@ -407,7 +425,7 @@ def test_forced_fallback_brakes(monkeypatch, uturn, uturn_pretraj, uturn_preview
 def test_fallback_counts_each_engagement_once(uturn, uturn_preview8):
     # 75 deg engages, the brake holds down to 65 deg, and the next swing
     # past 75 deg is a second engagement
-    ctl = FusionController(uturn_preview8, PARAMS, mpc_enabled=False)
+    ctl = FusionController(uturn_preview8, PARAMS, mode="replay")
     g = uturn_preview8.gamma[50]
     obs = observe(PlantState(x=g[0], y=g[1], phi=g[2], v_x=5.0), uturn)
     for deg in (0.0, 80.0, 70.0, 60.0, 80.0, 0.0):

@@ -292,11 +292,9 @@ def test_steady_state_cornering_matches_linear_model():
 
 def test_rear_slip_angle():
     state = PlantState(v_x=10.0, v_y=1.0, yaw_rate=0.5)
-    got = side_slip_rear(state)
-    assert not got.low_speed
-    assert got.value == pytest.approx(
+    assert side_slip_rear(state) == pytest.approx(
         math.atan2(1.0 - PARAMS.l_r * 0.5, 10.0), abs=1e-12)
-    assert side_slip_rear(PlantState(v_x=0.05)).low_speed
+    assert side_slip_rear(PlantState(v_x=0.05)) == 0.0
 
 
 # -- actuator envelope -------------------------------------------------

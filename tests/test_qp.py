@@ -124,22 +124,39 @@ def test_binding_bound_falls_through_to_the_active_set(rng):
         assert max(_certificate(gamma_aug, qp, sol.z)) <= 1e-9
 
 
-def test_solution_is_feasible_and_stationary(rng):
+def _feasible_and_stationary(rng, gamma_aug, mats):
+    """The active rows of the solve, after checking that its solution is
+    feasible and that small inward perturbations never improve the true
+    objective."""
     du_lo, du_hi = np.tile(mpc.DU_MIN, N_STEPS), np.tile(mpc.DU_MAX, N_STEPS)
+    _, _, sol = solve_qp(gamma_aug, condense(mats))
+    z = sol.z
+    assert _violation(gamma_aug, z) <= 1e-10
+    j0 = true_objective(z, gamma_aug, mats)
+    for _ in range(8):
+        trial = np.clip(z + rng.normal(0, 1e-4, N_Z), du_lo, du_hi)
+        if _violation(gamma_aug, trial) <= 1e-12:
+            assert true_objective(trial, gamma_aug, mats) >= j0 - 1e-9
+    return sol.active
+
+
+def test_solution_is_feasible_and_stationary(rng):
     bound = 0
     for i in range(20):
         gamma_aug, mats = random_instance(rng, PARAMS, SCALES[i % 2])
-        _, _, sol = solve_qp(gamma_aug, condense(mats))
-        bound += bool(sol.active)
-        z = sol.z
-        assert _violation(gamma_aug, z) <= 1e-10
-        # small inward perturbations never improve the true objective
-        j0 = true_objective(z, gamma_aug, mats)
-        for _ in range(8):
-            trial = np.clip(z + rng.normal(0, 1e-4, N_Z), du_lo, du_hi)
-            if _violation(gamma_aug, trial) <= 1e-12:
-                assert true_objective(trial, gamma_aug, mats) >= j0 - 1e-9
+        bound += bool(_feasible_and_stationary(rng, gamma_aug, mats))
     assert bound == BINDING_OF_20  # instances where the boxes bind
+    # previous inputs at the corners of the input box: the rows from
+    # 4 * N_STEPS on, which bound the inputs of the later steps through
+    # the partial sums of the rates, bind on some of these draws
+    later = 0
+    for corner in itertools.product(*zip(mpc.U_MIN, mpc.U_MAX)):
+        for scale in SCALES:
+            gamma_aug, mats = random_instance(rng, PARAMS, scale)
+            gamma_aug[6:] = corner
+            active = _feasible_and_stationary(rng, gamma_aug, mats)
+            later += any(row >= 4 * N_STEPS for row in active)
+    assert later > 0
 
 
 def test_multiplier_drop_matches_dense_grid():

@@ -67,10 +67,9 @@ class ReachEnv:
     horizon = 60
     dt = 0.1
 
-    def reset(self, rng=None, nominal=False, v0=None):
-        rng = (rng if isinstance(rng, np.random.Generator)
-               else np.random.default_rng(rng))
-        self.p = 1.2 if nominal else float(rng.uniform(-1.5, 1.5))
+    def reset(self, seed=None, v0=None):
+        self.p = (1.2 if seed is None
+                  else float(np.random.default_rng(seed).uniform(-1.5, 1.5)))
         self.v = 0.0 if v0 is None else v0
         self.k = 0
         self.ret = 0.0
@@ -281,9 +280,9 @@ def test_train_resets_once_per_episode():
     class CountingReachEnv(ReachEnv):
         resets = 0
 
-        def reset(self, rng=None, nominal=False, v0=None):
+        def reset(self, seed=None, v0=None):
             self.resets += 1
-            return super().reset(rng, nominal, v0)
+            return super().reset(seed, v0)
 
     env = CountingReachEnv()
     train(lambda: env, TOY_HP, episodes=2, seed=0)
