@@ -11,6 +11,7 @@ bookkept exactly.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -259,7 +260,8 @@ class DriftEnv:
         self._sums = [0.0, 0.0, 0.0]
         self._max_beta = 0.0
         self._max_speed = self.state.v_x
-        self._rows: list[list[float]] = []
+        # the TRACE_COLUMNS of each tick, flat, when recording
+        self._trace = array("d") if self.record else None
         self._obs = observe(self.state, self.track, s_hint=0.0)
         return self._obs
 
@@ -296,13 +298,13 @@ class DriftEnv:
         for i, v in enumerate(terms):
             self._sums[i] += v
         if self.record:
-            self._rows.append([
+            self._trace.extend((
                 self._t, self.state.x, self.state.y, self.state.phi,
                 self.state.v_x, self.state.v_y, self.state.yaw_rate,
                 self.state.omega_r, obs.s, obs.l, obs.alpha, beta,
                 self.state.a_y, self.state.delta_applied,
                 self.state.trt_applied, self.state.pb_applied, *terms,
-            ])
+            ))
 
         status = detect_termination(self.state, self.track,
                                     FrenetPoint(obs.s, obs.l), self._monitor)
@@ -323,7 +325,8 @@ class DriftEnv:
             r_p_sum=self._sums[0], r_s_sum=self._sums[1],
             r_m_sum=self._sums[2], r_t=r_t,
             max_beta=self._max_beta, max_speed=self._max_speed,
-            trace=np.array(self._rows) if self.record else None,
+            trace=(np.array(self._trace).reshape(-1, len(TRACE_COLUMNS))
+                   if self.record else None),
         )
         obs = (obs if obs is not None else self._obs)._replace(chi=0.0)
         return obs, step_reward + r_t, result

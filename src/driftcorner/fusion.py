@@ -31,14 +31,23 @@ ends finitely, and a tick that reaches its guard instead is counted in
 speed guard does.  The rest of the tick (the sum of the two inputs, the
 clamp to the action box and the fallback) is arithmetic on three Python
 floats.
+
+Each tick appends its 16 numbers (the fields of `TickRecord`: t, a_rl,
+du_mpc, u_t, applied, fallback as 0/1, compute_ms, kkt_residual) to one
+flat float buffer; the run's `records` is a read-only `TickLog` over the
+(ticks, 16) array made from it once, when the run ends.  The env's trace
+and the preview rollout's rows are kept the same way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import time
+from array import array
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -179,9 +188,9 @@ def generate_preview(
     if not 0.0 < v_ini < math.inf:
         raise ValueError(f"v_ini must be finite and positive, got {v_ini!r}")
     env = DriftEnv(track, pretraj, tires=tires, params=params)
-    rows, t = [], 0.0
+    rows, t = array("d"), 0.0  # the file's 11 columns per tick, flat
     for obs, st, act, _, _, result in episode(policy, env, v0=v_ini):
-        rows.append([t, st.x, st.y, st.phi, st.v_x, st.v_y, st.yaw_rate, *act, obs.s])
+        rows.extend((t, st.x, st.y, st.phi, st.v_x, st.v_y, st.yaw_rate, *act, obs.s))
         t += CONTROL_DT
     if result.chi != 1:
         raise PreviewFailed(
@@ -189,7 +198,7 @@ def generate_preview(
         )
     checksum = policy.checksum() if hasattr(policy, "checksum") else 0.0
     return PreviewTrajectory.from_rows(
-        rows, policy_checksum=float(checksum),
+        np.array(rows).reshape(-1, 11), policy_checksum=float(checksum),
         plant_digest=params_digest(params, tires), track_id=track_id,
         track_digest=track_digest(track), pretraj_digest=pretraj_digest(pretraj),
         v_ini=v_ini, t_f=result.t_f,
@@ -214,7 +223,12 @@ def load_preview(path) -> PreviewTrajectory:
 
 @dataclass
 class TickRecord:
-    """Per-tick decomposition for the deploy log (pre-clamp sums)."""
+    """Per-tick decomposition for the deploy log (pre-clamp sums).
+
+    One row of a `TickLog`, whose 16 columns hold these fields in this
+    order: t, a_rl, du_mpc, u_t and applied (three channels each),
+    fallback as 0/1, compute_ms and kkt_residual.  Read from a log, the
+    array fields are read-only views of the row."""
 
     t: float
     a_rl: np.ndarray
@@ -224,6 +238,29 @@ class TickRecord:
     fallback: bool
     compute_ms: float
     kkt_residual: float
+
+
+TICK_LOG_WIDTH = 16  # numbers per tick in a TickLog row
+
+
+class TickLog(Sequence):
+    """A run's per-tick log: a read-only sequence of `TickRecord`s over
+    one (ticks, TICK_LOG_WIDTH) float array, `data`, in the record's
+    field order.  The controller extends a flat buffer each tick and
+    makes the array when the log is read."""
+
+    def __init__(self, buf: array):
+        self.data = np.array(buf).reshape(-1, TICK_LOG_WIDTH)
+        self.data.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, i: int) -> TickRecord:
+        row = self.data[operator.index(i)]
+        return TickRecord(t=float(row[0]), a_rl=row[1:4], du_mpc=row[4:7], u_t=row[7:10],
+                          applied=row[10:13], fallback=bool(row[13]),
+                          compute_ms=float(row[14]), kkt_residual=float(row[15]))
 
 
 class FusionController:
@@ -247,7 +284,7 @@ class FusionController:
         self.qp_failures = 0  # ticks whose QP did not converge
         self.preview_exhausted = 0  # ticks past the preview's end, held at its last point
         self.t = 0.0
-        self.records: list[TickRecord] = []
+        self._log = array("d")  # TICK_LOG_WIDTH numbers per tick, see `records`
         self._s_list = preview.s.tolist()  # for the per-tick bisection
         # The mode, resolved for the tick: the feedforward only where it
         # replaces the recorded action, the QP stack only where the MPC
@@ -349,17 +386,16 @@ class FusionController:
         self.fallback_on = engaged
         if engaged:
             applied[1:] = 0.0, FALLBACK_P_BM
-        applied = np.array(applied)
 
-        self.records.append(TickRecord(
-            t=self.t, a_rl=np.array(a_rl), du_mpc=np.array(du_act),
-            u_t=np.array(u_t), applied=applied,
-            fallback=engaged,
-            compute_ms=(time.perf_counter() - t0) * 1e3,
-            kkt_residual=kkt,
-        ))
+        self._log.extend((self.t, *a_rl, *du_act, *u_t, *applied, engaged,
+                          (time.perf_counter() - t0) * 1e3, kkt))
         self.t += CONTROL_DT
-        return applied
+        return np.array(applied)
+
+    @property
+    def records(self) -> TickLog:
+        """The ticks so far, as a `TickLog` copied from the buffer."""
+        return TickLog(self._log)
 
     def _to_actuator_space(
         self, u: MpcInput, a_rl: list[float]
@@ -406,7 +442,7 @@ class DeploymentSpec:
 @dataclass
 class DeployResult:
     episode: EpisodeResult
-    records: list[TickRecord]
+    records: Sequence[TickRecord]  # a TickLog from `deploy_run`
     fallback_events: int
     qp_failures: int = field(default=0, kw_only=True)  # ticks whose QP did not converge
     # ticks past the preview's end, which held its last point
@@ -447,9 +483,10 @@ def deploy_run(
     ctl = FusionController(preview, train_params, mode)
     result = run_episode(ctl, env, seed, v0=preview.v_ini)
     ach, tot = completion_degrees(track, result.s_final)
+    log = ctl.records
     return DeployResult(  # an episode has at least one tick
-        episode=result, records=ctl.records, fallback_events=ctl.fallback_events,
+        episode=result, records=log, fallback_events=ctl.fallback_events,
         qp_failures=ctl.qp_failures, preview_exhausted=ctl.preview_exhausted,
-        mean_tick_ms=float(np.mean([r.compute_ms for r in ctl.records])),
+        mean_tick_ms=float(np.mean(log.data[:, 14])),  # the compute_ms column
         completion_deg=ach, total_deg=tot,
     )

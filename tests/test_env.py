@@ -14,6 +14,7 @@ from driftcorner.envs import (
     OBS_DIM,
     PREVIEW_SPACING,
     TIME_CAP_FACTOR,
+    TRACE_COLUMNS,
     DriftEnv,
     EpisodeResult,
     observation_scales,
@@ -160,6 +161,15 @@ def test_plant_blowup_ends_episode_with_its_own_status(uturn, uturn_pretraj, mon
     res = run_episode(coast, DriftEnv(uturn, uturn_pretraj))
     assert res.status == "blowup" and res.chi == 0
     assert res.t_f == 0.0  # the first tick
+
+
+def test_an_episode_ending_on_its_first_tick_keeps_the_trace_columns(uturn, uturn_pretraj):
+    env = DriftEnv(uturn, uturn_pretraj, record=True)
+    env.reset()
+    env.state = env.state._replace(v_x=2.0 * plant._SANITY_V)
+    _, _, res = env.step([0.0, 0.0, 0.0])
+    assert res.status == "blowup"
+    assert res.trace.shape == (0, len(TRACE_COLUMNS))
 
 
 def test_episode_yields_each_tick_and_the_result_last(uturn, uturn_pretraj):

@@ -1,8 +1,10 @@
 """Deployment controller: previews, fusion, fallback."""
 
 import dataclasses
+import gc
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +297,32 @@ def test_condensed_qp_matches_the_per_tick_build(uturn, uturn_preview8, rng):
 def test_tick_stats_recorded(matched_run):
     assert matched_run.mean_tick_ms > 0.0
     assert all(r.kkt_residual < 1e-8 for r in matched_run.records)
+
+
+def test_the_tick_log_is_read_only(matched_run):
+    r = matched_run.records[-1]
+    with pytest.raises(ValueError):
+        r.applied[1] = 0.0
+    assert r.t == matched_run.records.data[-1, 0]
+
+
+def test_a_deploy_retains_under_400_bytes_a_tick(matched_run, uturn, uturn_pretraj,
+                                                 uturn_preview8):
+    # each tick logs 35 floats (280 bytes): the controller's 16 and the
+    # trace's 19, in flat arrays; 922 bytes a tick when each was a
+    # TickRecord of four arrays plus a list of the trace row
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, PARAMS, TIRES,
+                         record_trace=True)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.completed
+    assert retained / len(res.records) < 400
 
 
 # -- plant mismatch ----------------------------------------------------
