@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envs import FrenetObservation
 from .planner import A_LONG_LIMITS, PreTrajectory
-from .plant import DELTA_MAX, G, P_MAX, T_MAX, TireParams, VehicleParams
+from .plant import G, PlantState, TireParams, VehicleParams, clamp_action
 from .track import TrackGeometry
 
 LOOKAHEAD_GAIN = 0.2  # s, lookahead = gain * speed + min
@@ -30,17 +31,17 @@ PLANT, TIRES = VehicleParams(), TireParams()  # the training plant
 class BaselineTracker:
     """Pure-pursuit path tracking + proportional speed control.
 
-    A controller of `envs.episode`: it indexes the observation, so it
-    reads a `FrenetObservation` and its raw vector alike, and ignores
-    the plant state.
+    A controller of `envs.episode`: it reads the env's
+    `FrenetObservation` by field, ignores the plant state, and returns
+    its command clamped to the action box by `plant.clamp_action`.
     """
 
     track: TrackGeometry
     pretraj: PreTrajectory
     speed_factor: float = 0.97  # scale on the planned speed (tracking margin)
 
-    def __call__(self, obs, state) -> np.ndarray:
-        s, l, alpha, v_x, v_y = obs[0], obs[1], obs[2], obs[6], obs[7]
+    def __call__(self, obs: FrenetObservation, state: PlantState) -> np.ndarray:
+        s, l, alpha, v_x, v_y = obs.s, obs.l, obs.alpha, obs.v_x, obs.v_y
         v = math.hypot(v_x, v_y)
 
         # Curvature demand: pure pursuit toward the reference line.
@@ -56,7 +57,7 @@ class BaselineTracker:
         # close to a double integrator and oscillates without it.
         dl_ref = (float(self.pretraj.l_ref(s + 0.5)) -
                   float(self.pretraj.l_ref(max(s - 0.5, 0.0)))) / 1.0
-        eta -= RATE_DAMPING * (obs[4] - dl_ref * obs[3]) / max(v, 1.0)
+        eta -= RATE_DAMPING * (obs.l_dot - dl_ref * obs.s_dot) / max(v, 1.0)
         kappa_dem = 2.0 * math.sin(eta) / ld
         kappa_dem += float(np.interp(s_t, self.pretraj.s, self.pretraj.kappa))
 
@@ -71,7 +72,7 @@ class BaselineTracker:
             tp.mu * tp.d * fz_f)
         slip = math.tan(math.asin(min(f, 0.985)) / tp.c) / tp.b
         slip = math.copysign(min(slip, SLIP_CAP), ay_req)
-        yaw_rate = obs[5] + kappa_c * obs[3]
+        yaw_rate = obs.alpha_dot + kappa_c * obs.s_dot
         axle_course = math.atan2(v_y + p.l_f * yaw_rate, max(v_x, 1.0))
         delta = axle_course + slip
 
@@ -94,8 +95,4 @@ class BaselineTracker:
         else:
             t_rt = 0.0
             p_b = max(0.0, (-p.m * a - f_loss) * p.r_w / p.k_b)
-        return np.array([
-            min(max(delta, -DELTA_MAX), DELTA_MAX),
-            min(max(t_rt, 0.0), T_MAX),
-            min(p_b, P_MAX),
-        ])
+        return np.array(clamp_action((delta, t_rt, p_b)))

@@ -26,7 +26,7 @@ $DRIFTCORNER_OUT (default `runs`):
 
 Exit codes: 0 on success, 2 when a result-level assertion fails (a
 comparison table violates its expected direction), 3 on configuration
-errors (bad arguments, missing files).
+errors (bad arguments, missing or unwritable files).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .fusion import (
     save_preview,
     track_digest,
 )
-from .planner import load_pretrajectory, plan_pretrajectory, save_pretrajectory
+from .planner import V_START, load_pretrajectory, plan_pretrajectory, save_pretrajectory
 from .plant import TireParams, VehicleParams
 from .td3 import DAGGER_EPISODES, Td3Hyperparams, policy_from_checkpoint, train
 from .track import LIBRARY_KINDS, build_library_track, load_track, save_track
@@ -525,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_track_args(p)
     _add_pretraj_arg(p)
     p.add_argument("--policy", required=True)
-    p.add_argument("--v-ini", type=float, default=9.0)
+    p.add_argument("--v-ini", type=float, default=V_START)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_preview)
 
@@ -558,14 +558,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pretraj_arg(p)
     p.add_argument("--policy", required=True)
     _add_deploy_args(p)
-    p.add_argument("--v-ini", type=float, default=9.0)
+    p.add_argument("--v-ini", type=float, default=V_START)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("mu-sweep", help="deployment adhesion sweep")
     p.add_argument("--policy-uturn")
     p.add_argument("--policy-right-angle")
-    p.add_argument("--v-ini", type=float, default=9.0)
+    p.add_argument("--v-ini", type=float, default=V_START)
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--out")
     p.set_defaults(func=cmd_mu_sweep)
@@ -589,7 +589,7 @@ def main(argv=None) -> int:
                         format="%(asctime)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (MissingPolicy, MissingLog, FileNotFoundError, ValueError) as exc:
+    except (MissingPolicy, MissingLog, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except DriftCornerError as exc:

@@ -18,17 +18,15 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import AmbiguousProjection, NumericalBlowup, OffCorridor
-from .planner import PreTrajectory
+from .planner import V_START, PreTrajectory
 from .plant import (
+    ACTION_BOX,
     CONTROL_DT,
-    DELTA_MAX,
-    P_MAX,
-    T_MAX,
-    Action,
     PlantState,
     TerminationMonitor,
     TireParams,
     VehicleParams,
+    clamp_action,
     detect_termination,
     side_slip_rear,
     step as plant_step,
@@ -42,10 +40,9 @@ OBS_DIM = 9 + N_PREVIEW
 TIME_CAP_FACTOR = 3.0  # episode cap as a multiple of t_ref
 
 
-# The (delta_f, T_rt, P_b) action box, read-only: every env, the
-# reward and the deploy controller share these arrays.
-ACTION_LOW = np.array([-DELTA_MAX, 0.0, 0.0])
-ACTION_HIGH = np.array([DELTA_MAX, T_MAX, P_MAX])
+# `plant.ACTION_BOX` as read-only arrays, which every env and the
+# reward share.
+ACTION_LOW, ACTION_HIGH = (np.array(bound) for bound in ACTION_BOX)
 ACTION_SPAN = ACTION_HIGH - ACTION_LOW
 for _box in (ACTION_LOW, ACTION_HIGH, ACTION_SPAN):
     _box.flags.writeable = False
@@ -200,8 +197,9 @@ class DriftEnv:
     """Episodic environment over the nonlinear plant.
 
     `reset(seed)` starts at the track's entry: nominally with `seed`
-    None, else drawn from it (speed uniform in [5, 9] m/s, small
-    lateral/heading noise around the pre-trajectory); `step(action)`
+    None, else drawn from it (speed uniform between 5 m/s and
+    `planner.V_START`, small lateral/heading noise around the
+    pre-trajectory); `step(action)`
     advances one 10 ms control tick; `episode` drives the two.  All
     stochasticity comes from the seed, so episodes are reproducible.
     """
@@ -236,16 +234,17 @@ class DriftEnv:
         v0: float | None = None,
     ) -> FrenetObservation:
         """Set the initial state.  With `seed` None it is the nominal
-        start (start of entry, 9 m/s by default or `v0` when given, on
-        the reference line); an int or a Generator draws a randomized
-        start from it instead, with the speed drawn unless `v0` is given."""
+        start (start of entry, at the entry speed `planner.V_START` by
+        default or `v0` when given, on the reference line); an int or a
+        Generator draws a randomized start from it instead, with the
+        speed drawn unless `v0` is given."""
         if seed is None:
-            v0 = 9.0 if v0 is None else v0
+            v0 = V_START if v0 is None else v0
             l0, a0 = float(self.pretraj.l_ref(0.0)), 0.0
         else:
             rng = np.random.default_rng(seed)  # a Generator passes through
             if v0 is None:
-                v0 = rng.uniform(5.0, 9.0)
+                v0 = rng.uniform(5.0, V_START)
             l0 = float(self.pretraj.l_ref(0.0)) + rng.uniform(-0.2, 0.2)
             a0 = rng.uniform(-math.radians(2.0), math.radians(2.0))
         x0, y0 = to_cartesian(FrenetPoint(0.0, l0), self.track)
@@ -268,15 +267,14 @@ class DriftEnv:
     # one control tick ------------------------------------------------
 
     def step(self, action) -> tuple[FrenetObservation, float, EpisodeResult | None]:
-        """One tick of `action`, clamped to the box: (observation, reward,
+        """One tick of `action`, three channels (delta_f, t_rt, p_b)
+        clamped to the box by `plant.clamp_action`: (observation, reward,
         result).  `result` is None until the last tick, whose reward
-        includes the terminal term and whose observation has chi = 0."""
+        includes the terminal term and whose observation has chi = 0.
+        An action of another length is a ValueError."""
         if self.state is None:
             raise RuntimeError("call reset() before step()")
-        delta_f, t_rt, p_b = action
-        cmd = Action(min(max(float(delta_f), -DELTA_MAX), DELTA_MAX),
-                     min(max(float(t_rt), 0.0), T_MAX),
-                     min(max(float(p_b), 0.0), P_MAX))
+        cmd = clamp_action(action)
         try:
             self.state = plant_step(self.state, cmd, self.tires, self.params)
         except NumericalBlowup:
@@ -332,7 +330,11 @@ class DriftEnv:
         return obs, step_reward + r_t, result
 
 
-Controller = Callable[[FrenetObservation, PlantState], np.ndarray]  # (obs, state) -> action
+# A controller of `episode`, called as `controller(obs, state)` with the
+# env's `FrenetObservation` and the plant state; it returns the three
+# action channels (delta_f, t_rt, p_b), which `DriftEnv.step` clamps to
+# the box with `plant.clamp_action`.
+Controller = Callable[[FrenetObservation, PlantState], np.ndarray]
 
 
 def episode(controller: Controller, env: DriftEnv, seed=None,

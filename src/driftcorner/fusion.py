@@ -19,18 +19,20 @@ Offline, when the controller is built, each preview point k gets its
 condensed tracking QP (`mpc.condense`): the Hessian H_k, the gradient
 map F_k and the unconstrained gain K_k, from the models at ticks k,
 k + 1, ..., one per step of the horizon.  The horizon, weights, boxes
-and sample time are the constants of `mpc`.  Per tick the
-controller takes the arc length `obs.s` that the env projected the
-c.g. to, picks k, and forms the deviation from the preview, whose
-target is zero; `mpc.solve_qp` takes g = F_k gamma_aug and the
-unconstrained minimizer K_k gamma_aug, bounds the rates and inputs, and
-returns without a solve when that minimizer is feasible; otherwise the
-dual active set of `mpc.solve_box_qp` starts from it.  That iteration
-ends finitely, and a tick that reaches its guard instead is counted in
-`qp_failures` and applies no correction, as a tick below the model's
-speed guard does.  The rest of the tick (the sum of the two inputs, the
-clamp to the action box and the fallback) is arithmetic on three Python
-floats.
+and sample time are the constants of `mpc`.  Per tick the controller,
+a controller of `envs.episode`, takes the env's `FrenetObservation`
+and the plant state; it reads the arc length `obs.s` that the env
+projected the c.g. to, picks k, and forms the deviation from the
+preview, whose target is zero; `mpc.solve_qp` takes g = F_k gamma_aug
+and the unconstrained minimizer K_k gamma_aug, bounds the rates and
+inputs, and returns without a solve when that minimizer is feasible;
+otherwise the dual active set of `mpc.solve_box_qp` starts from it.
+That iteration ends finitely, and a tick that reaches its guard
+instead is counted in `qp_failures` and applies no correction, as a
+tick below the model's speed guard does.  The rest of the tick (the
+sum of the two inputs, the clamp to the action box by
+`plant.clamp_action`, the one clamp of every command, and the
+fallback) is arithmetic on three Python floats.
 
 Each tick appends its 16 numbers (the fields of `TickRecord`: t, a_rl,
 du_mpc, u_t, applied, fallback as 0/1, compute_ms, kkt_residual) to one
@@ -53,8 +55,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import textfile
-from .envs import (ACTION_HIGH, ACTION_LOW, CONTROL_DT, DriftEnv, EpisodeResult,
-                   FrenetObservation, episode, run_episode)
+from .envs import (CONTROL_DT, DriftEnv, EpisodeResult, FrenetObservation, episode,
+                   run_episode)
 from .errors import NoConvergence, PreviewFailed
 from .mpc import (
     N_AUG,
@@ -69,8 +71,8 @@ from .mpc import (
     linearize,
     solve_qp,
 )
-from .planner import PreTrajectory
-from .plant import PlantState, TireParams, VehicleParams, side_slip_rear
+from .planner import V_START, PreTrajectory
+from .plant import PlantState, TireParams, VehicleParams, clamp_action, side_slip_rear
 from .track import TrackGeometry
 # Not called here; the traced benchmark run (perfbench/spans.py) patches
 # this binding through the module's __dict__, and tests/test_spans.py
@@ -91,8 +93,6 @@ MODES = ("fused", "mpc_only", "replay")  # FusionController's input channels
 FALLBACK_BETA = math.radians(75.0)
 FALLBACK_P_BM = 3.0  # MPa, moderate braking
 FALLBACK_HYSTERESIS = math.radians(10.0)
-# (low, high) of each action channel, as Python floats for the tick.
-_ACTION_BOX = tuple(zip(ACTION_LOW.tolist(), ACTION_HIGH.tolist()))
 
 
 def params_digest(params: VehicleParams, tires: TireParams) -> str:
@@ -178,7 +178,7 @@ def generate_preview(
     tires: TireParams,
     track: TrackGeometry,
     pretraj: PreTrajectory,
-    v_ini: float = 9.0,
+    v_ini: float = V_START,
     track_id: str = "custom",
 ) -> PreviewTrajectory:
     """Deterministic closed-loop rollout of the policy in the training
@@ -375,9 +375,7 @@ class FusionController:
                 du_act = self._to_actuator_space(u_out, a_rl)
 
         u_t = [a + d for a, d in zip(a_rl, du_act)]
-        # np.clip's rule: -0.0 below a 0.0 floor becomes 0.0, NaN stays NaN
-        applied = [lo if u <= lo else hi if u >= hi else u
-                   for u, (lo, hi) in zip(u_t, _ACTION_BOX)]
+        applied = clamp_action(u_t)
 
         beta = abs(side_slip_rear(state))
         engaged = beta >= FALLBACK_BETA or (
@@ -385,7 +383,7 @@ class FusionController:
         self.fallback_events += engaged and not self.fallback_on
         self.fallback_on = engaged
         if engaged:
-            applied[1:] = 0.0, FALLBACK_P_BM
+            applied = applied._replace(t_rt=0.0, p_b=FALLBACK_P_BM)
 
         self._log.extend((self.t, *a_rl, *du_act, *u_t, *applied, engaged,
                           (time.perf_counter() - t0) * 1e3, kkt))

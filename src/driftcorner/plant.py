@@ -44,6 +44,24 @@ class Action(NamedTuple):
     p_b: float  # master-cylinder pressure, MPa
 
 
+# The (low, high) bounds of the (delta_f, t_rt, p_b) channels: the box
+# that every command is clamped to, by `clamp_action`.
+ACTION_BOX = ((-DELTA_MAX, 0.0, 0.0), (DELTA_MAX, T_MAX, P_MAX))
+
+
+def clamp_action(action) -> Action:
+    """The three channels of `action` as floats, each clamped to
+    `ACTION_BOX` by np.clip's rule: a -0.0 at a 0.0 floor becomes 0.0,
+    and NaN passes through.  An action of another length is a
+    ValueError."""
+    d, t, p = action
+    d, t, p = float(d), float(t), float(p)
+    (d_lo, t_lo, p_lo), (d_hi, t_hi, p_hi) = ACTION_BOX
+    return Action(d_lo if d <= d_lo else d_hi if d >= d_hi else d,
+                  t_lo if t <= t_lo else t_hi if t >= t_hi else t,
+                  p_lo if p <= p_lo else p_hi if p >= p_hi else p)
+
+
 def _require_positive(obj, *names: str) -> None:
     for name in names:
         value = getattr(obj, name)
@@ -126,11 +144,9 @@ def side_slip_rear(state: PlantState) -> float:
 
 
 def apply_actuator_limits(cmd: Action, latch: Action) -> Action:
-    """Saturate to the actuator envelope, then rate-limit from the latch
-    over one control period."""
-    delta = min(max(cmd.delta_f, -DELTA_MAX), DELTA_MAX)
-    trt = min(max(cmd.t_rt, 0.0), T_MAX)
-    pb = min(max(cmd.p_b, 0.0), P_MAX)
+    """Saturate to the actuator envelope (`clamp_action`), then
+    rate-limit from the latch over one control period."""
+    delta, trt, pb = clamp_action(cmd)
     dt = CONTROL_DT
     return Action(
         min(max(delta, latch.delta_f - DELTA_RATE * dt), latch.delta_f + DELTA_RATE * dt),

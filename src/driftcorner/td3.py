@@ -513,8 +513,9 @@ def train(
     `reset(seed, v0)` and `step(action)` returning observations with
     `.vector()`, the reward, and a result that is None until the last
     step.  Episodes start as the learner's generator draws, evaluations
-    at the nominal start, `seed=None`.  `demo_policy(obs, state)` is
-    handed the learner's observation vector scaled back to raw units.
+    at the nominal start, `seed=None`.  `demo_policy(obs, state)` is a
+    controller of `envs.episode`: it gets the env's own observation, a
+    `FrenetObservation` from `DriftEnv`, and the plant state.
     """
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be at least 1, not {checkpoint_every}")
@@ -541,7 +542,7 @@ def train(
         nonlocal obs
         obs = raw.vector() / obs_scale
         if imitating:  # label every state; the demonstrator or the clone drives
-            label = np.asarray(demo_policy(obs * obs_scale, plant_state), dtype=float)
+            label = np.asarray(demo_policy(raw, plant_state), dtype=float)
             bc_obs.append(obs)
             bc_act.append(label)
             if ep < demo_episodes:

@@ -179,6 +179,23 @@ def test_deploy_rejects_a_non_physical_plant(uturn_preview8, tmp_path, capsys):
     assert not (out / "summary.txt").exists()
 
 
+def test_an_out_path_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    # the run directory's mkdir raised FileExistsError: exit 1 with a traceback
+    out = tmp_path / "table1"
+    out.write_text("")
+    assert cli.main(["table1", "--tracker", "--out", str(out)]) == 3
+    assert f"error: [Errno 17] File exists: '{out}'" in capsys.readouterr().err
+
+
+def test_a_preview_path_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    # reading the preview raised IsADirectoryError: exit 1 with a traceback
+    out = tmp_path / "deploy"
+    assert cli.main(["deploy", "--kind", "uturn", "--preview", str(tmp_path),
+                     "--out", str(out)]) == 3
+    assert f"error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _episode(chi, status, t_f):
     return EpisodeResult(chi=chi, t_f=t_f, s_final=94.65, status=status,
                          total_reward=0.0, r_p_sum=0.0, r_s_sum=0.0,

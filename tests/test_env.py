@@ -298,3 +298,11 @@ def test_action_bounds_shape(uturn, uturn_pretraj):
     assert env.action_low is ACTION_LOW and env.action_high is ACTION_HIGH
     with pytest.raises(ValueError):  # shared by every env: read-only
         ACTION_HIGH[1] = 0.0
+
+
+@pytest.mark.parametrize("action", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
+def test_step_refuses_an_action_of_another_length(action, uturn, uturn_pretraj):
+    env = DriftEnv(uturn, uturn_pretraj)
+    env.reset()
+    with pytest.raises(ValueError):
+        env.step(action)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from driftcorner import planner
 from driftcorner.errors import Infeasible
 from driftcorner.planner import (
     Boundary,
@@ -37,6 +38,20 @@ def test_spline_is_c1_at_knots(uturn):
         _, dl_m, _ = path.derivatives(k - eps)
         _, dl_p, _ = path.derivatives(k + eps)
         assert abs(dl_m - dl_p) < 1e-5
+
+
+def test_a_stack_of_splines_evaluates_as_each_alone(rng):
+    # minimize_curvature's Jacobian evaluates stacked rows of knot values
+    knots = np.sort(rng.uniform(0.0, 50.0, 12))
+    stack = rng.normal(size=(5, 12))
+    s = np.linspace(0.0, 50.0, 200)
+    slopes = planner._catmull_rom_slopes(knots, stack)
+    together = planner._hermite_eval(knots, stack, slopes, s)
+    for i, values in enumerate(stack):
+        path = offset_path(knots, values)
+        np.testing.assert_array_equal(slopes[i], path.slopes)
+        for whole, alone in zip(together, path.derivatives(s)):
+            np.testing.assert_array_equal(whole[i], alone)
 
 
 def test_centerline_curvature_is_track_curvature(uturn):

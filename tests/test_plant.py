@@ -317,6 +317,30 @@ def test_negative_commands_clamp_to_zero():
     assert out.t_rt == 0.0 and out.p_b == 0.0
 
 
+def test_clamp_action_holds_the_box_edges():
+    low, high = plant.ACTION_BOX
+    assert plant.clamp_action(low) == low and plant.clamp_action(high) == high
+    assert plant.clamp_action((-1.0, -100.0, -1.0)) == low
+    assert plant.clamp_action(np.array([1.0, 5000.0, 50.0])) == high
+    inside = plant.clamp_action(np.array([0.1, 250.0, 2.5]))
+    assert inside == (0.1, 250.0, 2.5) and all(type(u) is float for u in inside)
+
+
+def test_clamp_action_follows_np_clip_at_a_zero_floor_and_on_nan():
+    low, high = plant.ACTION_BOX
+    for action in ((0.0, -0.0, -0.0), (math.nan, math.nan, math.nan)):
+        out = plant.clamp_action(action)
+        ref = np.clip(np.array(action), low, high)
+        np.testing.assert_array_equal(out, ref)  # NaN where NaN
+        assert np.signbit(out).tolist() == np.signbit(ref).tolist() == [False] * 3
+
+
+@pytest.mark.parametrize("action", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0), np.zeros(2), np.zeros(4)])
+def test_clamp_action_refuses_another_length(action):
+    with pytest.raises(ValueError):
+        plant.clamp_action(action)
+
+
 def test_step_applies_latched_limits():
     state = PlantState.rolling(9.0)
     out = step(state, Action(0.5, 0.0, 0.0))

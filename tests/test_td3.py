@@ -11,7 +11,8 @@ import pytest
 
 from driftcorner import td3
 from driftcorner.baseline import BaselineTracker
-from driftcorner.envs import ACTION_HIGH, ACTION_LOW, OBS_DIM, DriftEnv, run_episode
+from driftcorner.envs import (ACTION_HIGH, ACTION_LOW, OBS_DIM, DriftEnv, FrenetObservation,
+                              run_episode)
 from driftcorner.nets import mlp_backward, mlp_forward
 from driftcorner.replay import ReplayBuffer
 from driftcorner.td3 import (
@@ -409,8 +410,8 @@ def test_mirrors_equal_their_masters_after_training_and_loading(monkeypatch,
     monkeypatch.setattr(td3, "ACTOR_FREEZE", 30)
     hp = Td3Hyperparams(warmup=100, batch_size=32, hidden=(16, 16), buffer_size=5000)
     _, _, state = train(ReachEnv, hp, episodes=10, seed=2,
-                        demo_policy=lambda obs, _: np.clip(-0.8 * obs[:1] - 0.5 * obs[1:],
-                                                           -1.0, 1.0),
+                        demo_policy=lambda obs, _: np.clip(
+                            -0.8 * obs.vector()[:1] - 0.5 * obs.vector()[1:], -1.0, 1.0),
                         demo_episodes=2)
     assert 0 < state.actor_updates < state.critic_updates // hp.policy_delay
     _assert_mirrors_equal_masters(state)
@@ -420,6 +421,37 @@ def test_mirrors_equal_their_masters_after_training_and_loading(monkeypatch,
     _assert_mirrors_equal_masters(back)
     for name in td3._ONLINE:
         np.testing.assert_array_equal(back.mirror[name].flat, state.mirror[name].flat)
+
+
+def test_the_demonstrator_reads_the_envs_observation(monkeypatch, uturn, uturn_pretraj):
+    returned = []  # every observation the env handed out
+
+    class RecordingEnv(DriftEnv):
+        def reset(self, *args):
+            returned.append(super().reset(*args))
+            return returned[-1]
+
+        def step(self, action):
+            out = super().step(action)
+            returned.append(out[0])
+            return out
+
+    seen = []
+    tracker = BaselineTracker(uturn, uturn_pretraj, speed_factor=0.88)
+
+    def demo(obs, state):
+        seen.append(obs)
+        return tracker(obs, state)
+
+    monkeypatch.setattr(td3, "DAGGER_EPISODES", 1)
+    monkeypatch.setattr(td3, "BC_STEPS", 4)
+    hp = Td3Hyperparams(warmup=10, batch_size=8, hidden=(8, 8), buffer_size=100)
+    train(lambda: RecordingEnv(uturn, uturn_pretraj, time_cap=0.1), hp, episodes=2,
+          seed=0, demo_policy=demo, demo_episodes=1)
+    assert len(seen) == 20  # two episodes of ten ticks
+    assert all(type(obs) is FrenetObservation for obs in seen)
+    handed_out = {id(obs) for obs in returned}
+    assert all(id(obs) in handed_out for obs in seen)
 
 
 def test_float32_gradients_agree_with_the_float64_masters(monkeypatch):
