@@ -302,6 +302,20 @@ def cmd_deploy(args) -> int:
 def cmd_table1(args) -> int:
     """Cornering time: planned pre-trajectory vs centerline, per track."""
     policy_dir = Path(args.policy_dir) if args.policy_dir else None
+    variants = ("centerline", "planned")
+    policies = {}  # every checkpoint is loaded before the run directory is made
+    if not args.tracker:
+        if policy_dir is None:
+            raise MissingPolicy(
+                "table1 needs --policy-dir with per-variant checkpoints "
+                "(or --tracker for the scripted surrogate)"
+            )
+        for kind in LIBRARY_KINDS:
+            for variant in variants:
+                ckpt = policy_dir / f"{kind}_{variant}.npz"
+                if not ckpt.exists():
+                    raise MissingPolicy(f"missing checkpoint {ckpt}")
+                policies[kind, variant] = policy_from_checkpoint(ckpt)
     rows = []
     violations = 0
     run_dir = _run_dir(args, "table1", {
@@ -312,20 +326,10 @@ def cmd_table1(args) -> int:
     for kind in LIBRARY_KINDS:
         track = build_library_track(kind)
         times = {}
-        for variant in ("centerline", "planned"):
+        for variant in variants:
             pre = plan_pretrajectory(track, use_centerline=(variant == "centerline"))
-            if args.tracker:
-                controller = BaselineTracker(track, pre)
-            else:
-                if policy_dir is None:
-                    raise MissingPolicy(
-                        "table1 needs --policy-dir with per-variant checkpoints "
-                        "(or --tracker for the scripted surrogate)"
-                    )
-                ckpt = policy_dir / f"{kind}_{variant}.npz"
-                if not ckpt.exists():
-                    raise MissingPolicy(f"missing checkpoint {ckpt}")
-                controller = policy_from_checkpoint(ckpt)
+            controller = (BaselineTracker(track, pre) if args.tracker
+                          else policies[kind, variant])
             res = run_episode(controller, DriftEnv(track, pre))
             times[variant] = res
             rows.append((f"{kind} / {variant}",
@@ -352,6 +356,8 @@ def cmd_compare(args) -> int:
     params = VehicleParams()
     spec = _deployment_spec(args)
     dep_params, dep_tires = spec.apply(params, TireParams())
+    preview = generate_preview(policy, params, TireParams(), track, pre,
+                               v_ini=args.v_ini, track_id=args.kind or "custom")
     run_dir = _run_dir(args, "compare", {
         "command": "compare",
         "kind": args.kind,
@@ -359,8 +365,6 @@ def cmd_compare(args) -> int:
         "deployment": dataclasses.asdict(spec),
     }, [*inputs, policy_path])
 
-    preview = generate_preview(policy, params, TireParams(), track, pre,
-                               v_ini=args.v_ini, track_id=args.kind or "custom")
     rows = []
     # 1) RL policy in its own training plant.
     res = run_episode(policy, DriftEnv(track, pre))
@@ -401,18 +405,20 @@ def cmd_mu_sweep(args) -> int:
         if not ckpt.exists():
             raise MissingPolicy(f"checkpoint not found: {ckpt}")
     params = VehicleParams()
+    previews = []  # every preview is generated before the run directory is made
+    for kind, ckpt in tasks:
+        track = build_library_track(kind)
+        pre = plan_pretrajectory(track)
+        previews.append((kind, track, pre, generate_preview(
+            policy_from_checkpoint(ckpt), params, TireParams(), track, pre,
+            v_ini=args.v_ini, track_id=kind)))
     run_dir = _run_dir(args, "mu_sweep", {
         "command": "mu-sweep", "seeds": args.seeds, "v_ini": args.v_ini,
         "tasks": [t[0] for t in tasks],
     }, [p for _, p in tasks])
 
     results: dict[str, dict[float, str]] = {}
-    for kind, ckpt in tasks:
-        policy = policy_from_checkpoint(ckpt)
-        track = build_library_track(kind)
-        pre = plan_pretrajectory(track)
-        preview = generate_preview(policy, params, TireParams(), track, pre,
-                                   v_ini=args.v_ini, track_id=kind)
+    for kind, track, pre, preview in previews:
         results[kind] = {}
         for mu in SWEEP_MUS:
             dep_params, dep_tires = DeploymentSpec(mu=mu).apply(params, TireParams())

@@ -1,8 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from driftcorner.planner import plan_pretrajectory
 from driftcorner.track import build_library_track
+
+from corners import build_task, deploy_cell
 
 
 @pytest.fixture(scope="session")
@@ -30,20 +34,25 @@ def uturn_pretraj(uturn):
 
 
 @pytest.fixture(scope="session")
-def uturn_preview8(uturn, uturn_pretraj):
+def library_tasks(uturn, uturn_pretraj, right_angle):
+    """(track, plan, 8 m/s tracker preview) of each deploy-corpus task."""
+    return {"uturn": build_task(uturn, uturn_pretraj, track_id="uturn"),
+            "right_angle": build_task(right_angle, track_id="right_angle")}
+
+
+@pytest.fixture(scope="session")
+def uturn_preview8(library_tasks):
     """Non-drift preview: path tracker capped at 8 m/s, matched plant."""
-    import dataclasses
+    return library_tasks["uturn"][2]
 
-    from driftcorner.baseline import BaselineTracker
-    from driftcorner.fusion import generate_preview
-    from driftcorner.plant import TireParams, VehicleParams
 
-    slow = dataclasses.replace(uturn_pretraj,
-                               v_d=np.minimum(uturn_pretraj.v_d, 8.0))
-    tracker = BaselineTracker(uturn, slow)
-    return generate_preview(tracker, VehicleParams(), TireParams(),
-                            uturn, uturn_pretraj, v_ini=8.0,
-                            track_id="uturn")
+@pytest.fixture(scope="session")
+def deploy_cells(library_tasks):
+    """run(task, mu, mass, mode): one corpus cell's traced deploy, run once a session.
+    Tests share it (its tick log is read-only and none writes to its trace);
+    a test that patches the program runs its own."""
+    return functools.cache(
+        lambda task, mu, mass, mode: deploy_cell(library_tasks[task], mu, mass, mode))
 
 
 @pytest.fixture()

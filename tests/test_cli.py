@@ -27,6 +27,8 @@ from driftcorner.planner import load_pretrajectory, plan_pretrajectory, save_pre
 from driftcorner.plant import TireParams, VehicleParams
 from driftcorner.track import LIBRARY_KINDS, build_library_track, load_track, save_track
 
+from corners import build_task
+
 
 def _csv(header, rows) -> str:
     """The text of a comma-separated file: a header line, then one line
@@ -516,7 +518,7 @@ def test_an_entry_speed_outside_zero_to_infinity_is_refused(argv, v_ini, tmp_pat
     assert cli.main(argv) == 3
     value = float(v_ini)
     assert f"v_ini must be finite and positive, got {value!r}" in capsys.readouterr().err
-    assert not (out / "preview.txt").exists()
+    assert not out.exists()  # compare and mu-sweep wrote config.json first
 
 
 def test_pretraj_help_is_the_same_on_every_subcommand():
@@ -637,6 +639,27 @@ def test_mu_sweep_rejects_missing_checkpoint_before_writing(tmp_path, capsys):
     assert cli.main(["mu-sweep", "--policy-uturn", str(missing),
                      "--out", str(out)]) == 3
     assert f"checkpoint not found: {missing}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["table1"], "table1 needs --policy-dir"),
+    (["table1", "--policy-dir", "{empty}"], "missing checkpoint {empty}/uturn_centerline.npz"),
+    (["compare", "--kind", "uturn", "--policy", "{ckpt}"], "PreviewFailed: policy rollout"),
+    (["mu-sweep", "--policy-uturn", "{ckpt}"], "PreviewFailed: policy rollout"),
+], ids=["table1_without_controller", "table1_empty_policy_dir", "compare_crashing_policy",
+        "mu_sweep_crashing_policy"])
+def test_a_refused_run_leaves_no_run_directory(argv, error, monkeypatch, tmp_path, capsys):
+    # each wrote the run's config.json before it was refused; a policy
+    # that crashes in its own plant has no preview to deploy
+    monkeypatch.setattr(cli, "policy_from_checkpoint",
+                        lambda path: lambda obs, state: np.array([0.52, 800.0, 0.0]))
+    files = {"empty": tmp_path / "policies", "ckpt": tmp_path / "policy.npz"}
+    files["empty"].mkdir()
+    files["ckpt"].write_bytes(b"stub")
+    out = tmp_path / "out"
+    assert cli.main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == 3
+    assert error.format(**files) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -872,9 +895,6 @@ def recorded_run(uturn_pretraj, uturn_preview8, tmp_path_factory):
     fields of the file written, or config.json with nested keys dotted.
     The learner, the rollouts and the checkpoint loader are stubs, but a
     preview is a real rollout of the 8 m/s path tracker."""
-    from driftcorner.baseline import BaselineTracker
-    from driftcorner.fusion import generate_preview
-
     tmp = tmp_path_factory.mktemp("options")
     files = {name: tmp / f"{name}.txt" for name in
              ("uturn", "right_angle", "uturn_wide", "pretraj", "pretraj_default",
@@ -899,11 +919,7 @@ def recorded_run(uturn_pretraj, uturn_preview8, tmp_path_factory):
                 (files[name] / f"{kind}_{variant}.npz").write_bytes(b"stub")
 
     def tracker_preview(policy, params, tires, track, pre, v_ini, track_id):
-        tracker = BaselineTracker(
-            track, dataclasses.replace(pre, v_d=np.minimum(pre.v_d, 8.0)))
-        tracker.checksum = policy.checksum
-        return generate_preview(tracker, params, tires, track, pre, v_ini=v_ini,
-                                track_id=track_id)
+        return build_task(track, pre, v_ini, track_id, policy.checksum)[2]
 
     stubs = {
         "train": lambda *args, **kwargs: (None, SimpleNamespace(chi=[1]), None),

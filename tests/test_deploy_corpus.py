@@ -13,10 +13,13 @@ side-slip, and the sum and the maximum of each applied input channel.
 
 The tests require the status and the tick count to match exactly,
 every float to stay within ATOL, and every tracking QP to converge.
-By default these run: the matched cells, the fused cells that crash
-where the plain replay completes (`KNOWN_BAD`), and the fused U-turn at
-mu 0.75 with mass x1.1, a mismatch that the fusion completes
-(`uturn-mu0.75-m1.1-fused`).  The rest run under `-m nightly`.  Re-record,
+By default these run: the six matched cells (two tasks, three modes),
+the fused cells that crash where the plain replay completes
+(`KNOWN_BAD`), and the fused U-turn at mu 0.75 with mass x1.1, a
+mismatch that the fusion completes (`uturn-mu0.75-m1.1-fused`).  The
+rest run under `-m nightly`.  `deploy_cell` and the task builder live in
+`corners.py`; a session runs each cell once (`conftest.deploy_cells`),
+for these tests and for `test_fusion.py`.  Re-record,
 only when deploy runs are meant to change, with
 `PYTHONPATH=src python tests/test_deploy_corpus.py`; it prints every
 cell that moved, with its old and new values.  Given an output path, it
@@ -25,7 +28,7 @@ recordings can be compared byte for byte (`cmp`) on one host; the last
 bits of some floats differ between hosts.
 """
 
-import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -33,18 +36,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftcorner.baseline import BaselineTracker
 from driftcorner.envs import TRACE_COLUMNS
-from driftcorner.fusion import MODES, DeploymentSpec, deploy_run, generate_preview
-from driftcorner.planner import plan_pretrajectory
-from driftcorner.plant import TireParams, VehicleParams
+from driftcorner.fusion import MODES
+from driftcorner.plant import TireParams
 from driftcorner.track import build_library_track
 
-CORPUS = Path(__file__).parent / "data" / "deploy_corpus.json"
+from corners import CORPUS_CELLS, DEPLOY_CORPUS, build_task, cell_id, deploy_cell
+
 TASKS = ("uturn", "right_angle")
 MUS = (0.95, 0.85, 0.75, 0.65, 0.55)
 MASSES = (1.0, 1.1)
-PREVIEW_SPEED = 8.0  # m/s, tracker speed cap and entry speed
 ATOL = 1e-8
 FLOATS = ("t_f", "s_final", "max_abs_l", "max_beta", "applied_sum", "applied_max")
 # fused runs that crash where the plain replay of the same preview completes
@@ -55,42 +56,12 @@ KNOWN_BAD = (
 # a fused cell with less grip and more mass than the preview's plant,
 # which completes
 MISMATCH = ("uturn", 0.75, 1.1)
-
-
-def cell_id(task: str, mu: float, mass: float, mode: str) -> str:
-    return f"{task}-mu{mu:.2f}-m{mass:.1f}-{mode}"
-
-
-def grid():
-    for task in TASKS:
-        for mu in MUS:
-            for mass in MASSES:
-                for mode in MODES:
-                    yield task, mu, mass, mode
+GRID = tuple(itertools.product(TASKS, MUS, MASSES, MODES))
 
 
 def tier1(task: str, mu: float, mass: float, mode: str) -> bool:
     matched = (mu, mass) == (TireParams().mu, 1.0)
     return matched or (mode == "fused" and (task, mu, mass) in (*KNOWN_BAD, MISMATCH))
-
-
-def build_task(kind: str):
-    """Track, plan and 8 m/s tracker preview of one library corner."""
-    track = build_library_track(kind)
-    pre = plan_pretrajectory(track)
-    slow = dataclasses.replace(pre, v_d=np.minimum(pre.v_d, PREVIEW_SPEED))
-    preview = generate_preview(BaselineTracker(track, slow), VehicleParams(),
-                               TireParams(), track, pre, v_ini=PREVIEW_SPEED,
-                               track_id=kind)
-    return track, pre, preview
-
-
-def deploy_cell(task, mu: float, mass: float, mode: str):
-    track, pre, preview = task
-    dep_params, dep_tires = DeploymentSpec(mu=mu, mass_scale=mass).apply(
-        VehicleParams(), TireParams())
-    return deploy_run(preview, track, pre, VehicleParams(), dep_params, dep_tires,
-                      mode=mode, record_trace=True)
 
 
 def cell_metrics(res) -> dict:
@@ -111,16 +82,15 @@ def _float_gap(old: dict, new: dict) -> float:
     return max(float(np.max(np.abs(np.subtract(old[k], new[k])))) for k in FLOATS)
 
 
-def record(out: Path = CORPUS) -> None:
+def record(out: Path = DEPLOY_CORPUS) -> None:
     """Run the whole grid, print every cell that moved from the committed
     corpus, and write the result to `out`."""
-    old = json.loads(CORPUS.read_text())["cells"] if CORPUS.exists() else {}
-    tasks = {kind: build_task(kind) for kind in TASKS}
+    tasks = {kind: build_task(build_library_track(kind), track_id=kind) for kind in TASKS}
     cells = {}
-    for task, mu, mass, mode in grid():
+    for task, mu, mass, mode in GRID:
         name = cell_id(task, mu, mass, mode)
         new = cells[name] = cell_metrics(deploy_cell(tasks[task], mu, mass, mode))
-        prev = old.get(name)
+        prev = CORPUS_CELLS.get(name)
         if prev == new:
             continue
         if prev is None:
@@ -140,22 +110,14 @@ def record(out: Path = CORPUS) -> None:
     }, indent=1) + "\n")
 
 
-_cells = json.loads(CORPUS.read_text())["cells"] if CORPUS.exists() else {}
-
-
-@pytest.fixture(scope="module")
-def tasks():
-    return {kind: build_task(kind) for kind in TASKS}
-
-
 def _params(select):
-    return [pytest.param(*c, id=cell_id(*c)) for c in grid() if select(*c)]
+    return [pytest.param(*c, id=cell_id(*c)) for c in GRID if select(*c)]
 
 
 @pytest.mark.parametrize("task,mu,mass,mode", _params(tier1))
-def test_deploy_cell_matches_corpus(task, mu, mass, mode, tasks):
-    want = _cells[cell_id(task, mu, mass, mode)]
-    res = deploy_cell(tasks[task], mu, mass, mode)
+def test_deploy_cell_matches_corpus(task, mu, mass, mode, deploy_cells):
+    want = CORPUS_CELLS[cell_id(task, mu, mass, mode)]
+    res = deploy_cells(task, mu, mass, mode)
     assert res.qp_failures == 0  # every tracking QP of the corpus converges
     # a preview ends one tick before its rollout finished, so a run that
     # completes may outrun it for one tick
@@ -169,16 +131,16 @@ def test_deploy_cell_matches_corpus(task, mu, mass, mode, tasks):
 @pytest.mark.nightly
 @pytest.mark.parametrize("task,mu,mass,mode",
                          _params(lambda *c: not tier1(*c)))
-def test_deploy_cell_matches_corpus_nightly(task, mu, mass, mode, tasks):
-    test_deploy_cell_matches_corpus(task, mu, mass, mode, tasks)
+def test_deploy_cell_matches_corpus_nightly(task, mu, mass, mode, deploy_cells):
+    test_deploy_cell_matches_corpus(task, mu, mass, mode, deploy_cells)
 
 
 def test_known_bad_cells_crash_fused_and_complete_as_replay():
     # the corpus itself: the cells tier-1 watches for the fusion's failure
     for task, mu, mass in KNOWN_BAD:
-        assert _cells[cell_id(task, mu, mass, "fused")]["status"] == "crashed"
-        assert _cells[cell_id(task, mu, mass, "replay")]["status"] == "completed"
+        assert CORPUS_CELLS[cell_id(task, mu, mass, "fused")]["status"] == "crashed"
+        assert CORPUS_CELLS[cell_id(task, mu, mass, "replay")]["status"] == "completed"
 
 
 if __name__ == "__main__":
-    record(Path(sys.argv[1]) if len(sys.argv) > 1 else CORPUS)
+    record(Path(sys.argv[1]) if len(sys.argv) > 1 else DEPLOY_CORPUS)

@@ -28,7 +28,7 @@ from driftcorner.planner import plan_pretrajectory
 from driftcorner.plant import CONTROL_DT, PlantState
 from driftcorner.track import FrenetPoint, build_library_track, to_cartesian
 
-from test_plan_corpus import generated_corners
+from corners import generated_corners
 
 
 # -- observation -------------------------------------------------------

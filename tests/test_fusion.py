@@ -1,6 +1,7 @@
 """Deployment controller: previews, fusion, fallback."""
 
 import dataclasses
+import functools
 import gc
 import math
 import re
@@ -10,8 +11,7 @@ import numpy as np
 import pytest
 
 from driftcorner import fusion
-from driftcorner.baseline import BaselineTracker
-from driftcorner.envs import observe
+from driftcorner.envs import DriftEnv, observe
 from driftcorner.errors import BadInputFile, NoConvergence, PreviewFailed
 from driftcorner.fusion import (
     MODES,
@@ -39,7 +39,8 @@ from driftcorner.mpc import (
 from driftcorner.planner import load_pretrajectory, plan_pretrajectory, save_pretrajectory
 from driftcorner.plant import PlantState, TireParams, VehicleParams
 from driftcorner.track import build_library_track, load_track, save_track, to_frenet
-from test_deploy_corpus import _cells as CORPUS_CELLS
+
+from corners import CORPUS_CELLS, build_task, cell_id, deploy_cell
 
 PARAMS = VehicleParams()
 TIRES = TireParams()
@@ -61,9 +62,7 @@ def test_preview_is_complete_and_uniform(uturn, uturn_pretraj, uturn_preview8):
 
 def test_preview_starts_at_the_entry_speed_given(uturn, uturn_pretraj):
     # no rounding of v_ini: the rollout starts at 8.7 m/s, not 8.5
-    slow = dataclasses.replace(uturn_pretraj, v_d=np.minimum(uturn_pretraj.v_d, 8.0))
-    p = generate_preview(BaselineTracker(uturn, slow), PARAMS, TIRES, uturn,
-                         uturn_pretraj, v_ini=8.7)
+    _, _, p = build_task(uturn, uturn_pretraj, v_ini=8.7)
     assert p.v_ini == 8.7 and p.gamma[0, 3] == 8.7
 
 
@@ -158,10 +157,15 @@ def test_params_digest_tracks_plant_changes():
 # -- matched-plant tracking --------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def matched_run(uturn, uturn_pretraj, uturn_preview8):
-    return deploy_run(uturn_preview8, uturn, uturn_pretraj,
-                      PARAMS, PARAMS, TIRES, record_trace=True)
+# Each run is a deploy-corpus cell, whose record is its only golden:
+# the episode is pinned exactly, the applied commands to 1e-8 absolute.
+DEPLOY_CELLS = {"matched": ("uturn", 0.85, 1.0, "fused"), "mismatch": ("uturn", 0.75, 1.1, "fused"),
+                "tracker_only": ("uturn", 0.85, 1.0, "mpc_only")}
+
+
+@pytest.fixture()
+def matched_run(deploy_cells):
+    return deploy_cells(*DEPLOY_CELLS["matched"])
 
 
 def test_matched_replay_completes(matched_run, uturn_preview8):
@@ -206,8 +210,7 @@ def test_decomposition_bookkeeping(matched_run):
         np.testing.assert_array_equal(r.applied, np.clip(r.u_t, low, high))
 
 
-def test_controller_takes_the_env_arc_length(monkeypatch, matched_run, uturn,
-                                            uturn_pretraj, uturn_preview8):
+def test_controller_takes_the_env_arc_length(monkeypatch, matched_run, library_tasks):
     # the env's observation projects the c.g. once per tick and the
     # controller reads its s: a run without projections in the
     # controller drives the same run
@@ -215,8 +218,7 @@ def test_controller_takes_the_env_arc_length(monkeypatch, matched_run, uturn,
         raise AssertionError("the controller projected the c.g.")
 
     monkeypatch.setattr(fusion, "to_frenet", no_projection)
-    res = deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, PARAMS, TIRES,
-                     record_trace=True)
+    res = deploy_cell(library_tasks["uturn"], 0.85, 1.0, "fused")
     assert res.completed
     np.testing.assert_array_equal(res.episode.trace, matched_run.episode.trace)
 
@@ -306,38 +308,30 @@ def test_the_tick_log_is_read_only(matched_run):
     assert r.t == matched_run.records.data[-1, 0]
 
 
-def test_a_deploy_retains_under_400_bytes_a_tick(matched_run, uturn, uturn_pretraj,
-                                                 uturn_preview8):
-    # each tick logs 35 floats (280 bytes): the controller's 16 and the
-    # trace's 19, in flat arrays; 922 bytes a tick when each was a
-    # TickRecord of four arrays plus a list of the trace row
-    gc.collect()
+def test_a_deploy_retains_under_400_bytes_a_tick(monkeypatch, library_tasks):
+    # each tick logs 35 floats (280 bytes), the controller's 16 and the
+    # trace's 19, in flat arrays: about 890 bytes a tick when each was a
+    # TickRecord of four arrays plus a list of the trace row.  The difference
+    # of a 0.5 s and a 1.5 s run cancels what a run keeps whatever its
+    # length, mostly the controller's QP stacks
+    def retained(time_cap):
+        monkeypatch.setattr(fusion, "DriftEnv", functools.partial(DriftEnv, time_cap=time_cap))
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        res = deploy_cell(library_tasks["uturn"], 0.85, 1.0, "fused")
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, len(res.records)
+
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        res = deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, PARAMS, TIRES,
-                         record_trace=True)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        (short, n_short), (long, n_long) = retained(0.5), retained(1.5)
     finally:
         tracemalloc.stop()
-    assert res.completed
-    assert retained / len(res.records) < 400
+    assert (n_short, n_long) == (50, 150)
+    assert (long - short) / (n_long - n_short) < 400
 
 
 # -- plant mismatch ----------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def mismatch_run(uturn, uturn_pretraj, uturn_preview8):
-    dp, dt = DeploymentSpec(mu=0.75, mass_scale=1.1).apply(PARAMS, TIRES)
-    return deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, dp, dt)
-
-
-@pytest.fixture(scope="module")
-def tracker_only_run(uturn, uturn_pretraj, uturn_preview8):
-    return deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, PARAMS,
-                      TIRES, mode="mpc_only")
 
 
 @pytest.mark.parametrize("mode, feedforward, mpc", [
@@ -356,25 +350,19 @@ def test_an_unknown_mode_is_refused(uturn, uturn_pretraj, uturn_preview8):
                    mode="coast")
 
 
-def test_completes_with_heavier_vehicle_and_less_grip(mismatch_run):
-    assert mismatch_run.completed
+def test_completes_with_heavier_vehicle_and_less_grip(deploy_cells):
+    assert deploy_cells(*DEPLOY_CELLS["mismatch"]).completed
 
 
-def test_tracker_only_mode_completes(tracker_only_run):
+def test_tracker_only_mode_completes(deploy_cells):
     # primary channel ablated: the corrective tracker plus feedforward
     # must still drive the preview
-    assert tracker_only_run.completed
-
-
-# Each run is a deploy-corpus cell, whose record is its only golden:
-# the episode is pinned exactly, the applied commands to 1e-8 absolute.
-DEPLOY_CELLS = {"matched": "uturn-mu0.85-m1.0-fused", "mismatch": "uturn-mu0.75-m1.1-fused",
-                "tracker_only": "uturn-mu0.85-m1.0-mpc_only"}
+    assert deploy_cells(*DEPLOY_CELLS["tracker_only"]).completed
 
 
 @pytest.mark.parametrize("case", sorted(DEPLOY_CELLS))
-def test_deploy_matches_golden(case, request):
-    want, res = CORPUS_CELLS[DEPLOY_CELLS[case]], request.getfixturevalue(f"{case}_run")
+def test_deploy_matches_golden(case, deploy_cells):
+    want, res = CORPUS_CELLS[cell_id(*DEPLOY_CELLS[case])], deploy_cells(*DEPLOY_CELLS[case])
     assert (res.episode.status, len(res.records)) == (want["status"], want["ticks"])
     assert (res.episode.t_f, res.episode.s_final) == (want["t_f"], want["s_final"])
     applied = np.array([r.applied for r in res.records])
@@ -406,8 +394,7 @@ def test_deployment_spec_rejects_a_non_physical_plant(spec):
         spec.apply(PARAMS, TIRES)
 
 
-def test_a_qp_that_does_not_converge_is_counted(monkeypatch, uturn, uturn_pretraj,
-                                                uturn_preview8):
+def test_a_qp_that_does_not_converge_is_counted(monkeypatch, library_tasks):
     # every tenth solve fails, in a plant with less grip and more mass
     # than the preview's: the run goes on, each failure is counted, its
     # tick applies no correction, and the next tick starts from the
@@ -421,8 +408,7 @@ def test_a_qp_that_does_not_converge_is_counted(monkeypatch, uturn, uturn_pretra
         return solve_qp(gamma_aug, qp)
 
     monkeypatch.setattr(fusion, "solve_qp", flaky)
-    params, tires = DeploymentSpec(mu=0.75, mass_scale=1.1).apply(PARAMS, TIRES)
-    res = deploy_run(uturn_preview8, uturn, uturn_pretraj, PARAMS, params, tires)
+    res = deploy_cell(library_tasks["uturn"], 0.75, 1.1, "fused")
     assert res.completed
     assert len(held) == len(res.records)  # one solve a tick
     failed = range(9, len(held), 10)

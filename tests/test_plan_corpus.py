@@ -2,11 +2,11 @@
 
 `tests/data/plan_corpus.json` holds the sha256 digest of (l, v_d, t_ref)
 of `plan_pretrajectory(track)` for the three library tracks and for a
-seeded family of generated corners (all three kinds, radius 8-20 m,
-width 4-8 m, entry 10-40 m, exit 20-70 m).  Beside each digest it keeps
-t_ref, the integral of squared curvature, max |l| and whether the
-refinement converged, so a re-recording shows what moved; the tests
-compare digests only.  The library tracks and the TIER1_CORNERS run by
+seeded family of generated corners (`corners.generated_corners`: all
+three kinds, radius 8-20 m, width 4-8 m, entry 10-40 m, exit 20-70 m).
+Beside each digest it keeps t_ref, the integral of squared curvature,
+max |l| and whether the refinement converged, so a re-recording shows
+what moved; the tests compare digests only.  The library tracks and the TIER1_CORNERS run by
 default; the rest run under `-m nightly`.  Re-record, only when plans
 are meant to change, with `PYTHONPATH=src python tests/test_plan_corpus.py`;
 it prints every entry whose digest changed, with its old and new values.
@@ -35,9 +35,9 @@ from driftcorner.planner import (
 )
 from driftcorner.track import LIBRARY_KINDS, build_library_track
 
+from corners import generated_corners
+
 CORPUS = Path(__file__).parent / "data" / "plan_corpus.json"
-SEED = 2026
-N_CORNERS = 60
 # the first corners, and corner 37: a right angle whose plan left the
 # corridor margin when a second start could win on its integral of kappa^2
 TIER1_CORNERS = (0, 1, 2, 3, 4, 5, 37)
@@ -65,18 +65,6 @@ def plan_entry(track) -> dict:
         "max_abs_l": float(np.max(np.abs(pre.path(s)))),
         "converged": pre.path.converged,
     }
-
-
-def generated_corners():
-    rng = np.random.default_rng(SEED)
-    for i in range(N_CORNERS):
-        yield {
-            "kind": LIBRARY_KINDS[i % len(LIBRARY_KINDS)],
-            "radius": float(rng.uniform(8.0, 20.0)),
-            "width": float(rng.uniform(4.0, 8.0)),
-            "entry_len": float(rng.uniform(10.0, 40.0)),
-            "exit_len": float(rng.uniform(20.0, 70.0)),
-        }
 
 
 def _print_if_changed(name: str, old: dict | None, new: dict) -> None:
