@@ -46,7 +46,7 @@ import numpy as np
 from . import td3
 from .baseline import BaselineTracker
 from .envs import TRACE_COLUMNS, DriftEnv, EpisodeResult, run_episode, summary_line
-from .errors import DriftCornerError, MissingLog, MissingPolicy
+from .errors import DriftCornerError
 from .fusion import (
     MODES,
     DeploymentSpec,
@@ -306,7 +306,7 @@ def cmd_table1(args) -> int:
     policies = {}  # every checkpoint is loaded before the run directory is made
     if not args.tracker:
         if policy_dir is None:
-            raise MissingPolicy(
+            raise ValueError(
                 "table1 needs --policy-dir with per-variant checkpoints "
                 "(or --tracker for the scripted surrogate)"
             )
@@ -314,7 +314,7 @@ def cmd_table1(args) -> int:
             for variant in variants:
                 ckpt = policy_dir / f"{kind}_{variant}.npz"
                 if not ckpt.exists():
-                    raise MissingPolicy(f"missing checkpoint {ckpt}")
+                    raise FileNotFoundError(f"missing checkpoint {ckpt}")
                 policies[kind, variant] = policy_from_checkpoint(ckpt)
     rows = []
     violations = 0
@@ -367,11 +367,12 @@ def cmd_compare(args) -> int:
 
     rows = []
     # 1) RL policy in its own training plant.
-    res = run_episode(policy, DriftEnv(track, pre))
+    res = run_episode(policy, DriftEnv(track, pre), v0=args.v_ini)
     rows.append(_episode_row("RL policy (training plant)", res,
                              *completion_degrees(track, res.s_final)))
     # 2) Raw RL in the deployment plant.
-    res = run_episode(policy, DriftEnv(track, pre, tires=dep_tires, params=dep_params))
+    res = run_episode(policy, DriftEnv(track, pre, tires=dep_tires, params=dep_params),
+                      v0=args.v_ini)
     rows.append(_episode_row("RL policy (deployment plant)", res,
                              *completion_degrees(track, res.s_final)))
     # 3) MPC-only tracking of the preview (primary input zeroed).
@@ -400,10 +401,10 @@ def cmd_mu_sweep(args) -> int:
     if args.policy_right_angle:
         tasks.append(("right_angle", Path(args.policy_right_angle)))
     if not tasks:
-        raise MissingPolicy("mu-sweep needs --policy-uturn and/or --policy-right-angle")
+        raise ValueError("mu-sweep needs --policy-uturn and/or --policy-right-angle")
     for _, ckpt in tasks:
         if not ckpt.exists():
-            raise MissingPolicy(f"checkpoint not found: {ckpt}")
+            raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     params = VehicleParams()
     previews = []  # every preview is generated before the run directory is made
     for kind, ckpt in tasks:
@@ -467,7 +468,7 @@ def cmd_export_plots(args) -> int:
                    ([row[i] for i in idx] for row in rows))
         written.append(out_name)
     if not written:
-        raise MissingLog(f"no trace.csv/deploy.csv under {run_dir}")
+        raise FileNotFoundError(f"no trace.csv/deploy.csv under {run_dir}")
     print(f"wrote {', '.join(written)} in {run_dir}")
     return 0
 
@@ -595,7 +596,7 @@ def main(argv=None) -> int:
                         format="%(asctime)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (MissingPolicy, MissingLog, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except DriftCornerError as exc:

@@ -170,7 +170,7 @@ class EpisodeResult:
     r_t: float
     max_beta: float  # rad, peak |rear side-slip| over the episode
     max_speed: float  # m/s
-    trace: np.ndarray | None = None  # (ticks, len(TRACE_COLUMNS))
+    trace: np.ndarray | None = None  # (ticks, len(TRACE_COLUMNS)), read-only
 
 
 TRACE_COLUMNS = (
@@ -317,14 +317,17 @@ class DriftEnv:
                 obs: FrenetObservation | None = None):
         chi = 1 if status == "completed" else 0
         r_t = reward_terminal(chi, self._t, self._s, self.pretraj)
+        trace = None
+        if self.record:  # read-only, like the controller's TickLog
+            trace = np.array(self._trace).reshape(-1, len(TRACE_COLUMNS))
+            trace.flags.writeable = False
         result = EpisodeResult(
             chi=chi, t_f=self._t, s_final=self._s, status=status,
             total_reward=sum(self._sums) + r_t,
             r_p_sum=self._sums[0], r_s_sum=self._sums[1],
             r_m_sum=self._sums[2], r_t=r_t,
             max_beta=self._max_beta, max_speed=self._max_speed,
-            trace=(np.array(self._trace).reshape(-1, len(TRACE_COLUMNS))
-                   if self.record else None),
+            trace=trace,
         )
         obs = (obs if obs is not None else self._obs)._replace(chi=0.0)
         return obs, step_reward + r_t, result

@@ -48,11 +48,3 @@ class SingularSpeed(DriftCornerError):
 
 class PreviewFailed(DriftCornerError):
     """Policy crashed in its own training plant while generating a preview."""
-
-
-class MissingPolicy(DriftCornerError):
-    """Experiment requires a trained policy that is not available."""
-
-
-class MissingLog(DriftCornerError):
-    """Run directory does not contain the expected logs."""

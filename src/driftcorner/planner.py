@@ -2,12 +2,12 @@
 
 The lateral offset l(s) is a C1 piecewise-cubic (Hermite) spline over
 knots along s, with zero slope at both ends.  One Gauss-Newton refinement
-of the knot offsets, started from the centerline (with any pinned end
-offsets set) and clipped to the corridor at the knots, minimizes the
-integral of squared curvature of the composed Cartesian path.  Speed is
-capped pointwise by the lateral-adhesion limit, then smoothed by a
-forward-backward longitudinal-acceleration pass that the powertrain and
-the friction ellipse limit.
+of the knot offsets, started from the centerline, every knot free and
+clipped to the corridor, minimizes the integral of squared curvature of
+the composed Cartesian path.  Speed is capped pointwise by the
+lateral-adhesion limit, then smoothed by a forward-backward
+longitudinal-acceleration pass that the powertrain and the friction
+ellipse limit.
 
 A pre-trajectory is a function of its offset spline and adhesion mu:
 `PreTrajectory` holds both beside the samples s, l, x, y, kappa, v_d and
@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import textfile
-from .errors import Infeasible
 from .plant import G, T_MAX, TireParams, VehicleParams
 from .track import FrenetPoint, TrackGeometry, to_cartesian
 
@@ -45,8 +44,8 @@ JAC_BLOCK = 8  # knots per stacked Jacobian evaluation, see minimize_curvature
 
 
 class Boundary(NamedTuple):
-    """Pinned end offsets; an end of None is left free for the optimizer.
-    The end slopes are always zero."""
+    """End offsets of a path; None is a free end.  Every plan has free
+    ends and records `Boundary()`; the end slopes are always zero."""
 
     l0: float | None = None
     l1: float | None = None
@@ -114,11 +113,10 @@ class LateralOffsetPath:
         return _hermite_eval(self.knots, self.values, self.slopes, s)
 
 
-def offset_path(knots, values, boundary: Boundary = Boundary(),
-                converged: bool = True) -> LateralOffsetPath:
+def offset_path(knots, values, converged: bool = True) -> LateralOffsetPath:
     """The spline through `values` at `knots`, with Catmull-Rom slopes."""
     return LateralOffsetPath(knots, values, _catmull_rom_slopes(knots, values),
-                             boundary, converged)
+                             Boundary(), converged)
 
 
 # -- curvature of the composed path -----------------------------------
@@ -138,11 +136,8 @@ def _frenet_path_curvature(track, s, l, dl, ddl, kc=None):
 
 
 def path_curvature(path: LateralOffsetPath, track: TrackGeometry, s):
-    """Signed Cartesian curvature of the planned path at s (scalar or array)."""
-    scalar = np.isscalar(s)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = _frenet_path_curvature(track, s_arr, *path.derivatives(s_arr))
-    return float(out[0]) if scalar else out
+    """Signed Cartesian curvature of the planned path at the array s."""
+    return _frenet_path_curvature(track, s, *path.derivatives(s))
 
 
 def curvature_objective(
@@ -161,34 +156,20 @@ def centerline_path(track: TrackGeometry) -> LateralOffsetPath:
 # -- minimum-curvature optimization -----------------------------------
 
 
-def minimize_curvature(
-    track: TrackGeometry,
-    knots: np.ndarray,
-    boundary: Boundary = Boundary(),
-) -> LateralOffsetPath:
+def minimize_curvature(track: TrackGeometry) -> LateralOffsetPath:
     """Minimum-squared-curvature lateral offset within the corridor.
 
-    Sequential linearized least squares (Gauss-Newton) on the curvature
-    residual at the knot offsets, clipped to the corridor, with a
-    backtracking line search on the true objective.  It starts from the
-    centerline, with the end offsets that `boundary` pins set, and
-    returns where the iteration stops."""
+    The knots are `KNOT_SPACING` apart, at least `MIN_KNOT_INTERVALS`
+    intervals.  Sequential linearized least squares (Gauss-Newton) on
+    the curvature residual at the knot offsets, every knot free and
+    clipped to the corridor, with a backtracking line search on the true
+    objective.  It starts from the centerline and returns where the
+    iteration stops."""
     lim = track.half_width - CORRIDOR_MARGIN
-    for end in (boundary.l0, boundary.l1):
-        if end is not None and abs(end) > lim:
-            raise Infeasible("boundary offsets violate the corridor margin")
-
-    knots = np.asarray(knots, dtype=float)
+    n = max(MIN_KNOT_INTERVALS, int(round(track.s_max / KNOT_SPACING)))
+    knots = np.linspace(0.0, track.s_max, n + 1)
     values = np.zeros_like(knots)
-    if boundary.l0 is not None:
-        values[0] = boundary.l0
-    if boundary.l1 is not None:
-        values[-1] = boundary.l1
-    # Knot indices the optimizer may move: interior knots always, the
-    # endpoints when their offsets are unconstrained.
-    free = np.arange(0 if boundary.l0 is None else 1,
-                     len(knots) if boundary.l1 is None else len(knots) - 1)
-    n_free = len(free)
+    n_knots = len(knots)
 
     s_dense = np.linspace(0.0, track.s_max, 600)
     kc_dense = track.curvature_at_many(s_dense)
@@ -208,23 +189,22 @@ def minimize_curvature(
         # blocks this small keep each temporary a small heap block (8 x
         # 600 floats), where one stack of all the knots raised deploy's
         # peak RSS by about 0.4 MB
-        perturbed = np.tile(values, (n_free, 1))
-        perturbed[np.arange(n_free), free] += eps  # row i moves knot free[i]
-        jac = np.empty((len(s_dense), n_free))
-        for i in range(0, n_free, JAC_BLOCK):
+        perturbed = np.tile(values, (n_knots, 1))
+        perturbed[np.diag_indices(n_knots)] += eps  # row i moves knot i
+        jac = np.empty((len(s_dense), n_knots))
+        for i in range(0, n_knots, JAC_BLOCK):
             block = perturbed[i:i + JAC_BLOCK]
             jac[:, i:i + len(block)] = ((kappa_dense(block) - k_cur) / eps).T
         # Weighted LLS step with mild damping (trust region).
         a = jac * w[:, None]
         b = -k_cur * w
-        damp = 1e-3 * np.linalg.norm(a) / max(n_free, 1)
-        a_reg = np.vstack([a, damp * np.eye(n_free)])
-        b_reg = np.concatenate([b, np.zeros(n_free)])
+        damp = 1e-3 * np.linalg.norm(a) / n_knots
+        a_reg = np.vstack([a, damp * np.eye(n_knots)])
+        b_reg = np.concatenate([b, np.zeros(n_knots)])
         delta_v, *_ = np.linalg.lstsq(a_reg, b_reg, rcond=None)
         alpha = 1.0
         while alpha > 1e-8:
-            trial = values.copy()
-            trial[free] = np.clip(values[free] + alpha * delta_v, -lim, lim)
+            trial = np.clip(values + alpha * delta_v, -lim, lim)
             k_trial = kappa_dense(trial)
             j_trial = float(np.trapezoid(k_trial**2, s_dense))
             if j_trial < j_cur:
@@ -238,7 +218,7 @@ def minimize_curvature(
         if delta < TOL:
             converged = True
             break
-    return offset_path(knots, values, boundary, converged)
+    return offset_path(knots, values, converged)
 
 
 # -- speed planning and reference time --------------------------------
@@ -365,11 +345,7 @@ def plan_pretrajectory(
     track: TrackGeometry, mu: float = TireParams.mu, use_centerline: bool = False
 ) -> PreTrajectory:
     """End-to-end planning convenience used by the CLI and experiments."""
-    if use_centerline:
-        path = centerline_path(track)
-    else:
-        n = max(MIN_KNOT_INTERVALS, int(round(track.s_max / KNOT_SPACING)))
-        path = minimize_curvature(track, np.linspace(0.0, track.s_max, n + 1))
+    path = centerline_path(track) if use_centerline else minimize_curvature(track)
     speed = plan_speed(path, track, mu)
     return build_pretrajectory(path, track, speed)
 

@@ -584,7 +584,9 @@ def train(
         tlog.append(ep, result, ep_steps)
         if (progress or out_dir is not None) and (ep + 1) % EVAL_EVERY == 0:
             res = run_episode(Policy(state.actor, obs_scale), env)
-            key = (res.chi, -res.t_f)
+            # a completion beats any other end, the faster the better;
+            # among the rest, the one that got further along the track
+            key = (res.chi, -res.t_f if res.chi else res.s_final)
             if best_eval is None or key > best_eval:
                 best_eval = key
                 if out_dir is not None:

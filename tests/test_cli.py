@@ -643,24 +643,29 @@ def test_mu_sweep_rejects_missing_checkpoint_before_writing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["table1"], "table1 needs --policy-dir"),
-    (["table1", "--policy-dir", "{empty}"], "missing checkpoint {empty}/uturn_centerline.npz"),
-    (["compare", "--kind", "uturn", "--policy", "{ckpt}"], "PreviewFailed: policy rollout"),
-    (["mu-sweep", "--policy-uturn", "{ckpt}"], "PreviewFailed: policy rollout"),
+    (["table1", "--out", "{out}"], "table1 needs --policy-dir"),
+    (["table1", "--policy-dir", "{empty}", "--out", "{out}"],
+     "missing checkpoint {empty}/uturn_centerline.npz"),
+    (["compare", "--kind", "uturn", "--policy", "{ckpt}", "--out", "{out}"],
+     "PreviewFailed: policy rollout"),
+    (["mu-sweep", "--policy-uturn", "{ckpt}", "--out", "{out}"], "PreviewFailed: policy rollout"),
+    (["mu-sweep", "--out", "{out}"], "mu-sweep needs --policy-uturn and/or --policy-right-angle"),
+    (["export-plots", "--run-dir", "{empty}"], "no trace.csv/deploy.csv under {empty}"),
 ], ids=["table1_without_controller", "table1_empty_policy_dir", "compare_crashing_policy",
-        "mu_sweep_crashing_policy"])
+        "mu_sweep_crashing_policy", "mu_sweep_without_policy", "export_plots_empty_run_dir"])
 def test_a_refused_run_leaves_no_run_directory(argv, error, monkeypatch, tmp_path, capsys):
     # each wrote the run's config.json before it was refused; a policy
     # that crashes in its own plant has no preview to deploy
     monkeypatch.setattr(cli, "policy_from_checkpoint",
                         lambda path: lambda obs, state: np.array([0.52, 800.0, 0.0]))
-    files = {"empty": tmp_path / "policies", "ckpt": tmp_path / "policy.npz"}
+    files = {"empty": tmp_path / "policies", "ckpt": tmp_path / "policy.npz",
+             "out": tmp_path / "out"}
     files["empty"].mkdir()
     files["ckpt"].write_bytes(b"stub")
-    out = tmp_path / "out"
-    assert cli.main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == 3
-    assert error.format(**files) in capsys.readouterr().err
-    assert not out.exists()
+    assert cli.main([arg.format(**files) for arg in argv]) == 3
+    assert f"error: {error.format(**files)}" in capsys.readouterr().err
+    assert not files["out"].exists()
+    assert not any(files["empty"].iterdir())
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -733,6 +738,32 @@ def test_compare_csv_and_table_hold_the_four_rows(monkeypatch, tmp_path, capsys)
         "| 5.7                        | N/A           \n"
         "Fused RL+MPC (deployment plant) | 180/180               | 9.00             "
         "| 5.7                        | 17.50         \n")
+
+
+def test_compare_starts_every_row_at_the_entry_speed_given(monkeypatch, tmp_path):
+    # rows 1-2 started at planner.V_START while the preview of rows 3-4
+    # started at --v-ini; each stub reports the speed its run starts at
+    def started(policy, env, seed=None, v0=None):
+        env.reset(seed, v0)
+        return dataclasses.replace(_episode(1, "completed", 18.2), max_speed=env.state.v_x)
+
+    def deployed(preview, *args, **kwargs):
+        res = _deployed(1, "completed", 17.5, 180.0, 180.0)
+        return dataclasses.replace(res, episode=dataclasses.replace(
+            res.episode, max_speed=preview.v_ini))
+
+    monkeypatch.setattr(cli, "policy_from_checkpoint", lambda path: None)
+    monkeypatch.setattr(cli, "generate_preview",
+                        lambda *args, v_ini, **kwargs: SimpleNamespace(v_ini=v_ini))
+    monkeypatch.setattr(cli, "run_episode", started)
+    monkeypatch.setattr(cli, "deploy_run", deployed)
+    policy = tmp_path / "policy.npz"
+    policy.write_bytes(b"stub")
+    out = tmp_path / "compare"
+    assert cli.main(["compare", "--kind", "uturn", "--policy", str(policy),
+                     "--v-ini", "7.0", "--out", str(out)]) == 0
+    _, *rows = (line.split(",") for line in (out / "compare.csv").read_text().splitlines())
+    assert [row[2] for row in rows] == ["7.00"] * 4
 
 
 def test_mu_sweep_csv_holds_the_median_time_or_the_furthest_run(monkeypatch, tmp_path,

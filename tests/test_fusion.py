@@ -308,6 +308,13 @@ def test_the_tick_log_is_read_only(matched_run):
     assert r.t == matched_run.records.data[-1, 0]
 
 
+def test_the_env_trace_is_read_only(matched_run):
+    # the session shares each deploy cell's run, its trace included
+    trace = matched_run.episode.trace
+    with pytest.raises(ValueError):
+        trace[-1, 0] = 0.0
+
+
 def test_a_deploy_retains_under_400_bytes_a_tick(monkeypatch, library_tasks):
     # each tick logs 35 floats (280 bytes), the controller's 16 and the
     # trace's 19, in flat arrays: about 890 bytes a tick when each was a

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from driftcorner import planner
-from driftcorner.errors import Infeasible
 from driftcorner.planner import (
-    Boundary,
     centerline_path,
     curvature_objective,
     load_pretrajectory,
@@ -31,8 +29,7 @@ MU, G = 0.85, 9.81
 
 
 def test_spline_is_c1_at_knots(uturn):
-    knots = np.linspace(0.0, uturn.s_max, 31)
-    path = minimize_curvature(uturn, knots)
+    path = minimize_curvature(uturn)
     eps = 1e-7
     for k in path.knots[1:-1]:
         _, dl_m, _ = path.derivatives(k - eps)
@@ -56,9 +53,9 @@ def test_a_stack_of_splines_evaluates_as_each_alone(rng):
 
 def test_centerline_curvature_is_track_curvature(uturn):
     # the composed Cartesian curve carries the track's own curvature
-    path = centerline_path(uturn)
-    assert path_curvature(path, uturn, 10.0) == 0.0  # straight entry
-    assert path_curvature(path, uturn, 45.0) == pytest.approx(1 / 11)  # arc
+    kappa = path_curvature(centerline_path(uturn), uturn, np.array([10.0, 45.0]))
+    assert kappa[0] == 0.0  # straight entry
+    assert kappa[1] == pytest.approx(1 / 11)  # arc
 
 
 def test_centerline_objective_is_curvature_integral(all_tracks):
@@ -109,19 +106,6 @@ def test_local_optimality_of_planned_path(uturn, rng):
         delta = rng.normal(0.0, 1e-3, len(path.values))
         trial = offset_path(path.knots, path.values + delta)
         assert curvature_objective(trial, uturn, n_dense=2000) >= j0 - 1e-7
-
-
-def test_boundary_pins_are_honored(uturn):
-    knots = np.linspace(0.0, uturn.s_max, 31)
-    path = minimize_curvature(uturn, knots, Boundary(l0=-1.2, l1=0.8))
-    assert path(0.0) == pytest.approx(-1.2, abs=1e-9)
-    assert path(uturn.s_max) == pytest.approx(0.8, abs=1e-9)
-
-
-def test_boundary_outside_corridor_is_infeasible(uturn):
-    knots = np.linspace(0.0, uturn.s_max, 31)
-    with pytest.raises(Infeasible):
-        minimize_curvature(uturn, knots, Boundary(l0=2.5))
 
 
 # -- speed planning ----------------------------------------------------

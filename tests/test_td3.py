@@ -670,6 +670,34 @@ def test_train_writes_its_run_directory(tmp_path):
     assert best.critic_updates == 0 and best.env_steps > 0
 
 
+def test_policy_best_ranks_completions_by_time_and_the_rest_by_progress(monkeypatch,
+                                                                      tmp_path):
+    # the rank was (chi, -t_f), so a crash at 0.3 s beat a timeout that
+    # got further; each evaluation here ends as scripted
+    def ended(chi, t_f, s_final):
+        return ToyResult(chi=chi, status="completed" if chi else "crashed", t_f=t_f,
+                         s_final=s_final, total_reward=0.0)
+
+    evals = [ended(0, 6.0, -0.05), ended(0, 0.3, -1.4), ended(1, 5.0, 0.0),
+             ended(1, 4.0, 0.0), ended(1, 4.5, 0.0), ended(0, 6.0, -0.01)]
+    done, best = [], []
+
+    def evaluate(policy, env):
+        done.append(evals[len(done)])
+        return done[-1]
+
+    def save(state, path):
+        if path.name == "policy_best.npz":
+            best.append(len(done))
+
+    monkeypatch.setattr(td3, "EVAL_EVERY", 1)
+    monkeypatch.setattr(td3, "run_episode", evaluate)
+    monkeypatch.setattr(td3, "save_checkpoint", save)
+    hp = Td3Hyperparams(warmup=10_000, batch_size=32, hidden=(16, 16), buffer_size=5000)
+    train(ReachEnv, hp, episodes=len(evals), out_dir=tmp_path, checkpoint_every=len(evals))
+    assert best == [1, 3, 4]  # the first, the first completion, the fastest
+
+
 def test_resume_matches_uninterrupted_run(tmp_path):
     # 12 episodes straight == 6 episodes, checkpoint, 6 more
     p_full, log_full, _ = train(ReachEnv, TOY_HP, episodes=12, seed=5)
