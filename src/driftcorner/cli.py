@@ -14,8 +14,9 @@ at the nominal state unless a seed draws the start (`deploy --seed`,
 other subcommands write into a run directory, --out or else <name> under
 $DRIFTCORNER_OUT (default `runs`):
 
-  train         train_seed<N>/: config.json, policy.npz, policy_best.npz,
-                checkpoint_ep<NNNNN>.npz, train.log
+  train         train_seed<N>/: config.json, train.log and policy files:
+                policy.npz (the last), policy_best.npz (the best greedy
+                evaluation) and checkpoint_ep<NNNNN>.npz (periodic)
   deploy        deploy/: config.json, deploy.csv (per tick: RL, MPC and
                 applied inputs), trace.csv (plant trace), summary.txt
   table1        table1/: config.json, table1.csv
@@ -45,7 +46,8 @@ import numpy as np
 
 from . import td3
 from .baseline import BaselineTracker
-from .envs import TRACE_COLUMNS, DriftEnv, EpisodeResult, run_episode, summary_line
+from .envs import (ACTION_LOW, OBS_DIM, TRACE_COLUMNS, DriftEnv, EpisodeResult, run_episode,
+                   summary_line)
 from .errors import DriftCornerError
 from .fusion import (
     MODES,
@@ -119,6 +121,18 @@ def _track_and_plan(args) -> tuple:
         path = Path(args.pretraj)
         return track, load_pretrajectory(path, track), [*inputs, path]
     return track, plan_pretrajectory(track, mu=TRAINING_MU), inputs
+
+
+def _load_policy(path):
+    """The policy of checkpoint `path`; a ValueError naming the file
+    unless its actor reads the env's observation and gives one value per
+    action channel."""
+    policy = policy_from_checkpoint(path)
+    sizes = policy.actor.sizes
+    if (sizes[0], sizes[-1]) != (OBS_DIM, len(ACTION_LOW)):
+        raise ValueError(f"{path}: a policy of {sizes[0]} observations and {sizes[-1]} "
+                         f"actions, not the env's {OBS_DIM} and {len(ACTION_LOW)}")
+    return policy
 
 
 def _deployment_spec(args) -> DeploymentSpec:
@@ -231,7 +245,7 @@ def learner_completion(chi: list[int], demo_episodes: int) -> str:
 
 def cmd_preview(args) -> int:
     track, pre, _ = _track_and_plan(args)
-    policy = policy_from_checkpoint(args.policy)
+    policy = _load_policy(args.policy)
     params = VehicleParams()
     preview = generate_preview(
         policy, params, TireParams(), track, pre,
@@ -315,7 +329,7 @@ def cmd_table1(args) -> int:
                 ckpt = policy_dir / f"{kind}_{variant}.npz"
                 if not ckpt.exists():
                     raise FileNotFoundError(f"missing checkpoint {ckpt}")
-                policies[kind, variant] = policy_from_checkpoint(ckpt)
+                policies[kind, variant] = _load_policy(ckpt)
     rows = []
     violations = 0
     run_dir = _run_dir(args, "table1", {
@@ -352,7 +366,7 @@ def cmd_compare(args) -> int:
     (deployment plant), MPC-only tracking, fused (deployment plant)."""
     track, pre, inputs = _track_and_plan(args)
     policy_path = Path(args.policy)
-    policy = policy_from_checkpoint(policy_path)
+    policy = _load_policy(policy_path)
     params = VehicleParams()
     spec = _deployment_spec(args)
     dep_params, dep_tires = spec.apply(params, TireParams())
@@ -411,7 +425,7 @@ def cmd_mu_sweep(args) -> int:
         track = build_library_track(kind)
         pre = plan_pretrajectory(track)
         previews.append((kind, track, pre, generate_preview(
-            policy_from_checkpoint(ckpt), params, TireParams(), track, pre,
+            _load_policy(ckpt), params, TireParams(), track, pre,
             v_ini=args.v_ini, track_id=kind)))
     run_dir = _run_dir(args, "mu_sweep", {
         "command": "mu-sweep", "seeds": args.seeds, "v_ini": args.v_ini,
@@ -524,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--demo-episodes", type=int, default=50,
                    help="scripted-tracker buffer-priming episodes (0 disables)")
-    p.add_argument("--checkpoint-every", type=int, default=250)
+    p.add_argument("--checkpoint-every", type=int, default=250,
+                   help="episodes between checkpoint_ep<NNNNN>.npz policy files")
     p.add_argument("--out")
     p.set_defaults(func=cmd_train)
 

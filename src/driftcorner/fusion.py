@@ -80,10 +80,9 @@ from .track import TrackGeometry
 from .track import to_frenet  # noqa: F401
 
 PREVIEW_FILE = textfile.Format(
-    "preview", 3,
-    ("policy_checksum", "plant_digest", "track_id", "track_digest", "pretraj_digest",
-     "v_ini", "t_f"),
-    recreate="driftcorner preview", columns="t X Y phi v_x v_y yaw_rate delta_f T_rt P_b s")
+    "preview", 4,
+    ("policy_checksum", "plant_digest", "track_id", "track_digest", "pretraj_digest", "t_f"),
+    recreate="driftcorner preview", columns="X Y phi v_x v_y yaw_rate delta_f T_rt P_b s")
 MODEL_BLOCK = 128  # preview points per stacked model build (small temporaries)
 MODES = ("fused", "mpc_only", "replay")  # FusionController's input channels
 
@@ -95,26 +94,26 @@ FALLBACK_P_BM = 3.0  # MPa, moderate braking
 FALLBACK_HYSTERESIS = math.radians(10.0)
 
 
+def _digest(*parts) -> str:
+    """Short content hash of the float64 bytes of `parts`, concatenated."""
+    return hashlib.sha256(np.concatenate(parts, dtype=float).tobytes()).hexdigest()[:16]
+
+
 def params_digest(params: VehicleParams, tires: TireParams) -> str:
     """Short content hash of the plant's settable values."""
-    raw = np.array([params.m, tires.mu, tires.b, tires.d], dtype=float).tobytes()
-    return hashlib.sha256(raw).hexdigest()[:16]
+    return _digest([params.m, tires.mu, tires.b, tires.d])
 
 
 def track_digest(track: TrackGeometry) -> str:
     """Short content hash of the track geometry: the half width, the
     segment breaks and the curvatures."""
-    raw = np.concatenate(([track.half_width], track.seg_breaks, track.seg_kappa),
-                         dtype=float).tobytes()
-    return hashlib.sha256(raw).hexdigest()[:16]
+    return _digest([track.half_width], track.seg_breaks, track.seg_kappa)
 
 
 def pretraj_digest(pretraj: PreTrajectory) -> str:
     """Short content hash of a plan: its adhesion mu and the knots and
     values of its offset spline, from which every sample is derived."""
-    raw = np.concatenate(([pretraj.mu], pretraj.path.knots, pretraj.path.values),
-                         dtype=float).tobytes()
-    return hashlib.sha256(raw).hexdigest()[:16]
+    return _digest([pretraj.mu], pretraj.path.knots, pretraj.path.values)
 
 
 # -- preview trajectory -----------------------------------------------
@@ -123,9 +122,10 @@ def pretraj_digest(pretraj: PreTrajectory) -> str:
 @dataclass(frozen=True, eq=False)
 class PreviewTrajectory:
     """Offline policy rollout: per-tick Cartesian state, action, and
-    arc-length, with the provenance needed to know when to regenerate."""
+    arc-length, one row per `CONTROL_DT` tick, with the provenance needed
+    to know when to regenerate.  The entry speed `v_ini` is the first
+    tick's v_x."""
 
-    t: np.ndarray  # s, uniform CONTROL_DT ticks
     gamma: np.ndarray  # (n, 6): X, Y, phi, v_x, v_y, yaw rate
     a_rl: np.ndarray  # (n, 3): commanded delta_f, T_rt, P_b
     s: np.ndarray  # m, non-decreasing
@@ -134,42 +134,45 @@ class PreviewTrajectory:
     track_id: str
     track_digest: str  # `track_digest` of the geometry it was rolled out on
     pretraj_digest: str  # `pretraj_digest` of the plan it was rolled out on
-    v_ini: float  # m/s, entry speed
     t_f: float  # s, completion time of the rollout
 
     def __post_init__(self):
-        if not 0.0 < self.v_ini < math.inf:
-            raise ValueError(f"v_ini must be finite and positive, got {self.v_ini!r}")
         if not math.isfinite(self.t_f):
             raise ValueError(f"t_f must be finite, got {self.t_f!r}")
-        n = len(self.t)
-        for name, shape in (("t", (n,)), ("s", (n,)), ("gamma", (n, 6)), ("a_rl", (n, 3))):
+        n = len(self.a_rl)
+        for name, shape in (("a_rl", (n, 3)), ("gamma", (n, 6)), ("s", (n,))):
             if np.shape(getattr(self, name)) != shape:
                 raise ValueError(f"preview {name} has shape {np.shape(getattr(self, name))}, "
-                                 f"expected {shape}: one row per tick of t")
-        if not all(np.all(np.isfinite(a)) for a in (self.t, self.s, self.gamma, self.a_rl)):
-            raise ValueError("preview t, s, gamma and a_rl must be finite")
-        dt = np.diff(self.t)
-        if len(dt) and (np.max(np.abs(dt - CONTROL_DT)) > 1e-9):
-            raise ValueError("preview ticks must be uniform at 10 ms")
+                                 f"expected {shape}: one row per tick of a_rl")
+        if not n:
+            raise ValueError("a preview holds at least one tick")
+        if not 0.0 < self.v_ini < math.inf:
+            raise ValueError(f"v_ini must be finite and positive, got {self.v_ini!r}")
+        if not all(np.all(np.isfinite(a)) for a in (self.s, self.gamma, self.a_rl)):
+            raise ValueError("preview s, gamma and a_rl must be finite")
         if np.any(np.diff(self.s) < -1e-9):
             raise ValueError("preview arc length must be non-decreasing")
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.s)
+
+    @property
+    def v_ini(self) -> float:
+        """m/s, the entry speed: the first tick's v_x."""
+        return float(self.gamma[0, 3])
 
     @classmethod
     def from_rows(cls, rows, **provenance) -> PreviewTrajectory:
-        """From (n, 11) rows of t, gamma, a_rl and s, the file's layout."""
+        """From (n, 10) rows of gamma, a_rl and s, the file's layout."""
         data = np.array(rows, dtype=float)
-        if data.ndim != 2 or data.shape[1] != 11:
-            raise ValueError("expected rows of 11 numbers")
-        return cls(t=data[:, 0].copy(), gamma=data[:, 1:7].copy(),
-                   a_rl=data[:, 7:10].copy(), s=data[:, 10].copy(), **provenance)
+        if data.ndim != 2 or data.shape[1] != 10:
+            raise ValueError("expected rows of 10 numbers")
+        return cls(gamma=data[:, :6].copy(), a_rl=data[:, 6:9].copy(),
+                   s=data[:, 9].copy(), **provenance)
 
     def rows(self) -> np.ndarray:
         """The inverse of `from_rows`."""
-        return np.column_stack((self.t, self.gamma, self.a_rl, self.s))
+        return np.column_stack((self.gamma, self.a_rl, self.s))
 
 
 def generate_preview(
@@ -188,20 +191,19 @@ def generate_preview(
     if not 0.0 < v_ini < math.inf:
         raise ValueError(f"v_ini must be finite and positive, got {v_ini!r}")
     env = DriftEnv(track, pretraj, tires=tires, params=params)
-    rows, t = array("d"), 0.0  # the file's 11 columns per tick, flat
+    rows = array("d")  # the file's 10 columns per tick, flat
     for obs, st, act, _, _, result in episode(policy, env, v0=v_ini):
-        rows.extend((t, st.x, st.y, st.phi, st.v_x, st.v_y, st.yaw_rate, *act, obs.s))
-        t += CONTROL_DT
+        rows.extend((st.x, st.y, st.phi, st.v_x, st.v_y, st.yaw_rate, *act, obs.s))
     if result.chi != 1:
         raise PreviewFailed(
             f"policy rollout ended '{result.status}' at s={result.s_final:.1f}"
         )
     checksum = policy.checksum() if hasattr(policy, "checksum") else 0.0
     return PreviewTrajectory.from_rows(
-        np.array(rows).reshape(-1, 11), policy_checksum=float(checksum),
+        np.array(rows).reshape(-1, 10), policy_checksum=float(checksum),
         plant_digest=params_digest(params, tires), track_id=track_id,
         track_digest=track_digest(track), pretraj_digest=pretraj_digest(pretraj),
-        v_ini=v_ini, t_f=result.t_f,
+        t_f=result.t_f,
     )
 
 
@@ -215,7 +217,7 @@ def load_preview(path) -> PreviewTrajectory:
         rows, policy_checksum=float(fields["policy_checksum"]),
         plant_digest=fields["plant_digest"], track_id=fields["track_id"],
         track_digest=fields["track_digest"], pretraj_digest=fields["pretraj_digest"],
-        v_ini=float(fields["v_ini"]), t_f=float(fields["t_f"])))
+        t_f=float(fields["t_f"])))
 
 
 # -- fusion controller ------------------------------------------------

@@ -38,7 +38,7 @@ from .replay import ReplayBuffer
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # The update rule of Fujimoto, van Hoof and Meger (2018): discount,
 # target blend, one Adam step size for the actor and both critics, the
 # exploration and target-smoothing noise and the smoothing clip (each a
@@ -55,9 +55,7 @@ BC_STEPS = 4000  # supervised batches of the first behavior-cloning fit
 BC_BATCH = 256  # labels per behavior-cloning batch
 ACTOR_FREEZE = 10000  # critic updates with the actor held after imitation
 EVAL_EVERY = 50  # episodes between greedy evaluation rollouts
-# the online networks and then their targets, by their `Td3State` field names
-_ONLINE = ("actor", "critic1", "critic2")
-_NETS = (*_ONLINE, *(f"target_{name}" for name in _ONLINE))
+_ONLINE = ("actor", "critic1", "critic2")  # the online networks' `Td3State` fields
 
 
 @dataclass(frozen=True)
@@ -301,9 +299,7 @@ class Policy:
 # -- checkpoints ------------------------------------------------------
 
 
-_OPTS = ("opt_actor", "opt_critic1", "opt_critic2")
-_ARRAYS = (*_NETS, *(f"{name}_{moment}" for name in _OPTS for moment in "mv"),
-           "low", "high", "obs_scale")
+_ARRAYS = ("actor", "low", "high", "obs_scale")
 
 
 def _arrays_digest(arrays) -> str:
@@ -318,39 +314,16 @@ def _arrays_digest(arrays) -> str:
 
 
 def save_checkpoint(state: Td3State, path) -> None:
-    """Binary dump of all parameters, optimizer moments, hyperparams,
-    counters, and the RNG state; round-trips exactly.
-
-    Each network is stored as its flat parameter vector, float64 for an
-    online network and float32 for a target, and each optimizer as its
-    flat `m` and `v` (empty before its first step, then float32); the
-    metadata holds the parameters' sum and a SHA-256 digest of every
-    stored array."""
-    arrays = {name: getattr(state, name).flat for name in _NETS}
-    for name in _OPTS:
-        opt = getattr(state, name)
-        arrays[f"{name}_m"], arrays[f"{name}_v"] = opt.m, opt.v
-    arrays["low"] = state.low
-    arrays["high"] = state.high
-    arrays["obs_scale"] = state.obs_scale
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "hp": {k: (list(v) if isinstance(v, tuple) else v)
-               for k, v in vars(state.hp).items()},
-        "sizes": state.actor.sizes,
-        "critic_sizes": state.critic1.sizes,
-        "counters": {
-            "critic_updates": state.critic_updates,
-            "actor_updates": state.actor_updates,
-            "env_steps": state.env_steps,
-        },
-        "opt_t": [getattr(state, name).t for name in _OPTS],
-        "rng_state": state.rng.bit_generator.state,
-        "checksum": state.checksum(),
-        "digest": _arrays_digest(arrays),
-    }
-    arrays["meta"] = np.frombuffer(
-        json.dumps(meta, default=str).encode(), dtype=np.uint8)
+    """Write the policy of `state`: the actor's flat float64 parameters,
+    the action bounds and the observation scales.  The metadata holds
+    the actor's layer sizes, its parameters' sum and a SHA-256 digest of
+    the stored arrays.  The critics, targets, optimizers, replay buffer
+    and generator exist only while training and are not stored."""
+    arrays = {"actor": state.actor.flat, "low": state.low, "high": state.high,
+              "obs_scale": state.obs_scale}
+    meta = {"version": CHECKPOINT_VERSION, "sizes": state.actor.sizes,
+            "checksum": state.actor.checksum(), "digest": _arrays_digest(arrays)}
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez(path, **arrays)
@@ -363,89 +336,53 @@ def _checkpoint_meta(data, path) -> dict:
         meta = json.loads(bytes(data["meta"]).decode())
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: not a driftcorner checkpoint") from exc
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: checkpoint version {meta.get('version')!r}, "
+    version = meta.get("version")
+    if version in range(1, CHECKPOINT_VERSION):
+        raise ValueError(f"{path}: a version {version} checkpoint, which this version "
+                         "no longer reads; re-create it with `driftcorner train`")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version {version!r}, "
                          f"this program reads version {CHECKPOINT_VERSION}")
     return meta
 
 
-def load_checkpoint(path, buffer: ReplayBuffer | None = None) -> Td3State:
-    """Rebuild a learner state from `save_checkpoint` output.
+def policy_from_checkpoint(path) -> Policy:
+    """The policy of a `save_checkpoint` file.
 
-    The replay buffer contents are not stored; pass one in to resume
-    training, or leave it empty for deployment-only use.  Parameters
-    that do not sum to the stored checksum, action bounds or observation
-    scales not sized for the stored actor, optimizer moments neither
-    empty nor sized for their network, arrays that do not match the
-    stored digest, and metadata or arrays missing or not of this
-    program's learner are each a ValueError naming the file."""
+    A file that is not a checkpoint or of another version, metadata or
+    arrays missing or malformed, an actor, action bounds or observation
+    scales not sized for the stored layer sizes, parameters that do not
+    sum to the stored checksum, and arrays that do not match the stored
+    digest are each a ValueError naming the file."""
     if Path(path).is_file() and not zipfile.is_zipfile(path):
         # numpy would try the file as a pickle and refuse it
         raise ValueError(f"{path}: not a driftcorner checkpoint")
     try:
         with np.load(path) as data:
             meta = _checkpoint_meta(data, path)
-            digest = _arrays_digest(data)
-            hp_d = dict(meta["hp"])
-            hp_d["hidden"] = tuple(hp_d["hidden"])
-            hp = Td3Hyperparams(**hp_d)
-            low, high = data["low"], data["high"]
-            sizes = meta["sizes"]
-            for name, size in (("low", sizes[-1]), ("high", sizes[-1]),
-                               ("obs_scale", sizes[0])):
-                _check_shape(path, name, data[name], (size,))
-            nets = {}
-            for name in _NETS:
-                flat = data[name]  # float64 for an online network, float32 for a target
-                if "actor" in name:
-                    views = layer_views(flat, sizes)
-                    nets[name] = Mlp(*views, "bounded", low.astype(flat.dtype),
-                                     high.astype(flat.dtype))
-                else:
-                    nets[name] = Mlp(*layer_views(flat, meta["critic_sizes"]))
-            state = Td3State(
-                **nets,
-                buffer=(buffer if buffer is not None
-                        else ReplayBuffer(hp.buffer_size, sizes[0], len(low))),
-                hp=hp, low=low.copy(), high=high.copy(),
-                obs_scale=data["obs_scale"].copy(),
-                rng=np.random.default_rng(),
-                **meta["counters"],
-            )
-            try:
-                state.rng.bit_generator.state = meta["rng_state"]
-            except ValueError as exc:  # numpy's refusal of another generator's state
-                raise ValueError(f"{path}: malformed checkpoint (rng_state: {exc})") from exc
-            if len(meta["opt_t"]) != len(_OPTS):
-                raise ValueError(f"{path}: malformed checkpoint (opt_t holds {len(meta['opt_t'])} "
-                                 f"step counts for {len(_OPTS)} optimizers)")
-            for name, t in zip(_OPTS, meta["opt_t"]):
-                opt = getattr(state, name)
-                opt.m, opt.v, opt.t = data[f"{name}_m"], data[f"{name}_v"], t
-                flat = getattr(state, name.removeprefix("opt_")).flat.shape
-                _check_shape(path, f"{name}_m", opt.m, (0,), flat)
-                _check_shape(path, f"{name}_v", opt.v, (0,), flat)
-        if (got := state.checksum()) != meta["checksum"]:
+            arrays = {name: data[name] for name in _ARRAYS}
+        sizes = meta["sizes"]
+        if not (isinstance(sizes, list) and len(sizes) >= 2
+                and all(type(n) is int and n >= 1 for n in sizes)):
+            raise ValueError(f"{path}: malformed checkpoint (sizes {sizes!r})")
+        params = sum(a * b for a, b in zip(sizes, sizes[1:])) + sum(sizes[1:])
+        for name, shape in (("actor", (params,)), ("low", (sizes[-1],)),
+                            ("high", (sizes[-1],)), ("obs_scale", (sizes[0],))):
+            if arrays[name].shape != shape:
+                raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, "
+                                 f"expected {shape}")
+        actor = Mlp(*layer_views(arrays["actor"], sizes), "bounded",
+                    arrays["low"], arrays["high"])
+        if (got := actor.checksum()) != meta["checksum"]:
             raise ValueError(f"{path}: parameters sum to {got!r}, "
                              f"the checkpoint records {meta['checksum']!r}")
-        if digest != meta["digest"]:
+        if _arrays_digest(arrays) != meta["digest"]:
             raise ValueError(f"{path}: stored arrays do not match the checkpoint's "
                              "SHA-256 digest")
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         # metadata or arrays that this program cannot use
         raise ValueError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
-    return state
-
-
-def _check_shape(path, name: str, array: np.ndarray, *shapes) -> None:
-    if array.shape not in shapes:
-        raise ValueError(f"{path}: {name} has shape {array.shape}, "
-                         f"expected {' or '.join(map(str, shapes))}")
-
-
-def policy_from_checkpoint(path) -> Policy:
-    state = load_checkpoint(path)
-    return Policy(state.actor, state.obs_scale)
+    return Policy(actor, arrays["obs_scale"])
 
 
 # -- training loop ----------------------------------------------------

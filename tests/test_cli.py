@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from driftcorner.fusion import (
     DeployResult,
     completion_degrees,
     deploy_run,
+    load_preview,
     params_digest,
     pretraj_digest,
     save_preview,
@@ -28,6 +30,23 @@ from driftcorner.plant import TireParams, VehicleParams
 from driftcorner.track import LIBRARY_KINDS, build_library_track, load_track, save_track
 
 from corners import build_task
+
+
+def _save_untrained(path, obs_dim=OBS_DIM, act_dim=len(ACTION_LOW)):
+    """Save a small untrained policy, by default of the env's shape."""
+    td3.save_checkpoint(td3.td3_init(obs_dim, ACTION_LOW[:act_dim], ACTION_HIGH[:act_dim],
+                                     td3.Td3Hyperparams(hidden=(4,), batch_size=1,
+                                                        buffer_size=1)), path)
+
+
+class StubPolicy(SimpleNamespace):
+    """A stand-in for a loaded policy: an actor of the env's shape, and
+    the behaviour `act` gives it."""
+
+    actor = SimpleNamespace(sizes=[OBS_DIM, 4, len(ACTION_LOW)])
+
+    def __call__(self, obs, state):
+        return self.act(obs, state)
 
 
 def _csv(header, rows) -> str:
@@ -129,11 +148,9 @@ def test_table1_with_policies_writes_six_rows(tmp_path):
     # one untrained actor under every <kind>_<variant>.npz name: each run
     # crashes, and the planned runs crash sooner, so the exit is 2
     policies = tmp_path / "policies"
-    state = td3.td3_init(OBS_DIM, ACTION_LOW, ACTION_HIGH, td3.Td3Hyperparams(
-        hidden=(4,), batch_size=1, buffer_size=1))
     for kind in LIBRARY_KINDS:
         for variant in ("centerline", "planned"):
-            td3.save_checkpoint(state, policies / f"{kind}_{variant}.npz")
+            _save_untrained(policies / f"{kind}_{variant}.npz")
     out = tmp_path / "table1"
     assert cli.main(["table1", "--policy-dir", str(policies), "--out", str(out)]) == 2
     assert (out / "table1.csv").read_text() == _csv(
@@ -141,6 +158,46 @@ def test_table1_with_policies_writes_six_rows(tmp_path):
         ([f"{kind} / {variant}", "0", t_f, s_final] for kind in LIBRARY_KINDS
          for variant, t_f, s_final in (("centerline", "8.77", "13.7"),
                                        ("planned", "6.42", "10.6"))))
+
+
+def test_train_then_table1_on_its_policy(tmp_path):
+    # the pipeline's first two steps chained: a one-episode U-turn run
+    # writes policy.npz, and table1 deploys it under every task's name
+    run = tmp_path / "train"
+    assert cli.main(["train", "--kind", "uturn", "--episodes", "1", "--demo-episodes", "0",
+                     "--out", str(run)]) == 0
+    policies = tmp_path / "policies"
+    policies.mkdir()
+    for kind in LIBRARY_KINDS:
+        for variant in ("centerline", "planned"):
+            shutil.copyfile(run / "policy.npz", policies / f"{kind}_{variant}.npz")
+    out = tmp_path / "table1"
+    assert cli.main(["table1", "--policy-dir", str(policies), "--out", str(out)]) == 2
+    header, *rows = (out / "table1.csv").read_text().splitlines()
+    assert header == "scenario,completed,time_s,s_final_m"
+    assert [row.split(",")[0] for row in rows] == [
+        f"{kind} / {variant}" for kind in LIBRARY_KINDS for variant in ("centerline", "planned")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["preview", "--kind", "uturn", "--policy", "{ckpt}", "--out", "{out}/preview.txt"],
+    ["table1", "--policy-dir", "{policies}", "--out", "{out}"],
+    ["compare", "--kind", "uturn", "--policy", "{ckpt}", "--out", "{out}"],
+    ["mu-sweep", "--policy-uturn", "{ckpt}", "--out", "{out}"],
+], ids=["preview", "table1", "compare", "mu_sweep"])
+def test_a_policy_of_another_shape_is_refused_naming_it(argv, tmp_path, capsys):
+    # six 2-to-1 toy policies ran table1 into a numpy broadcast error,
+    # after it had written config.json
+    policies, out = tmp_path / "policies", tmp_path / "out"
+    files = [policies / f"{kind}_{variant}.npz" for kind in LIBRARY_KINDS
+             for variant in ("centerline", "planned")]
+    for path in files:
+        _save_untrained(path, obs_dim=2, act_dim=1)
+    ckpt = files[0]
+    assert cli.main([arg.format(ckpt=ckpt, policies=policies, out=out) for arg in argv]) == 3
+    assert (f"error: {ckpt}: a policy of 2 observations and 1 actions, not the env's "
+            f"{OBS_DIM} and {len(ACTION_LOW)}") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_build_track_then_plan_on_it(uturn, uturn_pretraj, tmp_path, capsys):
@@ -359,13 +416,20 @@ def test_deploy_rejects_preview_made_on_another_plan(preview_plan, deploy_plan, 
 def test_deploy_rejects_preview_with_impossible_provenance(line, value, uturn_preview8,
                                                           tmp_path, capsys):
     # a U-turn preview edited to v_ini = -1 ran to a timeout with exit 0,
-    # and to v_ini = nan to a blowup at t_f = 0
+    # and to v_ini = nan to a blowup at t_f = 0; the entry speed is the
+    # first row's v_x
     preview = tmp_path / "preview.txt"
     save_preview(uturn_preview8, preview)
-    text = preview.read_text()
-    old = f"# {line} = {getattr(uturn_preview8, line)!r}\n"
-    assert old in text
-    preview.write_text(text.replace(old, f"# {line} = {value}\n"))
+    lines = preview.read_text().splitlines()
+    if line == "v_ini":
+        k = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        cells = lines[k].split()
+        assert float(cells[3]) == uturn_preview8.v_ini
+        lines[k] = " ".join([*cells[:3], value, *cells[4:]])
+    else:
+        k = lines.index(f"# {line} = {getattr(uturn_preview8, line)!r}")
+        lines[k] = f"# {line} = {value}"
+    preview.write_text("\n".join(lines) + "\n")
     out = tmp_path / "deploy"
     assert cli.main(["deploy", "--kind", "uturn", "--preview", str(preview),
                      "--out", str(out)]) == 3
@@ -493,8 +557,7 @@ def test_train_refuses_a_checkpoint_period_below_one(monkeypatch, uturn_pretraj,
 def test_mu_sweep_refuses_fewer_than_one_seed(tmp_path, capsys):
     # it took max() of an empty run list after planning and a preview
     ckpt = tmp_path / "policy.npz"
-    td3.save_checkpoint(td3.td3_init(3, [-1.0], [1.0], td3.Td3Hyperparams(
-        hidden=(4,), batch_size=1, buffer_size=1)), ckpt)
+    _save_untrained(ckpt)
     out = tmp_path / "sweep"
     assert cli.main(["mu-sweep", "--policy-uturn", str(ckpt), "--seeds", "0",
                      "--out", str(out)]) == 3
@@ -512,8 +575,7 @@ def test_an_entry_speed_outside_zero_to_infinity_is_refused(argv, v_ini, tmp_pat
                                                             capsys):
     # -1 started the car rolling backwards and wrote a preview of v_ini -1.0
     ckpt, out = tmp_path / "policy.npz", tmp_path / "out"
-    td3.save_checkpoint(td3.td3_init(3, [-1.0], [1.0], td3.Td3Hyperparams(
-        hidden=(4,), batch_size=1, buffer_size=1)), ckpt)
+    _save_untrained(ckpt)
     argv = [arg.format(ckpt=ckpt, out=out) for arg in argv] + ["--v-ini", v_ini]
     assert cli.main(argv) == 3
     value = float(v_ini)
@@ -537,13 +599,13 @@ def test_deploy_rejects_a_preview_with_a_nan_row(uturn_preview8, tmp_path, capsy
     lines = preview.read_text().splitlines()
     k = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 100
     cells = lines[k].split()
-    cells[0] = cells[1] = cells[10] = "nan"  # t, X and s
+    cells[0] = cells[9] = "nan"  # X and s
     lines[k] = " ".join(cells)
     preview.write_text("\n".join(lines) + "\n")
     assert cli.main(["deploy", "--kind", "uturn", "--preview", str(preview),
                      "--out", str(tmp_path / "deploy")]) == 3
     err = capsys.readouterr().err
-    assert f"{preview}: preview t, s, gamma and a_rl must be finite" in err
+    assert f"{preview}: preview s, gamma and a_rl must be finite" in err
     assert not (tmp_path / "deploy" / "summary.txt").exists()
 
 
@@ -569,21 +631,18 @@ def test_preview_rejects_npz_that_is_not_a_checkpoint(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda meta: meta["hp"].update(bogus=1),
     lambda meta: meta.pop("sizes"),
-    lambda meta: meta["counters"].update(bogus=0),
     lambda meta: meta.update(sizes=[]),
-    lambda meta: meta["counters"].update(opt_actor=0),
-    lambda meta: meta.update(opt_t=[5]),
-    lambda meta: meta.update(rng_state={"bit_generator": "MT19937"}),
-], ids=["unknown_hp_key", "missing_sizes", "unknown_counter", "empty_sizes",
-        "optimizer_as_counter", "short_opt_t", "foreign_rng_state"])
+    lambda meta: meta.update(sizes=[OBS_DIM, 4.0, 3]),
+    lambda meta: meta.pop("checksum"),
+    lambda meta: meta.pop("digest"),
+], ids=["missing_sizes", "empty_sizes", "fractional_size", "missing_checksum",
+        "missing_digest"])
 def test_preview_rejects_checkpoint_with_malformed_metadata(edit, tmp_path, capsys):
     # the digest covers the arrays, not the metadata: metadata this
     # program cannot use is a configuration error naming the file
     ckpt = tmp_path / "policy.npz"
-    td3.save_checkpoint(td3.td3_init(3, [-1.0], [1.0], td3.Td3Hyperparams(
-        hidden=(4,), batch_size=1, buffer_size=1)), ckpt)
+    _save_untrained(ckpt)
     with np.load(ckpt) as data:
         arrays = dict(data)
     meta = json.loads(bytes(arrays["meta"]).decode())
@@ -608,8 +667,7 @@ def test_preview_rejects_file_that_is_not_an_archive(tmp_path, capsys):
 
 def test_preview_rejects_checkpoint_with_wrong_checksum(tmp_path, capsys):
     ckpt = tmp_path / "policy.npz"
-    td3.save_checkpoint(td3.td3_init(3, [-1.0], [1.0], td3.Td3Hyperparams(
-        hidden=(4,), batch_size=1, buffer_size=1)), ckpt)
+    _save_untrained(ckpt)
     with np.load(ckpt) as data:
         arrays = dict(data)
     arrays["actor"][0] += 1.0
@@ -656,8 +714,8 @@ def test_mu_sweep_rejects_missing_checkpoint_before_writing(tmp_path, capsys):
 def test_a_refused_run_leaves_no_run_directory(argv, error, monkeypatch, tmp_path, capsys):
     # each wrote the run's config.json before it was refused; a policy
     # that crashes in its own plant has no preview to deploy
-    monkeypatch.setattr(cli, "policy_from_checkpoint",
-                        lambda path: lambda obs, state: np.array([0.52, 800.0, 0.0]))
+    monkeypatch.setattr(cli, "policy_from_checkpoint", lambda path: StubPolicy(
+        act=lambda obs, state: np.array([0.52, 800.0, 0.0])))
     files = {"empty": tmp_path / "policies", "ckpt": tmp_path / "policy.npz",
              "out": tmp_path / "out"}
     files["empty"].mkdir()
@@ -704,7 +762,7 @@ def test_compare_csv_and_table_hold_the_four_rows(monkeypatch, tmp_path, capsys)
     episodes = iter([_episode(1, "completed", 18.2), _episode(0, "crashed", 12.79)])
     deploys = iter([_deployed(0, "off_corridor", 9.1, 97.3, 180.0),
                     _deployed(1, "completed", 17.5, 180.0, 180.0)])
-    monkeypatch.setattr(cli, "policy_from_checkpoint", lambda path: None)
+    monkeypatch.setattr(cli, "policy_from_checkpoint", lambda path: StubPolicy())
     monkeypatch.setattr(cli, "generate_preview", lambda *args, **kwargs: None)
     monkeypatch.setattr(cli, "run_episode", lambda *args, **kwargs: next(episodes))
     monkeypatch.setattr(cli, "deploy_run", lambda *args, **kwargs: next(deploys))
@@ -752,7 +810,7 @@ def test_compare_starts_every_row_at_the_entry_speed_given(monkeypatch, tmp_path
         return dataclasses.replace(res, episode=dataclasses.replace(
             res.episode, max_speed=preview.v_ini))
 
-    monkeypatch.setattr(cli, "policy_from_checkpoint", lambda path: None)
+    monkeypatch.setattr(cli, "policy_from_checkpoint", lambda path: StubPolicy())
     monkeypatch.setattr(cli, "generate_preview",
                         lambda *args, v_ini, **kwargs: SimpleNamespace(v_ini=v_ini))
     monkeypatch.setattr(cli, "run_episode", started)
@@ -781,7 +839,7 @@ def test_mu_sweep_csv_holds_the_median_time_or_the_furthest_run(monkeypatch, tmp
             return _deployed(1, "completed", base[kind] + seed / 2, total[kind], total[kind])
         return _deployed(0, "crashed", 5.0, base[kind] / 2 + seed * 10, total[kind])
 
-    monkeypatch.setattr(cli, "policy_from_checkpoint", lambda path: None)
+    monkeypatch.setattr(cli, "policy_from_checkpoint", lambda path: StubPolicy())
     monkeypatch.setattr(cli, "generate_preview", lambda *args, track_id, **kwargs: track_id)
     monkeypatch.setattr(cli, "deploy_run", stub)
     uturn, right_angle = tmp_path / "uturn.npz", tmp_path / "right_angle.npz"
@@ -938,7 +996,7 @@ def recorded_run(uturn_pretraj, uturn_preview8, tmp_path_factory):
                        files["pretraj"])
     save_pretrajectory(uturn_pretraj, files["pretraj_default"])
     save_preview(uturn_preview8, files["preview_a"])
-    save_preview(dataclasses.replace(uturn_preview8, v_ini=8.5), files["preview_b"])
+    save_preview(dataclasses.replace(uturn_preview8, t_f=18.5), files["preview_b"])
     for name, content in (("policy_a", b"a"), ("policy_b", b"bb")):
         files[name] = tmp / f"{name}.npz"
         files[name].write_bytes(content)
@@ -956,7 +1014,7 @@ def recorded_run(uturn_pretraj, uturn_preview8, tmp_path_factory):
         "train": lambda *args, **kwargs: (None, SimpleNamespace(chi=[1]), None),
         "deploy_run": lambda *args, **kwargs: _deployed(1, "completed", 18.2, 180.0, 180.0),
         "run_episode": lambda *args, **kwargs: _episode(1, "completed", 18.2),
-        "policy_from_checkpoint": lambda path: SimpleNamespace(
+        "policy_from_checkpoint": lambda path: StubPolicy(
             checksum=lambda: float(sum(Path(path).read_bytes()))),
     }
     runs = {}
@@ -976,6 +1034,8 @@ def recorded_run(uturn_pretraj, uturn_preview8, tmp_path_factory):
                 runs[key] = dict(line[2:].split(" = ", 1)
                                  for line in out.read_text().splitlines()
                                  if line.startswith("# ") and " = " in line)
+                if command == "preview":  # the entry speed is the first row's v_x
+                    runs[key]["v_ini"] = load_preview(out).v_ini
             else:
                 runs[key] = _flat(json.loads((out / "config.json").read_text()))
         return runs[key]

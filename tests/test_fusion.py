@@ -56,7 +56,7 @@ def test_preview_is_complete_and_uniform(uturn, uturn_pretraj, uturn_preview8):
     assert p.pretraj_digest == pretraj_digest(uturn_pretraj)
     assert np.all(np.diff(p.s) >= -1e-9)
     assert np.max(p.s) == pytest.approx(uturn.s_max, abs=1.0)
-    np.testing.assert_allclose(np.diff(p.t), 0.01, atol=1e-12)
+    assert len(p) * 0.01 == pytest.approx(p.t_f, abs=1e-9)  # one row per 10 ms tick
     assert p.gamma.shape == (len(p), 6) and p.a_rl.shape == (len(p), 3)
 
 
@@ -83,6 +83,17 @@ def test_preview_file_round_trip(uturn_preview8, tmp_path):
     assert back.track_digest == uturn_preview8.track_digest
     assert back.pretraj_digest == uturn_preview8.pretraj_digest
     assert back.t_f == uturn_preview8.t_f
+    assert back.v_ini == uturn_preview8.v_ini == 8.0
+    text = path.read_text()
+    assert text.startswith("# driftcorner preview v4\n") and "v_ini" not in text
+    assert all(len(ln.split()) == 10 for ln in text.splitlines() if not ln.startswith("#"))
+
+
+def test_digests_of_the_uturn_preview_are_unchanged(uturn_preview8):
+    # recorded before the three digests shared one helper
+    assert (uturn_preview8.plant_digest, uturn_preview8.track_digest,
+            uturn_preview8.pretraj_digest) == (
+        "2772b4e502e38038", "7897b115fc3971fd", "48124a9bac82a593")
 
 
 def test_load_preview_rejects_foreign_file(tmp_path):
@@ -92,33 +103,39 @@ def test_load_preview_rejects_foreign_file(tmp_path):
         load_preview(p)
 
 
-PREVIEW_FIELDS = dict(t=np.array([0.0, 0.01]), gamma=np.zeros((2, 6)),
-                      a_rl=np.zeros((2, 3)), s=np.array([0.0, 1.0]),
+def _gamma(v_ini=9.0):
+    """Two ticks of preview states, the first at entry speed `v_ini`."""
+    gamma = np.zeros((2, 6))
+    gamma[:, 3] = v_ini, 9.0
+    return gamma
+
+
+PREVIEW_FIELDS = dict(gamma=_gamma(), a_rl=np.zeros((2, 3)), s=np.array([0.0, 1.0]),
                       policy_checksum=0.0, plant_digest="x", track_id="t",
-                      track_digest="x", pretraj_digest="x", v_ini=9.0, t_f=1.0)
+                      track_digest="x", pretraj_digest="x", t_f=1.0)
 
 
 def test_preview_validation():
-    PreviewTrajectory(**PREVIEW_FIELDS)
-    bad_t = np.array([0.0, 0.02])  # not 10 ms ticks
-    with pytest.raises(ValueError, match="uniform at 10 ms"):
-        PreviewTrajectory(**{**PREVIEW_FIELDS, "t": bad_t})
+    assert PreviewTrajectory(**PREVIEW_FIELDS).v_ini == 9.0
     # the controller indexes every array by tick, and each row by column
     for key, value in (("gamma", np.zeros((1, 6))), ("gamma", np.zeros((2, 5))),
-                       ("a_rl", np.zeros((2, 3, 1))), ("t", np.zeros((2, 1))),
-                       ("s", np.zeros(3))):
+                       ("a_rl", np.zeros((2, 3, 1))), ("s", np.zeros(3))):
         with pytest.raises(ValueError, match=f"preview {key} has shape .* one row per tick"):
             PreviewTrajectory(**{**PREVIEW_FIELDS, key: value})
+    with pytest.raises(ValueError, match="at least one tick"):
+        PreviewTrajectory(**{**PREVIEW_FIELDS, "gamma": np.zeros((0, 6)),
+                             "a_rl": np.zeros((0, 3)), "s": np.zeros(0)})
 
 
 @pytest.mark.parametrize("key, value", [("v_ini", -1.0), ("v_ini", 0.0), ("v_ini", math.nan),
                                         ("v_ini", math.inf), ("t_f", math.nan),
                                         ("t_f", math.inf)])
 def test_preview_refuses_an_impossible_entry_speed_or_time(key, value):
-    # generate_preview refuses such an entry speed; a file edited to one
-    # is refused on load
+    # generate_preview refuses such an entry speed, the first tick's v_x;
+    # a file edited to one is refused on load
+    edit = {"gamma": _gamma(value)} if key == "v_ini" else {key: value}
     with pytest.raises(ValueError, match=f"{key} must be finite"):
-        PreviewTrajectory(**{**PREVIEW_FIELDS, key: value})
+        PreviewTrajectory(**{**PREVIEW_FIELDS, **edit})
 
 
 def test_pretraj_digest_tracks_plan_changes(uturn, uturn_pretraj, tmp_path):
@@ -182,7 +199,7 @@ def test_ticks_past_a_truncated_preview_are_counted(uturn, uturn_pretraj, uturn_
     # last point, and counts each such tick
     n = int(0.6 * len(uturn_preview8))
     p = uturn_preview8
-    short = dataclasses.replace(p, t=p.t[:n], gamma=p.gamma[:n], a_rl=p.a_rl[:n], s=p.s[:n])
+    short = dataclasses.replace(p, gamma=p.gamma[:n], a_rl=p.a_rl[:n], s=p.s[:n])
     res = deploy_run(short, uturn, uturn_pretraj, PARAMS, PARAMS, TIRES)
     assert res.episode.s_final > short.s[-1]
     assert 0 < res.preview_exhausted < len(res.records)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -12,15 +13,13 @@ import pytest
 from driftcorner import td3
 from driftcorner.baseline import BaselineTracker
 from driftcorner.envs import (ACTION_HIGH, ACTION_LOW, OBS_DIM, DriftEnv, FrenetObservation,
-                              run_episode)
+                              episode, run_episode)
 from driftcorner.nets import mlp_backward, mlp_forward
-from driftcorner.replay import ReplayBuffer
 from driftcorner.td3 import (
     Policy,
     Td3Hyperparams,
     behavior_clone,
     compute_target,
-    load_checkpoint,
     policy_from_checkpoint,
     save_checkpoint,
     select_action,
@@ -417,10 +416,10 @@ def test_mirrors_equal_their_masters_after_training_and_loading(monkeypatch,
     _assert_mirrors_equal_masters(state)
     path = tmp_path / "ck.npz"
     save_checkpoint(state, path)
-    back = load_checkpoint(path)
-    _assert_mirrors_equal_masters(back)
-    for name in td3._ONLINE:
-        np.testing.assert_array_equal(back.mirror[name].flat, state.mirror[name].flat)
+    back = policy_from_checkpoint(path).actor
+    assert back.flat.dtype == np.float64
+    np.testing.assert_array_equal(back.flat, state.actor.flat)
+    np.testing.assert_array_equal(back.flat.astype(np.float32), state.mirror["actor"].flat)
 
 
 def test_the_demonstrator_reads_the_envs_observation(monkeypatch, uturn, uturn_pretraj):
@@ -500,86 +499,76 @@ def test_checkpoint_round_trip(tmp_path):
     _, _, state = train(ReachEnv, TOY_HP, episodes=5, seed=4)
     path = tmp_path / "ck.npz"
     save_checkpoint(state, path)
-    back = load_checkpoint(path)
-    assert back.actor.checksum() == state.actor.checksum()
-    assert back.critic1.checksum() == state.critic1.checksum()
-    assert back.critic_updates == state.critic_updates
-    assert back.env_steps == state.env_steps
-    assert back.rng.bit_generator.state == state.rng.bit_generator.state
+    back = policy_from_checkpoint(path)
+    assert back.checksum() == state.actor.checksum()
+    np.testing.assert_array_equal(back.actor.flat, state.actor.flat)
+    np.testing.assert_array_equal(back.actor.low, state.low)
+    np.testing.assert_array_equal(back.actor.high, state.high)
+    np.testing.assert_array_equal(back.obs_scale, state.obs_scale)
     obs = ReachObs(0.4, -0.1)
-    np.testing.assert_array_equal(policy_from_checkpoint(path)(obs, None),
-                                  Policy(state.actor, state.obs_scale)(obs, None))
+    np.testing.assert_array_equal(back(obs, None), Policy(state.actor, state.obs_scale)(obs, None))
+
+
+def test_a_full_size_checkpoint_is_the_policy(uturn, uturn_pretraj, tmp_path):
+    # the benchmark's learner shape: the file holds its actor alone, and
+    # the policy loaded acts bit for bit as the one in memory, on seeded
+    # observations and through a U-turn rollout, a preview's computation
+    state, (obs, _) = _full_size_state()
+    behavior_clone(state, 2, dataset=(obs, np.zeros((len(obs), len(ACTION_LOW)))))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(state, path)
+    assert path.stat().st_size <= 600_000
+    back, policy = policy_from_checkpoint(path), Policy(state.actor, state.obs_scale)
+    assert back.checksum() == policy.checksum()
+    for row in obs[:64]:
+        raw = SimpleNamespace(vector=lambda row=row: row)
+        np.testing.assert_array_equal(back(raw, None), policy(raw, None))
+    rollouts = [[(*st, *act) for _, st, act, *_ in episode(p, DriftEnv(uturn, uturn_pretraj))]
+                for p in (back, policy)]
+    assert len(rollouts[0]) > 1
+    np.testing.assert_array_equal(*rollouts)
 
 
 def test_checkpoint_layout_is_flat(tmp_path):
-    # the layout since version 2: one flat parameter vector per network
-    # and the flat moments of each optimizer, empty before its first
-    # step; since version 4 the targets and the moments are float32
+    # since version 5 a checkpoint is a policy: the actor's flat float64
+    # parameters, the action bounds and the observation scales
     state = _toy_state()
     batch = _fake_batch(state)
     update_critics(state, batch, compute_target(batch, state, state.hp))
+    update_actor_and_targets(state, batch)
     path = tmp_path / "ck.npz"
     save_checkpoint(state, path)
-    # weights (2 or 3)·16 + 16·16 + 16·1, then biases 16 + 16 + 1
-    actor, critic = 337, 353
-    want = {"low": (1,), "high": (1,), "obs_scale": (2,),
-            "opt_actor_m": (0,), "opt_actor_v": (0,)}
-    for name, size in (("actor", actor), ("critic1", critic), ("critic2", critic),
-                       ("target_actor", actor), ("target_critic1", critic),
-                       ("target_critic2", critic)):
-        want[name] = (size,)
-    for name in ("opt_critic1", "opt_critic2"):
-        want.update({f"{name}_m": (critic,), f"{name}_v": (critic,)})
     with np.load(path) as data:
-        got = {k: data[k].shape for k in data.files if k != "meta"}
-        meta = json.loads(bytes(data["meta"]).decode())
-        np.testing.assert_array_equal(data["critic2"], state.critic2.flat)
-        np.testing.assert_array_equal(data["opt_critic1_v"], state.opt_critic1.v)
-    assert got == want
-    assert meta["version"] == 4
-    assert load_checkpoint(path).opt_actor.m.size == 0
-    update_actor_and_targets(state, batch)
-    save_checkpoint(state, path)
-    with np.load(path) as data:
-        dtypes = {k: data[k].dtype for k in data.files if k != "meta"}
-    assert dtypes == {**dict.fromkeys(want, np.dtype(np.float32)),
-                      **dict.fromkeys(("actor", "critic1", "critic2", "low", "high",
-                                       "obs_scale"), np.dtype(np.float64))}
-    back = load_checkpoint(path)
-    for name in ("actor", "critic1", "critic2", "target_actor", "target_critic1",
-                 "target_critic2"):
-        np.testing.assert_array_equal(getattr(back, name).flat,
-                                      getattr(state, name).flat)
-        assert getattr(back, name).flat.dtype == dtypes[name]
-    assert back.target_actor.low.dtype == back.target_actor.high.dtype == np.float32
-    for name in ("opt_actor", "opt_critic1", "opt_critic2"):
-        opt, ref = getattr(back, name), getattr(state, name)
-        assert opt.m.dtype == opt.v.dtype == np.float32
-        np.testing.assert_array_equal(opt.m, ref.m)
-        np.testing.assert_array_equal(opt.v, ref.v)
-        assert opt.t == ref.t and opt.lr == ref.lr
-    assert (back.critic_updates, back.actor_updates, back.env_steps) == (
-        state.critic_updates, state.actor_updates, state.env_steps)
-    assert back.rng.bit_generator.state == state.rng.bit_generator.state
-    assert back.hp == state.hp
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays.pop("meta")).decode())
+    # weights 2·16 + 16·16 + 16·1, then biases 16 + 16 + 1
+    assert {k: (a.shape, a.dtype) for k, a in arrays.items()} == {
+        "actor": ((337,), np.float64), "low": ((1,), np.float64),
+        "high": ((1,), np.float64), "obs_scale": ((2,), np.float64)}
+    np.testing.assert_array_equal(arrays["actor"], state.actor.flat)
+    assert meta == {"version": 5, "sizes": [2, 16, 16, 1],
+                    "checksum": state.actor.checksum(), "digest": meta["digest"]}
 
 
 def test_load_checkpoint_rejects_other_versions(tmp_path):
     # version 1 stored every layer and moment as an array of its own,
-    # version 2 kept no digest of the arrays, and version 3 kept the
-    # targets and the moments in float64
+    # version 2 kept no digest of the arrays, version 3 kept the targets
+    # and the moments in float64, and version 4 held the whole learner
     path = tmp_path / "ck.npz"
     save_checkpoint(_toy_state(), path)
     with np.load(path) as data:
         arrays = dict(data)
     meta = json.loads(bytes(arrays["meta"]).decode())
-    for version in (1, 2, 3, 5):
+    for version, message in (*((v, f"{path}: a version {v} checkpoint, which this version "
+                                   "no longer reads; re-create it with `driftcorner train`")
+                               for v in (1, 2, 3, 4)),
+                             (6, f"{path}: checkpoint version 6, this program reads version 5"),
+                             (None, f"{path}: checkpoint version None")):
         meta["version"] = version
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}: checkpoint version {version}, this program reads version 4")):
-            load_checkpoint(path)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            policy_from_checkpoint(path)
 
 
 def test_load_checkpoint_checks_the_stored_checksum(tmp_path):
@@ -587,10 +576,10 @@ def test_load_checkpoint_checks_the_stored_checksum(tmp_path):
     save_checkpoint(_toy_state(), path)
     with np.load(path) as data:
         arrays = dict(data)
-    arrays["critic1"][5] += 1.0
+    arrays["actor"][5] += 1.0
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match=re.escape(f"{path}: parameters sum to")):
-        load_checkpoint(path)
+        policy_from_checkpoint(path)
 
 
 def _rewrite(path, **changes):
@@ -603,57 +592,34 @@ def _rewrite(path, **changes):
 
 def test_load_checkpoint_checks_the_stored_digest(tmp_path):
     # values that keep every shape and the parameters' sum: scaled
-    # observation scales, moved action bounds, an edited moment
+    # observation scales, moved action bounds, two swapped weights
     state = _toy_state()
-    batch = _fake_batch(state)
-    update_critics(state, batch, compute_target(batch, state, state.hp))
     path = tmp_path / "ck.npz"
     save_checkpoint(state, path)
+    swapped = state.actor.flat.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    assert swapped[0] != swapped[1]
     for key, new in (("obs_scale", 7.0 * state.obs_scale),
                      ("low", state.low - 0.5), ("high", state.high + 0.5),
-                     ("opt_critic1_v", 2.0 * state.opt_critic1.v)):
+                     ("actor", swapped)):
         _rewrite(path, **{key: new})
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: stored arrays do not match the checkpoint's SHA-256 digest")):
-            load_checkpoint(path)
+            policy_from_checkpoint(path)
         save_checkpoint(state, path)
-    load_checkpoint(path)
-
-
-def test_load_checkpoint_keeps_an_empty_buffer_passed_in(tmp_path):
-    # an empty buffer is falsy (it has length 0), and is still the one used
-    path = tmp_path / "ck.npz"
-    save_checkpoint(_toy_state(), path)
-    buf = ReplayBuffer(100, 2, 1)
-    assert load_checkpoint(path, buffer=buf).buffer is buf
-
-
-def test_load_checkpoint_checks_the_moment_lengths(tmp_path):
-    # a moment is empty before its optimizer's first step, else as long
-    # as its network's flat vector (353 for the toy critic)
-    state = _toy_state()
-    batch = _fake_batch(state)
-    update_critics(state, batch, compute_target(batch, state, state.hp))
-    path = tmp_path / "ck.npz"
-    save_checkpoint(state, path)
-    for key in ("opt_critic1_m", "opt_critic2_v", "opt_actor_m"):
-        _rewrite(path, **{key: np.zeros(17)})
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}: {key} has shape (17,), expected (0,) or (")):
-            load_checkpoint(path)
-        save_checkpoint(state, path)
+    policy_from_checkpoint(path)
 
 
 def test_load_checkpoint_checks_the_bounds_and_scales(tmp_path):
-    # the toy actor maps 2 observations to 1 action
+    # the toy actor maps 2 observations to 1 action through 337 parameters
     path = tmp_path / "ck.npz"
     state = _toy_state()
     save_checkpoint(state, path)
-    for key, size in (("low", 1), ("high", 1), ("obs_scale", 2)):
+    for key, size in (("low", 1), ("high", 1), ("obs_scale", 2), ("actor", 337)):
         _rewrite(path, **{key: np.ones(size + 1)})
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: {key} has shape ({size + 1},), expected ({size},)")):
-            load_checkpoint(path)
+            policy_from_checkpoint(path)
         save_checkpoint(state, path)
 
 
@@ -666,8 +632,10 @@ def test_train_writes_its_run_directory(tmp_path):
         "checkpoint_ep00025.npz", "checkpoint_ep00050.npz", "policy.npz",
         "policy_best.npz", "train.log"]
     assert len((tmp_path / "train.log").read_text().splitlines()) == td3.EVAL_EVERY
-    best = load_checkpoint(tmp_path / "policy_best.npz")
-    assert best.critic_updates == 0 and best.env_steps > 0
+    # no update ran, so every policy file holds the initial actor
+    initial = td3_init(2, ReachEnv.action_low, ReachEnv.action_high, hp).actor.checksum()
+    for name in ("checkpoint_ep00025.npz", "policy.npz", "policy_best.npz"):
+        assert policy_from_checkpoint(tmp_path / name).checksum() == initial
 
 
 def test_policy_best_ranks_completions_by_time_and_the_rest_by_progress(monkeypatch,
@@ -698,16 +666,20 @@ def test_policy_best_ranks_completions_by_time_and_the_rest_by_progress(monkeypa
     assert best == [1, 3, 4]  # the first, the first completion, the fastest
 
 
-def test_resume_matches_uninterrupted_run(tmp_path):
-    # 12 episodes straight == 6 episodes, checkpoint, 6 more
-    p_full, log_full, _ = train(ReachEnv, TOY_HP, episodes=12, seed=5)
-    _, log_a, st = train(ReachEnv, TOY_HP, episodes=6, seed=5)
-    path = tmp_path / "mid.npz"
-    save_checkpoint(st, path)
-    resumed = load_checkpoint(path, buffer=st.buffer)
-    p_res, log_b, _ = train(ReachEnv, TOY_HP, episodes=6, seed=5,
-                            state=resumed)
-    assert p_res.checksum() == pytest.approx(p_full.checksum(), abs=1e-12)
+def test_resume_matches_uninterrupted_run():
+    # 12 episodes straight == 6 episodes, then 6 more on the same state:
+    # training continues in memory, as the benchmark's train workload
+    # runs it, one episode per call; learning starts in the first half
+    hp = Td3Hyperparams(warmup=100, batch_size=32, hidden=(16, 16), buffer_size=5000)
+    p_full, log_full, full = train(ReachEnv, hp, episodes=12, seed=5)
+    _, log_a, st = train(ReachEnv, hp, episodes=6, seed=5)
+    assert st.actor_updates > 0
+    p_res, log_b, st = train(ReachEnv, hp, episodes=6, seed=5, state=st)
+    assert p_res.checksum() == p_full.checksum()
+    assert st.checksum() == full.checksum()
+    assert log_a.reward + log_b.reward == log_full.reward
+    assert (st.env_steps, st.critic_updates, st.actor_updates) == (
+        full.env_steps, full.critic_updates, full.actor_updates)
 
 
 if __name__ == "__main__":
