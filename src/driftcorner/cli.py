@@ -336,7 +336,7 @@ def cmd_table1(args) -> int:
         "command": "table1",
         "policy_dir": str(policy_dir) if policy_dir else None,
         "tracker": args.tracker,
-    })
+    }, [policy_dir / f"{kind}_{variant}.npz" for kind, variant in policies])
     for kind in LIBRARY_KINDS:
         track = build_library_track(kind)
         times = {}

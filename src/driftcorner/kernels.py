@@ -1,26 +1,35 @@
-"""Hot numeric kernel for the vehicle plant, and the modelled vehicle.
+"""The vehicle plant's numeric kernel, and the modelled vehicle.
 
 The chassis + wheel-spin right-hand side and the fixed-step RK4 loop are
 the innermost loop of training and deployment: each control period runs
 10 substeps of 4 stages.  `integrate` takes the state as 7 floats and
 the four settable values of the plant (mass, adhesion mu, and the
 Magic-Formula B and D of both axles) as floats; every other value of
-the one modelled vehicle is a constant of this module.  It computes the
-quantities that hold over the whole period (static axle loads, tire
-peaks, brake forces, the rolling loss, cos/sin of the wheel angle) once
-in `_period_constants`, and returns the new state as floats.
+the one modelled vehicle is a constant of this module.  The quantities
+that hold over the whole period (static axle loads, tire peaks, brake
+forces, the rolling loss, cos/sin of the wheel angle) are computed once
+per period, by `_period_constants`.
 
-`_rhs` (with `derivative`) is the one reference right-hand side.
-`integrate` writes the four stages of a substep out, each with the
-right-hand side and the Magic-Formula tire curve inline, on floats held
-in locals: no call, constant unpack or tuple return per stage.  Every
-inlined expression keeps the operand order of `_rhs`, and the hoisted
-ones their per-stage order, so the results are bit for bit those of an
-RK4 loop over `_rhs` (the tests compare the two).
+`_rhs` (with `derivative` and `magic_formula`) is the right-hand side in
+Python, and the reference.  `integrate` runs one C kernel, `_integrate.c`:
+a plain RK4 loop over the same right-hand side, in the same operand
+order and calling the same libm functions as Python's `math` and `**`,
+so its outputs are bit for bit those of an RK4 loop over `_rhs` (the
+tests compare the two).  The C file writes no constant: each reaches the
+compiler from this module as a -D macro written with `repr()`, which
+the compiler reads back as the same double.
 
-The kernel is plain Python on floats and `math` functions: at 7 states
-and 4 stages a numpy array per stage would cost more than the
-arithmetic it holds.
+The kernel is compiled at first import with the C compiler that Python
+was built with (sysconfig's CC), with the flags in `_CFLAGS`.  Two of
+them keep the bits: -fno-builtin-pow, since gcc otherwise folds
+`pow(x, 2.0)` into `x * x`, which glibc's pow does not always round
+alike, and -ffp-contract=off, so that no multiply and add are fused.
+Nothing like -march=native or -ffast-math may join them.  The library
+is cached in the package's `__pycache__/` under a name that holds a
+SHA-256 of the source, the compiler command, the flags and the
+constants, so it is built once per source.  There is no Python
+fallback: without a working compiler the import fails with an
+ImportError that shows the command and the compiler's output.
 
 State layout (7 floats):
     [X, Y, phi, v_x, v_y, yaw_rate, omega_r]
@@ -28,14 +37,25 @@ State layout (7 floats):
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shlex
+import struct
+import subprocess
+import sysconfig
+import tempfile
 from math import atan, atan2, cos, sin, sqrt, tanh
+from pathlib import Path
 
 G = 9.81  # m/s^2
 # The period is the controller's 10 ms: N_SUBSTEPS RK4 substeps of
 # SUBSTEP_DT, and 0.01 / 10 is the double 0.001.
 SUBSTEP_DT = 0.001  # s
 N_SUBSTEPS = 10
-NUMBA_ENABLED = False  # the kernel always runs as plain Python
+# perfbench/run.py reports the plant backend from this flag; the kernel
+# is the compiled C one (the flag goes with the benchmark's next change)
+NUMBA_ENABLED = False
 
 # The modelled vehicle: every value but the settable four.
 I_Z = 3200.0  # kg*m^2, yaw inertia
@@ -156,172 +176,65 @@ def derivative(y, delta, trt, pb, m, mu, b, d):
                 _period_constants(delta, trt, pb, m, mu, b, d))
 
 
+_SOURCE = Path(__file__).with_name("_integrate.c")
+# -fno-builtin-pow and -ffp-contract=off keep the bits (see above)
+_CFLAGS = ("-O1", "-fno-builtin-pow", "-ffp-contract=off", "-shared", "-fPIC")
+_MACROS = {"L_F": L_F, "L_R": L_R, "R_W": R_W, "I_Z": I_Z, "IW2": _IW2, "C_DRAG": C_DRAG,
+           "TIRE_C": TIRE_C, "TIRE_E": TIRE_E, "SUBSTEP_DT": SUBSTEP_DT,
+           "N_SUBSTEPS": N_SUBSTEPS}
+
+
+def _build(cache_dir: Path) -> Path:
+    """The compiled kernel in `cache_dir`, compiled there first unless a
+    library of the same source, compiler command, flags and constants is
+    already there.  Raises ImportError when the compiler fails."""
+    args = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_CFLAGS,
+            *(f"-D{name}={value!r}" for name, value in _MACROS.items())]
+    key = hashlib.sha256(_SOURCE.read_bytes())
+    key.update("\0".join(args).encode())
+    lib = cache_dir / f"_integrate.{key.hexdigest()}.so"
+    if lib.exists():
+        return lib
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", prefix=".", dir=cache_dir)
+    os.close(fd)
+    cmd = [*args, "-o", tmp, str(_SOURCE), "-lm"]
+    try:
+        try:
+            done = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise ImportError(f"cannot compile the plant kernel: {shlex.join(cmd)}: {exc}") from exc
+        if done.returncode:
+            raise ImportError(f"cannot compile the plant kernel: {shlex.join(cmd)} exited "
+                              f"{done.returncode}:\n{done.stdout}{done.stderr}")
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+_integrate = ctypes.CDLL(str(_build(_SOURCE.with_name("__pycache__")))).integrate
+_integrate.argtypes = (ctypes.c_void_p,)
+_integrate.restype = None
+# the C `struct period` of 21 doubles: the state, a_y (the kernel's to
+# set), the 13 period constants; the kernel leaves the state a period
+# later and a_y in the first 8
+_Period = ctypes.c_double * 21
+_PERIOD_IN = struct.Struct("7d8x13d")
+_PERIOD_OUT = struct.Struct("8d")
+
+
 def integrate(y, delta, trt, pb, m, mu, b, d):
     """Fixed-step RK4 with zero-order-hold inputs over the control period.
 
     Returns the state `y` advanced by N_SUBSTEPS substeps of SUBSTEP_DT,
     as 7 floats, followed by the lateral acceleration at the final
-    substep (rollover diagnostic).
-
-    The four stages are written out, each with the right-hand side and
-    the tire curve inline: the same expressions as `_rhs`, in the same
-    operand order, so the result is bit for bit that of a substep loop
-    over `_rhs`.  A stage's rate of phi is its yaw rate.
+    substep (rollover diagnostic).  Runs the C kernel: bit for bit an
+    RK4 loop over `_rhs`.
     """
-    (delta, cd, sd, trt, m, b, scale_f, scale_r, peak_f, peak_r, brake_f,
-     brake_r, roll) = _period_constants(delta, trt, pb, m, mu, b, d)
-    h = SUBSTEP_DT
-    hh = 0.5 * h
-    h6 = h / 6.0
-    px = float(y[0])
-    py = float(y[1])
-    phi = float(y[2])
-    vx = float(y[3])
-    vy = float(y[4])
-    r = float(y[5])
-    om = float(y[6])
-    ay = 0.0
-    for _ in range(N_SUBSTEPS):
-        # stage 1, at the substep's start
-        vs = vx if vx > 0.3 else 0.3
-        bs = b * (atan2(vy + L_F * r, vs) - delta)
-        fyf = -(scale_f * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
-        bs = b * atan2(vy - L_R * r, vs)
-        fyr = -(scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
-        au = abs(vx)
-        bs = b * ((om * R_W - vx) / (0.5 if au < 0.5 else au))
-        fxr = scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs))))
-        th = tanh(vx / 0.5)
-        fxf = brake_f * th
-        # The friction ellipse keeps `** 2` (as `_rhs` does), not x * x:
-        # glibc's pow(x, 2.0) does not always round as the product does
-        # (on about 8 in 10,000 uniform draws with glibc 2.36), so the
-        # swap would move every output.
-        q = sqrt((fxf / peak_f) ** 2 + (fyf / peak_f) ** 2)
-        if q > 1.0:
-            fxf = fxf / q
-            fyf = fyf / q
-        q = sqrt((fxr / peak_r) ** 2 + (fyr / peak_r) ** 2)
-        if q > 1.0:
-            fxr = fxr / q
-            fyr = fyr / q
-        ay = (fxf * sd + fyf * cd + fyr) / m
-        cp = cos(phi)
-        sp = sin(phi)
-        a0 = vx * cp - vy * sp
-        a1 = vx * sp + vy * cp
-        a3 = vy * r + (fxf * cd - fyf * sd + fxr - (roll * th + C_DRAG * vx * au)) / m
-        a4 = -vx * r + ay
-        a5 = (L_F * (fyf * cd + fxf * sd) - L_R * fyr) / I_Z
-        a6 = (trt - brake_r * tanh(om / 0.5) - R_W * fxr) / _IW2
-        # stage 2
-        p2 = phi + hh * r
-        u2 = vx + hh * a3
-        v2 = vy + hh * a4
-        r2 = r + hh * a5
-        o2 = om + hh * a6
-        vs = u2 if u2 > 0.3 else 0.3
-        bs = b * (atan2(v2 + L_F * r2, vs) - delta)
-        fyf = -(scale_f * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
-        bs = b * atan2(v2 - L_R * r2, vs)
-        fyr = -(scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
-        au = abs(u2)
-        bs = b * ((o2 * R_W - u2) / (0.5 if au < 0.5 else au))
-        fxr = scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs))))
-        th = tanh(u2 / 0.5)
-        fxf = brake_f * th
-        q = sqrt((fxf / peak_f) ** 2 + (fyf / peak_f) ** 2)
-        if q > 1.0:
-            fxf = fxf / q
-            fyf = fyf / q
-        q = sqrt((fxr / peak_r) ** 2 + (fyr / peak_r) ** 2)
-        if q > 1.0:
-            fxr = fxr / q
-            fyr = fyr / q
-        ay = (fxf * sd + fyf * cd + fyr) / m
-        cp = cos(p2)
-        sp = sin(p2)
-        b0 = u2 * cp - v2 * sp
-        b1 = u2 * sp + v2 * cp
-        b3 = v2 * r2 + (fxf * cd - fyf * sd + fxr - (roll * th + C_DRAG * u2 * au)) / m
-        b4 = -u2 * r2 + ay
-        b5 = (L_F * (fyf * cd + fxf * sd) - L_R * fyr) / I_Z
-        b6 = (trt - brake_r * tanh(o2 / 0.5) - R_W * fxr) / _IW2
-        # stage 3
-        p3 = phi + hh * r2
-        u3 = vx + hh * b3
-        v3 = vy + hh * b4
-        r3 = r + hh * b5
-        o3 = om + hh * b6
-        vs = u3 if u3 > 0.3 else 0.3
-        bs = b * (atan2(v3 + L_F * r3, vs) - delta)
-        fyf = -(scale_f * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
-        bs = b * atan2(v3 - L_R * r3, vs)
-        fyr = -(scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
-        au = abs(u3)
-        bs = b * ((o3 * R_W - u3) / (0.5 if au < 0.5 else au))
-        fxr = scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs))))
-        th = tanh(u3 / 0.5)
-        fxf = brake_f * th
-        q = sqrt((fxf / peak_f) ** 2 + (fyf / peak_f) ** 2)
-        if q > 1.0:
-            fxf = fxf / q
-            fyf = fyf / q
-        q = sqrt((fxr / peak_r) ** 2 + (fyr / peak_r) ** 2)
-        if q > 1.0:
-            fxr = fxr / q
-            fyr = fyr / q
-        ay = (fxf * sd + fyf * cd + fyr) / m
-        cp = cos(p3)
-        sp = sin(p3)
-        c0 = u3 * cp - v3 * sp
-        c1 = u3 * sp + v3 * cp
-        c3 = v3 * r3 + (fxf * cd - fyf * sd + fxr - (roll * th + C_DRAG * u3 * au)) / m
-        c4 = -u3 * r3 + ay
-        c5 = (L_F * (fyf * cd + fxf * sd) - L_R * fyr) / I_Z
-        c6 = (trt - brake_r * tanh(o3 / 0.5) - R_W * fxr) / _IW2
-        # stage 4
-        p4 = phi + h * r3
-        u4 = vx + h * c3
-        v4 = vy + h * c4
-        r4 = r + h * c5
-        o4 = om + h * c6
-        vs = u4 if u4 > 0.3 else 0.3
-        bs = b * (atan2(v4 + L_F * r4, vs) - delta)
-        fyf = -(scale_f * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
-        bs = b * atan2(v4 - L_R * r4, vs)
-        fyr = -(scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs)))))
-        au = abs(u4)
-        bs = b * ((o4 * R_W - u4) / (0.5 if au < 0.5 else au))
-        fxr = scale_r * sin(TIRE_C * atan(bs - TIRE_E * (bs - atan(bs))))
-        th = tanh(u4 / 0.5)
-        fxf = brake_f * th
-        q = sqrt((fxf / peak_f) ** 2 + (fyf / peak_f) ** 2)
-        if q > 1.0:
-            fxf = fxf / q
-            fyf = fyf / q
-        q = sqrt((fxr / peak_r) ** 2 + (fyr / peak_r) ** 2)
-        if q > 1.0:
-            fxr = fxr / q
-            fyr = fyr / q
-        ay = (fxf * sd + fyf * cd + fyr) / m
-        cp = cos(p4)
-        sp = sin(p4)
-        d0 = u4 * cp - v4 * sp
-        d1 = u4 * sp + v4 * cp
-        d3 = v4 * r4 + (fxf * cd - fyf * sd + fxr - (roll * th + C_DRAG * u4 * au)) / m
-        d4 = -u4 * r4 + ay
-        d5 = (L_F * (fyf * cd + fxf * sd) - L_R * fyr) / I_Z
-        d6 = (trt - brake_r * tanh(o4 / 0.5) - R_W * fxr) / _IW2
-        px += h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
-        py += h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        phi += h6 * (r + 2.0 * r2 + 2.0 * r3 + r4)
-        vx += h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-        vy += h6 * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
-        r += h6 * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
-        om += h6 * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
-        if vx < 0.0:  # no reverse travel
-            vx = 0.0
-        if om < 0.0:  # no reverse wheel spin
-            om = 0.0
-    return px, py, phi, vx, vy, r, om, ay
+    period = _Period()
+    _PERIOD_IN.pack_into(period, 0, y[0], y[1], y[2], y[3], y[4], y[5], y[6],
+                      *_period_constants(delta, trt, pb, m, mu, b, d))
+    _integrate(period)
+    return _PERIOD_OUT.unpack_from(period)

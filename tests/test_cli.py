@@ -160,6 +160,32 @@ def test_table1_with_policies_writes_six_rows(tmp_path):
                                        ("planned", "6.42", "10.6"))))
 
 
+def test_table1_records_a_hash_of_its_policy_files(monkeypatch, tmp_path):
+    # the same policy directory, before and after one file changes; a
+    # tracker run has no file input, and its config.json stays as it was
+    monkeypatch.setattr(cli, "_load_policy", lambda path: None)
+    monkeypatch.setattr(cli, "run_episode", lambda *args, **kwargs: _episode(1, "completed", 18.2))
+    policies = tmp_path / "policies"
+    policies.mkdir()
+    for kind in LIBRARY_KINDS:
+        for variant in ("centerline", "planned"):
+            (policies / f"{kind}_{variant}.npz").write_bytes(b"stub")
+
+    def recorded():
+        out = tmp_path / "table1"
+        assert cli.main(["table1", "--policy-dir", str(policies), "--out", str(out)]) == 0
+        return json.loads((out / "config.json").read_text())
+
+    first = recorded()
+    assert recorded() == first
+    (policies / "turn_135_planned.npz").write_bytes(b"stub2")
+    assert recorded()["input_hash"] != first["input_hash"]
+    out = tmp_path / "tracker"
+    assert cli.main(["table1", "--tracker", "--out", str(out)]) == 0
+    assert (out / "config.json").read_text() == (
+        '{\n  "command": "table1",\n  "policy_dir": null,\n  "tracker": true\n}\n')
+
+
 def test_train_then_table1_on_its_policy(tmp_path):
     # the pipeline's first two steps chained: a one-episode U-turn run
     # writes policy.npz, and table1 deploys it under every task's name

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import subprocess
 
 from unittest import mock
 
@@ -130,7 +131,8 @@ def test_integrate_outputs_match_recorded_digest(free_rates):
 
 
 def _rk4_over_rhs(y, delta, trt, pb, dt, n_sub, m, mu, b, d, reached=None):
-    """The plain RK4 loop over `kernels._rhs` that `integrate` writes out.
+    """The plain RK4 loop over `kernels._rhs` that the C kernel of
+    `integrate` runs.
     Adds to `reached` the branches its stages took: the slip-angle guard
     (v_x <= 0.3), the slip-denominator floor (|v_x| < 0.5), the friction
     ellipse on each axle, and the v_x and omega clamps."""
@@ -180,6 +182,17 @@ BRANCH_EXAMPLES = [
     # sliding sideways at 10 m/s, steered and braked to locked wheels: both ellipses
     ((3.0, -2.0, 1.0, 10.0, 3.0, 1.5, 0.0), (0.5, 0.0, 10.0), (1800.0, 0.85, 5.5, 1.0)),
 ]
+# draws whose outputs move when the compiler folds pow(x, 2.0) into x * x
+# (gcc 12 at -O1 to -O3 without -fno-builtin-pow, glibc 2.36): slow,
+# braked and fast periods
+POW_EXAMPLES = [
+    ((-58.0, -6.99, -1.21, -0.421, -2.86, 2.32, 0.53), (-0.35, 102.0, 0.0),
+     (1600.0, 0.681, 6.61, 1.15)),
+    ((97.0, -97.0, 1.37, 0.19, 2.94, -2.54, 0.932), (0.343, 122.0, 8.72),
+     (1760.0, 0.375, 5.45, 1.18)),
+    ((66.8, -50.6, -1.23, 21.1, 1.31, 2.92, 0.687), (-0.546, 860.0, 0.849),
+     (1790.0, 1.08, 4.41, 0.759)),
+]
 
 
 @settings(max_examples=300, deadline=None)
@@ -198,9 +211,12 @@ BRANCH_EXAMPLES = [
 )
 @example(*BRANCH_EXAMPLES[0])
 @example(*BRANCH_EXAMPLES[1])
+@example(*POW_EXAMPLES[0])
+@example(*POW_EXAMPLES[1])
+@example(*POW_EXAMPLES[2])
 def test_integrate_is_an_rk4_loop_over_rhs_bit_for_bit(state, inputs, plant_values):
-    # the stages are written out with the right-hand side inline; every
-    # output, signed zeros included, is that of the loop over `_rhs`
+    # the C kernel against the Python loop over `_rhs`: every output,
+    # signed zeros included, is the same
     got = kernels.integrate(state, *inputs, *plant_values)
     want = _rk4_over_rhs(state, *inputs, CONTROL_DT, 10, *plant_values)
     assert [v.hex() for v in got] == [v.hex() for v in want]
@@ -357,6 +373,16 @@ def test_blowup_detection():
         step(PlantState(v_x=59.0, v_y=20.0), Action(0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("state", [PlantState(phi=math.inf, v_x=8.0, omega_r=25.0),
+                                   PlantState(v_x=math.nan, omega_r=25.0)],
+                         ids=["phi_inf", "v_x_nan"])
+def test_a_non_finite_state_is_a_blowup(state):
+    # an infinite heading once escaped as math.cos's ValueError, which
+    # DriftEnv.step does not catch; the kernel's cos gives NaN instead
+    with pytest.raises(NumericalBlowup):
+        step(state, Action(0.0, 100.0, 0.0))
+
+
 # zero, negative, not a number and unbounded
 NON_PHYSICAL = (0.0, -0.5, math.nan, math.inf)
 
@@ -474,3 +500,47 @@ def test_corner_check_matches_four_projections(monkeypatch, all_tracks):
         assert {"running", "crashed"} <= set(statuses), name
         assert 0 < len(projected) < 4 * len(statuses), name
         projected.clear()
+
+
+# -- the compiled kernel -----------------------------------------------
+
+
+def test_the_kernel_is_built_once_per_source(monkeypatch, tmp_path):
+    real_run = subprocess.run
+    compiles = []
+
+    def compile_(cmd, **kwargs):
+        compiles.append(cmd)
+        return real_run(cmd, **kwargs)
+
+    def refuse(cmd, **kwargs):
+        raise AssertionError(f"the compiler ran again: {cmd}")
+
+    monkeypatch.setattr(kernels.subprocess, "run", compile_)
+    lib = kernels._build(tmp_path)
+    assert len(compiles) == 1 and lib.is_file()
+    assert list(tmp_path.iterdir()) == [lib]  # no temporary file left
+    # the package's own library is named the same way
+    assert (kernels._SOURCE.with_name("__pycache__") / lib.name).is_file()
+    monkeypatch.setattr(kernels.subprocess, "run", refuse)
+    assert kernels._build(tmp_path) == lib
+    # another constant is another library
+    monkeypatch.setitem(kernels._MACROS, "C_DRAG", 0.43)
+    with pytest.raises(AssertionError, match="ran again"):
+        kernels._build(tmp_path)
+    assert list(tmp_path.iterdir()) == [lib]
+
+
+def test_a_missing_compiler_fails_the_import_naming_it(monkeypatch, tmp_path):
+    monkeypatch.setattr(kernels.sysconfig, "get_config_var",
+                        {"CC": "driftcorner-no-such-cc"}.get)
+    with pytest.raises(ImportError, match="plant kernel: driftcorner-no-such-cc "):
+        kernels._build(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_compile_error_fails_the_import_with_the_compilers_output(monkeypatch, tmp_path):
+    monkeypatch.delitem(kernels._MACROS, "I_Z")
+    with pytest.raises(ImportError, match="(?s)exited 1:.*I_Z"):
+        kernels._build(tmp_path)
+    assert list(tmp_path.iterdir()) == []
